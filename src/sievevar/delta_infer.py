@@ -1,28 +1,23 @@
 """Asymptotic IRF covariances and Gaussian confidence intervals.
 
-Two covariance flavors share one algebraic core. The finite-order form is
+One kernel serves both delta-interval families:
 
     G_i (Gamma^{-1} kron Sigma_u) G_i',
     G_i = sum_{m=0}^{i-1} J (A_c')^{i-1-m} kron Phi_m,
 
-with Gamma the regression moment matrix. The sieve form evaluates the
-equivalent double sum
-
-    sum_{m,n} [J (A_c')^{i-1-m} Gamma_p^{-1} A_c^{i-1-n} J'] kron
-              [Phi_m Sigma_u Phi_n']
-
-with the block-Toeplitz autocovariance Gamma_p plugged in. By the Kronecker
-mixed-product identity the two coincide when fed identical Gamma and Sigma;
-the finite-sample differences between the interval families come entirely
-from which Gamma and which residual-covariance divisor each tradition plugs
-in. vec() is column-stacking throughout, so entry (row, col) of Phi_i sits
-at position row + K * col.
+with G_i the Jacobian of vec(Phi_i) in the stacked coefficients. The
+families differ only in the plug-ins the caller passes: finite-order (LS)
+intervals use the regression moment matrix with the df-adjusted residual
+covariance, sieve (S-LS) intervals the block-Toeplitz autocovariance matrix
+Gamma_p with the ml residual covariance. All finite-sample differences
+between the two come from that choice. vec() is column-stacking
+throughout, so entry (row, col) of Phi_i sits at position row + K * col.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg
@@ -31,30 +26,6 @@ from scipy.special import ndtri
 from .errors import DimensionMismatchError, SingularMatrixError
 from .estimate import VarModel
 from .var_core import MatrixSeq, companion_form, ma_from_ar
-
-
-@dataclass(frozen=True)
-class IrfCovariance:
-    """Asymptotic covariance of sqrt(T) vec(Phi_hat_i - Phi_i)."""
-
-    horizon: int
-    cov: np.ndarray = field(repr=False)
-    flavor: str = "finite_order"
-
-    def __post_init__(self) -> None:
-        cov = np.asarray(self.cov, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - cov.T)) > 1e-10 * scale:
-            raise DimensionMismatchError("IRF covariance is not symmetric")
-        if np.min(np.diag(cov)) < -1e-12 * scale:
-            raise DimensionMismatchError("IRF covariance has negative diagonal")
-        cov = (cov + cov.T) / 2.0
-        cov.flags.writeable = False
-        object.__setattr__(self, "cov", cov)
-
-    def entry_variance(self, row: int, col: int) -> float:
-        k = int(round(np.sqrt(self.cov.shape[0])))
-        return float(self.cov[row + k * col, row + k * col])
 
 
 @dataclass(frozen=True)
@@ -117,23 +88,13 @@ class IntervalSet:
 
 def _companion_power_cols(model: VarModel, n: int) -> np.ndarray:
     """Stack of A_c^a J' for a = 0..n-1, shape (n, Kp, K)."""
-    comp = companion_form(model.ar_hat).data
+    comp = companion_form(model.ar_hat)
     k, kp = model.k, model.k * model.p
     cols = np.empty((max(n, 1), kp, k))
     cols[0] = np.eye(kp, k)
     for a in range(1, n):
         cols[a] = comp @ cols[a - 1]
     return cols[:n]
-
-
-def _inverse_pd(matrix: np.ndarray, what: str) -> np.ndarray:
-    try:
-        cho = scipy.linalg.cho_factor(matrix)
-        return scipy.linalg.cho_solve(cho, np.eye(matrix.shape[0]))
-    except (scipy.linalg.LinAlgError, ValueError):
-        raise SingularMatrixError(
-            f"singular {what}", condition_number=float(np.linalg.cond(matrix))
-        ) from None
 
 
 def irf_jacobian(model: VarModel, i: int) -> np.ndarray:
@@ -152,133 +113,89 @@ def irf_jacobian(model: VarModel, i: int) -> np.ndarray:
     return g
 
 
-def finite_order_covariances(
-    model: VarModel, horizons: Sequence[int], sigma_u: np.ndarray | None = None
-) -> list[IrfCovariance]:
-    """Finite-order covariances G_i (Gamma^{-1} kron Sigma) G_i' for each horizon."""
-    if sigma_u is None:
-        sigma_u = model.sigma_u_hat
-    gamma_inv = _inverse_pd(model.moment_matrix, "moment matrix")
-    mid = np.kron(gamma_inv, sigma_u)
-    maxh = max(horizons, default=0)
-    cols = _companion_power_cols(model, maxh)
-    phis = ma_from_ar(model.ar_hat, max(maxh - 1, 0)).mats
-    out = []
-    for i in horizons:
-        if i < 1:
-            raise ValueError("covariances defined for horizons i >= 1")
-        g = np.zeros((model.k**2, model.k**2 * model.p))
-        for m in range(i):
-            g += np.kron(cols[i - 1 - m].T, phis[m])
-        out.append(IrfCovariance(horizon=i, cov=g @ mid @ g.T, flavor="finite_order"))
-    return out
+def irf_covariances(
+    model: VarModel, gamma: np.ndarray, sigma_u: np.ndarray, horizon: int
+) -> np.ndarray:
+    """Stack of G_i (Gamma^{-1} kron Sigma_u) G_i' for i = 1..horizon.
 
-
-def finite_order_cov(
-    model: VarModel, i: int, sigma_u: np.ndarray | None = None
-) -> IrfCovariance:
-    """Single-horizon convenience wrapper around finite_order_covariances."""
-    return finite_order_covariances(model, [i], sigma_u=sigma_u)[0]
-
-
-def sieve_covariances(
-    model: VarModel,
-    gamma_p: np.ndarray,
-    horizons: Sequence[int],
-    sigma_u: np.ndarray | None = None,
-) -> list[IrfCovariance]:
-    """Sieve covariances from the plug-in bracket double sum.
-
-    ``gamma_p`` is the Kp x Kp block-Toeplitz autocovariance matrix; the
-    residual covariance defaults to the ml divisor, the plug-in used by the
-    sieve tradition.
+    Returns an array of shape (horizon, K^2, K^2). ``gamma`` is the Kp x Kp
+    second-moment plug-in, which must be positive-definite; ``sigma_u`` is
+    the K x K innovation covariance plug-in, which may be singular.
     """
-    if sigma_u is None:
-        sigma_u = model.sigma_u("ml")
-    gamma_p = np.asarray(gamma_p, dtype=float)
-    if gamma_p.shape != (model.k * model.p, model.k * model.p):
-        raise DimensionMismatchError(
-            f"gamma_p must be {model.k * model.p} square, got {gamma_p.shape}"
-        )
-    gamma_inv = _inverse_pd(gamma_p, "Toeplitz autocovariance matrix")
-
-    maxh = max(horizons, default=0)
-    k = model.k
-    cols = _companion_power_cols(model, maxh)  # (H, Kp, K)
-    phis = ma_from_ar(model.ar_hat, max(maxh - 1, 0)).mats
-    # brackets[a, b] = J (A_c')^a Gamma^{-1} A_c^b J'
-    brackets = np.einsum("aux,uv,bvy->abxy", cols, gamma_inv, cols, optimize=True)
-    # inner[m, n] = Phi_m Sigma Phi_n'
-    inner = np.einsum("mxu,uv,nyv->mnxy", phis, sigma_u, phis, optimize=True)
-
-    out = []
-    for i in horizons:
-        if i < 1:
-            raise ValueError("covariances defined for horizons i >= 1")
-        rev = brackets[i - 1 :: -1, i - 1 :: -1][:i, :i]
-        cov = np.einsum("mnxy,mnuv->xuyv", rev, inner[:i, :i]).reshape(k * k, k * k)
-        out.append(IrfCovariance(horizon=i, cov=cov, flavor="sieve"))
-    return out
-
-
-def sieve_cov(
-    model: VarModel,
-    gamma_p: np.ndarray,
-    i: int,
-    sigma_u: np.ndarray | None = None,
-) -> IrfCovariance:
-    """Single-horizon convenience wrapper around sieve_covariances."""
-    return sieve_covariances(model, gamma_p, [i], sigma_u=sigma_u)[0]
+    k, kp = model.k, model.k * model.p
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (kp, kp):
+        raise DimensionMismatchError(f"gamma must be {kp} square, got {gamma.shape}")
+    try:
+        chol = scipy.linalg.cholesky(gamma, lower=True)
+    except (scipy.linalg.LinAlgError, ValueError):
+        raise SingularMatrixError(
+            "Gamma plug-in is not positive-definite",
+            condition_number=float(np.linalg.cond(gamma)),
+        ) from None
+    # an explicit triangular inverse and per-horizon products keep every BLAS
+    # call below OpenBLAS's threading sizes; a threaded solve leaves its
+    # worker threads spinning through the Python work that follows
+    linv = scipy.linalg.lapack.dtrtri(chol, lower=1)[0]
+    phis = ma_from_ar(model.ar_hat, horizon).mats[:horizon]
+    padded = np.concatenate([phis, np.zeros((1, k, k))])  # index -1 is zero
+    steps = np.arange(horizon)[:, None]
+    # A_c^a J' stacks Phi_a, Phi_{a-1}, ..., Phi_{a-p+1}
+    cols = padded[np.maximum(steps - np.arange(model.p), -1)].reshape(horizon, kp, k)
+    # with Gamma = L L', x[a]' = J (A_c')^a L^{-T}
+    x = (linv @ cols).reshape(horizon, kp * k)
+    # phi_toe[i, (r, s), a] = Phi_{i-a}[r, s], zero for a > i
+    phi_toe = padded[np.maximum(steps - np.arange(horizon), -1)].transpose(0, 2, 3, 1)
+    # W_{i+1} = sum_{a<=i} x[a]' kron Phi_{i-a}, rows (c, r) and columns (q, s)
+    prod = (phi_toe.reshape(horizon, k * k, horizon) @ x).reshape(horizon, k, k, kp, k)
+    w = prod.transpose(0, 4, 1, 3, 2).reshape(horizon, k * k, kp, k)
+    w_sigma = (w @ sigma_u).reshape(horizon, k * k, kp * k)
+    cov = w_sigma @ w.reshape(horizon, k * k, kp * k).transpose(0, 2, 1)
+    return (cov + cov.transpose(0, 2, 1)) / 2.0
 
 
 def delta_ci(
     phi_hat: MatrixSeq,
-    covs: Iterable[IrfCovariance],
+    covs: np.ndarray,
     level: float,
     t: int,
-    method: str | None = None,
+    method: str,
 ) -> IntervalSet:
     """Gaussian intervals point +- z sqrt(cov_diag / T) for each response.
 
-    Horizon 0 intervals are degenerate at the identity, which is known
-    exactly. Negative variance entries (roundoff from near-singular moment
-    matrices) are clamped to zero and counted in ``clamped``.
+    ``covs`` is the (H, K^2, K^2) stack from ``irf_covariances`` for
+    horizons 1..H. Horizon 0 intervals are degenerate at the identity,
+    which is known exactly. Negative variance entries (roundoff from
+    near-singular moment matrices) are clamped to zero and counted in
+    ``clamped``.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    cov_by_h = {c.horizon: c for c in covs}
-    h = phi_hat.max_lag
-    missing = [i for i in range(1, h + 1) if i not in cov_by_h]
-    if missing:
-        raise DimensionMismatchError(f"missing covariances for horizons {missing}")
-    if method is None:
-        flavors = {c.flavor for c in cov_by_h.values()}
-        method = "S-LS" if flavors == {"sieve"} else "LS"
-
-    k = phi_hat.dim
+    h, k = phi_hat.max_lag, phi_hat.dim
+    covs = np.asarray(covs, dtype=float)
+    if covs.shape != (h, k * k, k * k):
+        raise DimensionMismatchError(
+            f"covariances must have shape {(h, k * k, k * k)}, got {covs.shape}"
+        )
+    scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))[:, None]
+    if np.any(np.abs(covs - covs.transpose(0, 2, 1)).max(axis=2) > 1e-10 * scale):
+        raise DimensionMismatchError("IRF covariance is not symmetric")
+    var = np.diagonal(covs, axis1=1, axis2=2)
+    if np.any(var < -1e-12 * scale):
+        raise DimensionMismatchError("IRF covariance has negative diagonal")
+    clamped = int(np.count_nonzero(var < 0.0))
+    # vec stacks columns, so diagonal index r + K c holds entry (r, c)
+    var = np.maximum(var, 0.0).reshape(h, k, k).transpose(0, 2, 1)
     z = float(ndtri((1.0 + level) / 2.0))
-    points = phi_hat.mats.copy()
-    lowers = points.copy()
-    uppers = points.copy()
-    clamped = 0
-    for i in range(1, h + 1):
-        cov = cov_by_h[i]
-        for c in range(k):
-            for r in range(k):
-                var = cov.entry_variance(r, c)
-                if var < 0.0:
-                    var = 0.0
-                    clamped += 1
-                half = z * np.sqrt(var / t)
-                lowers[i, r, c] = points[i, r, c] - half
-                uppers[i, r, c] = points[i, r, c] + half
+    half = np.concatenate([np.zeros((1, k, k)), z * np.sqrt(var / t)])
+    points = phi_hat.mats
     return IntervalSet(
         method=method,
         level=level,
         t=t,
         points=points,
-        lowers=lowers,
-        uppers=uppers,
+        lowers=points - half,
+        uppers=points + half,
         clamped=clamped,
     )
 

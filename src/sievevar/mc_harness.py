@@ -16,12 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .bootstrap_infer import bias_corrected_bootstrap, bootstrap_irf_distribution, percentile_ci
-from .delta_infer import (
-    IntervalSet,
-    delta_ci,
-    finite_order_covariances,
-    sieve_covariances,
-)
+from .delta_infer import IntervalSet, delta_ci, irf_covariances
 from .dgp_sim import (
     SamplePath,
     VarmaSpec,
@@ -118,15 +113,16 @@ def interval_sets_for_sample(
     model, _ = fit_var_ls(y, p, intercept=intercept)
     phi_hat = ma_from_ar(model.ar_hat, horizon)
     t = y.t if isinstance(y, SamplePath) else len(np.asarray(y))
-    horizons = range(1, horizon + 1)
     out: dict[str, IntervalSet] = {}
     for method in methods:
         if method == "LS":
-            covs = finite_order_covariances(model, horizons)
+            covs = irf_covariances(
+                model, model.moment_matrix, model.sigma_u_hat, horizon
+            )
             out[method] = delta_ci(phi_hat, covs, level, t, method="LS")
         elif method == "S-LS":
             gamma_p = build_gamma_p(sample_autocov(y, p - 1), p)
-            covs = sieve_covariances(model, gamma_p, horizons)
+            covs = irf_covariances(model, gamma_p, model.sigma_u("ml"), horizon)
             out[method] = delta_ci(phi_hat, covs, level, t, method="S-LS")
         elif method == "BOOT":
             draws = bootstrap_irf_distribution(
@@ -258,13 +254,3 @@ def coverage_flags(
             elif cov > over_threshold:
                 flags.append((method, i, "over"))
     return flags
-
-
-def counterexample_experiment(
-    cfg: ExperimentConfig,
-    under_threshold: float | None = None,
-    over_threshold: float | None = None,
-) -> tuple[McSummary, list[tuple[str, int, str]]]:
-    """Run the experiment and flag under-/over-covered horizons."""
-    summary = run_experiment(cfg)
-    return summary, coverage_flags(summary, under_threshold, over_threshold)

@@ -12,7 +12,7 @@ them against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,36 +100,8 @@ def irf_seq(mats, dim: int | None = None) -> MatrixSeq:
     return MatrixSeq(dim=int(dim), mats=arr, index_base=0)
 
 
-@dataclass(frozen=True)
-class CompanionMatrix:
-    """Kp x Kp companion form: coefficient blocks on top, identity subdiagonal."""
-
-    block_dim: int
-    lags: int
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "data", _freeze(self.data))
-
-
-@dataclass(frozen=True)
-class Selector:
-    """Block selector J_p = [I_K, 0, ..., 0], applied as slicing, never stored."""
-
-    dim: int
-    lags: int
-
-    def top_left(self, m: np.ndarray) -> np.ndarray:
-        """J m J': the top-left K x K block."""
-        return m[: self.dim, : self.dim]
-
-    def first_block_cols(self, m: np.ndarray) -> np.ndarray:
-        """m J': the first K columns."""
-        return m[:, : self.dim]
-
-
-def companion_form(ar: MatrixSeq) -> CompanionMatrix:
-    """Stack AR coefficients A_1..A_p into the Kp x Kp companion matrix."""
+def companion_form(ar: MatrixSeq) -> np.ndarray:
+    """Stack AR coefficients A_1..A_p into the read-only Kp x Kp companion matrix."""
     if ar.index_base != 1:
         raise DimensionMismatchError("companion_form expects an AR coefficient sequence")
     if len(ar) < 1:
@@ -140,7 +112,7 @@ def companion_form(ar: MatrixSeq) -> CompanionMatrix:
     if p > 1:
         idx = np.arange(k * (p - 1))
         data[k + idx, idx] = 1.0
-    return CompanionMatrix(block_dim=k, lags=p, data=data)
+    return _freeze(data)
 
 
 def ma_from_ar(ar: MatrixSeq, horizon: int) -> MatrixSeq:
@@ -172,18 +144,16 @@ def ma_via_companion(ar: MatrixSeq, i: int) -> np.ndarray:
     if i < 0:
         raise ValueError("horizon index must be nonnegative")
     comp = companion_form(ar)
-    sel = Selector(dim=ar.dim, lags=comp.lags)
-    power = np.eye(comp.data.shape[0])
+    power = np.eye(comp.shape[0])
     for _ in range(i):
-        power = comp.data @ power
-    return sel.top_left(power).copy()
+        power = comp @ power
+    return power[: ar.dim, : ar.dim].copy()
 
 
-def spectral_radius(c: CompanionMatrix | np.ndarray) -> float:
+def spectral_radius(c: np.ndarray) -> float:
     """Largest eigenvalue modulus of a companion (or any square) matrix."""
-    data = c.data if isinstance(c, CompanionMatrix) else np.asarray(c, dtype=float)
     try:
-        eigs = np.linalg.eigvals(data)
+        eigs = np.linalg.eigvals(np.asarray(c, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise EigenvalueError(f"eigenvalue solver failed: {exc}") from exc
     return float(np.max(np.abs(eigs))) if eigs.size else 0.0

@@ -11,6 +11,7 @@ from sievevar import (
     coeff_seq,
     companion_form,
     default_desk_spec,
+    irf_jacobian,
     spectral_radius,
     white_noise_spec,
 )
@@ -49,6 +50,13 @@ def scalar_varma(a: float | None, m: float | None, sigma2: float = 1.0) -> Varma
     ar = coeff_seq(np.array([[[a]]]), 1) if a is not None else white_noise_spec(1).ar
     ma = coeff_seq(np.array([[[m]]]), 1) if m is not None else white_noise_spec(1).ma
     return VarmaSpec(k=1, ar=ar, ma=ma, sigma_u=np.array([[sigma2]]))
+
+
+def jacobian_sandwich(model, gamma, sigma_u, horizon: int) -> np.ndarray:
+    """Oracle stack of G_i (Gamma^{-1} kron Sigma_u) G_i' from irf_jacobian, i = 1..horizon."""
+    middle = np.kron(np.linalg.inv(gamma), sigma_u)
+    jacobians = [irf_jacobian(model, i) for i in range(1, horizon + 1)]
+    return np.array([g @ middle @ g.T for g in jacobians])
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import pytest
 import sievevar as sv
 from sievevar.cli import main as cli_main
 from sievevar.mc_harness import ExperimentConfig, run_experiment
-from conftest import random_stable_coeffs, scalar_varma
+from conftest import jacobian_sandwich, random_stable_coeffs, scalar_varma
 
 pytestmark = pytest.mark.acceptance
 
@@ -42,17 +42,16 @@ def test_02_sieve_equals_finite_order_on_identical_inputs():
             int(rng.integers(2**63)),
         )
         model, _ = sv.fit_var_ls(y, p)
-        horizons = range(1, 11)
         sigma = np.asarray(model.sigma_u_hat)
         gamma = np.asarray(model.moment_matrix)
-        fo = sv.finite_order_covariances(model, horizons, sigma_u=sigma)
-        sl = sv.sieve_covariances(model, gamma, horizons, sigma_u=sigma)
-        for a, b in zip(fo, sl):
-            scale = max(1e-300, float(np.max(np.abs(a.cov))))
-            assert np.max(np.abs(a.cov - b.cov)) <= 1e-10 * scale
+        covs = sv.irf_covariances(model, gamma, sigma, 10)
+        oracle = jacobian_sandwich(model, gamma, sigma, 10)
+        for a, b in zip(oracle, covs):
+            scale = max(1e-300, float(np.max(np.abs(a))))
+            assert np.max(np.abs(a - b)) <= 1e-10 * scale
         checked += 1
     assert checked == 100
-    _report("2 (Kronecker equivalence, 100 models, 1e-10 relative)")
+    _report("2 (one kernel vs irf_jacobian sandwich, 100 models, 1e-10 relative)")
 
 
 def test_03_jacobian_matches_finite_differences():
@@ -200,8 +199,7 @@ def test_07_counterexample_under_and_over_coverage():
             seed=90210,
             workers=2,
         )
-        _, flags = sv.counterexample_experiment(cfg)
-        flags_by_p[p] = flags
+        flags_by_p[p] = sv.coverage_flags(run_experiment(cfg))
     unders = [h for _, h, kind in flags_by_p[10] if kind == "under" and h > 10]
     overs = [h for _, h, kind in flags_by_p[10] if kind == "over" and h > 10]
     assert unders, "expected under-coverage beyond the fitted order"

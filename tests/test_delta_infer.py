@@ -1,29 +1,33 @@
 """Jacobians, asymptotic covariances, and Gaussian intervals."""
 
-import dataclasses
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sievevar import (
-    IrfCovariance,
+    DimensionMismatchError,
+    SingularMatrixError,
     build_gamma_p,
     coeff_seq,
     delta_ci,
-    finite_order_cov,
-    finite_order_covariances,
     fit_var_ls,
     horizon_gate,
+    irf_covariances,
     irf_jacobian,
     irf_seq,
     ma_from_ar,
     sample_autocov,
-    sieve_cov,
-    sieve_covariances,
     simulate_varma,
     white_noise_spec,
 )
-from conftest import pure_ar_spec, random_stable_coeffs, random_stable_model, scalar_varma
+from conftest import (
+    jacobian_sandwich,
+    pure_ar_spec,
+    random_stable_coeffs,
+    random_stable_model,
+    scalar_varma,
+)
 
 
 def fd_jacobian(model, i, step=1e-5):
@@ -78,34 +82,41 @@ class TestIrfJacobian:
             irf_jacobian(model, 0)
 
 
+def ls_plugins(model):
+    return model.moment_matrix, model.sigma_u_hat
+
+
+def sls_plugins(model, y):
+    return build_gamma_p(sample_autocov(y, model.p - 1), model.p), model.sigma_u("ml")
+
+
 class TestFiniteOrderCov:
     def test_scalar_exact_inputs(self, rng):
         model, _ = fitted_model(rng, k=1, p=1)
         gamma = np.array([[2.0]])
         sigma = np.array([[1.0]])
-        model = dataclasses.replace(model, moment_matrix=gamma)
-        cov = finite_order_cov(model, 1, sigma_u=sigma)
-        assert cov.cov[0, 0] == pytest.approx(0.5, abs=1e-14)
-        assert cov.flavor == "finite_order"
+        cov = irf_covariances(model, gamma, sigma, 1)
+        assert cov[0, 0, 0] == pytest.approx(0.5, abs=1e-14)
 
     def test_white_noise_unit_variance(self):
         y = simulate_varma(white_noise_spec(1), 100_000, 0, 61)
         model, _ = fit_var_ls(y, 1)
-        cov = finite_order_cov(model, 1)
-        assert cov.cov[0, 0] == pytest.approx(1.0, rel=0.03)
+        cov = irf_covariances(model, *ls_plugins(model), 1)
+        assert cov[0, 0, 0] == pytest.approx(1.0, rel=0.03)
 
     def test_ar1_asymptotic_variance(self):
         # var of sqrt(T)(a_hat - a) tends to 1 - a^2 = 0.75 for a = 0.5
         # (frozen from a 2000-replication Monte Carlo of the LS estimator)
         y = simulate_varma(scalar_varma(0.5, None), 100_000, 500, 8)
         model, _ = fit_var_ls(y, 1)
-        assert finite_order_cov(model, 1).cov[0, 0] == pytest.approx(0.75, rel=0.05)
+        cov = irf_covariances(model, *ls_plugins(model), 1)
+        assert cov[0, 0, 0] == pytest.approx(0.75, rel=0.05)
 
     def test_outputs_symmetric_psd(self, rng):
         model, _ = fitted_model(rng, k=2, p=3)
-        for cov in finite_order_covariances(model, range(1, 7)):
-            np.testing.assert_allclose(cov.cov, cov.cov.T, atol=1e-12)
-            eigs = np.linalg.eigvalsh(cov.cov)
+        for cov in irf_covariances(model, *ls_plugins(model), 6):
+            np.testing.assert_allclose(cov, cov.T, atol=1e-12)
+            eigs = np.linalg.eigvalsh(cov)
             assert eigs.min() > -1e-12 * max(1.0, eigs.max())
 
 
@@ -115,79 +126,144 @@ class TestSieveCov:
             ar, k, p = random_stable_model(rng)
             y = simulate_varma(pure_ar_spec(ar), 300, 100, int(rng.integers(2**31)))
             model, _ = fit_var_ls(y, p)
-            gamma = np.asarray(model.moment_matrix)
-            sigma = np.asarray(model.sigma_u_hat)
-            fo = finite_order_covariances(model, range(1, 2 * p + 1), sigma_u=sigma)
-            sl = sieve_covariances(model, gamma, range(1, 2 * p + 1), sigma_u=sigma)
-            for a, b in zip(fo, sl):
-                scale = max(1e-300, np.max(np.abs(a.cov)))
-                assert np.max(np.abs(a.cov - b.cov)) <= 1e-10 * scale
+            gamma, sigma = ls_plugins(model)
+            covs = irf_covariances(model, gamma, sigma, 2 * p)
+            oracle = jacobian_sandwich(model, gamma, sigma, 2 * p)
+            for a, b in zip(oracle, covs):
+                scale = max(1e-300, np.max(np.abs(a)))
+                assert np.max(np.abs(a - b)) <= 1e-10 * scale
 
     def test_scalar_single_term(self, rng):
         model, _ = fitted_model(rng, k=1, p=1)
-        cov = sieve_cov(model, np.array([[4.0 / 3.0]]), 1, sigma_u=np.array([[1.0]]))
-        assert cov.cov[0, 0] == pytest.approx(0.75, abs=1e-14)
-        assert cov.flavor == "sieve"
+        cov = irf_covariances(model, np.array([[4.0 / 3.0]]), np.array([[1.0]]), 1)
+        assert cov[0, 0, 0] == pytest.approx(0.75, abs=1e-14)
 
-    def test_plugin_flavors_differ_small_t_converge_large_t(self, desk_spec):
+    def test_plugins_differ_small_t_converge_large_t(self, desk_spec):
         gaps = {}
         for t, seed in ((300, 3), (100_000, 4)):
             y = simulate_varma(desk_spec, t, 300, seed)
             model, _ = fit_var_ls(y, 4)
-            gamma = build_gamma_p(sample_autocov(y, 3), 4)
-            fo = finite_order_covariances(model, range(1, 9))
-            sl = sieve_covariances(model, gamma, range(1, 9))
+            fo = irf_covariances(model, *ls_plugins(model), 8)
+            sl = irf_covariances(model, *sls_plugins(model, y), 8)
             gaps[t] = max(
-                np.max(np.abs(a.cov - b.cov)) / np.max(np.abs(a.cov))
-                for a, b in zip(fo, sl)
+                np.max(np.abs(a - b)) / np.max(np.abs(a)) for a, b in zip(fo, sl)
             )
         assert gaps[300] > 0.0
         assert gaps[100_000] < 0.02
 
     def test_singular_gamma_rejected(self, rng):
-        from sievevar import SingularMatrixError
-
         model, _ = fitted_model(rng, k=1, p=2)
-        with pytest.raises(SingularMatrixError):
-            sieve_cov(model, np.zeros((2, 2)), 1)
+        for gamma in (np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]])):
+            with pytest.raises(SingularMatrixError):
+                irf_covariances(model, gamma, model.sigma_u("ml"), 1)
+
+    def test_singular_sigma_accepted(self, rng):
+        model, _ = fitted_model(rng, k=2, p=2)
+        covs = irf_covariances(model, model.moment_matrix, np.zeros((2, 2)), 4)
+        np.testing.assert_array_equal(covs, np.zeros((4, 4, 4)))
+
+
+@st.composite
+def fitted_sample(draw):
+    """(y, p) from a random stable VAR, sized so both plug-ins are well conditioned."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    k = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    ar = random_stable_coeffs(rng, k, p, float(rng.uniform(0.3, 0.9)))
+    sigma = np.diag(rng.uniform(0.5, 2.0, size=k))
+    y = simulate_varma(pure_ar_spec(ar, sigma), 300, 100, seed)
+    return y.values, p
+
+
+def plugin_covs(y, p, plugin, horizon=6):
+    model, _ = fit_var_ls(y, p)
+    pair = ls_plugins(model) if plugin == "LS" else sls_plugins(model, y)
+    return irf_covariances(model, *pair, horizon)
+
+
+def assert_close_rel(got, want, rel):
+    scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(got - want) <= rel * scale)
+
+
+class TestPluginInvariance:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sample=fitted_sample(),
+        c=st.floats(1e-3, 1e3),
+        plugin=st.sampled_from(["LS", "S-LS"]),
+    )
+    def test_common_rescaling_leaves_covariances_unchanged(self, sample, c, plugin):
+        y, p = sample
+        assert_close_rel(plugin_covs(c * y, p, plugin), plugin_covs(y, p, plugin), 1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sample=fitted_sample(),
+        plugin=st.sampled_from(["LS", "S-LS"]),
+        data=st.data(),
+    )
+    def test_permutation_maps_covariances(self, sample, plugin, data):
+        y, p = sample
+        k = y.shape[1]
+        perm = data.draw(st.permutations(range(k)))
+        # y_t -> P y_t maps Phi_i to P Phi_i P', so vec(Phi_i) to (P kron P) vec(Phi_i)
+        pp = np.kron(np.eye(k)[perm], np.eye(k)[perm])
+        want = pp @ plugin_covs(y, p, plugin) @ pp.T
+        assert_close_rel(plugin_covs(y[:, perm], p, plugin), want, 1e-9)
 
 
 class TestDeltaCi:
     def test_textbook_interval(self):
         # interval around point 0.5 with unit asymptotic variance
         phi_hat = irf_seq(np.array([[[1.0]], [[0.5]]]))
-        covs = [IrfCovariance(horizon=1, cov=np.array([[1.0]]))]
-        iv = delta_ci(phi_hat, covs, 0.95, 100)
+        iv = delta_ci(phi_hat, np.array([[[1.0]]]), 0.95, 100, "LS")
         assert iv.lowers[1, 0, 0] == pytest.approx(0.30401, abs=1e-5)
         assert iv.uppers[1, 0, 0] == pytest.approx(0.69599, abs=1e-5)
 
     def test_zero_variance_degenerate(self):
         phi_hat = irf_seq(np.array([[[1.0]], [[0.7]]]))
-        covs = [IrfCovariance(horizon=1, cov=np.array([[0.0]]))]
-        iv = delta_ci(phi_hat, covs, 0.95, 50)
+        iv = delta_ci(phi_hat, np.array([[[0.0]]]), 0.95, 50, "LS")
         assert iv.lowers[1, 0, 0] == iv.uppers[1, 0, 0] == pytest.approx(0.7)
+
+    def test_column_stacked_diagonal(self):
+        # diagonal index r + K c holds the variance of entry (r, c)
+        phi_hat = irf_seq(np.array([np.eye(2), np.zeros((2, 2))]))
+        covs = np.diag([1.0, 4.0, 9.0, 16.0])[np.newaxis]
+        iv = delta_ci(phi_hat, covs, 0.95, 1, "LS")
+        z = iv.uppers[1, 0, 0]
+        np.testing.assert_allclose(iv.uppers[1], z * np.array([[1.0, 3.0], [2.0, 4.0]]))
 
     def test_horizon_zero_pinned_to_identity(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)
         phi_hat = ma_from_ar(model.ar_hat, 3)
-        covs = finite_order_covariances(model, range(1, 4))
-        iv = delta_ci(phi_hat, covs, 0.9, 200)
+        covs = irf_covariances(model, *ls_plugins(model), 3)
+        iv = delta_ci(phi_hat, covs, 0.9, 200, "LS")
         np.testing.assert_array_equal(iv.points[0], np.eye(2))
         np.testing.assert_array_equal(iv.lowers[0], np.eye(2))
         np.testing.assert_array_equal(iv.uppers[0], np.eye(2))
 
     def test_negative_variance_clamped_and_counted(self):
         phi_hat = irf_seq(np.array([[[1.0]], [[0.3]]]))
-        covs = [IrfCovariance(horizon=1, cov=np.array([[-1e-13]]))]
-        iv = delta_ci(phi_hat, covs, 0.95, 100)
+        iv = delta_ci(phi_hat, np.array([[[-1e-13]]]), 0.95, 100, "LS")
         assert iv.clamped == 1
         assert iv.lowers[1, 0, 0] == iv.uppers[1, 0, 0] == pytest.approx(0.3)
+
+    def test_asymmetric_or_negative_covariance_rejected(self):
+        phi_hat = irf_seq(np.array([np.eye(2), np.zeros((2, 2))]))
+        asymmetric = np.eye(4)[np.newaxis].copy()
+        asymmetric[0, 0, 1] = 1e-6
+        negative = -np.eye(4)[np.newaxis]
+        for covs in (asymmetric, negative):
+            with pytest.raises(DimensionMismatchError):
+                delta_ci(phi_hat, covs, 0.95, 100, "LS")
 
     def test_intervals_symmetric_around_point(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)
         phi_hat = ma_from_ar(model.ar_hat, 5)
-        covs = finite_order_covariances(model, range(1, 6))
-        iv = delta_ci(phi_hat, covs, 0.95, 300)
+        covs = irf_covariances(model, *ls_plugins(model), 5)
+        iv = delta_ci(phi_hat, covs, 0.95, 300, "LS")
         np.testing.assert_allclose(
             iv.uppers - iv.points, iv.points - iv.lowers, atol=1e-12
         )
@@ -195,16 +271,16 @@ class TestDeltaCi:
     def test_missing_horizon_rejected(self, rng):
         model, _ = fitted_model(rng, k=1, p=1)
         phi_hat = ma_from_ar(model.ar_hat, 3)
-        covs = finite_order_covariances(model, [1, 3])
-        with pytest.raises(Exception, match="missing"):
-            delta_ci(phi_hat, covs, 0.95, 100)
+        covs = irf_covariances(model, *ls_plugins(model), 2)
+        with pytest.raises(DimensionMismatchError):
+            delta_ci(phi_hat, covs, 0.95, 100, "LS")
 
     def test_level_bounds(self, rng):
         model, _ = fitted_model(rng, k=1, p=1)
         phi_hat = ma_from_ar(model.ar_hat, 1)
-        covs = finite_order_covariances(model, [1])
+        covs = irf_covariances(model, *ls_plugins(model), 1)
         with pytest.raises(ValueError):
-            delta_ci(phi_hat, covs, 1.0, 100)
+            delta_ci(phi_hat, covs, 1.0, 100, "LS")
 
 
 class TestHorizonGate:

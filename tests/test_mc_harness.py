@@ -9,7 +9,6 @@ from sievevar import (
     ConfigError,
     ExperimentConfig,
     aggregate,
-    counterexample_experiment,
     coverage_flags,
     interval_sets_for_sample,
     run_experiment,
@@ -150,14 +149,6 @@ class TestFlags:
     def test_vacuous_thresholds_empty(self):
         s = self._summary([1.0, 0.5, 0.0])
         assert coverage_flags(s, under_threshold=0.0, over_threshold=1.0) == []
-
-    def test_counterexample_experiment_passthrough(self, desk_spec):
-        cfg = tiny_config(desk_spec, methods=("LS",))
-        summary, flags = counterexample_experiment(
-            cfg, under_threshold=0.0, over_threshold=1.0
-        )
-        assert flags == []
-        assert summary.replications == 8
 
 
 class TestConfigValidation:

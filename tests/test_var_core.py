@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sievevar import (
     DimensionMismatchError,
     MatrixSeq,
-    Selector,
     coeff_seq,
     companion_form,
     irf_seq,
@@ -49,26 +48,28 @@ class TestMatrixSeq:
 class TestCompanionForm:
     def test_scalar_p1_is_coefficient(self):
         comp = companion_form(coeff_seq(np.array([[[0.5]]]), 1))
-        assert comp.data.shape == (1, 1)
-        assert comp.data[0, 0] == 0.5
+        assert comp.shape == (1, 1)
+        assert comp[0, 0] == 0.5
+        with pytest.raises(ValueError):
+            comp[0, 0] = 1.0
 
     def test_scalar_p2_layout(self):
         comp = companion_form(coeff_seq(np.array([[[0.5]], [[0.24]]]), 1))
-        np.testing.assert_array_equal(comp.data, [[0.5, 0.24], [1.0, 0.0]])
+        np.testing.assert_array_equal(comp, [[0.5, 0.24], [1.0, 0.0]])
 
     def test_k2_p2_blocks(self):
         ar = coeff_seq(np.array([0.5 * np.eye(2), np.zeros((2, 2))]), 2)
         comp = companion_form(ar)
-        assert comp.data.shape == (4, 4)
-        np.testing.assert_array_equal(comp.data[:2, :2], 0.5 * np.eye(2))
-        np.testing.assert_array_equal(comp.data[:2, 2:], np.zeros((2, 2)))
-        np.testing.assert_array_equal(comp.data[2:, :2], np.eye(2))
-        np.testing.assert_array_equal(comp.data[2:, 2:], np.zeros((2, 2)))
+        assert comp.shape == (4, 4)
+        np.testing.assert_array_equal(comp[:2, :2], 0.5 * np.eye(2))
+        np.testing.assert_array_equal(comp[:2, 2:], np.zeros((2, 2)))
+        np.testing.assert_array_equal(comp[2:, :2], np.eye(2))
+        np.testing.assert_array_equal(comp[2:, 2:], np.zeros((2, 2)))
 
     def test_subdiagonal_identity_exact_for_large_p(self, rng):
         ar = random_stable_coeffs(rng, 2, 6, 0.7)
         comp = companion_form(ar)
-        below = comp.data[2:]
+        below = comp[2:]
         np.testing.assert_array_equal(below[:, :10], np.eye(10))
         np.testing.assert_array_equal(below[:, 10:], np.zeros((10, 2)))
 
@@ -180,11 +181,3 @@ class TestSpectralRadius:
         assert stability_class(0.5) == "stable"
         assert stability_class(1.0 - 5e-9) == "near-unit-root"
         assert stability_class(1.0) == "unstable"
-
-
-class TestSelector:
-    def test_extracts_top_left_block(self):
-        sel = Selector(dim=2, lags=3)
-        m = np.arange(36.0).reshape(6, 6)
-        np.testing.assert_array_equal(sel.top_left(m), m[:2, :2])
-        np.testing.assert_array_equal(sel.first_block_cols(m), m[:, :2])
