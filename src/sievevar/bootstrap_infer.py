@@ -1,8 +1,9 @@
 """Residual-bootstrap percentile intervals and bias-corrected variants.
 
-The recursive-design scheme resamples centered LS residuals with
-replacement, seeds the recursion with a random contiguous block of the
-observed sample, and refits the VAR on each pseudo-sample. The
+The recursive-design scheme resamples the centered residuals of the model
+fitted to the sample with replacement, seeds the recursion with a random
+contiguous block of the observed sample, and refits the VAR on each
+pseudo-sample in one refit loop; the sample itself is never refitted. The
 bias-corrected interval runs one bootstrap to estimate the coefficient
 bias, corrects the point estimates under a stationarity guard, then reuses
 that same bias estimate on every second-stage draw instead of nesting a
@@ -20,7 +21,7 @@ from .dgp_sim import SamplePath
 from .errors import DimensionMismatchError, SingularMatrixError
 from .estimate import VarModel, fit_var_ls
 from .delta_infer import IntervalSet
-from .streams import SeedLike, generator, seed_record, substream
+from .streams import SeedLike, generator, substream
 from .var_core import MatrixSeq, coeff_seq, companion_form, ma_from_ar, spectral_radius
 
 _MAX_REFIT_ATTEMPTS = 10
@@ -35,7 +36,6 @@ class BootstrapDraws:
 
     m: int
     draws: np.ndarray = field(repr=False)
-    seed_record: str = ""
 
     def __post_init__(self) -> None:
         draws = np.asarray(self.draws, dtype=float)
@@ -93,53 +93,60 @@ def residual_bootstrap_sample(
         out[step] = y_new
         state[k:] = state[:-k]
         state[:k] = y_new
-    return SamplePath(k=k, t=t, values=out, seed_record=seed_record(seed))
+    return SamplePath(k=k, t=t, values=out)
 
 
-def _refit_from_draw(
+def _refit_draws(
     model: VarModel,
     residuals: np.ndarray,
-    source: SamplePath | np.ndarray,
-    intercept: bool,
+    y: SamplePath | np.ndarray,
+    m: int,
     seed: SeedLike,
-    path: tuple[int, ...],
-) -> VarModel:
-    """Resample and refit, retrying on singular fits with fresh streams."""
-    for attempt in range(_MAX_REFIT_ATTEMPTS):
-        stream = substream(seed, *path, attempt)
-        pseudo = residual_bootstrap_sample(model, residuals, source, stream)
-        try:
-            refit, _ = fit_var_ls(pseudo, model.p, intercept=intercept)
-            return refit
-        except SingularMatrixError:
-            continue
-    raise SingularMatrixError(
-        f"bootstrap refit failed {_MAX_REFIT_ATTEMPTS} times for path {path}"
-    )
+) -> np.ndarray:
+    """Coefficient stacks of m recursive-bootstrap refits, shape (m, p, K, K).
+
+    Draw r resamples from ``model`` on the stream (seed, r, attempt), moving
+    to the next attempt when the refit is singular, and refits with an
+    intercept when ``model`` has one.
+    """
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    intercept = model.intercept is not None
+    out = np.empty((m, model.p, model.k, model.k))
+    for r in range(m):
+        for attempt in range(_MAX_REFIT_ATTEMPTS):
+            pseudo = residual_bootstrap_sample(
+                model, residuals, y, substream(seed, r, attempt)
+            )
+            try:
+                refit, _ = fit_var_ls(pseudo, model.p, intercept=intercept)
+            except SingularMatrixError:
+                continue
+            out[r] = refit.ar_hat.mats
+            break
+        else:
+            raise SingularMatrixError(
+                f"bootstrap refit failed {_MAX_REFIT_ATTEMPTS} times for draw {r}"
+            )
+    return out
 
 
 def bootstrap_irf_distribution(
+    model: VarModel,
+    residuals: np.ndarray,
     y: SamplePath | np.ndarray,
-    p: int,
     horizon: int,
     m: int,
     seed: SeedLike,
-    intercept: bool = False,
 ) -> BootstrapDraws:
-    """IRF estimates from m recursive-bootstrap refits of a VAR(p).
+    """IRF estimates from m recursive-bootstrap refits of the fitted ``model``.
 
     Replication r draws from the child stream (seed, r); the result does
     not depend on the order replications execute in.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    model, resid = fit_var_ls(y, p, intercept=intercept)
-    k = model.k
-    draws = np.empty((m, horizon + 1, k, k))
-    for r in range(m):
-        refit = _refit_from_draw(model, resid, y, intercept, seed, (r,))
-        draws[r] = ma_from_ar(refit.ar_hat, horizon).mats
-    return BootstrapDraws(m=m, draws=draws, seed_record=seed_record(seed))
+    coefs = _refit_draws(model, residuals, y, m, seed)
+    draws = [ma_from_ar(coeff_seq(c, model.k), horizon).mats for c in coefs]
+    return BootstrapDraws(m=m, draws=np.array(draws))
 
 
 def percentile_indices(m: int, level: float) -> tuple[int, int]:
@@ -194,80 +201,53 @@ def stationarity_guard(
 
 
 def bias_corrected_coefficients(
+    model: VarModel,
+    residuals: np.ndarray,
     y: SamplePath | np.ndarray,
-    p: int,
     m: int,
     seed: SeedLike,
-    intercept: bool = False,
 ) -> tuple[MatrixSeq, np.ndarray, float]:
-    """First-stage bootstrap bias correction of the VAR coefficients.
+    """First-stage bootstrap bias correction of the fitted coefficients.
 
-    Returns (corrected coefficients, bias estimate, guard delta). The bias
-    estimate is mean(bootstrap coefficients) - fitted coefficients.
+    Draws on the child stream (seed, 0). Returns (corrected coefficients,
+    bias estimate, guard delta). The bias estimate is
+    mean(bootstrap coefficients) - fitted coefficients.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    model, resid = fit_var_ls(y, p, intercept=intercept)
-    acc = np.zeros_like(model.ar_hat.mats)
-    for r in range(m):
-        refit = _refit_from_draw(model, resid, y, intercept, seed, (0, r))
-        acc += refit.ar_hat.mats
-    bias = acc / m - model.ar_hat.mats
+    # the builtin sum adds the draws in order, unlike numpy's pairwise sum
+    coefs = _refit_draws(model, residuals, y, m, substream(seed, 0))
+    bias = sum(coefs) / m - model.ar_hat.mats
     corrected, delta = stationarity_guard(model.ar_hat.mats, bias)
     return coeff_seq(corrected, model.k), bias, delta
 
 
-def corrected_model_draws(
+def bias_corrected_bootstrap(
     model: VarModel,
     residuals: np.ndarray,
-    source: SamplePath | np.ndarray,
-    horizon: int,
-    m: int,
-    seed: SeedLike,
-    bias: np.ndarray,
-    intercept: bool = False,
-) -> BootstrapDraws:
-    """Second-stage draws: resample from ``model``, refit, subtract ``bias``.
-
-    Each replication's refitted coefficients receive the same bias estimate
-    under a per-draw stationarity guard before the IRFs are computed. With
-    a zero bias this reduces exactly to a plain bootstrap of ``model``.
-    """
-    k = model.k
-    draws = np.empty((m, horizon + 1, k, k))
-    for r in range(m):
-        refit = _refit_from_draw(model, residuals, source, intercept, seed, (1, r))
-        fixed, _ = stationarity_guard(refit.ar_hat.mats, bias)
-        draws[r] = ma_from_ar(coeff_seq(fixed, k), horizon).mats
-    return BootstrapDraws(m=m, draws=draws, seed_record=seed_record(seed))
-
-
-def bias_corrected_bootstrap(
     y: SamplePath | np.ndarray,
-    p: int,
     horizon: int,
     m: int,
     level: float,
     seed: SeedLike,
-    intercept: bool = False,
 ) -> IntervalSet:
     """Bias-corrected bootstrap percentile intervals (single-stage shortcut).
 
-    Stage one estimates the coefficient bias; stage two resamples from the
-    bias-corrected model and applies the same stage-one bias estimate to
-    each replication's coefficients (with the stationarity guard applied
-    per draw) before computing its IRFs. Intervals are equal-tailed
-    percentiles of the corrected draws, centered on the corrected model's
-    own IRFs.
+    Stage one (stream (seed, 0)) estimates the coefficient bias; stage two
+    (stream (seed, 1)) resamples from the bias-corrected model and applies
+    the same stage-one bias estimate to each replication's coefficients
+    (with the stationarity guard applied per draw) before computing its
+    IRFs. With a zero bias estimate stage two is exactly a plain bootstrap
+    of ``model``. Intervals are equal-tailed percentiles of the corrected
+    draws, centered on the corrected model's own IRFs.
     """
-    model, resid = fit_var_ls(y, p, intercept=intercept)
-    corrected, bias, _ = bias_corrected_coefficients(
-        y, p, m, seed, intercept=intercept
+    corrected, bias, _ = bias_corrected_coefficients(model, residuals, y, m, seed)
+    coefs = _refit_draws(
+        replace(model, ar_hat=corrected), residuals, y, m, substream(seed, 1)
     )
-    corrected_model = replace(model, ar_hat=corrected)
-    boot = corrected_model_draws(
-        corrected_model, resid, y, horizon, m, seed, bias, intercept
-    )
+    draws = [
+        ma_from_ar(coeff_seq(stationarity_guard(c, bias)[0], model.k), horizon).mats
+        for c in coefs
+    ]
     points = ma_from_ar(corrected, horizon)
     t = y.t if isinstance(y, SamplePath) else len(np.asarray(y))
+    boot = BootstrapDraws(m=m, draws=np.array(draws))
     return percentile_ci(boot, level, points=points, method="BOOT-db", t=t)

@@ -45,6 +45,8 @@ class IntervalSet:
             arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 3:
                 raise DimensionMismatchError(f"{name} must have shape (H+1, K, K)")
+            if not np.all(np.isfinite(arr)):
+                raise DimensionMismatchError(f"{name} contains non-finite values")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.points.shape != self.lowers.shape or self.points.shape != self.uppers.shape:
@@ -114,18 +116,23 @@ def irf_jacobian(model: VarModel, i: int) -> np.ndarray:
 
 
 def irf_covariances(
-    model: VarModel, gamma: np.ndarray, sigma_u: np.ndarray, horizon: int
+    phi_hat: MatrixSeq, gamma: np.ndarray, sigma_u: np.ndarray
 ) -> np.ndarray:
-    """Stack of G_i (Gamma^{-1} kron Sigma_u) G_i' for i = 1..horizon.
+    """Stack of G_i (Gamma^{-1} kron Sigma_u) G_i' for i = 1..H.
 
-    Returns an array of shape (horizon, K^2, K^2). ``gamma`` is the Kp x Kp
+    Returns an array of shape (H, K^2, K^2). ``phi_hat`` holds the fitted
+    Phi_0..Phi_H, from which the G_i are built. ``gamma`` is the Kp x Kp
     second-moment plug-in, which must be positive-definite; ``sigma_u`` is
     the K x K innovation covariance plug-in, which may be singular.
     """
-    k, kp = model.k, model.k * model.p
+    k, horizon = phi_hat.dim, phi_hat.max_lag
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (kp, kp):
-        raise DimensionMismatchError(f"gamma must be {kp} square, got {gamma.shape}")
+    kp = gamma.shape[0] if gamma.ndim == 2 else 0
+    if kp == 0 or kp % k or gamma.shape != (kp, kp):
+        raise DimensionMismatchError(
+            f"gamma must be Kp x Kp for K={k} and some p >= 1, got {gamma.shape}"
+        )
+    p = kp // k
     try:
         chol = scipy.linalg.cholesky(gamma, lower=True)
     except (scipy.linalg.LinAlgError, ValueError):
@@ -137,11 +144,11 @@ def irf_covariances(
     # call below OpenBLAS's threading sizes; a threaded solve leaves its
     # worker threads spinning through the Python work that follows
     linv = scipy.linalg.lapack.dtrtri(chol, lower=1)[0]
-    phis = ma_from_ar(model.ar_hat, horizon).mats[:horizon]
+    phis = phi_hat.mats[:horizon]
     padded = np.concatenate([phis, np.zeros((1, k, k))])  # index -1 is zero
     steps = np.arange(horizon)[:, None]
     # A_c^a J' stacks Phi_a, Phi_{a-1}, ..., Phi_{a-p+1}
-    cols = padded[np.maximum(steps - np.arange(model.p), -1)].reshape(horizon, kp, k)
+    cols = padded[np.maximum(steps - np.arange(p), -1)].reshape(horizon, kp, k)
     # with Gamma = L L', x[a]' = J (A_c')^a L^{-T}
     x = (linv @ cols).reshape(horizon, kp * k)
     # phi_toe[i, (r, s), a] = Phi_{i-a}[r, s], zero for a > i
@@ -177,6 +184,8 @@ def delta_ci(
         raise DimensionMismatchError(
             f"covariances must have shape {(h, k * k, k * k)}, got {covs.shape}"
         )
+    if not np.all(np.isfinite(covs)):
+        raise DimensionMismatchError("IRF covariance has non-finite entries")
     scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))[:, None]
     if np.any(np.abs(covs - covs.transpose(0, 2, 1)).max(axis=2) > 1e-10 * scale):
         raise DimensionMismatchError("IRF covariance is not symmetric")

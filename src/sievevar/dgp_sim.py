@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, UnstableProcessError
-from .streams import SeedLike, generator, seed_record
+from .streams import SeedLike, generator
 from .var_core import (
     MatrixSeq,
     coeff_seq,
@@ -92,12 +92,11 @@ class VarmaSpec:
 
 @dataclass(frozen=True)
 class SamplePath:
-    """Simulated observations, T x K, with a record of the producing seed."""
+    """Simulated observations, T x K."""
 
     k: int
     t: int
     values: np.ndarray = field(repr=False)
-    seed_record: str = ""
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -170,9 +169,7 @@ def simulate_varma(
             acc += ma_mats[j - 1] @ u[step - j]
         y[step] = acc
 
-    return SamplePath(
-        k=spec.k, t=t, values=y[burn_in:], seed_record=seed_record(seed)
-    )
+    return SamplePath(k=spec.k, t=t, values=y[burn_in:])
 
 
 def counterexample_ar(

@@ -22,7 +22,7 @@ from .var_core import MatrixSeq, coeff_seq
 
 @dataclass(frozen=True)
 class VarModel:
-    """Fitted VAR(p): coefficients, innovation covariance, moment matrix."""
+    """Fitted VAR(p): coefficients, df-adjusted innovation covariance, moment matrix."""
 
     k: int
     p: int
@@ -31,7 +31,6 @@ class VarModel:
     intercept: np.ndarray | None
     moment_matrix: np.ndarray = field(repr=False)
     t_effective: int = 0
-    df_mode: str = "adjusted"
 
     def __post_init__(self) -> None:
         sigma = np.asarray(self.sigma_u_hat, dtype=float)
@@ -49,7 +48,7 @@ class VarModel:
 
     def sigma_u(self, df_mode: str) -> np.ndarray:
         """Innovation covariance rescaled to the requested divisor convention."""
-        current = _df_divisor(self.df_mode, self.t_effective, self.n_reg)
+        current = _df_divisor("adjusted", self.t_effective, self.n_reg)
         wanted = _df_divisor(df_mode, self.t_effective, self.n_reg)
         return self.sigma_u_hat * (current / wanted)
 
@@ -120,7 +119,6 @@ def fit_var_ls(
     y: SamplePath | np.ndarray,
     p: int,
     intercept: bool = False,
-    df_mode: str = "adjusted",
 ) -> tuple[VarModel, np.ndarray]:
     """Multivariate least squares of y_t on its p lags.
 
@@ -129,7 +127,8 @@ def fit_var_ls(
     t = p+1..T. The moment matrix is Z Z' / T_eff over the lagged
     regressors; with an intercept it is computed from demeaned regressors
     so that its inverse remains the asymptotic covariance factor of the
-    coefficient block.
+    coefficient block. The residual covariance is df-adjusted, divided by
+    T_eff minus the regressors per equation.
 
     Raises
     ------
@@ -187,7 +186,7 @@ def fit_var_ls(
             condition_number=float(np.linalg.cond(moment)),
         ) from None
 
-    sigma = residual_cov(resid, df_mode=df_mode, n_reg=n_reg)
+    sigma = residual_cov(resid, df_mode="adjusted", n_reg=n_reg)
     model = VarModel(
         k=k,
         p=p,
@@ -196,7 +195,6 @@ def fit_var_ls(
         intercept=const,
         moment_matrix=moment,
         t_effective=t_eff,
-        df_mode=df_mode,
     )
     return model, resid
 

@@ -107,39 +107,33 @@ def interval_sets_for_sample(
 ) -> dict[str, IntervalSet]:
     """Confidence intervals for every requested method on one sample.
 
-    Each method draws from its own child stream, so adding or removing
-    methods never changes another method's output.
+    The sample is fitted and its IRFs expanded once, here; every method
+    reads that fit. Each method draws from its own child stream, so adding
+    or removing methods never changes another method's output.
     """
-    model, _ = fit_var_ls(y, p, intercept=intercept)
+    model, resid = fit_var_ls(y, p, intercept=intercept)
     phi_hat = ma_from_ar(model.ar_hat, horizon)
     t = y.t if isinstance(y, SamplePath) else len(np.asarray(y))
+    m = bootstrap_replications
     out: dict[str, IntervalSet] = {}
     for method in methods:
         if method == "LS":
-            covs = irf_covariances(
-                model, model.moment_matrix, model.sigma_u_hat, horizon
-            )
+            covs = irf_covariances(phi_hat, model.moment_matrix, model.sigma_u_hat)
             out[method] = delta_ci(phi_hat, covs, level, t, method="LS")
         elif method == "S-LS":
             gamma_p = build_gamma_p(sample_autocov(y, p - 1), p)
-            covs = irf_covariances(model, gamma_p, model.sigma_u("ml"), horizon)
+            covs = irf_covariances(phi_hat, gamma_p, model.sigma_u("ml"))
             out[method] = delta_ci(phi_hat, covs, level, t, method="S-LS")
         elif method == "BOOT":
             draws = bootstrap_irf_distribution(
-                y, p, horizon, bootstrap_replications, substream(seed, 10), intercept
+                model, resid, y, horizon, m, substream(seed, 10)
             )
             out[method] = percentile_ci(
                 draws, level, points=phi_hat, method="BOOT", t=t
             )
         elif method == "BOOT-db":
             out[method] = bias_corrected_bootstrap(
-                y,
-                p,
-                horizon,
-                bootstrap_replications,
-                level,
-                substream(seed, 11),
-                intercept,
+                model, resid, y, horizon, m, level, substream(seed, 11)
             )
         else:
             raise ConfigError(f"unknown method {method!r}")

@@ -37,8 +37,3 @@ def generator(seed: SeedLike, *path: int) -> np.random.Generator:
     """PCG64 generator for the stream at ``path`` below ``seed``."""
     return np.random.default_rng(substream(seed, *path))
 
-
-def seed_record(seed: SeedLike, *path: int) -> str:
-    """Human-readable record of the stream that produced a result."""
-    ss = substream(seed, *path)
-    return f"entropy={ss.entropy},spawn_key={tuple(ss.spawn_key)}"

@@ -44,7 +44,7 @@ def test_02_sieve_equals_finite_order_on_identical_inputs():
         model, _ = sv.fit_var_ls(y, p)
         sigma = np.asarray(model.sigma_u_hat)
         gamma = np.asarray(model.moment_matrix)
-        covs = sv.irf_covariances(model, gamma, sigma, 10)
+        covs = sv.irf_covariances(sv.ma_from_ar(model.ar_hat, 10), gamma, sigma)
         oracle = jacobian_sandwich(model, gamma, sigma, 10)
         for a, b in zip(oracle, covs):
             scale = max(1e-300, float(np.max(np.abs(a))))
@@ -219,10 +219,10 @@ def test_08_bias_correction_moves_toward_truth():
     corrected = np.empty(runs)
     for r in range(runs):
         y = sv.simulate_varma(spec, t, 200, np.random.SeedSequence(808, spawn_key=(r,)))
-        model, _ = sv.fit_var_ls(y, 1)
+        model, resid = sv.fit_var_ls(y, 1)
         plain[r] = model.ar_hat.mats[0, 0, 0]
         fixed, _, _ = sv.bias_corrected_coefficients(
-            y, 1, m, np.random.SeedSequence(809, spawn_key=(r,))
+            model, resid, y, m, np.random.SeedSequence(809, spawn_key=(r,))
         )
         corrected[r] = fixed.mats[0, 0, 0]
     assert abs(corrected.mean() - a) < abs(plain.mean() - a)

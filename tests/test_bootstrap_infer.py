@@ -8,19 +8,23 @@ from hypothesis import strategies as st
 from sievevar import (
     BootstrapDraws,
     SamplePath,
+    SingularMatrixError,
     bias_corrected_bootstrap,
     bias_corrected_coefficients,
     bootstrap_irf_distribution,
     coeff_seq,
     companion_form,
     fit_var_ls,
+    ma_from_ar,
     percentile_ci,
     residual_bootstrap_sample,
     simulate_varma,
     spectral_radius,
     white_noise_spec,
 )
+from sievevar import bootstrap_infer
 from sievevar.bootstrap_infer import percentile_indices, stationarity_guard
+from sievevar.streams import substream
 from conftest import pure_ar_spec, random_stable_coeffs, scalar_varma
 
 
@@ -75,7 +79,8 @@ class TestResidualBootstrapSample:
 class TestBootstrapIrfDistribution:
     def test_horizon_zero_draws_exact_identity(self, desk_spec):
         y = simulate_varma(desk_spec, 120, 200, 50)
-        draws = bootstrap_irf_distribution(y, 2, 4, 25, 7)
+        model, resid = fit_var_ls(y, 2)
+        draws = bootstrap_irf_distribution(model, resid, y, 4, 25, 7)
         assert np.array_equal(
             draws.draws[:, 0], np.broadcast_to(np.eye(2), (25, 2, 2))
         )
@@ -84,9 +89,9 @@ class TestBootstrapIrfDistribution:
         # draws center on the fitted coefficient, which is itself a
         # root-T-small deviation from zero on white-noise data
         y = simulate_varma(white_noise_spec(1), 2000, 0, 12)
-        model, _ = fit_var_ls(y, 1)
+        model, resid = fit_var_ls(y, 1)
         a_hat = model.ar_hat.mats[0, 0, 0]
-        draws = bootstrap_irf_distribution(y, 1, 1, 200, 3)
+        draws = bootstrap_irf_distribution(model, resid, y, 1, 200, 3)
         phi1 = draws.draws[:, 1, 0, 0]
         assert abs(phi1.mean() - a_hat) < 3 * phi1.std() / np.sqrt(len(phi1))
         assert abs(phi1.mean()) < 0.05
@@ -94,14 +99,54 @@ class TestBootstrapIrfDistribution:
     def test_replication_streams_independent_of_m(self, desk_spec):
         # draw r depends only on (seed, r), so a shorter run is a prefix
         y = simulate_varma(desk_spec, 120, 200, 50)
-        big = bootstrap_irf_distribution(y, 2, 4, 12, 42)
-        small = bootstrap_irf_distribution(y, 2, 4, 5, 42)
+        model, resid = fit_var_ls(y, 2)
+        big = bootstrap_irf_distribution(model, resid, y, 4, 12, 42)
+        small = bootstrap_irf_distribution(model, resid, y, 4, 5, 42)
         assert np.array_equal(big.draws[:5], small.draws)
 
     def test_minimum_replications(self, desk_spec):
         y = simulate_varma(desk_spec, 120, 200, 50)
+        model, resid = fit_var_ls(y, 2)
         with pytest.raises(ValueError):
-            bootstrap_irf_distribution(y, 2, 4, 1, 7)
+            bootstrap_irf_distribution(model, resid, y, 4, 1, 7)
+
+    def test_singular_refit_retries_on_next_attempt(self, desk_spec, monkeypatch):
+        # a singular refit of draw 0 moves it to the stream (seed, 0, 1);
+        # every other draw keeps its first stream
+        y = simulate_varma(desk_spec, 120, 200, 50)
+        model, resid = fit_var_ls(y, 2)
+        plain = bootstrap_irf_distribution(model, resid, y, 4, 3, 7)
+        fit = bootstrap_infer.fit_var_ls
+        calls = []
+
+        def first_singular(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise SingularMatrixError("forced")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(bootstrap_infer, "fit_var_ls", first_singular)
+        draws = bootstrap_irf_distribution(model, resid, y, 4, 3, 7)
+        retry = residual_bootstrap_sample(model, resid, y, substream(7, 0, 1))
+        want = ma_from_ar(fit(retry, 2)[0].ar_hat, 4).mats
+        assert len(calls) == 4
+        np.testing.assert_array_equal(draws.draws[0], want)
+        assert not np.array_equal(draws.draws[0], plain.draws[0])
+        np.testing.assert_array_equal(draws.draws[1:], plain.draws[1:])
+
+    def test_refit_singular_on_every_attempt_raises(self, desk_spec, monkeypatch):
+        y = simulate_varma(desk_spec, 120, 200, 50)
+        model, resid = fit_var_ls(y, 2)
+        calls = []
+
+        def always_singular(*args, **kwargs):
+            calls.append(args)
+            raise SingularMatrixError("forced")
+
+        monkeypatch.setattr(bootstrap_infer, "fit_var_ls", always_singular)
+        with pytest.raises(SingularMatrixError):
+            bootstrap_irf_distribution(model, resid, y, 4, 3, 7)
+        assert len(calls) == bootstrap_infer._MAX_REFIT_ATTEMPTS
 
 
 class TestPercentileCi:
@@ -172,44 +217,47 @@ class TestStationarityGuard:
 
 
 class TestBiasCorrectedBootstrap:
-    def test_zero_bias_reduces_to_plain_bootstrap(self, desk_spec):
+    def test_zero_bias_reduces_to_plain_bootstrap(self, desk_spec, monkeypatch):
         # with a zero bias estimate the second stage is exactly a plain
-        # percentile bootstrap of the (uncorrected) fitted model
-        from sievevar.bootstrap_infer import _refit_from_draw, corrected_model_draws
-        from sievevar import ma_from_ar
-
+        # percentile bootstrap of the (uncorrected) fitted model on the
+        # stage-two stream (seed, 1)
         y = simulate_varma(desk_spec, 150, 200, 4)
         model, resid = fit_var_ls(y, 2)
         m = 15
-        boot = corrected_model_draws(
-            model, resid, y, 4, m, 31, np.zeros_like(model.ar_hat.mats)
+        zero = np.zeros_like(model.ar_hat.mats)
+        monkeypatch.setattr(
+            bootstrap_infer,
+            "bias_corrected_coefficients",
+            lambda *args: (model.ar_hat, zero, 1.0),
         )
-        plain = np.empty_like(boot.draws)
-        for r in range(m):
-            refit = _refit_from_draw(model, resid, y, False, 31, (1, r))
-            plain[r] = ma_from_ar(refit.ar_hat, 4).mats
-        np.testing.assert_array_equal(boot.draws, plain)
+        plain = bootstrap_irf_distribution(model, resid, y, 4, m, substream(31, 1))
+        for level in (0.95, 0.6, 0.2):
+            iv = bias_corrected_bootstrap(model, resid, y, 4, m, level, 31)
+            want = percentile_ci(plain, level)
+            np.testing.assert_array_equal(iv.lowers, want.lowers)
+            np.testing.assert_array_equal(iv.uppers, want.uppers)
 
     def test_deterministic(self, desk_spec):
         y = simulate_varma(desk_spec, 150, 200, 4)
-        a = bias_corrected_bootstrap(y, 2, 5, 30, 0.95, 11)
-        b = bias_corrected_bootstrap(y, 2, 5, 30, 0.95, 11)
+        model, resid = fit_var_ls(y, 2)
+        a = bias_corrected_bootstrap(model, resid, y, 5, 30, 0.95, 11)
+        b = bias_corrected_bootstrap(model, resid, y, 5, 30, 0.95, 11)
         assert np.array_equal(a.lowers, b.lowers)
         assert np.array_equal(a.uppers, b.uppers)
         assert np.array_equal(a.points, b.points)
 
     def test_horizon_zero_exact_points(self, desk_spec):
         y = simulate_varma(desk_spec, 150, 200, 4)
-        iv = bias_corrected_bootstrap(y, 2, 4, 25, 0.95, 11)
+        model, resid = fit_var_ls(y, 2)
+        iv = bias_corrected_bootstrap(model, resid, y, 4, 25, 0.95, 11)
         np.testing.assert_array_equal(iv.lowers[0], np.eye(2))
         np.testing.assert_array_equal(iv.uppers[0], np.eye(2))
 
     def test_points_are_corrected_model_irfs(self, desk_spec):
-        from sievevar import ma_from_ar
-
         y = simulate_varma(desk_spec, 150, 200, 4)
-        corrected, _, _ = bias_corrected_coefficients(y, 2, 25, 11)
-        iv = bias_corrected_bootstrap(y, 2, 4, 25, 0.95, 11)
+        model, resid = fit_var_ls(y, 2)
+        corrected, _, _ = bias_corrected_coefficients(model, resid, y, 25, 11)
+        iv = bias_corrected_bootstrap(model, resid, y, 4, 25, 0.95, 11)
         np.testing.assert_allclose(iv.points, ma_from_ar(corrected, 4).mats)
 
     def test_reduces_ar1_bias_single_sample(self):
@@ -222,8 +270,8 @@ class TestBiasCorrectedBootstrap:
         spec = scalar_varma(0.9, None)
         for i in range(runs):
             y = simulate_varma(spec, 80, 200, 1000 + i)
-            model, _ = fit_var_ls(y, 1)
+            model, resid = fit_var_ls(y, 1)
             plain[i] = model.ar_hat.mats[0, 0, 0]
-            fixed, _, _ = bias_corrected_coefficients(y, 1, 60, 2000 + i)
+            fixed, _, _ = bias_corrected_coefficients(model, resid, y, 60, 2000 + i)
             corrected[i] = fixed.mats[0, 0, 0]
         assert abs(corrected.mean() - 0.9) < abs(plain.mean() - 0.9)

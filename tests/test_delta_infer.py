@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sievevar import (
     DimensionMismatchError,
+    IntervalSet,
     SingularMatrixError,
     build_gamma_p,
     coeff_seq,
@@ -95,13 +96,13 @@ class TestFiniteOrderCov:
         model, _ = fitted_model(rng, k=1, p=1)
         gamma = np.array([[2.0]])
         sigma = np.array([[1.0]])
-        cov = irf_covariances(model, gamma, sigma, 1)
+        cov = irf_covariances(ma_from_ar(model.ar_hat, 1), gamma, sigma)
         assert cov[0, 0, 0] == pytest.approx(0.5, abs=1e-14)
 
     def test_white_noise_unit_variance(self):
         y = simulate_varma(white_noise_spec(1), 100_000, 0, 61)
         model, _ = fit_var_ls(y, 1)
-        cov = irf_covariances(model, *ls_plugins(model), 1)
+        cov = irf_covariances(ma_from_ar(model.ar_hat, 1), *ls_plugins(model))
         assert cov[0, 0, 0] == pytest.approx(1.0, rel=0.03)
 
     def test_ar1_asymptotic_variance(self):
@@ -109,12 +110,12 @@ class TestFiniteOrderCov:
         # (frozen from a 2000-replication Monte Carlo of the LS estimator)
         y = simulate_varma(scalar_varma(0.5, None), 100_000, 500, 8)
         model, _ = fit_var_ls(y, 1)
-        cov = irf_covariances(model, *ls_plugins(model), 1)
+        cov = irf_covariances(ma_from_ar(model.ar_hat, 1), *ls_plugins(model))
         assert cov[0, 0, 0] == pytest.approx(0.75, rel=0.05)
 
     def test_outputs_symmetric_psd(self, rng):
         model, _ = fitted_model(rng, k=2, p=3)
-        for cov in irf_covariances(model, *ls_plugins(model), 6):
+        for cov in irf_covariances(ma_from_ar(model.ar_hat, 6), *ls_plugins(model)):
             np.testing.assert_allclose(cov, cov.T, atol=1e-12)
             eigs = np.linalg.eigvalsh(cov)
             assert eigs.min() > -1e-12 * max(1.0, eigs.max())
@@ -127,7 +128,7 @@ class TestSieveCov:
             y = simulate_varma(pure_ar_spec(ar), 300, 100, int(rng.integers(2**31)))
             model, _ = fit_var_ls(y, p)
             gamma, sigma = ls_plugins(model)
-            covs = irf_covariances(model, gamma, sigma, 2 * p)
+            covs = irf_covariances(ma_from_ar(model.ar_hat, 2 * p), gamma, sigma)
             oracle = jacobian_sandwich(model, gamma, sigma, 2 * p)
             for a, b in zip(oracle, covs):
                 scale = max(1e-300, np.max(np.abs(a)))
@@ -135,7 +136,8 @@ class TestSieveCov:
 
     def test_scalar_single_term(self, rng):
         model, _ = fitted_model(rng, k=1, p=1)
-        cov = irf_covariances(model, np.array([[4.0 / 3.0]]), np.array([[1.0]]), 1)
+        phi_hat = ma_from_ar(model.ar_hat, 1)
+        cov = irf_covariances(phi_hat, np.array([[4.0 / 3.0]]), np.array([[1.0]]))
         assert cov[0, 0, 0] == pytest.approx(0.75, abs=1e-14)
 
     def test_plugins_differ_small_t_converge_large_t(self, desk_spec):
@@ -143,8 +145,8 @@ class TestSieveCov:
         for t, seed in ((300, 3), (100_000, 4)):
             y = simulate_varma(desk_spec, t, 300, seed)
             model, _ = fit_var_ls(y, 4)
-            fo = irf_covariances(model, *ls_plugins(model), 8)
-            sl = irf_covariances(model, *sls_plugins(model, y), 8)
+            fo = irf_covariances(ma_from_ar(model.ar_hat, 8), *ls_plugins(model))
+            sl = irf_covariances(ma_from_ar(model.ar_hat, 8), *sls_plugins(model, y))
             gaps[t] = max(
                 np.max(np.abs(a - b)) / np.max(np.abs(a)) for a, b in zip(fo, sl)
             )
@@ -155,11 +157,19 @@ class TestSieveCov:
         model, _ = fitted_model(rng, k=1, p=2)
         for gamma in (np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]])):
             with pytest.raises(SingularMatrixError):
-                irf_covariances(model, gamma, model.sigma_u("ml"), 1)
+                irf_covariances(ma_from_ar(model.ar_hat, 1), gamma, model.sigma_u("ml"))
+
+    def test_wrong_side_gamma_rejected(self, rng):
+        model, _ = fitted_model(rng, k=2, p=2)
+        phi_hat = ma_from_ar(model.ar_hat, 3)
+        for gamma in (np.eye(3), np.eye(4)[:, :2], np.zeros((0, 0)), np.ones(4)):
+            with pytest.raises(DimensionMismatchError):
+                irf_covariances(phi_hat, gamma, model.sigma_u_hat)
 
     def test_singular_sigma_accepted(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)
-        covs = irf_covariances(model, model.moment_matrix, np.zeros((2, 2)), 4)
+        phi_hat = ma_from_ar(model.ar_hat, 4)
+        covs = irf_covariances(phi_hat, model.moment_matrix, np.zeros((2, 2)))
         np.testing.assert_array_equal(covs, np.zeros((4, 4, 4)))
 
 
@@ -179,7 +189,7 @@ def fitted_sample(draw):
 def plugin_covs(y, p, plugin, horizon=6):
     model, _ = fit_var_ls(y, p)
     pair = ls_plugins(model) if plugin == "LS" else sls_plugins(model, y)
-    return irf_covariances(model, *pair, horizon)
+    return irf_covariances(ma_from_ar(model.ar_hat, horizon), *pair)
 
 
 def assert_close_rel(got, want, rel):
@@ -238,7 +248,7 @@ class TestDeltaCi:
     def test_horizon_zero_pinned_to_identity(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)
         phi_hat = ma_from_ar(model.ar_hat, 3)
-        covs = irf_covariances(model, *ls_plugins(model), 3)
+        covs = irf_covariances(phi_hat, *ls_plugins(model))
         iv = delta_ci(phi_hat, covs, 0.9, 200, "LS")
         np.testing.assert_array_equal(iv.points[0], np.eye(2))
         np.testing.assert_array_equal(iv.lowers[0], np.eye(2))
@@ -259,10 +269,23 @@ class TestDeltaCi:
             with pytest.raises(DimensionMismatchError):
                 delta_ci(phi_hat, covs, 0.95, 100, "LS")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_rejected(self, bad):
+        phi_hat = irf_seq(np.array([[[1.0]], [[0.5]]]))
+        with pytest.raises(DimensionMismatchError):
+            delta_ci(phi_hat, np.array([[[bad]]]), 0.95, 100, "LS")
+
+    @pytest.mark.parametrize("name", ["points", "lowers", "uppers"])
+    def test_interval_set_rejects_non_finite(self, name):
+        arrays = {n: np.zeros((2, 1, 1)) for n in ("points", "lowers", "uppers")}
+        arrays[name][1, 0, 0] = np.nan
+        with pytest.raises(DimensionMismatchError):
+            IntervalSet(method="LS", level=0.95, t=10, **arrays)
+
     def test_intervals_symmetric_around_point(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)
         phi_hat = ma_from_ar(model.ar_hat, 5)
-        covs = irf_covariances(model, *ls_plugins(model), 5)
+        covs = irf_covariances(phi_hat, *ls_plugins(model))
         iv = delta_ci(phi_hat, covs, 0.95, 300, "LS")
         np.testing.assert_allclose(
             iv.uppers - iv.points, iv.points - iv.lowers, atol=1e-12
@@ -271,14 +294,14 @@ class TestDeltaCi:
     def test_missing_horizon_rejected(self, rng):
         model, _ = fitted_model(rng, k=1, p=1)
         phi_hat = ma_from_ar(model.ar_hat, 3)
-        covs = irf_covariances(model, *ls_plugins(model), 2)
+        covs = irf_covariances(ma_from_ar(model.ar_hat, 2), *ls_plugins(model))
         with pytest.raises(DimensionMismatchError):
             delta_ci(phi_hat, covs, 0.95, 100, "LS")
 
     def test_level_bounds(self, rng):
         model, _ = fitted_model(rng, k=1, p=1)
         phi_hat = ma_from_ar(model.ar_hat, 1)
-        covs = irf_covariances(model, *ls_plugins(model), 1)
+        covs = irf_covariances(phi_hat, *ls_plugins(model))
         with pytest.raises(ValueError):
             delta_ci(phi_hat, covs, 1.0, 100, "LS")
 

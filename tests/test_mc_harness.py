@@ -15,7 +15,8 @@ from sievevar import (
     simulate_varma,
     white_noise_spec,
 )
-from sievevar.mc_harness import McSummary
+from sievevar import bootstrap_infer, mc_harness
+from sievevar.mc_harness import VALID_METHODS, McSummary
 
 
 def tiny_config(desk_spec, **overrides):
@@ -123,6 +124,26 @@ class TestIntervalSetsForSample:
         for method, iv in sets.items():
             assert iv.method == method
             assert iv.horizon == 4
+
+    def test_sample_fitted_once_and_refit_per_draw(self, desk_spec, monkeypatch):
+        # one fit of the sample for all methods; BOOT refits M times and
+        # BOOT-db 2 M times
+        calls = {mc_harness: 0, bootstrap_infer: 0}
+
+        def counting(module):
+            fit = module.fit_var_ls
+
+            def counted(*args, **kwargs):
+                calls[module] += 1
+                return fit(*args, **kwargs)
+
+            return counted
+
+        for module in calls:
+            monkeypatch.setattr(module, "fit_var_ls", counting(module))
+        y = simulate_varma(desk_spec, 150, 200, 8)
+        interval_sets_for_sample(y, 2, 4, 0.95, VALID_METHODS, 20, 5)
+        assert calls == {mc_harness: 1, bootstrap_infer: 3 * 20}
 
 
 class TestFlags:
