@@ -13,7 +13,8 @@ second bootstrap loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
@@ -26,48 +27,27 @@ from .var_core import MatrixSeq, coeff_seq, companion_form, ma_from_ar, spectral
 
 _MAX_REFIT_ATTEMPTS = 10
 
+# draws resampled together; all 300 draws of a K=4, T=600 call at once
+# took about 9 MB more peak memory than blocks of 64 and ran about 15% faster
+_DRAW_BLOCK = 64
+
 # delta grid for the stationarity guard: 1.00, 0.99, ..., 0.00
 _GUARD_STEP = 0.01
-
-
-@dataclass(frozen=True)
-class BootstrapDraws:
-    """IRF estimates across bootstrap replications, shape (M, H+1, K, K)."""
-
-    m: int
-    draws: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        draws = np.asarray(self.draws, dtype=float)
-        if draws.ndim != 4 or draws.shape[0] != self.m:
-            raise DimensionMismatchError("draws must have shape (M, H+1, K, K)")
-        if not np.all(np.isfinite(draws)):
-            raise DimensionMismatchError("bootstrap draws contain non-finite values")
-        draws = draws.copy()
-        draws.flags.writeable = False
-        object.__setattr__(self, "draws", draws)
-
-    @property
-    def horizon(self) -> int:
-        return self.draws.shape[1] - 1
-
-    @property
-    def k(self) -> int:
-        return self.draws.shape[2]
 
 
 def residual_bootstrap_sample(
     model: VarModel,
     residuals: np.ndarray,
     source: SamplePath | np.ndarray,
-    seed: SeedLike,
-) -> SamplePath:
-    """One recursive-design pseudo-sample of the same length as ``source``.
+    seeds: Sequence[SeedLike],
+) -> np.ndarray:
+    """Recursive-design pseudo-samples, one per seed, shape (n, T, K).
 
-    Residuals are centered before resampling; the first p values are a
-    random contiguous block of the source sample. The stream is consumed in
-    a fixed order (block start, then T residual indices), so outputs are
-    bit-identical given the same seed.
+    Residuals are centered before resampling; the first p values of each
+    pseudo-sample are a random contiguous block of the source sample. Each
+    seed's stream is consumed in a fixed order (block start, then T
+    residual indices), so pseudo-sample j depends on ``seeds[j]`` alone and
+    is bit-identical given the same seed.
     """
     resid = np.asarray(residuals, dtype=float)
     if resid.ndim == 1:
@@ -76,24 +56,27 @@ def residual_bootstrap_sample(
         raise ValueError("need at least 2 residual rows")
     values = source.values if isinstance(source, SamplePath) else np.asarray(source)
     t, k = values.shape
-    p = model.p
+    p, n = model.p, len(seeds)
 
-    rng = generator(seed)
-    start = int(rng.integers(0, t - p + 1))
-    idx = rng.integers(0, resid.shape[0], size=t)
+    rngs = [generator(seed) for seed in seeds]
+    starts = np.array([rng.integers(0, t - p + 1) for rng in rngs])
+    idx = np.array([rng.integers(0, resid.shape[0], size=t) for rng in rngs])
     centered = resid - resid.mean(axis=0)
 
     stacked = np.hstack(list(model.ar_hat.mats))  # K x Kp
     const = model.intercept if model.intercept is not None else np.zeros(k)
-    out = np.empty((t, k))
-    out[:p] = values[start : start + p]
-    state = out[:p][::-1].reshape(-1)  # [y_{p-1}', ..., y_0']
+    out = np.empty((n, t, k))
+    out[:, :p] = values[starts[:, np.newaxis] + np.arange(p)]
+    state = out[:, :p][:, ::-1].reshape(n, -1)  # rows [y_{p-1}', ..., y_0']
     for step in range(p, t):
-        y_new = const + stacked @ state + centered[idx[step]]
-        out[step] = y_new
-        state[k:] = state[:-k]
-        state[:k] = y_new
-    return SamplePath(k=k, t=t, values=out)
+        # a stack of matrix-vector products keeps each draw's gemv bits;
+        # state @ stacked.T would round differently
+        gemv = (stacked @ state[..., np.newaxis])[..., 0]
+        y_new = const + gemv + centered[idx[:, step]]
+        out[:, step] = y_new
+        state[:, k:] = state[:, :-k]
+        state[:, :k] = y_new
+    return out
 
 
 def _refit_draws(
@@ -107,28 +90,31 @@ def _refit_draws(
 
     Draw r resamples from ``model`` on the stream (seed, r, attempt), moving
     to the next attempt when the refit is singular, and refits with an
-    intercept when ``model`` has one.
+    intercept when ``model`` has one. Each attempt is one pass over the
+    draws still pending, resampled in blocks of ``_DRAW_BLOCK``.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     intercept = model.intercept is not None
     out = np.empty((m, model.p, model.k, model.k))
-    for r in range(m):
-        for attempt in range(_MAX_REFIT_ATTEMPTS):
-            pseudo = residual_bootstrap_sample(
-                model, residuals, y, substream(seed, r, attempt)
-            )
-            try:
-                refit, _ = fit_var_ls(pseudo, model.p, intercept=intercept)
-            except SingularMatrixError:
-                continue
-            out[r] = refit.ar_hat.mats
-            break
-        else:
-            raise SingularMatrixError(
-                f"bootstrap refit failed {_MAX_REFIT_ATTEMPTS} times for draw {r}"
-            )
-    return out
+    pending = list(range(m))
+    for attempt in range(_MAX_REFIT_ATTEMPTS):
+        singular = []
+        for lo in range(0, len(pending), _DRAW_BLOCK):
+            block = pending[lo : lo + _DRAW_BLOCK]
+            seeds = [substream(seed, r, attempt) for r in block]
+            pseudo = residual_bootstrap_sample(model, residuals, y, seeds)
+            for r, sample in zip(block, pseudo):
+                try:
+                    out[r] = fit_var_ls(sample, model.p, intercept=intercept)[0].ar_hat.mats
+                except SingularMatrixError:
+                    singular.append(r)
+        pending = singular
+        if not pending:
+            return out
+    raise SingularMatrixError(
+        f"bootstrap refit failed {_MAX_REFIT_ATTEMPTS} times for draw {pending[0]}"
+    )
 
 
 def bootstrap_irf_distribution(
@@ -138,15 +124,14 @@ def bootstrap_irf_distribution(
     horizon: int,
     m: int,
     seed: SeedLike,
-) -> BootstrapDraws:
+) -> np.ndarray:
     """IRF estimates from m recursive-bootstrap refits of the fitted ``model``.
 
-    Replication r draws from the child stream (seed, r); the result does
-    not depend on the order replications execute in.
+    Returns the draws Phi_0..Phi_H, shape (m, H+1, K, K). Replication r
+    draws from the child stream (seed, r); the result does not depend on
+    the order replications execute in.
     """
-    coefs = _refit_draws(model, residuals, y, m, seed)
-    draws = [ma_from_ar(coeff_seq(c, model.k), horizon).mats for c in coefs]
-    return BootstrapDraws(m=m, draws=np.array(draws))
+    return ma_from_ar(_refit_draws(model, residuals, y, m, seed), horizon)
 
 
 def percentile_indices(m: int, level: float) -> tuple[int, int]:
@@ -157,7 +142,7 @@ def percentile_indices(m: int, level: float) -> tuple[int, int]:
 
 
 def percentile_ci(
-    draws: BootstrapDraws,
+    draws: np.ndarray,
     level: float,
     points: MatrixSeq | np.ndarray | None = None,
     method: str = "BOOT",
@@ -165,17 +150,21 @@ def percentile_ci(
 ) -> IntervalSet:
     """Equal-tailed Efron percentile interval per response entry.
 
-    Bounds are raw order statistics (no interpolation). ``points`` defaults
-    to the entrywise sample median of the draws.
+    ``draws`` has shape (M, H+1, K, K). Bounds are raw order statistics
+    (no interpolation). ``points`` defaults to the entrywise sample median
+    of the draws.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    lo, hi = percentile_indices(draws.m, level)
-    ordered = np.sort(draws.draws, axis=0)
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 4 or not np.all(np.isfinite(draws)):
+        raise DimensionMismatchError("draws must be a finite (M, H+1, K, K) array")
+    lo, hi = percentile_indices(len(draws), level)
+    ordered = np.sort(draws, axis=0)
     lowers = ordered[lo - 1]
     uppers = ordered[hi - 1]
     if points is None:
-        pts = np.median(draws.draws, axis=0)
+        pts = np.median(draws, axis=0)
     else:
         pts = points.mats if isinstance(points, MatrixSeq) else np.asarray(points)
     return IntervalSet(
@@ -243,11 +232,9 @@ def bias_corrected_bootstrap(
     coefs = _refit_draws(
         replace(model, ar_hat=corrected), residuals, y, m, substream(seed, 1)
     )
-    draws = [
-        ma_from_ar(coeff_seq(stationarity_guard(c, bias)[0], model.k), horizon).mats
-        for c in coefs
-    ]
+    guarded = np.array([stationarity_guard(c, bias)[0] for c in coefs])
     points = ma_from_ar(corrected, horizon)
     t = y.t if isinstance(y, SamplePath) else len(np.asarray(y))
-    boot = BootstrapDraws(m=m, draws=np.array(draws))
-    return percentile_ci(boot, level, points=points, method="BOOT-db", t=t)
+    return percentile_ci(
+        ma_from_ar(guarded, horizon), level, points=points, method="BOOT-db", t=t
+    )

@@ -133,6 +133,11 @@ def irf_covariances(
             f"gamma must be Kp x Kp for K={k} and some p >= 1, got {gamma.shape}"
         )
     p = kp // k
+    sigma_u = np.asarray(sigma_u, dtype=float)
+    if sigma_u.shape != (k, k):
+        raise DimensionMismatchError(
+            f"sigma_u must be K x K for K={k}, got {sigma_u.shape}"
+        )
     try:
         chol = scipy.linalg.cholesky(gamma, lower=True)
     except (scipy.linalg.LinAlgError, ValueError):

@@ -103,6 +103,8 @@ def _as_values(y: SamplePath | np.ndarray) -> np.ndarray:
         arr = arr[:, np.newaxis]
     if arr.ndim != 2:
         raise DimensionMismatchError("sample must be a T x K array")
+    if not np.all(np.isfinite(arr)):
+        raise DimensionMismatchError("sample contains non-finite values")
     return arr
 
 

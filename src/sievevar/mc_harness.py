@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -174,12 +175,6 @@ def _run_replication(
     return None
 
 
-def _worker(args: tuple[ExperimentConfig, int]) -> tuple[np.ndarray, np.ndarray] | None:
-    cfg, r = args
-    truth = varma_true_irf(cfg.dgp, cfg.horizon).mats
-    return _run_replication(cfg, truth, r)
-
-
 def aggregate(
     records: Sequence[tuple[np.ndarray, np.ndarray]],
     methods: Sequence[str],
@@ -207,13 +202,13 @@ def run_experiment(cfg: ExperimentConfig) -> McSummary:
     """Execute the full experiment, optionally across worker processes."""
     cfg.dgp.validate()
     truth = varma_true_irf(cfg.dgp, cfg.horizon).mats
-    tasks = [(cfg, r) for r in range(cfg.replications)]
+    replicate = partial(_run_replication, cfg, truth)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             chunk = max(1, cfg.replications // (cfg.workers * 8))
-            results = list(pool.map(_worker, tasks, chunksize=chunk))
+            results = list(pool.map(replicate, range(cfg.replications), chunksize=chunk))
     else:
-        results = [_run_replication(cfg, truth, r) for r in range(cfg.replications)]
+        results = list(map(replicate, range(cfg.replications)))
 
     records = [rec for rec in results if rec is not None]
     failures = len(results) - len(records)

@@ -115,24 +115,28 @@ def companion_form(ar: MatrixSeq) -> np.ndarray:
     return _freeze(data)
 
 
-def ma_from_ar(ar: MatrixSeq, horizon: int) -> MatrixSeq:
+def ma_from_ar(ar: MatrixSeq | np.ndarray, horizon: int) -> MatrixSeq | np.ndarray:
     """MA matrices Phi_0..Phi_H by the recursion Phi_i = sum_m Phi_m A_{i-m}.
 
     Coefficients beyond the stored order are treated as zero, which is
     exactly the truncation a fitted VAR(p) imposes on a longer process.
+    A ``MatrixSeq`` gives a ``MatrixSeq``; a stack of coefficient arrays
+    of shape (..., p, K, K) gives the stack of shape (..., H+1, K, K),
+    each member bit-identical to its own ``MatrixSeq`` expansion.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    k = ar.dim
-    phis = np.empty((horizon + 1, k, k))
-    phis[0] = np.eye(k)
+    mats = ar.mats if isinstance(ar, MatrixSeq) else np.asarray(ar, dtype=float)
+    p, k = mats.shape[-3], mats.shape[-1]
+    phis = np.empty(mats.shape[:-3] + (horizon + 1, k, k))
+    phis[..., 0, :, :] = np.eye(k)
     for i in range(1, horizon + 1):
-        acc = np.zeros((k, k))
+        acc = np.zeros(mats.shape[:-3] + (k, k))
         # terms with i - m > p vanish
-        for m in range(max(0, i - len(ar)), i):
-            acc += phis[m] @ ar.at(i - m)
-        phis[i] = acc
-    return MatrixSeq(dim=k, mats=phis, index_base=0)
+        for m in range(max(0, i - p), i):
+            acc += phis[..., m, :, :] @ mats[..., i - m - 1, :, :]
+        phis[..., i, :, :] = acc
+    return MatrixSeq(dim=k, mats=phis, index_base=0) if isinstance(ar, MatrixSeq) else phis
 
 
 def ma_via_companion(ar: MatrixSeq, i: int) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Residual bootstrap, percentile intervals, bias correction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievevar import (
-    BootstrapDraws,
+    DimensionMismatchError,
     SamplePath,
     SingularMatrixError,
     bias_corrected_bootstrap,
@@ -24,33 +26,65 @@ from sievevar import (
 )
 from sievevar import bootstrap_infer
 from sievevar.bootstrap_infer import percentile_indices, stationarity_guard
-from sievevar.streams import substream
+from sievevar.streams import generator, substream
 from conftest import pure_ar_spec, random_stable_coeffs, scalar_varma
+
+
+def scalar_resample(model, residuals, values, seed):
+    """Reference recursion: one pseudo-sample, one state vector at a time."""
+    rng = generator(seed)
+    t, k = values.shape
+    p = model.p
+    start = int(rng.integers(0, t - p + 1))
+    idx = rng.integers(0, residuals.shape[0], size=t)
+    centered = residuals - residuals.mean(axis=0)
+    stacked = np.hstack(list(model.ar_hat.mats))
+    const = model.intercept if model.intercept is not None else np.zeros(k)
+    out = np.empty((t, k))
+    out[:p] = values[start : start + p]
+    state = out[:p][::-1].reshape(-1)
+    for step in range(p, t):
+        y_new = const + stacked @ state + centered[idx[step]]
+        out[step] = y_new
+        state[k:] = state[:-k]
+        state[:k] = y_new
+    return out
 
 
 class TestResidualBootstrapSample:
     def test_zero_residuals_zero_source_gives_zero_path(self, rng):
         zeros = SamplePath(k=1, t=30, values=np.zeros((30, 1)))
         model, _ = fit_var_ls(np.arange(30.0) % 7 + 1.0, 2)
-        path = residual_bootstrap_sample(model, np.zeros((28, 1)), zeros, 5)
-        np.testing.assert_array_equal(path.values, np.zeros((30, 1)))
+        path = residual_bootstrap_sample(model, np.zeros((28, 1)), zeros, [5])
+        np.testing.assert_array_equal(path, np.zeros((1, 30, 1)))
 
     def test_same_seed_identical(self, desk_spec):
         y = simulate_varma(desk_spec, 150, 200, 17)
         model, resid = fit_var_ls(y, 2)
-        a = residual_bootstrap_sample(model, resid, y, 99)
-        b = residual_bootstrap_sample(model, resid, y, 99)
-        assert np.array_equal(a.values, b.values)
+        a = residual_bootstrap_sample(model, resid, y, [99])
+        b = residual_bootstrap_sample(model, resid, y, [99])
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_stack_matches_scalar_recursion_bit_for_bit(self, desk_spec, intercept):
+        y = simulate_varma(desk_spec, 150, 200, 17)
+        values = y.values + (3.0 if intercept else 0.0)
+        model, resid = fit_var_ls(values, 3, intercept=intercept)
+        seeds = [substream(8, r, 0) for r in range(5)]
+        paths = residual_bootstrap_sample(model, resid, values, seeds)
+        assert paths.shape == (5, 150, 2)
+        for path, seed in zip(paths, seeds):
+            np.testing.assert_array_equal(path, scalar_resample(model, resid, values, seed))
 
     def test_initial_block_comes_from_source(self, desk_spec):
         y = simulate_varma(desk_spec, 100, 200, 21)
         model, resid = fit_var_ls(y, 3)
-        path = residual_bootstrap_sample(model, resid, y, 1)
+        path = residual_bootstrap_sample(model, resid, y, [1])[0]
         # first p rows must be a contiguous block of the source
         hits = [
             s
             for s in range(y.t - 3 + 1)
-            if np.array_equal(path.values[:3], y.values[s : s + 3])
+            if np.array_equal(path[:3], y.values[s : s + 3])
         ]
         assert hits
 
@@ -72,8 +106,8 @@ class TestResidualBootstrapSample:
         y = simulate_varma(pure_ar_spec(ar), 4000, 200, 3)
         shifted = SamplePath(k=1, t=4000, values=y.values + 5.0)
         model, resid = fit_var_ls(shifted, 1, intercept=True)
-        path = residual_bootstrap_sample(model, resid, shifted, 2)
-        assert abs(path.values.mean() - 5.0) < 0.5
+        path = residual_bootstrap_sample(model, resid, shifted, [2])
+        assert abs(path.mean() - 5.0) < 0.5
 
 
 class TestBootstrapIrfDistribution:
@@ -82,7 +116,7 @@ class TestBootstrapIrfDistribution:
         model, resid = fit_var_ls(y, 2)
         draws = bootstrap_irf_distribution(model, resid, y, 4, 25, 7)
         assert np.array_equal(
-            draws.draws[:, 0], np.broadcast_to(np.eye(2), (25, 2, 2))
+            draws[:, 0], np.broadcast_to(np.eye(2), (25, 2, 2))
         )
 
     def test_white_noise_draws_center_on_estimate(self):
@@ -92,7 +126,7 @@ class TestBootstrapIrfDistribution:
         model, resid = fit_var_ls(y, 1)
         a_hat = model.ar_hat.mats[0, 0, 0]
         draws = bootstrap_irf_distribution(model, resid, y, 1, 200, 3)
-        phi1 = draws.draws[:, 1, 0, 0]
+        phi1 = draws[:, 1, 0, 0]
         assert abs(phi1.mean() - a_hat) < 3 * phi1.std() / np.sqrt(len(phi1))
         assert abs(phi1.mean()) < 0.05
 
@@ -102,7 +136,7 @@ class TestBootstrapIrfDistribution:
         model, resid = fit_var_ls(y, 2)
         big = bootstrap_irf_distribution(model, resid, y, 4, 12, 42)
         small = bootstrap_irf_distribution(model, resid, y, 4, 5, 42)
-        assert np.array_equal(big.draws[:5], small.draws)
+        assert np.array_equal(big[:5], small)
 
     def test_minimum_replications(self, desk_spec):
         y = simulate_varma(desk_spec, 120, 200, 50)
@@ -127,12 +161,12 @@ class TestBootstrapIrfDistribution:
 
         monkeypatch.setattr(bootstrap_infer, "fit_var_ls", first_singular)
         draws = bootstrap_irf_distribution(model, resid, y, 4, 3, 7)
-        retry = residual_bootstrap_sample(model, resid, y, substream(7, 0, 1))
+        retry = residual_bootstrap_sample(model, resid, y, [substream(7, 0, 1)])[0]
         want = ma_from_ar(fit(retry, 2)[0].ar_hat, 4).mats
         assert len(calls) == 4
-        np.testing.assert_array_equal(draws.draws[0], want)
-        assert not np.array_equal(draws.draws[0], plain.draws[0])
-        np.testing.assert_array_equal(draws.draws[1:], plain.draws[1:])
+        np.testing.assert_array_equal(draws[0], want)
+        assert not np.array_equal(draws[0], plain[0])
+        np.testing.assert_array_equal(draws[1:], plain[1:])
 
     def test_refit_singular_on_every_attempt_raises(self, desk_spec, monkeypatch):
         y = simulate_varma(desk_spec, 120, 200, 50)
@@ -146,22 +180,65 @@ class TestBootstrapIrfDistribution:
         monkeypatch.setattr(bootstrap_infer, "fit_var_ls", always_singular)
         with pytest.raises(SingularMatrixError):
             bootstrap_irf_distribution(model, resid, y, 4, 3, 7)
-        assert len(calls) == bootstrap_infer._MAX_REFIT_ATTEMPTS
+        # every pending draw gets its attempts before the raise
+        assert len(calls) == 3 * bootstrap_infer._MAX_REFIT_ATTEMPTS
+
+    @pytest.mark.parametrize("first_singular", [False, True])
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_blocks_match_per_draw_reference(
+        self, desk_spec, monkeypatch, block, first_singular
+    ):
+        # a forced singular first refit moves draw 0 to its attempt-1 stream
+        y = simulate_varma(desk_spec, 120, 200, 50)
+        model, resid = fit_var_ls(y, 2)
+        m = 70
+        fit = bootstrap_infer.fit_var_ls
+        want = []
+        for r in range(m):
+            attempt = 1 if first_singular and r == 0 else 0
+            pseudo = residual_bootstrap_sample(model, resid, y, [substream(7, r, attempt)])
+            want.append(ma_from_ar(fit(pseudo[0], 2)[0].ar_hat, 4).mats)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            if first_singular and len(calls) == 1:
+                raise SingularMatrixError("forced")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(bootstrap_infer, "fit_var_ls", counted)
+        monkeypatch.setattr(bootstrap_infer, "_DRAW_BLOCK", block)
+        draws = bootstrap_irf_distribution(model, resid, y, 4, m, 7)
+        assert len(calls) == m + first_singular
+        np.testing.assert_array_equal(draws, np.array(want))
+
+    def test_explosive_model_raises_dimension_mismatch(self, rng):
+        y = rng.normal(size=(1000, 2))
+        fitted, resid = fit_var_ls(y, 1)
+        model = replace(fitted, ar_hat=coeff_seq(3.0 * np.eye(2)[np.newaxis], 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DimensionMismatchError):
+                bootstrap_irf_distribution(model, resid, y, 4, 10, 7)
 
 
 class TestPercentileCi:
     def test_stated_order_statistics(self):
-        draws = BootstrapDraws(
-            m=100, draws=np.arange(0.01, 1.005, 0.01).reshape(100, 1, 1, 1)
-        )
+        draws = np.arange(0.01, 1.005, 0.01).reshape(100, 1, 1, 1)
         iv = percentile_ci(draws, 0.90)
         assert iv.lowers[0, 0, 0] == pytest.approx(0.05)
         assert iv.uppers[0, 0, 0] == pytest.approx(0.95)
 
     def test_constant_draws_degenerate(self):
-        draws = BootstrapDraws(m=40, draws=np.full((40, 2, 1, 1), 3.25))
+        draws = np.full((40, 2, 1, 1), 3.25)
         iv = percentile_ci(draws, 0.95)
         assert np.all(iv.lowers == 3.25) and np.all(iv.uppers == 3.25)
+
+    def test_non_finite_or_wrong_rank_draws_rejected(self):
+        bad = np.zeros((10, 2, 1, 1))
+        bad[3, 1] = np.nan
+        for draws in (bad, np.zeros((10, 2, 1))):
+            with pytest.raises(DimensionMismatchError):
+                percentile_ci(draws, 0.9)
 
     def test_m300_level95_indices(self):
         assert percentile_indices(300, 0.95) == (8, 293)
@@ -177,9 +254,9 @@ class TestPercentileCi:
     )
     def test_interval_contains_median(self, m, level, seed):
         rng = np.random.default_rng(seed)
-        draws = BootstrapDraws(m=m, draws=rng.normal(size=(m, 1, 1, 1)))
+        draws = rng.normal(size=(m, 1, 1, 1))
         iv = percentile_ci(draws, level)
-        med = np.median(draws.draws[:, 0, 0, 0])
+        med = np.median(draws[:, 0, 0, 0])
         assert iv.lowers[0, 0, 0] <= med <= iv.uppers[0, 0, 0]
 
 

@@ -166,6 +166,13 @@ class TestSieveCov:
             with pytest.raises(DimensionMismatchError):
                 irf_covariances(phi_hat, gamma, model.sigma_u_hat)
 
+    def test_wrong_side_sigma_rejected(self, rng):
+        model, _ = fitted_model(rng, k=2, p=2)
+        phi_hat = ma_from_ar(model.ar_hat, 3)
+        for sigma in (np.eye(3), np.eye(1), np.ones(4)):
+            with pytest.raises(DimensionMismatchError):
+                irf_covariances(phi_hat, model.moment_matrix, sigma)
+
     def test_singular_sigma_accepted(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)
         phi_hat = ma_from_ar(model.ar_hat, 4)

@@ -5,6 +5,7 @@ import pytest
 
 from sievevar import (
     AutocovSet,
+    DimensionMismatchError,
     SingularMatrixError,
     build_gamma_p,
     fit_var_ls,
@@ -59,6 +60,15 @@ class TestFitVarLs:
         y = np.column_stack([base, base])
         with pytest.raises(SingularMatrixError):
             fit_var_ls(y, 1)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_sample_rejected(self, rng, bad):
+        y = rng.normal(size=(100, 2))
+        y[40, 1] = bad
+        with pytest.raises(DimensionMismatchError, match="non-finite"):
+            fit_var_ls(y, 2)
+        with pytest.raises(DimensionMismatchError, match="non-finite"):
+            sample_autocov(y, 1)
 
     def test_too_small_sample_rejected(self):
         with pytest.raises(SingularMatrixError, match="too small"):

@@ -102,6 +102,14 @@ class TestMaRecursion:
         with pytest.raises(ValueError):
             ma_from_ar(coeff_seq(np.array([[[0.5]]]), 1), -1)
 
+    def test_stack_matches_each_sequence_bit_for_bit(self, rng):
+        for k, p in ((1, 1), (2, 3), (3, 2)):
+            stack = np.array([random_stable_coeffs(rng, k, p, 0.9).mats for _ in range(3)])
+            phis = ma_from_ar(stack, 7)
+            assert isinstance(phis, np.ndarray) and phis.shape == (3, 8, k, k)
+            for member, want in zip(phis, stack):
+                np.testing.assert_array_equal(member, ma_from_ar(coeff_seq(want, k), 7).mats)
+
 
 class TestMaViaCompanion:
     def test_power_zero_is_identity(self, rng):
