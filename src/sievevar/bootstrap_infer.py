@@ -20,10 +20,10 @@ import numpy as np
 
 from .dgp_sim import SamplePath
 from .errors import DimensionMismatchError, SingularMatrixError
-from .estimate import VarModel, fit_var_ls
+from .estimate import VarModel, fit_var_ls, fit_var_ls_stack
 from .delta_infer import IntervalSet
 from .streams import SeedLike, generator, substream
-from .var_core import MatrixSeq, coeff_seq, companion_form, ma_from_ar, spectral_radius
+from .var_core import MatrixSeq, coeff_seq, ma_from_ar, spectral_radius
 
 _MAX_REFIT_ATTEMPTS = 10
 
@@ -59,15 +59,17 @@ def residual_bootstrap_sample(
     p, n = model.p, len(seeds)
 
     rngs = [generator(seed) for seed in seeds]
-    starts = np.array([rng.integers(0, t - p + 1) for rng in rngs])
-    idx = np.array([rng.integers(0, resid.shape[0], size=t) for rng in rngs])
+    starts = np.array([rng.integers(0, t - p + 1) for rng in rngs], dtype=np.intp)
+    idx = np.array(
+        [rng.integers(0, resid.shape[0], size=t) for rng in rngs], dtype=np.intp
+    ).reshape(n, t)
     centered = resid - resid.mean(axis=0)
 
     stacked = np.hstack(list(model.ar_hat.mats))  # K x Kp
     const = model.intercept if model.intercept is not None else np.zeros(k)
     out = np.empty((n, t, k))
     out[:, :p] = values[starts[:, np.newaxis] + np.arange(p)]
-    state = out[:, :p][:, ::-1].reshape(n, -1)  # rows [y_{p-1}', ..., y_0']
+    state = out[:, :p][:, ::-1].reshape(n, k * p)  # rows [y_{p-1}', ..., y_0']
     for step in range(p, t):
         # a stack of matrix-vector products keeps each draw's gemv bits;
         # state @ stacked.T would round differently
@@ -91,7 +93,9 @@ def _refit_draws(
     Draw r resamples from ``model`` on the stream (seed, r, attempt), moving
     to the next attempt when the refit is singular, and refits with an
     intercept when ``model`` has one. Each attempt is one pass over the
-    draws still pending, resampled in blocks of ``_DRAW_BLOCK``.
+    draws still pending, resampled and refitted in blocks of
+    ``_DRAW_BLOCK`` by ``fit_var_ls_stack``; a draw it flags is refitted by
+    ``fit_var_ls``, whose ``SingularMatrixError`` marks the draw singular.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -104,11 +108,13 @@ def _refit_draws(
             block = pending[lo : lo + _DRAW_BLOCK]
             seeds = [substream(seed, r, attempt) for r in block]
             pseudo = residual_bootstrap_sample(model, residuals, y, seeds)
-            for r, sample in zip(block, pseudo):
+            coefs, fitted = fit_var_ls_stack(pseudo, model.p, intercept=intercept)
+            for j in np.flatnonzero(~fitted):
                 try:
-                    out[r] = fit_var_ls(sample, model.p, intercept=intercept)[0].ar_hat.mats
+                    coefs[j] = fit_var_ls(pseudo[j], model.p, intercept=intercept)[0].ar_hat.mats
                 except SingularMatrixError:
-                    singular.append(r)
+                    singular.append(block[j])
+            out[block] = coefs
         pending = singular
         if not pending:
             return out
@@ -174,19 +180,37 @@ def percentile_ci(
 
 def stationarity_guard(
     coef: np.ndarray, bias: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Largest delta in {1.00, 0.99, ..., 0} with stationary coef - delta*bias.
 
-    Returns the corrected coefficient stack and the delta used; delta = 0
-    cancels the correction entirely and is returned without a radius check.
+    ``coef`` is one (p, K, K) coefficient stack or a (..., p, K, K) stack of
+    them, and ``bias`` broadcasts against it. Returns the corrected
+    coefficients and the delta used, a float for one stack and an array of
+    shape (...) for many; delta = 0 cancels the correction entirely and is
+    returned without a radius check. Each step solves the companion
+    eigenvalues of all draws still non-stationary in one stacked call.
     """
-    k = coef.shape[1]
+    coef = np.asarray(coef, dtype=float)
+    p, k = coef.shape[-3], coef.shape[-1]
+    flat = coef.reshape(-1, p, k, k)
+    bias = np.broadcast_to(bias, coef.shape).reshape(flat.shape)
+    out = flat.copy()
+    deltas = np.zeros(len(flat))
+    pending = np.arange(len(flat))
     for step in range(100, 0, -1):
+        if not len(pending):
+            break
         delta = step * _GUARD_STEP
-        cand = coef - delta * bias
-        if spectral_radius(companion_form(coeff_seq(cand, k))) < 1.0:
-            return cand, delta
-    return coef.copy(), 0.0
+        cand = flat[pending] - delta * bias[pending]
+        comp = np.zeros((len(pending), k * p, k * p))
+        comp[:, :k] = cand.swapaxes(1, 2).reshape(-1, k, k * p)
+        comp[:, k:, :-k] = np.eye(k * (p - 1))
+        stable = spectral_radius(comp) < 1.0
+        out[pending[stable]] = cand[stable]
+        deltas[pending[stable]] = delta
+        pending = pending[~stable]
+    shape = coef.shape[:-3]
+    return out.reshape(coef.shape), (deltas.reshape(shape) if shape else float(deltas[0]))
 
 
 def bias_corrected_coefficients(
@@ -223,7 +247,7 @@ def bias_corrected_bootstrap(
     Stage one (stream (seed, 0)) estimates the coefficient bias; stage two
     (stream (seed, 1)) resamples from the bias-corrected model and applies
     the same stage-one bias estimate to each replication's coefficients
-    (with the stationarity guard applied per draw) before computing its
+    (under the stationarity guard, all draws at once) before computing its
     IRFs. With a zero bias estimate stage two is exactly a plain bootstrap
     of ``model``. Intervals are equal-tailed percentiles of the corrected
     draws, centered on the corrected model's own IRFs.
@@ -232,7 +256,7 @@ def bias_corrected_bootstrap(
     coefs = _refit_draws(
         replace(model, ar_hat=corrected), residuals, y, m, substream(seed, 1)
     )
-    guarded = np.array([stationarity_guard(c, bias)[0] for c in coefs])
+    guarded = stationarity_guard(coefs, bias)[0]
     points = ma_from_ar(corrected, horizon)
     t = y.t if isinstance(y, SamplePath) else len(np.asarray(y))
     return percentile_ci(

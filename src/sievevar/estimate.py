@@ -14,10 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dgp_sim import SamplePath
 from .errors import DimensionMismatchError, SingularMatrixError
 from .var_core import MatrixSeq, coeff_seq
+
+# Cholesky pivots with min^2 <= _PIVOT_COLLAPSE * max^2 mean numerical rank
+# deficiency that dpotrf missed
+_PIVOT_COLLAPSE = 1e-13
+
+# fit_var_ls_stack also flags pivots up to this factor short of collapse, so
+# that fit_var_ls itself decides every sample near the threshold
+_STACK_MARGIN = 100.0
 
 
 @dataclass(frozen=True)
@@ -159,9 +168,8 @@ def fit_var_ls(
     xty = design.T @ target
     try:
         cho = scipy.linalg.cho_factor(xtx)
-        # collapsed pivots mean numerical rank deficiency dpotrf missed
         pivots = np.abs(np.diag(cho[0]))
-        if pivots.min() ** 2 <= 1e-13 * pivots.max() ** 2:
+        if pivots.min() ** 2 <= _PIVOT_COLLAPSE * pivots.max() ** 2:
             raise scipy.linalg.LinAlgError("pivot collapse")
         coef = scipy.linalg.cho_solve(cho, xty)
     except (scipy.linalg.LinAlgError, ValueError):
@@ -199,6 +207,76 @@ def fit_var_ls(
         t_effective=t_eff,
     )
     return model, resid
+
+
+def fit_var_ls_stack(
+    samples: np.ndarray, p: int, intercept: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """``fit_var_ls`` coefficients of each sample of an (n, T, K) stack.
+
+    Returns the (n, p, K, K) coefficient stack and a boolean mask of the
+    samples fitted. The normal equations of all samples come from one
+    stacked product of a sliding-window view, so no (n, T-p, Kp) design is
+    built, and are solved with one stacked Cholesky factorisation. A sample
+    is flagged False, with NaN coefficients, when it is not finite, when its
+    pivots come within ``_STACK_MARGIN`` of the collapse test of
+    ``fit_var_ls``, or, with an intercept, when its demeaned moment matrix
+    is not positive-definite; all are flagged when a stacked factorisation
+    fails or T is too small. The caller refits a flagged sample with
+    ``fit_var_ls``, which stays the one definition of a singular fit.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n, t, k = samples.shape
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    kp = k * p
+    coefs = np.full((n, p, k, k), np.nan)
+    fitted = np.zeros(n, dtype=bool)
+    if t <= kp + intercept + 1 or not np.all(np.isfinite(samples)):
+        return coefs, fitted
+
+    # row s of the window is [y_{s-p}', ..., y_{s-1}', y_s'], oldest first
+    window = sliding_window_view(samples.reshape(n, t * k), k * (p + 1), axis=1)[:, ::k]
+    gram = window.swapaxes(1, 2) @ window
+    # regressors in the order of fit_var_ls, [y_{s-1}', ..., y_{s-p}'(, 1)]
+    order = (np.arange(p - 1, -1, -1)[:, np.newaxis] * k + np.arange(k)).ravel()
+    if intercept:
+        sums = np.ones(t - p) @ window
+        corner = np.full((n, 1, 1), float(t - p))
+        gram = np.block([[gram, sums[:, :, np.newaxis]], [sums[:, np.newaxis], corner]])
+        order = np.append(order, k * (p + 1))
+    xtx = gram[:, order[:, np.newaxis], order]
+    xty = gram[:, order[:, np.newaxis], np.arange(kp, kp + k)]
+    try:
+        chol = np.linalg.cholesky(xtx)
+        if intercept:
+            # T_eff times the demeaned moment matrix that fit_var_ls checks
+            cross = xtx[:, :kp, kp, np.newaxis]
+            np.linalg.cholesky(xtx[:, :kp, :kp] - cross * cross.swapaxes(1, 2) / (t - p))
+    except np.linalg.LinAlgError:
+        return coefs, fitted
+    pivots = np.abs(np.diagonal(chol, axis1=1, axis2=2))
+    fitted = pivots.min(axis=1) ** 2 > _STACK_MARGIN * _PIVOT_COLLAPSE * pivots.max(axis=1) ** 2
+    # a flagged sample's pivots could overflow the solve; its result is discarded
+    chol[~fitted] = np.eye(kp + intercept)
+    coef = _cho_solve_stack(chol, xty)[:, :kp]  # rows regressors, columns equations
+    coefs = coef.reshape(n, p, k, k).swapaxes(2, 3).copy()
+    coefs[~fitted] = np.nan
+    return coefs, fitted
+
+
+def _cho_solve_stack(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L' x = rhs for a stack of lower Cholesky factors L, row by row."""
+    # C order whatever the layout of rhs: matmul picks its path from the
+    # strides, and a layout that varied with the stack size would change a
+    # sample's bits with the number of samples solved beside it
+    x = np.empty(rhs.shape)
+    diag = np.diagonal(chol, axis1=1, axis2=2)[..., np.newaxis]
+    for i in range(chol.shape[-1]):  # L z = rhs
+        x[:, i] = (rhs[:, i] - (chol[:, i, np.newaxis, :i] @ x[:, :i])[:, 0]) / diag[:, i]
+    for i in reversed(range(chol.shape[-1])):  # L' x = z
+        x[:, i] = (x[:, i] - (chol[:, np.newaxis, i + 1 :, i] @ x[:, i + 1 :])[:, 0]) / diag[:, i]
+    return x
 
 
 def residual_cov(

@@ -154,13 +154,17 @@ def ma_via_companion(ar: MatrixSeq, i: int) -> np.ndarray:
     return power[: ar.dim, : ar.dim].copy()
 
 
-def spectral_radius(c: np.ndarray) -> float:
-    """Largest eigenvalue modulus of a companion (or any square) matrix."""
+def spectral_radius(c: np.ndarray) -> float | np.ndarray:
+    """Largest eigenvalue modulus of a square matrix, or of each in a (..., n, n) stack.
+
+    One matrix gives a float, a stack an array of shape (...).
+    """
     try:
         eigs = np.linalg.eigvals(np.asarray(c, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise EigenvalueError(f"eigenvalue solver failed: {exc}") from exc
-    return float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    radius = np.abs(eigs).max(axis=-1, initial=0.0)
+    return float(radius) if radius.ndim == 0 else radius
 
 
 def stability_class(radius: float) -> str:

@@ -26,6 +26,7 @@ from sievevar import (
 )
 from sievevar import bootstrap_infer
 from sievevar.bootstrap_infer import percentile_indices, stationarity_guard
+from sievevar.estimate import fit_var_ls_stack
 from sievevar.streams import generator, substream
 from conftest import pure_ar_spec, random_stable_coeffs, scalar_varma
 
@@ -49,6 +50,44 @@ def scalar_resample(model, residuals, values, seed):
         state[k:] = state[:-k]
         state[:k] = y_new
     return out
+
+
+def count_refits(monkeypatch, fail_first=False):
+    """Count the draws refitted by the stacked solve and by ``fit_var_ls``.
+
+    With ``fail_first`` the first draw of the first stacked call is flagged
+    and its ``fit_var_ls`` refit raises ``SingularMatrixError``.
+    """
+    stacked, fit = bootstrap_infer.fit_var_ls_stack, bootstrap_infer.fit_var_ls
+    refits = {"stacked": 0, "per_draw": 0}
+
+    def counted_stack(samples, p, intercept=False):
+        coefs, fitted = stacked(samples, p, intercept)
+        if fail_first and refits["stacked"] == 0:
+            fitted[0] = False
+        refits["stacked"] += len(samples)
+        return coefs, fitted
+
+    def counted_fit(*args, **kwargs):
+        refits["per_draw"] += 1
+        if fail_first and refits["per_draw"] == 1:
+            raise SingularMatrixError("forced")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(bootstrap_infer, "fit_var_ls_stack", counted_stack)
+    monkeypatch.setattr(bootstrap_infer, "fit_var_ls", counted_fit)
+    return refits
+
+
+def scalar_guard(coef, bias):
+    """Reference guard: one draw, one companion eigen-solve per delta step."""
+    k = coef.shape[1]
+    for step in range(100, 0, -1):
+        delta = step * 0.01
+        cand = coef - delta * bias
+        if spectral_radius(companion_form(coeff_seq(cand, k))) < 1.0:
+            return cand, delta
+    return coef.copy(), 0.0
 
 
 class TestResidualBootstrapSample:
@@ -75,6 +114,12 @@ class TestResidualBootstrapSample:
         assert paths.shape == (5, 150, 2)
         for path, seed in zip(paths, seeds):
             np.testing.assert_array_equal(path, scalar_resample(model, resid, values, seed))
+
+    def test_empty_seed_list_gives_empty_stack(self, desk_spec):
+        y = simulate_varma(desk_spec, 50, 200, 17)
+        model, resid = fit_var_ls(y, 2)
+        paths = residual_bootstrap_sample(model, resid, y, [])
+        assert paths.shape == (0, 50, 2)
 
     def test_initial_block_comes_from_source(self, desk_spec):
         y = simulate_varma(desk_spec, 100, 200, 21)
@@ -150,20 +195,11 @@ class TestBootstrapIrfDistribution:
         y = simulate_varma(desk_spec, 120, 200, 50)
         model, resid = fit_var_ls(y, 2)
         plain = bootstrap_irf_distribution(model, resid, y, 4, 3, 7)
-        fit = bootstrap_infer.fit_var_ls
-        calls = []
-
-        def first_singular(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 1:
-                raise SingularMatrixError("forced")
-            return fit(*args, **kwargs)
-
-        monkeypatch.setattr(bootstrap_infer, "fit_var_ls", first_singular)
+        refits = count_refits(monkeypatch, fail_first=True)
         draws = bootstrap_irf_distribution(model, resid, y, 4, 3, 7)
-        retry = residual_bootstrap_sample(model, resid, y, [substream(7, 0, 1)])[0]
-        want = ma_from_ar(fit(retry, 2)[0].ar_hat, 4).mats
-        assert len(calls) == 4
+        retry = residual_bootstrap_sample(model, resid, y, [substream(7, 0, 1)])
+        want = ma_from_ar(fit_var_ls_stack(retry, 2)[0][0], 4)
+        assert refits == {"stacked": 4, "per_draw": 1}
         np.testing.assert_array_equal(draws[0], want)
         assert not np.array_equal(draws[0], plain[0])
         np.testing.assert_array_equal(draws[1:], plain[1:])
@@ -173,15 +209,50 @@ class TestBootstrapIrfDistribution:
         model, resid = fit_var_ls(y, 2)
         calls = []
 
+        def flag_all(samples, p, intercept=False):
+            n, _, k = samples.shape
+            return np.full((n, p, k, k), np.nan), np.zeros(n, dtype=bool)
+
         def always_singular(*args, **kwargs):
             calls.append(args)
             raise SingularMatrixError("forced")
 
+        monkeypatch.setattr(bootstrap_infer, "fit_var_ls_stack", flag_all)
         monkeypatch.setattr(bootstrap_infer, "fit_var_ls", always_singular)
         with pytest.raises(SingularMatrixError):
             bootstrap_irf_distribution(model, resid, y, 4, 3, 7)
         # every pending draw gets its attempts before the raise
         assert len(calls) == 3 * bootstrap_infer._MAX_REFIT_ATTEMPTS
+
+    def test_genuinely_singular_refit_retried_then_raises(self, rng, monkeypatch):
+        # zero residuals and a unit root on a constant source: every
+        # pseudo-sample is constant, so every refit's X'X has rank 1
+        source = np.ones((50, 2))
+        fitted, _ = fit_var_ls(rng.normal(size=(50, 2)), 1)
+        model = replace(fitted, ar_hat=coeff_seq(np.eye(2)[np.newaxis], 2))
+        resid = np.zeros((49, 2))
+        pseudo = residual_bootstrap_sample(model, resid, source, [substream(7, 0, 0), 3])
+        np.testing.assert_array_equal(pseudo, np.ones((2, 50, 2)))
+        assert not fit_var_ls_stack(pseudo, 1)[1].any()
+        seeds, calls = [], []
+        resample, fit = bootstrap_infer.residual_bootstrap_sample, bootstrap_infer.fit_var_ls
+
+        def recorded(model, residuals, source, block_seeds):
+            seeds.extend(block_seeds)
+            return resample(model, residuals, source, block_seeds)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", recorded)
+        monkeypatch.setattr(bootstrap_infer, "fit_var_ls", counted)
+        m, attempts = 3, bootstrap_infer._MAX_REFIT_ATTEMPTS
+        with pytest.raises(SingularMatrixError):
+            bootstrap_irf_distribution(model, resid, source, 4, m, 7)
+        want = [substream(7, r, a) for a in range(attempts) for r in range(m)]
+        assert [q.spawn_key for q in seeds] == [q.spawn_key for q in want]
+        assert len(calls) == m * attempts
 
     @pytest.mark.parametrize("first_singular", [False, True])
     @pytest.mark.parametrize("block", [1, 3, 64])
@@ -192,24 +263,15 @@ class TestBootstrapIrfDistribution:
         y = simulate_varma(desk_spec, 120, 200, 50)
         model, resid = fit_var_ls(y, 2)
         m = 70
-        fit = bootstrap_infer.fit_var_ls
         want = []
         for r in range(m):
             attempt = 1 if first_singular and r == 0 else 0
             pseudo = residual_bootstrap_sample(model, resid, y, [substream(7, r, attempt)])
-            want.append(ma_from_ar(fit(pseudo[0], 2)[0].ar_hat, 4).mats)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            if first_singular and len(calls) == 1:
-                raise SingularMatrixError("forced")
-            return fit(*args, **kwargs)
-
-        monkeypatch.setattr(bootstrap_infer, "fit_var_ls", counted)
+            want.append(ma_from_ar(fit_var_ls_stack(pseudo, 2)[0][0], 4))
+        refits = count_refits(monkeypatch, fail_first=first_singular)
         monkeypatch.setattr(bootstrap_infer, "_DRAW_BLOCK", block)
         draws = bootstrap_irf_distribution(model, resid, y, 4, m, 7)
-        assert len(calls) == m + first_singular
+        assert refits == {"stacked": m + first_singular, "per_draw": int(first_singular)}
         np.testing.assert_array_equal(draws, np.array(want))
 
     def test_explosive_model_raises_dimension_mismatch(self, rng):
@@ -291,6 +353,35 @@ class TestStationarityGuard:
             corrected, delta = stationarity_guard(ar.mats, bias)
             radius = spectral_radius(companion_form(coeff_seq(corrected, 2)))
             assert radius < 1.0 or delta == 0.0
+
+    def test_stack_matches_scalar_guard_bit_for_bit(self, rng):
+        # draws needing delta = 1, delta < 1 and delta = 0 in one stack
+        coefs = [
+            random_stable_coeffs(rng, 2, 2, float(rng.uniform(0.5, 0.98))).mats for _ in range(9)
+        ]
+        biases = [rng.normal(size=(2, 2, 2)) * 0.2 for _ in range(9)]
+        lag2 = np.zeros((2, 2))
+        for a, b in ((0.95, -0.10), (0.999, -1.0), (0.3, 0.0)):
+            coefs.append(np.array([a * np.eye(2), lag2]))
+            biases.append(np.array([b * np.eye(2), lag2]))
+        coef = np.array(coefs).reshape(3, 4, 2, 2, 2)
+        bias = np.array(biases).reshape(coef.shape)
+        corrected, deltas = stationarity_guard(coef, bias)
+        assert corrected.shape == coef.shape and deltas.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            want, delta = scalar_guard(coef[idx], bias[idx])
+            np.testing.assert_array_equal(corrected[idx], want)
+            assert deltas[idx] == delta
+        assert 0.0 < deltas[2, 1] < 1.0 and deltas[2, 2] == 0.0 and deltas[2, 3] == 1.0
+
+    def test_shared_bias_broadcasts(self, rng):
+        coef = np.array([random_stable_coeffs(rng, 2, 2, 0.9).mats for _ in range(5)])
+        bias = rng.normal(size=(2, 2, 2)) * 0.2
+        corrected, deltas = stationarity_guard(coef, bias)
+        for c, got, delta in zip(coef, corrected, deltas):
+            want, want_delta = scalar_guard(c, bias)
+            np.testing.assert_array_equal(got, want)
+            assert delta == want_delta
 
 
 class TestBiasCorrectedBootstrap:

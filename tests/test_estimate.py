@@ -9,12 +9,14 @@ from sievevar import (
     SingularMatrixError,
     build_gamma_p,
     fit_var_ls,
+    residual_bootstrap_sample,
     residual_cov,
     sample_autocov,
     simulate_varma,
     white_noise_spec,
 )
-from sievevar.estimate import lagged_regressors
+from sievevar.estimate import fit_var_ls_stack, lagged_regressors
+from sievevar.streams import substream
 from conftest import pure_ar_spec, random_stable_coeffs, scalar_varma
 
 
@@ -89,6 +91,57 @@ class TestFitVarLs:
             model.sigma_u("ml"), residual_cov(resid, "ml"), atol=1e-14
         )
         np.testing.assert_allclose(model.sigma_u("adjusted"), model.sigma_u_hat)
+
+
+class TestFitVarLsStack:
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("p", [1, 3, 10])
+    def test_matches_fit_var_ls_per_draw(self, desk_spec, p, intercept):
+        y = simulate_varma(desk_spec, 300, 200, 3)
+        values = y.values + (3.0 if intercept else 0.0)
+        model, resid = fit_var_ls(values, p, intercept=intercept)
+        seeds = [substream(1, r, 0) for r in range(20)]
+        pseudo = residual_bootstrap_sample(model, resid, values, seeds)
+        coefs, fitted = fit_var_ls_stack(pseudo, p, intercept)
+        assert coefs.shape == (20, p, 2, 2) and fitted.all()
+        for sample, coef in zip(pseudo, coefs):
+            want = fit_var_ls(sample, p, intercept=intercept)[0].ar_hat.mats
+            np.testing.assert_allclose(coef, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            # a sample's coefficients do not depend on the rest of the stack
+            alone = fit_var_ls_stack(sample[np.newaxis], p, intercept)[0][0]
+            np.testing.assert_array_equal(alone, coef)
+
+    def test_collapsed_pivots_flagged(self, rng):
+        # y2 = y1 + 1e-7 noise puts the pivot ratio near 1e-14, under the
+        # 1e-13 collapse test; 1e-6 noise puts it near 1e-12, inside the
+        # screening margin: flagged here, but fitted by fit_var_ls
+        base = rng.normal(size=(200, 1))
+        collapsed = np.hstack([base, base + 1e-7 * rng.normal(size=(200, 1))])
+        near = np.hstack([base, base + 1e-6 * rng.normal(size=(200, 1))])
+        samples = np.array([rng.normal(size=(200, 2)), collapsed, near])
+        coefs, fitted = fit_var_ls_stack(samples, 2)
+        np.testing.assert_array_equal(fitted, [True, False, False])
+        assert np.all(np.isfinite(coefs[0])) and np.all(np.isnan(coefs[1:]))
+        with pytest.raises(SingularMatrixError):
+            fit_var_ls(collapsed, 2)
+        fit_var_ls(near, 2)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ("nan", DimensionMismatchError),
+            ("zero", SingularMatrixError),
+            ("short", SingularMatrixError),
+        ],
+    )
+    def test_every_sample_flagged_when_one_cannot_be_factorised(self, rng, bad, error):
+        samples = rng.normal(size=(3, 5 if bad == "short" else 100, 2))
+        if bad != "short":
+            samples[1] = np.nan if bad == "nan" else 0.0
+        coefs, fitted = fit_var_ls_stack(samples, 2)
+        assert not fitted.any() and np.all(np.isnan(coefs))
+        with pytest.raises(error):
+            fit_var_ls(samples[1], 2)
 
 
 class TestResidualCov:

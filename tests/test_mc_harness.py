@@ -126,24 +126,25 @@ class TestIntervalSetsForSample:
             assert iv.horizon == 4
 
     def test_sample_fitted_once_and_refit_per_draw(self, desk_spec, monkeypatch):
-        # one fit of the sample for all methods; BOOT refits M times and
-        # BOOT-db 2 M times
-        calls = {mc_harness: 0, bootstrap_infer: 0}
+        # one fit of the sample for all methods; BOOT refits M draws and
+        # BOOT-db 2 M, all in stacked solves and none through fit_var_ls
+        calls = {"sample": 0, "stacked": 0, "per_draw": 0}
 
-        def counting(module):
-            fit = module.fit_var_ls
+        def counting(module, attr, key, size=lambda *args: 1):
+            fit = getattr(module, attr)
 
             def counted(*args, **kwargs):
-                calls[module] += 1
+                calls[key] += size(*args)
                 return fit(*args, **kwargs)
 
-            return counted
+            monkeypatch.setattr(module, attr, counted)
 
-        for module in calls:
-            monkeypatch.setattr(module, "fit_var_ls", counting(module))
+        counting(mc_harness, "fit_var_ls", "sample")
+        counting(bootstrap_infer, "fit_var_ls", "per_draw")
+        counting(bootstrap_infer, "fit_var_ls_stack", "stacked", lambda samples, *_: len(samples))
         y = simulate_varma(desk_spec, 150, 200, 8)
         interval_sets_for_sample(y, 2, 4, 0.95, VALID_METHODS, 20, 5)
-        assert calls == {mc_harness: 1, bootstrap_infer: 3 * 20}
+        assert calls == {"sample": 1, "stacked": 3 * 20, "per_draw": 0}
 
 
 class TestFlags:

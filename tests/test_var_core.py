@@ -159,6 +159,16 @@ class TestSpectralRadius:
         ar = coeff_seq(np.zeros((3, 2, 2)), 2)
         assert spectral_radius(companion_form(ar)) == pytest.approx(0.0)
 
+    def test_stack_matches_each_matrix_bit_for_bit(self, rng):
+        comps = np.array(
+            [companion_form(random_stable_coeffs(rng, 2, 3, 0.9)) for _ in range(6)]
+        ).reshape(2, 3, 6, 6)
+        radii = spectral_radius(comps)
+        assert radii.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert radii[idx] == spectral_radius(comps[idx])
+        assert isinstance(spectral_radius(comps[0, 0]), float)
+
     def test_radius_agrees_with_boundary_winding_check(self, rng):
         # stable <=> det(I - sum A_i z^i) has no roots in |z| <= 1, checked
         # through the winding number of the determinant along the unit circle
