@@ -32,6 +32,7 @@ from .errors import (
     ConfigError,
     EigenvalueError,
     ExperimentError,
+    NonFiniteError,
     SieveVarError,
     SingularMatrixError,
     UnstableProcessError,
@@ -487,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularMatrixError, EigenvalueError, ExperimentError) as exc:
+    except (SingularMatrixError, EigenvalueError, ExperimentError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except SieveVarError as exc:

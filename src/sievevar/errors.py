@@ -9,6 +9,10 @@ class DimensionMismatchError(SieveVarError):
     """Matrix sequence entries disagree in shape or dimension."""
 
 
+class NonFiniteError(DimensionMismatchError):
+    """A computed array went non-finite, e.g. bootstrap draws of an explosive model."""
+
+
 class UnstableProcessError(SieveVarError):
     """A process specification violates stability or invertibility."""
 

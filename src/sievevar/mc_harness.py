@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bootstrap_infer import bias_corrected_bootstrap, bootstrap_irf_distribution, percentile_ci
+from .bootstrap_infer import bootstrap_interval_sets
 from .delta_infer import IntervalSet, delta_ci, irf_covariances
 from .dgp_sim import (
     SamplePath,
@@ -28,7 +28,6 @@ from .dgp_sim import (
 from .errors import ConfigError, ExperimentError, SieveVarError
 from .estimate import build_gamma_p, fit_var_ls, sample_autocov
 from .streams import SeedLike, substream
-from .var_core import ma_from_ar
 
 VALID_METHODS = ("LS", "S-LS", "BOOT", "BOOT-db")
 
@@ -110,35 +109,30 @@ def interval_sets_for_sample(
 
     The sample is fitted and its IRFs expanded once, here; every method
     reads that fit. Each method draws from its own child stream, so adding
-    or removing methods never changes another method's output.
+    or removing methods never changes another method's output, although
+    BOOT's draws and BOOT-db's first stage share one bootstrap pass.
     """
+    bad = [method for method in methods if method not in VALID_METHODS]
+    if bad:
+        raise ConfigError(f"unknown method {bad[0]!r}")
     model, resid = fit_var_ls(y, p, intercept=intercept)
-    phi_hat = ma_from_ar(model.ar_hat, horizon)
+    seeds = {
+        method: substream(seed, stream)
+        for method, stream in (("BOOT", 10), ("BOOT-db", 11))
+        if method in methods
+    }
+    phi_hat, out = bootstrap_interval_sets(
+        model, resid, y, horizon, bootstrap_replications, level, seeds
+    )
     t = y.t if isinstance(y, SamplePath) else len(np.asarray(y))
-    m = bootstrap_replications
-    out: dict[str, IntervalSet] = {}
-    for method in methods:
-        if method == "LS":
-            covs = irf_covariances(phi_hat, model.moment_matrix, model.sigma_u_hat)
-            out[method] = delta_ci(phi_hat, covs, level, t, method="LS")
-        elif method == "S-LS":
-            gamma_p = build_gamma_p(sample_autocov(y, p - 1), p)
-            covs = irf_covariances(phi_hat, gamma_p, model.sigma_u("ml"))
-            out[method] = delta_ci(phi_hat, covs, level, t, method="S-LS")
-        elif method == "BOOT":
-            draws = bootstrap_irf_distribution(
-                model, resid, y, horizon, m, substream(seed, 10)
-            )
-            out[method] = percentile_ci(
-                draws, level, points=phi_hat, method="BOOT", t=t
-            )
-        elif method == "BOOT-db":
-            out[method] = bias_corrected_bootstrap(
-                model, resid, y, horizon, m, level, substream(seed, 11)
-            )
-        else:
-            raise ConfigError(f"unknown method {method!r}")
-    return out
+    if "LS" in methods:
+        covs = irf_covariances(phi_hat, model.moment_matrix, model.sigma_u_hat)
+        out["LS"] = delta_ci(phi_hat, covs, level, t, method="LS")
+    if "S-LS" in methods:
+        gamma_p = build_gamma_p(sample_autocov(y, p - 1), p)
+        covs = irf_covariances(phi_hat, gamma_p, model.sigma_u("ml"))
+        out["S-LS"] = delta_ci(phi_hat, covs, level, t, method="S-LS")
+    return {method: out[method] for method in methods}
 
 
 def _run_replication(

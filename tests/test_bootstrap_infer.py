@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sievevar import (
     DimensionMismatchError,
+    NonFiniteError,
     SamplePath,
     SingularMatrixError,
     bias_corrected_bootstrap,
@@ -52,27 +53,28 @@ def scalar_resample(model, residuals, values, seed):
     return out
 
 
-def count_refits(monkeypatch, fail_first=False):
+def count_refits(monkeypatch, fail_on=None):
     """Count the draws refitted by the stacked solve and by ``fit_var_ls``.
 
-    With ``fail_first`` the first draw of the first stacked call is flagged
-    and its ``fit_var_ls`` refit raises ``SingularMatrixError``.
+    With ``fail_on`` the stacked solve flags the pseudo-sample equal to it,
+    and the ``fit_var_ls`` refit of that sample raises
+    ``SingularMatrixError``.
     """
     stacked, fit = bootstrap_infer.fit_var_ls_stack, bootstrap_infer.fit_var_ls
     refits = {"stacked": 0, "per_draw": 0}
 
     def counted_stack(samples, p, intercept=False):
         coefs, fitted = stacked(samples, p, intercept)
-        if fail_first and refits["stacked"] == 0:
-            fitted[0] = False
+        if fail_on is not None:
+            fitted &= ~(samples == fail_on).all(axis=(1, 2))
         refits["stacked"] += len(samples)
         return coefs, fitted
 
-    def counted_fit(*args, **kwargs):
+    def counted_fit(y, *args, **kwargs):
         refits["per_draw"] += 1
-        if fail_first and refits["per_draw"] == 1:
+        if fail_on is not None and np.array_equal(y, fail_on):
             raise SingularMatrixError("forced")
-        return fit(*args, **kwargs)
+        return fit(y, *args, **kwargs)
 
     monkeypatch.setattr(bootstrap_infer, "fit_var_ls_stack", counted_stack)
     monkeypatch.setattr(bootstrap_infer, "fit_var_ls", counted_fit)
@@ -195,7 +197,8 @@ class TestBootstrapIrfDistribution:
         y = simulate_varma(desk_spec, 120, 200, 50)
         model, resid = fit_var_ls(y, 2)
         plain = bootstrap_irf_distribution(model, resid, y, 4, 3, 7)
-        refits = count_refits(monkeypatch, fail_first=True)
+        first = residual_bootstrap_sample(model, resid, y, [substream(7, 0, 0)])[0]
+        refits = count_refits(monkeypatch, fail_on=first)
         draws = bootstrap_irf_distribution(model, resid, y, 4, 3, 7)
         retry = residual_bootstrap_sample(model, resid, y, [substream(7, 0, 1)])
         want = ma_from_ar(fit_var_ls_stack(retry, 2)[0][0], 4)
@@ -259,20 +262,112 @@ class TestBootstrapIrfDistribution:
     def test_blocks_match_per_draw_reference(
         self, desk_spec, monkeypatch, block, first_singular
     ):
-        # a forced singular first refit moves draw 0 to its attempt-1 stream
+        # two streams share each pass; a forced singular first refit in the
+        # second stream moves its draw 0 to the attempt-1 stream
         y = simulate_varma(desk_spec, 120, 200, 50)
         model, resid = fit_var_ls(y, 2)
-        m = 70
+        streams = [("BOOT", 7, 70), ("BOOT-db stage one", substream(9, 0), 45)]
         want = []
-        for r in range(m):
-            attempt = 1 if first_singular and r == 0 else 0
-            pseudo = residual_bootstrap_sample(model, resid, y, [substream(7, r, attempt)])
-            want.append(ma_from_ar(fit_var_ls_stack(pseudo, 2)[0][0], 4))
-        refits = count_refits(monkeypatch, fail_first=first_singular)
-        monkeypatch.setattr(bootstrap_infer, "_DRAW_BLOCK", block)
-        draws = bootstrap_irf_distribution(model, resid, y, 4, m, 7)
-        assert refits == {"stacked": m + first_singular, "per_draw": int(first_singular)}
-        np.testing.assert_array_equal(draws, np.array(want))
+        for _, seed, m in streams:
+            draws = []
+            for r in range(m):
+                attempt = 1 if first_singular and seed is streams[1][1] and r == 0 else 0
+                pseudo = residual_bootstrap_sample(model, resid, y, [substream(seed, r, attempt)])
+                draws.append(fit_var_ls_stack(pseudo, 2)[0][0])
+            want.append(np.array(draws))
+        fail_on = None
+        if first_singular:
+            fail_on = residual_bootstrap_sample(model, resid, y, [substream(9, 0, 0, 0)])[0]
+        refits = count_refits(monkeypatch, fail_on=fail_on)
+        # blocks of 1, 3 and 64 draws of this T x K sample
+        monkeypatch.setattr(bootstrap_infer, "_BLOCK_FLOATS", block * y.values.size)
+        got = bootstrap_infer._refit_draws(model, resid, y, streams)
+        assert refits == {"stacked": 115 + first_singular, "per_draw": int(first_singular)}
+        assert len(got) == 2
+        for coefs, expected in zip(got, want):
+            np.testing.assert_array_equal(coefs, expected)
+
+    def test_no_streams_resample_nothing(self, desk_spec, monkeypatch):
+        y = simulate_varma(desk_spec, 120, 200, 50)
+        model, resid = fit_var_ls(y, 2)
+
+        def no_resample(*args):
+            raise AssertionError("resampled")
+
+        monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", no_resample)
+        assert bootstrap_infer._refit_draws(model, resid, y, []) == []
+
+    def test_block_floats_bounds_block_size(self, desk_spec, monkeypatch):
+        # 64 draws of a K=4, T=600 sample, or of any sample the same size
+        sizes = []
+        resample = bootstrap_infer.residual_bootstrap_sample
+
+        def recorded(model, residuals, source, seeds):
+            sizes.append(len(seeds))
+            return resample(model, residuals, source, seeds)
+
+        monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", recorded)
+        for t, k, draws in ((600, 4, [64, 64, 2]), (300, 2, [130])):
+            y = simulate_varma(white_noise_spec(k), t, 0, 3)
+            model, resid = fit_var_ls(y, 1)
+            sizes.clear()
+            bootstrap_infer._refit_draws(model, resid, y, [("BOOT", 1, 65), ("BOOT", 2, 65)])
+            assert sizes == draws
+
+    @pytest.mark.parametrize("stage", ["BOOT", "BOOT-db stage one", "BOOT-db stage two"])
+    def test_retry_error_names_stage_and_draw(self, rng, monkeypatch, stage):
+        # every refit of the unit-root model on a constant source is singular
+        source = np.ones((50, 2))
+        fitted, _ = fit_var_ls(rng.normal(size=(50, 2)), 1)
+        model = replace(fitted, ar_hat=coeff_seq(np.eye(2)[np.newaxis], 2))
+        resid = np.zeros((49, 2))
+        message = f"failed 10 times for {stage} draw 0$"
+        with pytest.raises(SingularMatrixError, match=message):
+            if stage == "BOOT":
+                bootstrap_irf_distribution(model, resid, source, 4, 3, 7)
+            elif stage == "BOOT-db stage one":
+                bias_corrected_bootstrap(model, resid, source, 4, 3, 0.9, 7)
+            else:
+                zero = np.zeros_like(model.ar_hat.mats)
+                monkeypatch.setattr(
+                    bootstrap_infer,
+                    "bias_corrected_coefficients",
+                    lambda *args: (model.ar_hat, zero, 1.0),
+                )
+                bias_corrected_bootstrap(model, resid, source, 4, 3, 0.9, 7)
+
+    def test_retry_error_names_draw_of_second_stream(self, desk_spec, monkeypatch):
+        # only draw 2 of the second stream is singular, on every attempt
+        y = simulate_varma(desk_spec, 120, 200, 50)
+        model, resid = fit_var_ls(y, 2)
+        resample, stack = bootstrap_infer.residual_bootstrap_sample, bootstrap_infer.fit_var_ls_stack
+        block = []
+
+        def recorded(model, residuals, source, seeds):
+            block[:] = [(q.entropy, q.spawn_key[:-1]) for q in seeds]
+            return resample(model, residuals, source, seeds)
+
+        def flag_target(samples, p, intercept=False):
+            coefs, fitted = stack(samples, p, intercept)
+            return coefs, fitted & np.array([key != (8, (2,)) for key in block], dtype=bool)
+
+        def singular(*args, **kwargs):
+            raise SingularMatrixError("forced")
+
+        monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", recorded)
+        monkeypatch.setattr(bootstrap_infer, "fit_var_ls_stack", flag_target)
+        monkeypatch.setattr(bootstrap_infer, "fit_var_ls", singular)
+        streams = [("BOOT", 7, 3), ("BOOT-db stage two", 8, 4)]
+        with pytest.raises(SingularMatrixError, match="for BOOT-db stage two draw 2$"):
+            bootstrap_infer._refit_draws(model, resid, y, streams)
+
+    def test_explosive_model_raises_non_finite(self, rng):
+        y = rng.normal(size=(1000, 2))
+        fitted, resid = fit_var_ls(y, 1)
+        model = replace(fitted, ar_hat=coeff_seq(3.0 * np.eye(2)[np.newaxis], 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="BOOT draw 0: bootstrap pseudo-sample"):
+                bootstrap_irf_distribution(model, resid, y, 4, 10, 7)
 
     def test_explosive_model_raises_dimension_mismatch(self, rng):
         y = rng.normal(size=(1000, 2))
@@ -294,6 +389,12 @@ class TestPercentileCi:
         draws = np.full((40, 2, 1, 1), 3.25)
         iv = percentile_ci(draws, 0.95)
         assert np.all(iv.lowers == 3.25) and np.all(iv.uppers == 3.25)
+
+    def test_non_finite_draws_raise_non_finite_error(self):
+        draws = np.zeros((10, 2, 1, 1))
+        draws[3, 1] = np.inf
+        with pytest.raises(NonFiniteError):
+            percentile_ci(draws, 0.9)
 
     def test_non_finite_or_wrong_rank_draws_rejected(self):
         bad = np.zeros((10, 2, 1, 1))

@@ -6,7 +6,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from sievevar import spectral_radius, companion_form, coeff_seq
+from sievevar import NonFiniteError, spectral_radius, companion_form, coeff_seq
+from sievevar import cli
 from sievevar.cli import main
 from sievevar.svgchart import render_mc_chart
 
@@ -144,6 +145,18 @@ class TestCi:
         data.write_text("\n".join(f"{v},{v}" for v in col) + "\n")
         out = tmp_path / "ci.csv"
         assert run_cli("ci", str(data), "--p", "1", "--H", "2", "--out", str(out)) == 3
+
+    def test_non_finite_bootstrap_exits_3(self, sample_csv, tmp_path, monkeypatch, capsys):
+        def explode(*args, **kwargs):
+            raise NonFiniteError("BOOT draw 0: bootstrap pseudo-sample is not finite")
+
+        monkeypatch.setattr(cli, "interval_sets_for_sample", explode)
+        out = tmp_path / "ci.csv"
+        code = run_cli("ci", str(sample_csv), "--p", "2", "--H", "3", "--methods", "BOOT",
+                       "--seed", "5", "--out", str(out))
+        assert code == 3
+        assert "numerical failure: BOOT draw 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_data_exits_2(self, tmp_path):
         data = tmp_path / "empty.csv"

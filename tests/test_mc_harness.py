@@ -9,14 +9,20 @@ from sievevar import (
     ConfigError,
     ExperimentConfig,
     aggregate,
+    bias_corrected_bootstrap,
+    bootstrap_irf_distribution,
     coverage_flags,
+    fit_var_ls,
     interval_sets_for_sample,
+    ma_from_ar,
+    percentile_ci,
     run_experiment,
     simulate_varma,
     white_noise_spec,
 )
 from sievevar import bootstrap_infer, mc_harness
 from sievevar.mc_harness import VALID_METHODS, McSummary
+from sievevar.streams import substream
 
 
 def tiny_config(desk_spec, **overrides):
@@ -145,6 +151,48 @@ class TestIntervalSetsForSample:
         y = simulate_varma(desk_spec, 150, 200, 8)
         interval_sets_for_sample(y, 2, 4, 0.95, VALID_METHODS, 20, 5)
         assert calls == {"sample": 1, "stacked": 3 * 20, "per_draw": 0}
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_bootstrap_methods_bit_identical_in_any_bundle(self, desk_spec, intercept):
+        # BOOT and BOOT-db share one pass when requested together; alone,
+        # as a pair or beside LS and S-LS, each interval keeps its bits
+        y = simulate_varma(desk_spec, 150, 200, 8)
+        values = y.values + (4.0 if intercept else 0.0)
+        bundles = (
+            ("BOOT",),
+            ("BOOT-db",),
+            ("LS",),
+            ("S-LS",),
+            ("BOOT", "BOOT-db"),
+            ("BOOT-db", "LS", "BOOT", "S-LS"),
+        )
+        runs = [
+            interval_sets_for_sample(values, 3, 5, 0.9, bundle, 20, 5, intercept=intercept)
+            for bundle in bundles
+        ]
+        model, resid = fit_var_ls(values, 3, intercept=intercept)
+        draws = bootstrap_irf_distribution(model, resid, values, 5, 20, substream(5, 10))
+        want = {
+            "BOOT": percentile_ci(draws, 0.9, points=ma_from_ar(model.ar_hat, 5), t=150),
+            "BOOT-db": bias_corrected_bootstrap(
+                model, resid, values, 5, 20, 0.9, substream(5, 11)
+            ),
+        }
+        for bundle, sets in zip(bundles, runs):
+            assert tuple(sets) == bundle
+            for method, iv in sets.items():
+                ref = want.get(method) or runs[bundles.index((method,))][method]
+                for name in ("points", "lowers", "uppers"):
+                    np.testing.assert_array_equal(getattr(iv, name), getattr(ref, name))
+
+    def test_unknown_method_rejected_before_bootstrap(self, desk_spec, monkeypatch):
+        def no_bootstrap(*args, **kwargs):
+            raise AssertionError("bootstrap ran")
+
+        monkeypatch.setattr(mc_harness, "bootstrap_interval_sets", no_bootstrap)
+        y = simulate_varma(desk_spec, 150, 200, 8)
+        with pytest.raises(ConfigError, match="'FOO'"):
+            interval_sets_for_sample(y, 2, 4, 0.95, ("BOOT", "FOO"), 20, 5)
 
 
 class TestFlags:
