@@ -27,7 +27,7 @@ from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 from .estimate import VarModel, fit_var_ls, fit_var_ls_stack
 from .delta_infer import IntervalSet
 from .streams import SeedLike, generator, substream
-from .var_core import MatrixSeq, coeff_seq, irf_seq, ma_from_ar, spectral_radius
+from .var_core import coeff_seq, ma_from_ar, spectral_radius
 
 _MAX_REFIT_ATTEMPTS = 10
 
@@ -192,15 +192,15 @@ def percentile_indices(m: int, level: float) -> tuple[int, int]:
 def percentile_ci(
     draws: np.ndarray,
     level: float,
-    points: MatrixSeq | np.ndarray | None = None,
+    points: np.ndarray | None = None,
     method: str = "BOOT",
     t: int = 0,
 ) -> IntervalSet:
     """Equal-tailed Efron percentile interval per response entry.
 
     ``draws`` has shape (M, H+1, K, K). Bounds are raw order statistics
-    (no interpolation). ``points`` defaults to the entrywise sample median
-    of the draws.
+    (no interpolation). ``points``, an (H+1, K, K) array, defaults to the
+    entrywise sample median of the draws.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
@@ -214,11 +214,9 @@ def percentile_ci(
     lowers = ordered[lo - 1]
     uppers = ordered[hi - 1]
     if points is None:
-        pts = np.median(draws, axis=0)
-    else:
-        pts = points.mats if isinstance(points, MatrixSeq) else np.asarray(points)
+        points = np.median(draws, axis=0)
     return IntervalSet(
-        method=method, level=level, t=t, points=pts, lowers=lowers, uppers=uppers
+        method=method, level=level, t=t, points=points, lowers=lowers, uppers=uppers
     )
 
 
@@ -263,12 +261,12 @@ def bias_corrected_coefficients(
     y: SamplePath | np.ndarray,
     m: int,
     seed: SeedLike,
-) -> tuple[MatrixSeq, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """First-stage bootstrap bias correction of the fitted coefficients.
 
     Draws on the child stream (seed, 0). Returns (corrected coefficients,
-    bias estimate, guard delta). The bias estimate is
-    mean(bootstrap coefficients) - fitted coefficients.
+    bias estimate, guard delta), the first two of shape (p, K, K). The bias
+    estimate is mean(bootstrap coefficients) - fitted coefficients.
     """
     (coefs,) = _refit_draws(model, residuals, y, [(_STAGE_ONE, substream(seed, 0), m)])
     return _bias_correction(model, coefs)
@@ -276,12 +274,12 @@ def bias_corrected_coefficients(
 
 def _bias_correction(
     model: VarModel, coefs: np.ndarray
-) -> tuple[MatrixSeq, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """``bias_corrected_coefficients`` from the stage-one coefficient draws."""
     # the builtin sum adds the draws in order, unlike numpy's pairwise sum
     bias = sum(coefs) / len(coefs) - model.ar_hat.mats
     corrected, delta = stationarity_guard(model.ar_hat.mats, bias)
-    return coeff_seq(corrected, model.k), bias, delta
+    return corrected, bias, delta
 
 
 def bias_corrected_bootstrap(
@@ -315,16 +313,15 @@ def _stage_two(
     m: int,
     level: float,
     seed: SeedLike,
-    corrected: MatrixSeq,
+    corrected: np.ndarray,
     bias: np.ndarray,
 ) -> IntervalSet:
     """BOOT-db intervals from the stage-one correction, drawing on (seed, 1)."""
-    (coefs,) = _refit_draws(
-        replace(model, ar_hat=corrected), residuals, y, [(_STAGE_TWO, substream(seed, 1), m)]
-    )
+    fitted = replace(model, ar_hat=coeff_seq(corrected, model.k))
+    (coefs,) = _refit_draws(fitted, residuals, y, [(_STAGE_TWO, substream(seed, 1), m)])
     guarded = stationarity_guard(coefs, bias)[0]
     # the points expand with the draws, each bit-identical to its own expansion
-    irfs = ma_from_ar(np.concatenate([corrected.mats[np.newaxis], guarded]), horizon)
+    irfs = ma_from_ar(np.concatenate([corrected[np.newaxis], guarded]), horizon)
     return percentile_ci(irfs[1:], level, points=irfs[0], method="BOOT-db", t=_length(y))
 
 
@@ -336,9 +333,10 @@ def bootstrap_interval_sets(
     m: int,
     level: float,
     seeds: Mapping[str, SeedLike],
-) -> tuple[MatrixSeq, dict[str, IntervalSet]]:
+) -> tuple[np.ndarray, dict[str, IntervalSet]]:
     """IRFs Phi_0..Phi_H of ``model`` and its intervals for "BOOT" and "BOOT-db".
 
+    Returns the (H+1, K, K) IRF array and the intervals by method.
     ``seeds`` maps each bootstrap method wanted to its stream. BOOT draws
     as ``bootstrap_irf_distribution`` and BOOT-db as
     ``bias_corrected_bootstrap`` do, and every interval is bit-identical to
@@ -354,16 +352,16 @@ def bootstrap_interval_sets(
     coefs = dict(zip(stages, _refit_draws(model, residuals, y, list(stages.values()))))
     boot = coefs.get("BOOT", np.empty((0,) + model.ar_hat.mats.shape))
     irfs = ma_from_ar(np.concatenate([model.ar_hat.mats[np.newaxis], boot]), horizon)
-    phi_hat = irf_seq(irfs[0], model.k)
     out = {}
     if "BOOT" in coefs:
-        out["BOOT"] = percentile_ci(irfs[1:], level, points=phi_hat, method="BOOT", t=_length(y))
+        out["BOOT"] = percentile_ci(irfs[1:], level, points=irfs[0], method="BOOT", t=_length(y))
     if "BOOT-db" in coefs:
         corrected, bias, _ = _bias_correction(model, coefs["BOOT-db"])
         out["BOOT-db"] = _stage_two(
             model, residuals, y, horizon, m, level, seeds["BOOT-db"], corrected, bias
         )
-    return phi_hat, out
+    # a copy, so the IRFs do not keep BOOT's draws alive
+    return irfs[0].copy(), out
 
 
 def _length(y: SamplePath | np.ndarray) -> int:

@@ -40,6 +40,7 @@ from .errors import (
 from .mc_harness import (
     ExperimentConfig,
     McSummary,
+    check_design,
     coverage_flags,
     interval_sets_for_sample,
     run_experiment,
@@ -76,9 +77,7 @@ def _matrix_list(raw, k: int, where: str) -> MatrixSeq:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where} is not a numeric matrix list: {exc}") from None
-    if arr.size == 0:
-        return MatrixSeq(dim=k, mats=np.empty((0, k, k)), index_base=1)
-    if arr.ndim != 3 or arr.shape[1:] != (k, k):
+    if arr.size and (arr.ndim != 3 or arr.shape[1:] != (k, k)):
         raise ConfigError(f"{where} must be a list of {k}x{k} matrices")
     return coeff_seq(arr, k)
 
@@ -97,7 +96,7 @@ def parse_varma_spec(obj: dict) -> VarmaSpec:
             (int(lag), float(scale))
             for lag, scale in ce.get("plan", [[1, 1.0], [12, 0.2], [14, 0.1]])
         )
-        ar = counterexample_ar(base, plan)
+        ar = coeff_seq(counterexample_ar(base, plan), k)
     else:
         ar = _matrix_list(obj.get("ar"), k, "dgp.ar")
     ma = _matrix_list(obj.get("ma"), k, "dgp.ma")
@@ -327,10 +326,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ci(args) -> int:
-    sample = read_sample_csv(args.data)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if not methods:
-        raise ConfigError("no methods requested")
+    check_design(args.p, args.horizon, args.level, methods, args.bootstrap_replications)
+    sample = read_sample_csv(args.data)
     needs_seed = any(m.startswith("BOOT") for m in methods)
     seed = resolve_seed(args.seed) if needs_seed or args.seed is not None else 0
     if "S-LS" in methods:

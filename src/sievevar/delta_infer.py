@@ -12,6 +12,9 @@ covariance, sieve (S-LS) intervals the block-Toeplitz autocovariance matrix
 Gamma_p with the ml residual covariance. All finite-sample differences
 between the two come from that choice. vec() is column-stacking
 throughout, so entry (row, col) of Phi_i sits at position row + K * col.
+
+IRFs are plain (H+1, K, K) arrays with Phi_0 = I first, as ``ma_from_ar``
+returns them; the kernels here validate the arrays they are given.
 """
 
 from __future__ import annotations
@@ -23,9 +26,19 @@ import numpy as np
 import scipy.linalg
 from scipy.special import ndtri
 
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 from .estimate import VarModel
-from .var_core import MatrixSeq, companion_form, ma_from_ar
+from .var_core import companion_form, ma_from_ar
+
+
+def _irf_array(values: np.ndarray, name: str) -> np.ndarray:
+    """A float copy of ``values``, which must be a finite (H+1, K, K) array."""
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 3 or not len(arr) or arr.shape[1] != arr.shape[2]:
+        raise DimensionMismatchError(f"{name} must have shape (H+1, K, K), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteError(f"{name} contains non-finite values")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -42,11 +55,7 @@ class IntervalSet:
 
     def __post_init__(self) -> None:
         for name in ("points", "lowers", "uppers"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 3:
-                raise DimensionMismatchError(f"{name} must have shape (H+1, K, K)")
-            if not np.all(np.isfinite(arr)):
-                raise DimensionMismatchError(f"{name} contains non-finite values")
+            arr = _irf_array(getattr(self, name), name)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.points.shape != self.lowers.shape or self.points.shape != self.uppers.shape:
@@ -65,12 +74,12 @@ class IntervalSet:
     def lengths(self) -> np.ndarray:
         return self.uppers - self.lowers
 
-    def contains(self, truth: MatrixSeq | np.ndarray) -> np.ndarray:
+    def contains(self, truth: np.ndarray) -> np.ndarray:
         """Boolean hit array: true entry inside the closed interval."""
-        mats = truth.mats if isinstance(truth, MatrixSeq) else np.asarray(truth)
-        if mats.shape != self.points.shape:
+        truth = np.asarray(truth)
+        if truth.shape != self.points.shape:
             raise DimensionMismatchError("truth shape disagrees with intervals")
-        return (self.lowers <= mats) & (mats <= self.uppers)
+        return (self.lowers <= truth) & (truth <= self.uppers)
 
     def iter_entries(self) -> Iterator[tuple[int, int, int, float, float, float]]:
         """(horizon, row, col, point, lower, upper) in fixed row-major order."""
@@ -90,7 +99,7 @@ class IntervalSet:
 
 def _companion_power_cols(model: VarModel, n: int) -> np.ndarray:
     """Stack of A_c^a J' for a = 0..n-1, shape (n, Kp, K)."""
-    comp = companion_form(model.ar_hat)
+    comp = companion_form(model.ar_hat.mats)
     k, kp = model.k, model.k * model.p
     cols = np.empty((max(n, 1), kp, k))
     cols[0] = np.eye(kp, k)
@@ -108,7 +117,7 @@ def irf_jacobian(model: VarModel, i: int) -> np.ndarray:
     if i < 1:
         raise ValueError("Jacobian defined for horizons i >= 1")
     cols = _companion_power_cols(model, i)
-    phis = ma_from_ar(model.ar_hat, i - 1).mats
+    phis = ma_from_ar(model.ar_hat.mats, i - 1)
     g = np.zeros((model.k**2, model.k**2 * model.p))
     for m in range(i):
         g += np.kron(cols[i - 1 - m].T, phis[m])
@@ -116,16 +125,18 @@ def irf_jacobian(model: VarModel, i: int) -> np.ndarray:
 
 
 def irf_covariances(
-    phi_hat: MatrixSeq, gamma: np.ndarray, sigma_u: np.ndarray
+    phi_hat: np.ndarray, gamma: np.ndarray, sigma_u: np.ndarray
 ) -> np.ndarray:
     """Stack of G_i (Gamma^{-1} kron Sigma_u) G_i' for i = 1..H.
 
-    Returns an array of shape (H, K^2, K^2). ``phi_hat`` holds the fitted
-    Phi_0..Phi_H, from which the G_i are built. ``gamma`` is the Kp x Kp
-    second-moment plug-in, which must be positive-definite; ``sigma_u`` is
-    the K x K innovation covariance plug-in, which may be singular.
+    Returns an array of shape (H, K^2, K^2). ``phi_hat`` is the (H+1, K, K)
+    array of fitted Phi_0..Phi_H, from which the G_i are built. ``gamma``
+    is the Kp x Kp second-moment plug-in, which must be positive-definite;
+    ``sigma_u`` is the K x K innovation covariance plug-in, which may be
+    singular.
     """
-    k, horizon = phi_hat.dim, phi_hat.max_lag
+    phis = _irf_array(phi_hat, "phi_hat")
+    horizon, k = len(phis) - 1, phis.shape[1]
     gamma = np.asarray(gamma, dtype=float)
     kp = gamma.shape[0] if gamma.ndim == 2 else 0
     if kp == 0 or kp % k or gamma.shape != (kp, kp):
@@ -149,8 +160,7 @@ def irf_covariances(
     # call below OpenBLAS's threading sizes; a threaded solve leaves its
     # worker threads spinning through the Python work that follows
     linv = scipy.linalg.lapack.dtrtri(chol, lower=1)[0]
-    phis = phi_hat.mats[:horizon]
-    padded = np.concatenate([phis, np.zeros((1, k, k))])  # index -1 is zero
+    padded = np.concatenate([phis[:horizon], np.zeros((1, k, k))])  # index -1 is zero
     steps = np.arange(horizon)[:, None]
     # A_c^a J' stacks Phi_a, Phi_{a-1}, ..., Phi_{a-p+1}
     cols = padded[np.maximum(steps - np.arange(p), -1)].reshape(horizon, kp, k)
@@ -167,7 +177,7 @@ def irf_covariances(
 
 
 def delta_ci(
-    phi_hat: MatrixSeq,
+    phi_hat: np.ndarray,
     covs: np.ndarray,
     level: float,
     t: int,
@@ -175,22 +185,25 @@ def delta_ci(
 ) -> IntervalSet:
     """Gaussian intervals point +- z sqrt(cov_diag / T) for each response.
 
-    ``covs`` is the (H, K^2, K^2) stack from ``irf_covariances`` for
-    horizons 1..H. Horizon 0 intervals are degenerate at the identity,
-    which is known exactly. Negative variance entries (roundoff from
-    near-singular moment matrices) are clamped to zero and counted in
-    ``clamped``.
+    ``phi_hat`` is the (H+1, K, K) array of Phi_0..Phi_H and ``covs`` the
+    (H, K^2, K^2) stack from ``irf_covariances`` for horizons 1..H.
+    Horizon 0 intervals are degenerate at Phi_0, which must be exactly the
+    identity. Negative variance entries (roundoff from near-singular moment
+    matrices) are clamped to zero and counted in ``clamped``.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    h, k = phi_hat.max_lag, phi_hat.dim
+    points = _irf_array(phi_hat, "phi_hat")
+    h, k = len(points) - 1, points.shape[1]
+    if not np.array_equal(points[0], np.eye(k)):
+        raise DimensionMismatchError("horizon-0 IRF must be the identity")
     covs = np.asarray(covs, dtype=float)
     if covs.shape != (h, k * k, k * k):
         raise DimensionMismatchError(
             f"covariances must have shape {(h, k * k, k * k)}, got {covs.shape}"
         )
     if not np.all(np.isfinite(covs)):
-        raise DimensionMismatchError("IRF covariance has non-finite entries")
+        raise NonFiniteError("IRF covariance has non-finite entries")
     scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))[:, None]
     if np.any(np.abs(covs - covs.transpose(0, 2, 1)).max(axis=2) > 1e-10 * scale):
         raise DimensionMismatchError("IRF covariance is not symmetric")
@@ -202,7 +215,6 @@ def delta_ci(
     var = np.maximum(var, 0.0).reshape(h, k, k).transpose(0, 2, 1)
     z = float(ndtri((1.0 + level) / 2.0))
     half = np.concatenate([np.zeros((1, k, k)), z * np.sqrt(var / t)])
-    points = phi_hat.mats
     return IntervalSet(
         method=method,
         level=level,

@@ -4,7 +4,9 @@ Monte Carlo experiments need three things from the generating process:
 simulated sample paths, the true impulse responses used to score interval
 coverage, and the true autoregressive representation used by the tail-sum
 diagnostics. All three live here, together with the lagged counterexample
-construction that plants extra AR mass beyond the fitted order.
+construction that plants extra AR mass beyond the fitted order. Those
+three come back as plain arrays: (H+1, K, K) IRFs and (n, K, K)
+coefficient stacks.
 """
 
 from __future__ import annotations
@@ -60,16 +62,16 @@ class VarmaSpec:
 
     @property
     def p(self) -> int:
-        return len(self.ar)
+        return len(self.ar.mats)
 
     @property
     def q(self) -> int:
-        return len(self.ma)
+        return len(self.ma.mats)
 
     def validate(self) -> None:
         """Raise UnstableProcessError naming the first violated invariant."""
         if self.p:
-            rad = spectral_radius(companion_form(self.ar))
+            rad = spectral_radius(companion_form(self.ar.mats))
             if stability_class(rad) != "stable":
                 raise UnstableProcessError(
                     f"AR part is not stable: companion spectral radius {rad:.6f}"
@@ -77,7 +79,7 @@ class VarmaSpec:
         if self.q:
             # roots of det(I + sum M_j z^j) lie outside the unit disk iff the
             # companion matrix of the negated coefficients has radius < 1
-            rad = spectral_radius(companion_form(coeff_seq(-self.ma.mats, self.k)))
+            rad = spectral_radius(companion_form(-self.ma.mats))
             if stability_class(rad) != "stable":
                 raise UnstableProcessError(
                     f"MA part is not invertible: companion spectral radius {rad:.6f}"
@@ -128,7 +130,7 @@ def default_desk_spec() -> VarmaSpec:
 
 def white_noise_spec(k: int = 2) -> VarmaSpec:
     """Pure innovation process with identity covariance."""
-    empty = MatrixSeq(dim=k, mats=np.empty((0, k, k)), index_base=1)
+    empty = coeff_seq(np.empty((0, k, k)), k)
     return VarmaSpec(k=k, ar=empty, ma=empty, sigma_u=np.eye(k))
 
 
@@ -175,8 +177,8 @@ def simulate_varma(
 def counterexample_ar(
     base: np.ndarray,
     plan: tuple[tuple[int, float], ...] = DEFAULT_COUNTEREXAMPLE_PLAN,
-) -> MatrixSeq:
-    """AR sequence with ``base * scale`` at each planned lag, zero elsewhere."""
+) -> np.ndarray:
+    """AR coefficients A_1..A_n, shape (n, K, K), with ``base * scale`` at each planned lag."""
     base = np.asarray(base, dtype=float)
     if base.ndim != 2 or base.shape[0] != base.shape[1]:
         raise DimensionMismatchError("base must be a square matrix")
@@ -189,29 +191,33 @@ def counterexample_ar(
     mats = np.zeros((max(lags), k, k))
     for lag, scale in plan:
         mats[lag - 1] = scale * base
-    return coeff_seq(mats, k)
+    return mats
 
 
-def varma_true_irf(spec: VarmaSpec, horizon: int) -> MatrixSeq:
-    """Exact impulse responses Phi_0..Phi_H of the process.
+def _by_lag(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """(n+1, K, K) array whose entry j is coefficient j of ``coeffs``, zero past its order."""
+    out = np.zeros((n + 1,) + coeffs.shape[1:])
+    out[1 : len(coeffs) + 1] = coeffs[:n]
+    return out
+
+
+def varma_true_irf(spec: VarmaSpec, horizon: int) -> np.ndarray:
+    """Exact impulse responses Phi_0..Phi_H of the process, shape (H+1, K, K).
 
     Phi_0 = I and Phi_i = M_i 1{i <= q} + sum_{j=1}^{min(i,p)} A_j Phi_{i-j}.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    k = spec.k
-    phis = np.empty((horizon + 1, k, k))
-    phis[0] = np.eye(k)
+    phis = _by_lag(spec.ma.mats, horizon)
+    phis[0] = np.eye(spec.k)
     for i in range(1, horizon + 1):
-        acc = spec.ma.at(i).copy()
         for j in range(1, min(i, spec.p) + 1):
-            acc += spec.ar.mats[j - 1] @ phis[i - j]
-        phis[i] = acc
-    return MatrixSeq(dim=k, mats=phis, index_base=0)
+            phis[i] += spec.ar.mats[j - 1] @ phis[i - j]
+    return phis
 
 
-def varma_true_ar(spec: VarmaSpec, n_lags: int) -> MatrixSeq:
-    """AR(infinity) coefficients A_1..A_n of the process.
+def varma_true_ar(spec: VarmaSpec, n_lags: int) -> np.ndarray:
+    """AR(infinity) coefficients A_1..A_n of the process, shape (n, K, K).
 
     Lag-polynomial division of the AR polynomial by the MA polynomial, in
     the convention y_t = sum A_i y_{t-i} + u_t:
@@ -223,12 +229,9 @@ def varma_true_ar(spec: VarmaSpec, n_lags: int) -> MatrixSeq:
     if n_lags < 0:
         raise ValueError("n_lags must be nonnegative")
     spec.validate()
-    k = spec.k
-    coeffs = np.empty((n_lags + 1, k, k))
-    coeffs[0] = -np.eye(k)
+    coeffs = _by_lag(spec.ar.mats, n_lags)
+    coeffs[0] = -np.eye(spec.k)
     for i in range(1, n_lags + 1):
-        acc = spec.ar.at(i).copy()
         for j in range(1, min(i, spec.q) + 1):
-            acc -= spec.ma.mats[j - 1] @ coeffs[i - j]
-        coeffs[i] = acc
-    return coeff_seq(coeffs[1:], k)
+            coeffs[i] -= spec.ma.mats[j - 1] @ coeffs[i - j]
+    return coeffs[1:]

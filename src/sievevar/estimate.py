@@ -17,7 +17,7 @@ import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dgp_sim import SamplePath
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 from .var_core import MatrixSeq, coeff_seq
 
 # Cholesky pivots with min^2 <= _PIVOT_COLLAPSE * max^2 mean numerical rank
@@ -113,7 +113,7 @@ def _as_values(y: SamplePath | np.ndarray) -> np.ndarray:
     if arr.ndim != 2:
         raise DimensionMismatchError("sample must be a T x K array")
     if not np.all(np.isfinite(arr)):
-        raise DimensionMismatchError("sample contains non-finite values")
+        raise NonFiniteError("sample contains non-finite values")
     return arr
 
 

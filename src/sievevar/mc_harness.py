@@ -35,6 +35,25 @@ VALID_METHODS = ("LS", "S-LS", "BOOT", "BOOT-db")
 FAILURE_BUDGET = 0.01
 
 
+def check_design(
+    p: int, horizon: int, level: float, methods: Sequence[str], bootstrap_replications: int
+) -> None:
+    """Raise ConfigError for a design that no sample could be fitted under."""
+    if p < 1:
+        raise ConfigError("p must be >= 1")
+    if horizon < 0:
+        raise ConfigError("horizon must be >= 0")
+    if not 0.0 < level < 1.0:
+        raise ConfigError("level must be in (0, 1)")
+    if not methods:
+        raise ConfigError("at least one method is required")
+    bad = [m for m in methods if m not in VALID_METHODS]
+    if bad:
+        raise ConfigError(f"unknown methods {bad}; valid: {list(VALID_METHODS)}")
+    if bootstrap_replications < 2 and any(m.startswith("BOOT") for m in methods):
+        raise ConfigError("bootstrap replications must be >= 2 for BOOT and BOOT-db")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Design of one coverage/length experiment."""
@@ -56,13 +75,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1 or self.replications < 1:
             raise ConfigError("horizon and replications must be >= 1")
-        if not 0.0 < self.level < 1.0:
-            raise ConfigError("level must be in (0, 1)")
-        bad = [m for m in self.methods if m not in VALID_METHODS]
-        if bad:
-            raise ConfigError(f"unknown methods {bad}; valid: {list(VALID_METHODS)}")
-        if not self.methods:
-            raise ConfigError("at least one method is required")
+        check_design(self.p, self.horizon, self.level, self.methods, self.bootstrap_replications)
 
     @property
     def effective_burn_in(self) -> int:
@@ -112,9 +125,7 @@ def interval_sets_for_sample(
     or removing methods never changes another method's output, although
     BOOT's draws and BOOT-db's first stage share one bootstrap pass.
     """
-    bad = [method for method in methods if method not in VALID_METHODS]
-    if bad:
-        raise ConfigError(f"unknown method {bad[0]!r}")
+    check_design(p, horizon, level, methods, bootstrap_replications)
     model, resid = fit_var_ls(y, p, intercept=intercept)
     seeds = {
         method: substream(seed, stream)
@@ -195,7 +206,7 @@ def aggregate(
 def run_experiment(cfg: ExperimentConfig) -> McSummary:
     """Execute the full experiment, optionally across worker processes."""
     cfg.dgp.validate()
-    truth = varma_true_irf(cfg.dgp, cfg.horizon).mats
+    truth = varma_true_irf(cfg.dgp, cfg.horizon)
     replicate = partial(_run_replication, cfg, truth)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .var_core import MatrixSeq
-
 # Diagnostic convention only: flag p <= LOG_RULE_CONSTANT * log(T) as a
 # plausible logarithmic growth calibration. The theory pins the constant
 # to the (unknown) decay rate alpha, handled separately when alpha is given.
@@ -70,15 +68,16 @@ def assumption_ratios(p: int, t: int, alpha: float | None = None) -> AssumptionR
 def tail_norm(
     p: int,
     t: int,
-    ar_true: MatrixSeq | None = None,
+    ar_true: np.ndarray | None = None,
     c: float | None = None,
     alpha: float | None = None,
 ) -> float:
     """sqrt(T) times the Frobenius-norm tail of the AR coefficients beyond p.
 
-    Either pass the true coefficient sequence (the sum truncates at its
-    length) or a geometric decay envelope ||A_i||_F = c * alpha^i, for
-    which the closed tail c * alpha^(p+1) / (1 - alpha) is used.
+    Either pass the true coefficients A_1..A_n as an (n, K, K) array (the
+    sum truncates at n) or a geometric decay envelope ||A_i||_F =
+    c * alpha^i, for which the closed tail c * alpha^(p+1) / (1 - alpha) is
+    used.
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
@@ -87,7 +86,7 @@ def tail_norm(
     if (ar_true is None) == (c is None or alpha is None):
         raise ValueError("pass exactly one of ar_true or the (c, alpha) pair")
     if ar_true is not None:
-        mats = ar_true.mats
+        mats = np.asarray(ar_true, dtype=float)
         tail = sum(
             float(np.linalg.norm(mats[i - 1], ord="fro"))
             for i in range(p + 1, len(mats) + 1)

@@ -8,6 +8,12 @@ Phi_0 = I and
 which coincide with the top-left K x K block of the i-th power of the
 companion matrix whenever p >= i. Both routes are implemented; tests hold
 them against each other.
+
+Every function takes and returns plain arrays: coefficient stacks have
+shape (..., p, K, K) with A_1 first, IRF stacks (..., H+1, K, K) with
+Phi_0 = I first. ``MatrixSeq`` is only the validated coefficient record a
+process specification or a fitted model holds; ``coeff_seq`` builds it where
+input enters.
 """
 
 from __future__ import annotations
@@ -31,21 +37,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MatrixSeq:
-    """Ordered sequence of K x K matrices indexed by lag or horizon.
+    """Validated coefficient record: the read-only (p, K, K) stack A_1..A_p.
 
-    ``index_base`` is 0 for MA/IRF sequences (Phi_0 first) and 1 for
-    coefficient sequences (A_1 or M_1 first). ``mats`` has shape (n, K, K)
-    and is read-only after construction.
+    Holds the AR or MA coefficients of a ``VarmaSpec`` and the fitted
+    coefficients of a ``VarModel``; every computation takes the ``mats``
+    array itself.
     """
 
     dim: int
     mats: np.ndarray
-    index_base: int
 
     def __post_init__(self) -> None:
         mats = np.asarray(self.mats, dtype=float)
-        if mats.ndim == 2:
-            mats = mats[np.newaxis]
         if mats.size == 0:
             mats = mats.reshape(0, self.dim, self.dim)
         if mats.ndim != 3 or mats.shape[1:] != (self.dim, self.dim):
@@ -54,79 +57,47 @@ class MatrixSeq:
             )
         if not np.all(np.isfinite(mats)):
             raise DimensionMismatchError("matrix sequence contains non-finite entries")
-        if self.index_base not in (0, 1):
-            raise DimensionMismatchError("index_base must be 0 or 1")
-        if self.index_base == 0 and len(mats):
-            if not np.array_equal(mats[0], np.eye(self.dim)):
-                raise DimensionMismatchError(
-                    "horizon-0 entry of an MA/IRF sequence must be the identity"
-                )
         object.__setattr__(self, "mats", _freeze(mats))
-
-    def __len__(self) -> int:
-        return len(self.mats)
-
-    @property
-    def max_lag(self) -> int:
-        """Largest lag/horizon index held by the sequence."""
-        return self.index_base + len(self.mats) - 1
-
-    def at(self, lag: int) -> np.ndarray:
-        """Matrix at absolute lag/horizon ``lag``; zero outside the stored range."""
-        pos = lag - self.index_base
-        if 0 <= pos < len(self.mats):
-            return self.mats[pos]
-        return np.zeros((self.dim, self.dim))
 
 
 def coeff_seq(mats, dim: int | None = None) -> MatrixSeq:
-    """Coefficient sequence (A_1.. or M_1..); index_base 1."""
+    """Coefficient record A_1.. (or M_1..) of a (p, K, K) array or list of K x K matrices.
+
+    ``dim`` gives K, which an empty list does not show.
+    """
     arr = np.asarray(mats, dtype=float)
-    if dim is None:
-        if arr.ndim == 2:
-            dim = arr.shape[0]
-        elif arr.ndim == 3:
-            dim = arr.shape[1]
-        else:
-            raise DimensionMismatchError("cannot infer dimension from empty sequence")
-    return MatrixSeq(dim=int(dim), mats=arr, index_base=1)
+    if dim is None and arr.ndim != 3:
+        raise DimensionMismatchError(f"coefficients must have shape (p, K, K), got {arr.shape}")
+    return MatrixSeq(dim=int(arr.shape[-1] if dim is None else dim), mats=arr)
 
 
-def irf_seq(mats, dim: int | None = None) -> MatrixSeq:
-    """IRF/MA sequence starting at Phi_0; index_base 0."""
-    arr = np.asarray(mats, dtype=float)
-    if dim is None:
-        dim = arr.shape[1] if arr.ndim == 3 else arr.shape[0]
-    return MatrixSeq(dim=int(dim), mats=arr, index_base=0)
-
-
-def companion_form(ar: MatrixSeq) -> np.ndarray:
-    """Stack AR coefficients A_1..A_p into the read-only Kp x Kp companion matrix."""
-    if ar.index_base != 1:
-        raise DimensionMismatchError("companion_form expects an AR coefficient sequence")
+def companion_form(ar: np.ndarray) -> np.ndarray:
+    """Stack the (p, K, K) coefficients A_1..A_p into the read-only Kp x Kp companion matrix."""
+    ar = np.asarray(ar, dtype=float)
+    if ar.ndim != 3 or ar.shape[1] != ar.shape[2]:
+        raise DimensionMismatchError(f"companion_form expects a (p, K, K) array, got {ar.shape}")
     if len(ar) < 1:
         raise DimensionMismatchError("companion_form requires p >= 1")
-    k, p = ar.dim, len(ar)
+    p, k = ar.shape[:2]
     data = np.zeros((k * p, k * p))
-    data[:k] = np.hstack(list(ar.mats))
+    data[:k] = np.hstack(list(ar))
     if p > 1:
         idx = np.arange(k * (p - 1))
         data[k + idx, idx] = 1.0
     return _freeze(data)
 
 
-def ma_from_ar(ar: MatrixSeq | np.ndarray, horizon: int) -> MatrixSeq | np.ndarray:
+def ma_from_ar(ar: np.ndarray, horizon: int) -> np.ndarray:
     """MA matrices Phi_0..Phi_H by the recursion Phi_i = sum_m Phi_m A_{i-m}.
 
     Coefficients beyond the stored order are treated as zero, which is
     exactly the truncation a fitted VAR(p) imposes on a longer process.
-    A ``MatrixSeq`` gives a ``MatrixSeq``; a stack of coefficient arrays
-    of shape (..., p, K, K) gives the stack of shape (..., H+1, K, K),
-    each member bit-identical to its own ``MatrixSeq`` expansion.
+    A (..., p, K, K) stack of coefficients gives the (..., H+1, K, K)
+    stack of expansions, each member bit-identical to its own expansion.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    mats = ar.mats if isinstance(ar, MatrixSeq) else np.asarray(ar, dtype=float)
+    mats = np.asarray(ar, dtype=float)
     p, k = mats.shape[-3], mats.shape[-1]
     phis = np.empty(mats.shape[:-3] + (horizon + 1, k, k))
     phis[..., 0, :, :] = np.eye(k)
@@ -136,10 +107,10 @@ def ma_from_ar(ar: MatrixSeq | np.ndarray, horizon: int) -> MatrixSeq | np.ndarr
         for m in range(max(0, i - p), i):
             acc += phis[..., m, :, :] @ mats[..., i - m - 1, :, :]
         phis[..., i, :, :] = acc
-    return MatrixSeq(dim=k, mats=phis, index_base=0) if isinstance(ar, MatrixSeq) else phis
+    return phis
 
 
-def ma_via_companion(ar: MatrixSeq, i: int) -> np.ndarray:
+def ma_via_companion(ar: np.ndarray, i: int) -> np.ndarray:
     """Phi_i as the top-left block of the i-th companion power.
 
     Powers are taken by repeated multiplication; exact agreement with the
@@ -151,7 +122,8 @@ def ma_via_companion(ar: MatrixSeq, i: int) -> np.ndarray:
     power = np.eye(comp.shape[0])
     for _ in range(i):
         power = comp @ power
-    return power[: ar.dim, : ar.dim].copy()
+    k = np.shape(ar)[-1]
+    return power[:k, :k].copy()
 
 
 def spectral_radius(c: np.ndarray) -> float | np.ndarray:

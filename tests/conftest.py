@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sievevar import (
-    MatrixSeq,
     VarmaSpec,
     coeff_seq,
     companion_form,
@@ -19,17 +18,16 @@ from sievevar import (
 
 def random_stable_coeffs(
     rng: np.random.Generator, k: int, p: int, radius: float
-) -> MatrixSeq:
-    """AR coefficients whose companion spectral radius equals ``radius``.
+) -> np.ndarray:
+    """(p, K, K) AR coefficients whose companion spectral radius equals ``radius``.
 
     Scaling A_j by s^j scales every companion eigenvalue by s, so one
     rescale lands exactly on the requested radius.
     """
     mats = rng.normal(size=(p, k, k))
-    rho = spectral_radius(companion_form(coeff_seq(mats, k)))
+    rho = spectral_radius(companion_form(mats))
     s = radius / rho
-    scaled = np.array([mats[j] * s ** (j + 1) for j in range(p)])
-    return coeff_seq(scaled, k)
+    return np.array([mats[j] * s ** (j + 1) for j in range(p)])
 
 
 def random_stable_model(rng: np.random.Generator, max_k: int = 3, max_p: int = 5):
@@ -40,10 +38,10 @@ def random_stable_model(rng: np.random.Generator, max_k: int = 3, max_p: int = 5
     return random_stable_coeffs(rng, k, p, radius), k, p
 
 
-def pure_ar_spec(ar: MatrixSeq, sigma: np.ndarray | None = None) -> VarmaSpec:
-    k = ar.dim
+def pure_ar_spec(ar: np.ndarray, sigma: np.ndarray | None = None) -> VarmaSpec:
+    k = ar.shape[-1]
     empty = white_noise_spec(k).ma
-    return VarmaSpec(k=k, ar=ar, ma=empty, sigma_u=np.eye(k) if sigma is None else sigma)
+    return VarmaSpec(k=k, ar=coeff_seq(ar, k), ma=empty, sigma_u=np.eye(k) if sigma is None else sigma)
 
 
 def scalar_varma(a: float | None, m: float | None, sigma2: float = 1.0) -> VarmaSpec:

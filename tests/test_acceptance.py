@@ -36,7 +36,7 @@ def test_02_sieve_equals_finite_order_on_identical_inputs():
         p = int(rng.integers(1, 6))
         ar = random_stable_coeffs(rng, k, p, float(rng.uniform(0.3, 0.9)))
         y = sv.simulate_varma(
-            sv.VarmaSpec(k=k, ar=ar, ma=sv.white_noise_spec(k).ma, sigma_u=np.eye(k)),
+            sv.VarmaSpec(k=k, ar=sv.coeff_seq(ar, k), ma=sv.white_noise_spec(k).ma, sigma_u=np.eye(k)),
             max(200, 6 * k * p),
             100,
             int(rng.integers(2**63)),
@@ -44,7 +44,7 @@ def test_02_sieve_equals_finite_order_on_identical_inputs():
         model, _ = sv.fit_var_ls(y, p)
         sigma = np.asarray(model.sigma_u_hat)
         gamma = np.asarray(model.moment_matrix)
-        covs = sv.irf_covariances(sv.ma_from_ar(model.ar_hat, 10), gamma, sigma)
+        covs = sv.irf_covariances(sv.ma_from_ar(model.ar_hat.mats, 10), gamma, sigma)
         oracle = jacobian_sandwich(model, gamma, sigma, 10)
         for a, b in zip(oracle, covs):
             scale = max(1e-300, float(np.max(np.abs(a))))
@@ -62,7 +62,7 @@ def test_03_jacobian_matches_finite_differences():
         p = int(rng.integers(1, 5))
         ar = random_stable_coeffs(rng, k, p, float(rng.uniform(0.3, 0.85)))
         y = sv.simulate_varma(
-            sv.VarmaSpec(k=k, ar=ar, ma=sv.white_noise_spec(k).ma, sigma_u=np.eye(k)),
+            sv.VarmaSpec(k=k, ar=sv.coeff_seq(ar, k), ma=sv.white_noise_spec(k).ma, sigma_u=np.eye(k)),
             max(150, 6 * k * p),
             100,
             int(rng.integers(2**63)),
@@ -76,13 +76,9 @@ def test_03_jacobian_matches_finite_differences():
             for row in range(k):
                 pert = stacked.copy()
                 pert[row, col] += step
-                up = sv.ma_from_ar(
-                    sv.coeff_seq(pert.reshape(k, p, k).swapaxes(0, 1), k), i
-                ).mats[i]
+                up = sv.ma_from_ar(pert.reshape(k, p, k).swapaxes(0, 1), i)[i]
                 pert[row, col] -= 2 * step
-                dn = sv.ma_from_ar(
-                    sv.coeff_seq(pert.reshape(k, p, k).swapaxes(0, 1), k), i
-                ).mats[i]
+                dn = sv.ma_from_ar(pert.reshape(k, p, k).swapaxes(0, 1), i)[i]
                 fd[:, row + k * col] = (up - dn).ravel(order="F") / (2 * step)
         assert np.max(np.abs(g - fd)) < 1e-6
     _report("3 (Jacobian vs central finite differences, 50 models, 1e-6)")
@@ -94,7 +90,7 @@ def test_04_recursion_companion_equivalence():
         k = int(rng.integers(1, 4))
         p = int(rng.integers(1, 7))
         ar = random_stable_coeffs(rng, k, p, float(rng.uniform(0.2, 0.95)))
-        phis = sv.ma_from_ar(ar, p).mats
+        phis = sv.ma_from_ar(ar, p)
         for i in range(p + 1):
             via = sv.ma_via_companion(ar, i)
             scale = max(1.0, float(np.max(np.abs(phis[i]))))
@@ -184,7 +180,7 @@ def test_06b_bootstrap_length_tracks_finite_order(desk_experiments):
 def test_07_counterexample_under_and_over_coverage():
     desk = sv.default_desk_spec()
     star = sv.counterexample_ar(desk.ar.mats[0])
-    cspec = sv.VarmaSpec(k=2, ar=star, ma=desk.ma, sigma_u=desk.sigma_u)
+    cspec = sv.VarmaSpec(k=2, ar=sv.coeff_seq(star, 2), ma=desk.ma, sigma_u=desk.sigma_u)
     flags_by_p = {}
     for p in (10, 30):
         cfg = ExperimentConfig(
@@ -224,7 +220,7 @@ def test_08_bias_correction_moves_toward_truth():
         fixed, _, _ = sv.bias_corrected_coefficients(
             model, resid, y, m, np.random.SeedSequence(809, spawn_key=(r,))
         )
-        corrected[r] = fixed.mats[0, 0, 0]
+        corrected[r] = fixed[0, 0, 0]
     assert abs(corrected.mean() - a) < abs(plain.mean() - a)
     _report(
         f"8 (AR(1) a=0.9, T=80: mean corrected {corrected.mean():.4f} beats "

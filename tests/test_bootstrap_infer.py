@@ -87,7 +87,7 @@ def scalar_guard(coef, bias):
     for step in range(100, 0, -1):
         delta = step * 0.01
         cand = coef - delta * bias
-        if spectral_radius(companion_form(coeff_seq(cand, k))) < 1.0:
+        if spectral_radius(companion_form(cand)) < 1.0:
             return cand, delta
     return coef.copy(), 0.0
 
@@ -332,7 +332,7 @@ class TestBootstrapIrfDistribution:
                 monkeypatch.setattr(
                     bootstrap_infer,
                     "bias_corrected_coefficients",
-                    lambda *args: (model.ar_hat, zero, 1.0),
+                    lambda *args: (model.ar_hat.mats, zero, 1.0),
                 )
                 bias_corrected_bootstrap(model, resid, source, 4, 3, 0.9, 7)
 
@@ -433,16 +433,16 @@ class TestStationarityGuard:
     def test_not_triggered_for_small_radius_small_bias(self, rng):
         for _ in range(10):
             ar = random_stable_coeffs(rng, 2, 2, float(rng.uniform(0.2, 0.5)))
-            bias = rng.normal(size=ar.mats.shape) * 0.01
-            corrected, delta = stationarity_guard(ar.mats, bias)
+            bias = rng.normal(size=ar.shape) * 0.01
+            corrected, delta = stationarity_guard(ar, bias)
             assert delta == 1.0
-            np.testing.assert_allclose(corrected, ar.mats - bias)
+            np.testing.assert_allclose(corrected, ar - bias)
 
     def test_explosive_correction_shrunk(self):
         coef = np.array([[[0.95]]])
         bias = np.array([[[-0.10]]])  # full correction would give 1.05
         corrected, delta = stationarity_guard(coef, bias)
-        radius = spectral_radius(companion_form(coeff_seq(corrected, 1)))
+        radius = spectral_radius(companion_form(corrected))
         assert radius < 1.0
         assert 0.0 < delta < 1.0
         assert corrected[0, 0, 0] == pytest.approx(0.95 + 0.10 * delta)
@@ -450,15 +450,15 @@ class TestStationarityGuard:
     def test_corrected_radius_always_below_one_or_cancelled(self, rng):
         for _ in range(20):
             ar = random_stable_coeffs(rng, 2, 2, float(rng.uniform(0.5, 0.98)))
-            bias = rng.normal(size=ar.mats.shape) * 0.2
-            corrected, delta = stationarity_guard(ar.mats, bias)
-            radius = spectral_radius(companion_form(coeff_seq(corrected, 2)))
+            bias = rng.normal(size=ar.shape) * 0.2
+            corrected, delta = stationarity_guard(ar, bias)
+            radius = spectral_radius(companion_form(corrected))
             assert radius < 1.0 or delta == 0.0
 
     def test_stack_matches_scalar_guard_bit_for_bit(self, rng):
         # draws needing delta = 1, delta < 1 and delta = 0 in one stack
         coefs = [
-            random_stable_coeffs(rng, 2, 2, float(rng.uniform(0.5, 0.98))).mats for _ in range(9)
+            random_stable_coeffs(rng, 2, 2, float(rng.uniform(0.5, 0.98))) for _ in range(9)
         ]
         biases = [rng.normal(size=(2, 2, 2)) * 0.2 for _ in range(9)]
         lag2 = np.zeros((2, 2))
@@ -476,7 +476,7 @@ class TestStationarityGuard:
         assert 0.0 < deltas[2, 1] < 1.0 and deltas[2, 2] == 0.0 and deltas[2, 3] == 1.0
 
     def test_shared_bias_broadcasts(self, rng):
-        coef = np.array([random_stable_coeffs(rng, 2, 2, 0.9).mats for _ in range(5)])
+        coef = np.array([random_stable_coeffs(rng, 2, 2, 0.9) for _ in range(5)])
         bias = rng.normal(size=(2, 2, 2)) * 0.2
         corrected, deltas = stationarity_guard(coef, bias)
         for c, got, delta in zip(coef, corrected, deltas):
@@ -497,7 +497,7 @@ class TestBiasCorrectedBootstrap:
         monkeypatch.setattr(
             bootstrap_infer,
             "bias_corrected_coefficients",
-            lambda *args: (model.ar_hat, zero, 1.0),
+            lambda *args: (model.ar_hat.mats, zero, 1.0),
         )
         plain = bootstrap_irf_distribution(model, resid, y, 4, m, substream(31, 1))
         for level in (0.95, 0.6, 0.2):
@@ -527,7 +527,7 @@ class TestBiasCorrectedBootstrap:
         model, resid = fit_var_ls(y, 2)
         corrected, _, _ = bias_corrected_coefficients(model, resid, y, 25, 11)
         iv = bias_corrected_bootstrap(model, resid, y, 4, 25, 0.95, 11)
-        np.testing.assert_allclose(iv.points, ma_from_ar(corrected, 4).mats)
+        np.testing.assert_allclose(iv.points, ma_from_ar(corrected, 4))
 
     def test_reduces_ar1_bias_single_sample(self):
         # downward LS bias at a = 0.9, T = 80: the correction should move
@@ -542,5 +542,5 @@ class TestBiasCorrectedBootstrap:
             model, resid = fit_var_ls(y, 1)
             plain[i] = model.ar_hat.mats[0, 0, 0]
             fixed, _, _ = bias_corrected_coefficients(model, resid, y, 60, 2000 + i)
-            corrected[i] = fixed.mats[0, 0, 0]
+            corrected[i] = fixed[0, 0, 0]
         assert abs(corrected.mean() - 0.9) < abs(plain.mean() - 0.9)

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from sievevar import NonFiniteError, spectral_radius, companion_form, coeff_seq
+from sievevar import NonFiniteError, spectral_radius, companion_form
 from sievevar import cli
 from sievevar.cli import main
 from sievevar.svgchart import render_mc_chart
@@ -56,7 +56,7 @@ class TestSimulate:
         out = tmp_path / "sample.csv"
         assert run_cli("simulate", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err
-        radius = spectral_radius(companion_form(coeff_seq([np.array(a1)], 2)))
+        radius = spectral_radius(companion_form(np.array([a1])))
         assert f"{radius:.6f}" in err
 
     def test_malformed_json_exits_2(self, tmp_path):
@@ -162,6 +162,35 @@ class TestCi:
         data = tmp_path / "empty.csv"
         data.write_text("")
         assert run_cli("ci", str(data), "--p", "1", "--H", "2", "--out", str(tmp_path / "o.csv")) == 2
+
+
+@pytest.mark.parametrize(
+    "command, change",
+    [
+        ("mc", {"p": 0}),
+        ("mc", {"bootstrap_replications": 1}),
+        ("ci", ["--p", "0"]),
+        ("ci", ["--M", "1", "--methods", "BOOT"]),
+        ("ci", ["--M", "1", "--methods", "LS,BOOT-db"]),
+        ("ci", ["--level", "1.5"]),
+        ("ci", ["--H", "-1"]),
+    ],
+)
+def test_invalid_sizes_exit_2_before_fitting(command, change, sample_csv, tmp_path, capsys):
+    if command == "mc":
+        cfg = json.loads(desk_config(tmp_path).read_text())
+        cfg.update(p=2, horizon=3, methods=["LS", "BOOT"], replications=2, bootstrap_replications=5)
+        cfg.update(change)
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["mc", str(path), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["ci", str(sample_csv), "--p", "2", "--H", "3", "--seed", "5",
+                "--out", str(tmp_path / "ci.csv"), *change]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "ci.csv").exists() and not (tmp_path / "out").exists()
 
 
 class TestMc:

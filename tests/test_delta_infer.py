@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from sievevar import (
     DimensionMismatchError,
     IntervalSet,
+    NonFiniteError,
     SingularMatrixError,
     build_gamma_p,
-    coeff_seq,
     delta_ci,
     fit_var_ls,
     horizon_gate,
     irf_covariances,
     irf_jacobian,
-    irf_seq,
     ma_from_ar,
     sample_autocov,
     simulate_varma,
@@ -40,9 +39,9 @@ def fd_jacobian(model, i, step=1e-5):
         for row in range(k):
             pert = stacked.copy()
             pert[row, col] += step
-            up = ma_from_ar(coeff_seq(pert.reshape(k, p, k).swapaxes(0, 1), k), i).mats[i]
+            up = ma_from_ar(pert.reshape(k, p, k).swapaxes(0, 1), i)[i]
             pert[row, col] -= 2 * step
-            dn = ma_from_ar(coeff_seq(pert.reshape(k, p, k).swapaxes(0, 1), k), i).mats[i]
+            dn = ma_from_ar(pert.reshape(k, p, k).swapaxes(0, 1), i)[i]
             out[:, row + k * col] = (up - dn).ravel(order="F") / (2 * step)
     return out
 
@@ -96,13 +95,13 @@ class TestFiniteOrderCov:
         model, _ = fitted_model(rng, k=1, p=1)
         gamma = np.array([[2.0]])
         sigma = np.array([[1.0]])
-        cov = irf_covariances(ma_from_ar(model.ar_hat, 1), gamma, sigma)
+        cov = irf_covariances(ma_from_ar(model.ar_hat.mats, 1), gamma, sigma)
         assert cov[0, 0, 0] == pytest.approx(0.5, abs=1e-14)
 
     def test_white_noise_unit_variance(self):
         y = simulate_varma(white_noise_spec(1), 100_000, 0, 61)
         model, _ = fit_var_ls(y, 1)
-        cov = irf_covariances(ma_from_ar(model.ar_hat, 1), *ls_plugins(model))
+        cov = irf_covariances(ma_from_ar(model.ar_hat.mats, 1), *ls_plugins(model))
         assert cov[0, 0, 0] == pytest.approx(1.0, rel=0.03)
 
     def test_ar1_asymptotic_variance(self):
@@ -110,12 +109,12 @@ class TestFiniteOrderCov:
         # (frozen from a 2000-replication Monte Carlo of the LS estimator)
         y = simulate_varma(scalar_varma(0.5, None), 100_000, 500, 8)
         model, _ = fit_var_ls(y, 1)
-        cov = irf_covariances(ma_from_ar(model.ar_hat, 1), *ls_plugins(model))
+        cov = irf_covariances(ma_from_ar(model.ar_hat.mats, 1), *ls_plugins(model))
         assert cov[0, 0, 0] == pytest.approx(0.75, rel=0.05)
 
     def test_outputs_symmetric_psd(self, rng):
         model, _ = fitted_model(rng, k=2, p=3)
-        for cov in irf_covariances(ma_from_ar(model.ar_hat, 6), *ls_plugins(model)):
+        for cov in irf_covariances(ma_from_ar(model.ar_hat.mats, 6), *ls_plugins(model)):
             np.testing.assert_allclose(cov, cov.T, atol=1e-12)
             eigs = np.linalg.eigvalsh(cov)
             assert eigs.min() > -1e-12 * max(1.0, eigs.max())
@@ -128,7 +127,7 @@ class TestSieveCov:
             y = simulate_varma(pure_ar_spec(ar), 300, 100, int(rng.integers(2**31)))
             model, _ = fit_var_ls(y, p)
             gamma, sigma = ls_plugins(model)
-            covs = irf_covariances(ma_from_ar(model.ar_hat, 2 * p), gamma, sigma)
+            covs = irf_covariances(ma_from_ar(model.ar_hat.mats, 2 * p), gamma, sigma)
             oracle = jacobian_sandwich(model, gamma, sigma, 2 * p)
             for a, b in zip(oracle, covs):
                 scale = max(1e-300, np.max(np.abs(a)))
@@ -136,7 +135,7 @@ class TestSieveCov:
 
     def test_scalar_single_term(self, rng):
         model, _ = fitted_model(rng, k=1, p=1)
-        phi_hat = ma_from_ar(model.ar_hat, 1)
+        phi_hat = ma_from_ar(model.ar_hat.mats, 1)
         cov = irf_covariances(phi_hat, np.array([[4.0 / 3.0]]), np.array([[1.0]]))
         assert cov[0, 0, 0] == pytest.approx(0.75, abs=1e-14)
 
@@ -145,8 +144,8 @@ class TestSieveCov:
         for t, seed in ((300, 3), (100_000, 4)):
             y = simulate_varma(desk_spec, t, 300, seed)
             model, _ = fit_var_ls(y, 4)
-            fo = irf_covariances(ma_from_ar(model.ar_hat, 8), *ls_plugins(model))
-            sl = irf_covariances(ma_from_ar(model.ar_hat, 8), *sls_plugins(model, y))
+            fo = irf_covariances(ma_from_ar(model.ar_hat.mats, 8), *ls_plugins(model))
+            sl = irf_covariances(ma_from_ar(model.ar_hat.mats, 8), *sls_plugins(model, y))
             gaps[t] = max(
                 np.max(np.abs(a - b)) / np.max(np.abs(a)) for a, b in zip(fo, sl)
             )
@@ -157,25 +156,25 @@ class TestSieveCov:
         model, _ = fitted_model(rng, k=1, p=2)
         for gamma in (np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]])):
             with pytest.raises(SingularMatrixError):
-                irf_covariances(ma_from_ar(model.ar_hat, 1), gamma, model.sigma_u("ml"))
+                irf_covariances(ma_from_ar(model.ar_hat.mats, 1), gamma, model.sigma_u("ml"))
 
     def test_wrong_side_gamma_rejected(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)
-        phi_hat = ma_from_ar(model.ar_hat, 3)
+        phi_hat = ma_from_ar(model.ar_hat.mats, 3)
         for gamma in (np.eye(3), np.eye(4)[:, :2], np.zeros((0, 0)), np.ones(4)):
             with pytest.raises(DimensionMismatchError):
                 irf_covariances(phi_hat, gamma, model.sigma_u_hat)
 
     def test_wrong_side_sigma_rejected(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)
-        phi_hat = ma_from_ar(model.ar_hat, 3)
+        phi_hat = ma_from_ar(model.ar_hat.mats, 3)
         for sigma in (np.eye(3), np.eye(1), np.ones(4)):
             with pytest.raises(DimensionMismatchError):
                 irf_covariances(phi_hat, model.moment_matrix, sigma)
 
     def test_singular_sigma_accepted(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)
-        phi_hat = ma_from_ar(model.ar_hat, 4)
+        phi_hat = ma_from_ar(model.ar_hat.mats, 4)
         covs = irf_covariances(phi_hat, model.moment_matrix, np.zeros((2, 2)))
         np.testing.assert_array_equal(covs, np.zeros((4, 4, 4)))
 
@@ -196,7 +195,7 @@ def fitted_sample(draw):
 def plugin_covs(y, p, plugin, horizon=6):
     model, _ = fit_var_ls(y, p)
     pair = ls_plugins(model) if plugin == "LS" else sls_plugins(model, y)
-    return irf_covariances(ma_from_ar(model.ar_hat, horizon), *pair)
+    return irf_covariances(ma_from_ar(model.ar_hat.mats, horizon), *pair)
 
 
 def assert_close_rel(got, want, rel):
@@ -234,19 +233,19 @@ class TestPluginInvariance:
 class TestDeltaCi:
     def test_textbook_interval(self):
         # interval around point 0.5 with unit asymptotic variance
-        phi_hat = irf_seq(np.array([[[1.0]], [[0.5]]]))
+        phi_hat = np.array([[[1.0]], [[0.5]]])
         iv = delta_ci(phi_hat, np.array([[[1.0]]]), 0.95, 100, "LS")
         assert iv.lowers[1, 0, 0] == pytest.approx(0.30401, abs=1e-5)
         assert iv.uppers[1, 0, 0] == pytest.approx(0.69599, abs=1e-5)
 
     def test_zero_variance_degenerate(self):
-        phi_hat = irf_seq(np.array([[[1.0]], [[0.7]]]))
+        phi_hat = np.array([[[1.0]], [[0.7]]])
         iv = delta_ci(phi_hat, np.array([[[0.0]]]), 0.95, 50, "LS")
         assert iv.lowers[1, 0, 0] == iv.uppers[1, 0, 0] == pytest.approx(0.7)
 
     def test_column_stacked_diagonal(self):
         # diagonal index r + K c holds the variance of entry (r, c)
-        phi_hat = irf_seq(np.array([np.eye(2), np.zeros((2, 2))]))
+        phi_hat = np.array([np.eye(2), np.zeros((2, 2))])
         covs = np.diag([1.0, 4.0, 9.0, 16.0])[np.newaxis]
         iv = delta_ci(phi_hat, covs, 0.95, 1, "LS")
         z = iv.uppers[1, 0, 0]
@@ -254,7 +253,7 @@ class TestDeltaCi:
 
     def test_horizon_zero_pinned_to_identity(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)
-        phi_hat = ma_from_ar(model.ar_hat, 3)
+        phi_hat = ma_from_ar(model.ar_hat.mats, 3)
         covs = irf_covariances(phi_hat, *ls_plugins(model))
         iv = delta_ci(phi_hat, covs, 0.9, 200, "LS")
         np.testing.assert_array_equal(iv.points[0], np.eye(2))
@@ -262,13 +261,13 @@ class TestDeltaCi:
         np.testing.assert_array_equal(iv.uppers[0], np.eye(2))
 
     def test_negative_variance_clamped_and_counted(self):
-        phi_hat = irf_seq(np.array([[[1.0]], [[0.3]]]))
+        phi_hat = np.array([[[1.0]], [[0.3]]])
         iv = delta_ci(phi_hat, np.array([[[-1e-13]]]), 0.95, 100, "LS")
         assert iv.clamped == 1
         assert iv.lowers[1, 0, 0] == iv.uppers[1, 0, 0] == pytest.approx(0.3)
 
     def test_asymmetric_or_negative_covariance_rejected(self):
-        phi_hat = irf_seq(np.array([np.eye(2), np.zeros((2, 2))]))
+        phi_hat = np.array([np.eye(2), np.zeros((2, 2))])
         asymmetric = np.eye(4)[np.newaxis].copy()
         asymmetric[0, 0, 1] = 1e-6
         negative = -np.eye(4)[np.newaxis]
@@ -278,20 +277,43 @@ class TestDeltaCi:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_covariance_rejected(self, bad):
-        phi_hat = irf_seq(np.array([[[1.0]], [[0.5]]]))
-        with pytest.raises(DimensionMismatchError):
+        phi_hat = np.array([[[1.0]], [[0.5]]])
+        with pytest.raises(NonFiniteError):
             delta_ci(phi_hat, np.array([[[bad]]]), 0.95, 100, "LS")
 
     @pytest.mark.parametrize("name", ["points", "lowers", "uppers"])
     def test_interval_set_rejects_non_finite(self, name):
         arrays = {n: np.zeros((2, 1, 1)) for n in ("points", "lowers", "uppers")}
         arrays[name][1, 0, 0] = np.nan
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(NonFiniteError):
             IntervalSet(method="LS", level=0.95, t=10, **arrays)
+
+    def test_requires_identity_head(self):
+        covs = np.array([[[1.0]]])
+        with pytest.raises(DimensionMismatchError, match="identity"):
+            delta_ci(np.array([[[0.5]], [[0.5]]]), covs, 0.95, 100, "LS")
+        iv = delta_ci(np.array([[[1.0]], [[0.5]]]), covs, 0.95, 100, "LS")
+        assert iv.horizon == 1 and iv.k == 1
+
+    def test_malformed_irfs_rejected(self, rng):
+        model, _ = fitted_model(rng, k=2, p=2)
+        phi_hat = ma_from_ar(model.ar_hat.mats, 3)
+        covs = irf_covariances(phi_hat, *ls_plugins(model))
+        for bad in (phi_hat[0], phi_hat[:, :, :1], phi_hat[:0], phi_hat[np.newaxis]):
+            with pytest.raises(DimensionMismatchError, match="shape"):
+                irf_covariances(bad, *ls_plugins(model))
+            with pytest.raises(DimensionMismatchError, match="shape"):
+                delta_ci(bad, covs, 0.95, 100, "LS")
+        broken = phi_hat.copy()
+        broken[2, 1, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            irf_covariances(broken, *ls_plugins(model))
+        with pytest.raises(NonFiniteError):
+            delta_ci(broken, covs, 0.95, 100, "LS")
 
     def test_intervals_symmetric_around_point(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)
-        phi_hat = ma_from_ar(model.ar_hat, 5)
+        phi_hat = ma_from_ar(model.ar_hat.mats, 5)
         covs = irf_covariances(phi_hat, *ls_plugins(model))
         iv = delta_ci(phi_hat, covs, 0.95, 300, "LS")
         np.testing.assert_allclose(
@@ -300,14 +322,14 @@ class TestDeltaCi:
 
     def test_missing_horizon_rejected(self, rng):
         model, _ = fitted_model(rng, k=1, p=1)
-        phi_hat = ma_from_ar(model.ar_hat, 3)
-        covs = irf_covariances(ma_from_ar(model.ar_hat, 2), *ls_plugins(model))
+        phi_hat = ma_from_ar(model.ar_hat.mats, 3)
+        covs = irf_covariances(ma_from_ar(model.ar_hat.mats, 2), *ls_plugins(model))
         with pytest.raises(DimensionMismatchError):
             delta_ci(phi_hat, covs, 0.95, 100, "LS")
 
     def test_level_bounds(self, rng):
         model, _ = fitted_model(rng, k=1, p=1)
-        phi_hat = ma_from_ar(model.ar_hat, 1)
+        phi_hat = ma_from_ar(model.ar_hat.mats, 1)
         covs = irf_covariances(phi_hat, *ls_plugins(model))
         with pytest.raises(ValueError):
             delta_ci(phi_hat, covs, 1.0, 100, "LS")

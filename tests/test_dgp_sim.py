@@ -28,7 +28,7 @@ class TestVarmaSpec:
         desk_spec.validate()
 
     def test_unstable_ar_named(self):
-        spec = pure_ar_spec(coeff_seq(np.array([[[1.01]]]), 1))
+        spec = pure_ar_spec(np.array([[[1.01]]]))
         with pytest.raises(UnstableProcessError, match="stable"):
             spec.validate()
 
@@ -81,7 +81,7 @@ class TestSimulateVarma:
 
     def test_refuses_unstable_spec(self):
         with pytest.raises(UnstableProcessError, match="radius"):
-            simulate_varma(pure_ar_spec(coeff_seq(np.array([[[1.05]]]), 1)), 50, 0, 0)
+            simulate_varma(pure_ar_spec(np.array([[[1.05]]])), 50, 0, 0)
 
     def test_default_burn_in_tracks_ar_order(self, desk_spec):
         assert default_burn_in(desk_spec) == 201
@@ -93,17 +93,17 @@ class TestCounterexample:
         base = np.array([[0.5, 0.1], [0.2, 0.4]])
         seq = counterexample_ar(base)
         assert len(seq) == 14
-        np.testing.assert_array_equal(seq.mats[0], base)
-        np.testing.assert_allclose(seq.mats[11], base / 5.0, rtol=1e-15)
-        np.testing.assert_allclose(seq.mats[13], base / 10.0, rtol=1e-15)
+        np.testing.assert_array_equal(seq[0], base)
+        np.testing.assert_allclose(seq[11], base / 5.0, rtol=1e-15)
+        np.testing.assert_allclose(seq[13], base / 10.0, rtol=1e-15)
         for lag in list(range(2, 12)) + [13]:
-            assert np.all(seq.mats[lag - 1] == 0.0)
+            assert np.all(seq[lag - 1] == 0.0)
 
     def test_single_lag_plan(self):
         base = np.array([[0.3]])
         seq = counterexample_ar(base, ((1, 1.0),))
         assert len(seq) == 1
-        np.testing.assert_array_equal(seq.mats[0], base)
+        np.testing.assert_array_equal(seq[0], base)
 
     def test_duplicate_lags_rejected(self):
         with pytest.raises(ValueError):
@@ -117,7 +117,7 @@ class TestCounterexample:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         base = np.asarray(obj["ar"][0], dtype=float)
-        rad_base = spectral_radius(companion_form(coeff_seq([base], base.shape[0])))
+        rad_base = spectral_radius(companion_form(np.array([base])))
         rad_star = spectral_radius(companion_form(counterexample_ar(base)))
         assert rad_base == pytest.approx(0.895, abs=5e-4)
         assert rad_star == pytest.approx(0.909, abs=5e-4)
@@ -141,7 +141,7 @@ def _poly_series_inverse(coeffs: np.ndarray, n: int) -> np.ndarray:
 class TestTrueIrf:
     def test_pure_ma_truncates(self):
         spec = scalar_varma(None, 0.3)
-        phis = varma_true_irf(spec, 4).mats.ravel()
+        phis = varma_true_irf(spec, 4).ravel()
         np.testing.assert_allclose(phis, [1.0, 0.3, 0.0, 0.0, 0.0])
 
     def test_scalar_varma11_against_convolution_oracle(self):
@@ -150,7 +150,7 @@ class TestTrueIrf:
         n = 8
         inv_ar = _poly_series_inverse(np.array([-a]), n)
         oracle = np.convolve(inv_ar, np.array([1.0, m]))[: n + 1]
-        phis = varma_true_irf(scalar_varma(a, m), n).mats.ravel()
+        phis = varma_true_irf(scalar_varma(a, m), n).ravel()
         np.testing.assert_allclose(phis, oracle, atol=1e-14)
         assert phis[1] == pytest.approx(0.8)
         assert phis[2] == pytest.approx(0.4)
@@ -159,7 +159,7 @@ class TestTrueIrf:
         ar = random_stable_coeffs(rng, 2, 3, 0.8)
         spec = pure_ar_spec(ar)
         np.testing.assert_allclose(
-            varma_true_irf(spec, 10).mats, ma_from_ar(ar, 10).mats, atol=1e-14
+            varma_true_irf(spec, 10), ma_from_ar(ar, 10), atol=1e-14
         )
 
 
@@ -171,20 +171,20 @@ class TestTrueAr:
         inv_ma = _poly_series_inverse(np.array([m]), n)
         pi = np.convolve(inv_ma, np.array([1.0, -a]))[: n + 1]
         oracle = -pi[1:]  # Pi(z) = 1 - sum A_i z^i
-        coeffs = varma_true_ar(scalar_varma(a, m), n).mats.ravel()
+        coeffs = varma_true_ar(scalar_varma(a, m), n).ravel()
         np.testing.assert_allclose(coeffs, oracle, atol=1e-14)
         np.testing.assert_allclose(coeffs[:3], [0.8, -0.24, 0.072], atol=1e-14)
 
     def test_pure_ar_returns_own_coefficients_padded(self, rng):
         ar = random_stable_coeffs(rng, 2, 2, 0.7)
         out = varma_true_ar(pure_ar_spec(ar), 5)
-        np.testing.assert_allclose(out.mats[:2], ar.mats, atol=1e-15)
-        np.testing.assert_array_equal(out.mats[2:], np.zeros((3, 2, 2)))
+        np.testing.assert_allclose(out[:2], ar, atol=1e-15)
+        np.testing.assert_array_equal(out[2:], np.zeros((3, 2, 2)))
 
     def test_pure_ma_geometric_inversion(self):
         # y_t = (1 + m L) u_t inverts to A_i = -(-m)^i
         m = 0.3
-        coeffs = varma_true_ar(scalar_varma(None, m), 5).mats.ravel()
+        coeffs = varma_true_ar(scalar_varma(None, m), 5).ravel()
         oracle = [-((-m) ** i) for i in range(1, 6)]
         np.testing.assert_allclose(coeffs, oracle, atol=1e-15)
         assert coeffs[0] == pytest.approx(0.3)
@@ -193,18 +193,18 @@ class TestTrueAr:
 
 class TestRoundTrip:
     def test_ar_inversion_recovers_true_irf(self, desk_spec):
-        truth = varma_true_irf(desk_spec, 30).mats
-        recovered = ma_from_ar(varma_true_ar(desk_spec, 50), 30).mats
+        truth = varma_true_irf(desk_spec, 30)
+        recovered = ma_from_ar(varma_true_ar(desk_spec, 50), 30)
         assert np.max(np.abs(truth - recovered)) < 1e-8
 
     def test_counterexample_round_trip(self, desk_spec):
         spec = VarmaSpec(
             k=2,
-            ar=counterexample_ar(desk_spec.ar.mats[0]),
+            ar=coeff_seq(counterexample_ar(desk_spec.ar.mats[0]), 2),
             ma=desk_spec.ma,
             sigma_u=desk_spec.sigma_u,
         )
         spec.validate()
-        truth = varma_true_irf(spec, 30).mats
-        recovered = ma_from_ar(varma_true_ar(spec, 60), 30).mats
+        truth = varma_true_irf(spec, 30)
+        recovered = ma_from_ar(varma_true_ar(spec, 60), 30)
         assert np.max(np.abs(truth - recovered)) < 1e-8

@@ -6,8 +6,11 @@ import pytest
 from sievevar import (
     AutocovSet,
     DimensionMismatchError,
+    NonFiniteError,
+    SamplePath,
     SingularMatrixError,
     build_gamma_p,
+    coeff_seq,
     fit_var_ls,
     residual_bootstrap_sample,
     residual_cov,
@@ -53,7 +56,7 @@ class TestFitVarLs:
         shifted = y.values + 10.0
         model, _ = fit_var_ls(shifted, 1, intercept=True)
         a = model.ar_hat.mats[0][0, 0]
-        assert a == pytest.approx(ar.mats[0][0, 0], abs=0.02)
+        assert a == pytest.approx(ar[0][0, 0], abs=0.02)
         assert model.intercept[0] == pytest.approx(10.0 * (1 - a), rel=0.05)
 
     def test_singular_design_reports_condition_number(self):
@@ -71,6 +74,20 @@ class TestFitVarLs:
             fit_var_ls(y, 2)
         with pytest.raises(DimensionMismatchError, match="non-finite"):
             sample_autocov(y, 1)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_class_follows_origin(self, rng, bad):
+        # an array passed by a library caller is a numerical failure (exit 3);
+        # a sample read from CSV or coefficients read from a config are input
+        # errors (exit 2)
+        y = rng.normal(size=(100, 2))
+        y[40, 1] = bad
+        with pytest.raises(NonFiniteError):
+            fit_var_ls(y, 2)
+        for build in (lambda: SamplePath(k=2, t=100, values=y), lambda: coeff_seq(y[np.newaxis, 39:41], 2)):
+            with pytest.raises(DimensionMismatchError) as info:
+                build()
+            assert type(info.value) is DimensionMismatchError
 
     def test_too_small_sample_rejected(self):
         with pytest.raises(SingularMatrixError, match="too small"):

@@ -23,6 +23,7 @@ from sievevar import (
 from sievevar import bootstrap_infer, mc_harness
 from sievevar.mc_harness import VALID_METHODS, McSummary
 from sievevar.streams import substream
+from conftest import pure_ar_spec, random_stable_coeffs
 
 
 def tiny_config(desk_spec, **overrides):
@@ -173,7 +174,7 @@ class TestIntervalSetsForSample:
         model, resid = fit_var_ls(values, 3, intercept=intercept)
         draws = bootstrap_irf_distribution(model, resid, values, 5, 20, substream(5, 10))
         want = {
-            "BOOT": percentile_ci(draws, 0.9, points=ma_from_ar(model.ar_hat, 5), t=150),
+            "BOOT": percentile_ci(draws, 0.9, points=ma_from_ar(model.ar_hat.mats, 5), t=150),
             "BOOT-db": bias_corrected_bootstrap(
                 model, resid, values, 5, 20, 0.9, substream(5, 11)
             ),
@@ -193,6 +194,65 @@ class TestIntervalSetsForSample:
         y = simulate_varma(desk_spec, 150, 200, 8)
         with pytest.raises(ConfigError, match="'FOO'"):
             interval_sets_for_sample(y, 2, 4, 0.95, ("BOOT", "FOO"), 20, 5)
+
+
+def invariance_sample():
+    """A K=3 VAR(2) sample of T=150 with correlated innovations."""
+    rng = np.random.default_rng(707)
+    ar = random_stable_coeffs(rng, 3, 2, 0.8)
+    sigma = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 0.5]])
+    return simulate_varma(pure_ar_spec(ar, sigma), 150, 100, 708).values
+
+
+def all_intervals(y, intercept=False):
+    sets = interval_sets_for_sample(y, 2, 6, 0.9, VALID_METHODS, 30, 709, intercept=intercept)
+    return {m: np.stack([iv.points, iv.lowers, iv.uppers]) for m, iv in sets.items()}
+
+
+def assert_same_intervals(got, want, rel=1e-9):
+    # rounding only: the tolerance scales with the largest entry of each method
+    for method, arrays in want.items():
+        err = np.abs(got[method] - arrays).max()
+        assert err <= rel * np.abs(arrays).max(), (method, err)
+
+
+class TestIntervalInvariance:
+    """Invariances of every method's intervals that the theory guarantees."""
+
+    @pytest.mark.parametrize("c", [3.7, 1e-3])
+    def test_common_rescaling_leaves_intervals_unchanged(self, c):
+        y = invariance_sample()
+        assert_same_intervals(all_intervals(c * y), all_intervals(y))
+
+    def test_permutation_maps_intervals(self):
+        y = invariance_sample()
+        perm = [2, 0, 1]
+        # y_t -> P y_t maps Phi_i to P Phi_i P'
+        want = {m: a[:, :, perm][:, :, :, perm] for m, a in all_intervals(y).items()}
+        assert_same_intervals(all_intervals(y[:, perm]), want)
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            "LS",
+            "S-LS",
+            "BOOT",
+            pytest.param(
+                "BOOT-db",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="stage two pairs the bias-corrected coefficients with the "
+                    "uncorrected intercept, so its pseudo-samples drift off the sample "
+                    "mean by an amount that moves with the mean",
+                ),
+            ),
+        ],
+    )
+    def test_mean_shift_with_intercept_leaves_intervals_unchanged(self, method):
+        y = invariance_sample()
+        shifted = y + np.array([5.0, -3.0, 0.5])
+        got, want = all_intervals(shifted, True), all_intervals(y, True)
+        assert_same_intervals({method: got[method]}, {method: want[method]})
 
 
 class TestFlags:

@@ -10,7 +10,6 @@ from sievevar import (
     MatrixSeq,
     coeff_seq,
     companion_form,
-    irf_seq,
     ma_from_ar,
     ma_via_companion,
     spectral_radius,
@@ -20,24 +19,13 @@ from conftest import random_stable_coeffs, random_stable_model
 
 
 class TestMatrixSeq:
-    def test_irf_seq_requires_identity_head(self):
-        with pytest.raises(DimensionMismatchError):
-            irf_seq(np.array([[[0.5]]]))
-        seq = irf_seq(np.array([np.eye(2), 0.5 * np.eye(2)]))
-        assert seq.index_base == 0 and seq.max_lag == 1
-
     def test_rejects_nonfinite(self):
         with pytest.raises(DimensionMismatchError):
             coeff_seq(np.array([[[np.nan]]]), 1)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            MatrixSeq(dim=2, mats=np.zeros((1, 2, 3)), index_base=1)
-
-    def test_at_returns_zero_outside_range(self):
-        seq = coeff_seq(np.array([[[0.5]]]), 1)
-        assert seq.at(1) == pytest.approx(0.5)
-        assert seq.at(2) == pytest.approx(0.0)
+            MatrixSeq(dim=2, mats=np.zeros((1, 2, 3)))
 
     def test_entries_immutable(self):
         seq = coeff_seq(np.array([[[0.5]]]), 1)
@@ -47,19 +35,18 @@ class TestMatrixSeq:
 
 class TestCompanionForm:
     def test_scalar_p1_is_coefficient(self):
-        comp = companion_form(coeff_seq(np.array([[[0.5]]]), 1))
+        comp = companion_form(np.array([[[0.5]]]))
         assert comp.shape == (1, 1)
         assert comp[0, 0] == 0.5
         with pytest.raises(ValueError):
             comp[0, 0] = 1.0
 
     def test_scalar_p2_layout(self):
-        comp = companion_form(coeff_seq(np.array([[[0.5]], [[0.24]]]), 1))
+        comp = companion_form(np.array([[[0.5]], [[0.24]]]))
         np.testing.assert_array_equal(comp, [[0.5, 0.24], [1.0, 0.0]])
 
     def test_k2_p2_blocks(self):
-        ar = coeff_seq(np.array([0.5 * np.eye(2), np.zeros((2, 2))]), 2)
-        comp = companion_form(ar)
+        comp = companion_form(np.array([0.5 * np.eye(2), np.zeros((2, 2))]))
         assert comp.shape == (4, 4)
         np.testing.assert_array_equal(comp[:2, :2], 0.5 * np.eye(2))
         np.testing.assert_array_equal(comp[:2, 2:], np.zeros((2, 2)))
@@ -74,41 +61,42 @@ class TestCompanionForm:
         np.testing.assert_array_equal(below[:, 10:], np.zeros((10, 2)))
 
     def test_requires_ar_indexing(self):
-        with pytest.raises(DimensionMismatchError):
-            companion_form(irf_seq(np.array([np.eye(2)])))
+        # a (p, K, K) stack of square coefficients with p >= 1
+        for shape in ((2, 2), (1, 2, 3), (0, 2, 2)):
+            with pytest.raises(DimensionMismatchError):
+                companion_form(np.zeros(shape))
 
 
 class TestMaRecursion:
     def test_horizon_zero_is_exact_identity(self, rng):
         ar, k, _ = random_stable_model(rng)
-        phi0 = ma_from_ar(ar, 0).mats[0]
+        phi0 = ma_from_ar(ar, 0)[0]
         assert np.array_equal(phi0, np.eye(k))
 
     def test_scalar_ar1_powers(self):
-        phis = ma_from_ar(coeff_seq(np.array([[[0.5]]]), 1), 3)
-        np.testing.assert_allclose(phis.mats.ravel(), [1.0, 0.5, 0.25, 0.125])
+        phis = ma_from_ar(np.array([[[0.5]]]), 3)
+        np.testing.assert_allclose(phis.ravel(), [1.0, 0.5, 0.25, 0.125])
 
     def test_scalar_p2_one_step(self):
-        ar = coeff_seq(np.array([[[0.5]], [[0.2]]]), 1)
-        assert ma_from_ar(ar, 2).mats[2][0, 0] == pytest.approx(0.45)
+        ar = np.array([[[0.5]], [[0.2]]])
+        assert ma_from_ar(ar, 2)[2][0, 0] == pytest.approx(0.45)
 
     def test_empty_ar_gives_zero_irfs(self):
-        empty = MatrixSeq(dim=2, mats=np.empty((0, 2, 2)), index_base=1)
-        phis = ma_from_ar(empty, 3).mats
+        phis = ma_from_ar(np.empty((0, 2, 2)), 3)
         np.testing.assert_array_equal(phis[0], np.eye(2))
         np.testing.assert_array_equal(phis[1:], np.zeros((3, 2, 2)))
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
-            ma_from_ar(coeff_seq(np.array([[[0.5]]]), 1), -1)
+            ma_from_ar(np.array([[[0.5]]]), -1)
 
     def test_stack_matches_each_sequence_bit_for_bit(self, rng):
         for k, p in ((1, 1), (2, 3), (3, 2)):
-            stack = np.array([random_stable_coeffs(rng, k, p, 0.9).mats for _ in range(3)])
+            stack = np.array([random_stable_coeffs(rng, k, p, 0.9) for _ in range(3)])
             phis = ma_from_ar(stack, 7)
             assert isinstance(phis, np.ndarray) and phis.shape == (3, 8, k, k)
             for member, want in zip(phis, stack):
-                np.testing.assert_array_equal(member, ma_from_ar(coeff_seq(want, k), 7).mats)
+                np.testing.assert_array_equal(member, ma_from_ar(want, 7))
 
 
 class TestMaViaCompanion:
@@ -117,13 +105,13 @@ class TestMaViaCompanion:
         np.testing.assert_array_equal(ma_via_companion(ar, 0), np.eye(k))
 
     def test_scalar_square(self):
-        assert ma_via_companion(coeff_seq(np.array([[[0.5]]]), 1), 2) == pytest.approx(0.25)
+        assert ma_via_companion(np.array([[[0.5]]]), 2) == pytest.approx(0.25)
 
     def test_agrees_with_recursion_on_random_models(self, rng):
         for _ in range(25):
             ar, _, p = random_stable_model(rng)
             horizon = min(p, 12)
-            phis = ma_from_ar(ar, horizon).mats
+            phis = ma_from_ar(ar, horizon)
             for i in range(horizon + 1):
                 via = ma_via_companion(ar, i)
                 scale = max(1.0, np.max(np.abs(phis[i])))
@@ -136,27 +124,27 @@ class TestMaViaCompanion:
         i=st.integers(0, 12),
     )
     def test_scalar_property_recursion_equals_companion(self, a1, a2, i):
-        ar = coeff_seq(np.array([[[a1]], [[a2]]]), 1)
+        ar = np.array([[[a1]], [[a2]]])
         lhs = ma_via_companion(ar, i)[0, 0]
-        rhs = ma_from_ar(ar, i).mats[i][0, 0]
+        rhs = ma_from_ar(ar, i)[i][0, 0]
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
 class TestSpectralRadius:
     def test_diagonal(self):
-        ar = coeff_seq(np.array([np.diag([0.9, 0.5])]), 2)
+        ar = np.array([np.diag([0.9, 0.5])])
         assert spectral_radius(companion_form(ar)) == pytest.approx(0.9)
 
     def test_scalar_p2_against_quadratic_roots(self):
         # roots of z^2 - 0.5 z - 0.24: discriminant 1.21, so z in {0.8, -0.3}
         roots = np.roots([1.0, -0.5, -0.24])
         oracle = float(np.max(np.abs(roots)))
-        ar = coeff_seq(np.array([[[0.5]], [[0.24]]]), 1)
+        ar = np.array([[[0.5]], [[0.24]]])
         assert spectral_radius(companion_form(ar)) == pytest.approx(oracle, abs=1e-12)
         assert oracle == pytest.approx(0.8, abs=1e-12)
 
     def test_nilpotent_zero_coefficients(self):
-        ar = coeff_seq(np.zeros((3, 2, 2)), 2)
+        ar = np.zeros((3, 2, 2))
         assert spectral_radius(companion_form(ar)) == pytest.approx(0.0)
 
     def test_stack_matches_each_matrix_bit_for_bit(self, rng):
@@ -185,7 +173,7 @@ class TestSpectralRadius:
                 [
                     np.linalg.det(
                         np.eye(k)
-                        - sum(ar.mats[j] * z ** (j + 1) for j in range(p))
+                        - sum(ar[j] * z ** (j + 1) for j in range(p))
                     )
                     for z in grid
                 ]
