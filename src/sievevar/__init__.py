@@ -1,10 +1,7 @@
 """Sieve and finite-order VAR impulse-response inference."""
 
 from .bootstrap_infer import (
-    bias_corrected_bootstrap,
-    bias_corrected_coefficients,
     bootstrap_interval_sets,
-    bootstrap_irf_distribution,
     percentile_ci,
     residual_bootstrap_sample,
 )
@@ -83,10 +80,7 @@ __all__ = [
     "VarmaSpec",
     "aggregate",
     "assumption_ratios",
-    "bias_corrected_bootstrap",
-    "bias_corrected_coefficients",
     "bootstrap_interval_sets",
-    "bootstrap_irf_distribution",
     "build_gamma_p",
     "coeff_seq",
     "companion_form",

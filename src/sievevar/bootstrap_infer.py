@@ -1,17 +1,24 @@
-"""Residual-bootstrap percentile intervals and bias-corrected variants.
+"""Residual-bootstrap percentile intervals, plain (BOOT) and bias-corrected (BOOT-db).
 
-The recursive-design scheme resamples the centered residuals of the model
-fitted to the sample with replacement, seeds the recursion with a random
-contiguous block of the observed sample, and refits the VAR on each
-pseudo-sample; the sample itself is never refitted. All draws of one
-fitted model go through one refit pass: BOOT's draws and the first stage
-of the bias-corrected interval (BOOT-db) resample the same model from the
-same residuals, so ``bootstrap_interval_sets`` steps them in one recursion
-and refits them with one stacked solve per block. The first stage
-estimates the coefficient bias and corrects the point estimates under a
-stationarity guard; the second stage resamples the corrected model and
-reuses that same bias estimate on every draw instead of nesting a third
-bootstrap, so it is the one pass that must wait for another.
+``bootstrap_interval_sets`` is the one entry point for bootstrap
+intervals: it takes a fitted model, its residuals and the (T, K) sample,
+and returns the intervals of whichever methods it is given seeds for.
+The recursive-design scheme resamples the centered residuals of the
+fitted model with replacement, seeds the recursion with a random
+contiguous block of the sample, and refits the VAR on each
+pseudo-sample; the sample itself is never refitted. BOOT's draws and the
+first stage of BOOT-db resample the same model from the same residuals,
+so they are stepped in one recursion and refitted with one stacked solve
+per block. The first stage estimates the coefficient bias and corrects
+the point estimates under a stationarity guard; the second stage
+(``_stage_two``) resamples the corrected model, its intercept re-centred
+on the fitted mean, and reuses that same bias estimate on every draw
+instead of nesting a third bootstrap, so it is the one pass that must
+wait for another.
+
+Streams: draw r on refit attempt a resamples from the stream (seed, r, a)
+for BOOT, and from (seed, 0, r, a) and (seed, 1, r, a) for BOOT-db's two
+stages; a draw moves to the next attempt only when its refit is singular.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dgp_sim import SamplePath
 from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 from .estimate import VarModel, fit_var_ls, fit_var_ls_stack
 from .delta_infer import IntervalSet
@@ -36,10 +42,6 @@ _MAX_REFIT_ATTEMPTS = 10
 # of 64 and ran about 15% faster
 _BLOCK_FLOATS = 64 * 600 * 4
 
-# stage names of the bias-corrected interval's two passes, used in errors
-_STAGE_ONE = "BOOT-db stage one"
-_STAGE_TWO = "BOOT-db stage two"
-
 # delta grid for the stationarity guard: 1.00, 0.99, ..., 0.00
 _GUARD_STEP = 0.01
 
@@ -47,13 +49,13 @@ _GUARD_STEP = 0.01
 def residual_bootstrap_sample(
     model: VarModel,
     residuals: np.ndarray,
-    source: SamplePath | np.ndarray,
+    source: np.ndarray,
     seeds: Sequence[SeedLike],
 ) -> np.ndarray:
     """Recursive-design pseudo-samples, one per seed, shape (n, T, K).
 
     Residuals are centered before resampling; the first p values of each
-    pseudo-sample are a random contiguous block of the source sample. Each
+    pseudo-sample are a random contiguous block of the (T, K) ``source``. Each
     seed's stream is consumed in a fixed order (block start, then T
     residual indices), so pseudo-sample j depends on ``seeds[j]`` alone and
     is bit-identical given the same seed.
@@ -63,8 +65,7 @@ def residual_bootstrap_sample(
         resid = resid[:, np.newaxis]
     if resid.shape[0] < 2:
         raise ValueError("need at least 2 residual rows")
-    values = source.values if isinstance(source, SamplePath) else np.asarray(source)
-    t, k = values.shape
+    t, k = source.shape
     p, n = model.p, len(seeds)
 
     rngs = [generator(seed) for seed in seeds]
@@ -79,7 +80,7 @@ def residual_bootstrap_sample(
     # time runs backwards in rev: row t-1-s holds y_s, so the state
     # [y_{s-1}', ..., y_{s-p}'] is the contiguous run of rows t-s..t-s+p-1
     rev = np.empty((n, t, k))
-    rev[:, t - p :] = values[starts[:, np.newaxis] + np.arange(p)][:, ::-1]
+    rev[:, t - p :] = source[starts[:, np.newaxis] + np.arange(p)][:, ::-1]
     flat = rev.reshape(n, t * k)
     for step in range(p, t):
         row = t - 1 - step
@@ -95,7 +96,7 @@ def residual_bootstrap_sample(
 def _refit_draws(
     model: VarModel,
     residuals: np.ndarray,
-    y: SamplePath | np.ndarray,
+    y: np.ndarray,
     streams: Sequence[tuple[str, SeedLike, int]],
 ) -> list[np.ndarray]:
     """Coefficient stacks of recursive-bootstrap refits, one (m, p, K, K) per stream.
@@ -121,8 +122,7 @@ def _refit_draws(
     if any(m < 2 for _, _, m in streams):
         raise ValueError("m must be >= 2")
     intercept = model.intercept is not None
-    values = y.values if isinstance(y, SamplePath) else np.asarray(y)
-    block = max(1, _BLOCK_FLOATS // values.size)
+    block = max(1, _BLOCK_FLOATS // y.size)
     sizes = [m for _, _, m in streams]
     ends = np.cumsum(sizes, dtype=np.intp)
     # draws of all streams in one flat order: stream, then draw index
@@ -162,24 +162,6 @@ def _refit_draws(
         f"bootstrap refit failed {_MAX_REFIT_ATTEMPTS} times for "
         f"{streams[owner[j]][0]} draw {draw[j]}"
     )
-
-
-def bootstrap_irf_distribution(
-    model: VarModel,
-    residuals: np.ndarray,
-    y: SamplePath | np.ndarray,
-    horizon: int,
-    m: int,
-    seed: SeedLike,
-) -> np.ndarray:
-    """IRF estimates from m recursive-bootstrap refits of the fitted ``model``.
-
-    Returns the draws Phi_0..Phi_H, shape (m, H+1, K, K). Replication r
-    draws from the child stream (seed, r); the result does not depend on
-    the order replications execute in.
-    """
-    (coefs,) = _refit_draws(model, residuals, y, [("BOOT", seed, m)])
-    return ma_from_ar(coefs, horizon)
 
 
 def percentile_indices(m: int, level: float) -> tuple[int, int]:
@@ -255,60 +237,10 @@ def stationarity_guard(
     return out.reshape(coef.shape), (deltas.reshape(shape) if shape else float(deltas[0]))
 
 
-def bias_corrected_coefficients(
-    model: VarModel,
-    residuals: np.ndarray,
-    y: SamplePath | np.ndarray,
-    m: int,
-    seed: SeedLike,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """First-stage bootstrap bias correction of the fitted coefficients.
-
-    Draws on the child stream (seed, 0). Returns (corrected coefficients,
-    bias estimate, guard delta), the first two of shape (p, K, K). The bias
-    estimate is mean(bootstrap coefficients) - fitted coefficients.
-    """
-    (coefs,) = _refit_draws(model, residuals, y, [(_STAGE_ONE, substream(seed, 0), m)])
-    return _bias_correction(model, coefs)
-
-
-def _bias_correction(
-    model: VarModel, coefs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """``bias_corrected_coefficients`` from the stage-one coefficient draws."""
-    # the builtin sum adds the draws in order, unlike numpy's pairwise sum
-    bias = sum(coefs) / len(coefs) - model.ar_hat.mats
-    corrected, delta = stationarity_guard(model.ar_hat.mats, bias)
-    return corrected, bias, delta
-
-
-def bias_corrected_bootstrap(
-    model: VarModel,
-    residuals: np.ndarray,
-    y: SamplePath | np.ndarray,
-    horizon: int,
-    m: int,
-    level: float,
-    seed: SeedLike,
-) -> IntervalSet:
-    """Bias-corrected bootstrap percentile intervals (single-stage shortcut).
-
-    Stage one (stream (seed, 0)) estimates the coefficient bias; stage two
-    (stream (seed, 1)) resamples from the bias-corrected model and applies
-    the same stage-one bias estimate to each replication's coefficients
-    (under the stationarity guard, all draws at once) before computing its
-    IRFs. With a zero bias estimate stage two is exactly a plain bootstrap
-    of ``model``. Intervals are equal-tailed percentiles of the corrected
-    draws, centered on the corrected model's own IRFs.
-    """
-    corrected, bias, _ = bias_corrected_coefficients(model, residuals, y, m, seed)
-    return _stage_two(model, residuals, y, horizon, m, level, seed, corrected, bias)
-
-
 def _stage_two(
     model: VarModel,
     residuals: np.ndarray,
-    y: SamplePath | np.ndarray,
+    y: np.ndarray,
     horizon: int,
     m: int,
     level: float,
@@ -316,19 +248,29 @@ def _stage_two(
     corrected: np.ndarray,
     bias: np.ndarray,
 ) -> IntervalSet:
-    """BOOT-db intervals from the stage-one correction, drawing on (seed, 1)."""
-    fitted = replace(model, ar_hat=coeff_seq(corrected, model.k))
-    (coefs,) = _refit_draws(fitted, residuals, y, [(_STAGE_TWO, substream(seed, 1), m)])
+    """BOOT-db intervals from the stage-one correction, drawing on (seed, 1).
+
+    The corrected model keeps the fitted mean mu = (I - sum A_hat)^-1 c, so
+    its intercept is (I - sum A_corr) mu, computed as c + (sum A_hat - sum
+    A_corr) mu so that a zero correction leaves c bit-identical.
+    """
+    intercept = model.intercept
+    if intercept is not None:
+        ar = model.ar_hat.mats
+        mean = np.linalg.solve(np.eye(model.k) - ar.sum(axis=0), intercept)
+        intercept = intercept + (ar - corrected).sum(axis=0) @ mean
+    fitted = replace(model, ar_hat=coeff_seq(corrected, model.k), intercept=intercept)
+    (coefs,) = _refit_draws(fitted, residuals, y, [("BOOT-db stage two", substream(seed, 1), m)])
     guarded = stationarity_guard(coefs, bias)[0]
     # the points expand with the draws, each bit-identical to its own expansion
     irfs = ma_from_ar(np.concatenate([corrected[np.newaxis], guarded]), horizon)
-    return percentile_ci(irfs[1:], level, points=irfs[0], method="BOOT-db", t=_length(y))
+    return percentile_ci(irfs[1:], level, points=irfs[0], method="BOOT-db", t=len(y))
 
 
 def bootstrap_interval_sets(
     model: VarModel,
     residuals: np.ndarray,
-    y: SamplePath | np.ndarray,
+    y: np.ndarray,
     horizon: int,
     m: int,
     level: float,
@@ -336,33 +278,46 @@ def bootstrap_interval_sets(
 ) -> tuple[np.ndarray, dict[str, IntervalSet]]:
     """IRFs Phi_0..Phi_H of ``model`` and its intervals for "BOOT" and "BOOT-db".
 
-    Returns the (H+1, K, K) IRF array and the intervals by method.
-    ``seeds`` maps each bootstrap method wanted to its stream. BOOT draws
-    as ``bootstrap_irf_distribution`` and BOOT-db as
-    ``bias_corrected_bootstrap`` do, and every interval is bit-identical to
-    theirs. BOOT's draws and BOOT-db's stage one resample the same model
-    from the same residuals, so they share one ``_refit_draws`` pass, and
-    the fitted IRFs are expanded together with BOOT's draws.
+    ``y`` is the (T, K) sample ``model`` was fitted to, and ``seeds`` maps
+    each bootstrap method wanted to its stream. Returns the (H+1, K, K) IRF
+    array and the intervals by method, each centred on its own point
+    estimate: the fitted IRFs for BOOT, the bias-corrected model's for
+    BOOT-db. BOOT's draws and BOOT-db's stage one share one ``_refit_draws``
+    pass, and the fitted IRFs are expanded together with BOOT's draws; an
+    interval's bits do not depend on which other method is requested.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If ``y`` is not a (T, K) array for the K of ``model``.
+    ValueError
+        If ``seeds`` names a method other than "BOOT" and "BOOT-db", or
+        m < 2 with either requested.
     """
+    y = np.asarray(y)
+    if y.ndim != 2 or y.shape[1] != model.k:
+        raise DimensionMismatchError(f"y must be a (T, {model.k}) array, got shape {y.shape}")
+    unknown = sorted(set(seeds) - {"BOOT", "BOOT-db"})
+    if unknown:
+        raise ValueError(f"unknown bootstrap methods {unknown}; valid: ['BOOT', 'BOOT-db']")
     stages = {}
     if "BOOT" in seeds:
         stages["BOOT"] = ("BOOT", seeds["BOOT"], m)
     if "BOOT-db" in seeds:
-        stages["BOOT-db"] = (_STAGE_ONE, substream(seeds["BOOT-db"], 0), m)
+        stages["BOOT-db"] = ("BOOT-db stage one", substream(seeds["BOOT-db"], 0), m)
     coefs = dict(zip(stages, _refit_draws(model, residuals, y, list(stages.values()))))
     boot = coefs.get("BOOT", np.empty((0,) + model.ar_hat.mats.shape))
     irfs = ma_from_ar(np.concatenate([model.ar_hat.mats[np.newaxis], boot]), horizon)
     out = {}
     if "BOOT" in coefs:
-        out["BOOT"] = percentile_ci(irfs[1:], level, points=irfs[0], method="BOOT", t=_length(y))
+        out["BOOT"] = percentile_ci(irfs[1:], level, points=irfs[0], method="BOOT", t=len(y))
     if "BOOT-db" in coefs:
-        corrected, bias, _ = _bias_correction(model, coefs["BOOT-db"])
+        # the bias is mean(stage-one coefficients) - fitted coefficients; the
+        # builtin sum adds the draws in order, unlike numpy's pairwise sum
+        bias = sum(coefs["BOOT-db"]) / m - model.ar_hat.mats
+        corrected = stationarity_guard(model.ar_hat.mats, bias)[0]
         out["BOOT-db"] = _stage_two(
             model, residuals, y, horizon, m, level, seeds["BOOT-db"], corrected, bias
         )
     # a copy, so the IRFs do not keep BOOT's draws alive
     return irfs[0].copy(), out
-
-
-def _length(y: SamplePath | np.ndarray) -> int:
-    return y.t if isinstance(y, SamplePath) else len(np.asarray(y))

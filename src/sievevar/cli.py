@@ -86,27 +86,27 @@ def parse_varma_spec(obj: dict) -> VarmaSpec:
     """Build a VarmaSpec from its JSON form; see docs/config.md."""
     if not isinstance(obj, dict):
         raise ConfigError("dgp must be an object")
-    k = int(_require(obj, "k", "dgp"))
-    if k < 1:
-        raise ConfigError("dgp.k must be >= 1")
-    if "counterexample" in obj:
-        ce = obj["counterexample"]
-        base = np.asarray(_require(ce, "base", "dgp.counterexample"), dtype=float)
-        plan = tuple(
-            (int(lag), float(scale))
-            for lag, scale in ce.get("plan", [[1, 1.0], [12, 0.2], [14, 0.1]])
-        )
-        ar = coeff_seq(counterexample_ar(base, plan), k)
-    else:
-        ar = _matrix_list(obj.get("ar"), k, "dgp.ar")
-    ma = _matrix_list(obj.get("ma"), k, "dgp.ma")
-    sigma = np.asarray(
-        obj.get("sigma_u", np.eye(k).tolist()), dtype=float
-    )
-    if sigma.shape != (k, k):
-        raise ConfigError(f"dgp.sigma_u must be {k}x{k}")
     try:
+        k = int(_require(obj, "k", "dgp"))
+        if k < 1:
+            raise ConfigError("dgp.k must be >= 1")
+        if "counterexample" in obj:
+            ce = obj["counterexample"]
+            base = np.asarray(_require(ce, "base", "dgp.counterexample"), dtype=float)
+            plan = tuple(
+                (int(lag), float(scale))
+                for lag, scale in ce.get("plan", [[1, 1.0], [12, 0.2], [14, 0.1]])
+            )
+            ar = coeff_seq(counterexample_ar(base, plan), k)
+        else:
+            ar = _matrix_list(obj.get("ar"), k, "dgp.ar")
+        ma = _matrix_list(obj.get("ma"), k, "dgp.ma")
+        sigma = np.asarray(obj.get("sigma_u", np.eye(k).tolist()), dtype=float)
+        if sigma.shape != (k, k):
+            raise ConfigError(f"dgp.sigma_u must be {k}x{k}")
         return VarmaSpec(k=k, ar=ar, ma=ma, sigma_u=sigma)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed dgp: {exc}") from None
     except SieveVarError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -312,8 +312,11 @@ def write_mc_entries_csv(path: str, summary: McSummary) -> None:
 def cmd_simulate(args) -> int:
     obj = load_config(args.config)
     spec = parse_varma_spec(_require(obj, "dgp", "config"))
-    t = int(_require(obj, "t", "config"))
-    burn_in = int(obj.get("burn_in", default_burn_in(spec)))
+    try:
+        t = int(_require(obj, "t", "config"))
+        burn_in = int(obj.get("burn_in", default_burn_in(spec)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed simulate config: {exc}") from None
     seed = resolve_seed(args.seed, obj.get("seed"))
     try:
         spec.validate()

@@ -26,7 +26,7 @@ from .dgp_sim import (
     varma_true_irf,
 )
 from .errors import ConfigError, ExperimentError, SieveVarError
-from .estimate import build_gamma_p, fit_var_ls, sample_autocov
+from .estimate import _as_values, build_gamma_p, fit_var_ls, sample_autocov
 from .streams import SeedLike, substream
 
 VALID_METHODS = ("LS", "S-LS", "BOOT", "BOOT-db")
@@ -120,12 +120,14 @@ def interval_sets_for_sample(
 ) -> dict[str, IntervalSet]:
     """Confidence intervals for every requested method on one sample.
 
+    ``y`` is a (T, K) array or ``SamplePath``; a 1-D array is one variable.
     The sample is fitted and its IRFs expanded once, here; every method
     reads that fit. Each method draws from its own child stream, so adding
     or removing methods never changes another method's output, although
     BOOT's draws and BOOT-db's first stage share one bootstrap pass.
     """
     check_design(p, horizon, level, methods, bootstrap_replications)
+    y = _as_values(y)
     model, resid = fit_var_ls(y, p, intercept=intercept)
     seeds = {
         method: substream(seed, stream)
@@ -135,14 +137,13 @@ def interval_sets_for_sample(
     phi_hat, out = bootstrap_interval_sets(
         model, resid, y, horizon, bootstrap_replications, level, seeds
     )
-    t = y.t if isinstance(y, SamplePath) else len(np.asarray(y))
     if "LS" in methods:
         covs = irf_covariances(phi_hat, model.moment_matrix, model.sigma_u_hat)
-        out["LS"] = delta_ci(phi_hat, covs, level, t, method="LS")
+        out["LS"] = delta_ci(phi_hat, covs, level, len(y), method="LS")
     if "S-LS" in methods:
         gamma_p = build_gamma_p(sample_autocov(y, p - 1), p)
         covs = irf_covariances(phi_hat, gamma_p, model.sigma_u("ml"))
-        out["S-LS"] = delta_ci(phi_hat, covs, level, t, method="S-LS")
+        out["S-LS"] = delta_ci(phi_hat, covs, level, len(y), method="S-LS")
     return {method: out[method] for method in methods}
 
 

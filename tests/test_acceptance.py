@@ -217,10 +217,10 @@ def test_08_bias_correction_moves_toward_truth():
         y = sv.simulate_varma(spec, t, 200, np.random.SeedSequence(808, spawn_key=(r,)))
         model, resid = sv.fit_var_ls(y, 1)
         plain[r] = model.ar_hat.mats[0, 0, 0]
-        fixed, _, _ = sv.bias_corrected_coefficients(
-            model, resid, y, m, np.random.SeedSequence(809, spawn_key=(r,))
-        )
-        corrected[r] = fixed[0, 0, 0]
+        # Phi_1 of an AR(1) is its coefficient: the point of BOOT-db at horizon 1
+        seeds = {"BOOT-db": np.random.SeedSequence(809, spawn_key=(r,))}
+        _, sets = sv.bootstrap_interval_sets(model, resid, y.values, 1, m, 0.95, seeds)
+        corrected[r] = sets["BOOT-db"].points[1, 0, 0]
     assert abs(corrected.mean() - a) < abs(plain.mean() - a)
     _report(
         f"8 (AR(1) a=0.9, T=80: mean corrected {corrected.mean():.4f} beats "

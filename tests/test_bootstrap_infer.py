@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 from sievevar import (
     DimensionMismatchError,
     NonFiniteError,
-    SamplePath,
     SingularMatrixError,
-    bias_corrected_bootstrap,
-    bias_corrected_coefficients,
-    bootstrap_irf_distribution,
+    bootstrap_interval_sets,
     coeff_seq,
     companion_form,
     fit_var_ls,
@@ -81,6 +78,21 @@ def count_refits(monkeypatch, fail_on=None):
     return refits
 
 
+def boot_draws(model, resid, y, horizon, m, seed):
+    """BOOT's IRF draws, as ``bootstrap_interval_sets`` hands them to ``percentile_ci``."""
+    seen = []
+
+    def recorded(draws, *args, **kwargs):
+        seen.append(draws.copy())
+        return percentile_ci(draws, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bootstrap_infer, "percentile_ci", recorded)
+        bootstrap_interval_sets(model, resid, y, horizon, m, 0.9, {"BOOT": seed})
+    (draws,) = seen
+    return draws
+
+
 def scalar_guard(coef, bias):
     """Reference guard: one draw, one companion eigen-solve per delta step."""
     k = coef.shape[1]
@@ -94,13 +106,13 @@ def scalar_guard(coef, bias):
 
 class TestResidualBootstrapSample:
     def test_zero_residuals_zero_source_gives_zero_path(self, rng):
-        zeros = SamplePath(k=1, t=30, values=np.zeros((30, 1)))
+        zeros = np.zeros((30, 1))
         model, _ = fit_var_ls(np.arange(30.0) % 7 + 1.0, 2)
         path = residual_bootstrap_sample(model, np.zeros((28, 1)), zeros, [5])
         np.testing.assert_array_equal(path, np.zeros((1, 30, 1)))
 
     def test_same_seed_identical(self, desk_spec):
-        y = simulate_varma(desk_spec, 150, 200, 17)
+        y = simulate_varma(desk_spec, 150, 200, 17).values
         model, resid = fit_var_ls(y, 2)
         a = residual_bootstrap_sample(model, resid, y, [99])
         b = residual_bootstrap_sample(model, resid, y, [99])
@@ -118,21 +130,17 @@ class TestResidualBootstrapSample:
             np.testing.assert_array_equal(path, scalar_resample(model, resid, values, seed))
 
     def test_empty_seed_list_gives_empty_stack(self, desk_spec):
-        y = simulate_varma(desk_spec, 50, 200, 17)
+        y = simulate_varma(desk_spec, 50, 200, 17).values
         model, resid = fit_var_ls(y, 2)
         paths = residual_bootstrap_sample(model, resid, y, [])
         assert paths.shape == (0, 50, 2)
 
     def test_initial_block_comes_from_source(self, desk_spec):
-        y = simulate_varma(desk_spec, 100, 200, 21)
+        y = simulate_varma(desk_spec, 100, 200, 21).values
         model, resid = fit_var_ls(y, 3)
         path = residual_bootstrap_sample(model, resid, y, [1])[0]
         # first p rows must be a contiguous block of the source
-        hits = [
-            s
-            for s in range(y.t - 3 + 1)
-            if np.array_equal(path[:3], y.values[s : s + 3])
-        ]
+        hits = [s for s in range(len(y) - 3 + 1) if np.array_equal(path[:3], y[s : s + 3])]
         assert hits
 
     def test_resampled_mean_unbiased(self, desk_spec):
@@ -151,7 +159,7 @@ class TestResidualBootstrapSample:
     def test_intercept_carried_into_recursion(self, rng):
         ar = random_stable_coeffs(rng, 1, 1, 0.5)
         y = simulate_varma(pure_ar_spec(ar), 4000, 200, 3)
-        shifted = SamplePath(k=1, t=4000, values=y.values + 5.0)
+        shifted = y.values + 5.0
         model, resid = fit_var_ls(shifted, 1, intercept=True)
         path = residual_bootstrap_sample(model, resid, shifted, [2])
         assert abs(path.mean() - 5.0) < 0.5
@@ -159,9 +167,9 @@ class TestResidualBootstrapSample:
 
 class TestBootstrapIrfDistribution:
     def test_horizon_zero_draws_exact_identity(self, desk_spec):
-        y = simulate_varma(desk_spec, 120, 200, 50)
+        y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
-        draws = bootstrap_irf_distribution(model, resid, y, 4, 25, 7)
+        draws = boot_draws(model, resid, y, 4, 25, 7)
         assert np.array_equal(
             draws[:, 0], np.broadcast_to(np.eye(2), (25, 2, 2))
         )
@@ -169,37 +177,37 @@ class TestBootstrapIrfDistribution:
     def test_white_noise_draws_center_on_estimate(self):
         # draws center on the fitted coefficient, which is itself a
         # root-T-small deviation from zero on white-noise data
-        y = simulate_varma(white_noise_spec(1), 2000, 0, 12)
+        y = simulate_varma(white_noise_spec(1), 2000, 0, 12).values
         model, resid = fit_var_ls(y, 1)
         a_hat = model.ar_hat.mats[0, 0, 0]
-        draws = bootstrap_irf_distribution(model, resid, y, 1, 200, 3)
+        draws = boot_draws(model, resid, y, 1, 200, 3)
         phi1 = draws[:, 1, 0, 0]
         assert abs(phi1.mean() - a_hat) < 3 * phi1.std() / np.sqrt(len(phi1))
         assert abs(phi1.mean()) < 0.05
 
     def test_replication_streams_independent_of_m(self, desk_spec):
         # draw r depends only on (seed, r), so a shorter run is a prefix
-        y = simulate_varma(desk_spec, 120, 200, 50)
+        y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
-        big = bootstrap_irf_distribution(model, resid, y, 4, 12, 42)
-        small = bootstrap_irf_distribution(model, resid, y, 4, 5, 42)
+        big = boot_draws(model, resid, y, 4, 12, 42)
+        small = boot_draws(model, resid, y, 4, 5, 42)
         assert np.array_equal(big[:5], small)
 
     def test_minimum_replications(self, desk_spec):
-        y = simulate_varma(desk_spec, 120, 200, 50)
+        y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
         with pytest.raises(ValueError):
-            bootstrap_irf_distribution(model, resid, y, 4, 1, 7)
+            bootstrap_interval_sets(model, resid, y, 4, 1, 0.9, {"BOOT": 7})
 
     def test_singular_refit_retries_on_next_attempt(self, desk_spec, monkeypatch):
         # a singular refit of draw 0 moves it to the stream (seed, 0, 1);
         # every other draw keeps its first stream
-        y = simulate_varma(desk_spec, 120, 200, 50)
+        y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
-        plain = bootstrap_irf_distribution(model, resid, y, 4, 3, 7)
+        plain = boot_draws(model, resid, y, 4, 3, 7)
         first = residual_bootstrap_sample(model, resid, y, [substream(7, 0, 0)])[0]
         refits = count_refits(monkeypatch, fail_on=first)
-        draws = bootstrap_irf_distribution(model, resid, y, 4, 3, 7)
+        draws = boot_draws(model, resid, y, 4, 3, 7)
         retry = residual_bootstrap_sample(model, resid, y, [substream(7, 0, 1)])
         want = ma_from_ar(fit_var_ls_stack(retry, 2)[0][0], 4)
         assert refits == {"stacked": 4, "per_draw": 1}
@@ -208,7 +216,7 @@ class TestBootstrapIrfDistribution:
         np.testing.assert_array_equal(draws[1:], plain[1:])
 
     def test_refit_singular_on_every_attempt_raises(self, desk_spec, monkeypatch):
-        y = simulate_varma(desk_spec, 120, 200, 50)
+        y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
         calls = []
 
@@ -223,7 +231,7 @@ class TestBootstrapIrfDistribution:
         monkeypatch.setattr(bootstrap_infer, "fit_var_ls_stack", flag_all)
         monkeypatch.setattr(bootstrap_infer, "fit_var_ls", always_singular)
         with pytest.raises(SingularMatrixError):
-            bootstrap_irf_distribution(model, resid, y, 4, 3, 7)
+            bootstrap_interval_sets(model, resid, y, 4, 3, 0.9, {"BOOT": 7})
         # every pending draw gets its attempts before the raise
         assert len(calls) == 3 * bootstrap_infer._MAX_REFIT_ATTEMPTS
 
@@ -252,7 +260,7 @@ class TestBootstrapIrfDistribution:
         monkeypatch.setattr(bootstrap_infer, "fit_var_ls", counted)
         m, attempts = 3, bootstrap_infer._MAX_REFIT_ATTEMPTS
         with pytest.raises(SingularMatrixError):
-            bootstrap_irf_distribution(model, resid, source, 4, m, 7)
+            bootstrap_interval_sets(model, resid, source, 4, m, 0.9, {"BOOT": 7})
         want = [substream(7, r, a) for a in range(attempts) for r in range(m)]
         assert [q.spawn_key for q in seeds] == [q.spawn_key for q in want]
         assert len(calls) == m * attempts
@@ -264,7 +272,7 @@ class TestBootstrapIrfDistribution:
     ):
         # two streams share each pass; a forced singular first refit in the
         # second stream moves its draw 0 to the attempt-1 stream
-        y = simulate_varma(desk_spec, 120, 200, 50)
+        y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
         streams = [("BOOT", 7, 70), ("BOOT-db stage one", substream(9, 0), 45)]
         want = []
@@ -280,7 +288,7 @@ class TestBootstrapIrfDistribution:
             fail_on = residual_bootstrap_sample(model, resid, y, [substream(9, 0, 0, 0)])[0]
         refits = count_refits(monkeypatch, fail_on=fail_on)
         # blocks of 1, 3 and 64 draws of this T x K sample
-        monkeypatch.setattr(bootstrap_infer, "_BLOCK_FLOATS", block * y.values.size)
+        monkeypatch.setattr(bootstrap_infer, "_BLOCK_FLOATS", block * y.size)
         got = bootstrap_infer._refit_draws(model, resid, y, streams)
         assert refits == {"stacked": 115 + first_singular, "per_draw": int(first_singular)}
         assert len(got) == 2
@@ -288,7 +296,7 @@ class TestBootstrapIrfDistribution:
             np.testing.assert_array_equal(coefs, expected)
 
     def test_no_streams_resample_nothing(self, desk_spec, monkeypatch):
-        y = simulate_varma(desk_spec, 120, 200, 50)
+        y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
 
         def no_resample(*args):
@@ -308,14 +316,14 @@ class TestBootstrapIrfDistribution:
 
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", recorded)
         for t, k, draws in ((600, 4, [64, 64, 2]), (300, 2, [130])):
-            y = simulate_varma(white_noise_spec(k), t, 0, 3)
+            y = simulate_varma(white_noise_spec(k), t, 0, 3).values
             model, resid = fit_var_ls(y, 1)
             sizes.clear()
             bootstrap_infer._refit_draws(model, resid, y, [("BOOT", 1, 65), ("BOOT", 2, 65)])
             assert sizes == draws
 
     @pytest.mark.parametrize("stage", ["BOOT", "BOOT-db stage one", "BOOT-db stage two"])
-    def test_retry_error_names_stage_and_draw(self, rng, monkeypatch, stage):
+    def test_retry_error_names_stage_and_draw(self, rng, stage):
         # every refit of the unit-root model on a constant source is singular
         source = np.ones((50, 2))
         fitted, _ = fit_var_ls(rng.normal(size=(50, 2)), 1)
@@ -324,21 +332,17 @@ class TestBootstrapIrfDistribution:
         message = f"failed 10 times for {stage} draw 0$"
         with pytest.raises(SingularMatrixError, match=message):
             if stage == "BOOT":
-                bootstrap_irf_distribution(model, resid, source, 4, 3, 7)
+                bootstrap_interval_sets(model, resid, source, 4, 3, 0.9, {"BOOT": 7})
             elif stage == "BOOT-db stage one":
-                bias_corrected_bootstrap(model, resid, source, 4, 3, 0.9, 7)
+                bootstrap_interval_sets(model, resid, source, 4, 3, 0.9, {"BOOT-db": 7})
             else:
                 zero = np.zeros_like(model.ar_hat.mats)
-                monkeypatch.setattr(
-                    bootstrap_infer,
-                    "bias_corrected_coefficients",
-                    lambda *args: (model.ar_hat.mats, zero, 1.0),
-                )
-                bias_corrected_bootstrap(model, resid, source, 4, 3, 0.9, 7)
+                mats = model.ar_hat.mats
+                bootstrap_infer._stage_two(model, resid, source, 4, 3, 0.9, 7, mats, zero)
 
     def test_retry_error_names_draw_of_second_stream(self, desk_spec, monkeypatch):
         # only draw 2 of the second stream is singular, on every attempt
-        y = simulate_varma(desk_spec, 120, 200, 50)
+        y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
         resample, stack = bootstrap_infer.residual_bootstrap_sample, bootstrap_infer.fit_var_ls_stack
         block = []
@@ -367,7 +371,7 @@ class TestBootstrapIrfDistribution:
         model = replace(fitted, ar_hat=coeff_seq(3.0 * np.eye(2)[np.newaxis], 2))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match="BOOT draw 0: bootstrap pseudo-sample"):
-                bootstrap_irf_distribution(model, resid, y, 4, 10, 7)
+                bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, {"BOOT": 7})
 
     def test_explosive_model_raises_dimension_mismatch(self, rng):
         y = rng.normal(size=(1000, 2))
@@ -375,7 +379,23 @@ class TestBootstrapIrfDistribution:
         model = replace(fitted, ar_hat=coeff_seq(3.0 * np.eye(2)[np.newaxis], 2))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DimensionMismatchError):
-                bootstrap_irf_distribution(model, resid, y, 4, 10, 7)
+                bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, {"BOOT": 7})
+
+
+class TestBootstrapIntervalSets:
+    @pytest.mark.parametrize("key", ["BOOT_db", "LS"])
+    def test_unknown_seed_key_rejected(self, desk_spec, key):
+        y = simulate_varma(desk_spec, 120, 200, 50).values
+        model, resid = fit_var_ls(y, 2)
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, {"BOOT": 7, key: 1})
+
+    def test_sample_must_be_t_by_k_array(self, desk_spec):
+        path = simulate_varma(desk_spec, 120, 200, 50)
+        model, resid = fit_var_ls(path, 2)
+        for y in (path, path.values[:, 0], path.values[:, :1], path.values[np.newaxis]):
+            with pytest.raises(DimensionMismatchError, match=r"\(T, 2\) array"):
+                bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, {"BOOT": 7})
 
 
 class TestPercentileCi:
@@ -485,48 +505,57 @@ class TestStationarityGuard:
             assert delta == want_delta
 
 
+def boot_db(model, resid, y, horizon, m, level, seed):
+    """BOOT-db intervals from the one bootstrap entry point."""
+    _, sets = bootstrap_interval_sets(model, resid, y, horizon, m, level, {"BOOT-db": seed})
+    return sets["BOOT-db"]
+
+
 class TestBiasCorrectedBootstrap:
-    def test_zero_bias_reduces_to_plain_bootstrap(self, desk_spec, monkeypatch):
+    def test_zero_bias_reduces_to_plain_bootstrap(self, desk_spec):
         # with a zero bias estimate the second stage is exactly a plain
         # percentile bootstrap of the (uncorrected) fitted model on the
-        # stage-two stream (seed, 1)
-        y = simulate_varma(desk_spec, 150, 200, 4)
-        model, resid = fit_var_ls(y, 2)
+        # stage-two stream (seed, 1); a zero correction also leaves a fitted
+        # intercept bit-identical
+        y = simulate_varma(desk_spec, 150, 200, 4).values
         m = 15
-        zero = np.zeros_like(model.ar_hat.mats)
-        monkeypatch.setattr(
-            bootstrap_infer,
-            "bias_corrected_coefficients",
-            lambda *args: (model.ar_hat.mats, zero, 1.0),
-        )
-        plain = bootstrap_irf_distribution(model, resid, y, 4, m, substream(31, 1))
-        for level in (0.95, 0.6, 0.2):
-            iv = bias_corrected_bootstrap(model, resid, y, 4, m, level, 31)
-            want = percentile_ci(plain, level)
-            np.testing.assert_array_equal(iv.lowers, want.lowers)
-            np.testing.assert_array_equal(iv.uppers, want.uppers)
+        for values, intercept in ((y, False), (y + 3.0, True)):
+            model, resid = fit_var_ls(values, 2, intercept=intercept)
+            zero = np.zeros_like(model.ar_hat.mats)
+            plain = {"BOOT": substream(31, 1)}
+            for level in (0.95, 0.6, 0.2):
+                iv = bootstrap_infer._stage_two(
+                    model, resid, values, 4, m, level, 31, model.ar_hat.mats, zero
+                )
+                want = bootstrap_interval_sets(model, resid, values, 4, m, level, plain)[1]["BOOT"]
+                np.testing.assert_array_equal(iv.lowers, want.lowers)
+                np.testing.assert_array_equal(iv.uppers, want.uppers)
 
     def test_deterministic(self, desk_spec):
-        y = simulate_varma(desk_spec, 150, 200, 4)
+        y = simulate_varma(desk_spec, 150, 200, 4).values
         model, resid = fit_var_ls(y, 2)
-        a = bias_corrected_bootstrap(model, resid, y, 5, 30, 0.95, 11)
-        b = bias_corrected_bootstrap(model, resid, y, 5, 30, 0.95, 11)
+        a = boot_db(model, resid, y, 5, 30, 0.95, 11)
+        b = boot_db(model, resid, y, 5, 30, 0.95, 11)
         assert np.array_equal(a.lowers, b.lowers)
         assert np.array_equal(a.uppers, b.uppers)
         assert np.array_equal(a.points, b.points)
 
     def test_horizon_zero_exact_points(self, desk_spec):
-        y = simulate_varma(desk_spec, 150, 200, 4)
+        y = simulate_varma(desk_spec, 150, 200, 4).values
         model, resid = fit_var_ls(y, 2)
-        iv = bias_corrected_bootstrap(model, resid, y, 4, 25, 0.95, 11)
+        iv = boot_db(model, resid, y, 4, 25, 0.95, 11)
         np.testing.assert_array_equal(iv.lowers[0], np.eye(2))
         np.testing.assert_array_equal(iv.uppers[0], np.eye(2))
 
     def test_points_are_corrected_model_irfs(self, desk_spec):
-        y = simulate_varma(desk_spec, 150, 200, 4)
+        y = simulate_varma(desk_spec, 150, 200, 4).values
         model, resid = fit_var_ls(y, 2)
-        corrected, _, _ = bias_corrected_coefficients(model, resid, y, 25, 11)
-        iv = bias_corrected_bootstrap(model, resid, y, 4, 25, 0.95, 11)
+        # stage one: the mean of 25 refits on the stream (11, 0), minus the fit
+        stage_one = [("BOOT-db stage one", substream(11, 0), 25)]
+        (coefs,) = bootstrap_infer._refit_draws(model, resid, y, stage_one)
+        bias = coefs.mean(axis=0) - model.ar_hat.mats
+        corrected, _ = stationarity_guard(model.ar_hat.mats, bias)
+        iv = boot_db(model, resid, y, 4, 25, 0.95, 11)
         np.testing.assert_allclose(iv.points, ma_from_ar(corrected, 4))
 
     def test_reduces_ar1_bias_single_sample(self):
@@ -541,6 +570,6 @@ class TestBiasCorrectedBootstrap:
             y = simulate_varma(spec, 80, 200, 1000 + i)
             model, resid = fit_var_ls(y, 1)
             plain[i] = model.ar_hat.mats[0, 0, 0]
-            fixed, _, _ = bias_corrected_coefficients(model, resid, y, 60, 2000 + i)
-            corrected[i] = fixed[0, 0, 0]
+            iv = boot_db(model, resid, y.values, 1, 60, 0.95, 2000 + i)
+            corrected[i] = iv.points[1, 0, 0]
         assert abs(corrected.mean() - 0.9) < abs(plain.mean() - 0.9)

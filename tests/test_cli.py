@@ -193,6 +193,34 @@ def test_invalid_sizes_exit_2_before_fitting(command, change, sample_csv, tmp_pa
     assert not (tmp_path / "ci.csv").exists() and not (tmp_path / "out").exists()
 
 
+A1 = [[0.5, 0.1], [0.2, 0.4]]
+
+
+@pytest.mark.parametrize(
+    "command, dgp, change",
+    [
+        ("simulate", {"counterexample": {"base": A1, "plan": [[0, 1.0]]}}, {}),
+        ("simulate", {"counterexample": {"base": A1, "plan": [[1, 1.0], [1, 0.5]]}}, {}),
+        ("simulate", {"sigma_u": [[1, "x"], [0, 1]]}, {}),
+        ("simulate", {"k": "two"}, {}),
+        ("simulate", {}, {"t": "many"}),
+        ("mc", {"k": "two"}, {}),
+    ],
+    ids=["plan-lag-0", "plan-lag-twice", "sigma-u-text", "k-text", "t-text", "mc-k-text"],
+)
+def test_unconvertible_config_values_exit_2(command, dgp, change, tmp_path, capsys):
+    cfg = json.loads(desk_config(tmp_path).read_text())
+    cfg["dgp"].update(dgp)
+    cfg.update(change, p=2, horizon=3, methods=["LS"], replications=2)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli(command, str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestMc:
     def test_small_config_outputs(self, tmp_path, desk_spec):
         cfg = {

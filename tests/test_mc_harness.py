@@ -9,13 +9,10 @@ from sievevar import (
     ConfigError,
     ExperimentConfig,
     aggregate,
-    bias_corrected_bootstrap,
-    bootstrap_irf_distribution,
+    bootstrap_interval_sets,
     coverage_flags,
     fit_var_ls,
     interval_sets_for_sample,
-    ma_from_ar,
-    percentile_ci,
     run_experiment,
     simulate_varma,
     white_noise_spec,
@@ -172,12 +169,11 @@ class TestIntervalSetsForSample:
             for bundle in bundles
         ]
         model, resid = fit_var_ls(values, 3, intercept=intercept)
-        draws = bootstrap_irf_distribution(model, resid, values, 5, 20, substream(5, 10))
         want = {
-            "BOOT": percentile_ci(draws, 0.9, points=ma_from_ar(model.ar_hat.mats, 5), t=150),
-            "BOOT-db": bias_corrected_bootstrap(
-                model, resid, values, 5, 20, 0.9, substream(5, 11)
-            ),
+            method: bootstrap_interval_sets(
+                model, resid, values, 5, 20, 0.9, {method: substream(5, stream)}
+            )[1][method]
+            for method, stream in (("BOOT", 10), ("BOOT-db", 11))
         }
         for bundle, sets in zip(bundles, runs):
             assert tuple(sets) == bundle
@@ -185,6 +181,17 @@ class TestIntervalSetsForSample:
                 ref = want.get(method) or runs[bundles.index((method,))][method]
                 for name in ("points", "lowers", "uppers"):
                     np.testing.assert_array_equal(getattr(iv, name), getattr(ref, name))
+
+    def test_one_dimensional_sample_is_one_column(self):
+        # every method reads a 1-D sample as one variable
+        y = np.random.default_rng(3).normal(size=100)
+        flat = interval_sets_for_sample(y, 1, 4, 0.95, VALID_METHODS, 20, 1)
+        column = interval_sets_for_sample(y[:, np.newaxis], 1, 4, 0.95, VALID_METHODS, 20, 1)
+        for method in VALID_METHODS:
+            for name in ("points", "lowers", "uppers"):
+                np.testing.assert_array_equal(
+                    getattr(flat[method], name), getattr(column[method], name)
+                )
 
     def test_unknown_method_rejected_before_bootstrap(self, desk_spec, monkeypatch):
         def no_bootstrap(*args, **kwargs):
@@ -231,23 +238,7 @@ class TestIntervalInvariance:
         want = {m: a[:, :, perm][:, :, :, perm] for m, a in all_intervals(y).items()}
         assert_same_intervals(all_intervals(y[:, perm]), want)
 
-    @pytest.mark.parametrize(
-        "method",
-        [
-            "LS",
-            "S-LS",
-            "BOOT",
-            pytest.param(
-                "BOOT-db",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="stage two pairs the bias-corrected coefficients with the "
-                    "uncorrected intercept, so its pseudo-samples drift off the sample "
-                    "mean by an amount that moves with the mean",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("method", VALID_METHODS)
     def test_mean_shift_with_intercept_leaves_intervals_unchanged(self, method):
         y = invariance_sample()
         shifted = y + np.array([5.0, -3.0, 0.5])
