@@ -33,7 +33,6 @@ from .errors import (
     UnstableProcessError,
 )
 from .estimate import (
-    AutocovSet,
     VarModel,
     build_gamma_p,
     fit_var_ls,
@@ -57,12 +56,12 @@ from .var_core import (
     ma_via_companion,
     spectral_radius,
     stability_class,
+    var_recursion,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutocovSet",
     "ConfigError",
     "DimensionMismatchError",
     "EigenvalueError",
@@ -105,6 +104,7 @@ __all__ = [
     "spectral_radius",
     "stability_class",
     "tail_norm",
+    "var_recursion",
     "varma_true_ar",
     "varma_true_irf",
     "white_noise_spec",

@@ -33,7 +33,7 @@ from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 from .estimate import VarModel, fit_var_ls, fit_var_ls_stack
 from .delta_infer import IntervalSet
 from .streams import SeedLike, generator, substream
-from .var_core import coeff_seq, ma_from_ar, spectral_radius
+from .var_core import coeff_seq, ma_from_ar, spectral_radius, var_recursion
 
 _MAX_REFIT_ATTEMPTS = 10
 
@@ -72,25 +72,13 @@ def residual_bootstrap_sample(
     starts = np.array([rng.integers(0, t - p + 1) for rng in rngs], dtype=np.intp)
     idx = np.array(
         [rng.integers(0, resid.shape[0], size=t) for rng in rngs], dtype=np.intp
-    ).reshape(n, t).T.copy()  # row s holds every draw's index for step s
+    ).reshape(n, t)
     centered = resid - resid.mean(axis=0)
-
-    stacked = np.hstack(list(model.ar_hat.mats))  # K x Kp
     const = model.intercept if model.intercept is not None else np.zeros(k)
-    # time runs backwards in rev: row t-1-s holds y_s, so the state
-    # [y_{s-1}', ..., y_{s-p}'] is the contiguous run of rows t-s..t-s+p-1
-    rev = np.empty((n, t, k))
-    rev[:, t - p :] = source[starts[:, np.newaxis] + np.arange(p)][:, ::-1]
-    flat = rev.reshape(n, t * k)
-    for step in range(p, t):
-        row = t - 1 - step
-        state = flat[:, (row + 1) * k : (row + 1 + p) * k]
-        # a stack of matrix-vector products keeps each draw's gemv bits;
-        # state @ stacked.T would round differently
-        gemv = (stacked @ state[..., np.newaxis])[..., 0]
-        rev[:, row] = const + gemv + centered.take(idx[step], axis=0)
-    # take copies whole rows, several times faster than copying rev[:, ::-1]
-    return rev.take(np.arange(t - 1, -1, -1), axis=1)
+    init = source[starts[:, np.newaxis] + np.arange(p)]
+    # time-major, so that each step adds one contiguous (n, K) block
+    shocks = centered.take(idx.T, axis=0).swapaxes(0, 1)
+    return var_recursion(model.ar_hat.mats, const, init, shocks)
 
 
 def _refit_draws(

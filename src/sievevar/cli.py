@@ -41,6 +41,7 @@ from .mc_harness import (
     ExperimentConfig,
     McSummary,
     check_design,
+    check_sizes,
     coverage_flags,
     interval_sets_for_sample,
     run_experiment,
@@ -70,6 +71,15 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int: a JSON integer, or a float with an integral value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _matrix_list(raw, k: int, where: str) -> MatrixSeq:
     if raw is None:
         raw = []
@@ -87,23 +97,26 @@ def parse_varma_spec(obj: dict) -> VarmaSpec:
     if not isinstance(obj, dict):
         raise ConfigError("dgp must be an object")
     try:
-        k = int(_require(obj, "k", "dgp"))
+        k = _whole(_require(obj, "k", "dgp"), "dgp.k")
         if k < 1:
             raise ConfigError("dgp.k must be >= 1")
         if "counterexample" in obj:
             ce = obj["counterexample"]
             base = np.asarray(_require(ce, "base", "dgp.counterexample"), dtype=float)
             plan = tuple(
-                (int(lag), float(scale))
+                (_whole(lag, "dgp.counterexample.plan lag"), float(scale))
                 for lag, scale in ce.get("plan", [[1, 1.0], [12, 0.2], [14, 0.1]])
             )
             ar = coeff_seq(counterexample_ar(base, plan), k)
         else:
             ar = _matrix_list(obj.get("ar"), k, "dgp.ar")
         ma = _matrix_list(obj.get("ma"), k, "dgp.ma")
-        sigma = np.asarray(obj.get("sigma_u", np.eye(k).tolist()), dtype=float)
-        if sigma.shape != (k, k):
-            raise ConfigError(f"dgp.sigma_u must be {k}x{k}")
+        try:
+            sigma = np.asarray(obj.get("sigma_u", np.eye(k).tolist()), dtype=float)
+        except (TypeError, ValueError):
+            sigma = None
+        if sigma is None or sigma.shape != (k, k):
+            raise ConfigError(f"dgp.sigma_u must be a numeric {k}x{k} matrix")
         return VarmaSpec(k=k, ar=ar, ma=ma, sigma_u=sigma)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed dgp: {exc}") from None
@@ -147,10 +160,12 @@ def resolve_seed(flag_value: int | None, config_value=None) -> int:
     for origin, value in candidates:
         if value is None:
             continue
-        try:
-            seed = int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{origin} is not an integer seed: {value!r}") from None
+        if origin == SEED_ENV_VAR:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ConfigError(f"{origin} is not an integer seed: {value!r}") from None
+        seed = _whole(value, origin)
         if not 0 <= seed < 2**64:
             raise ConfigError(f"{origin} must be an unsigned 64-bit integer")
         return seed
@@ -160,21 +175,26 @@ def resolve_seed(flag_value: int | None, config_value=None) -> int:
 def parse_experiment_config(obj: dict, args) -> ExperimentConfig:
     dgp = parse_varma_spec(_require(obj, "dgp", "config"))
     methods = tuple(_require(obj, "methods", "config"))
-    workers = args.workers if args.workers is not None else int(obj.get("workers", 1))
+    workers = args.workers if args.workers is not None else _whole(obj.get("workers", 1), "workers")
+    intercept = obj.get("intercept", False)
+    if not isinstance(intercept, bool):
+        raise ConfigError(f"intercept must be true or false, got {intercept!r}")
     try:
         return ExperimentConfig(
             dgp=dgp,
-            t=int(_require(obj, "t", "config")),
-            p=int(_require(obj, "p", "config")),
-            horizon=int(_require(obj, "horizon", "config")),
+            t=_whole(_require(obj, "t", "config"), "t"),
+            p=_whole(_require(obj, "p", "config"), "p"),
+            horizon=_whole(_require(obj, "horizon", "config"), "horizon"),
             level=float(obj.get("level", 0.95)),
             methods=methods,
-            replications=int(_require(obj, "replications", "config")),
-            bootstrap_replications=int(obj.get("bootstrap_replications", 300)),
+            replications=_whole(_require(obj, "replications", "config"), "replications"),
+            bootstrap_replications=_whole(
+                obj.get("bootstrap_replications", 300), "bootstrap_replications"
+            ),
             seed=resolve_seed(args.seed, obj.get("seed")),
             workers=workers,
-            burn_in=int(obj["burn_in"]) if "burn_in" in obj else None,
-            intercept=bool(obj.get("intercept", False)),
+            burn_in=_whole(obj["burn_in"], "burn_in") if "burn_in" in obj else None,
+            intercept=intercept,
             label=str(obj.get("label", "")),
         )
     except (TypeError, ValueError) as exc:
@@ -312,11 +332,9 @@ def write_mc_entries_csv(path: str, summary: McSummary) -> None:
 def cmd_simulate(args) -> int:
     obj = load_config(args.config)
     spec = parse_varma_spec(_require(obj, "dgp", "config"))
-    try:
-        t = int(_require(obj, "t", "config"))
-        burn_in = int(obj.get("burn_in", default_burn_in(spec)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed simulate config: {exc}") from None
+    t = _whole(_require(obj, "t", "config"), "t")
+    burn_in = _whole(obj.get("burn_in", default_burn_in(spec)), "burn_in")
+    check_sizes(t, burn_in)
     seed = resolve_seed(args.seed, obj.get("seed"))
     try:
         spec.validate()

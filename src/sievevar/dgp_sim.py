@@ -23,6 +23,7 @@ from .var_core import (
     companion_form,
     spectral_radius,
     stability_class,
+    var_recursion,
 )
 
 # Default plan for the modified AR coefficient set: full base at lag 1,
@@ -159,17 +160,14 @@ def simulate_varma(
     chol = np.linalg.cholesky(spec.sigma_u)
     u = rng.standard_normal((total, spec.k)) @ chol.T
 
-    ar_mats = spec.ar.mats
-    ma_mats = spec.ma.mats
-    p, q = spec.p, spec.q
-    y = np.zeros((total, spec.k))
-    for step in range(total):
-        acc = u[step].copy()
-        for j in range(1, min(step, p) + 1):
-            acc += ar_mats[j - 1] @ y[step - j]
-        for j in range(1, min(step, q) + 1):
-            acc += ma_mats[j - 1] @ u[step - j]
-        y[step] = acc
+    # e_s = u_s + sum_j M_j u_{s-j}, innovations before s = 0 being zero
+    e = u.copy()
+    for j, m in enumerate(spec.ma.mats, start=1):
+        e[j:] += u[:-j] @ m.T
+    # p presample zeros: the recursion starts from zero initial conditions
+    p, k = spec.p, spec.k
+    shocks = np.concatenate([np.zeros((p, k)), e])[np.newaxis]
+    y = var_recursion(spec.ar.mats, np.zeros(k), np.zeros((1, p, k)), shocks)[0, p:]
 
     return SamplePath(k=spec.k, t=t, values=y[burn_in:])
 

@@ -62,34 +62,6 @@ class VarModel:
         return self.sigma_u_hat * (current / wanted)
 
 
-@dataclass(frozen=True)
-class AutocovSet:
-    """Sample autocovariances Gamma(0)..Gamma(h_max), divisor-T convention."""
-
-    k: int
-    gammas: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.gammas, dtype=float)
-        if g.ndim != 3 or g.shape[1:] != (self.k, self.k):
-            raise DimensionMismatchError("gammas must have shape (h_max+1, K, K)")
-        if not np.allclose(g[0], g[0].T, atol=1e-12):
-            raise DimensionMismatchError("Gamma(0) is not symmetric within 1e-12")
-        g = g.copy()
-        g.flags.writeable = False
-        object.__setattr__(self, "gammas", g)
-
-    @property
-    def h_max(self) -> int:
-        return len(self.gammas) - 1
-
-    def at(self, h: int) -> np.ndarray:
-        """Gamma(h), using Gamma(-h) = Gamma(h)'."""
-        if abs(h) > self.h_max:
-            raise IndexError(f"lag {h} outside stored range 0..{self.h_max}")
-        return self.gammas[h] if h >= 0 else self.gammas[-h].T
-
-
 def _df_divisor(df_mode: str, t_effective: int, n_reg: int) -> int:
     if df_mode == "ml":
         d = t_effective
@@ -292,11 +264,13 @@ def residual_cov(
     return resid.T @ resid / d
 
 
-def sample_autocov(y: SamplePath | np.ndarray, h_max: int) -> AutocovSet:
-    """Divisor-T sample autocovariances with the mean subtracted.
+def sample_autocov(y: SamplePath | np.ndarray, h_max: int) -> np.ndarray:
+    """Divisor-T sample autocovariances Gamma(0)..Gamma(h_max), mean subtracted.
 
-    The biased divisor keeps the block-Toeplitz matrix built from these
-    positive semidefinite for every sample.
+    Returns the read-only (h_max+1, K, K) array with Gamma(h) =
+    sum_t (y_t - ybar)(y_{t-h} - ybar)' / T at index h. The biased divisor
+    keeps the block-Toeplitz matrix built from these positive semidefinite
+    for every sample.
     """
     values = _as_values(y)
     t, k = values.shape
@@ -306,25 +280,32 @@ def sample_autocov(y: SamplePath | np.ndarray, h_max: int) -> AutocovSet:
     gammas = np.empty((h_max + 1, k, k))
     for h in range(h_max + 1):
         gammas[h] = centered[h:].T @ centered[: t - h] / t
-    return AutocovSet(k=k, gammas=gammas)
+    gammas.flags.writeable = False
+    return gammas
 
 
-def build_gamma_p(acov: AutocovSet, p: int) -> np.ndarray:
+def build_gamma_p(gammas: np.ndarray, p: int) -> np.ndarray:
     """Block-Toeplitz Gamma_p, the population analogue of the moment matrix.
 
-    With Gamma(h) = E[y_t y_{t-h}'], block (i, j) of E[Z_t Z_t'] for
-    Z_t = [y_{t-1}', ..., y_{t-p}']' is E[y_{t-1-i} y_{t-1-j}'] =
-    Gamma(j - i); Gamma(-h) = Gamma(h)' fills the lower triangle.
+    ``gammas`` is the (h_max+1, K, K) array Gamma(0)..Gamma(h_max) of
+    ``sample_autocov``. With Gamma(h) = E[y_t y_{t-h}'], block (i, j) of
+    E[Z_t Z_t'] for Z_t = [y_{t-1}', ..., y_{t-p}']' is
+    E[y_{t-1-i} y_{t-1-j}'] = Gamma(j - i); Gamma(-h) = Gamma(h)' fills the
+    lower triangle.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if acov.h_max < p - 1:
+    gammas = np.asarray(gammas, dtype=float)
+    if gammas.ndim != 3 or gammas.shape[1] != gammas.shape[2]:
         raise DimensionMismatchError(
-            f"need autocovariances up to lag {p - 1}, have {acov.h_max}"
+            f"gammas must have shape (h_max+1, K, K), got {gammas.shape}"
         )
-    k = acov.k
-    out = np.empty((k * p, k * p))
-    for i in range(p):
-        for j in range(p):
-            out[i * k : (i + 1) * k, j * k : (j + 1) * k] = acov.at(j - i)
-    return out
+    if len(gammas) < p:
+        raise DimensionMismatchError(
+            f"need autocovariances up to lag {p - 1}, have {len(gammas) - 1}"
+        )
+    k = gammas.shape[1]
+    # Gamma(-(p-1))..Gamma(p-1), so that lag j - i sits at index j - i + p - 1
+    both = np.concatenate([gammas[p - 1 : 0 : -1].swapaxes(1, 2), gammas[:p]])
+    lags = np.arange(p) - np.arange(p)[:, np.newaxis] + p - 1
+    return both[lags].swapaxes(1, 2).reshape(k * p, k * p)

@@ -54,6 +54,16 @@ def check_design(
         raise ConfigError("bootstrap replications must be >= 2 for BOOT and BOOT-db")
 
 
+def check_sizes(t: int, burn_in: int | None, workers: int = 1) -> None:
+    """Raise ConfigError for a sample length, burn-in or worker count no run can use."""
+    if t < 1:
+        raise ConfigError("t must be >= 1")
+    if burn_in is not None and burn_in < 0:
+        raise ConfigError("burn_in must be >= 0")
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Design of one coverage/length experiment."""
@@ -76,6 +86,7 @@ class ExperimentConfig:
         if self.horizon < 1 or self.replications < 1:
             raise ConfigError("horizon and replications must be >= 1")
         check_design(self.p, self.horizon, self.level, self.methods, self.bootstrap_replications)
+        check_sizes(self.t, self.burn_in, self.workers)
 
     @property
     def effective_burn_in(self) -> int:

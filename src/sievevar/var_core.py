@@ -1,4 +1,5 @@
-"""Companion-form algebra and moving-average (impulse response) recursions.
+"""Companion-form algebra, moving-average (impulse response) recursions and
+the VAR recursion that steps sample paths.
 
 A VAR(p) with coefficients A_1..A_p has moving-average matrices defined by
 Phi_0 = I and
@@ -108,6 +109,44 @@ def ma_from_ar(ar: np.ndarray, horizon: int) -> np.ndarray:
             acc += phis[..., m, :, :] @ mats[..., i - m - 1, :, :]
         phis[..., i, :, :] = acc
     return phis
+
+
+def var_recursion(
+    ar: np.ndarray, intercept: np.ndarray, init: np.ndarray, shocks: np.ndarray
+) -> np.ndarray:
+    """Paths y_s = c + sum_j A_j y_{s-j} + e_s of n VAR(p) recursions, shape (n, T, K).
+
+    ``ar`` holds A_1..A_p as a (p, K, K) array, ``intercept`` c as a (K,)
+    array, ``init`` the (n, p, K) start values y_0..y_{p-1} of each path and
+    ``shocks`` the (n, T, K) e_s. Rows below p are ``init``; row s >= p is
+    (c + sum_j A_j y_{s-j}) + e_s, so ``shocks[:, :p]`` is never read. All
+    n paths are stepped together, each bit-identical to its own recursion.
+    """
+    ar = np.asarray(ar, dtype=float)
+    n, t, k = shocks.shape
+    p = len(ar)
+    if ar.shape != (p, k, k) or init.shape != (n, p, k) or np.shape(intercept) != (k,):
+        raise DimensionMismatchError(
+            f"var_recursion got coefficients {ar.shape}, intercept {np.shape(intercept)}, "
+            f"start values {init.shape} and shocks {shocks.shape}"
+        )
+    if t < p:
+        raise DimensionMismatchError(f"{t} steps cannot hold {p} start values")
+    stacked = ar.swapaxes(0, 1).reshape(k, p * k)  # K x Kp, blocks [A_1 ... A_p]
+    # time runs backwards in rev: row t-1-s holds y_s, so the state
+    # [y_{s-1}', ..., y_{s-p}'] is the contiguous run of rows t-s..t-s+p-1
+    rev = np.empty((n, t, k))
+    rev[:, t - p :] = init[:, ::-1]
+    flat = rev.reshape(n, t * k)
+    for step in range(p, t):
+        row = t - 1 - step
+        state = flat[:, (row + 1) * k : (row + 1 + p) * k]
+        # a stack of matrix-vector products keeps each draw's gemv bits;
+        # state @ stacked.T would round differently
+        gemv = (stacked @ state[..., np.newaxis])[..., 0]
+        rev[:, row] = intercept + gemv + shocks[:, step]
+    # take copies whole rows, several times faster than copying rev[:, ::-1]
+    return rev.take(np.arange(t - 1, -1, -1), axis=1)
 
 
 def ma_via_companion(ar: np.ndarray, i: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from sievevar import (
     spectral_radius,
     white_noise_spec,
 )
+from sievevar.streams import generator
 
 
 def random_stable_coeffs(
@@ -55,6 +56,27 @@ def jacobian_sandwich(model, gamma, sigma_u, horizon: int) -> np.ndarray:
     middle = np.kron(np.linalg.inv(gamma), sigma_u)
     jacobians = [irf_jacobian(model, i) for i in range(1, horizon + 1)]
     return np.array([g @ middle @ g.T for g in jacobians])
+
+
+def reference_simulate(spec: VarmaSpec, t: int, burn_in: int, seed) -> np.ndarray:
+    """(t, K) VARMA path stepped one lag at a time, the oracle for ``simulate_varma``.
+
+    Draws the same innovations from the same stream and accumulates
+    y_s = u_s + sum_j A_j y_{s-j} + sum_j M_j u_{s-j} from zero initial
+    conditions, one matrix-vector product per lag.
+    """
+    rng = generator(seed)
+    total = burn_in + t
+    u = rng.standard_normal((total, spec.k)) @ np.linalg.cholesky(spec.sigma_u).T
+    y = np.zeros((total, spec.k))
+    for step in range(total):
+        acc = u[step].copy()
+        for j in range(1, min(step, spec.p) + 1):
+            acc += spec.ar.mats[j - 1] @ y[step - j]
+        for j in range(1, min(step, spec.q) + 1):
+            acc += spec.ma.mats[j - 1] @ u[step - j]
+        y[step] = acc
+    return y[burn_in:]
 
 
 @pytest.fixture

@@ -169,6 +169,10 @@ class TestCi:
     [
         ("mc", {"p": 0}),
         ("mc", {"bootstrap_replications": 1}),
+        ("mc", {"t": 0}),
+        ("mc", {"burn_in": -3}),
+        ("mc", {"workers": -2}),
+        ("mc", ["--workers", "0"]),
         ("ci", ["--p", "0"]),
         ("ci", ["--M", "1", "--methods", "BOOT"]),
         ("ci", ["--M", "1", "--methods", "LS,BOOT-db"]),
@@ -180,10 +184,11 @@ def test_invalid_sizes_exit_2_before_fitting(command, change, sample_csv, tmp_pa
     if command == "mc":
         cfg = json.loads(desk_config(tmp_path).read_text())
         cfg.update(p=2, horizon=3, methods=["LS", "BOOT"], replications=2, bootstrap_replications=5)
-        cfg.update(change)
+        flags = change if isinstance(change, list) else []
+        cfg.update({} if flags else change)
         path = tmp_path / "mc.json"
         path.write_text(json.dumps(cfg))
-        argv = ["mc", str(path), "--out", str(tmp_path / "out")]
+        argv = ["mc", str(path), "--out", str(tmp_path / "out"), *flags]
     else:
         argv = ["ci", str(sample_csv), "--p", "2", "--H", "3", "--seed", "5",
                 "--out", str(tmp_path / "ci.csv"), *change]
@@ -197,28 +202,69 @@ A1 = [[0.5, 0.1], [0.2, 0.4]]
 
 
 @pytest.mark.parametrize(
-    "command, dgp, change",
+    "command, dgp, change, field",
     [
-        ("simulate", {"counterexample": {"base": A1, "plan": [[0, 1.0]]}}, {}),
-        ("simulate", {"counterexample": {"base": A1, "plan": [[1, 1.0], [1, 0.5]]}}, {}),
-        ("simulate", {"sigma_u": [[1, "x"], [0, 1]]}, {}),
-        ("simulate", {"k": "two"}, {}),
-        ("simulate", {}, {"t": "many"}),
-        ("mc", {"k": "two"}, {}),
+        ("simulate", {"counterexample": {"base": A1, "plan": [[0, 1.0]]}}, {}, "plan lags"),
+        ("simulate", {"counterexample": {"base": A1, "plan": [[1, 1.0], [1, 0.5]]}}, {}, "plan lags"),
+        ("simulate", {"sigma_u": [[1, "x"], [0, 1]]}, {}, "dgp.sigma_u"),
+        ("simulate", {"k": "two"}, {}, "dgp.k"),
+        ("simulate", {}, {"t": "many"}, "t"),
+        ("mc", {"k": "two"}, {}, "dgp.k"),
+        ("simulate", {}, {"t": 0}, "t"),
+        ("simulate", {}, {"burn_in": -3}, "burn_in"),
+        ("simulate", {}, {"t": 50.7}, "t"),
+        ("simulate", {}, {"burn_in": 2.5}, "burn_in"),
+        ("simulate", {"k": 2.9}, {}, "dgp.k"),
+        ("simulate", {"k": True}, {}, "dgp.k"),
+        ("simulate", {"counterexample": {"base": A1, "plan": [[1.5, 1.0]]}}, {}, "plan lag"),
+        ("simulate", {}, {"seed": 7.9}, "config seed"),
+        ("mc", {}, {"p": 2.9}, "p"),
+        ("mc", {}, {"p": True}, "p"),
+        ("mc", {}, {"seed": 7.9}, "config seed"),
+        ("mc", {}, {"seed": "7"}, "config seed"),
+        ("mc", {}, {"intercept": "false"}, "intercept"),
+        ("mc", {}, {"intercept": 0}, "intercept"),
+        ("mc", {}, {"horizon": 3.5}, "horizon"),
+        ("mc", {}, {"replications": "2"}, "replications"),
+        ("mc", {}, {"bootstrap_replications": 10.5}, "bootstrap_replications"),
+        ("mc", {}, {"burn_in": 1e-3}, "burn_in"),
+        ("mc", {}, {"workers": 1.5}, "workers"),
+        ("mc", {}, {"t": None}, "t"),
     ],
-    ids=["plan-lag-0", "plan-lag-twice", "sigma-u-text", "k-text", "t-text", "mc-k-text"],
+    ids=[
+        "plan-lag-0", "plan-lag-twice", "sigma-u-text", "k-text", "t-text", "mc-k-text",
+        "t-0", "burn-in-negative", "t-fraction", "burn-in-fraction", "k-fraction", "k-bool",
+        "plan-lag-fraction", "seed-fraction", "mc-p-fraction", "mc-p-bool",
+        "mc-seed-fraction", "mc-seed-text", "mc-intercept-text", "mc-intercept-int",
+        "mc-horizon-fraction", "mc-replications-text", "mc-m-fraction", "mc-burn-in-fraction",
+        "mc-workers-fraction", "mc-t-null",
+    ],
 )
-def test_unconvertible_config_values_exit_2(command, dgp, change, tmp_path, capsys):
+def test_unconvertible_config_values_exit_2(command, dgp, change, field, tmp_path, capsys):
     cfg = json.loads(desk_config(tmp_path).read_text())
     cfg["dgp"].update(dgp)
-    cfg.update(change, p=2, horizon=3, methods=["LS"], replications=2)
+    cfg.update(p=2, horizon=3, methods=["LS"], replications=2)
+    cfg.update(change)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert run_cli(command, str(path), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{field} must be" in err
     assert not out.exists()
+
+
+def test_integral_floats_read_as_whole_numbers(tmp_path):
+    cfg = json.loads(desk_config(tmp_path).read_text())
+    csvs = []
+    for name, values in (("ints", {"t": 40, "burn_in": 10}), ("floats", {"t": 40.0, "burn_in": 10.0})):
+        cfg.update(values, seed=float(cfg["seed"]) if name == "floats" else cfg["seed"])
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", str(path), "--out", str(tmp_path / f"{name}.csv")) == 0
+        csvs.append((tmp_path / f"{name}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 class TestMc:

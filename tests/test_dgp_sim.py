@@ -20,7 +20,7 @@ from sievevar import (
     white_noise_spec,
 )
 from sievevar.dgp_sim import DEFAULT_COUNTEREXAMPLE_PLAN, default_burn_in
-from conftest import pure_ar_spec, random_stable_coeffs, scalar_varma
+from conftest import pure_ar_spec, random_stable_coeffs, reference_simulate, scalar_varma
 
 
 class TestVarmaSpec:
@@ -86,6 +86,49 @@ class TestSimulateVarma:
     def test_default_burn_in_tracks_ar_order(self, desk_spec):
         assert default_burn_in(desk_spec) == 201
         assert default_burn_in(white_noise_spec(2)) == 200
+
+
+def _grid_spec(k: int, p: int, q: int) -> VarmaSpec:
+    rng = np.random.default_rng(100 * k + 10 * p + q)
+    ar = random_stable_coeffs(rng, k, p, 0.8) if p else np.empty((0, k, k))
+    # invertible MA: the negated coefficients form a stable AR part
+    ma = -random_stable_coeffs(rng, k, q, 0.6) if q else np.empty((0, k, k))
+    root = rng.normal(size=(k, k))
+    sigma = root @ root.T + k * np.eye(k)
+    return VarmaSpec(k=k, ar=coeff_seq(ar, k), ma=coeff_seq(ma, k), sigma_u=sigma)
+
+
+def _counterexample_spec(desk: VarmaSpec) -> VarmaSpec:
+    ar = counterexample_ar(desk.ar.mats[0])
+    return VarmaSpec(k=2, ar=coeff_seq(ar), ma=desk.ma, sigma_u=desk.sigma_u)
+
+
+class TestSimulateAgainstReference:
+    """``simulate_varma`` against the one-lag-at-a-time loop of conftest."""
+
+    @staticmethod
+    def _check(spec: VarmaSpec, t: int, burn_in: int, seed: int) -> None:
+        got = simulate_varma(spec, t, burn_in, seed).values
+        want = reference_simulate(spec, t, burn_in, seed)
+        assert got.shape == want.shape == (t, spec.k)
+        # relative to the path's scale: entries near zero carry the rounding
+        # of the whole sum
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("p, q", [(0, 0), (0, 2), (1, 1), (3, 0)])
+    @pytest.mark.parametrize("burn_in", [0, 25])
+    def test_grid(self, k, p, q, burn_in):
+        self._check(_grid_spec(k, p, q), 60, burn_in, 7 + burn_in)
+
+    @pytest.mark.parametrize("burn_in", [0, 214])
+    def test_counterexample_p14_q1(self, desk_spec, burn_in):
+        self._check(_counterexample_spec(desk_spec), 300, burn_in, 20260104)
+
+    @pytest.mark.parametrize("burn_in", [0, 5])
+    def test_t_shorter_than_p(self, desk_spec, burn_in):
+        self._check(_counterexample_spec(desk_spec), 3, burn_in, 31)
+        self._check(_grid_spec(3, 3, 0), 2, burn_in, 32)
 
 
 class TestCounterexample:

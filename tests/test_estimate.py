@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sievevar import (
-    AutocovSet,
     DimensionMismatchError,
     NonFiniteError,
     SamplePath,
@@ -185,38 +184,64 @@ class TestResidualCov:
 
 class TestSampleAutocov:
     def test_alternating_series(self):
-        acov = sample_autocov(np.array([1.0, -1.0, 1.0, -1.0]), 1)
-        assert acov.gammas[0][0, 0] == pytest.approx(1.0)
-        assert acov.gammas[1][0, 0] == pytest.approx(-0.75)
+        gammas = sample_autocov(np.array([1.0, -1.0, 1.0, -1.0]), 1)
+        assert gammas[0][0, 0] == pytest.approx(1.0)
+        assert gammas[1][0, 0] == pytest.approx(-0.75)
 
     def test_constant_series_vanishes(self):
-        acov = sample_autocov(np.full(10, 3.5), 3)
-        np.testing.assert_array_equal(acov.gammas, np.zeros((4, 1, 1)))
+        gammas = sample_autocov(np.full(10, 3.5), 3)
+        np.testing.assert_array_equal(gammas, np.zeros((4, 1, 1)))
 
     def test_ar1_matches_yule_walker(self):
         # Gamma(1) = a Gamma(0) = 0.5 * 4/3 = 2/3
         y = simulate_varma(scalar_varma(0.5, None), 100_000, 500, 15)
-        acov = sample_autocov(y, 1)
-        assert acov.gammas[1][0, 0] == pytest.approx(2.0 / 3.0, rel=0.02)
+        gammas = sample_autocov(y, 1)
+        assert gammas[1][0, 0] == pytest.approx(2.0 / 3.0, rel=0.02)
 
     def test_lag_bound(self):
         with pytest.raises(ValueError):
             sample_autocov(np.arange(5.0), 5)
 
     def test_negative_lag_transposes(self, rng):
+        # block (2, 0) of Gamma_3 is Gamma(-2), block (0, 2) is Gamma(2)
         y = rng.normal(size=(50, 2))
-        acov = sample_autocov(y, 2)
-        np.testing.assert_array_equal(acov.at(-2), acov.at(2).T)
+        gammas = sample_autocov(y, 2)
+        gp = build_gamma_p(gammas, 3)
+        np.testing.assert_array_equal(gp[4:6, 0:2], gammas[2].T)
+        np.testing.assert_array_equal(gp[0:2, 4:6], gammas[2])
+
+    def test_read_only_array_of_lags(self, rng):
+        gammas = sample_autocov(rng.normal(size=(50, 3)), 4)
+        assert gammas.shape == (5, 3, 3)
+        assert not gammas.flags.writeable
 
 
 class TestBuildGammaP:
     def test_p1_is_gamma0(self):
-        acov = AutocovSet(k=1, gammas=np.array([[[1.5]]]))
-        np.testing.assert_array_equal(build_gamma_p(acov, 1), [[1.5]])
+        np.testing.assert_array_equal(build_gamma_p(np.array([[[1.5]]]), 1), [[1.5]])
 
     def test_scalar_p2_layout(self):
-        acov = AutocovSet(k=1, gammas=np.array([[[1.0]], [[0.5]]]))
-        np.testing.assert_array_equal(build_gamma_p(acov, 2), [[1.0, 0.5], [0.5, 1.0]])
+        gammas = np.array([[[1.0]], [[0.5]]])
+        np.testing.assert_array_equal(build_gamma_p(gammas, 2), [[1.0, 0.5], [0.5, 1.0]])
+
+    def test_k2_layout_transposes_below_diagonal(self):
+        # asymmetric Gamma(1) and Gamma(2): a missing transpose shows in every
+        # block below the diagonal; Gamma(3) lies beyond p - 1 and is unused
+        g0 = np.array([[2.0, 0.5], [0.5, 1.0]])
+        g1 = np.array([[0.3, 0.1], [-0.4, 0.2]])
+        g2 = np.array([[0.05, -0.6], [0.7, 0.01]])
+        g3 = np.full((2, 2), 9.0)
+        gp = build_gamma_p(np.array([g0, g1, g2, g3]), 3)
+        expected = np.block([[g0, g1, g2], [g1.T, g0, g1], [g2.T, g1.T, g0]])
+        np.testing.assert_array_equal(gp, expected)
+
+    def test_shape_and_lag_range_checked(self):
+        with pytest.raises(DimensionMismatchError, match="up to lag 2"):
+            build_gamma_p(np.zeros((2, 2, 2)), 3)
+        with pytest.raises(DimensionMismatchError, match="shape"):
+            build_gamma_p(np.zeros((3, 2)), 1)
+        with pytest.raises(ValueError, match="p must be"):
+            build_gamma_p(np.zeros((3, 2, 2)), 0)
 
     def test_output_symmetric(self, rng):
         y = rng.normal(size=(200, 2))

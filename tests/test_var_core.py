@@ -14,6 +14,7 @@ from sievevar import (
     ma_via_companion,
     spectral_radius,
     stability_class,
+    var_recursion,
 )
 from conftest import random_stable_coeffs, random_stable_model
 
@@ -97,6 +98,45 @@ class TestMaRecursion:
             assert isinstance(phis, np.ndarray) and phis.shape == (3, 8, k, k)
             for member, want in zip(phis, stack):
                 np.testing.assert_array_equal(member, ma_from_ar(want, 7))
+
+
+class TestVarRecursion:
+    def test_member_of_stack_of_7_matches_single_path_bit_for_bit(self, rng):
+        k, p, t = 3, 4, 80
+        ar = random_stable_coeffs(rng, k, p, 0.9)
+        intercept = rng.normal(size=k)
+        init = rng.normal(size=(7, p, k))
+        shocks = rng.normal(size=(7, t, k))
+        paths = var_recursion(ar, intercept, init, shocks)
+        assert paths.shape == (7, t, k)
+        for j in range(7):
+            single = var_recursion(ar, intercept, init[j : j + 1], shocks[j : j + 1])
+            np.testing.assert_array_equal(paths[j], single[0])
+
+    def test_rows_below_p_are_start_values(self, rng):
+        ar = random_stable_coeffs(rng, 2, 3, 0.5)
+        init = rng.normal(size=(2, 3, 2))
+        paths = var_recursion(ar, np.zeros(2), init, rng.normal(size=(2, 10, 2)))
+        np.testing.assert_array_equal(paths[:, :3], init)
+
+    def test_scalar_steps_by_hand(self):
+        # y_s = 1 + 0.5 y_{s-1} + e_s from y_0 = 2
+        paths = var_recursion(
+            np.array([[[0.5]]]), np.array([1.0]), np.array([[[2.0]]]),
+            np.array([[[9.0], [0.25], [-1.0]]]),
+        )
+        np.testing.assert_array_equal(paths[0, :, 0], [2.0, 2.25, 1.125])
+
+    def test_p0_returns_shocks(self, rng):
+        shocks = rng.normal(size=(3, 20, 2))
+        paths = var_recursion(np.empty((0, 2, 2)), np.zeros(2), np.empty((3, 0, 2)), shocks)
+        np.testing.assert_array_equal(paths, shocks)
+
+    def test_shapes_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            var_recursion(np.zeros((2, 2, 2)), np.zeros(2), np.zeros((1, 1, 2)), np.zeros((1, 5, 2)))
+        with pytest.raises(DimensionMismatchError):
+            var_recursion(np.zeros((2, 2, 2)), np.zeros(2), np.zeros((1, 2, 2)), np.zeros((1, 1, 2)))
 
 
 class TestMaViaCompanion:
