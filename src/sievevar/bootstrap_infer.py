@@ -33,7 +33,7 @@ from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 from .estimate import VarModel, fit_var_ls, fit_var_ls_stack
 from .delta_infer import IntervalSet
 from .streams import SeedLike, generator, substream
-from .var_core import coeff_seq, ma_from_ar, spectral_radius, var_recursion
+from .var_core import coeff_seq, companion_form, ma_from_ar, spectral_radius, var_recursion
 
 _MAX_REFIT_ATTEMPTS = 10
 
@@ -75,10 +75,10 @@ def residual_bootstrap_sample(
     ).reshape(n, t)
     centered = resid - resid.mean(axis=0)
     const = model.intercept if model.intercept is not None else np.zeros(k)
-    init = source[starts[:, np.newaxis] + np.arange(p)]
+    init = source[starts[:, np.newaxis] + np.arange(p), :, np.newaxis]
     # time-major, so that each step adds one contiguous (n, K) block
-    shocks = centered.take(idx.T, axis=0).swapaxes(0, 1)
-    return var_recursion(model.ar_hat.mats, const, init, shocks)
+    shocks = centered.take(idx.T, axis=0).swapaxes(0, 1)[..., np.newaxis]
+    return var_recursion(model.ar_hat.mats, const[:, np.newaxis], init, shocks)[..., 0]
 
 
 def _refit_draws(
@@ -203,8 +203,7 @@ def stationarity_guard(
     eigenvalues of all draws still non-stationary in one stacked call.
     """
     coef = np.asarray(coef, dtype=float)
-    p, k = coef.shape[-3], coef.shape[-1]
-    flat = coef.reshape(-1, p, k, k)
+    flat = coef.reshape((-1,) + coef.shape[-3:])
     bias = np.broadcast_to(bias, coef.shape).reshape(flat.shape)
     out = flat.copy()
     deltas = np.zeros(len(flat))
@@ -214,10 +213,7 @@ def stationarity_guard(
             break
         delta = step * _GUARD_STEP
         cand = flat[pending] - delta * bias[pending]
-        comp = np.zeros((len(pending), k * p, k * p))
-        comp[:, :k] = cand.swapaxes(1, 2).reshape(-1, k, k * p)
-        comp[:, k:, :-k] = np.eye(k * (p - 1))
-        stable = spectral_radius(comp) < 1.0
+        stable = spectral_radius(companion_form(cand)) < 1.0
         out[pending[stable]] = cand[stable]
         deltas[pending[stable]] = delta
         pending = pending[~stable]

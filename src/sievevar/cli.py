@@ -61,6 +61,8 @@ MC_RESULT_COLUMNS = ("method", "horizon", "coverage", "avg_length", "replication
 MC_ENTRY_COLUMNS = ("method", "horizon", "row", "col", "coverage", "avg_length")
 CI_COLUMNS = ("method", "horizon", "row", "col", "point", "lower", "upper")
 
+_NUMBER = (int, float)
+
 
 # ---------------------------------------------------------------- config
 
@@ -71,11 +73,16 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _typed(value, name: str, kind, what: str):
+    """``value`` itself if it is a ``kind``; JSON true and false count only as bool."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def _whole(value, name: str) -> int:
     """``value`` as an int: a JSON integer, or a float with an integral value."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
+    if isinstance(_typed(value, name, _NUMBER, "a whole number"), float) and not value.is_integer():
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -103,8 +110,9 @@ def parse_varma_spec(obj: dict) -> VarmaSpec:
         if "counterexample" in obj:
             ce = obj["counterexample"]
             base = np.asarray(_require(ce, "base", "dgp.counterexample"), dtype=float)
+            where = "dgp.counterexample.plan"
             plan = tuple(
-                (_whole(lag, "dgp.counterexample.plan lag"), float(scale))
+                (_whole(lag, f"{where} lag"), _typed(scale, f"{where} scale", _NUMBER, "a number"))
                 for lag, scale in ce.get("plan", [[1, 1.0], [12, 0.2], [14, 0.1]])
             )
             ar = coeff_seq(counterexample_ar(base, plan), k)
@@ -174,19 +182,17 @@ def resolve_seed(flag_value: int | None, config_value=None) -> int:
 
 def parse_experiment_config(obj: dict, args) -> ExperimentConfig:
     dgp = parse_varma_spec(_require(obj, "dgp", "config"))
-    methods = tuple(_require(obj, "methods", "config"))
+    methods = _typed(_require(obj, "methods", "config"), "methods", list, "a list of method names")
     workers = args.workers if args.workers is not None else _whole(obj.get("workers", 1), "workers")
-    intercept = obj.get("intercept", False)
-    if not isinstance(intercept, bool):
-        raise ConfigError(f"intercept must be true or false, got {intercept!r}")
+    intercept = _typed(obj.get("intercept", False), "intercept", bool, "true or false")
     try:
         return ExperimentConfig(
             dgp=dgp,
             t=_whole(_require(obj, "t", "config"), "t"),
             p=_whole(_require(obj, "p", "config"), "p"),
             horizon=_whole(_require(obj, "horizon", "config"), "horizon"),
-            level=float(obj.get("level", 0.95)),
-            methods=methods,
+            level=_typed(obj.get("level", 0.95), "level", _NUMBER, "a number"),
+            methods=tuple(methods),
             replications=_whole(_require(obj, "replications", "config"), "replications"),
             bootstrap_replications=_whole(
                 obj.get("bootstrap_replications", 300), "bootstrap_replications"
@@ -195,7 +201,7 @@ def parse_experiment_config(obj: dict, args) -> ExperimentConfig:
             workers=workers,
             burn_in=_whole(obj["burn_in"], "burn_in") if "burn_in" in obj else None,
             intercept=intercept,
-            label=str(obj.get("label", "")),
+            label=_typed(obj.get("label", ""), "label", str, "a string"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed experiment config: {exc}") from None
@@ -517,3 +523,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

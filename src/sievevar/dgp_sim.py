@@ -166,8 +166,8 @@ def simulate_varma(
         e[j:] += u[:-j] @ m.T
     # p presample zeros: the recursion starts from zero initial conditions
     p, k = spec.p, spec.k
-    shocks = np.concatenate([np.zeros((p, k)), e])[np.newaxis]
-    y = var_recursion(spec.ar.mats, np.zeros(k), np.zeros((1, p, k)), shocks)[0, p:]
+    shocks = np.concatenate([np.zeros((p, k)), e])[..., np.newaxis]
+    y = var_recursion(spec.ar.mats, np.zeros((k, 1)), np.zeros((p, k, 1)), shocks)[p:, :, 0]
 
     return SamplePath(k=spec.k, t=t, values=y[burn_in:])
 
@@ -192,26 +192,19 @@ def counterexample_ar(
     return mats
 
 
-def _by_lag(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """(n+1, K, K) array whose entry j is coefficient j of ``coeffs``, zero past its order."""
-    out = np.zeros((n + 1,) + coeffs.shape[1:])
-    out[1 : len(coeffs) + 1] = coeffs[:n]
-    return out
-
-
 def varma_true_irf(spec: VarmaSpec, horizon: int) -> np.ndarray:
     """Exact impulse responses Phi_0..Phi_H of the process, shape (H+1, K, K).
 
-    Phi_0 = I and Phi_i = M_i 1{i <= q} + sum_{j=1}^{min(i,p)} A_j Phi_{i-j}.
+    Phi_i = M_i 1{i <= q} + sum_{j=1}^{min(i,p)} A_j Phi_{i-j} with M_0 = I:
+    the path of the AR part driven by I, M_1, ..., M_q.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    phis = _by_lag(spec.ma.mats, horizon)
-    phis[0] = np.eye(spec.k)
-    for i in range(1, horizon + 1):
-        for j in range(1, min(i, spec.p) + 1):
-            phis[i] += spec.ar.mats[j - 1] @ phis[i - j]
-    return phis
+    p, k = spec.p, spec.k
+    shocks = np.zeros((p + horizon + 1, k, k))
+    shocks[p] = np.eye(k)
+    shocks[p + 1 : p + 1 + spec.q] = spec.ma.mats[:horizon]
+    return var_recursion(spec.ar.mats, np.zeros((k, 1)), np.zeros((p, k, k)), shocks)[p:]
 
 
 def varma_true_ar(spec: VarmaSpec, n_lags: int) -> np.ndarray:
@@ -222,14 +215,14 @@ def varma_true_ar(spec: VarmaSpec, n_lags: int) -> np.ndarray:
 
         A_i = A_i^{dgp} 1{i <= p} - sum_{j=1}^{min(i,q)} M_j A_{i-j}
 
-    with A_0 := -I closing the recursion.
+    with A_0 := -I closing the recursion: the VAR path with coefficients
+    -M_1, ..., -M_q driven by -I, A_1^{dgp}, ..., A_p^{dgp}.
     """
     if n_lags < 0:
         raise ValueError("n_lags must be nonnegative")
     spec.validate()
-    coeffs = _by_lag(spec.ar.mats, n_lags)
-    coeffs[0] = -np.eye(spec.k)
-    for i in range(1, n_lags + 1):
-        for j in range(1, min(i, spec.q) + 1):
-            coeffs[i] -= spec.ma.mats[j - 1] @ coeffs[i - j]
-    return coeffs[1:]
+    q, k = spec.q, spec.k
+    shocks = np.zeros((q + n_lags + 1, k, k))
+    shocks[q] = -np.eye(k)
+    shocks[q + 1 : q + 1 + spec.p] = spec.ar.mats[:n_lags]
+    return var_recursion(-spec.ma.mats, np.zeros((k, 1)), np.zeros((q, k, k)), shocks)[q + 1 :]

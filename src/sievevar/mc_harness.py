@@ -114,10 +114,6 @@ class McSummary:
     def k(self) -> int:
         return self.entry_coverage.shape[2]
 
-    def by_method(self, method: str) -> tuple[np.ndarray, np.ndarray]:
-        i = self.methods.index(method)
-        return self.coverage[i], self.avg_length[i]
-
 
 def interval_sets_for_sample(
     y: SamplePath | np.ndarray,

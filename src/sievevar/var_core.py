@@ -1,14 +1,14 @@
-"""Companion-form algebra, moving-average (impulse response) recursions and
-the VAR recursion that steps sample paths.
+"""Companion-form algebra, moving-average (impulse response) expansions and
+the VAR recursion that steps every lag recursion of the package.
 
 A VAR(p) with coefficients A_1..A_p has moving-average matrices defined by
 Phi_0 = I and
 
-    Phi_i = sum_{m=0}^{i-1} Phi_m A_{i-m},        A_j := 0 for j > p,
+    Phi_i = sum_{j=1}^{min(i,p)} A_j Phi_{i-j},
 
-which coincide with the top-left K x K block of the i-th power of the
-companion matrix whenever p >= i. Both routes are implemented; tests hold
-them against each other.
+the path of the VAR from zero start values driven by a unit impulse, which
+coincide with the top-left K x K block of the i-th power of the companion
+matrix. Both routes are implemented; tests hold them against each other.
 
 Every function takes and returns plain arrays: coefficient stacks have
 shape (..., p, K, K) with A_1 first, IRF stacks (..., H+1, K, K) with
@@ -30,12 +30,6 @@ from .errors import DimensionMismatchError, EigenvalueError
 STABILITY_MARGIN = 1e-8
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class MatrixSeq:
     """Validated coefficient record: the read-only (p, K, K) stack A_1..A_p.
@@ -49,7 +43,7 @@ class MatrixSeq:
     mats: np.ndarray
 
     def __post_init__(self) -> None:
-        mats = np.asarray(self.mats, dtype=float)
+        mats = np.array(self.mats, dtype=float)  # a copy the caller cannot write
         if mats.size == 0:
             mats = mats.reshape(0, self.dim, self.dim)
         if mats.ndim != 3 or mats.shape[1:] != (self.dim, self.dim):
@@ -58,7 +52,8 @@ class MatrixSeq:
             )
         if not np.all(np.isfinite(mats)):
             raise DimensionMismatchError("matrix sequence contains non-finite entries")
-        object.__setattr__(self, "mats", _freeze(mats))
+        mats.flags.writeable = False
+        object.__setattr__(self, "mats", mats)
 
 
 def coeff_seq(mats, dim: int | None = None) -> MatrixSeq:
@@ -73,23 +68,20 @@ def coeff_seq(mats, dim: int | None = None) -> MatrixSeq:
 
 
 def companion_form(ar: np.ndarray) -> np.ndarray:
-    """Stack the (p, K, K) coefficients A_1..A_p into the read-only Kp x Kp companion matrix."""
+    """Read-only Kp x Kp companion matrix of A_1..A_p, (..., Kp, Kp) for a (..., p, K, K) stack."""
     ar = np.asarray(ar, dtype=float)
-    if ar.ndim != 3 or ar.shape[1] != ar.shape[2]:
-        raise DimensionMismatchError(f"companion_form expects a (p, K, K) array, got {ar.shape}")
-    if len(ar) < 1:
-        raise DimensionMismatchError("companion_form requires p >= 1")
-    p, k = ar.shape[:2]
-    data = np.zeros((k * p, k * p))
-    data[:k] = np.hstack(list(ar))
-    if p > 1:
-        idx = np.arange(k * (p - 1))
-        data[k + idx, idx] = 1.0
-    return _freeze(data)
+    if ar.ndim < 3 or ar.shape[-3] < 1 or ar.shape[-2] != ar.shape[-1]:
+        raise DimensionMismatchError(f"companion_form expects (p, K, K), p >= 1, got {ar.shape}")
+    p, k = ar.shape[-3], ar.shape[-1]
+    data = np.zeros(ar.shape[:-3] + (k * p, k * p))
+    data[..., :k, :] = ar.swapaxes(-3, -2).reshape(ar.shape[:-3] + (k, k * p))
+    data[..., k:, :-k] = np.eye(k * (p - 1))
+    data.flags.writeable = False
+    return data
 
 
 def ma_from_ar(ar: np.ndarray, horizon: int) -> np.ndarray:
-    """MA matrices Phi_0..Phi_H by the recursion Phi_i = sum_m Phi_m A_{i-m}.
+    """MA matrices Phi_0..Phi_H, the VAR path Phi_i = sum_j A_j Phi_{i-j} of a unit impulse.
 
     Coefficients beyond the stored order are treated as zero, which is
     exactly the truncation a fitted VAR(p) imposes on a longer process.
@@ -98,55 +90,60 @@ def ma_from_ar(ar: np.ndarray, horizon: int) -> np.ndarray:
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    mats = np.asarray(ar, dtype=float)
-    p, k = mats.shape[-3], mats.shape[-1]
-    phis = np.empty(mats.shape[:-3] + (horizon + 1, k, k))
-    phis[..., 0, :, :] = np.eye(k)
-    for i in range(1, horizon + 1):
-        acc = np.zeros(mats.shape[:-3] + (k, k))
-        # terms with i - m > p vanish
-        for m in range(max(0, i - p), i):
-            acc += phis[..., m, :, :] @ mats[..., i - m - 1, :, :]
-        phis[..., i, :, :] = acc
-    return phis
+    ar = np.asarray(ar, dtype=float)
+    lead, p, k = ar.shape[:-3], ar.shape[-3], ar.shape[-1]
+    shocks = np.zeros(lead + (p + horizon + 1, k, k))
+    shocks[..., p, :, :] = np.eye(k)
+    return var_recursion(ar, np.zeros((k, 1)), np.zeros(lead + (p, k, k)), shocks)[..., p:, :, :]
 
 
 def var_recursion(
     ar: np.ndarray, intercept: np.ndarray, init: np.ndarray, shocks: np.ndarray
 ) -> np.ndarray:
-    """Paths y_s = c + sum_j A_j y_{s-j} + e_s of n VAR(p) recursions, shape (n, T, K).
+    """Paths Y_s = c + sum_j A_j Y_{s-j} + E_s of VAR(p) recursions, shape (..., T, K, m).
 
-    ``ar`` holds A_1..A_p as a (p, K, K) array, ``intercept`` c as a (K,)
-    array, ``init`` the (n, p, K) start values y_0..y_{p-1} of each path and
-    ``shocks`` the (n, T, K) e_s. Rows below p are ``init``; row s >= p is
-    (c + sum_j A_j y_{s-j}) + e_s, so ``shocks[:, :p]`` is never read. All
-    n paths are stepped together, each bit-identical to its own recursion.
+    Each Y_s is K x m: m = 1 steps sample paths, m = K from a unit impulse
+    impulse responses. ``shocks`` holds the E_s, its leading dimensions
+    indexing the paths; ``ar`` (A_1..A_p, shape (..., p, K, K)) and
+    ``intercept`` (c, shape (..., K, 1) or (..., K, m)) broadcast against
+    them, and ``init`` holds the (..., p, K, m) start values. Rows below p
+    are ``init``; row s >= p is (c + sum_j A_j Y_{s-j}) + E_s, so the
+    shocks of rows below p are never read. Every path is bit-identical to
+    its own recursion.
     """
     ar = np.asarray(ar, dtype=float)
-    n, t, k = shocks.shape
-    p = len(ar)
-    if ar.shape != (p, k, k) or init.shape != (n, p, k) or np.shape(intercept) != (k,):
+    lead, (t, k, m) = shocks.shape[:-3], shocks.shape[-3:]
+    p = ar.shape[-3] if ar.ndim >= 3 else -1
+    try:
+        broadcasts = np.broadcast_shapes(ar.shape[:-3], np.shape(intercept)[:-2], lead) == lead
+    except ValueError:
+        broadcasts = False
+    if (
+        not broadcasts
+        or ar.shape[-2:] != (k, k)
+        or init.shape != lead + (p, k, m)
+        or np.shape(intercept)[-2:] not in ((k, 1), (k, m))
+    ):
         raise DimensionMismatchError(
             f"var_recursion got coefficients {ar.shape}, intercept {np.shape(intercept)}, "
             f"start values {init.shape} and shocks {shocks.shape}"
         )
     if t < p:
         raise DimensionMismatchError(f"{t} steps cannot hold {p} start values")
-    stacked = ar.swapaxes(0, 1).reshape(k, p * k)  # K x Kp, blocks [A_1 ... A_p]
-    # time runs backwards in rev: row t-1-s holds y_s, so the state
-    # [y_{s-1}', ..., y_{s-p}'] is the contiguous run of rows t-s..t-s+p-1
-    rev = np.empty((n, t, k))
-    rev[:, t - p :] = init[:, ::-1]
-    flat = rev.reshape(n, t * k)
+    stacked = ar.swapaxes(-3, -2).reshape(ar.shape[:-3] + (k, p * k))  # K x Kp, [A_1 ... A_p]
+    # time runs backwards in rev: row t-1-s holds Y_s, so the state
+    # [Y_{s-1}; ...; Y_{s-p}] is the contiguous run of rows t-s..t-s+p-1
+    rev = np.empty(lead + (t, k, m))
+    rev[..., t - p :, :, :] = init[..., ::-1, :, :]
+    flat = rev.reshape(lead + (t * k, m))
     for step in range(p, t):
         row = t - 1 - step
-        state = flat[:, (row + 1) * k : (row + 1 + p) * k]
-        # a stack of matrix-vector products keeps each draw's gemv bits;
-        # state @ stacked.T would round differently
-        gemv = (stacked @ state[..., np.newaxis])[..., 0]
-        rev[:, row] = intercept + gemv + shocks[:, step]
-    # take copies whole rows, several times faster than copying rev[:, ::-1]
-    return rev.take(np.arange(t - 1, -1, -1), axis=1)
+        state = flat[..., (row + 1) * k : (row + 1 + p) * k, :]
+        # one product per path keeps each path's bits: at m = 1 a stack of
+        # matrix-vector products, which state @ stacked.T would round differently
+        rev[..., row, :, :] = intercept + stacked @ state + shocks[..., step, :, :]
+    # take copies whole rows, several times faster than copying rev[..., ::-1, :, :]
+    return rev.take(np.arange(t - 1, -1, -1), axis=-3)
 
 
 def ma_via_companion(ar: np.ndarray, i: int) -> np.ndarray:

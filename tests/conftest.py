@@ -79,6 +79,72 @@ def reference_simulate(spec: VarmaSpec, t: int, burn_in: int, seed) -> np.ndarra
     return y[burn_in:]
 
 
+def reference_ma_from_ar(ar: np.ndarray, horizon: int) -> np.ndarray:
+    """(H+1, K, K) MA matrices by Phi_i = sum_m Phi_m A_{i-m}, the oracle for ``ma_from_ar``.
+
+    Multiplies the coefficients from the right, one product per lag, where
+    the library steps Phi_i = sum_j A_j Phi_{i-j} from a unit impulse.
+    """
+    p, k = ar.shape[0], ar.shape[-1]
+    phis = np.zeros((horizon + 1, k, k))
+    phis[0] = np.eye(k)
+    for i in range(1, horizon + 1):
+        for m in range(max(0, i - p), i):
+            phis[i] += phis[m] @ ar[i - m - 1]
+    return phis
+
+
+def _by_lag(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """(n+1, K, K) array whose entry j is coefficient j of ``coeffs``, zero past its order."""
+    out = np.zeros((n + 1,) + coeffs.shape[1:])
+    out[1 : len(coeffs) + 1] = coeffs[:n]
+    return out
+
+
+def reference_true_irf(spec: VarmaSpec, horizon: int) -> np.ndarray:
+    """IRFs by Phi_i = M_i 1{i <= q} + sum_{j<=min(i,p)} A_j Phi_{i-j}, one product per lag.
+
+    The oracle for ``varma_true_irf``.
+    """
+    phis = _by_lag(spec.ma.mats, horizon)
+    phis[0] = np.eye(spec.k)
+    for i in range(1, horizon + 1):
+        for j in range(1, min(i, spec.p) + 1):
+            phis[i] += spec.ar.mats[j - 1] @ phis[i - j]
+    return phis
+
+
+def reference_true_ar(spec: VarmaSpec, n_lags: int) -> np.ndarray:
+    """AR(infinity) form by A_i = A_i^{dgp} 1{i <= p} - sum_{j<=min(i,q)} M_j A_{i-j}, A_0 = -I.
+
+    The oracle for ``varma_true_ar``, one product per lag.
+    """
+    coeffs = _by_lag(spec.ar.mats, n_lags)
+    coeffs[0] = -np.eye(spec.k)
+    for i in range(1, n_lags + 1):
+        for j in range(1, min(i, spec.q) + 1):
+            coeffs[i] -= spec.ma.mats[j - 1] @ coeffs[i - j]
+    return coeffs[1:]
+
+
+def random_varma_spec(rng: np.random.Generator, k: int, p: int, q: int) -> VarmaSpec:
+    """Stable, invertible VARMA(p, q) with identity Sigma_u, radii drawn in [0.3, 0.9]."""
+    empty = np.empty((0, k, k))
+    ar = random_stable_coeffs(rng, k, p, float(rng.uniform(0.3, 0.9))) if p else empty
+    # invertible: the companion matrix of -M has radius below 1
+    ma = -random_stable_coeffs(rng, k, q, float(rng.uniform(0.3, 0.9))) if q else empty
+    spec = VarmaSpec(k=k, ar=coeff_seq(ar, k), ma=coeff_seq(ma, k), sigma_u=np.eye(k))
+    spec.validate()
+    return spec
+
+
+def assert_close_to_scale(got: np.ndarray, want: np.ndarray, rel: float) -> None:
+    """Equal shapes, and entries within ``rel`` of the largest |entry| of ``want``."""
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * scale
+
+
 @pytest.fixture
 def desk_spec() -> VarmaSpec:
     return default_desk_spec()

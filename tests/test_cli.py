@@ -1,12 +1,16 @@
 """CLI contract: exit codes, CSV layouts, warnings, SVG structure."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sievevar import NonFiniteError, spectral_radius, companion_form
+from sievevar import NonFiniteError, __version__, spectral_radius, companion_form
 from sievevar import cli
 from sievevar.cli import main
 from sievevar.svgchart import render_mc_chart
@@ -230,6 +234,12 @@ A1 = [[0.5, 0.1], [0.2, 0.4]]
         ("mc", {}, {"burn_in": 1e-3}, "burn_in"),
         ("mc", {}, {"workers": 1.5}, "workers"),
         ("mc", {}, {"t": None}, "t"),
+        ("mc", {}, {"level": "0.9"}, "level"),
+        ("mc", {}, {"level": [0.9]}, "level"),
+        ("simulate", {"counterexample": {"base": A1, "plan": [[1, "0.2"]]}}, {}, "plan scale"),
+        ("mc", {"counterexample": {"base": A1, "plan": [[1, True]]}}, {}, "plan scale"),
+        ("mc", {}, {"label": 5}, "label"),
+        ("mc", {}, {"methods": "LS"}, "methods"),
     ],
     ids=[
         "plan-lag-0", "plan-lag-twice", "sigma-u-text", "k-text", "t-text", "mc-k-text",
@@ -237,7 +247,8 @@ A1 = [[0.5, 0.1], [0.2, 0.4]]
         "plan-lag-fraction", "seed-fraction", "mc-p-fraction", "mc-p-bool",
         "mc-seed-fraction", "mc-seed-text", "mc-intercept-text", "mc-intercept-int",
         "mc-horizon-fraction", "mc-replications-text", "mc-m-fraction", "mc-burn-in-fraction",
-        "mc-workers-fraction", "mc-t-null",
+        "mc-workers-fraction", "mc-t-null", "mc-level-text", "mc-level-list",
+        "plan-scale-text", "mc-plan-scale-bool", "mc-label-number", "mc-methods-text",
     ],
 )
 def test_unconvertible_config_values_exit_2(command, dgp, change, field, tmp_path, capsys):
@@ -265,6 +276,27 @@ def test_integral_floats_read_as_whole_numbers(tmp_path):
         assert run_cli("simulate", str(path), "--out", str(tmp_path / f"{name}.csv")) == 0
         csvs.append((tmp_path / f"{name}.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+def test_module_entry_point(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "sievevar.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    version = run("--version")
+    assert version.returncode == 0 and version.stdout.strip() == f"sievevar {__version__}"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema": 2}))
+    failed = run("mc", str(bad), "--out", str(tmp_path / "out"))
+    assert failed.returncode == 2
+    assert failed.stderr.startswith("error: config schema must be 1")
+    assert not (tmp_path / "out").exists()
 
 
 class TestMc:

@@ -20,7 +20,16 @@ from sievevar import (
     white_noise_spec,
 )
 from sievevar.dgp_sim import DEFAULT_COUNTEREXAMPLE_PLAN, default_burn_in
-from conftest import pure_ar_spec, random_stable_coeffs, reference_simulate, scalar_varma
+from conftest import (
+    assert_close_to_scale,
+    pure_ar_spec,
+    random_stable_coeffs,
+    random_varma_spec,
+    reference_simulate,
+    reference_true_ar,
+    reference_true_irf,
+    scalar_varma,
+)
 
 
 class TestVarmaSpec:
@@ -232,6 +241,34 @@ class TestTrueAr:
         np.testing.assert_allclose(coeffs, oracle, atol=1e-15)
         assert coeffs[0] == pytest.approx(0.3)
         assert coeffs[1] == pytest.approx(-0.09)
+
+
+# (k, p, q, n): p = 0, q = 0, q > n, n = 0, n below p, and a lagged counterexample-like order
+ORACLE_CASES = [
+    (2, 0, 2, 6), (2, 2, 0, 6), (1, 1, 5, 3), (3, 2, 4, 2), (2, 3, 1, 0),
+    (2, 6, 1, 4), (1, 0, 0, 4), (3, 1, 2, 20), (2, 14, 1, 30),
+]
+
+
+class TestAgainstReferenceRecursions:
+    @pytest.mark.parametrize("k, p, q, n", ORACLE_CASES)
+    def test_true_irf(self, rng, k, p, q, n):
+        spec = random_varma_spec(rng, k, p, q)
+        assert_close_to_scale(varma_true_irf(spec, n), reference_true_irf(spec, n), 1e-14)
+
+    @pytest.mark.parametrize("k, p, q, n", ORACLE_CASES)
+    def test_true_ar(self, rng, k, p, q, n):
+        spec = random_varma_spec(rng, k, p, q)
+        assert_close_to_scale(varma_true_ar(spec, n), reference_true_ar(spec, n), 1e-14)
+
+    def test_desk_and_counterexample(self, desk_spec):
+        planted = VarmaSpec(
+            k=2, ar=coeff_seq(counterexample_ar(desk_spec.ar.mats[0]), 2),
+            ma=desk_spec.ma, sigma_u=desk_spec.sigma_u,
+        )
+        for spec in (desk_spec, planted):
+            assert_close_to_scale(varma_true_irf(spec, 30), reference_true_irf(spec, 30), 1e-14)
+            assert_close_to_scale(varma_true_ar(spec, 60), reference_true_ar(spec, 60), 1e-14)
 
 
 class TestRoundTrip:

@@ -16,7 +16,12 @@ from sievevar import (
     stability_class,
     var_recursion,
 )
-from conftest import random_stable_coeffs, random_stable_model
+from conftest import (
+    assert_close_to_scale,
+    random_stable_coeffs,
+    random_stable_model,
+    reference_ma_from_ar,
+)
 
 
 class TestMatrixSeq:
@@ -61,6 +66,14 @@ class TestCompanionForm:
         np.testing.assert_array_equal(below[:, :10], np.eye(10))
         np.testing.assert_array_equal(below[:, 10:], np.zeros((10, 2)))
 
+    def test_stack_matches_each_matrix_bit_for_bit(self, rng):
+        for k, p in ((1, 1), (2, 1), (2, 3), (3, 4)):
+            stack = np.array([random_stable_coeffs(rng, k, p, 0.9) for _ in range(6)])
+            comps = companion_form(stack.reshape((2, 3, p, k, k)))
+            assert comps.shape == (2, 3, k * p, k * p) and not comps.flags.writeable
+            for idx, member in zip(np.ndindex(2, 3), stack):
+                np.testing.assert_array_equal(comps[idx], companion_form(member))
+
     def test_requires_ar_indexing(self):
         # a (p, K, K) stack of square coefficients with p >= 1
         for shape in ((2, 2), (1, 2, 3), (0, 2, 2)):
@@ -91,6 +104,16 @@ class TestMaRecursion:
         with pytest.raises(ValueError):
             ma_from_ar(np.array([[[0.5]]]), -1)
 
+    def test_matches_reference_recursion(self, rng):
+        # p = 0, H = 0, H below p and H far past p
+        cases = [(2, 0, 5), (1, 3, 0), (3, 4, 2), (2, 2, 25), (1, 1, 30)]
+        cases += [(int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.integers(0, 20)))
+                  for _ in range(15)]
+        for k, p, horizon in cases:
+            radius = float(rng.uniform(0.3, 0.95))
+            ar = random_stable_coeffs(rng, k, p, radius) if p else np.empty((0, k, k))
+            assert_close_to_scale(ma_from_ar(ar, horizon), reference_ma_from_ar(ar, horizon), 1e-14)
+
     def test_stack_matches_each_sequence_bit_for_bit(self, rng):
         for k, p in ((1, 1), (2, 3), (3, 2)):
             stack = np.array([random_stable_coeffs(rng, k, p, 0.9) for _ in range(3)])
@@ -104,39 +127,81 @@ class TestVarRecursion:
     def test_member_of_stack_of_7_matches_single_path_bit_for_bit(self, rng):
         k, p, t = 3, 4, 80
         ar = random_stable_coeffs(rng, k, p, 0.9)
-        intercept = rng.normal(size=k)
-        init = rng.normal(size=(7, p, k))
-        shocks = rng.normal(size=(7, t, k))
+        intercept = rng.normal(size=(k, 1))
+        init = rng.normal(size=(7, p, k, 1))
+        shocks = rng.normal(size=(7, t, k, 1))
         paths = var_recursion(ar, intercept, init, shocks)
-        assert paths.shape == (7, t, k)
+        assert paths.shape == (7, t, k, 1)
         for j in range(7):
             single = var_recursion(ar, intercept, init[j : j + 1], shocks[j : j + 1])
             np.testing.assert_array_equal(paths[j], single[0])
 
     def test_rows_below_p_are_start_values(self, rng):
         ar = random_stable_coeffs(rng, 2, 3, 0.5)
-        init = rng.normal(size=(2, 3, 2))
-        paths = var_recursion(ar, np.zeros(2), init, rng.normal(size=(2, 10, 2)))
+        init = rng.normal(size=(2, 3, 2, 1))
+        paths = var_recursion(ar, np.zeros((2, 1)), init, rng.normal(size=(2, 10, 2, 1)))
         np.testing.assert_array_equal(paths[:, :3], init)
 
     def test_scalar_steps_by_hand(self):
         # y_s = 1 + 0.5 y_{s-1} + e_s from y_0 = 2
         paths = var_recursion(
-            np.array([[[0.5]]]), np.array([1.0]), np.array([[[2.0]]]),
-            np.array([[[9.0], [0.25], [-1.0]]]),
+            np.array([[[0.5]]]), np.array([[1.0]]), np.array([[[[2.0]]]]),
+            np.array([[[[9.0]], [[0.25]], [[-1.0]]]]),
         )
-        np.testing.assert_array_equal(paths[0, :, 0], [2.0, 2.25, 1.125])
+        np.testing.assert_array_equal(paths[0, :, 0, 0], [2.0, 2.25, 1.125])
 
     def test_p0_returns_shocks(self, rng):
-        shocks = rng.normal(size=(3, 20, 2))
-        paths = var_recursion(np.empty((0, 2, 2)), np.zeros(2), np.empty((3, 0, 2)), shocks)
+        shocks = rng.normal(size=(3, 20, 2, 1))
+        paths = var_recursion(np.empty((0, 2, 2)), np.zeros((2, 1)), np.empty((3, 0, 2, 1)), shocks)
         np.testing.assert_array_equal(paths, shocks)
 
+    def test_columns_of_matrix_paths_match_vector_paths(self, rng):
+        # m = K columns of one K x K path against each column stepped as m = 1;
+        # one K x K product and K matrix-vector products may round differently
+        k, p, t = 3, 5, 40
+        ar = random_stable_coeffs(rng, k, p, 0.9)
+        intercept = rng.normal(size=(k, k))
+        init = rng.normal(size=(2, p, k, k))
+        shocks = rng.normal(size=(2, t, k, k))
+        paths = var_recursion(ar, intercept, init, shocks)
+        assert paths.shape == (2, t, k, k) and paths.flags.c_contiguous
+        for j in range(k):
+            col = np.s_[..., j : j + 1]
+            single = var_recursion(ar, intercept[col], init[col], shocks[col])
+            assert_close_to_scale(paths[col], single, 1e-14)
+        # a (K, 1) intercept is one column added to every column
+        shared = var_recursion(ar, intercept[:, :1], init, shocks)
+        single = var_recursion(ar, intercept[:, :1], init[..., 1:2], shocks[..., 1:2])
+        assert_close_to_scale(shared[..., 1:2], single, 1e-14)
+
+    def test_member_of_coefficient_stack_matches_own_call_bit_for_bit(self, rng):
+        k, p, t, m = 2, 3, 30, 2
+        ar = np.array([random_stable_coeffs(rng, k, p, 0.9) for _ in range(6)])
+        ar = ar.reshape(2, 3, p, k, k)
+        intercept = rng.normal(size=(2, 3, k, 1))
+        init = rng.normal(size=(2, 3, p, k, m))
+        shocks = rng.normal(size=(2, 3, t, k, m))
+        paths = var_recursion(ar, intercept, init, shocks)
+        assert paths.shape == (2, 3, t, k, m)
+        for idx in np.ndindex(2, 3):
+            own = var_recursion(ar[idx], intercept[idx], init[idx], shocks[idx])
+            np.testing.assert_array_equal(paths[idx], own)
+
     def test_shapes_checked(self):
+        ar = np.zeros((2, 2, 2))
+        for intercept, init, shocks in (
+            (np.zeros((2, 1)), np.zeros((1, 1, 2, 1)), np.zeros((1, 5, 2, 1))),
+            (np.zeros((2, 1)), np.zeros((1, 2, 2, 1)), np.zeros((1, 1, 2, 1))),
+            # a (K,) intercept, start values of another width m
+            (np.zeros(2), np.zeros((1, 2, 2, 1)), np.zeros((1, 5, 2, 1))),
+            (np.zeros((2, 1)), np.zeros((1, 2, 2, 2)), np.zeros((1, 5, 2, 1))),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                var_recursion(ar, intercept, init, shocks)
+        # a coefficient stack that does not broadcast against the paths
         with pytest.raises(DimensionMismatchError):
-            var_recursion(np.zeros((2, 2, 2)), np.zeros(2), np.zeros((1, 1, 2)), np.zeros((1, 5, 2)))
-        with pytest.raises(DimensionMismatchError):
-            var_recursion(np.zeros((2, 2, 2)), np.zeros(2), np.zeros((1, 2, 2)), np.zeros((1, 1, 2)))
+            var_recursion(np.zeros((3, 2, 2, 2)), np.zeros((2, 1)), np.zeros((2, 2, 2, 1)),
+                          np.zeros((2, 5, 2, 1)))
 
 
 class TestMaViaCompanion:
