@@ -87,15 +87,26 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
-def _matrix_list(raw, k: int, where: str) -> MatrixSeq:
-    if raw is None:
-        raw = []
+def _numbers(raw, name: str, what: str) -> np.ndarray:
+    """Nested JSON lists of numbers as a float array; a string, boolean or null entry is refused."""
+    stack = [raw]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(reversed(item))
+        else:
+            _typed(item, name, _NUMBER, what)
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} is not a numeric matrix list: {exc}") from None
+        return np.asarray(raw, dtype=float)
+    except ValueError:
+        raise ConfigError(f"{name} must be {what}") from None
+
+
+def _matrix_list(raw, k: int, where: str) -> MatrixSeq:
+    what = f"a list of numeric {k}x{k} matrices"
+    arr = _numbers([] if raw is None else raw, where, what)
     if arr.size and (arr.ndim != 3 or arr.shape[1:] != (k, k)):
-        raise ConfigError(f"{where} must be a list of {k}x{k} matrices")
+        raise ConfigError(f"{where} must be {what}")
     return coeff_seq(arr, k)
 
 
@@ -109,7 +120,11 @@ def parse_varma_spec(obj: dict) -> VarmaSpec:
             raise ConfigError("dgp.k must be >= 1")
         if "counterexample" in obj:
             ce = obj["counterexample"]
-            base = np.asarray(_require(ce, "base", "dgp.counterexample"), dtype=float)
+            base = _numbers(
+                _require(ce, "base", "dgp.counterexample"),
+                "dgp.counterexample.base",
+                "a numeric square matrix",
+            )
             where = "dgp.counterexample.plan"
             plan = tuple(
                 (_whole(lag, f"{where} lag"), _typed(scale, f"{where} scale", _NUMBER, "a number"))
@@ -119,12 +134,10 @@ def parse_varma_spec(obj: dict) -> VarmaSpec:
         else:
             ar = _matrix_list(obj.get("ar"), k, "dgp.ar")
         ma = _matrix_list(obj.get("ma"), k, "dgp.ma")
-        try:
-            sigma = np.asarray(obj.get("sigma_u", np.eye(k).tolist()), dtype=float)
-        except (TypeError, ValueError):
-            sigma = None
-        if sigma is None or sigma.shape != (k, k):
-            raise ConfigError(f"dgp.sigma_u must be a numeric {k}x{k} matrix")
+        what = f"a numeric {k}x{k} matrix"
+        sigma = _numbers(obj.get("sigma_u", np.eye(k).tolist()), "dgp.sigma_u", what)
+        if sigma.shape != (k, k):
+            raise ConfigError(f"dgp.sigma_u must be {what}")
         return VarmaSpec(k=k, ar=ar, ma=ma, sigma_u=sigma)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed dgp: {exc}") from None

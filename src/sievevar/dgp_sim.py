@@ -12,6 +12,7 @@ coefficient stacks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -147,7 +148,22 @@ def simulate_varma(
 
     Innovations are i.i.d. N(0, sigma_u), built as a Cholesky transform of
     standard normals; the first ``burn_in`` observations are discarded. The
-    output is a pure function of (spec, t, burn_in, seed).
+    output is a pure function of (spec, t, burn_in, seed): the one-seed case
+    of ``simulate_varma_stack``.
+    """
+    return SamplePath(k=spec.k, t=t, values=simulate_varma_stack(spec, t, burn_in, [seed])[0])
+
+
+def simulate_varma_stack(
+    spec: VarmaSpec, t: int, burn_in: int, seeds: Sequence[SeedLike]
+) -> np.ndarray:
+    """The (n, T, K) stack of ``simulate_varma`` paths, one per seed.
+
+    Each path draws its standard normals from its own seed and takes its
+    Cholesky and MA steps on its own; all paths then step one
+    ``var_recursion`` call. Every path is bit-identical to
+    ``simulate_varma`` of its seed, whatever the seeds beside it. The stack
+    is not checked for finite values; ``SamplePath`` checks each path.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -155,21 +171,21 @@ def simulate_varma(
         raise ValueError("burn_in must be >= 0")
     spec.validate()
 
-    rng = generator(seed)
     total = burn_in + t
-    chol = np.linalg.cholesky(spec.sigma_u)
-    u = rng.standard_normal((total, spec.k)) @ chol.T
-
-    # e_s = u_s + sum_j M_j u_{s-j}, innovations before s = 0 being zero
-    e = u.copy()
-    for j, m in enumerate(spec.ma.mats, start=1):
-        e[j:] += u[:-j] @ m.T
-    # p presample zeros: the recursion starts from zero initial conditions
     p, k = spec.p, spec.k
-    shocks = np.concatenate([np.zeros((p, k)), e])[..., np.newaxis]
-    y = var_recursion(spec.ar.mats, np.zeros((k, 1)), np.zeros((p, k, 1)), shocks)[p:, :, 0]
-
-    return SamplePath(k=spec.k, t=t, values=y[burn_in:])
+    chol = np.linalg.cholesky(spec.sigma_u)
+    # p presample zeros per path: the recursion starts from zero initial conditions
+    shocks = np.zeros((len(seeds), p + total, k, 1))
+    for path, seed in zip(shocks, seeds):
+        u = generator(seed).standard_normal((total, k)) @ chol.T
+        # e_s = u_s + sum_j M_j u_{s-j}, innovations before s = 0 being zero
+        e = path[p:, :, 0]
+        e[:] = u
+        for j, m in enumerate(spec.ma.mats, start=1):
+            e[j:] += u[:-j] @ m.T
+    init = np.zeros((len(seeds), p, k, 1))
+    y = var_recursion(spec.ar.mats, np.zeros((k, 1)), init, shocks)
+    return y[:, p + burn_in :, :, 0]
 
 
 def counterexample_ar(

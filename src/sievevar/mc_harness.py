@@ -3,8 +3,12 @@
 Each replication simulates a path, fits a VAR(p), builds intervals for the
 requested methods, and scores every response entry against the true
 impulse responses of the generating process. Replication r derives all of
-its randomness from the child stream (master seed, r), so summaries are
-identical no matter how replications are scheduled across workers.
+its randomness from the child stream (master seed, r). Replications run in
+chunks of consecutive indices, bounded by the bytes of the chunk's shock
+stack: each path of a chunk is drawn from its own replication's stream and
+all of them step one recursion, so a path does not depend on the paths
+beside it. Summaries are therefore identical for any worker count and any
+chunking.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .dgp_sim import (
     VarmaSpec,
     default_burn_in,
     simulate_varma,
+    simulate_varma_stack,
     varma_true_irf,
 )
 from .errors import ConfigError, ExperimentError, SieveVarError
@@ -33,6 +38,10 @@ VALID_METHODS = ("LS", "S-LS", "BOOT", "BOOT-db")
 
 # fraction of replications allowed to fail (after one retry each)
 FAILURE_BUDGET = 0.01
+
+# Shock values in one chunk's (n, p + burn_in + T, K) stack, 2 MB: bounds how
+# many replications are simulated in one recursion.
+_CHUNK_FLOATS = 256 * 1024
 
 
 def check_design(
@@ -154,18 +163,40 @@ def interval_sets_for_sample(
     return {method: out[method] for method in methods}
 
 
+def _chunk_size(cfg: ExperimentConfig) -> int:
+    """Replications per chunk: at most ``_CHUNK_FLOATS`` shock values, at least one chunk per worker."""
+    per_path = (cfg.dgp.p + cfg.effective_burn_in + cfg.t) * cfg.dgp.k
+    return max(1, min(_CHUNK_FLOATS // per_path, -(-cfg.replications // cfg.workers)))
+
+
+def _run_chunk(
+    cfg: ExperimentConfig, truth: np.ndarray, reps: range
+) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """``_run_replication`` of each replication in ``reps``, their paths simulated in one stack."""
+    seeds = [substream(cfg.seed, r, 0) for r in reps]
+    paths = simulate_varma_stack(cfg.dgp, cfg.t, cfg.effective_burn_in, seeds)
+    return [_run_replication(cfg, truth, r, path) for r, path in zip(reps, paths)]
+
+
 def _run_replication(
-    cfg: ExperimentConfig, truth: np.ndarray, r: int
+    cfg: ExperimentConfig, truth: np.ndarray, r: int, path: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Hit and length arrays for replication r, or None after a failed retry."""
+    """Hit and length arrays for replication r, or None after a failed retry.
+
+    ``path`` is the replication's first-attempt sample, simulated from
+    (master seed, r, 0); the retry simulates its own from (master seed, r, 1, 0).
+    """
     n_methods = len(cfg.methods)
     shape = (n_methods, cfg.horizon + 1, cfg.dgp.k, cfg.dgp.k)
     for attempt in range(2):
         rep_seed = substream(cfg.seed, r) if attempt == 0 else substream(cfg.seed, r, 1)
         try:
-            y = simulate_varma(
-                cfg.dgp, cfg.t, cfg.effective_burn_in, substream(rep_seed, 0)
-            )
+            if attempt == 0:
+                y = SamplePath(k=cfg.dgp.k, t=cfg.t, values=path)
+            else:
+                y = simulate_varma(
+                    cfg.dgp, cfg.t, cfg.effective_burn_in, substream(rep_seed, 0)
+                )
             sets = interval_sets_for_sample(
                 y,
                 cfg.p,
@@ -215,13 +246,14 @@ def run_experiment(cfg: ExperimentConfig) -> McSummary:
     """Execute the full experiment, optionally across worker processes."""
     cfg.dgp.validate()
     truth = varma_true_irf(cfg.dgp, cfg.horizon)
-    replicate = partial(_run_replication, cfg, truth)
+    size = _chunk_size(cfg)
+    chunks = [range(r, min(r + size, cfg.replications)) for r in range(0, cfg.replications, size)]
+    run_chunk = partial(_run_chunk, cfg, truth)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunk = max(1, cfg.replications // (cfg.workers * 8))
-            results = list(pool.map(replicate, range(cfg.replications), chunksize=chunk))
+            results = [rec for chunk in pool.map(run_chunk, chunks) for rec in chunk]
     else:
-        results = list(map(replicate, range(cfg.replications)))
+        results = [rec for chunk in map(run_chunk, chunks) for rec in chunk]
 
     records = [rec for rec in results if rec is not None]
     failures = len(results) - len(records)

@@ -240,6 +240,14 @@ A1 = [[0.5, 0.1], [0.2, 0.4]]
         ("mc", {"counterexample": {"base": A1, "plan": [[1, True]]}}, {}, "plan scale"),
         ("mc", {}, {"label": 5}, "label"),
         ("mc", {}, {"methods": "LS"}, "methods"),
+        ("simulate", {"ar": [[["0.5", 0], [0, 0.4]]]}, {}, "dgp.ar"),
+        ("mc", {"ar": [[[0.5, 0], [0, True]]]}, {}, "dgp.ar"),
+        ("simulate", {"ma": [[[0.3, False], [0.1, 0.2]]]}, {}, "dgp.ma"),
+        ("simulate", {"ma": [[[0.3, None], [0.1, 0.2]]]}, {}, "dgp.ma"),
+        ("simulate", {"sigma_u": [["1", 0], [0, 1]]}, {}, "dgp.sigma_u"),
+        ("mc", {"sigma_u": [[1, 0], [0, True]]}, {}, "dgp.sigma_u"),
+        ("simulate", {"counterexample": {"base": [["0.5", 0.1], A1[1]]}}, {}, "counterexample.base"),
+        ("mc", {"counterexample": {"base": [A1[0], [True, 0.4]]}}, {}, "counterexample.base"),
     ],
     ids=[
         "plan-lag-0", "plan-lag-twice", "sigma-u-text", "k-text", "t-text", "mc-k-text",
@@ -249,6 +257,8 @@ A1 = [[0.5, 0.1], [0.2, 0.4]]
         "mc-horizon-fraction", "mc-replications-text", "mc-m-fraction", "mc-burn-in-fraction",
         "mc-workers-fraction", "mc-t-null", "mc-level-text", "mc-level-list",
         "plan-scale-text", "mc-plan-scale-bool", "mc-label-number", "mc-methods-text",
+        "ar-text", "mc-ar-bool", "ma-bool", "ma-null", "sigma-u-number-text", "mc-sigma-u-bool",
+        "base-text", "mc-base-bool",
     ],
 )
 def test_unconvertible_config_values_exit_2(command, dgp, change, field, tmp_path, capsys):

@@ -19,7 +19,8 @@ from sievevar import (
     varma_true_irf,
     white_noise_spec,
 )
-from sievevar.dgp_sim import DEFAULT_COUNTEREXAMPLE_PLAN, default_burn_in
+from sievevar.dgp_sim import DEFAULT_COUNTEREXAMPLE_PLAN, default_burn_in, simulate_varma_stack
+from sievevar.streams import substream
 from conftest import (
     assert_close_to_scale,
     pure_ar_spec,
@@ -138,6 +139,44 @@ class TestSimulateAgainstReference:
     def test_t_shorter_than_p(self, desk_spec, burn_in):
         self._check(_counterexample_spec(desk_spec), 3, burn_in, 31)
         self._check(_grid_spec(3, 3, 0), 2, burn_in, 32)
+
+
+class TestSimulateStack:
+    """``simulate_varma_stack`` against per-seed ``simulate_varma``, bit for bit."""
+
+    @staticmethod
+    def _check(spec: VarmaSpec, t: int, burn_in: int, seeds) -> None:
+        got = simulate_varma_stack(spec, t, burn_in, seeds)
+        assert got.shape == (len(seeds), t, spec.k)
+        for path, seed in zip(got, seeds):
+            assert np.array_equal(path, simulate_varma(spec, t, burn_in, seed).values)
+
+    def test_desk_varma11(self, desk_spec):
+        self._check(desk_spec, 300, default_burn_in(desk_spec), [3, 4, 5, 6, 7])
+
+    @pytest.mark.parametrize("burn_in", [0, 214])
+    def test_counterexample_p14(self, desk_spec, burn_in):
+        # the streams an MC chunk of the counterex-desk-p30 preset draws from
+        seeds = [substream(20260104, r, 0) for r in range(8)]
+        self._check(_counterexample_spec(desk_spec), 300, burn_in, seeds)
+
+    def test_white_noise(self):
+        self._check(white_noise_spec(3), 50, 10, [1, 2, 3])
+
+    def test_one_variable(self):
+        self._check(scalar_varma(0.5, 0.3, 2.0), 80, 20, [9, 10, 11, 12])
+
+    def test_burn_in_zero(self, desk_spec):
+        self._check(desk_spec, 40, 0, [1, 2])
+
+    def test_path_does_not_depend_on_its_neighbours(self, desk_spec):
+        wide = simulate_varma_stack(desk_spec, 60, 30, [5, 6, 7])
+        narrow = simulate_varma_stack(desk_spec, 60, 30, [7, 5])
+        assert np.array_equal(wide[[2, 0]], narrow)
+
+    def test_refuses_unstable_spec(self):
+        with pytest.raises(UnstableProcessError):
+            simulate_varma_stack(pure_ar_spec(np.array([[[1.2]]])), 10, 0, [1, 2])
 
 
 class TestCounterexample:

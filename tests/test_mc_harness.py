@@ -1,6 +1,7 @@
 """Experiment orchestration: aggregation, determinism, flags."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from sievevar import (
     ConfigError,
     ExperimentConfig,
+    ExperimentError,
+    SingularMatrixError,
     aggregate,
     bootstrap_interval_sets,
     coverage_flags,
@@ -15,9 +18,10 @@ from sievevar import (
     interval_sets_for_sample,
     run_experiment,
     simulate_varma,
+    varma_true_irf,
     white_noise_spec,
 )
-from sievevar import bootstrap_infer, mc_harness
+from sievevar import bootstrap_infer, cli, mc_harness
 from sievevar.mc_harness import VALID_METHODS, McSummary
 from sievevar.streams import substream
 from conftest import pure_ar_spec, random_stable_coeffs
@@ -116,6 +120,106 @@ class TestRunExperiment:
         s2 = run_experiment(dataclasses.replace(base, replications=80))
         bound = 3 * np.sqrt(0.95 * 0.05 / 40)
         assert np.max(np.abs(s1.coverage - s2.coverage)) < bound
+
+
+class TestChunks:
+    """Replications simulated in chunks: no chunking or worker count moves a byte."""
+
+    def _mc_csvs(self, tmp_path, desk_spec, name, workers):
+        cfg = {
+            "schema": 1,
+            "dgp": cli.varma_spec_to_json(desk_spec),
+            "t": 60,
+            "burn_in": 20,
+            "p": 2,
+            "horizon": 3,
+            "methods": ["LS", "S-LS", "BOOT"],
+            "replications": 17,
+            "bootstrap_replications": 10,
+            "seed": 515,
+        }
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        assert cli.main(["mc", str(path), "--out", str(out), "--workers", str(workers)]) == 0
+        return (out / "mc_results.csv").read_bytes(), (out / "mc_entries.csv").read_bytes()
+
+    def test_csvs_byte_identical_for_any_chunking(self, desk_spec, tmp_path, monkeypatch):
+        sizes = []
+        stack = mc_harness.simulate_varma_stack
+
+        def recording(spec, t, burn_in, seeds):
+            sizes.append(len(seeds))
+            return stack(spec, t, burn_in, seeds)
+
+        monkeypatch.setattr(mc_harness, "simulate_varma_stack", recording)
+        want = self._mc_csvs(tmp_path, desk_spec, "default", 1)
+        assert sizes == [17]
+        # (p + burn_in + t) K = (1 + 20 + 60) 2 shock values per path
+        for size, chunks in ((1, [1] * 17), (3, [3] * 5 + [2]), (8, [8, 8, 1])):
+            monkeypatch.setattr(mc_harness, "_CHUNK_FLOATS", 162 * size + 161)
+            sizes.clear()
+            assert self._mc_csvs(tmp_path, desk_spec, f"c{size}-w1", 1) == want
+            assert sizes == chunks
+            assert self._mc_csvs(tmp_path, desk_spec, f"c{size}-w2", 2) == want
+
+    def test_at_least_one_chunk_per_worker(self, desk_spec):
+        cfg = tiny_config(desk_spec, replications=11, workers=3)
+        assert mc_harness._chunk_size(cfg) == 4
+        assert mc_harness._chunk_size(dataclasses.replace(cfg, workers=1)) == 11
+
+
+class TestFailedReplications:
+    """A replication whose sample fails is retried alone on its (r, 1) stream."""
+
+    @staticmethod
+    def _failing(monkeypatch, seed, paths):
+        bad = {substream(seed, *path).spawn_key for path in paths}
+        calls = []
+
+        def flaky(y, p, horizon, level, methods, m, rep_seed, intercept=False):
+            calls.append(rep_seed.spawn_key)
+            if rep_seed.spawn_key in bad:
+                raise SingularMatrixError("forced failure")
+            return interval_sets_for_sample(y, p, horizon, level, methods, m, rep_seed, intercept)
+
+        monkeypatch.setattr(mc_harness, "interval_sets_for_sample", flaky)
+        return calls
+
+    def test_failed_member_rescored_on_retry_stream(self, desk_spec, monkeypatch):
+        cfg = tiny_config(desk_spec, methods=("LS", "BOOT"), replications=6)
+        truth = varma_true_irf(cfg.dgp, cfg.horizon)
+        chunk = range(6)
+        want = mc_harness._run_chunk(cfg, truth, chunk)
+        calls = self._failing(monkeypatch, cfg.seed, [(3,)])
+        got = mc_harness._run_chunk(cfg, truth, chunk)
+
+        seed = substream(cfg.seed, 3, 1)
+        assert calls[3:5] == [substream(cfg.seed, 3).spawn_key, seed.spawn_key]
+        y = simulate_varma(cfg.dgp, cfg.t, cfg.effective_burn_in, substream(seed, 0))
+        sets = interval_sets_for_sample(y, cfg.p, cfg.horizon, cfg.level, cfg.methods, 20, seed)
+        for j, method in enumerate(cfg.methods):
+            assert np.array_equal(got[3][0][j], sets[method].contains(truth))
+            assert np.array_equal(got[3][1][j], sets[method].lengths())
+        for r in chunk:
+            if r != 3:
+                assert all(np.array_equal(a, b) for a, b in zip(got[r], want[r]))
+
+    def test_retry_success_is_no_failure(self, desk_spec, monkeypatch):
+        cfg = tiny_config(desk_spec, replications=6)
+        self._failing(monkeypatch, cfg.seed, [(2,)])
+        s = run_experiment(cfg)
+        assert (s.replications, s.failures) == (6, 0)
+
+    def test_failures_counted_against_budget(self, desk_spec, monkeypatch):
+        cfg = tiny_config(desk_spec, methods=("LS",), horizon=2, replications=100)
+        self._failing(monkeypatch, cfg.seed, [(41,), (41, 1)])
+        s = run_experiment(cfg)
+        assert (s.replications, s.failures) == (99, 1)
+        assert 1 <= mc_harness.FAILURE_BUDGET * cfg.replications
+        self._failing(monkeypatch, cfg.seed, [(41,), (41, 1), (7,), (7, 1)])
+        with pytest.raises(ExperimentError, match="2 of 100 replications failed"):
+            run_experiment(cfg)
 
 
 class TestIntervalSetsForSample:
