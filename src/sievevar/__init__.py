@@ -53,7 +53,6 @@ from .var_core import (
     coeff_seq,
     companion_form,
     ma_from_ar,
-    ma_via_companion,
     spectral_radius,
     stability_class,
     var_recursion,
@@ -93,7 +92,6 @@ __all__ = [
     "irf_covariances",
     "irf_jacobian",
     "ma_from_ar",
-    "ma_via_companion",
     "percentile_ci",
     "residual_bootstrap_sample",
     "residual_cov",

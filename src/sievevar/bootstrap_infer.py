@@ -30,7 +30,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
-from .estimate import VarModel, fit_var_ls, fit_var_ls_stack
+# fit_var_ls stays bound here: bench/run.py traces it through this module
+from .estimate import VarModel, fit_var_ls, fit_var_ls_stack  # noqa: F401
 from .delta_infer import IntervalSet
 from .streams import SeedLike, generator, substream
 from .var_core import coeff_seq, companion_form, ma_from_ar, spectral_radius, var_recursion
@@ -96,9 +97,9 @@ def _refit_draws(
     attempt is one pass over the pending draws of all streams together:
     they are resampled in one recursion per block of at most
     ``_BLOCK_FLOATS`` pseudo-sample values and refitted by one
-    ``fit_var_ls_stack`` call per block. A draw it flags is refitted by
-    ``fit_var_ls``, whose ``SingularMatrixError`` marks the draw singular.
-    A draw's bits do not depend on the streams or draws beside it.
+    ``fit_var_ls_stack`` call per block, and a draw it flags is singular.
+    That kernel decides and solves each draw on its own, so a draw's bits
+    do not depend on the streams or draws beside it.
 
     Raises
     ------
@@ -127,7 +128,7 @@ def _refit_draws(
                 for i, r in zip(owner[chunk].tolist(), draw[chunk].tolist())
             ]
             pseudo = residual_bootstrap_sample(model, residuals, y, seeds)
-            coefs, fitted = fit_var_ls_stack(pseudo, model.p, intercept=intercept)
+            coefs, fitted, _ = fit_var_ls_stack(pseudo, model.p, intercept=intercept)
             if not fitted.all():
                 broken = np.flatnonzero(~np.isfinite(pseudo).all(axis=(1, 2)))
                 if len(broken):
@@ -136,11 +137,7 @@ def _refit_draws(
                         f"{streams[owner[j]][0]} draw {draw[j]}: bootstrap "
                         "pseudo-sample is not finite (is the fitted model explosive?)"
                     )
-            for j in np.flatnonzero(~fitted):
-                try:
-                    coefs[j] = fit_var_ls(pseudo[j], model.p, intercept=intercept)[0].ar_hat.mats
-                except SingularMatrixError:
-                    singular.append(chunk[j])
+            singular.extend(chunk[~fitted].tolist())
             out[chunk] = coefs
         pending = np.array(singular, dtype=np.intp)
         if not len(pending):

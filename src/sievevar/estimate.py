@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dgp_sim import SamplePath
 from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
@@ -23,10 +21,6 @@ from .var_core import MatrixSeq, coeff_seq
 # Cholesky pivots with min^2 <= _PIVOT_COLLAPSE * max^2 mean numerical rank
 # deficiency that dpotrf missed
 _PIVOT_COLLAPSE = 1e-13
-
-# fit_var_ls_stack also flags pivots up to this factor short of collapse, so
-# that fit_var_ls itself decides every sample near the threshold
-_STACK_MARGIN = 100.0
 
 
 @dataclass(frozen=True)
@@ -45,10 +39,15 @@ class VarModel:
         sigma = np.asarray(self.sigma_u_hat, dtype=float)
         if not np.allclose(sigma, sigma.T, atol=1e-12):
             raise DimensionMismatchError("sigma_u_hat is not symmetric within 1e-12")
-        for name in ("sigma_u_hat", "moment_matrix"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name in ("sigma_u_hat", "moment_matrix", "intercept"):
+            if getattr(self, name) is not None:
+                arr = np.array(getattr(self, name), dtype=float)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
+        if self.intercept is not None and self.intercept.shape != (self.k,):
+            raise DimensionMismatchError(
+                f"intercept must have shape ({self.k},), got {self.intercept.shape}"
+            )
 
     @property
     def n_reg(self) -> int:
@@ -89,13 +88,27 @@ def _as_values(y: SamplePath | np.ndarray) -> np.ndarray:
     return arr
 
 
-def lagged_regressors(values: np.ndarray, p: int) -> np.ndarray:
-    """Design matrix with rows [y_{t-1}', ..., y_{t-p}'] for t = p..T-1."""
-    t, k = values.shape
-    x = np.empty((t - p, k * p))
-    for j in range(1, p + 1):
-        x[:, (j - 1) * k : j * k] = values[p - j : t - j]
-    return x
+def _lag_windows(samples: np.ndarray, p: int) -> np.ndarray:
+    """(n, T-p, K(p+1)) view of an (n, T, K) stack, rows [y_s', y_{s-1}', ..., y_{s-p}'].
+
+    Row r of a sample is that of s = T-1-r, latest first.
+    """
+    n, t, k = samples.shape
+    # take copies whole rows, several times faster than copying samples[:, ::-1]
+    flat = samples.take(np.arange(t - 1, -1, -1), axis=1).reshape(n, t * k)
+    step = k * flat.itemsize
+    return np.ndarray((n, t - p, k * (p + 1)), buffer=flat, strides=(t * step, step, flat.itemsize))
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of an (n, m, m) stack, NaN for a member not positive-definite."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(a.shape, np.nan)
+        # one member at a time: the same LAPACK call, so the same bits
+        return np.concatenate([_cholesky(member[np.newaxis]) for member in a])
 
 
 def fit_var_ls(
@@ -103,152 +116,110 @@ def fit_var_ls(
     p: int,
     intercept: bool = False,
 ) -> tuple[VarModel, np.ndarray]:
-    """Multivariate least squares of y_t on its p lags.
+    """Multivariate least squares of y_t on its p lags, ``fit_var_ls_stack`` of one sample.
 
     Conditions on the first p observations (no presample padding) and
     returns the fitted model together with the residual matrix for
-    t = p+1..T. The moment matrix is Z Z' / T_eff over the lagged
-    regressors; with an intercept it is computed from demeaned regressors
-    so that its inverse remains the asymptotic covariance factor of the
-    coefficient block. The residual covariance is df-adjusted, divided by
-    T_eff minus the regressors per equation.
+    t = p+1..T. The coefficients and the singular decision are those of
+    ``fit_var_ls_stack``, and so is the moment matrix Z Z' / T_eff over the
+    lagged regressors; with an intercept, mean(y_t) - B' mean(Z_t), the
+    regressors are demeaned so that its inverse remains the asymptotic
+    covariance factor of the coefficient block. The residual covariance is
+    df-adjusted, divided by T_eff minus the regressors per equation.
 
     Raises
     ------
     SingularMatrixError
-        If T is too small or the moment matrix is not positive-definite.
+        If T is too small or ``fit_var_ls_stack`` flags the sample.
     """
     values = _as_values(y)
     t, k = values.shape
     if p < 1:
         raise ValueError("p must be >= 1")
     n_reg = k * p + (1 if intercept else 0)
-    if t <= n_reg + 1 or t <= p:
+    if t <= n_reg + 1:
         raise SingularMatrixError(
             f"sample too small: T={t} rows for {n_reg} regressors and p={p} lags"
         )
-
-    x = lagged_regressors(values, p)
-    target = values[p:]
-    t_eff = t - p
-    if intercept:
-        design = np.hstack([x, np.ones((t_eff, 1))])
-    else:
-        design = x
-
-    xtx = design.T @ design
-    xty = design.T @ target
-    try:
-        cho = scipy.linalg.cho_factor(xtx)
-        pivots = np.abs(np.diag(cho[0]))
-        if pivots.min() ** 2 <= _PIVOT_COLLAPSE * pivots.max() ** 2:
-            raise scipy.linalg.LinAlgError("pivot collapse")
-        coef = scipy.linalg.cho_solve(cho, xty)
-    except (scipy.linalg.LinAlgError, ValueError):
+    coefs, fitted, grams = fit_var_ls_stack(values[np.newaxis], p, intercept)
+    moment = grams[0] / (t - p)
+    if not fitted[0]:
         raise SingularMatrixError(
             "singular regressor moment matrix",
-            condition_number=float(np.linalg.cond(xtx)),
-        ) from None
-
-    resid = target - design @ coef
-    stacked = coef[: k * p].T  # K x Kp, blocks [A_1 ... A_p]
-    ar_hat = coeff_seq(stacked.reshape(k, p, k).swapaxes(0, 1), k)
-    const = coef[-1] if intercept else None
-
-    if intercept:
-        xc = x - x.mean(axis=0)
-        moment = xc.T @ xc / t_eff
-    else:
-        moment = xtx / t_eff
-    try:
-        np.linalg.cholesky(moment)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError(
-            "moment matrix is not positive-definite",
             condition_number=float(np.linalg.cond(moment)),
-        ) from None
-
-    sigma = residual_cov(resid, df_mode="adjusted", n_reg=n_reg)
+        )
+    rows = np.ascontiguousarray(_lag_windows(values[np.newaxis], p)[0, ::-1])  # t = p..T-1
+    target, x = rows[:, :k], rows[:, k:]
+    coef = coefs[0].swapaxes(1, 2).reshape(k * p, k)  # rows regressors, columns equations
+    const = None
+    if intercept:
+        means = rows.mean(axis=0)
+        const = means[:k] - means[k:] @ coef
+        target = target - const
+    resid = target - x @ coef
     model = VarModel(
         k=k,
         p=p,
-        ar_hat=ar_hat,
-        sigma_u_hat=sigma,
+        ar_hat=coeff_seq(coefs[0], k),
+        sigma_u_hat=residual_cov(resid, df_mode="adjusted", n_reg=n_reg),
         intercept=const,
         moment_matrix=moment,
-        t_effective=t_eff,
+        t_effective=t - p,
     )
     return model, resid
 
 
 def fit_var_ls_stack(
     samples: np.ndarray, p: int, intercept: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """``fit_var_ls`` coefficients of each sample of an (n, T, K) stack.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares VAR(p) fit of each sample of an (n, T, K) stack.
 
-    Returns the (n, p, K, K) coefficient stack and a boolean mask of the
-    samples fitted. The normal equations of all samples come from one
-    stacked product of a sliding-window view, so no (n, T-p, Kp) design is
-    built, and are solved with one stacked Cholesky factorisation. A sample
-    is flagged False, with NaN coefficients, when it is not finite, when its
-    pivots come within ``_STACK_MARGIN`` of the collapse test of
-    ``fit_var_ls``, or, with an intercept, when its demeaned moment matrix
-    is not positive-definite; all are flagged when a stacked factorisation
-    fails or T is too small. The caller refits a flagged sample with
-    ``fit_var_ls``, which stays the one definition of a singular fit.
+    The one least-squares solver of the package; ``fit_var_ls`` is its
+    one-sample case. Returns the (n, p, K, K) coefficient stack, a boolean
+    mask of the samples fitted, and the (n, Kp, Kp) Grams Z'Z of the
+    regressors Z_t = [y_{t-1}', ..., y_{t-p}']', T_eff times the moment
+    matrix. A flagged sample has NaN coefficients.
+
+    The normal equations of a sample come from the Gram of its lag
+    windows [y_t', y_{t-1}', ..., y_{t-p}'], copied one sample at a time,
+    so no (n, T-p, Kp) design is built. An intercept is partialled out
+    (Frisch-Waugh), so the Grams are those of the demeaned regressors and
+    one Cholesky factorisation per sample checks both that the demeaned
+    moment matrix is positive-definite and its pivots. A sample is flagged
+    when T is too small, when it is not finite, when its factorisation
+    fails, or when its pivots collapse, min^2 <= ``_PIVOT_COLLAPSE`` max^2. Each sample is factorised and
+    solved by its own LAPACK calls (``np.linalg.solve``), so neither its
+    flag nor its bits depend on the samples beside it.
     """
     samples = np.asarray(samples, dtype=float)
     n, t, k = samples.shape
     if p < 1:
         raise ValueError("p must be >= 1")
     kp = k * p
-    coefs = np.full((n, p, k, k), np.nan)
-    fitted = np.zeros(n, dtype=bool)
-    if t <= kp + intercept + 1 or not np.all(np.isfinite(samples)):
-        return coefs, fitted
-
-    # row s of the window is [y_{s-p}', ..., y_{s-1}', y_s'], oldest first
-    window = sliding_window_view(samples.reshape(n, t * k), k * (p + 1), axis=1)[:, ::k]
-    gram = window.swapaxes(1, 2) @ window
-    # regressors in the order of fit_var_ls, [y_{s-1}', ..., y_{s-p}'(, 1)]
-    order = (np.arange(p - 1, -1, -1)[:, np.newaxis] * k + np.arange(k)).ravel()
-    if intercept:
-        sums = np.ones(t - p) @ window
-        corner = np.full((n, 1, 1), float(t - p))
-        gram = np.block([[gram, sums[:, :, np.newaxis]], [sums[:, np.newaxis], corner]])
-        order = np.append(order, k * (p + 1))
-    xtx = gram[:, order[:, np.newaxis], order]
-    xty = gram[:, order[:, np.newaxis], np.arange(kp, kp + k)]
-    try:
-        chol = np.linalg.cholesky(xtx)
-        if intercept:
-            # T_eff times the demeaned moment matrix that fit_var_ls checks
-            cross = xtx[:, :kp, kp, np.newaxis]
-            np.linalg.cholesky(xtx[:, :kp, :kp] - cross * cross.swapaxes(1, 2) / (t - p))
-    except np.linalg.LinAlgError:
-        return coefs, fitted
-    pivots = np.abs(np.diagonal(chol, axis1=1, axis2=2))
-    fitted = pivots.min(axis=1) ** 2 > _STACK_MARGIN * _PIVOT_COLLAPSE * pivots.max(axis=1) ** 2
-    # a flagged sample's pivots could overflow the solve; its result is discarded
-    chol[~fitted] = np.eye(kp + intercept)
-    coef = _cho_solve_stack(chol, xty)[:, :kp]  # rows regressors, columns equations
+    if t <= kp + intercept + 1:
+        return np.full((n, p, k, k), np.nan), np.zeros(n, dtype=bool), np.full((n, kp, kp), np.nan)
+    finite = np.isfinite(samples).all(axis=(1, 2))
+    if not finite.all():
+        samples = np.where(finite[:, np.newaxis, np.newaxis], samples, 0.0)
+    gram = np.empty((n, k * (p + 1), k * (p + 1)))
+    # one contiguous copy and one BLAS product (syrk) per sample: on the
+    # overlapping window itself numpy's matmul runs gemm, on two threads for
+    # the 62 x 62 Gram of K = 2, p = 30, which doubles the CPU time of a fit
+    for rows, out in zip(_lag_windows(samples, p), gram):
+        rows = np.array(rows, order="C")
+        if intercept:  # partialled out (Frisch-Waugh): the rows demeaned,
+            # their means by a product, three times faster than rows.mean(axis=0)
+            rows -= np.ones(t - p) @ rows / (t - p)
+        np.matmul(rows.T, rows, out=out)
+    grams, xty = gram[:, k:, k:], gram[:, k:, :k]
+    pivots = np.diagonal(_cholesky(grams), axis1=1, axis2=2)
+    fitted = finite & (pivots.min(axis=1) ** 2 > _PIVOT_COLLAPSE * pivots.max(axis=1) ** 2)
+    # a flagged sample could make the solve raise; its result is discarded
+    xtx = grams if fitted.all() else np.where(fitted[:, np.newaxis, np.newaxis], grams, np.eye(kp))
+    coef = np.linalg.solve(xtx, xty)  # rows regressors, columns equations
     coefs = coef.reshape(n, p, k, k).swapaxes(2, 3).copy()
     coefs[~fitted] = np.nan
-    return coefs, fitted
-
-
-def _cho_solve_stack(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L' x = rhs for a stack of lower Cholesky factors L, row by row."""
-    # C order whatever the layout of rhs: matmul picks its path from the
-    # strides, and a layout that varied with the stack size would change a
-    # sample's bits with the number of samples solved beside it
-    x = np.empty(rhs.shape)
-    diag = np.diagonal(chol, axis1=1, axis2=2)[..., np.newaxis]
-    for i in range(chol.shape[-1]):  # L z = rhs
-        x[:, i] = (rhs[:, i] - (chol[:, i, np.newaxis, :i] @ x[:, :i])[:, 0]) / diag[:, i]
-    for i in reversed(range(chol.shape[-1])):  # L' x = z
-        x[:, i] = (x[:, i] - (chol[:, np.newaxis, i + 1 :, i] @ x[:, i + 1 :])[:, 0]) / diag[:, i]
-    return x
+    return coefs, fitted, grams
 
 
 def residual_cov(

@@ -8,7 +8,8 @@ Phi_0 = I and
 
 the path of the VAR from zero start values driven by a unit impulse, which
 coincide with the top-left K x K block of the i-th power of the companion
-matrix. Both routes are implemented; tests hold them against each other.
+matrix. The package steps the recursion; the tests hold it against
+companion powers.
 
 Every function takes and returns plain arrays: coefficient stacks have
 shape (..., p, K, K) with A_1 first, IRF stacks (..., H+1, K, K) with
@@ -144,22 +145,6 @@ def var_recursion(
         rev[..., row, :, :] = intercept + stacked @ state + shocks[..., step, :, :]
     # take copies whole rows, several times faster than copying rev[..., ::-1, :, :]
     return rev.take(np.arange(t - 1, -1, -1), axis=-3)
-
-
-def ma_via_companion(ar: np.ndarray, i: int) -> np.ndarray:
-    """Phi_i as the top-left block of the i-th companion power.
-
-    Powers are taken by repeated multiplication; exact agreement with the
-    recursion matters more here than speed.
-    """
-    if i < 0:
-        raise ValueError("horizon index must be nonnegative")
-    comp = companion_form(ar)
-    power = np.eye(comp.shape[0])
-    for _ in range(i):
-        power = comp @ power
-    k = np.shape(ar)[-1]
-    return power[:k, :k].copy()
 
 
 def spectral_radius(c: np.ndarray) -> float | np.ndarray:

@@ -17,6 +17,31 @@ from sievevar import (
 from sievevar.streams import generator
 
 
+def lagged_regressors(values: np.ndarray, p: int) -> np.ndarray:
+    """Design matrix with rows [y_{t-1}', ..., y_{t-p}'] for t = p..T-1, one slice per lag."""
+    t, k = values.shape
+    x = np.empty((t - p, k * p))
+    for j in range(1, p + 1):
+        x[:, (j - 1) * k : j * k] = values[p - j : t - j]
+    return x
+
+
+def ma_via_companion(ar: np.ndarray, i: int) -> np.ndarray:
+    """Phi_i as the top-left block of the i-th companion power, the oracle for ``ma_from_ar``.
+
+    Powers are taken by repeated multiplication; exact agreement with the
+    recursion matters more here than speed.
+    """
+    if i < 0:
+        raise ValueError("horizon index must be nonnegative")
+    comp = companion_form(ar)
+    power = np.eye(comp.shape[0])
+    for _ in range(i):
+        power = comp @ power
+    k = np.shape(ar)[-1]
+    return power[:k, :k].copy()
+
+
 def random_stable_coeffs(
     rng: np.random.Generator, k: int, p: int, radius: float
 ) -> np.ndarray:

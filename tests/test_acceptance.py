@@ -11,7 +11,7 @@ import pytest
 import sievevar as sv
 from sievevar.cli import main as cli_main
 from sievevar.mc_harness import ExperimentConfig, run_experiment
-from conftest import jacobian_sandwich, random_stable_coeffs, scalar_varma
+from conftest import jacobian_sandwich, ma_via_companion, random_stable_coeffs, scalar_varma
 
 pytestmark = pytest.mark.acceptance
 
@@ -92,7 +92,7 @@ def test_04_recursion_companion_equivalence():
         ar = random_stable_coeffs(rng, k, p, float(rng.uniform(0.2, 0.95)))
         phis = sv.ma_from_ar(ar, p)
         for i in range(p + 1):
-            via = sv.ma_via_companion(ar, i)
+            via = ma_via_companion(ar, i)
             scale = max(1.0, float(np.max(np.abs(phis[i]))))
             assert np.max(np.abs(via - phis[i])) <= 1e-10 * scale
     _report("4 (MA recursion vs companion powers, 100 models, i <= p, 1e-10)")

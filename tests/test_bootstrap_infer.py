@@ -51,30 +51,22 @@ def scalar_resample(model, residuals, values, seed):
 
 
 def count_refits(monkeypatch, fail_on=None):
-    """Count the draws refitted by the stacked solve and by ``fit_var_ls``.
+    """Count the draws refitted by the stacked solve.
 
-    With ``fail_on`` the stacked solve flags the pseudo-sample equal to it,
-    and the ``fit_var_ls`` refit of that sample raises
-    ``SingularMatrixError``.
+    With ``fail_on`` the solve flags the pseudo-sample equal to it, so that
+    draw is singular and moves to its next attempt.
     """
-    stacked, fit = bootstrap_infer.fit_var_ls_stack, bootstrap_infer.fit_var_ls
-    refits = {"stacked": 0, "per_draw": 0}
+    stacked = bootstrap_infer.fit_var_ls_stack
+    refits = {"stacked": 0}
 
     def counted_stack(samples, p, intercept=False):
-        coefs, fitted = stacked(samples, p, intercept)
+        coefs, fitted, grams = stacked(samples, p, intercept)
         if fail_on is not None:
             fitted &= ~(samples == fail_on).all(axis=(1, 2))
         refits["stacked"] += len(samples)
-        return coefs, fitted
-
-    def counted_fit(y, *args, **kwargs):
-        refits["per_draw"] += 1
-        if fail_on is not None and np.array_equal(y, fail_on):
-            raise SingularMatrixError("forced")
-        return fit(y, *args, **kwargs)
+        return coefs, fitted, grams
 
     monkeypatch.setattr(bootstrap_infer, "fit_var_ls_stack", counted_stack)
-    monkeypatch.setattr(bootstrap_infer, "fit_var_ls", counted_fit)
     return refits
 
 
@@ -210,7 +202,7 @@ class TestBootstrapIrfDistribution:
         draws = boot_draws(model, resid, y, 4, 3, 7)
         retry = residual_bootstrap_sample(model, resid, y, [substream(7, 0, 1)])
         want = ma_from_ar(fit_var_ls_stack(retry, 2)[0][0], 4)
-        assert refits == {"stacked": 4, "per_draw": 1}
+        assert refits == {"stacked": 4}
         np.testing.assert_array_equal(draws[0], want)
         assert not np.array_equal(draws[0], plain[0])
         np.testing.assert_array_equal(draws[1:], plain[1:])
@@ -222,18 +214,18 @@ class TestBootstrapIrfDistribution:
 
         def flag_all(samples, p, intercept=False):
             n, _, k = samples.shape
-            return np.full((n, p, k, k), np.nan), np.zeros(n, dtype=bool)
-
-        def always_singular(*args, **kwargs):
-            calls.append(args)
-            raise SingularMatrixError("forced")
+            calls.append(n)
+            return (
+                np.full((n, p, k, k), np.nan),
+                np.zeros(n, dtype=bool),
+                np.full((n, k * p, k * p), np.nan),
+            )
 
         monkeypatch.setattr(bootstrap_infer, "fit_var_ls_stack", flag_all)
-        monkeypatch.setattr(bootstrap_infer, "fit_var_ls", always_singular)
         with pytest.raises(SingularMatrixError):
             bootstrap_interval_sets(model, resid, y, 4, 3, 0.9, {"BOOT": 7})
         # every pending draw gets its attempts before the raise
-        assert len(calls) == 3 * bootstrap_infer._MAX_REFIT_ATTEMPTS
+        assert sum(calls) == 3 * bootstrap_infer._MAX_REFIT_ATTEMPTS
 
     def test_genuinely_singular_refit_retried_then_raises(self, rng, monkeypatch):
         # zero residuals and a unit root on a constant source: every
@@ -245,25 +237,21 @@ class TestBootstrapIrfDistribution:
         pseudo = residual_bootstrap_sample(model, resid, source, [substream(7, 0, 0), 3])
         np.testing.assert_array_equal(pseudo, np.ones((2, 50, 2)))
         assert not fit_var_ls_stack(pseudo, 1)[1].any()
-        seeds, calls = [], []
-        resample, fit = bootstrap_infer.residual_bootstrap_sample, bootstrap_infer.fit_var_ls
+        seeds = []
+        resample = bootstrap_infer.residual_bootstrap_sample
+        refits = count_refits(monkeypatch)
 
         def recorded(model, residuals, source, block_seeds):
             seeds.extend(block_seeds)
             return resample(model, residuals, source, block_seeds)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return fit(*args, **kwargs)
-
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", recorded)
-        monkeypatch.setattr(bootstrap_infer, "fit_var_ls", counted)
         m, attempts = 3, bootstrap_infer._MAX_REFIT_ATTEMPTS
         with pytest.raises(SingularMatrixError):
             bootstrap_interval_sets(model, resid, source, 4, m, 0.9, {"BOOT": 7})
         want = [substream(7, r, a) for a in range(attempts) for r in range(m)]
         assert [q.spawn_key for q in seeds] == [q.spawn_key for q in want]
-        assert len(calls) == m * attempts
+        assert refits == {"stacked": m * attempts}
 
     @pytest.mark.parametrize("first_singular", [False, True])
     @pytest.mark.parametrize("block", [1, 3, 64])
@@ -290,7 +278,7 @@ class TestBootstrapIrfDistribution:
         # blocks of 1, 3 and 64 draws of this T x K sample
         monkeypatch.setattr(bootstrap_infer, "_BLOCK_FLOATS", block * y.size)
         got = bootstrap_infer._refit_draws(model, resid, y, streams)
-        assert refits == {"stacked": 115 + first_singular, "per_draw": int(first_singular)}
+        assert refits == {"stacked": 115 + first_singular}
         assert len(got) == 2
         for coefs, expected in zip(got, want):
             np.testing.assert_array_equal(coefs, expected)
@@ -352,15 +340,11 @@ class TestBootstrapIrfDistribution:
             return resample(model, residuals, source, seeds)
 
         def flag_target(samples, p, intercept=False):
-            coefs, fitted = stack(samples, p, intercept)
-            return coefs, fitted & np.array([key != (8, (2,)) for key in block], dtype=bool)
-
-        def singular(*args, **kwargs):
-            raise SingularMatrixError("forced")
+            coefs, fitted, grams = stack(samples, p, intercept)
+            return coefs, fitted & np.array([key != (8, (2,)) for key in block], dtype=bool), grams
 
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", recorded)
         monkeypatch.setattr(bootstrap_infer, "fit_var_ls_stack", flag_target)
-        monkeypatch.setattr(bootstrap_infer, "fit_var_ls", singular)
         streams = [("BOOT", 7, 3), ("BOOT-db stage two", 8, 4)]
         with pytest.raises(SingularMatrixError, match="for BOOT-db stage two draw 2$"):
             bootstrap_infer._refit_draws(model, resid, y, streams)

@@ -1,5 +1,7 @@
 """Least-squares fit, residual covariance, autocovariances, Toeplitz matrix."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,9 @@ from sievevar import (
     simulate_varma,
     white_noise_spec,
 )
-from sievevar.estimate import fit_var_ls_stack, lagged_regressors
+from sievevar.estimate import fit_var_ls_stack
 from sievevar.streams import substream
-from conftest import pure_ar_spec, random_stable_coeffs, scalar_varma
+from conftest import lagged_regressors, pure_ar_spec, random_stable_coeffs, scalar_varma
 
 
 class TestFitVarLs:
@@ -58,12 +60,22 @@ class TestFitVarLs:
         assert a == pytest.approx(ar[0][0, 0], abs=0.02)
         assert model.intercept[0] == pytest.approx(10.0 * (1 - a), rel=0.05)
 
+    @pytest.mark.parametrize("scale, shift", [(1e-8, 0.0), (1.0, 1e4)])
+    def test_intercept_fit_ignores_level_and_scale(self, rng, scale, shift):
+        # the intercept is partialled out, so neither a tiny scale nor a
+        # large level makes the singular test fail
+        y = rng.normal(size=(300, 2))
+        want = fit_var_ls(y, 2, intercept=True)[0].ar_hat.mats
+        got = fit_var_ls(scale * y + shift, 2, intercept=True)[0].ar_hat.mats
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * np.abs(want).max())
+
     def test_singular_design_reports_condition_number(self):
         # identical columns make the moment matrix exactly singular
         base = np.sin(np.arange(40.0))
         y = np.column_stack([base, base])
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match="condition number") as info:
             fit_var_ls(y, 1)
+        assert info.value.condition_number > 1e12
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_sample_rejected(self, rng, bad):
@@ -99,6 +111,19 @@ class TestFitVarLs:
         eigs = np.linalg.eigvalsh(model.moment_matrix)
         assert np.all(eigs > 0)
 
+    def test_fitted_arrays_are_read_only(self, rng):
+        model, _ = fit_var_ls(rng.normal(size=(100, 2)) + 4.0, 2, intercept=True)
+        assert model.intercept.shape == (2,)
+        for arr in (model.intercept, model.sigma_u_hat, model.moment_matrix, model.ar_hat.mats):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_intercept_shape_checked(self, rng):
+        model, _ = fit_var_ls(rng.normal(size=(100, 2)), 2, intercept=True)
+        for bad in (np.zeros(3), np.zeros((2, 1))):
+            with pytest.raises(DimensionMismatchError, match="intercept"):
+                replace(model, intercept=bad)
+
     def test_sigma_mode_rescaling(self, rng):
         ar = random_stable_coeffs(rng, 2, 2, 0.5)
         y = simulate_varma(pure_ar_spec(ar), 200, 100, 4)
@@ -111,36 +136,49 @@ class TestFitVarLs:
 
 class TestFitVarLsStack:
     @pytest.mark.parametrize("intercept", [False, True])
-    @pytest.mark.parametrize("p", [1, 3, 10])
+    @pytest.mark.parametrize("p", [1, 3, 10, 30])
     def test_matches_fit_var_ls_per_draw(self, desk_spec, p, intercept):
         y = simulate_varma(desk_spec, 300, 200, 3)
         values = y.values + (3.0 if intercept else 0.0)
         model, resid = fit_var_ls(values, p, intercept=intercept)
         seeds = [substream(1, r, 0) for r in range(20)]
         pseudo = residual_bootstrap_sample(model, resid, values, seeds)
-        coefs, fitted = fit_var_ls_stack(pseudo, p, intercept)
-        assert coefs.shape == (20, p, 2, 2) and fitted.all()
-        for sample, coef in zip(pseudo, coefs):
+        # a collapsed and a near-collapse sample, as in test_collapsed_pivots_flagged
+        base, noise = pseudo[0, :, :1], np.random.default_rng(p).normal(size=(300, 1))
+        collapsed = np.hstack([base, base + 1e-7 * noise])
+        near = np.hstack([base, base + 1e-6 * noise])
+        samples = np.concatenate([pseudo, [collapsed, near]])
+        coefs, fitted, _ = fit_var_ls_stack(samples, p, intercept)
+        assert coefs.shape == (22, p, 2, 2)
+        np.testing.assert_array_equal(fitted, [True] * 20 + [False, True])
+        for sample, coef, ok in zip(samples, coefs, fitted):
+            if not ok:
+                # flagged exactly when fit_var_ls raises
+                assert np.all(np.isnan(coef))
+                with pytest.raises(SingularMatrixError):
+                    fit_var_ls(sample, p, intercept=intercept)
+                continue
+            # fit_var_ls is the one-sample case, bit for bit
             want = fit_var_ls(sample, p, intercept=intercept)[0].ar_hat.mats
-            np.testing.assert_allclose(coef, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            np.testing.assert_array_equal(want, coef)
             # a sample's coefficients do not depend on the rest of the stack
             alone = fit_var_ls_stack(sample[np.newaxis], p, intercept)[0][0]
             np.testing.assert_array_equal(alone, coef)
 
     def test_collapsed_pivots_flagged(self, rng):
         # y2 = y1 + 1e-7 noise puts the pivot ratio near 1e-14, under the
-        # 1e-13 collapse test; 1e-6 noise puts it near 1e-12, inside the
-        # screening margin: flagged here, but fitted by fit_var_ls
+        # 1e-13 collapse test; 1e-6 noise puts it near 1e-12, above it, so
+        # both paths fit that sample
         base = rng.normal(size=(200, 1))
         collapsed = np.hstack([base, base + 1e-7 * rng.normal(size=(200, 1))])
         near = np.hstack([base, base + 1e-6 * rng.normal(size=(200, 1))])
         samples = np.array([rng.normal(size=(200, 2)), collapsed, near])
-        coefs, fitted = fit_var_ls_stack(samples, 2)
-        np.testing.assert_array_equal(fitted, [True, False, False])
-        assert np.all(np.isfinite(coefs[0])) and np.all(np.isnan(coefs[1:]))
+        coefs, fitted, _ = fit_var_ls_stack(samples, 2)
+        np.testing.assert_array_equal(fitted, [True, False, True])
+        assert np.all(np.isfinite(coefs[[0, 2]])) and np.all(np.isnan(coefs[1]))
         with pytest.raises(SingularMatrixError):
             fit_var_ls(collapsed, 2)
-        fit_var_ls(near, 2)
+        np.testing.assert_array_equal(fit_var_ls(near, 2)[0].ar_hat.mats, coefs[2])
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -150,14 +188,42 @@ class TestFitVarLsStack:
             ("short", SingularMatrixError),
         ],
     )
-    def test_every_sample_flagged_when_one_cannot_be_factorised(self, rng, bad, error):
+    def test_only_the_sample_that_cannot_be_factorised_is_flagged(self, rng, bad, error):
         samples = rng.normal(size=(3, 5 if bad == "short" else 100, 2))
         if bad != "short":
             samples[1] = np.nan if bad == "nan" else 0.0
-        coefs, fitted = fit_var_ls_stack(samples, 2)
-        assert not fitted.any() and np.all(np.isnan(coefs))
+        coefs, fitted, _ = fit_var_ls_stack(samples, 2)
+        # every sample of a stack is equally short
+        np.testing.assert_array_equal(fitted, [bad != "short", False, bad != "short"])
+        assert np.all(np.isnan(coefs[~fitted])) and np.all(np.isfinite(coefs[fitted]))
         with pytest.raises(error):
             fit_var_ls(samples[1], 2)
+
+    @pytest.mark.parametrize(
+        "neighbour, intercept",
+        [
+            ("zero", False),
+            ("zero", True),
+            ("collapsed", False),
+            ("collapsed", True),
+            ("constant", True),
+        ],
+    )
+    def test_singular_neighbour_leaves_bits_unchanged(self, rng, neighbour, intercept):
+        good = rng.normal(size=(200, 2)) + (3.0 if intercept else 0.0)
+        base = rng.normal(size=(200, 1))
+        bad = {
+            "zero": np.zeros((200, 2)),
+            "collapsed": np.hstack([base, base + 1e-7 * rng.normal(size=(200, 1))]),
+            "constant": np.full((200, 2), 5.0),
+        }[neighbour]
+        coef, fitted, gram = fit_var_ls_stack(good[np.newaxis], 2, intercept)
+        assert fitted[0]
+        for stack, at in ((np.array([good, bad]), 0), (np.array([bad, good, bad]), 1)):
+            coefs, flags, grams = fit_var_ls_stack(stack, 2, intercept)
+            np.testing.assert_array_equal(flags, np.arange(len(stack)) == at)
+            np.testing.assert_array_equal(coefs[at], coef[0])
+            np.testing.assert_array_equal(grams[at], gram[0])
 
 
 class TestResidualCov:

@@ -11,13 +11,13 @@ from sievevar import (
     coeff_seq,
     companion_form,
     ma_from_ar,
-    ma_via_companion,
     spectral_radius,
     stability_class,
     var_recursion,
 )
 from conftest import (
     assert_close_to_scale,
+    ma_via_companion,
     random_stable_coeffs,
     random_stable_model,
     reference_ma_from_ar,
