@@ -157,17 +157,13 @@ def percentile_indices(m: int, level: float) -> tuple[int, int]:
 
 
 def percentile_ci(
-    draws: np.ndarray,
-    level: float,
-    points: np.ndarray | None = None,
-    method: str = "BOOT",
-    t: int = 0,
+    draws: np.ndarray, level: float, points: np.ndarray, method: str, t: int
 ) -> IntervalSet:
     """Equal-tailed Efron percentile interval per response entry.
 
-    ``draws`` has shape (M, H+1, K, K). Bounds are raw order statistics
-    (no interpolation). ``points``, an (H+1, K, K) array, defaults to the
-    entrywise sample median of the draws.
+    ``draws`` has shape (M, H+1, K, K) and ``points``, the point IRFs the
+    intervals are reported around, shape (H+1, K, K). Bounds are raw order
+    statistics (no interpolation).
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
@@ -180,8 +176,6 @@ def percentile_ci(
     ordered = np.sort(draws, axis=0)
     lowers = ordered[lo - 1]
     uppers = ordered[hi - 1]
-    if points is None:
-        points = np.median(draws, axis=0)
     return IntervalSet(
         method=method, level=level, t=t, points=points, lowers=lowers, uppers=uppers
     )

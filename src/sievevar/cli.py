@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .delta_infer import IntervalSet, horizon_gate
 from .dgp_sim import (
+    DEFAULT_COUNTEREXAMPLE_PLAN,
     SamplePath,
     VarmaSpec,
     counterexample_ar,
@@ -46,7 +47,7 @@ from .mc_harness import (
     interval_sets_for_sample,
     run_experiment,
 )
-from .sieve_diag import assumption_ratios, tail_norm
+from .sieve_diag import LOG_RULE_CONSTANT, assumption_ratios, tail_norm
 from .svgchart import render_mc_chart
 from .var_core import MatrixSeq, coeff_seq
 
@@ -128,7 +129,7 @@ def parse_varma_spec(obj: dict) -> VarmaSpec:
             where = "dgp.counterexample.plan"
             plan = tuple(
                 (_whole(lag, f"{where} lag"), _typed(scale, f"{where} scale", _NUMBER, "a number"))
-                for lag, scale in ce.get("plan", [[1, 1.0], [12, 0.2], [14, 0.1]])
+                for lag, scale in ce.get("plan", DEFAULT_COUNTEREXAMPLE_PLAN)
             )
             ar = coeff_seq(counterexample_ar(base, plan), k)
         else:
@@ -220,42 +221,31 @@ def parse_experiment_config(obj: dict, args) -> ExperimentConfig:
         raise ConfigError(f"malformed experiment config: {exc}") from None
 
 
-def _desk_preset(t: int, seed: int) -> dict:
+def _preset(label: str, dgp: dict, t: int, p: int, methods: list[str], seed: int) -> dict:
     return {
         "schema": 1,
-        "label": f"fig2-desk T={t}",
-        "dgp": varma_spec_to_json(default_desk_spec()),
+        "label": label,
+        "dgp": dgp,
         "t": t,
-        "p": 10,
-        "horizon": 30,
-        "level": 0.95,
-        "methods": ["LS", "S-LS", "BOOT", "BOOT-db"],
-        "replications": 200,
-        "bootstrap_replications": 100,
-        "seed": seed,
-    }
-
-
-def _counterexample_preset(p: int, seed: int) -> dict:
-    desk = default_desk_spec()
-    return {
-        "schema": 1,
-        "label": f"counterexample p={p}",
-        "dgp": {
-            "k": desk.k,
-            "counterexample": {"base": desk.ar.mats[0].tolist()},
-            "ma": [m.tolist() for m in desk.ma.mats],
-            "sigma_u": desk.sigma_u.tolist(),
-        },
-        "t": 300,
         "p": p,
         "horizon": 30,
         "level": 0.95,
-        "methods": ["LS", "S-LS"],
+        "methods": methods,
         "replications": 200,
         "bootstrap_replications": 100,
         "seed": seed,
     }
+
+
+def _desk_preset(t: int, seed: int) -> dict:
+    dgp = varma_spec_to_json(default_desk_spec())
+    return _preset(f"fig2-desk T={t}", dgp, t, 10, ["LS", "S-LS", "BOOT", "BOOT-db"], seed)
+
+
+def _counterexample_preset(p: int, seed: int) -> dict:
+    dgp = varma_spec_to_json(default_desk_spec())
+    dgp["counterexample"] = {"base": dgp.pop("ar")[0]}
+    return _preset(f"counterexample p={p}", dgp, 300, p, ["LS", "S-LS"], seed)
 
 
 PRESETS = {
@@ -267,10 +257,6 @@ PRESETS = {
 
 
 # ---------------------------------------------------------------- CSV I/O
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def read_sample_csv(path: str) -> SamplePath:
@@ -302,47 +288,47 @@ def read_sample_csv(path: str) -> SamplePath:
     return SamplePath(k=values.shape[1], t=values.shape[0], values=values)
 
 
-def write_sample_csv(path: str, sample: SamplePath) -> None:
+def _write_table(path: str, columns, rows) -> None:
+    """Header, then one line per row of Python scalars.
+
+    ``str`` of a Python float is its shortest round-trip form.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(f"y{j + 1}" for j in range(sample.k)) + "\n")
-        for row in sample.values:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def _rows(label: str, arrays, tail=()) -> list[tuple]:
+    """(label, *index, *values, *tail) per index of the equally shaped arrays, row-major."""
+    values = np.stack(arrays, axis=-1).reshape(-1, len(arrays)).tolist()
+    return [(label, *idx, *v, *tail) for idx, v in zip(np.ndindex(arrays[0].shape), values)]
+
+
+def write_sample_csv(path: str, sample: SamplePath) -> None:
+    _write_table(path, [f"y{j + 1}" for j in range(sample.k)], sample.values.tolist())
 
 
 def write_interval_csv(path: str, interval_sets: list[IntervalSet]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CI_COLUMNS) + "\n")
-        for iv in interval_sets:
-            for i, r, c, point, lower, upper in iv.iter_entries():
-                fh.write(
-                    f"{iv.method},{i},{r},{c},{_fmt(point)},{_fmt(lower)},{_fmt(upper)}\n"
-                )
+    _write_table(path, CI_COLUMNS, [
+        row for iv in interval_sets for row in _rows(iv.method, (iv.points, iv.lowers, iv.uppers))
+    ])
 
 
 def write_mc_results_csv(path: str, summary: McSummary) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(MC_RESULT_COLUMNS) + "\n")
-        for j, method in enumerate(summary.methods):
-            for i in range(summary.horizon + 1):
-                fh.write(
-                    f"{method},{i},{_fmt(summary.coverage[j, i])},"
-                    f"{_fmt(summary.avg_length[j, i])},"
-                    f"{summary.replications},{summary.failures}\n"
-                )
+    counts = (summary.replications, summary.failures)
+    _write_table(path, MC_RESULT_COLUMNS, [
+        row
+        for j, method in enumerate(summary.methods)
+        for row in _rows(method, (summary.coverage[j], summary.avg_length[j]), counts)
+    ])
 
 
 def write_mc_entries_csv(path: str, summary: McSummary) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(MC_ENTRY_COLUMNS) + "\n")
-        for j, method in enumerate(summary.methods):
-            for i in range(summary.horizon + 1):
-                for r in range(summary.k):
-                    for c in range(summary.k):
-                        fh.write(
-                            f"{method},{i},{r},{c},"
-                            f"{_fmt(summary.entry_coverage[j, i, r, c])},"
-                            f"{_fmt(summary.entry_length[j, i, r, c])}\n"
-                        )
+    _write_table(path, MC_ENTRY_COLUMNS, [
+        row
+        for j, method in enumerate(summary.methods)
+        for row in _rows(method, (summary.entry_coverage[j], summary.entry_length[j]))
+    ])
 
 
 # ---------------------------------------------------------------- commands
@@ -412,8 +398,7 @@ def cmd_mc(args) -> int:
     summary = run_experiment(cfg)
     write_mc_results_csv(str(out_dir / "mc_results.csv"), summary)
     write_mc_entries_csv(str(out_dir / "mc_entries.csv"), summary)
-    flags = coverage_flags(summary)
-    for method, horizon, kind in flags:
+    for method, horizon, kind in coverage_flags(summary):
         print(f"flag: {method} horizon {horizon} {kind}-covered")
     print(
         f"wrote {out_dir / 'mc_results.csv'} and {out_dir / 'mc_entries.csv'} "
@@ -427,7 +412,7 @@ def cmd_plot(args) -> int:
         with open(args.results, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             fields = reader.fieldnames or []
-            missing = [c for c in ("method", "horizon", "coverage", "avg_length") if c not in fields]
+            missing = [c for c in MC_RESULT_COLUMNS if c not in fields]
             if missing:
                 raise ConfigError(f"{args.results} lacks columns {missing}")
             rows = list(reader)
@@ -447,8 +432,9 @@ def cmd_diag(args) -> int:
     blob = dataclasses.asdict(report)
     print(f"fitted order p = {report.p}, sample size T = {report.t}")
     print(f"p^3 / T = {report.ratio_p3_t:.6g} (should be small)")
+    bound = LOG_RULE_CONSTANT * math.log(report.t)
     print(
-        f"log rule p <= 3 log(T) = {3 * math.log(report.t):.2f}: "
+        f"log rule p <= {LOG_RULE_CONSTANT:g} log(T) = {bound:.2f}: "
         f"{'ok' if report.log_rule_ok else 'VIOLATED'}"
     )
     if args.alpha is not None:

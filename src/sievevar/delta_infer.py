@@ -20,7 +20,6 @@ returns them; the kernels here validate the arrays they are given.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 import scipy.linalg
@@ -80,21 +79,6 @@ class IntervalSet:
         if truth.shape != self.points.shape:
             raise DimensionMismatchError("truth shape disagrees with intervals")
         return (self.lowers <= truth) & (truth <= self.uppers)
-
-    def iter_entries(self) -> Iterator[tuple[int, int, int, float, float, float]]:
-        """(horizon, row, col, point, lower, upper) in fixed row-major order."""
-        h1, k, _ = self.points.shape
-        for i in range(h1):
-            for r in range(k):
-                for c in range(k):
-                    yield (
-                        i,
-                        r,
-                        c,
-                        float(self.points[i, r, c]),
-                        float(self.lowers[i, r, c]),
-                        float(self.uppers[i, r, c]),
-                    )
 
 
 def _companion_power_cols(model: VarModel, n: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from .errors import DimensionMismatchError, UnstableProcessError
 from .streams import SeedLike, generator
 from .var_core import (
     MatrixSeq,
+    _is_symmetric,
     coeff_seq,
     companion_form,
     spectral_radius,
@@ -86,7 +87,7 @@ class VarmaSpec:
                 raise UnstableProcessError(
                     f"MA part is not invertible: companion spectral radius {rad:.6f}"
                 )
-        if not np.allclose(self.sigma_u, self.sigma_u.T, atol=1e-12):
+        if not _is_symmetric(self.sigma_u):
             raise UnstableProcessError("sigma_u is not symmetric within 1e-12")
         try:
             np.linalg.cholesky(self.sigma_u)

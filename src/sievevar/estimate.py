@@ -16,7 +16,7 @@ import numpy as np
 
 from .dgp_sim import SamplePath
 from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
-from .var_core import MatrixSeq, coeff_seq
+from .var_core import MatrixSeq, _is_symmetric, coeff_seq
 
 # Cholesky pivots with min^2 <= _PIVOT_COLLAPSE * max^2 mean numerical rank
 # deficiency that dpotrf missed
@@ -37,7 +37,7 @@ class VarModel:
 
     def __post_init__(self) -> None:
         sigma = np.asarray(self.sigma_u_hat, dtype=float)
-        if not np.allclose(sigma, sigma.T, atol=1e-12):
+        if not _is_symmetric(sigma):
             raise DimensionMismatchError("sigma_u_hat is not symmetric within 1e-12")
         for name in ("sigma_u_hat", "moment_matrix", "intercept"):
             if getattr(self, name) is not None:

@@ -115,14 +115,6 @@ class McSummary:
     replications: int = 0
     failures: int = 0
 
-    @property
-    def horizon(self) -> int:
-        return self.coverage.shape[1] - 1
-
-    @property
-    def k(self) -> int:
-        return self.entry_coverage.shape[2]
-
 
 def interval_sets_for_sample(
     y: SamplePath | np.ndarray,
@@ -265,26 +257,15 @@ def run_experiment(cfg: ExperimentConfig) -> McSummary:
     return aggregate(records, cfg.methods, cfg.level, failures=failures)
 
 
-def coverage_flags(
-    summary: McSummary,
-    under_threshold: float | None = None,
-    over_threshold: float | None = None,
-) -> list[tuple[str, int, str]]:
+def coverage_flags(summary: McSummary) -> list[tuple[str, int, str]]:
     """(method, horizon, 'under'|'over') records for miscovered horizons.
 
-    Defaults: under-coverage below level - 0.1, over-coverage above
-    min(1, level + 0.04).
+    Under-coverage is below level - 0.1, over-coverage above
+    min(1, level + 0.04); records come in (method, horizon) order.
     """
-    if under_threshold is None:
-        under_threshold = summary.level - 0.1
-    if over_threshold is None:
-        over_threshold = min(1.0, summary.level + 0.04)
-    flags = []
-    for j, method in enumerate(summary.methods):
-        for i in range(summary.horizon + 1):
-            cov = summary.coverage[j, i]
-            if cov < under_threshold:
-                flags.append((method, i, "under"))
-            elif cov > over_threshold:
-                flags.append((method, i, "over"))
-    return flags
+    under = summary.coverage < summary.level - 0.1
+    over = summary.coverage > min(1.0, summary.level + 0.04)
+    return [
+        (summary.methods[j], i, "under" if under[j, i] else "over")
+        for j, i in np.argwhere(under | over).tolist()
+    ]

@@ -33,10 +33,7 @@ def substream(seed: SeedLike, *path: int) -> np.random.SeedSequence:
     )
 
 
-def generator(seed: SeedLike, *path: int) -> np.random.Generator:
-    """PCG64 generator for the stream at ``path`` below ``seed``."""
-    if not path and isinstance(seed, np.random.SeedSequence):
-        # substream(seed) would only rebuild an equivalent sequence
-        return np.random.default_rng(seed)
-    return np.random.default_rng(substream(seed, *path))
+def generator(seed: SeedLike) -> np.random.Generator:
+    """PCG64 generator for ``seed``; a SeedSequence is used as it is."""
+    return np.random.default_rng(as_seedseq(seed))
 

@@ -57,6 +57,11 @@ class MatrixSeq:
         object.__setattr__(self, "mats", mats)
 
 
+def _is_symmetric(s: np.ndarray) -> bool:
+    """max|S - S'| <= 1e-12 max(1, max|S|): symmetric up to rounding at the scale of S."""
+    return bool(np.abs(s - s.T).max() <= 1e-12 * max(1.0, np.abs(s).max()))
+
+
 def coeff_seq(mats, dim: int | None = None) -> MatrixSeq:
     """Coefficient record A_1.. (or M_1..) of a (p, K, K) array or list of K x K matrices.
 

@@ -385,27 +385,27 @@ class TestBootstrapIntervalSets:
 class TestPercentileCi:
     def test_stated_order_statistics(self):
         draws = np.arange(0.01, 1.005, 0.01).reshape(100, 1, 1, 1)
-        iv = percentile_ci(draws, 0.90)
+        iv = percentile_ci(draws, 0.90, np.median(draws, axis=0), "BOOT", 100)
         assert iv.lowers[0, 0, 0] == pytest.approx(0.05)
         assert iv.uppers[0, 0, 0] == pytest.approx(0.95)
 
     def test_constant_draws_degenerate(self):
         draws = np.full((40, 2, 1, 1), 3.25)
-        iv = percentile_ci(draws, 0.95)
+        iv = percentile_ci(draws, 0.95, np.median(draws, axis=0), "BOOT", 100)
         assert np.all(iv.lowers == 3.25) and np.all(iv.uppers == 3.25)
 
     def test_non_finite_draws_raise_non_finite_error(self):
         draws = np.zeros((10, 2, 1, 1))
         draws[3, 1] = np.inf
         with pytest.raises(NonFiniteError):
-            percentile_ci(draws, 0.9)
+            percentile_ci(draws, 0.9, np.zeros((2, 1, 1)), "BOOT", 100)
 
     def test_non_finite_or_wrong_rank_draws_rejected(self):
         bad = np.zeros((10, 2, 1, 1))
         bad[3, 1] = np.nan
         for draws in (bad, np.zeros((10, 2, 1))):
             with pytest.raises(DimensionMismatchError):
-                percentile_ci(draws, 0.9)
+                percentile_ci(draws, 0.9, np.median(draws, axis=0), "BOOT", 100)
 
     def test_m300_level95_indices(self):
         assert percentile_indices(300, 0.95) == (8, 293)
@@ -422,7 +422,7 @@ class TestPercentileCi:
     def test_interval_contains_median(self, m, level, seed):
         rng = np.random.default_rng(seed)
         draws = rng.normal(size=(m, 1, 1, 1))
-        iv = percentile_ci(draws, level)
+        iv = percentile_ci(draws, level, np.median(draws, axis=0), "BOOT", 100)
         med = np.median(draws[:, 0, 0, 0])
         assert iv.lowers[0, 0, 0] <= med <= iv.uppers[0, 0, 0]
 

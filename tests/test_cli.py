@@ -375,6 +375,84 @@ class TestSpecJsonRoundTrip:
         np.testing.assert_array_equal(back.sigma_u, desk_spec.sigma_u)
 
 
+# values whose text form is easy to get wrong: a sum off its decimal, a
+# signed zero, the smallest subnormal, a huge value and whole numbers
+AWKWARD = [0.1 + 0.2, -0.0, 5e-324, 1e300, 2.0, -3.0, 1.0, 0.0]
+
+
+class TestWriters:
+    """Every CSV cell is ``repr(float(x))``, rows method -> horizon -> row -> col."""
+
+    @staticmethod
+    def lines(method, arrays, tail=()):
+        """Expected rows, from explicit loops over horizon, then row and col."""
+        cells = lambda at: [repr(float(a[at])) for a in arrays]  # noqa: E731
+        if arrays[0].ndim == 1:
+            return [
+                ",".join([method, str(i), *cells(i), *map(str, tail)])
+                for i in range(len(arrays[0]))
+            ]
+        h1, k = arrays[0].shape[:2]
+        return [
+            ",".join([method, str(i), str(r), str(c), *cells((i, r, c))])
+            for i in range(h1)
+            for r in range(k)
+            for c in range(k)
+        ]
+
+    def test_interval_csv_bytes_and_order(self, tmp_path):
+        from sievevar.delta_infer import IntervalSet
+
+        sets = []
+        for method, vals in (("LS", AWKWARD), ("BOOT", AWKWARD[::-1])):
+            pts = np.array(vals).reshape(2, 2, 2)
+            sets.append(IntervalSet(method, 0.9, 50, pts, -np.abs(pts), np.abs(pts)))
+        path = tmp_path / "ci.csv"
+        cli.write_interval_csv(str(path), sets)
+        want = [",".join(cli.CI_COLUMNS)]
+        for iv in sets:
+            want += self.lines(iv.method, (iv.points, iv.lowers, iv.uppers))
+        assert path.read_text() == "\n".join(want) + "\n"
+        lines = path.read_text().splitlines()
+        assert lines[1] == "LS,0,0,0,0.30000000000000004,-0.30000000000000004,0.30000000000000004"
+        assert lines[2] == "LS,0,0,1,-0.0,-0.0,0.0"
+        assert lines[3] == "LS,0,1,0,5e-324,-5e-324,5e-324"
+        assert lines[4] == "LS,0,1,1,1e+300,-1e+300,1e+300"
+        assert lines[5] == "LS,1,0,0,2.0,-2.0,2.0"
+        assert lines[9] == "BOOT,0,0,0,0.0,-0.0,0.0"
+
+    def test_mc_csv_bytes_and_order(self, tmp_path):
+        from sievevar.mc_harness import McSummary
+
+        entries = np.resize(AWKWARD, (2, 3, 2, 2))
+        summary = McSummary(
+            methods=("S-LS", "BOOT-db"),
+            level=0.95,
+            coverage=entries[:, :, 0, 0],
+            avg_length=entries[:, :, 1, 1],
+            entry_coverage=entries,
+            entry_length=entries[..., ::-1],
+            replications=7,
+            failures=1,
+        )
+        results, per_entry = tmp_path / "mc_results.csv", tmp_path / "mc_entries.csv"
+        cli.write_mc_results_csv(str(results), summary)
+        cli.write_mc_entries_csv(str(per_entry), summary)
+        want_results = [",".join(cli.MC_RESULT_COLUMNS)]
+        want_entries = [",".join(cli.MC_ENTRY_COLUMNS)]
+        for j, method in enumerate(summary.methods):
+            want_results += self.lines(
+                method, (summary.coverage[j], summary.avg_length[j]), (7, 1)
+            )
+            want_entries += self.lines(
+                method, (summary.entry_coverage[j], summary.entry_length[j])
+            )
+        assert results.read_text() == "\n".join(want_results) + "\n"
+        assert per_entry.read_text() == "\n".join(want_entries) + "\n"
+        assert results.read_text().splitlines()[1] == "S-LS,0,0.30000000000000004,1e+300,7,1"
+        assert per_entry.read_text().splitlines()[2] == "S-LS,0,0,1,-0.0,0.30000000000000004"
+
+
 def synthetic_results(tmp_path, methods=("LS", "S-LS", "BOOT", "BOOT-db"), h=12):
     path = tmp_path / "mc_results.csv"
     rows = ["method,horizon,coverage,avg_length,replications,failures"]

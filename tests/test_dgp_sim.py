@@ -57,6 +57,16 @@ class TestVarmaSpec:
         with pytest.raises(UnstableProcessError, match="symmetric"):
             spec.validate()
 
+    def test_relative_asymmetry_rejected(self):
+        spec = VarmaSpec(
+            k=2,
+            ar=white_noise_spec(2).ar,
+            ma=white_noise_spec(2).ma,
+            sigma_u=np.array([[1.0, 0.5 + 1e-6], [0.5, 1.0]]),
+        )
+        with pytest.raises(UnstableProcessError, match="not symmetric within 1e-12"):
+            spec.validate()
+
     def test_indefinite_sigma_rejected(self):
         spec = VarmaSpec(
             k=1,

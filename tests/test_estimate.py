@@ -124,6 +124,18 @@ class TestFitVarLs:
             with pytest.raises(DimensionMismatchError, match="intercept"):
                 replace(model, intercept=bad)
 
+    def test_sigma_symmetry_is_relative(self, rng):
+        e = rng.normal(size=(2000, 2))
+        y = np.column_stack([e[:, 0], 0.8 * e[:, 0] + 0.6 * e[:, 1]])
+        model, _ = fit_var_ls(y, 1)
+        assert model.sigma_u_hat[0, 1] > 0.7
+        s = model.sigma_u_hat.copy()
+        s[0, 1] += 1.1e-6
+        with pytest.raises(DimensionMismatchError, match="not symmetric within 1e-12"):
+            replace(model, sigma_u_hat=s)
+        scaled, _ = fit_var_ls(1e4 * y, 1)
+        np.testing.assert_allclose(scaled.sigma_u_hat, 1e8 * model.sigma_u_hat, rtol=1e-10)
+
     def test_sigma_mode_rescaling(self, rng):
         ar = random_stable_coeffs(rng, 2, 2, 0.5)
         y = simulate_varma(pure_ar_spec(ar), 200, 100, 4)

@@ -351,12 +351,12 @@ class TestIntervalInvariance:
 
 
 class TestFlags:
-    def _summary(self, coverage_row):
-        cov = np.array([coverage_row])
-        shape = (1, len(coverage_row), 1, 1)
+    def _summary(self, *coverage_rows, methods=("S-LS",), level=0.95):
+        cov = np.array(coverage_rows)
+        shape = cov.shape + (1, 1)
         return McSummary(
-            methods=("S-LS",),
-            level=0.95,
+            methods=methods,
+            level=level,
             coverage=cov,
             avg_length=np.zeros_like(cov),
             entry_coverage=cov.reshape(shape),
@@ -371,9 +371,20 @@ class TestFlags:
         assert ("S-LS", 3, "over") in flags
         assert ("S-LS", 0, "over") in flags  # degenerate horizon-0 intervals
 
-    def test_vacuous_thresholds_empty(self):
-        s = self._summary([1.0, 0.5, 0.0])
-        assert coverage_flags(s, under_threshold=0.0, over_threshold=1.0) == []
+    @pytest.mark.parametrize("level", [0.95, 0.99])
+    def test_thresholds_strict_and_flags_in_method_horizon_order(self, level):
+        under, over = level - 0.1, min(1.0, level + 0.04)
+        s = self._summary(
+            [under, over, np.nextafter(under, 0.0), np.nextafter(over, 0.0)],
+            [np.nextafter(over, 2.0), under, over, 0.0],
+            methods=("LS", "S-LS"),
+            level=level,
+        )
+        assert coverage_flags(s) == [
+            ("LS", 2, "under"),
+            ("S-LS", 0, "over"),
+            ("S-LS", 3, "under"),
+        ]
 
 
 class TestConfigValidation:

@@ -18,8 +18,8 @@ class TestGenerator:
 
     def test_path_and_integer_seed_still_extend_the_stream(self):
         want = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(1, 2))).random(4)
-        np.testing.assert_array_equal(generator(4, 1, 2).random(4), want)
-        np.testing.assert_array_equal(generator(substream(4, 1), 2).random(4), want)
+        np.testing.assert_array_equal(generator(substream(4, 1, 2)).random(4), want)
+        np.testing.assert_array_equal(generator(substream(substream(4, 1), 2)).random(4), want)
         np.testing.assert_array_equal(
             generator(9).random(4), np.random.default_rng(np.random.SeedSequence(9)).random(4)
         )
