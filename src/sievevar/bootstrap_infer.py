@@ -24,7 +24,6 @@ stages; a draw moves to the next attempt only when its refit is singular.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,7 +33,7 @@ from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 from .estimate import VarModel, fit_var_ls, fit_var_ls_stack  # noqa: F401
 from .delta_infer import IntervalSet
 from .streams import SeedLike, generator, substream
-from .var_core import coeff_seq, companion_form, ma_from_ar, spectral_radius, var_recursion
+from .var_core import companion_form, ma_from_ar, spectral_radius, var_recursion
 
 _MAX_REFIT_ATTEMPTS = 10
 
@@ -48,18 +47,21 @@ _GUARD_STEP = 0.01
 
 
 def residual_bootstrap_sample(
-    model: VarModel,
+    ar: np.ndarray,
+    intercept: np.ndarray | None,
     residuals: np.ndarray,
     source: np.ndarray,
     seeds: Sequence[SeedLike],
 ) -> np.ndarray:
-    """Recursive-design pseudo-samples, one per seed, shape (n, T, K).
+    """Recursive-design pseudo-samples of a VAR(p), one per seed, shape (n, T, K).
 
-    Residuals are centered before resampling; the first p values of each
-    pseudo-sample are a random contiguous block of the (T, K) ``source``. Each
-    seed's stream is consumed in a fixed order (block start, then T
-    residual indices), so pseudo-sample j depends on ``seeds[j]`` alone and
-    is bit-identical given the same seed.
+    ``ar`` is the (p, K, K) coefficient stack A_1..A_p and ``intercept`` the
+    (K,) constant, or None for none. Residuals are centered before
+    resampling; the first p values of each pseudo-sample are a random
+    contiguous block of the (T, K) ``source``. Each seed's stream is
+    consumed in a fixed order (block start, then T residual indices), so
+    pseudo-sample j depends on ``seeds[j]`` alone and is bit-identical given
+    the same seed.
     """
     resid = np.asarray(residuals, dtype=float)
     if resid.ndim == 1:
@@ -67,7 +69,7 @@ def residual_bootstrap_sample(
     if resid.shape[0] < 2:
         raise ValueError("need at least 2 residual rows")
     t, k = source.shape
-    p, n = model.p, len(seeds)
+    p, n = len(ar), len(seeds)
 
     rngs = [generator(seed) for seed in seeds]
     starts = np.array([rng.integers(0, t - p + 1) for rng in rngs], dtype=np.intp)
@@ -75,28 +77,30 @@ def residual_bootstrap_sample(
         [rng.integers(0, resid.shape[0], size=t) for rng in rngs], dtype=np.intp
     ).reshape(n, t)
     centered = resid - resid.mean(axis=0)
-    const = model.intercept if model.intercept is not None else np.zeros(k)
+    const = intercept if intercept is not None else np.zeros(k)
     init = source[starts[:, np.newaxis] + np.arange(p), :, np.newaxis]
     # time-major, so that each step adds one contiguous (n, K) block
     shocks = centered.take(idx.T, axis=0).swapaxes(0, 1)[..., np.newaxis]
-    return var_recursion(model.ar_hat.mats, const[:, np.newaxis], init, shocks)[..., 0]
+    return var_recursion(ar, const[:, np.newaxis], init, shocks)[..., 0]
 
 
 def _refit_draws(
-    model: VarModel,
+    ar: np.ndarray,
+    intercept: np.ndarray | None,
     residuals: np.ndarray,
     y: np.ndarray,
-    streams: Sequence[tuple[str, SeedLike, int]],
-) -> list[np.ndarray]:
-    """Coefficient stacks of recursive-bootstrap refits, one (m, p, K, K) per stream.
+    streams: Sequence[tuple[str, SeedLike]],
+    m: int,
+) -> np.ndarray:
+    """Coefficient stacks of recursive-bootstrap refits, shape (n_streams, m, p, K, K).
 
-    ``streams`` holds (stage, seed, m) triples; the stage names the stream
-    in errors. Draw r of a stream resamples from ``model`` on the stream
-    (seed, r, attempt), moving to the next attempt when its refit is
-    singular, and refits with an intercept when ``model`` has one. Each
-    attempt is one pass over the pending draws of all streams together:
-    they are resampled in one recursion per block of at most
-    ``_BLOCK_FLOATS`` pseudo-sample values and refitted by one
+    ``streams`` holds (stage, seed) pairs of m draws each; the stage names
+    the stream in errors. Draw r of a stream resamples from (``ar``,
+    ``intercept``) on the stream (seed, r, attempt), moving to the next
+    attempt when its refit is singular, and refits with an intercept when
+    there is one. Each attempt is one pass over the pending draws of all
+    streams together: they are resampled in one recursion per block of at
+    most ``_BLOCK_FLOATS`` pseudo-sample values and refitted by one
     ``fit_var_ls_stack`` call per block, and a draw it flags is singular.
     That kernel decides and solves each draw on its own, so a draw's bits
     do not depend on the streams or draws beside it.
@@ -104,48 +108,41 @@ def _refit_draws(
     Raises
     ------
     NonFiniteError
-        If a pseudo-sample is not finite, as on an explosive ``model``.
+        If a pseudo-sample is not finite, as on an explosive ``ar``.
     SingularMatrixError
         If a draw's refit is singular on every attempt.
     """
-    if any(m < 2 for _, _, m in streams):
+    if m < 2:
         raise ValueError("m must be >= 2")
-    intercept = model.intercept is not None
+    p, k = ar.shape[:2]
     block = max(1, _BLOCK_FLOATS // y.size)
-    sizes = [m for _, _, m in streams]
-    ends = np.cumsum(sizes, dtype=np.intp)
-    # draws of all streams in one flat order: stream, then draw index
-    owner = np.repeat(np.arange(len(streams)), sizes)
-    draw = np.arange(len(owner)) - np.repeat(ends - sizes, sizes)
-    out = np.empty((len(owner), model.p, model.k, model.k))
-    pending = np.arange(len(owner))
+    # draws of all streams in one flat order: draw j is draw j % m of stream j // m
+    out = np.empty((len(streams) * m, p, k, k))
+    pending = np.arange(len(out))
     for attempt in range(_MAX_REFIT_ATTEMPTS):
         singular = []
         for lo in range(0, len(pending), block):
             chunk = pending[lo : lo + block]
-            seeds = [
-                substream(streams[i][1], r, attempt)
-                for i, r in zip(owner[chunk].tolist(), draw[chunk].tolist())
-            ]
-            pseudo = residual_bootstrap_sample(model, residuals, y, seeds)
-            coefs, fitted, _ = fit_var_ls_stack(pseudo, model.p, intercept=intercept)
+            seeds = [substream(streams[j // m][1], j % m, attempt) for j in chunk.tolist()]
+            pseudo = residual_bootstrap_sample(ar, intercept, residuals, y, seeds)
+            coefs, fitted, _ = fit_var_ls_stack(pseudo, p, intercept=intercept is not None)
             if not fitted.all():
                 broken = np.flatnonzero(~np.isfinite(pseudo).all(axis=(1, 2)))
                 if len(broken):
                     j = chunk[broken[0]]
                     raise NonFiniteError(
-                        f"{streams[owner[j]][0]} draw {draw[j]}: bootstrap "
+                        f"{streams[j // m][0]} draw {j % m}: bootstrap "
                         "pseudo-sample is not finite (is the fitted model explosive?)"
                     )
             singular.extend(chunk[~fitted].tolist())
             out[chunk] = coefs
         pending = np.array(singular, dtype=np.intp)
         if not len(pending):
-            return [out[end - m : end] for end, m in zip(ends, sizes)]
+            return out.reshape(len(streams), m, p, k, k)
     j = pending[0]
     raise SingularMatrixError(
         f"bootstrap refit failed {_MAX_REFIT_ATTEMPTS} times for "
-        f"{streams[owner[j]][0]} draw {draw[j]}"
+        f"{streams[j // m][0]} draw {j % m}"
     )
 
 
@@ -156,9 +153,7 @@ def percentile_indices(m: int, level: float) -> tuple[int, int]:
     return max(lo, 1), min(hi, m)
 
 
-def percentile_ci(
-    draws: np.ndarray, level: float, points: np.ndarray, method: str, t: int
-) -> IntervalSet:
+def percentile_ci(draws: np.ndarray, level: float, points: np.ndarray, method: str) -> IntervalSet:
     """Equal-tailed Efron percentile interval per response entry.
 
     ``draws`` has shape (M, H+1, K, K) and ``points``, the point IRFs the
@@ -174,11 +169,7 @@ def percentile_ci(
         raise NonFiniteError("bootstrap draws are not finite")
     lo, hi = percentile_indices(len(draws), level)
     ordered = np.sort(draws, axis=0)
-    lowers = ordered[lo - 1]
-    uppers = ordered[hi - 1]
-    return IntervalSet(
-        method=method, level=level, t=t, points=points, lowers=lowers, uppers=uppers
-    )
+    return IntervalSet(method=method, points=points, lowers=ordered[lo - 1], uppers=ordered[hi - 1])
 
 
 def stationarity_guard(
@@ -234,12 +225,12 @@ def _stage_two(
         ar = model.ar_hat.mats
         mean = np.linalg.solve(np.eye(model.k) - ar.sum(axis=0), intercept)
         intercept = intercept + (ar - corrected).sum(axis=0) @ mean
-    fitted = replace(model, ar_hat=coeff_seq(corrected, model.k), intercept=intercept)
-    (coefs,) = _refit_draws(fitted, residuals, y, [("BOOT-db stage two", substream(seed, 1), m)])
+    stream = [("BOOT-db stage two", substream(seed, 1))]
+    (coefs,) = _refit_draws(corrected, intercept, residuals, y, stream, m)
     guarded = stationarity_guard(coefs, bias)[0]
     # the points expand with the draws, each bit-identical to its own expansion
     irfs = ma_from_ar(np.concatenate([corrected[np.newaxis], guarded]), horizon)
-    return percentile_ci(irfs[1:], level, points=irfs[0], method="BOOT-db", t=len(y))
+    return percentile_ci(irfs[1:], level, irfs[0], "BOOT-db")
 
 
 def bootstrap_interval_sets(
@@ -250,16 +241,15 @@ def bootstrap_interval_sets(
     m: int,
     level: float,
     seeds: Mapping[str, SeedLike],
-) -> tuple[np.ndarray, dict[str, IntervalSet]]:
-    """IRFs Phi_0..Phi_H of ``model`` and its intervals for "BOOT" and "BOOT-db".
+) -> dict[str, IntervalSet]:
+    """Intervals of ``model``'s IRFs Phi_0..Phi_H for "BOOT" and "BOOT-db", by method.
 
     ``y`` is the (T, K) sample ``model`` was fitted to, and ``seeds`` maps
-    each bootstrap method wanted to its stream. Returns the (H+1, K, K) IRF
-    array and the intervals by method, each centred on its own point
-    estimate: the fitted IRFs for BOOT, the bias-corrected model's for
-    BOOT-db. BOOT's draws and BOOT-db's stage one share one ``_refit_draws``
-    pass, and the fitted IRFs are expanded together with BOOT's draws; an
-    interval's bits do not depend on which other method is requested.
+    each bootstrap method wanted to its stream. Each interval is centred on
+    its own point estimate: the fitted IRFs for BOOT, the bias-corrected
+    model's for BOOT-db. BOOT's draws and BOOT-db's first stage resample
+    the fitted model together; an interval's bits do not depend on which
+    other method is requested.
 
     Raises
     ------
@@ -267,7 +257,7 @@ def bootstrap_interval_sets(
         If ``y`` is not a (T, K) array for the K of ``model``.
     ValueError
         If ``seeds`` names a method other than "BOOT" and "BOOT-db", or
-        m < 2 with either requested.
+        m < 2.
     """
     y = np.asarray(y)
     if y.ndim != 2 or y.shape[1] != model.k:
@@ -275,24 +265,24 @@ def bootstrap_interval_sets(
     unknown = sorted(set(seeds) - {"BOOT", "BOOT-db"})
     if unknown:
         raise ValueError(f"unknown bootstrap methods {unknown}; valid: ['BOOT', 'BOOT-db']")
+    ar = model.ar_hat.mats
     stages = {}
     if "BOOT" in seeds:
-        stages["BOOT"] = ("BOOT", seeds["BOOT"], m)
+        stages["BOOT"] = ("BOOT", seeds["BOOT"])
     if "BOOT-db" in seeds:
-        stages["BOOT-db"] = ("BOOT-db stage one", substream(seeds["BOOT-db"], 0), m)
-    coefs = dict(zip(stages, _refit_draws(model, residuals, y, list(stages.values()))))
-    boot = coefs.get("BOOT", np.empty((0,) + model.ar_hat.mats.shape))
-    irfs = ma_from_ar(np.concatenate([model.ar_hat.mats[np.newaxis], boot]), horizon)
+        stages["BOOT-db"] = ("BOOT-db stage one", substream(seeds["BOOT-db"], 0))
+    draws = _refit_draws(ar, model.intercept, residuals, y, list(stages.values()), m)
+    coefs = dict(zip(stages, draws))
     out = {}
     if "BOOT" in coefs:
-        out["BOOT"] = percentile_ci(irfs[1:], level, points=irfs[0], method="BOOT", t=len(y))
+        irfs = ma_from_ar(np.concatenate([ar[np.newaxis], coefs["BOOT"]]), horizon)
+        out["BOOT"] = percentile_ci(irfs[1:], level, irfs[0], "BOOT")
     if "BOOT-db" in coefs:
         # the bias is mean(stage-one coefficients) - fitted coefficients; the
         # builtin sum adds the draws in order, unlike numpy's pairwise sum
-        bias = sum(coefs["BOOT-db"]) / m - model.ar_hat.mats
-        corrected = stationarity_guard(model.ar_hat.mats, bias)[0]
+        bias = sum(coefs["BOOT-db"]) / m - ar
+        corrected = stationarity_guard(ar, bias)[0]
         out["BOOT-db"] = _stage_two(
             model, residuals, y, horizon, m, level, seeds["BOOT-db"], corrected, bias
         )
-    # a copy, so the IRFs do not keep BOOT's draws alive
-    return irfs[0].copy(), out
+    return out

@@ -36,7 +36,6 @@ from .errors import (
     NonFiniteError,
     SieveVarError,
     SingularMatrixError,
-    UnstableProcessError,
 )
 from .mc_harness import (
     ExperimentConfig,
@@ -341,10 +340,6 @@ def cmd_simulate(args) -> int:
     burn_in = _whole(obj.get("burn_in", default_burn_in(spec)), "burn_in")
     check_sizes(t, burn_in)
     seed = resolve_seed(args.seed, obj.get("seed"))
-    try:
-        spec.validate()
-    except UnstableProcessError as exc:
-        raise ConfigError(str(exc)) from None
     sample = simulate_varma(spec, t, burn_in, seed)
     write_sample_csv(args.out, sample)
     print(f"wrote {sample.t} x {sample.k} sample to {args.out}")
@@ -415,7 +410,22 @@ def cmd_plot(args) -> int:
             missing = [c for c in MC_RESULT_COLUMNS if c not in fields]
             if missing:
                 raise ConfigError(f"{args.results} lacks columns {missing}")
-            rows = list(reader)
+            rows = []
+            for row in reader:
+                where = f"{args.results}:{reader.line_num}"
+                # a short row fills its missing fields with None, a long one files extras under None
+                if None in row or None in row.values():
+                    raise ConfigError(f"{where}: expected {len(fields)} fields")
+                try:
+                    horizon = int(row["horizon"])
+                    coverage, length = float(row["coverage"]), float(row["avg_length"])
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: {exc}") from None
+                if not (math.isfinite(coverage) and math.isfinite(length)):
+                    raise ConfigError(f"{where}: coverage and avg_length must be finite")
+                rows.append(
+                    dict(method=row["method"], horizon=horizon, coverage=coverage, avg_length=length)
+                )
     except OSError as exc:
         raise ConfigError(f"cannot read {args.results}: {exc}") from None
     if not rows:

@@ -45,8 +45,6 @@ class IntervalSet:
     """Per-horizon, per-response confidence intervals for one method."""
 
     method: str
-    level: float
-    t: int
     points: np.ndarray = field(repr=False)
     lowers: np.ndarray = field(repr=False)
     uppers: np.ndarray = field(repr=False)
@@ -61,14 +59,6 @@ class IntervalSet:
             raise DimensionMismatchError("interval arrays disagree in shape")
         if np.any(self.lowers > self.uppers + 1e-15):
             raise DimensionMismatchError("interval lower bound exceeds upper bound")
-
-    @property
-    def horizon(self) -> int:
-        return self.points.shape[0] - 1
-
-    @property
-    def k(self) -> int:
-        return self.points.shape[1]
 
     def lengths(self) -> np.ndarray:
         return self.uppers - self.lowers
@@ -201,8 +191,6 @@ def delta_ci(
     half = np.concatenate([np.zeros((1, k, k)), z * np.sqrt(var / t)])
     return IntervalSet(
         method=method,
-        level=level,
-        t=t,
         points=points,
         lowers=points - half,
         uppers=points + half,

@@ -33,6 +33,7 @@ from .dgp_sim import (
 from .errors import ConfigError, ExperimentError, SieveVarError
 from .estimate import _as_values, build_gamma_p, fit_var_ls, sample_autocov
 from .streams import SeedLike, substream
+from .var_core import ma_from_ar
 
 VALID_METHODS = ("LS", "S-LS", "BOOT", "BOOT-db")
 
@@ -129,10 +130,11 @@ def interval_sets_for_sample(
     """Confidence intervals for every requested method on one sample.
 
     ``y`` is a (T, K) array or ``SamplePath``; a 1-D array is one variable.
-    The sample is fitted and its IRFs expanded once, here; every method
-    reads that fit. Each method draws from its own child stream, so adding
-    or removing methods never changes another method's output, although
-    BOOT's draws and BOOT-db's first stage share one bootstrap pass.
+    The sample is fitted once, here, and every method reads that fit; the
+    bootstrap runs only when BOOT or BOOT-db is requested. Each bootstrap
+    method draws from its own child stream, so adding or removing methods
+    never changes another method's output, although BOOT's draws and
+    BOOT-db's first stage share one bootstrap pass.
     """
     check_design(p, horizon, level, methods, bootstrap_replications)
     y = _as_values(y)
@@ -142,9 +144,12 @@ def interval_sets_for_sample(
         for method, stream in (("BOOT", 10), ("BOOT-db", 11))
         if method in methods
     }
-    phi_hat, out = bootstrap_interval_sets(
-        model, resid, y, horizon, bootstrap_replications, level, seeds
-    )
+    out = {}
+    if seeds:
+        out = bootstrap_interval_sets(
+            model, resid, y, horizon, bootstrap_replications, level, seeds
+        )
+    phi_hat = ma_from_ar(model.ar_hat.mats, horizon)
     if "LS" in methods:
         covs = irf_covariances(phi_hat, model.moment_matrix, model.sigma_u_hat)
         out["LS"] = delta_ci(phi_hat, covs, level, len(y), method="LS")

@@ -56,15 +56,19 @@ def render_mc_chart(
     level: float,
     title: str = "",
 ) -> str:
-    """SVG document for mc_results rows (method, horizon, coverage, avg_length)."""
+    """SVG document for mc_results rows.
+
+    Each row maps "method" to a name, "horizon" to an int, and "coverage"
+    and "avg_length" to floats.
+    """
     if not rows:
         raise ValueError("no data rows to plot")
     methods: list[str] = []
     for row in rows:
         if row["method"] not in methods:
             methods.append(row["method"])
-    h_max = max(int(r["horizon"]) for r in rows)
-    len_max = max(float(r["avg_length"]) for r in rows) * 1.05 or 1.0
+    h_max = max(r["horizon"] for r in rows)
+    len_max = max(r["avg_length"] for r in rows) * 1.05 or 1.0
 
     parts: list[str] = []
     parts.append(
@@ -130,9 +134,7 @@ def render_mc_chart(
 
     by_method: dict[str, list[tuple[int, float, float]]] = {m: [] for m in methods}
     for row in rows:
-        by_method[row["method"]].append(
-            (int(row["horizon"]), float(row["coverage"]), float(row["avg_length"]))
-        )
+        by_method[row["method"]].append((row["horizon"], row["coverage"], row["avg_length"]))
 
     parts.append('<g id="panel-coverage" fill="none">')
     parts.append(

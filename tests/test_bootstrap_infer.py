@@ -100,14 +100,14 @@ class TestResidualBootstrapSample:
     def test_zero_residuals_zero_source_gives_zero_path(self, rng):
         zeros = np.zeros((30, 1))
         model, _ = fit_var_ls(np.arange(30.0) % 7 + 1.0, 2)
-        path = residual_bootstrap_sample(model, np.zeros((28, 1)), zeros, [5])
+        path = residual_bootstrap_sample(model.ar_hat.mats, None, np.zeros((28, 1)), zeros, [5])
         np.testing.assert_array_equal(path, np.zeros((1, 30, 1)))
 
     def test_same_seed_identical(self, desk_spec):
         y = simulate_varma(desk_spec, 150, 200, 17).values
         model, resid = fit_var_ls(y, 2)
-        a = residual_bootstrap_sample(model, resid, y, [99])
-        b = residual_bootstrap_sample(model, resid, y, [99])
+        a = residual_bootstrap_sample(model.ar_hat.mats, None, resid, y, [99])
+        b = residual_bootstrap_sample(model.ar_hat.mats, None, resid, y, [99])
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("intercept", [False, True])
@@ -116,7 +116,7 @@ class TestResidualBootstrapSample:
         values = y.values + (3.0 if intercept else 0.0)
         model, resid = fit_var_ls(values, 3, intercept=intercept)
         seeds = [substream(8, r, 0) for r in range(5)]
-        paths = residual_bootstrap_sample(model, resid, values, seeds)
+        paths = residual_bootstrap_sample(model.ar_hat.mats, model.intercept, resid, values, seeds)
         assert paths.shape == (5, 150, 2)
         for path, seed in zip(paths, seeds):
             np.testing.assert_array_equal(path, scalar_resample(model, resid, values, seed))
@@ -124,13 +124,13 @@ class TestResidualBootstrapSample:
     def test_empty_seed_list_gives_empty_stack(self, desk_spec):
         y = simulate_varma(desk_spec, 50, 200, 17).values
         model, resid = fit_var_ls(y, 2)
-        paths = residual_bootstrap_sample(model, resid, y, [])
+        paths = residual_bootstrap_sample(model.ar_hat.mats, None, resid, y, [])
         assert paths.shape == (0, 50, 2)
 
     def test_initial_block_comes_from_source(self, desk_spec):
         y = simulate_varma(desk_spec, 100, 200, 21).values
         model, resid = fit_var_ls(y, 3)
-        path = residual_bootstrap_sample(model, resid, y, [1])[0]
+        path = residual_bootstrap_sample(model.ar_hat.mats, None, resid, y, [1])[0]
         # first p rows must be a contiguous block of the source
         hits = [s for s in range(len(y) - 3 + 1) if np.array_equal(path[:3], y[s : s + 3])]
         assert hits
@@ -153,7 +153,7 @@ class TestResidualBootstrapSample:
         y = simulate_varma(pure_ar_spec(ar), 4000, 200, 3)
         shifted = y.values + 5.0
         model, resid = fit_var_ls(shifted, 1, intercept=True)
-        path = residual_bootstrap_sample(model, resid, shifted, [2])
+        path = residual_bootstrap_sample(model.ar_hat.mats, model.intercept, resid, shifted, [2])
         assert abs(path.mean() - 5.0) < 0.5
 
 
@@ -197,10 +197,11 @@ class TestBootstrapIrfDistribution:
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
         plain = boot_draws(model, resid, y, 4, 3, 7)
-        first = residual_bootstrap_sample(model, resid, y, [substream(7, 0, 0)])[0]
+        ar = model.ar_hat.mats
+        first = residual_bootstrap_sample(ar, None, resid, y, [substream(7, 0, 0)])[0]
         refits = count_refits(monkeypatch, fail_on=first)
         draws = boot_draws(model, resid, y, 4, 3, 7)
-        retry = residual_bootstrap_sample(model, resid, y, [substream(7, 0, 1)])
+        retry = residual_bootstrap_sample(ar, None, resid, y, [substream(7, 0, 1)])
         want = ma_from_ar(fit_var_ls_stack(retry, 2)[0][0], 4)
         assert refits == {"stacked": 4}
         np.testing.assert_array_equal(draws[0], want)
@@ -234,16 +235,17 @@ class TestBootstrapIrfDistribution:
         fitted, _ = fit_var_ls(rng.normal(size=(50, 2)), 1)
         model = replace(fitted, ar_hat=coeff_seq(np.eye(2)[np.newaxis], 2))
         resid = np.zeros((49, 2))
-        pseudo = residual_bootstrap_sample(model, resid, source, [substream(7, 0, 0), 3])
+        pair = [substream(7, 0, 0), 3]
+        pseudo = residual_bootstrap_sample(model.ar_hat.mats, None, resid, source, pair)
         np.testing.assert_array_equal(pseudo, np.ones((2, 50, 2)))
         assert not fit_var_ls_stack(pseudo, 1)[1].any()
         seeds = []
         resample = bootstrap_infer.residual_bootstrap_sample
         refits = count_refits(monkeypatch)
 
-        def recorded(model, residuals, source, block_seeds):
+        def recorded(ar, intercept, residuals, source, block_seeds):
             seeds.extend(block_seeds)
-            return resample(model, residuals, source, block_seeds)
+            return resample(ar, intercept, residuals, source, block_seeds)
 
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", recorded)
         m, attempts = 3, bootstrap_infer._MAX_REFIT_ATTEMPTS
@@ -258,28 +260,31 @@ class TestBootstrapIrfDistribution:
     def test_blocks_match_per_draw_reference(
         self, desk_spec, monkeypatch, block, first_singular
     ):
-        # two streams share each pass; a forced singular first refit in the
-        # second stream moves its draw 0 to the attempt-1 stream
+        # two streams of 60 draws share each pass, a block of 64 spanning
+        # both; a forced singular first refit in the second stream moves its
+        # draw 0 to the attempt-1 stream
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
-        streams = [("BOOT", 7, 70), ("BOOT-db stage one", substream(9, 0), 45)]
+        ar, m = model.ar_hat.mats, 60
+        streams = [("BOOT", 7), ("BOOT-db stage one", substream(9, 0))]
         want = []
-        for _, seed, m in streams:
+        for _, seed in streams:
             draws = []
             for r in range(m):
                 attempt = 1 if first_singular and seed is streams[1][1] and r == 0 else 0
-                pseudo = residual_bootstrap_sample(model, resid, y, [substream(seed, r, attempt)])
+                seeds = [substream(seed, r, attempt)]
+                pseudo = residual_bootstrap_sample(ar, None, resid, y, seeds)
                 draws.append(fit_var_ls_stack(pseudo, 2)[0][0])
             want.append(np.array(draws))
         fail_on = None
         if first_singular:
-            fail_on = residual_bootstrap_sample(model, resid, y, [substream(9, 0, 0, 0)])[0]
+            fail_on = residual_bootstrap_sample(ar, None, resid, y, [substream(9, 0, 0, 0)])[0]
         refits = count_refits(monkeypatch, fail_on=fail_on)
         # blocks of 1, 3 and 64 draws of this T x K sample
         monkeypatch.setattr(bootstrap_infer, "_BLOCK_FLOATS", block * y.size)
-        got = bootstrap_infer._refit_draws(model, resid, y, streams)
-        assert refits == {"stacked": 115 + first_singular}
-        assert len(got) == 2
+        got = bootstrap_infer._refit_draws(ar, None, resid, y, streams, m)
+        assert refits == {"stacked": 2 * m + first_singular}
+        assert got.shape == (2, m, 2, 2, 2)
         for coefs, expected in zip(got, want):
             np.testing.assert_array_equal(coefs, expected)
 
@@ -291,23 +296,25 @@ class TestBootstrapIrfDistribution:
             raise AssertionError("resampled")
 
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", no_resample)
-        assert bootstrap_infer._refit_draws(model, resid, y, []) == []
+        got = bootstrap_infer._refit_draws(model.ar_hat.mats, None, resid, y, [], 3)
+        assert got.shape == (0, 3, 2, 2, 2)
 
     def test_block_floats_bounds_block_size(self, desk_spec, monkeypatch):
         # 64 draws of a K=4, T=600 sample, or of any sample the same size
         sizes = []
         resample = bootstrap_infer.residual_bootstrap_sample
 
-        def recorded(model, residuals, source, seeds):
+        def recorded(ar, intercept, residuals, source, seeds):
             sizes.append(len(seeds))
-            return resample(model, residuals, source, seeds)
+            return resample(ar, intercept, residuals, source, seeds)
 
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", recorded)
         for t, k, draws in ((600, 4, [64, 64, 2]), (300, 2, [130])):
             y = simulate_varma(white_noise_spec(k), t, 0, 3).values
             model, resid = fit_var_ls(y, 1)
             sizes.clear()
-            bootstrap_infer._refit_draws(model, resid, y, [("BOOT", 1, 65), ("BOOT", 2, 65)])
+            streams = [("BOOT", 1), ("BOOT", 2)]
+            bootstrap_infer._refit_draws(model.ar_hat.mats, None, resid, y, streams, 65)
             assert sizes == draws
 
     @pytest.mark.parametrize("stage", ["BOOT", "BOOT-db stage one", "BOOT-db stage two"])
@@ -335,9 +342,9 @@ class TestBootstrapIrfDistribution:
         resample, stack = bootstrap_infer.residual_bootstrap_sample, bootstrap_infer.fit_var_ls_stack
         block = []
 
-        def recorded(model, residuals, source, seeds):
+        def recorded(ar, intercept, residuals, source, seeds):
             block[:] = [(q.entropy, q.spawn_key[:-1]) for q in seeds]
-            return resample(model, residuals, source, seeds)
+            return resample(ar, intercept, residuals, source, seeds)
 
         def flag_target(samples, p, intercept=False):
             coefs, fitted, grams = stack(samples, p, intercept)
@@ -345,9 +352,9 @@ class TestBootstrapIrfDistribution:
 
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", recorded)
         monkeypatch.setattr(bootstrap_infer, "fit_var_ls_stack", flag_target)
-        streams = [("BOOT", 7, 3), ("BOOT-db stage two", 8, 4)]
+        streams = [("BOOT", 7), ("BOOT-db stage two", 8)]
         with pytest.raises(SingularMatrixError, match="for BOOT-db stage two draw 2$"):
-            bootstrap_infer._refit_draws(model, resid, y, streams)
+            bootstrap_infer._refit_draws(model.ar_hat.mats, None, resid, y, streams, 4)
 
     def test_explosive_model_raises_non_finite(self, rng):
         y = rng.normal(size=(1000, 2))
@@ -385,27 +392,27 @@ class TestBootstrapIntervalSets:
 class TestPercentileCi:
     def test_stated_order_statistics(self):
         draws = np.arange(0.01, 1.005, 0.01).reshape(100, 1, 1, 1)
-        iv = percentile_ci(draws, 0.90, np.median(draws, axis=0), "BOOT", 100)
+        iv = percentile_ci(draws, 0.90, np.median(draws, axis=0), "BOOT")
         assert iv.lowers[0, 0, 0] == pytest.approx(0.05)
         assert iv.uppers[0, 0, 0] == pytest.approx(0.95)
 
     def test_constant_draws_degenerate(self):
         draws = np.full((40, 2, 1, 1), 3.25)
-        iv = percentile_ci(draws, 0.95, np.median(draws, axis=0), "BOOT", 100)
+        iv = percentile_ci(draws, 0.95, np.median(draws, axis=0), "BOOT")
         assert np.all(iv.lowers == 3.25) and np.all(iv.uppers == 3.25)
 
     def test_non_finite_draws_raise_non_finite_error(self):
         draws = np.zeros((10, 2, 1, 1))
         draws[3, 1] = np.inf
         with pytest.raises(NonFiniteError):
-            percentile_ci(draws, 0.9, np.zeros((2, 1, 1)), "BOOT", 100)
+            percentile_ci(draws, 0.9, np.zeros((2, 1, 1)), "BOOT")
 
     def test_non_finite_or_wrong_rank_draws_rejected(self):
         bad = np.zeros((10, 2, 1, 1))
         bad[3, 1] = np.nan
         for draws in (bad, np.zeros((10, 2, 1))):
             with pytest.raises(DimensionMismatchError):
-                percentile_ci(draws, 0.9, np.median(draws, axis=0), "BOOT", 100)
+                percentile_ci(draws, 0.9, np.median(draws, axis=0), "BOOT")
 
     def test_m300_level95_indices(self):
         assert percentile_indices(300, 0.95) == (8, 293)
@@ -422,7 +429,7 @@ class TestPercentileCi:
     def test_interval_contains_median(self, m, level, seed):
         rng = np.random.default_rng(seed)
         draws = rng.normal(size=(m, 1, 1, 1))
-        iv = percentile_ci(draws, level, np.median(draws, axis=0), "BOOT", 100)
+        iv = percentile_ci(draws, level, np.median(draws, axis=0), "BOOT")
         med = np.median(draws[:, 0, 0, 0])
         assert iv.lowers[0, 0, 0] <= med <= iv.uppers[0, 0, 0]
 
@@ -491,7 +498,7 @@ class TestStationarityGuard:
 
 def boot_db(model, resid, y, horizon, m, level, seed):
     """BOOT-db intervals from the one bootstrap entry point."""
-    _, sets = bootstrap_interval_sets(model, resid, y, horizon, m, level, {"BOOT-db": seed})
+    sets = bootstrap_interval_sets(model, resid, y, horizon, m, level, {"BOOT-db": seed})
     return sets["BOOT-db"]
 
 
@@ -511,7 +518,7 @@ class TestBiasCorrectedBootstrap:
                 iv = bootstrap_infer._stage_two(
                     model, resid, values, 4, m, level, 31, model.ar_hat.mats, zero
                 )
-                want = bootstrap_interval_sets(model, resid, values, 4, m, level, plain)[1]["BOOT"]
+                want = bootstrap_interval_sets(model, resid, values, 4, m, level, plain)["BOOT"]
                 np.testing.assert_array_equal(iv.lowers, want.lowers)
                 np.testing.assert_array_equal(iv.uppers, want.uppers)
 
@@ -535,8 +542,8 @@ class TestBiasCorrectedBootstrap:
         y = simulate_varma(desk_spec, 150, 200, 4).values
         model, resid = fit_var_ls(y, 2)
         # stage one: the mean of 25 refits on the stream (11, 0), minus the fit
-        stage_one = [("BOOT-db stage one", substream(11, 0), 25)]
-        (coefs,) = bootstrap_infer._refit_draws(model, resid, y, stage_one)
+        stage_one = [("BOOT-db stage one", substream(11, 0))]
+        (coefs,) = bootstrap_infer._refit_draws(model.ar_hat.mats, None, resid, y, stage_one, 25)
         bias = coefs.mean(axis=0) - model.ar_hat.mats
         corrected, _ = stationarity_guard(model.ar_hat.mats, bias)
         iv = boot_db(model, resid, y, 4, 25, 0.95, 11)

@@ -406,7 +406,7 @@ class TestWriters:
         sets = []
         for method, vals in (("LS", AWKWARD), ("BOOT", AWKWARD[::-1])):
             pts = np.array(vals).reshape(2, 2, 2)
-            sets.append(IntervalSet(method, 0.9, 50, pts, -np.abs(pts), np.abs(pts)))
+            sets.append(IntervalSet(method, pts, -np.abs(pts), np.abs(pts)))
         path = tmp_path / "ci.csv"
         cli.write_interval_csv(str(path), sets)
         want = [",".join(cli.CI_COLUMNS)]
@@ -500,6 +500,26 @@ class TestPlot:
         path = tmp_path / "cols.csv"
         path.write_text("method,horizon,coverage\nLS,0,1.0\n")
         assert run_cli("plot", str(path), "--p", "5", "--out", str(tmp_path / "c.svg")) == 2
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("LS,1,abc,0.1,1,0", "could not convert string to float: 'abc'"),
+            ("LS,1,0.9", "expected 6 fields"),
+            ("LS,1,0.9,0.1,1,0,7", "expected 6 fields"),
+            ("LS,1.5,0.9,0.1,1,0", "invalid literal for int() with base 10: '1.5'"),
+            ("LS,1,nan,0.1,1,0", "coverage and avg_length must be finite"),
+            ("LS,1,0.9,inf,1,0", "coverage and avg_length must be finite"),
+        ],
+    )
+    def test_malformed_row_exits_2_naming_file_and_line(self, tmp_path, capsys, row, message):
+        path = tmp_path / "bad.csv"
+        header = ",".join(cli.MC_RESULT_COLUMNS)
+        path.write_text(f"{header}\nLS,0,1.0,0.0,1,0\n{row}\n")
+        out = tmp_path / "c.svg"
+        assert run_cli("plot", str(path), "--p", "5", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
+        assert not out.exists()
 
 
 class TestDiag:

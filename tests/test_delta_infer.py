@@ -286,14 +286,14 @@ class TestDeltaCi:
         arrays = {n: np.zeros((2, 1, 1)) for n in ("points", "lowers", "uppers")}
         arrays[name][1, 0, 0] = np.nan
         with pytest.raises(NonFiniteError):
-            IntervalSet(method="LS", level=0.95, t=10, **arrays)
+            IntervalSet(method="LS", **arrays)
 
     def test_requires_identity_head(self):
         covs = np.array([[[1.0]]])
         with pytest.raises(DimensionMismatchError, match="identity"):
             delta_ci(np.array([[[0.5]], [[0.5]]]), covs, 0.95, 100, "LS")
         iv = delta_ci(np.array([[[1.0]], [[0.5]]]), covs, 0.95, 100, "LS")
-        assert iv.horizon == 1 and iv.k == 1
+        assert iv.points.shape == (2, 1, 1)
 
     def test_malformed_irfs_rejected(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)

@@ -154,7 +154,7 @@ class TestFitVarLsStack:
         values = y.values + (3.0 if intercept else 0.0)
         model, resid = fit_var_ls(values, p, intercept=intercept)
         seeds = [substream(1, r, 0) for r in range(20)]
-        pseudo = residual_bootstrap_sample(model, resid, values, seeds)
+        pseudo = residual_bootstrap_sample(model.ar_hat.mats, model.intercept, resid, values, seeds)
         # a collapsed and a near-collapse sample, as in test_collapsed_pivots_flagged
         base, noise = pseudo[0, :, :1], np.random.default_rng(p).normal(size=(300, 1))
         collapsed = np.hstack([base, base + 1e-7 * noise])

@@ -16,6 +16,7 @@ from sievevar import (
     coverage_flags,
     fit_var_ls,
     interval_sets_for_sample,
+    ma_from_ar,
     run_experiment,
     simulate_varma,
     varma_true_irf,
@@ -231,7 +232,7 @@ class TestIntervalSetsForSample:
         assert set(sets) == {"LS", "S-LS", "BOOT", "BOOT-db"}
         for method, iv in sets.items():
             assert iv.method == method
-            assert iv.horizon == 4
+            assert iv.points.shape == (5, 2, 2)
 
     def test_sample_fitted_once_and_refit_per_draw(self, desk_spec, monkeypatch):
         # one fit of the sample for all methods; BOOT refits M draws and
@@ -276,7 +277,7 @@ class TestIntervalSetsForSample:
         want = {
             method: bootstrap_interval_sets(
                 model, resid, values, 5, 20, 0.9, {method: substream(5, stream)}
-            )[1][method]
+            )[method]
             for method, stream in (("BOOT", 10), ("BOOT-db", 11))
         }
         for bundle, sets in zip(bundles, runs):
@@ -296,6 +297,23 @@ class TestIntervalSetsForSample:
                 np.testing.assert_array_equal(
                     getattr(flat[method], name), getattr(column[method], name)
                 )
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_delta_methods_expand_the_fit_without_a_bootstrap(
+        self, desk_spec, monkeypatch, intercept
+    ):
+        # LS and S-LS centre on the fitted IRFs, expanded alone, and never
+        # enter the bootstrap
+        def no_bootstrap(*args, **kwargs):
+            raise AssertionError("bootstrap ran")
+
+        monkeypatch.setattr(mc_harness, "bootstrap_interval_sets", no_bootstrap)
+        values = simulate_varma(desk_spec, 150, 200, 8).values + (4.0 if intercept else 0.0)
+        sets = interval_sets_for_sample(values, 3, 5, 0.9, ("LS", "S-LS"), 20, 5, intercept)
+        model, _ = fit_var_ls(values, 3, intercept=intercept)
+        want = ma_from_ar(model.ar_hat.mats, 5)
+        for iv in sets.values():
+            np.testing.assert_array_equal(iv.points, want)
 
     def test_unknown_method_rejected_before_bootstrap(self, desk_spec, monkeypatch):
         def no_bootstrap(*args, **kwargs):
