@@ -403,6 +403,8 @@ def cmd_mc(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    if not 0.0 < args.level < 1.0:
+        raise ConfigError("--level must be in (0, 1)")
     try:
         with open(args.results, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -423,6 +425,8 @@ def cmd_plot(args) -> int:
                     raise ConfigError(f"{where}: {exc}") from None
                 if not (math.isfinite(coverage) and math.isfinite(length)):
                     raise ConfigError(f"{where}: coverage and avg_length must be finite")
+                if horizon < 0:
+                    raise ConfigError(f"{where}: horizon must be >= 0")
                 rows.append(
                     dict(method=row["method"], horizon=horizon, coverage=coverage, avg_length=length)
                 )
@@ -438,6 +442,17 @@ def cmd_plot(args) -> int:
 
 
 def cmd_diag(args) -> int:
+    if args.p < 1:
+        raise ConfigError("--p must be >= 1")
+    if args.t < 2:
+        raise ConfigError("--T must be >= 2")
+    if args.alpha is not None and not 0.0 < args.alpha < 1.0:
+        raise ConfigError("--alpha must be in (0, 1)")
+    if args.tail_constant is not None:
+        if args.alpha is None:
+            raise ConfigError("--C needs --alpha")
+        if not (math.isfinite(args.tail_constant) and args.tail_constant >= 0.0):
+            raise ConfigError("--C must be a finite number >= 0")
     report = assumption_ratios(args.p, args.t, alpha=args.alpha)
     blob = dataclasses.asdict(report)
     print(f"fitted order p = {report.p}, sample size T = {report.t}")

@@ -164,7 +164,9 @@ def simulate_varma_stack(
     Cholesky and MA steps on its own; all paths then step one
     ``var_recursion`` call. Every path is bit-identical to
     ``simulate_varma`` of its seed, whatever the seeds beside it. The stack
-    is not checked for finite values; ``SamplePath`` checks each path.
+    is not checked for finite values: ``simulate_varma`` checks its path in
+    ``SamplePath``, and ``fit_var_ls`` refuses a non-finite path with
+    ``NonFiniteError``.
     """
     if t < 1:
         raise ValueError("t must be >= 1")

@@ -3,12 +3,12 @@
 Each replication simulates a path, fits a VAR(p), builds intervals for the
 requested methods, and scores every response entry against the true
 impulse responses of the generating process. Replication r derives all of
-its randomness from the child stream (master seed, r). Replications run in
-chunks of consecutive indices, bounded by the bytes of the chunk's shock
-stack: each path of a chunk is drawn from its own replication's stream and
-all of them step one recursion, so a path does not depend on the paths
-beside it. Summaries are therefore identical for any worker count and any
-chunking.
+its randomness from the child stream (master seed, r), and a failed one is
+retried once on (master seed, r, 1). Replications run in chunks of
+consecutive indices, bounded by the bytes of the chunk's shock stack: each
+path of a chunk is drawn from its own replication's stream and all of them
+step one recursion, so a path does not depend on the paths beside it.
+Summaries are therefore identical for any worker count and any chunking.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ import numpy as np
 
 from .bootstrap_infer import bootstrap_interval_sets
 from .delta_infer import IntervalSet, delta_ci, irf_covariances
-from .dgp_sim import (
-    SamplePath,
-    VarmaSpec,
-    default_burn_in,
-    simulate_varma,
-    simulate_varma_stack,
-    varma_true_irf,
-)
+from .dgp_sim import SamplePath, VarmaSpec, default_burn_in, simulate_varma_stack, varma_true_irf
 from .errors import ConfigError, ExperimentError, SieveVarError
 from .estimate import _as_values, build_gamma_p, fit_var_ls, sample_autocov
 from .streams import SeedLike, substream
@@ -60,6 +53,8 @@ def check_design(
     bad = [m for m in methods if m not in VALID_METHODS]
     if bad:
         raise ConfigError(f"unknown methods {bad}; valid: {list(VALID_METHODS)}")
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"methods must not repeat, got {list(methods)}")
     if bootstrap_replications < 2 and any(m.startswith("BOOT") for m in methods):
         raise ConfigError("bootstrap replications must be >= 2 for BOOT and BOOT-db")
 
@@ -169,51 +164,52 @@ def _chunk_size(cfg: ExperimentConfig) -> int:
 def _run_chunk(
     cfg: ExperimentConfig, truth: np.ndarray, reps: range
 ) -> list[tuple[np.ndarray, np.ndarray] | None]:
-    """``_run_replication`` of each replication in ``reps``, their paths simulated in one stack."""
-    seeds = [substream(cfg.seed, r, 0) for r in reps]
-    paths = simulate_varma_stack(cfg.dgp, cfg.t, cfg.effective_burn_in, seeds)
-    return [_run_replication(cfg, truth, r, path) for r, path in zip(reps, paths)]
+    """Hit and length arrays of each replication in ``reps``, None where both attempts failed.
+
+    Pass 0 scores every replication r under its run seed (master seed, r);
+    pass 1 scores again, under (master seed, r, 1), those whose pass 0 raised
+    ``SieveVarError``. Each pass simulates its samples from child 0 of its
+    run seeds in one ``simulate_varma_stack`` call.
+    """
+    out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(reps)
+    pending = list(reps)
+    for retry in ((), (1,)):
+        if not pending:
+            break
+        run_seeds = [substream(cfg.seed, r, *retry) for r in pending]
+        samples = simulate_varma_stack(
+            cfg.dgp, cfg.t, cfg.effective_burn_in, [substream(s, 0) for s in run_seeds]
+        )
+        failed = []
+        for r, y, run_seed in zip(pending, samples, run_seeds):
+            try:
+                out[r - reps.start] = _run_replication(cfg, truth, y, run_seed)
+            except SieveVarError:
+                failed.append(r)
+        pending = failed
+    return out
 
 
 def _run_replication(
-    cfg: ExperimentConfig, truth: np.ndarray, r: int, path: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Hit and length arrays for replication r, or None after a failed retry.
+    cfg: ExperimentConfig, truth: np.ndarray, y: np.ndarray, run_seed: SeedLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hit and length arrays, (n_methods, H+1, K, K), of the (T, K) sample ``y``.
 
-    ``path`` is the replication's first-attempt sample, simulated from
-    (master seed, r, 0); the retry simulates its own from (master seed, r, 1, 0).
+    Raises ``SieveVarError`` when the sample cannot be scored, as on a
+    singular fit or a non-finite sample.
     """
-    n_methods = len(cfg.methods)
-    shape = (n_methods, cfg.horizon + 1, cfg.dgp.k, cfg.dgp.k)
-    for attempt in range(2):
-        rep_seed = substream(cfg.seed, r) if attempt == 0 else substream(cfg.seed, r, 1)
-        try:
-            if attempt == 0:
-                y = SamplePath(k=cfg.dgp.k, t=cfg.t, values=path)
-            else:
-                y = simulate_varma(
-                    cfg.dgp, cfg.t, cfg.effective_burn_in, substream(rep_seed, 0)
-                )
-            sets = interval_sets_for_sample(
-                y,
-                cfg.p,
-                cfg.horizon,
-                cfg.level,
-                cfg.methods,
-                cfg.bootstrap_replications,
-                rep_seed,
-                cfg.intercept,
-            )
-        except SieveVarError:
-            continue
-        hits = np.empty(shape, dtype=bool)
-        lengths = np.empty(shape)
-        for j, method in enumerate(cfg.methods):
-            iv = sets[method]
-            hits[j] = iv.contains(truth)
-            lengths[j] = iv.lengths()
-        return hits, lengths
-    return None
+    sets = interval_sets_for_sample(
+        y,
+        cfg.p,
+        cfg.horizon,
+        cfg.level,
+        cfg.methods,
+        cfg.bootstrap_replications,
+        run_seed,
+        cfg.intercept,
+    )
+    hits = np.stack([sets[method].contains(truth) for method in cfg.methods])
+    return hits, np.stack([sets[method].lengths() for method in cfg.methods])
 
 
 def aggregate(

@@ -182,6 +182,8 @@ class TestCi:
         ("ci", ["--M", "1", "--methods", "LS,BOOT-db"]),
         ("ci", ["--level", "1.5"]),
         ("ci", ["--H", "-1"]),
+        ("ci", ["--methods", "LS,LS"]),
+        ("mc", {"methods": ["LS", "BOOT", "LS"]}),
     ],
 )
 def test_invalid_sizes_exit_2_before_fitting(command, change, sample_csv, tmp_path, capsys):
@@ -501,24 +503,33 @@ class TestPlot:
         path.write_text("method,horizon,coverage\nLS,0,1.0\n")
         assert run_cli("plot", str(path), "--p", "5", "--out", str(tmp_path / "c.svg")) == 2
 
+    # (row, message, flags): a bad row is named by file and line, a bad flag by its name
+    MALFORMED = [
+        ("LS,1,abc,0.1,1,0", "could not convert string to float: 'abc'", ()),
+        ("LS,1,0.9", "expected 6 fields", ()),
+        ("LS,1,0.9,0.1,1,0,7", "expected 6 fields", ()),
+        ("LS,1.5,0.9,0.1,1,0", "invalid literal for int() with base 10: '1.5'", ()),
+        ("LS,1,nan,0.1,1,0", "coverage and avg_length must be finite", ()),
+        ("LS,1,0.9,inf,1,0", "coverage and avg_length must be finite", ()),
+        ("LS,-1,0.9,0.1,1,0", "horizon must be >= 0", ()),
+        ("LS,1,0.9,0.1,1,0", "--level must be in (0, 1)", ("--level", "1.5")),
+    ]
+
     @pytest.mark.parametrize(
-        "row, message",
-        [
-            ("LS,1,abc,0.1,1,0", "could not convert string to float: 'abc'"),
-            ("LS,1,0.9", "expected 6 fields"),
-            ("LS,1,0.9,0.1,1,0,7", "expected 6 fields"),
-            ("LS,1.5,0.9,0.1,1,0", "invalid literal for int() with base 10: '1.5'"),
-            ("LS,1,nan,0.1,1,0", "coverage and avg_length must be finite"),
-            ("LS,1,0.9,inf,1,0", "coverage and avg_length must be finite"),
-        ],
+        "row, message, flags",
+        MALFORMED,
+        ids=[" ".join(flags) or f"{row}-{message}" for row, message, flags in MALFORMED],
     )
-    def test_malformed_row_exits_2_naming_file_and_line(self, tmp_path, capsys, row, message):
+    def test_malformed_row_exits_2_naming_file_and_line(
+        self, tmp_path, capsys, row, message, flags
+    ):
         path = tmp_path / "bad.csv"
         header = ",".join(cli.MC_RESULT_COLUMNS)
         path.write_text(f"{header}\nLS,0,1.0,0.0,1,0\n{row}\n")
         out = tmp_path / "c.svg"
-        assert run_cli("plot", str(path), "--p", "5", "--out", str(out)) == 2
-        assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
+        assert run_cli("plot", str(path), "--p", "5", "--out", str(out), *flags) == 2
+        where = f"{path}:3: " if not flags else ""
+        assert capsys.readouterr().err == f"error: {where}{message}\n"
         assert not out.exists()
 
 
@@ -537,3 +548,22 @@ class TestDiag:
         out = capsys.readouterr().out
         blob = json.loads(out.strip().splitlines()[-1])
         assert blob["tail_norm"] == pytest.approx(1.25)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("--p 0 --T 10", "--p must be >= 1"),
+            ("--p 3 --T 1", "--T must be >= 2"),
+            ("--p 3 --T 100 --alpha 0", "--alpha must be in (0, 1)"),
+            ("--p 3 --T 100 --alpha 1.5", "--alpha must be in (0, 1)"),
+            ("--p 3 --T 100 --alpha nan", "--alpha must be in (0, 1)"),
+            ("--p 3 --T 100 --alpha 0.5 --C -1", "--C must be a finite number >= 0"),
+            ("--p 3 --T 100 --alpha 0.5 --C inf", "--C must be a finite number >= 0"),
+            ("--p 3 --T 100 --C 1", "--C needs --alpha"),
+        ],
+    )
+    def test_invalid_flags_exit_2_before_any_report(self, capsys, flags, message):
+        assert run_cli("diag", *flags.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""

@@ -123,46 +123,61 @@ class TestRunExperiment:
         assert np.max(np.abs(s1.coverage - s2.coverage)) < bound
 
 
+MC_SEED = 515
+
+
+def mc_csvs(tmp_path, desk_spec, name, workers):
+    """``sievevar mc`` result and entry CSV bytes of a 17-replication desk run."""
+    cfg = {
+        "schema": 1,
+        "dgp": cli.varma_spec_to_json(desk_spec),
+        "t": 60,
+        "burn_in": 20,
+        "p": 2,
+        "horizon": 3,
+        "methods": ["LS", "S-LS", "BOOT"],
+        "replications": 17,
+        "bootstrap_replications": 10,
+        "seed": MC_SEED,
+    }
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / name
+    assert cli.main(["mc", str(path), "--out", str(out), "--workers", str(workers)]) == 0
+    return (out / "mc_results.csv").read_bytes(), (out / "mc_entries.csv").read_bytes()
+
+
+def record_stack_sizes(monkeypatch):
+    """Paths per ``simulate_varma_stack`` call of ``mc_harness``, in call order."""
+    sizes = []
+    stack = mc_harness.simulate_varma_stack
+
+    def recording(spec, t, burn_in, seeds):
+        sizes.append(len(seeds))
+        return stack(spec, t, burn_in, seeds)
+
+    monkeypatch.setattr(mc_harness, "simulate_varma_stack", recording)
+    return sizes
+
+
+def chunk_floats(size):
+    # (p + burn_in + t) K = (1 + 20 + 60) 2 shock values per path of mc_csvs
+    return 162 * size + 161
+
+
 class TestChunks:
     """Replications simulated in chunks: no chunking or worker count moves a byte."""
 
-    def _mc_csvs(self, tmp_path, desk_spec, name, workers):
-        cfg = {
-            "schema": 1,
-            "dgp": cli.varma_spec_to_json(desk_spec),
-            "t": 60,
-            "burn_in": 20,
-            "p": 2,
-            "horizon": 3,
-            "methods": ["LS", "S-LS", "BOOT"],
-            "replications": 17,
-            "bootstrap_replications": 10,
-            "seed": 515,
-        }
-        path = tmp_path / "mc.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / name
-        assert cli.main(["mc", str(path), "--out", str(out), "--workers", str(workers)]) == 0
-        return (out / "mc_results.csv").read_bytes(), (out / "mc_entries.csv").read_bytes()
-
     def test_csvs_byte_identical_for_any_chunking(self, desk_spec, tmp_path, monkeypatch):
-        sizes = []
-        stack = mc_harness.simulate_varma_stack
-
-        def recording(spec, t, burn_in, seeds):
-            sizes.append(len(seeds))
-            return stack(spec, t, burn_in, seeds)
-
-        monkeypatch.setattr(mc_harness, "simulate_varma_stack", recording)
-        want = self._mc_csvs(tmp_path, desk_spec, "default", 1)
+        sizes = record_stack_sizes(monkeypatch)
+        want = mc_csvs(tmp_path, desk_spec, "default", 1)
         assert sizes == [17]
-        # (p + burn_in + t) K = (1 + 20 + 60) 2 shock values per path
         for size, chunks in ((1, [1] * 17), (3, [3] * 5 + [2]), (8, [8, 8, 1])):
-            monkeypatch.setattr(mc_harness, "_CHUNK_FLOATS", 162 * size + 161)
+            monkeypatch.setattr(mc_harness, "_CHUNK_FLOATS", chunk_floats(size))
             sizes.clear()
-            assert self._mc_csvs(tmp_path, desk_spec, f"c{size}-w1", 1) == want
+            assert mc_csvs(tmp_path, desk_spec, f"c{size}-w1", 1) == want
             assert sizes == chunks
-            assert self._mc_csvs(tmp_path, desk_spec, f"c{size}-w2", 2) == want
+            assert mc_csvs(tmp_path, desk_spec, f"c{size}-w2", 2) == want
 
     def test_at_least_one_chunk_per_worker(self, desk_spec):
         cfg = tiny_config(desk_spec, replications=11, workers=3)
@@ -171,7 +186,7 @@ class TestChunks:
 
 
 class TestFailedReplications:
-    """A replication whose sample fails is retried alone on its (r, 1) stream."""
+    """A replication whose sample fails is retried on its (r, 1) stream in the chunk's second pass."""
 
     @staticmethod
     def _failing(monkeypatch, seed, paths):
@@ -196,7 +211,7 @@ class TestFailedReplications:
         got = mc_harness._run_chunk(cfg, truth, chunk)
 
         seed = substream(cfg.seed, 3, 1)
-        assert calls[3:5] == [substream(cfg.seed, 3).spawn_key, seed.spawn_key]
+        assert calls == [substream(cfg.seed, r).spawn_key for r in chunk] + [seed.spawn_key]
         y = simulate_varma(cfg.dgp, cfg.t, cfg.effective_burn_in, substream(seed, 0))
         sets = interval_sets_for_sample(y, cfg.p, cfg.horizon, cfg.level, cfg.methods, 20, seed)
         for j, method in enumerate(cfg.methods):
@@ -205,6 +220,22 @@ class TestFailedReplications:
         for r in chunk:
             if r != 3:
                 assert all(np.array_equal(a, b) for a, b in zip(got[r], want[r]))
+
+    def test_retries_of_a_chunk_share_one_stack_for_any_chunking(
+        self, desk_spec, tmp_path, monkeypatch
+    ):
+        # workers 1 only: the patched scorer would not reach spawned pool workers
+        calls = self._failing(monkeypatch, MC_SEED, [(3,), (5,)])
+        sizes = record_stack_sizes(monkeypatch)
+        want = mc_csvs(tmp_path, desk_spec, "default", 1)
+        assert sizes == [17, 2]
+        assert calls[-2:] == [substream(MC_SEED, r, 1).spawn_key for r in (3, 5)]
+        assert want[0].splitlines()[1].endswith(b",17,0")
+        for size, chunks in ((1, [1] * 19), (3, [3, 3, 2, 3, 3, 3, 2]), (8, [8, 2, 8, 1])):
+            monkeypatch.setattr(mc_harness, "_CHUNK_FLOATS", chunk_floats(size))
+            sizes.clear()
+            assert mc_csvs(tmp_path, desk_spec, f"c{size}", 1) == want
+            assert sizes == chunks
 
     def test_retry_success_is_no_failure(self, desk_spec, monkeypatch):
         cfg = tiny_config(desk_spec, replications=6)
