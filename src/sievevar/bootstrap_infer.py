@@ -16,9 +16,13 @@ on the fitted mean, and reuses that same bias estimate on every draw
 instead of nesting a third bootstrap, so it is the one pass that must
 wait for another.
 
-Streams: draw r on refit attempt a resamples from the stream (seed, r, a)
-for BOOT, and from (seed, 0, r, a) and (seed, 1, r, a) for BOOT-db's two
-stages; a draw moves to the next attempt only when its refit is singular.
+Streams: each stage has one seed S, the method's seed for BOOT and
+(seed, 0) and (seed, 1) for BOOT-db's two stages. On refit attempt a, the
+block starts of all the stage's draws come from one fill of the stream
+(S, a, 0) and their residual indices from one fill of (S, a, 1), row r
+for draw r. Both fills are prefix-stable, so a draw's indices depend on
+(S, a, r) alone, not on m or the other draws of the pass. A draw moves to
+the next attempt only when its refit is singular.
 """
 
 from __future__ import annotations
@@ -51,37 +55,52 @@ def residual_bootstrap_sample(
     intercept: np.ndarray | None,
     residuals: np.ndarray,
     source: np.ndarray,
-    seeds: Sequence[SeedLike],
+    starts: np.ndarray,
+    idx: np.ndarray,
 ) -> np.ndarray:
-    """Recursive-design pseudo-samples of a VAR(p), one per seed, shape (n, T, K).
+    """Recursive-design pseudo-samples of a VAR(p), one per row of ``idx``, shape (n, T, K).
 
     ``ar`` is the (p, K, K) coefficient stack A_1..A_p and ``intercept`` the
     (K,) constant, or None for none. Residuals are centered before
-    resampling; the first p values of each pseudo-sample are a random
-    contiguous block of the (T, K) ``source``. Each seed's stream is
-    consumed in a fixed order (block start, then T residual indices), so
-    pseudo-sample j depends on ``seeds[j]`` alone and is bit-identical given
-    the same seed.
+    resampling. Pseudo-sample j starts from the p rows of the (T, K)
+    ``source`` beginning at ``starts[j]`` and adds the centered residuals
+    ``idx[j]`` at steps p..T-1; ``starts`` is an (n,) and ``idx`` an
+    (n, T - p) integer array. Pseudo-sample j depends on row j alone.
     """
     resid = np.asarray(residuals, dtype=float)
     if resid.ndim == 1:
         resid = resid[:, np.newaxis]
     if resid.shape[0] < 2:
         raise ValueError("need at least 2 residual rows")
+    starts, idx = np.asarray(starts), np.asarray(idx)
     t, k = source.shape
-    p, n = len(ar), len(seeds)
-
-    rngs = [generator(seed) for seed in seeds]
-    starts = np.array([rng.integers(0, t - p + 1) for rng in rngs], dtype=np.intp)
-    idx = np.array(
-        [rng.integers(0, resid.shape[0], size=t) for rng in rngs], dtype=np.intp
-    ).reshape(n, t)
+    p, n = len(ar), len(starts)
+    if idx.shape != (n, t - p):
+        raise DimensionMismatchError(
+            f"need {n} rows of {t - p} residual indices, got shape {idx.shape}"
+        )
     centered = resid - resid.mean(axis=0)
     const = intercept if intercept is not None else np.zeros(k)
     init = source[starts[:, np.newaxis] + np.arange(p), :, np.newaxis]
-    # time-major, so that each step adds one contiguous (n, K) block
-    shocks = centered.take(idx.T, axis=0).swapaxes(0, 1)[..., np.newaxis]
+    # time-major, so that each step adds one contiguous (n, K) block; the
+    # first p rows take residual 0, which the recursion never reads
+    steps = np.concatenate([np.zeros((p, n), dtype=np.intp), idx.T])
+    shocks = centered.take(steps, axis=0).swapaxes(0, 1)[..., np.newaxis]
     return var_recursion(ar, const[:, np.newaxis], init, shocks)[..., 0]
+
+
+def _draw_indices(
+    seed: SeedLike, attempt: int, n: int, t: int, p: int, n_resid: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block starts (n,) and residual indices (n, T - p) of draws 0..n-1 of a stage.
+
+    The starts fill the stream (seed, attempt, 0) and the indices the
+    stream (seed, attempt, 1), row r for draw r; numpy fills both in row
+    order, so row r is the same for every n > r.
+    """
+    starts = generator(substream(seed, attempt, 0)).integers(0, t - p + 1, size=n)
+    idx = generator(substream(seed, attempt, 1)).integers(0, n_resid, size=(n, t - p))
+    return starts, idx
 
 
 def _refit_draws(
@@ -96,11 +115,13 @@ def _refit_draws(
 
     ``streams`` holds (stage, seed) pairs of m draws each; the stage names
     the stream in errors. Draw r of a stream resamples from (``ar``,
-    ``intercept``) on the stream (seed, r, attempt), moving to the next
-    attempt when its refit is singular, and refits with an intercept when
-    there is one. Each attempt is one pass over the pending draws of all
-    streams together: they are resampled in one recursion per block of at
-    most ``_BLOCK_FLOATS`` pseudo-sample values and refitted by one
+    ``intercept``) with row r of ``_draw_indices(seed, attempt, ...)``,
+    moving to the next attempt when its refit is singular, and refits with
+    an intercept when there is one. Each attempt is one pass over the
+    pending draws of all streams together: each stream's indices are
+    drawn once, for draws 0 up to its last pending draw, and the pending
+    draws are resampled in one recursion per block of at most
+    ``_BLOCK_FLOATS`` pseudo-sample values and refitted by one
     ``fit_var_ls_stack`` call per block, and a draw it flags is singular.
     That kernel decides and solves each draw on its own, so a draw's bits
     do not depend on the streams or draws beside it.
@@ -115,16 +136,26 @@ def _refit_draws(
     if m < 2:
         raise ValueError("m must be >= 2")
     p, k = ar.shape[:2]
+    t = len(y)
     block = max(1, _BLOCK_FLOATS // y.size)
     # draws of all streams in one flat order: draw j is draw j % m of stream j // m
     out = np.empty((len(streams) * m, p, k, k))
     pending = np.arange(len(out))
     for attempt in range(_MAX_REFIT_ATTEMPTS):
+        # pending is sorted, so each stream's draws form one run
+        stream, row = np.divmod(pending, m)
+        fills = {
+            s: _draw_indices(streams[s][1], attempt, row[stream == s][-1] + 1, t, p, len(residuals))
+            for s in np.unique(stream).tolist()
+        }
         singular = []
         for lo in range(0, len(pending), block):
-            chunk = pending[lo : lo + block]
-            seeds = [substream(streams[j // m][1], j % m, attempt) for j in chunk.tolist()]
-            pseudo = residual_bootstrap_sample(ar, intercept, residuals, y, seeds)
+            chunk, part = pending[lo : lo + block], slice(lo, lo + block)
+            of, rows = stream[part], row[part]
+            runs = [(fills[s], rows[of == s]) for s in np.unique(of).tolist()]
+            starts = np.concatenate([fill[0][r] for fill, r in runs])
+            idx = np.concatenate([fill[1][r] for fill, r in runs])
+            pseudo = residual_bootstrap_sample(ar, intercept, residuals, y, starts, idx)
             coefs, fitted, _ = fit_var_ls_stack(pseudo, p, intercept=intercept is not None)
             if not fitted.all():
                 broken = np.flatnonzero(~np.isfinite(pseudo).all(axis=(1, 2)))

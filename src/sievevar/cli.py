@@ -403,6 +403,8 @@ def cmd_mc(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    if args.p < 1:
+        raise ConfigError("--p must be >= 1")
     if not 0.0 < args.level < 1.0:
         raise ConfigError("--level must be in (0, 1)")
     try:

@@ -29,21 +29,38 @@ from sievevar.streams import generator, substream
 from conftest import pure_ar_spec, random_stable_coeffs, scalar_varma
 
 
-def scalar_resample(model, residuals, values, seed):
+def rule_draw(seed, attempt, r, t, p, n_resid):
+    """Block start (1,) and residual indices (1, T - p) of draw r, by the stated rule.
+
+    On ``attempt``, a stage's block starts fill the stream (seed, attempt, 0)
+    and its residual indices the stream (seed, attempt, 1), row r for draw
+    r. Only rows 0..r are filled here, so a draw built from this matches
+    one drawn in a pass of any size only if the fills are prefix-stable.
+    """
+    starts = generator(substream(seed, attempt, 0)).integers(0, t - p + 1, size=r + 1)
+    idx = generator(substream(seed, attempt, 1)).integers(0, n_resid, size=(r + 1, t - p))
+    return starts[r:], idx[r:]
+
+
+def rule_pseudo(ar, intercept, residuals, values, seed, attempt, r):
+    """Pseudo-sample of draw r on ``attempt`` of the stage ``seed``, resampled alone."""
+    t, p = len(values), len(ar)
+    drawn = rule_draw(seed, attempt, r, t, p, len(residuals))
+    return residual_bootstrap_sample(ar, intercept, residuals, values, *drawn)[0]
+
+
+def scalar_resample(ar, intercept, residuals, values, start, idx):
     """Reference recursion: one pseudo-sample, one state vector at a time."""
-    rng = generator(seed)
     t, k = values.shape
-    p = model.p
-    start = int(rng.integers(0, t - p + 1))
-    idx = rng.integers(0, residuals.shape[0], size=t)
+    p = len(ar)
     centered = residuals - residuals.mean(axis=0)
-    stacked = np.hstack(list(model.ar_hat.mats))
-    const = model.intercept if model.intercept is not None else np.zeros(k)
+    stacked = np.hstack(list(ar))
+    const = intercept if intercept is not None else np.zeros(k)
     out = np.empty((t, k))
     out[:p] = values[start : start + p]
     state = out[:p][::-1].reshape(-1)
     for step in range(p, t):
-        y_new = const + stacked @ state + centered[idx[step]]
+        y_new = const + stacked @ state + centered[idx[step - p]]
         out[step] = y_new
         state[k:] = state[:-k]
         state[:k] = y_new
@@ -100,14 +117,16 @@ class TestResidualBootstrapSample:
     def test_zero_residuals_zero_source_gives_zero_path(self, rng):
         zeros = np.zeros((30, 1))
         model, _ = fit_var_ls(np.arange(30.0) % 7 + 1.0, 2)
-        path = residual_bootstrap_sample(model.ar_hat.mats, None, np.zeros((28, 1)), zeros, [5])
+        idx = np.arange(28)[np.newaxis] % 5
+        path = residual_bootstrap_sample(model.ar_hat.mats, None, np.zeros((28, 1)), zeros, [5], idx)
         np.testing.assert_array_equal(path, np.zeros((1, 30, 1)))
 
     def test_same_seed_identical(self, desk_spec):
         y = simulate_varma(desk_spec, 150, 200, 17).values
         model, resid = fit_var_ls(y, 2)
-        a = residual_bootstrap_sample(model.ar_hat.mats, None, resid, y, [99])
-        b = residual_bootstrap_sample(model.ar_hat.mats, None, resid, y, [99])
+        drawn = bootstrap_infer._draw_indices(99, 0, 3, 150, 2, len(resid))
+        a = residual_bootstrap_sample(model.ar_hat.mats, None, resid, y, *drawn)
+        b = residual_bootstrap_sample(model.ar_hat.mats, None, resid, y, *drawn)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("intercept", [False, True])
@@ -115,22 +134,52 @@ class TestResidualBootstrapSample:
         y = simulate_varma(desk_spec, 150, 200, 17)
         values = y.values + (3.0 if intercept else 0.0)
         model, resid = fit_var_ls(values, 3, intercept=intercept)
-        seeds = [substream(8, r, 0) for r in range(5)]
-        paths = residual_bootstrap_sample(model.ar_hat.mats, model.intercept, resid, values, seeds)
+        ar, const = model.ar_hat.mats, model.intercept
+        starts, idx = bootstrap_infer._draw_indices(8, 0, 5, 150, 3, len(resid))
+        paths = residual_bootstrap_sample(ar, const, resid, values, starts, idx)
         assert paths.shape == (5, 150, 2)
-        for path, seed in zip(paths, seeds):
-            np.testing.assert_array_equal(path, scalar_resample(model, resid, values, seed))
+        for path, start, row in zip(paths, starts, idx):
+            want = scalar_resample(ar, const, resid, values, start, row)
+            np.testing.assert_array_equal(path, want)
 
-    def test_empty_seed_list_gives_empty_stack(self, desk_spec):
+    def test_empty_index_arrays_give_empty_stack(self, desk_spec):
         y = simulate_varma(desk_spec, 50, 200, 17).values
         model, resid = fit_var_ls(y, 2)
-        paths = residual_bootstrap_sample(model.ar_hat.mats, None, resid, y, [])
+        starts, idx = np.zeros(0, dtype=int), np.zeros((0, 48), dtype=int)
+        paths = residual_bootstrap_sample(model.ar_hat.mats, None, resid, y, starts, idx)
         assert paths.shape == (0, 50, 2)
+
+    @pytest.mark.parametrize("shape", [(2, 48), (3, 50), (3,)])
+    def test_index_shape_must_match_starts_and_sample(self, desk_spec, shape):
+        # three starts and a T = 50, p = 2 sample need a (3, 48) index array
+        y = simulate_varma(desk_spec, 50, 200, 17).values
+        model, resid = fit_var_ls(y, 2)
+        with pytest.raises(DimensionMismatchError, match=r"need 3 rows of 48 residual indices"):
+            residual_bootstrap_sample(
+                model.ar_hat.mats, None, resid, y, [0, 1, 2], np.zeros(shape, dtype=int)
+            )
+
+    @pytest.mark.parametrize("seed, entropy, key", [(7, 7, ()), (substream(31, 1), 31, (1,))])
+    def test_draw_indices_fill_the_stated_streams(self, seed, entropy, key):
+        # attempt 2 of a stage: starts from (seed, 2, 0), indices from
+        # (seed, 2, 1), each one numpy fill of n rows; any shorter fill is a prefix
+        t, p, n_resid, n = 120, 3, 117, 50
+        starts, idx = bootstrap_infer._draw_indices(seed, 2, n, t, p, n_resid)
+
+        def rng(*path):
+            return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key + path))
+
+        np.testing.assert_array_equal(starts, rng(2, 0).integers(0, t - p + 1, size=n))
+        np.testing.assert_array_equal(idx, rng(2, 1).integers(0, n_resid, size=(n, t - p)))
+        for short in (1, 3, 49):
+            head = bootstrap_infer._draw_indices(seed, 2, short, t, p, n_resid)
+            np.testing.assert_array_equal(head[0], starts[:short])
+            np.testing.assert_array_equal(head[1], idx[:short])
 
     def test_initial_block_comes_from_source(self, desk_spec):
         y = simulate_varma(desk_spec, 100, 200, 21).values
         model, resid = fit_var_ls(y, 3)
-        path = residual_bootstrap_sample(model.ar_hat.mats, None, resid, y, [1])[0]
+        path = rule_pseudo(model.ar_hat.mats, None, resid, y, 1, 0, 0)
         # first p rows must be a contiguous block of the source
         hits = [s for s in range(len(y) - 3 + 1) if np.array_equal(path[:3], y[s : s + 3])]
         assert hits
@@ -153,7 +202,7 @@ class TestResidualBootstrapSample:
         y = simulate_varma(pure_ar_spec(ar), 4000, 200, 3)
         shifted = y.values + 5.0
         model, resid = fit_var_ls(shifted, 1, intercept=True)
-        path = residual_bootstrap_sample(model.ar_hat.mats, model.intercept, resid, shifted, [2])
+        path = rule_pseudo(model.ar_hat.mats, model.intercept, resid, shifted, 2, 0, 0)
         assert abs(path.mean() - 5.0) < 0.5
 
 
@@ -192,21 +241,21 @@ class TestBootstrapIrfDistribution:
             bootstrap_interval_sets(model, resid, y, 4, 1, 0.9, {"BOOT": 7})
 
     def test_singular_refit_retries_on_next_attempt(self, desk_spec, monkeypatch):
-        # a singular refit of draw 0 moves it to the stream (seed, 0, 1);
-        # every other draw keeps its first stream
+        # a singular refit of draw 1 moves it to row 1 of the attempt-1
+        # fills; every other draw keeps its attempt-0 row
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
         plain = boot_draws(model, resid, y, 4, 3, 7)
         ar = model.ar_hat.mats
-        first = residual_bootstrap_sample(ar, None, resid, y, [substream(7, 0, 0)])[0]
+        first = rule_pseudo(ar, None, resid, y, 7, 0, 1)
         refits = count_refits(monkeypatch, fail_on=first)
         draws = boot_draws(model, resid, y, 4, 3, 7)
-        retry = residual_bootstrap_sample(ar, None, resid, y, [substream(7, 0, 1)])
-        want = ma_from_ar(fit_var_ls_stack(retry, 2)[0][0], 4)
+        retry = rule_pseudo(ar, None, resid, y, 7, 1, 1)
+        want = ma_from_ar(fit_var_ls_stack(retry[np.newaxis], 2)[0][0], 4)
         assert refits == {"stacked": 4}
-        np.testing.assert_array_equal(draws[0], want)
-        assert not np.array_equal(draws[0], plain[0])
-        np.testing.assert_array_equal(draws[1:], plain[1:])
+        np.testing.assert_array_equal(draws[1], want)
+        assert not np.array_equal(draws[1], plain[1])
+        np.testing.assert_array_equal(draws[[0, 2]], plain[[0, 2]])
 
     def test_refit_singular_on_every_attempt_raises(self, desk_spec, monkeypatch):
         y = simulate_varma(desk_spec, 120, 200, 50).values
@@ -235,24 +284,29 @@ class TestBootstrapIrfDistribution:
         fitted, _ = fit_var_ls(rng.normal(size=(50, 2)), 1)
         model = replace(fitted, ar_hat=coeff_seq(np.eye(2)[np.newaxis], 2))
         resid = np.zeros((49, 2))
-        pair = [substream(7, 0, 0), 3]
-        pseudo = residual_bootstrap_sample(model.ar_hat.mats, None, resid, source, pair)
+        drawn = bootstrap_infer._draw_indices(7, 0, 2, 50, 1, 49)
+        pseudo = residual_bootstrap_sample(model.ar_hat.mats, None, resid, source, *drawn)
         np.testing.assert_array_equal(pseudo, np.ones((2, 50, 2)))
         assert not fit_var_ls_stack(pseudo, 1)[1].any()
-        seeds = []
+        blocks = []
         resample = bootstrap_infer.residual_bootstrap_sample
         refits = count_refits(monkeypatch)
 
-        def recorded(ar, intercept, residuals, source, block_seeds):
-            seeds.extend(block_seeds)
-            return resample(ar, intercept, residuals, source, block_seeds)
+        def recorded(ar, intercept, residuals, source, starts, idx):
+            blocks.append((starts, idx))
+            return resample(ar, intercept, residuals, source, starts, idx)
 
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", recorded)
         m, attempts = 3, bootstrap_infer._MAX_REFIT_ATTEMPTS
         with pytest.raises(SingularMatrixError):
             bootstrap_interval_sets(model, resid, source, 4, m, 0.9, {"BOOT": 7})
-        want = [substream(7, r, a) for a in range(attempts) for r in range(m)]
-        assert [q.spawn_key for q in seeds] == [q.spawn_key for q in want]
+        # one block per attempt, each draw on its row of that attempt's fills
+        assert len(blocks) == attempts
+        for attempt, (starts, idx) in enumerate(blocks):
+            for r in range(m):
+                start, row = rule_draw(7, attempt, r, 50, 1, 49)
+                assert starts[r] == start[0]
+                np.testing.assert_array_equal(idx[r], row[0])
         assert refits == {"stacked": m * attempts}
 
     @pytest.mark.parametrize("first_singular", [False, True])
@@ -261,8 +315,8 @@ class TestBootstrapIrfDistribution:
         self, desk_spec, monkeypatch, block, first_singular
     ):
         # two streams of 60 draws share each pass, a block of 64 spanning
-        # both; a forced singular first refit in the second stream moves its
-        # draw 0 to the attempt-1 stream
+        # both; a forced singular first refit of draw 5 of the second stream
+        # moves it to row 5 of that stream's attempt-1 fills
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
         ar, m = model.ar_hat.mats, 60
@@ -271,14 +325,13 @@ class TestBootstrapIrfDistribution:
         for _, seed in streams:
             draws = []
             for r in range(m):
-                attempt = 1 if first_singular and seed is streams[1][1] and r == 0 else 0
-                seeds = [substream(seed, r, attempt)]
-                pseudo = residual_bootstrap_sample(ar, None, resid, y, seeds)
-                draws.append(fit_var_ls_stack(pseudo, 2)[0][0])
+                attempt = 1 if first_singular and seed is streams[1][1] and r == 5 else 0
+                pseudo = rule_pseudo(ar, None, resid, y, seed, attempt, r)
+                draws.append(fit_var_ls_stack(pseudo[np.newaxis], 2)[0][0])
             want.append(np.array(draws))
         fail_on = None
         if first_singular:
-            fail_on = residual_bootstrap_sample(ar, None, resid, y, [substream(9, 0, 0, 0)])[0]
+            fail_on = rule_pseudo(ar, None, resid, y, substream(9, 0), 0, 5)
         refits = count_refits(monkeypatch, fail_on=fail_on)
         # blocks of 1, 3 and 64 draws of this T x K sample
         monkeypatch.setattr(bootstrap_infer, "_BLOCK_FLOATS", block * y.size)
@@ -296,6 +349,7 @@ class TestBootstrapIrfDistribution:
             raise AssertionError("resampled")
 
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", no_resample)
+        monkeypatch.setattr(bootstrap_infer, "_draw_indices", no_resample)
         got = bootstrap_infer._refit_draws(model.ar_hat.mats, None, resid, y, [], 3)
         assert got.shape == (0, 3, 2, 2, 2)
 
@@ -304,9 +358,9 @@ class TestBootstrapIrfDistribution:
         sizes = []
         resample = bootstrap_infer.residual_bootstrap_sample
 
-        def recorded(ar, intercept, residuals, source, seeds):
-            sizes.append(len(seeds))
-            return resample(ar, intercept, residuals, source, seeds)
+        def recorded(ar, intercept, residuals, source, starts, idx):
+            sizes.append(len(starts))
+            return resample(ar, intercept, residuals, source, starts, idx)
 
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", recorded)
         for t, k, draws in ((600, 4, [64, 64, 2]), (300, 2, [130])):
@@ -339,22 +393,23 @@ class TestBootstrapIrfDistribution:
         # only draw 2 of the second stream is singular, on every attempt
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
-        resample, stack = bootstrap_infer.residual_bootstrap_sample, bootstrap_infer.fit_var_ls_stack
-        block = []
-
-        def recorded(ar, intercept, residuals, source, seeds):
-            block[:] = [(q.entropy, q.spawn_key[:-1]) for q in seeds]
-            return resample(ar, intercept, residuals, source, seeds)
+        ar, stack = model.ar_hat.mats, bootstrap_infer.fit_var_ls_stack
+        attempts = range(bootstrap_infer._MAX_REFIT_ATTEMPTS)
+        targets = np.array([rule_pseudo(ar, None, resid, y, 8, a, 2) for a in attempts])
+        flagged = []
 
         def flag_target(samples, p, intercept=False):
             coefs, fitted, grams = stack(samples, p, intercept)
-            return coefs, fitted & np.array([key != (8, (2,)) for key in block], dtype=bool), grams
+            hit = (samples[:, np.newaxis] == targets).all(axis=(2, 3)).any(axis=1)
+            flagged.append(int(hit.sum()))
+            return coefs, fitted & ~hit, grams
 
-        monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", recorded)
         monkeypatch.setattr(bootstrap_infer, "fit_var_ls_stack", flag_target)
         streams = [("BOOT", 7), ("BOOT-db stage two", 8)]
         with pytest.raises(SingularMatrixError, match="for BOOT-db stage two draw 2$"):
-            bootstrap_infer._refit_draws(model.ar_hat.mats, None, resid, y, streams, 4)
+            bootstrap_infer._refit_draws(ar, None, resid, y, streams, 4)
+        # each attempt's pass resampled draw 2 from its own row of that attempt's fills
+        assert flagged == [1] * len(attempts)
 
     def test_explosive_model_raises_non_finite(self, rng):
         y = rng.normal(size=(1000, 2))

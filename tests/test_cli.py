@@ -532,6 +532,16 @@ class TestPlot:
         assert capsys.readouterr().err == f"error: {where}{message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("p", ["-3", "0"])
+    def test_order_below_one_exits_2_before_reading_the_file(self, tmp_path, capsys, p):
+        # the results file does not exist, so a check made after reading
+        # would report that instead
+        out = tmp_path / "c.svg"
+        missing = tmp_path / "missing.csv"
+        assert run_cli("plot", str(missing), "--p", p, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: --p must be >= 1\n"
+        assert not out.exists()
+
 
 class TestDiag:
     def test_report_and_json(self, capsys):

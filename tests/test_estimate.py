@@ -19,8 +19,8 @@ from sievevar import (
     simulate_varma,
     white_noise_spec,
 )
+from sievevar.bootstrap_infer import _draw_indices
 from sievevar.estimate import fit_var_ls_stack
-from sievevar.streams import substream
 from conftest import lagged_regressors, pure_ar_spec, random_stable_coeffs, scalar_varma
 
 
@@ -153,8 +153,8 @@ class TestFitVarLsStack:
         y = simulate_varma(desk_spec, 300, 200, 3)
         values = y.values + (3.0 if intercept else 0.0)
         model, resid = fit_var_ls(values, p, intercept=intercept)
-        seeds = [substream(1, r, 0) for r in range(20)]
-        pseudo = residual_bootstrap_sample(model.ar_hat.mats, model.intercept, resid, values, seeds)
+        drawn = _draw_indices(1, 0, 20, 300, p, len(resid))
+        pseudo = residual_bootstrap_sample(model.ar_hat.mats, model.intercept, resid, values, *drawn)
         # a collapsed and a near-collapse sample, as in test_collapsed_pivots_flagged
         base, noise = pseudo[0, :, :1], np.random.default_rng(p).normal(size=(300, 1))
         collapsed = np.hstack([base, base + 1e-7 * noise])
