@@ -38,6 +38,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .mc_harness import (
+    METHODS,
     ExperimentConfig,
     McSummary,
     check_design,
@@ -350,17 +351,17 @@ def cmd_ci(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     check_design(args.p, args.horizon, args.level, methods, args.bootstrap_replications)
     sample = read_sample_csv(args.data)
-    needs_seed = any(m.startswith("BOOT") for m in methods)
+    needs_seed = any(isinstance(METHODS[m], int) for m in methods)
     seed = resolve_seed(args.seed) if needs_seed or args.seed is not None else 0
-    if "S-LS" in methods:
-        extrapolated = [i for i, ok in horizon_gate(args.p, args.horizon) if not ok]
-        if extrapolated:
-            print(
-                f"warning: sieve intervals for horizons {extrapolated[0]}..."
-                f"{extrapolated[-1]} exceed the fitted order p={args.p}; "
-                "these are extrapolations without asymptotic support",
-                file=sys.stderr,
-            )
+    extrapolated = [i for i, ok in horizon_gate(args.p, args.horizon) if not ok]
+    if "S-LS" in methods and extrapolated:
+        first, last = extrapolated[0], extrapolated[-1]
+        span = f"horizons {first}...{last}" if last > first else f"horizon {first}"
+        print(
+            f"warning: sieve intervals for {span} exceed the fitted order p={args.p}; "
+            "these are extrapolations without asymptotic support",
+            file=sys.stderr,
+        )
     sets = interval_sets_for_sample(
         sample,
         args.p,
@@ -500,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci.add_argument("--p", type=int, required=True, help="lag order")
     p_ci.add_argument("--H", dest="horizon", type=int, required=True, help="max horizon")
     p_ci.add_argument("--level", type=float, default=0.95)
-    p_ci.add_argument("--methods", default="LS,S-LS", help="comma list: LS,S-LS,BOOT,BOOT-db")
+    p_ci.add_argument("--methods", default="LS,S-LS", help=f"comma list: {','.join(METHODS)}")
     p_ci.add_argument("--M", dest="bootstrap_replications", type=int, default=300)
     p_ci.add_argument("--seed", type=int, default=None)
     p_ci.add_argument("--out", required=True, help="output irf_ci.csv path")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,16 @@ from .estimate import _as_values, build_gamma_p, fit_var_ls, sample_autocov
 from .streams import SeedLike, substream
 from .var_core import ma_from_ar
 
-VALID_METHODS = ("LS", "S-LS", "BOOT", "BOOT-db")
+# Each method, written down once: a delta method's builder of its (H, K^2, K^2) covariance
+# stack from (fit, (T, K) sample, Phi-hat), or a bootstrap method's child stream (an int).
+METHODS: dict[str, Callable | int] = {
+    "LS": lambda fit, y, phi: irf_covariances(phi, fit.moment_matrix, fit.sigma_u_hat),
+    "S-LS": lambda fit, y, phi: irf_covariances(
+        phi, build_gamma_p(sample_autocov(y, fit.p - 1), fit.p), fit.sigma_u("ml")
+    ),
+    "BOOT": 10,
+    "BOOT-db": 11,
+}
 
 # fraction of replications allowed to fail (after one retry each)
 FAILURE_BUDGET = 0.01
@@ -50,13 +59,13 @@ def check_design(
         raise ConfigError("level must be in (0, 1)")
     if not methods:
         raise ConfigError("at least one method is required")
-    bad = [m for m in methods if m not in VALID_METHODS]
+    bad = [m for m in methods if m not in METHODS]
     if bad:
-        raise ConfigError(f"unknown methods {bad}; valid: {list(VALID_METHODS)}")
+        raise ConfigError(f"unknown methods {bad}; valid: {list(METHODS)}")
     if len(set(methods)) < len(methods):
         raise ConfigError(f"methods must not repeat, got {list(methods)}")
-    if bootstrap_replications < 2 and any(m.startswith("BOOT") for m in methods):
-        raise ConfigError("bootstrap replications must be >= 2 for BOOT and BOOT-db")
+    if bootstrap_replications < 2 and any(isinstance(METHODS[m], int) for m in methods):
+        raise ConfigError("bootstrap replications must be >= 2 for a bootstrap method")
 
 
 def check_sizes(t: int, burn_in: int | None, workers: int = 1) -> None:
@@ -125,33 +134,23 @@ def interval_sets_for_sample(
     """Confidence intervals for every requested method on one sample.
 
     ``y`` is a (T, K) array or ``SamplePath``; a 1-D array is one variable.
-    The sample is fitted once, here, and every method reads that fit; the
-    bootstrap runs only when BOOT or BOOT-db is requested. Each bootstrap
-    method draws from its own child stream, so adding or removing methods
-    never changes another method's output, although BOOT's draws and
-    BOOT-db's first stage share one bootstrap pass.
+    The sample is fitted once, here, and each method reads that fit as its
+    ``METHODS`` entry says. Each bootstrap method draws from its own child
+    stream, so adding or removing methods never changes another method's
+    output, although the bootstrap methods may share one bootstrap pass.
     """
     check_design(p, horizon, level, methods, bootstrap_replications)
     y = _as_values(y)
     model, resid = fit_var_ls(y, p, intercept=intercept)
-    seeds = {
-        method: substream(seed, stream)
-        for method, stream in (("BOOT", 10), ("BOOT-db", 11))
-        if method in methods
-    }
+    seeds = {m: substream(seed, METHODS[m]) for m in methods if isinstance(METHODS[m], int)}
     out = {}
     if seeds:
         out = bootstrap_interval_sets(
             model, resid, y, horizon, bootstrap_replications, level, seeds
         )
     phi_hat = ma_from_ar(model.ar_hat.mats, horizon)
-    if "LS" in methods:
-        covs = irf_covariances(phi_hat, model.moment_matrix, model.sigma_u_hat)
-        out["LS"] = delta_ci(phi_hat, covs, level, len(y), method="LS")
-    if "S-LS" in methods:
-        gamma_p = build_gamma_p(sample_autocov(y, p - 1), p)
-        covs = irf_covariances(phi_hat, gamma_p, model.sigma_u("ml"))
-        out["S-LS"] = delta_ci(phi_hat, covs, level, len(y), method="S-LS")
+    for method in (m for m in methods if m not in seeds):
+        out[method] = delta_ci(phi_hat, METHODS[method](model, y, phi_hat), level, len(y), method)
     return {method: out[method] for method in methods}
 
 

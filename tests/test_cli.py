@@ -109,13 +109,15 @@ def sample_csv(tmp_path):
 class TestCi:
     def test_extrapolation_warning_exactly_once(self, sample_csv, tmp_path, capsys):
         out = tmp_path / "ci.csv"
-        code = run_cli(
-            "ci", str(sample_csv), "--p", "3", "--H", "8",
-            "--methods", "LS,S-LS", "--out", str(out),
-        )
-        assert code == 0
-        err = capsys.readouterr().err
-        assert err.count("extrapolation") == 1
+        for p, horizon, span in (("3", "8", "horizons 4...8"), ("2", "3", "horizon 3")):
+            code = run_cli(
+                "ci", str(sample_csv), "--p", p, "--H", horizon,
+                "--methods", "LS,S-LS", "--out", str(out),
+            )
+            assert code == 0
+            err = capsys.readouterr().err
+            assert err.count("extrapolation") == 1
+            assert f"warning: sieve intervals for {span} exceed the fitted order p={p};" in err
 
     def test_no_warning_within_p(self, sample_csv, tmp_path, capsys):
         out = tmp_path / "ci.csv"

@@ -23,7 +23,7 @@ from sievevar import (
     white_noise_spec,
 )
 from sievevar import bootstrap_infer, cli, mc_harness
-from sievevar.mc_harness import VALID_METHODS, McSummary
+from sievevar.mc_harness import METHODS, McSummary
 from sievevar.streams import substream
 from conftest import pure_ar_spec, random_stable_coeffs
 
@@ -283,7 +283,7 @@ class TestIntervalSetsForSample:
         counting(bootstrap_infer, "fit_var_ls", "per_draw")
         counting(bootstrap_infer, "fit_var_ls_stack", "stacked", lambda samples, *_: len(samples))
         y = simulate_varma(desk_spec, 150, 200, 8)
-        interval_sets_for_sample(y, 2, 4, 0.95, VALID_METHODS, 20, 5)
+        interval_sets_for_sample(y, 2, 4, 0.95, tuple(METHODS), 20, 5)
         assert calls == {"sample": 1, "stacked": 3 * 20, "per_draw": 0}
 
     @pytest.mark.parametrize("intercept", [False, True])
@@ -324,9 +324,9 @@ class TestIntervalSetsForSample:
     def test_one_dimensional_sample_is_one_column(self):
         # every method reads a 1-D sample as one variable
         y = np.random.default_rng(3).normal(size=100)
-        flat = interval_sets_for_sample(y, 1, 4, 0.95, VALID_METHODS, 20, 1)
-        column = interval_sets_for_sample(y[:, np.newaxis], 1, 4, 0.95, VALID_METHODS, 20, 1)
-        for method in VALID_METHODS:
+        flat = interval_sets_for_sample(y, 1, 4, 0.95, tuple(METHODS), 20, 1)
+        column = interval_sets_for_sample(y[:, np.newaxis], 1, 4, 0.95, tuple(METHODS), 20, 1)
+        for method in METHODS:
             for name in ("points", "lowers", "uppers"):
                 np.testing.assert_array_equal(
                     getattr(flat[method], name), getattr(column[method], name)
@@ -358,6 +358,28 @@ class TestIntervalSetsForSample:
         with pytest.raises(ConfigError, match="'FOO'"):
             interval_sets_for_sample(y, 2, 4, 0.95, ("BOOT", "FOO"), 20, 5)
 
+    def test_one_table_entry_adds_a_delta_method(self, desk_spec, monkeypatch, tmp_path):
+        # a delta method built like LS needs its METHODS entry and nothing else
+        monkeypatch.setitem(mc_harness.METHODS, "LS-copy", mc_harness.METHODS["LS"])
+        mc_harness.check_design(2, 4, 0.95, ("LS", "LS-copy"), 20)
+        y = simulate_varma(desk_spec, 150, 200, 8)
+        sets = interval_sets_for_sample(y, 2, 4, 0.95, ("LS", "LS-copy", "BOOT"), 20, 5)
+        boot = interval_sets_for_sample(y, 2, 4, 0.95, ("BOOT",), 20, 5)["BOOT"]
+        assert tuple(sets) == ("LS", "LS-copy", "BOOT")
+        assert sets["LS-copy"].method == "LS-copy"
+        for name in ("points", "lowers", "uppers"):
+            np.testing.assert_array_equal(getattr(sets["LS-copy"], name), getattr(sets["LS"], name))
+            np.testing.assert_array_equal(getattr(sets["BOOT"], name), getattr(boot, name))
+
+        cli.write_sample_csv(str(tmp_path / "y.csv"), y)
+        out = tmp_path / "ci.csv"
+        argv = ["ci", str(tmp_path / "y.csv"), "--p", "2", "--H", "4", "--out", str(out)]
+        assert cli.main(argv + ["--methods", "LS,LS-copy"]) == 0
+        rows = [line.split(",", 1) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        ls = [rest for method, rest in rows if method == "LS"]
+        copy = [rest for method, rest in rows if method == "LS-copy"]
+        assert len(copy) == 5 * 2 * 2 and copy == ls
+
 
 def invariance_sample():
     """A K=3 VAR(2) sample of T=150 with correlated innovations."""
@@ -368,7 +390,7 @@ def invariance_sample():
 
 
 def all_intervals(y, intercept=False):
-    sets = interval_sets_for_sample(y, 2, 6, 0.9, VALID_METHODS, 30, 709, intercept=intercept)
+    sets = interval_sets_for_sample(y, 2, 6, 0.9, tuple(METHODS), 30, 709, intercept=intercept)
     return {m: np.stack([iv.points, iv.lowers, iv.uppers]) for m, iv in sets.items()}
 
 
@@ -394,7 +416,7 @@ class TestIntervalInvariance:
         want = {m: a[:, :, perm][:, :, :, perm] for m, a in all_intervals(y).items()}
         assert_same_intervals(all_intervals(y[:, perm]), want)
 
-    @pytest.mark.parametrize("method", VALID_METHODS)
+    @pytest.mark.parametrize("method", tuple(METHODS))
     def test_mean_shift_with_intercept_leaves_intervals_unchanged(self, method):
         y = invariance_sample()
         shifted = y + np.array([5.0, -3.0, 0.5])
