@@ -34,10 +34,9 @@ from .errors import (
 )
 from .estimate import (
     VarModel,
-    build_gamma_p,
     fit_var_ls,
     residual_cov,
-    sample_autocov,
+    sample_gamma_p,
 )
 from .mc_harness import (
     ExperimentConfig,
@@ -79,7 +78,6 @@ __all__ = [
     "aggregate",
     "assumption_ratios",
     "bootstrap_interval_sets",
-    "build_gamma_p",
     "coeff_seq",
     "companion_form",
     "counterexample_ar",
@@ -96,7 +94,7 @@ __all__ = [
     "residual_bootstrap_sample",
     "residual_cov",
     "run_experiment",
-    "sample_autocov",
+    "sample_gamma_p",
     "sample_growth",
     "simulate_varma",
     "spectral_radius",

@@ -68,6 +68,22 @@ _NUMBER = (int, float)
 # ---------------------------------------------------------------- config
 
 
+# the keys `simulate` and `mc` read: either command takes a whole preset
+CONFIG_KEYS = frozenset({
+    "schema", "label", "dgp", "t", "p", "horizon", "level", "methods", "replications",
+    "bootstrap_replications", "seed", "workers", "burn_in", "intercept",
+})
+DGP_KEYS = frozenset({"k", "ar", "ma", "sigma_u", "counterexample"})
+COUNTEREXAMPLE_KEYS = frozenset({"base", "plan"})
+
+
+def _known_keys(obj: dict, known: frozenset, where: str) -> None:
+    """Refuse a key that nothing reads, so that a misspelt one cannot fall back to a default."""
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; known: {sorted(known)}")
+
+
 def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise ConfigError(f"missing {key!r} in {where}")
@@ -115,12 +131,16 @@ def parse_varma_spec(obj: dict) -> VarmaSpec:
     """Build a VarmaSpec from its JSON form; see docs/config.md."""
     if not isinstance(obj, dict):
         raise ConfigError("dgp must be an object")
+    _known_keys(obj, DGP_KEYS, "dgp")
     try:
         k = _whole(_require(obj, "k", "dgp"), "dgp.k")
         if k < 1:
             raise ConfigError("dgp.k must be >= 1")
         if "counterexample" in obj:
             ce = obj["counterexample"]
+            if not isinstance(ce, dict):
+                raise ConfigError("dgp.counterexample must be an object")
+            _known_keys(ce, COUNTEREXAMPLE_KEYS, "dgp.counterexample")
             base = _numbers(
                 _require(ce, "base", "dgp.counterexample"),
                 "dgp.counterexample.base",
@@ -169,6 +189,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(
             f"config schema must be {SCHEMA_VERSION}, got {obj.get('schema')!r}"
         )
+    _known_keys(obj, CONFIG_KEYS, "config")
     return obj
 
 
@@ -259,8 +280,20 @@ PRESETS = {
 # ---------------------------------------------------------------- CSV I/O
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def read_sample_csv(path: str) -> SamplePath:
-    """T x K sample from CSV; a non-numeric first row is treated as a header."""
+    """T x K sample from CSV; a first row with no numeric field is a header.
+
+    A first row that mixes numbers and text is refused like any other
+    malformed row, not dropped as a header.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [line.strip() for line in fh if line.strip()]
@@ -268,11 +301,7 @@ def read_sample_csv(path: str) -> SamplePath:
         raise ConfigError(f"cannot read data {path}: {exc}") from None
     if not lines:
         raise ConfigError(f"data file {path} is empty")
-    start = 0
-    try:
-        [float(v) for v in lines[0].split(",")]
-    except ValueError:
-        start = 1
+    start = 0 if any(_is_number(v) for v in lines[0].split(",")) else 1
     rows = []
     for n, line in enumerate(lines[start:], start=start + 1):
         try:

@@ -1,11 +1,13 @@
 """Least-squares VAR(p) estimation and sample second moments.
 
-The fitted model carries two different "Gamma" objects on purpose: the
-regression moment matrix Z Z' / T_eff (conditional on presample values),
-and the block-Toeplitz matrix assembled from divisor-T sample
-autocovariances. Finite-order delta intervals use the former, sieve
+There are two different "Gamma" plug-ins on purpose: the regression
+moment matrix Z Z' / T_eff of a fit (conditional on presample values), and
+the block-Toeplitz matrix Gamma_p of divisor-T sample autocovariances
+(``sample_gamma_p``). Finite-order delta intervals use the former, sieve
 intervals the latter; keeping both explicit is what lets the two interval
-families be compared cleanly.
+families be compared cleanly. Both come from one lag-window Gram
+(``_lag_grams``): of the sample's lag windows for the fit, and of the
+mean-subtracted sample padded with p - 1 zero rows at each end for Gamma_p.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ _PIVOT_COLLAPSE = 1e-13
 
 @dataclass(frozen=True)
 class VarModel:
-    """Fitted VAR(p): coefficients, df-adjusted innovation covariance, moment matrix."""
+    """Fitted VAR(p): coefficients, df-adjusted innovation covariance, moment matrix.
 
-    k: int
-    p: int
+    K and p are read from ``ar_hat``; the other arrays must match them.
+    """
+
     ar_hat: MatrixSeq
     sigma_u_hat: np.ndarray
     intercept: np.ndarray | None
@@ -36,18 +39,27 @@ class VarModel:
     t_effective: int = 0
 
     def __post_init__(self) -> None:
-        sigma = np.asarray(self.sigma_u_hat, dtype=float)
-        if not _is_symmetric(sigma):
-            raise DimensionMismatchError("sigma_u_hat is not symmetric within 1e-12")
-        for name in ("sigma_u_hat", "moment_matrix", "intercept"):
+        k, kp = self.k, self.k * self.p
+        shapes = {"sigma_u_hat": (k, k), "moment_matrix": (kp, kp), "intercept": (k,)}
+        for name, shape in shapes.items():
             if getattr(self, name) is not None:
                 arr = np.array(getattr(self, name), dtype=float)
+                if arr.shape != shape:
+                    raise DimensionMismatchError(f"{name} must have shape {shape}, got {arr.shape}")
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
-        if self.intercept is not None and self.intercept.shape != (self.k,):
-            raise DimensionMismatchError(
-                f"intercept must have shape ({self.k},), got {self.intercept.shape}"
-            )
+        if not _is_symmetric(self.sigma_u_hat):
+            raise DimensionMismatchError("sigma_u_hat is not symmetric within 1e-12")
+
+    @property
+    def k(self) -> int:
+        """Variables K, from the fitted coefficients."""
+        return self.ar_hat.mats.shape[1]
+
+    @property
+    def p(self) -> int:
+        """Lag order p, from the fitted coefficients."""
+        return self.ar_hat.mats.shape[0]
 
     @property
     def n_reg(self) -> int:
@@ -98,6 +110,26 @@ def _lag_windows(samples: np.ndarray, p: int) -> np.ndarray:
     flat = samples.take(np.arange(t - 1, -1, -1), axis=1).reshape(n, t * k)
     step = k * flat.itemsize
     return np.ndarray((n, t - p, k * (p + 1)), buffer=flat, strides=(t * step, step, flat.itemsize))
+
+
+def _lag_grams(samples: np.ndarray, p: int, demean: bool = False) -> np.ndarray:
+    """(n, K(p+1), K(p+1)) Grams W'W of the lag windows W of each sample of an (n, T, K) stack.
+
+    W holds the rows of ``_lag_windows``, column-demeaned when ``demean``.
+    The one second-moment routine of the package: ``fit_var_ls_stack`` takes
+    its regression Grams from here and ``sample_gamma_p`` its Gamma_p.
+    """
+    n, t, k = samples.shape
+    gram = np.empty((n, k * (p + 1), k * (p + 1)))
+    # one contiguous copy and one BLAS product (syrk) per sample: on the
+    # overlapping window itself numpy's matmul runs gemm, on two threads for
+    # the 62 x 62 Gram of K = 2, p = 30, which doubles the CPU time of a fit
+    for rows, out in zip(_lag_windows(samples, p), gram):
+        rows = np.array(rows, order="C")
+        if demean:  # the means by a product, three times faster than rows.mean(axis=0)
+            rows -= np.ones(t - p) @ rows / (t - p)
+        np.matmul(rows.T, rows, out=out)
+    return gram
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -158,8 +190,6 @@ def fit_var_ls(
         target = target - const
     resid = target - x @ coef
     model = VarModel(
-        k=k,
-        p=p,
         ar_hat=coeff_seq(coefs[0], k),
         sigma_u_hat=residual_cov(resid, df_mode="adjusted", n_reg=n_reg),
         intercept=const,
@@ -201,16 +231,7 @@ def fit_var_ls_stack(
     finite = np.isfinite(samples).all(axis=(1, 2))
     if not finite.all():
         samples = np.where(finite[:, np.newaxis, np.newaxis], samples, 0.0)
-    gram = np.empty((n, k * (p + 1), k * (p + 1)))
-    # one contiguous copy and one BLAS product (syrk) per sample: on the
-    # overlapping window itself numpy's matmul runs gemm, on two threads for
-    # the 62 x 62 Gram of K = 2, p = 30, which doubles the CPU time of a fit
-    for rows, out in zip(_lag_windows(samples, p), gram):
-        rows = np.array(rows, order="C")
-        if intercept:  # partialled out (Frisch-Waugh): the rows demeaned,
-            # their means by a product, three times faster than rows.mean(axis=0)
-            rows -= np.ones(t - p) @ rows / (t - p)
-        np.matmul(rows.T, rows, out=out)
+    gram = _lag_grams(samples, p, demean=intercept)
     grams, xty = gram[:, k:, k:], gram[:, k:, :k]
     pivots = np.diagonal(_cholesky(grams), axis1=1, axis2=2)
     fitted = finite & (pivots.min(axis=1) ** 2 > _PIVOT_COLLAPSE * pivots.max(axis=1) ** 2)
@@ -235,48 +256,28 @@ def residual_cov(
     return resid.T @ resid / d
 
 
-def sample_autocov(y: SamplePath | np.ndarray, h_max: int) -> np.ndarray:
-    """Divisor-T sample autocovariances Gamma(0)..Gamma(h_max), mean subtracted.
+def sample_gamma_p(y: SamplePath | np.ndarray, p: int) -> np.ndarray:
+    """Block-Toeplitz Gamma_p of divisor-T sample autocovariances, the sieve plug-in.
 
-    Returns the read-only (h_max+1, K, K) array with Gamma(h) =
-    sum_t (y_t - ybar)(y_{t-h} - ybar)' / T at index h. The biased divisor
-    keeps the block-Toeplitz matrix built from these positive semidefinite
-    for every sample.
+    Block (i, j) is Gamma(j - i), with Gamma(h) = sum_t c_t c_{t-h}' / T for
+    the mean-subtracted sample c_t = y_t - ybar and Gamma(-h) = Gamma(h)'.
+    This is the lag-window Gram of c padded with p - 1 zero rows at each
+    end, divided by T: a window [c_s', ..., c_{s-p+1}'] pairs c_{s-i} with
+    c_{s-j}, and the padding lets every pair of the sample appear exactly
+    once. As a Gram, the Kp x Kp result is exactly symmetric and positive
+    semidefinite for every sample, which is what the biased divisor T buys.
+
+    Raises
+    ------
+    ValueError
+        If p < 1 or p - 1 >= T.
     """
     values = _as_values(y)
     t, k = values.shape
-    if h_max >= t:
-        raise ValueError("h_max must be smaller than the sample length")
-    centered = values - values.mean(axis=0)
-    gammas = np.empty((h_max + 1, k, k))
-    for h in range(h_max + 1):
-        gammas[h] = centered[h:].T @ centered[: t - h] / t
-    gammas.flags.writeable = False
-    return gammas
-
-
-def build_gamma_p(gammas: np.ndarray, p: int) -> np.ndarray:
-    """Block-Toeplitz Gamma_p, the population analogue of the moment matrix.
-
-    ``gammas`` is the (h_max+1, K, K) array Gamma(0)..Gamma(h_max) of
-    ``sample_autocov``. With Gamma(h) = E[y_t y_{t-h}'], block (i, j) of
-    E[Z_t Z_t'] for Z_t = [y_{t-1}', ..., y_{t-p}']' is
-    E[y_{t-1-i} y_{t-1-j}'] = Gamma(j - i); Gamma(-h) = Gamma(h)' fills the
-    lower triangle.
-    """
     if p < 1:
         raise ValueError("p must be >= 1")
-    gammas = np.asarray(gammas, dtype=float)
-    if gammas.ndim != 3 or gammas.shape[1] != gammas.shape[2]:
-        raise DimensionMismatchError(
-            f"gammas must have shape (h_max+1, K, K), got {gammas.shape}"
-        )
-    if len(gammas) < p:
-        raise DimensionMismatchError(
-            f"need autocovariances up to lag {p - 1}, have {len(gammas) - 1}"
-        )
-    k = gammas.shape[1]
-    # Gamma(-(p-1))..Gamma(p-1), so that lag j - i sits at index j - i + p - 1
-    both = np.concatenate([gammas[p - 1 : 0 : -1].swapaxes(1, 2), gammas[:p]])
-    lags = np.arange(p) - np.arange(p)[:, np.newaxis] + p - 1
-    return both[lags].swapaxes(1, 2).reshape(k * p, k * p)
+    if p - 1 >= t:
+        raise ValueError(f"p - 1 must be smaller than the sample length, got p={p}, T={t}")
+    padded = np.zeros((1, t + 2 * (p - 1), k))
+    padded[0, p - 1 : p - 1 + t] = values - values.mean(axis=0)
+    return _lag_grams(padded, p - 1)[0] / t

@@ -26,6 +26,34 @@ def lagged_regressors(values: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def sample_autocov(y: np.ndarray, h_max: int) -> np.ndarray:
+    """(h_max+1, K, K) divisor-T autocovariances of the demeaned sample, one product per lag.
+
+    Gamma(h) = sum_t (y_t - ybar)(y_{t-h} - ybar)' / T at index h; with
+    ``build_gamma_p``, the oracle for ``sample_gamma_p``.
+    """
+    values = np.asarray(y, dtype=float)
+    values = values.reshape(len(values), -1)
+    t, k = values.shape
+    centered = values - values.mean(axis=0)
+    gammas = np.empty((h_max + 1, k, k))
+    for h in range(h_max + 1):
+        gammas[h] = centered[h:].T @ centered[: t - h] / t
+    return gammas
+
+
+def build_gamma_p(gammas: np.ndarray, p: int) -> np.ndarray:
+    """Kp x Kp block-Toeplitz matrix with block (i, j) = Gamma(j - i), Gamma(-h) = Gamma(h)'.
+
+    ``gammas`` holds Gamma(0)..Gamma(h_max), h_max >= p - 1; one gather of
+    Gamma(-(p-1))..Gamma(p-1), so that lag j - i sits at index j - i + p - 1.
+    """
+    k = gammas.shape[1]
+    both = np.concatenate([gammas[p - 1 : 0 : -1].swapaxes(1, 2), gammas[:p]])
+    lags = np.arange(p) - np.arange(p)[:, np.newaxis] + p - 1
+    return both[lags].swapaxes(1, 2).reshape(k * p, k * p)
+
+
 def ma_via_companion(ar: np.ndarray, i: int) -> np.ndarray:
     """Phi_i as the top-left block of the i-th companion power, the oracle for ``ma_from_ar``.
 

@@ -169,6 +169,21 @@ class TestCi:
         data.write_text("")
         assert run_cli("ci", str(data), "--p", "1", "--H", "2", "--out", str(tmp_path / "o.csv")) == 2
 
+    def test_first_row_mixing_numbers_and_text_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "mixed.csv"
+        data.write_text("1,2x\n3,4\n5,6\n")
+        out = tmp_path / "o.csv"
+        assert run_cli("ci", str(data), "--p", "1", "--H", "2", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {data}:1: ")
+        assert not out.exists()
+
+    def test_first_row_without_numbers_is_a_header(self, tmp_path):
+        rows = "1,2\n3,5\n4,1\n"
+        for header in ("y1,y2\n", "a,b\n", ""):
+            (tmp_path / "data.csv").write_text(header + rows)
+            sample = cli.read_sample_csv(str(tmp_path / "data.csv"))
+            np.testing.assert_array_equal(sample.values, [[1, 2], [3, 5], [4, 1]])
+
 
 @pytest.mark.parametrize(
     "command, change",
@@ -278,6 +293,42 @@ def test_unconvertible_config_values_exit_2(command, dgp, change, field, tmp_pat
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"{field} must be" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+@pytest.mark.parametrize(
+    "where, key",
+    [
+        ("config", "intercpt"),
+        ("config", "bootstrap_replication"),
+        ("dgp", "sigma"),
+        ("counterexample", "plans"),
+    ],
+)
+def test_unknown_config_key_exits_2_naming_it(command, where, key, tmp_path, capsys):
+    # each would otherwise run with a default: no intercept, M = 300, identity Sigma_u
+    cfg = json.loads(desk_config(tmp_path).read_text())
+    cfg.update(p=2, horizon=3, methods=["LS"], replications=2)
+    if where == "counterexample":
+        cfg["dgp"]["counterexample"] = {"base": A1}
+    table = {"config": cfg, "dgp": cfg["dgp"], "counterexample": cfg["dgp"].get("counterexample")}
+    table[where][key] = 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli(command, str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown key {key!r} in ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(cli.PRESETS))
+def test_every_preset_loads_as_a_config_file(name, tmp_path):
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps(cli.PRESETS[name]()))
+    obj = cli.load_config(str(path))
+    args = cli.build_parser().parse_args(["mc", str(path), "--out", "x"])
+    assert cli.parse_experiment_config(obj, args).label == obj["label"]
 
 
 def test_integral_floats_read_as_whole_numbers(tmp_path):

@@ -10,14 +10,13 @@ from sievevar import (
     IntervalSet,
     NonFiniteError,
     SingularMatrixError,
-    build_gamma_p,
     delta_ci,
     fit_var_ls,
     horizon_gate,
     irf_covariances,
     irf_jacobian,
     ma_from_ar,
-    sample_autocov,
+    sample_gamma_p,
     simulate_varma,
     white_noise_spec,
 )
@@ -87,7 +86,7 @@ def ls_plugins(model):
 
 
 def sls_plugins(model, y):
-    return build_gamma_p(sample_autocov(y, model.p - 1), model.p), model.sigma_u("ml")
+    return sample_gamma_p(y, model.p), model.sigma_u("ml")
 
 
 class TestFiniteOrderCov:

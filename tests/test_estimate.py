@@ -1,4 +1,4 @@
-"""Least-squares fit, residual covariance, autocovariances, Toeplitz matrix."""
+"""Least-squares fit, residual covariance, and the block-Toeplitz sieve plug-in."""
 
 from dataclasses import replace
 
@@ -10,18 +10,25 @@ from sievevar import (
     NonFiniteError,
     SamplePath,
     SingularMatrixError,
-    build_gamma_p,
     coeff_seq,
     fit_var_ls,
     residual_bootstrap_sample,
     residual_cov,
-    sample_autocov,
+    sample_gamma_p,
     simulate_varma,
     white_noise_spec,
 )
 from sievevar.bootstrap_infer import _draw_indices
 from sievevar.estimate import fit_var_ls_stack
-from conftest import lagged_regressors, pure_ar_spec, random_stable_coeffs, scalar_varma
+from conftest import (
+    assert_close_to_scale,
+    build_gamma_p,
+    lagged_regressors,
+    pure_ar_spec,
+    random_stable_coeffs,
+    sample_autocov,
+    scalar_varma,
+)
 
 
 class TestFitVarLs:
@@ -84,7 +91,7 @@ class TestFitVarLs:
         with pytest.raises(DimensionMismatchError, match="non-finite"):
             fit_var_ls(y, 2)
         with pytest.raises(DimensionMismatchError, match="non-finite"):
-            sample_autocov(y, 1)
+            sample_gamma_p(y, 2)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_class_follows_origin(self, rng, bad):
@@ -123,6 +130,18 @@ class TestFitVarLs:
         for bad in (np.zeros(3), np.zeros((2, 1))):
             with pytest.raises(DimensionMismatchError, match="intercept"):
                 replace(model, intercept=bad)
+
+    def test_order_and_dimension_come_from_coefficients(self, rng):
+        model, _ = fit_var_ls(rng.normal(size=(100, 2)), 3)
+        assert (model.k, model.p, model.n_reg) == (2, 3, 6)
+        # K = 3 coefficients beside a 2 x 2 Sigma_u, then p = 2 beside a 6 x 6 moment matrix
+        for name, ar in (("sigma_u_hat", np.zeros((1, 3, 3))), ("moment_matrix", np.zeros((2, 2, 2)))):
+            with pytest.raises(DimensionMismatchError, match=f"{name} must have shape"):
+                replace(model, ar_hat=coeff_seq(ar, ar.shape[-1]))
+        with pytest.raises(DimensionMismatchError, match="sigma_u_hat must have shape"):
+            replace(model, sigma_u_hat=np.eye(3))
+        with pytest.raises(DimensionMismatchError, match="moment_matrix must have shape"):
+            replace(model, moment_matrix=np.eye(4))
 
     def test_sigma_symmetry_is_relative(self, rng):
         e = rng.normal(size=(2000, 2))
@@ -260,41 +279,67 @@ class TestResidualCov:
             residual_cov(np.array([1.0, -1.0]), "bayes")
 
 
-class TestSampleAutocov:
+class TestSampleGammaP:
+    def test_alternating_series(self):
+        # Gamma(0) = 4/4, Gamma(1) = 3 * (-1) / 4
+        gp = sample_gamma_p(np.array([1.0, -1.0, 1.0, -1.0]), 2)
+        np.testing.assert_allclose(gp, [[1.0, -0.75], [-0.75, 1.0]], rtol=0, atol=1e-15)
+
+    def test_constant_series_vanishes(self):
+        np.testing.assert_array_equal(sample_gamma_p(np.full(10, 3.5), 4), np.zeros((4, 4)))
+
+    def test_ar1_matches_yule_walker(self):
+        # Gamma(1) = a Gamma(0) = 0.5 * 4/3 = 2/3
+        y = simulate_varma(scalar_varma(0.5, None), 100_000, 500, 15)
+        assert sample_gamma_p(y, 2)[0, 1] == pytest.approx(2.0 / 3.0, rel=0.02)
+
+    def test_order_bounds(self):
+        y = np.arange(5.0)
+        assert sample_gamma_p(y, 5).shape == (5, 5)  # p - 1 = T - 1 lags
+        for p in (0, -1, 6):
+            with pytest.raises(ValueError, match="p must be|p - 1 must be"):
+                sample_gamma_p(y, p)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e4])
+    @pytest.mark.parametrize("p", [1, 2, 10, 30])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_autocovariance_oracle(self, rng, k, p, shift):
+        y = rng.normal(size=(120, k)) @ rng.normal(size=(k, k)) + shift
+        gp = sample_gamma_p(y, p)
+        assert_close_to_scale(gp, build_gamma_p(sample_autocov(y, p - 1), p), 1e-12)
+        np.testing.assert_array_equal(gp, gp.T)
+
+    def test_negative_lag_transposes(self, rng):
+        # block (2, 0) of Gamma_3 is Gamma(-2) = Gamma(2)', block (0, 2) is Gamma(2)
+        y = rng.normal(size=(50, 2))
+        gammas = sample_autocov(y, 2)
+        gp = sample_gamma_p(y, 3)
+        assert_close_to_scale(gp[4:6, 0:2], gammas[2].T, 1e-12)
+        assert_close_to_scale(gp[0:2, 4:6], gammas[2], 1e-12)
+
+    def test_positive_semidefinite_for_any_sample(self, rng):
+        for _ in range(10):
+            t = int(rng.integers(20, 120))
+            k = int(rng.integers(1, 4))
+            y = rng.normal(size=(t, k)) @ rng.normal(size=(k, k))
+            eigs = np.linalg.eigvalsh(sample_gamma_p(y, 6))
+            assert eigs.min() > -1e-10 * max(1.0, eigs.max())
+
+    def test_moment_and_toeplitz_converge(self, desk_spec):
+        y = simulate_varma(desk_spec, 100_000, 300, 99)
+        p = 3
+        model, _ = fit_var_ls(y, p)
+        assert np.max(np.abs(model.moment_matrix - sample_gamma_p(y, p))) < 0.02
+
+
+class TestAutocovOracle:
+    """The per-lag oracle of ``sample_gamma_p`` (tests/conftest.py) on hand-built cases."""
+
     def test_alternating_series(self):
         gammas = sample_autocov(np.array([1.0, -1.0, 1.0, -1.0]), 1)
         assert gammas[0][0, 0] == pytest.approx(1.0)
         assert gammas[1][0, 0] == pytest.approx(-0.75)
 
-    def test_constant_series_vanishes(self):
-        gammas = sample_autocov(np.full(10, 3.5), 3)
-        np.testing.assert_array_equal(gammas, np.zeros((4, 1, 1)))
-
-    def test_ar1_matches_yule_walker(self):
-        # Gamma(1) = a Gamma(0) = 0.5 * 4/3 = 2/3
-        y = simulate_varma(scalar_varma(0.5, None), 100_000, 500, 15)
-        gammas = sample_autocov(y, 1)
-        assert gammas[1][0, 0] == pytest.approx(2.0 / 3.0, rel=0.02)
-
-    def test_lag_bound(self):
-        with pytest.raises(ValueError):
-            sample_autocov(np.arange(5.0), 5)
-
-    def test_negative_lag_transposes(self, rng):
-        # block (2, 0) of Gamma_3 is Gamma(-2), block (0, 2) is Gamma(2)
-        y = rng.normal(size=(50, 2))
-        gammas = sample_autocov(y, 2)
-        gp = build_gamma_p(gammas, 3)
-        np.testing.assert_array_equal(gp[4:6, 0:2], gammas[2].T)
-        np.testing.assert_array_equal(gp[0:2, 4:6], gammas[2])
-
-    def test_read_only_array_of_lags(self, rng):
-        gammas = sample_autocov(rng.normal(size=(50, 3)), 4)
-        assert gammas.shape == (5, 3, 3)
-        assert not gammas.flags.writeable
-
-
-class TestBuildGammaP:
     def test_p1_is_gamma0(self):
         np.testing.assert_array_equal(build_gamma_p(np.array([[[1.5]]]), 1), [[1.5]])
 
@@ -312,32 +357,3 @@ class TestBuildGammaP:
         gp = build_gamma_p(np.array([g0, g1, g2, g3]), 3)
         expected = np.block([[g0, g1, g2], [g1.T, g0, g1], [g2.T, g1.T, g0]])
         np.testing.assert_array_equal(gp, expected)
-
-    def test_shape_and_lag_range_checked(self):
-        with pytest.raises(DimensionMismatchError, match="up to lag 2"):
-            build_gamma_p(np.zeros((2, 2, 2)), 3)
-        with pytest.raises(DimensionMismatchError, match="shape"):
-            build_gamma_p(np.zeros((3, 2)), 1)
-        with pytest.raises(ValueError, match="p must be"):
-            build_gamma_p(np.zeros((3, 2, 2)), 0)
-
-    def test_output_symmetric(self, rng):
-        y = rng.normal(size=(200, 2))
-        gp = build_gamma_p(sample_autocov(y, 3), 4)
-        np.testing.assert_allclose(gp, gp.T, atol=1e-14)
-
-    def test_positive_semidefinite_for_any_sample(self, rng):
-        for _ in range(10):
-            t = int(rng.integers(20, 120))
-            k = int(rng.integers(1, 4))
-            y = rng.normal(size=(t, k)) @ rng.normal(size=(k, k))
-            gp = build_gamma_p(sample_autocov(y, 5), 6)
-            eigs = np.linalg.eigvalsh(gp)
-            assert eigs.min() > -1e-10 * max(1.0, eigs.max())
-
-    def test_moment_and_toeplitz_converge(self, desk_spec):
-        y = simulate_varma(desk_spec, 100_000, 300, 99)
-        p = 3
-        model, _ = fit_var_ls(y, p)
-        gp = build_gamma_p(sample_autocov(y, p - 1), p)
-        assert np.max(np.abs(model.moment_matrix - gp)) < 0.02
