@@ -14,7 +14,9 @@ the point estimates under a stationarity guard; the second stage
 (``_stage_two``) resamples the corrected model, its intercept re-centred
 on the fitted mean, and reuses that same bias estimate on every draw
 instead of nesting a third bootstrap, so it is the one pass that must
-wait for another.
+wait for another. Its draws pass the same stationarity guard, whose first
+step certifies nearly every draw from a bound on a power of its companion
+matrix and eigen-solves only the rest.
 
 Streams: each stage has one seed S, the method's seed for BOOT and
 (seed, 0) and (seed, 1) for BOOT-db's two stages. On refit attempt a, the
@@ -37,7 +39,7 @@ from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 from .estimate import VarModel, fit_var_ls, fit_var_ls_stack  # noqa: F401
 from .delta_infer import IntervalSet
 from .streams import SeedLike, generator, substream
-from .var_core import companion_form, ma_from_ar, spectral_radius, var_recursion
+from .var_core import _stationary, companion_form, ma_from_ar, spectral_radius, var_recursion
 
 _MAX_REFIT_ATTEMPTS = 10
 
@@ -212,8 +214,12 @@ def stationarity_guard(
     them, and ``bias`` broadcasts against it. Returns the corrected
     coefficients and the delta used, a float for one stack and an array of
     shape (...) for many; delta = 0 cancels the correction entirely and is
-    returned without a radius check. Each step solves the companion
-    eigenvalues of all draws still non-stationary in one stacked call.
+    returned without a radius check. The first step (delta = 1) decides
+    all draws with ``var_core._stationary``, which certifies a draw from
+    the norm of a power of its companion matrix and eigen-solves only the
+    draws that bound cannot settle; each later step solves the companion
+    eigenvalues of the draws still non-stationary in one stacked call.
+    Either way a draw's decision is exactly spectral_radius(C) < 1.
     """
     coef = np.asarray(coef, dtype=float)
     flat = coef.reshape((-1,) + coef.shape[-3:])
@@ -226,7 +232,11 @@ def stationarity_guard(
             break
         delta = step * _GUARD_STEP
         cand = flat[pending] - delta * bias[pending]
-        stable = spectral_radius(companion_form(cand)) < 1.0
+        comp = companion_form(cand)
+        # the power bound settles nearly every draw at delta = 1; a draw
+        # still pending is near the boundary, where the bound would only add
+        # cost
+        stable = _stationary(comp) if step == 100 else spectral_radius(comp) < 1.0
         out[pending[stable]] = cand[stable]
         deltas[pending[stable]] = delta
         pending = pending[~stable]

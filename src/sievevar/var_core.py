@@ -165,6 +165,47 @@ def spectral_radius(c: np.ndarray) -> float | np.ndarray:
     return float(radius) if radius.ndim == 0 else radius
 
 
+# squarings and norm threshold of the power bound in _stationary
+_CERT_SQUARINGS = 5
+_CERT_NORM = 0.5
+
+
+def _stationary(c: np.ndarray) -> np.ndarray:
+    """spectral_radius(c) < 1.0 of an (n, m, m) stack, eigen-solving what a bound cannot settle.
+
+    Every consistent norm bounds the spectral radius: rho(C)^s <= ||C^s||_2
+    <= ||C^s||_F. Squaring the stack five times gives s = 32, and a member
+    whose computed power P has ||P||_F < 1/2 is certified stationary, as
+    soon as one of its squarings gets there. The rounding of the squarings
+    is bounded alongside: with f = ||P||_F and e a bound on ||P - C^s||_F,
+    squaring P rounds by at most gamma_m f^2 (gamma_m = m u / (1 - m u), u
+    the unit roundoff, since || |P| |P| ||_F <= f^2), and
+    P^2 - C^(2s) = P (P - C^s) + (P - C^s) C^s, so the new bound is
+    (2 f + e) e + gamma_m f^2. A member is certified only when that bound is
+    below 1/2 too, so ||C^s||_F < 1/2 + 1/2 with room left for the rounding
+    of the norms and of the bound themselves. Members it cannot certify,
+    among them every non-finite one, go to ``spectral_radius``, which
+    raises ``EigenvalueError`` on a NaN as before.
+    """
+    c = np.asarray(c, dtype=float)
+    mu = c.shape[-1] * np.finfo(float).eps / 2
+    gamma = mu / (1.0 - mu)
+    stable = np.zeros(len(c), dtype=bool)
+    power, err = c, np.zeros(len(c))
+    # explosive members overflow to inf and then NaN; neither certifies
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.sqrt(np.einsum("nij,nij->n", c, c))
+        for _ in range(_CERT_SQUARINGS):
+            power = np.matmul(power, power)
+            err = (2.0 * norm + err) * err + gamma * norm * norm
+            norm = np.sqrt(np.einsum("nij,nij->n", power, power))
+            stable |= (norm < _CERT_NORM) & (err < _CERT_NORM)
+    pending = np.flatnonzero(~stable)
+    if len(pending):
+        stable[pending] = spectral_radius(c[pending]) < 1.0
+    return stable
+
+
 def stability_class(radius: float) -> str:
     """'stable', 'near-unit-root' or 'unstable' given a companion radius."""
     if radius < 1.0 - STABILITY_MARGIN:

@@ -1,5 +1,6 @@
 """Residual bootstrap, percentile intervals, bias correction."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from sievevar import (
     DimensionMismatchError,
+    EigenvalueError,
     NonFiniteError,
     SingularMatrixError,
     bootstrap_interval_sets,
@@ -22,7 +24,7 @@ from sievevar import (
     spectral_radius,
     white_noise_spec,
 )
-from sievevar import bootstrap_infer
+from sievevar import bootstrap_infer, var_core
 from sievevar.bootstrap_infer import percentile_indices, stationarity_guard
 from sievevar.estimate import fit_var_ls_stack
 from sievevar.streams import generator, substream
@@ -111,6 +113,19 @@ def scalar_guard(coef, bias):
         if spectral_radius(companion_form(cand)) < 1.0:
             return cand, delta
     return coef.copy(), 0.0
+
+
+def count_eigen_solves(monkeypatch):
+    """List that collects the stack size of every spectral_radius call of the guard."""
+    solved = []
+
+    def counted(c):
+        solved.append(len(c))
+        return spectral_radius(c)
+
+    monkeypatch.setattr(bootstrap_infer, "spectral_radius", counted)
+    monkeypatch.setattr(var_core, "spectral_radius", counted)
+    return solved
 
 
 class TestResidualBootstrapSample:
@@ -531,15 +546,26 @@ class TestStationarityGuard:
         for a, b in ((0.95, -0.10), (0.999, -1.0), (0.3, 0.0)):
             coefs.append(np.array([a * np.eye(2), lag2]))
             biases.append(np.array([b * np.eye(2), lag2]))
-        coef = np.array(coefs).reshape(3, 4, 2, 2, 2)
+        # near the unit circle, where the first step's power bound cannot
+        # settle a draw: radii in [0.95, 1.05], a unit root corrected to
+        # 1 - 1e-12, and a sheared Jordan block of radius 0.9
+        for radius in (0.95, 0.99, 1.0, 1.05):
+            coefs.append(random_stable_coeffs(rng, 2, 2, radius))
+            biases.append(rng.normal(size=(2, 2, 2)) * 0.01)
+        coefs.append(np.array([(1 + 1e-12) * np.eye(2), lag2]))
+        biases.append(np.array([2e-12 * np.eye(2), lag2]))
+        coefs.append(np.array([[[0.9, 1e6], [0.0, 0.9]], lag2]))
+        biases.append(np.zeros((2, 2, 2)))
+        coef = np.array(coefs).reshape(3, 6, 2, 2, 2)
         bias = np.array(biases).reshape(coef.shape)
         corrected, deltas = stationarity_guard(coef, bias)
-        assert corrected.shape == coef.shape and deltas.shape == (3, 4)
-        for idx in np.ndindex(3, 4):
+        assert corrected.shape == coef.shape and deltas.shape == (3, 6)
+        for idx in np.ndindex(3, 6):
             want, delta = scalar_guard(coef[idx], bias[idx])
             np.testing.assert_array_equal(corrected[idx], want)
             assert deltas[idx] == delta
-        assert 0.0 < deltas[2, 1] < 1.0 and deltas[2, 2] == 0.0 and deltas[2, 3] == 1.0
+        assert 0.0 < deltas[1, 3] < 1.0 and deltas[1, 4] == 0.0 and deltas[1, 5] == 1.0
+        assert deltas[2, 4] == 1.0 and deltas[2, 5] == 1.0
 
     def test_shared_bias_broadcasts(self, rng):
         coef = np.array([random_stable_coeffs(rng, 2, 2, 0.9) for _ in range(5)])
@@ -547,6 +573,50 @@ class TestStationarityGuard:
         corrected, deltas = stationarity_guard(coef, bias)
         for c, got, delta in zip(coef, corrected, deltas):
             want, want_delta = scalar_guard(c, bias)
+            np.testing.assert_array_equal(got, want)
+            assert delta == want_delta
+
+    def test_explosive_stack_cancels_without_warning(self):
+        coef = np.full((3, 2, 2, 2), 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            corrected, deltas = stationarity_guard(coef, np.full(coef.shape, -1e300))
+        np.testing.assert_array_equal(deltas, 0.0)
+        np.testing.assert_array_equal(corrected, coef)
+
+    def test_nan_coefficient_raises(self):
+        coef = np.array([[[[0.5]]], [[[np.nan]]]])
+        with pytest.raises(EigenvalueError):
+            stationarity_guard(coef, np.zeros_like(coef))
+
+    def test_clearly_stationary_draws_are_never_eigen_solved(self, rng, monkeypatch):
+        solved = count_eigen_solves(monkeypatch)
+        coef = np.array(
+            [random_stable_coeffs(rng, 2, 10, float(rng.uniform(0.3, 0.9))) for _ in range(50)]
+        )
+        corrected, deltas = stationarity_guard(coef, np.zeros_like(coef))
+        assert solved == [] and (deltas == 1.0).all()
+        np.testing.assert_array_equal(corrected, coef)
+
+    def test_power_bound_runs_once_per_guard_call(self, monkeypatch):
+        # near-unit-root draws whose full correction is explosive, so the
+        # guard eigen-solves on every later step, down to deltas 0.37 and 0.01
+        solved = count_eigen_solves(monkeypatch)
+        bounded = []
+
+        def counted(c):
+            bounded.append(len(c))
+            return var_core._stationary(c)
+
+        monkeypatch.setattr(bootstrap_infer, "_stationary", counted)
+        lag = np.array([[0.985, 0.05], [0.0, 0.96]])
+        coef = np.array([[lag, np.zeros((2, 2))]] * 2)
+        bias = np.array([[b * np.eye(2), np.zeros((2, 2))] for b in (-0.04, -1.0)])
+        corrected, deltas = stationarity_guard(coef, bias)
+        assert bounded == [2] and len(solved) == 100
+        np.testing.assert_allclose(deltas, [0.37, 0.01])
+        for c, b, got, delta in zip(coef, bias, corrected, deltas):
+            want, want_delta = scalar_guard(c, b)
             np.testing.assert_array_equal(got, want)
             assert delta == want_delta
 

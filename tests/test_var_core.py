@@ -1,5 +1,7 @@
 """Companion algebra and MA recursion tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from sievevar import (
     DimensionMismatchError,
+    EigenvalueError,
     MatrixSeq,
     coeff_seq,
     companion_form,
@@ -15,6 +18,8 @@ from sievevar import (
     stability_class,
     var_recursion,
 )
+from sievevar import var_core
+from sievevar.var_core import _stationary
 from conftest import (
     assert_close_to_scale,
     ma_via_companion,
@@ -292,3 +297,69 @@ class TestSpectralRadius:
         assert stability_class(0.5) == "stable"
         assert stability_class(1.0 - 5e-9) == "near-unit-root"
         assert stability_class(1.0) == "unstable"
+
+
+class TestStationaryCertificate:
+    """_stationary(c) is spectral_radius(c) < 1.0, member for member."""
+
+    def assert_matches_eigen_solve(self, comps):
+        np.testing.assert_array_equal(_stationary(comps), spectral_radius(comps) < 1.0)
+
+    def test_ar1_at_and_near_the_unit_root(self):
+        coefs = (1.0, -1.0, 1 - 1e-12, -(1 - 1e-12), 1 + 1e-12, 0.999, 0.5)
+        self.assert_matches_eigen_solve(np.array(coefs).reshape(-1, 1, 1))
+
+    def test_non_normal_jordan_blocks(self):
+        # radius 0.9 (and 1.01), while the powers of the larger shears grow
+        # far beyond 1 before they decay
+        comps = [
+            np.array([[a, shear], [0.0, a]])
+            for a in (0.9, 1.01)
+            for shear in (0.0, 1.0, 1e2, 1e4, 1e6)
+        ]
+        self.assert_matches_eigen_solve(np.array(comps))
+
+    def test_stacks_rescaled_around_the_unit_circle(self, rng):
+        for k, p in ((1, 1), (2, 2), (2, 10), (3, 4), (4, 6)):
+            radii = rng.uniform(0.95, 1.05, size=20)
+            comps = companion_form(np.array([random_stable_coeffs(rng, k, p, r) for r in radii]))
+            self.assert_matches_eigen_solve(comps)
+
+    def test_powers_cancelling_at_a_huge_scale_are_eigen_solved(self, monkeypatch):
+        # the first member squares to exactly 0, but at entries of 1e10 the
+        # rounding bound of its squarings is far above 1/2, so only the
+        # second member is certified
+        solved = []
+
+        def counted(c):
+            solved.append(len(c))
+            return spectral_radius(c)
+
+        monkeypatch.setattr(var_core, "spectral_radius", counted)
+        comps = np.array([[[1e10, 1e10], [-1e10, -1e10]], [[0.5, 0.0], [0.0, 0.5]]])
+        _stationary(comps)
+        assert solved == [1]
+
+    def test_explosive_members_raise_no_warning(self):
+        comps = np.array([[[1e300, 1.0], [1.0, 0.0]], [[0.5, 0.0], [0.0, 0.5]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(_stationary(comps), [False, True])
+
+    def test_nan_member_raises(self):
+        comps = np.array([[[0.5]], [[np.nan]]])
+        with pytest.raises(EigenvalueError):
+            _stationary(comps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        p=st.integers(1, 4),
+        radius=st.floats(0.05, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_eigen_solve(self, k, p, radius, seed):
+        rng = np.random.default_rng(seed)
+        scales = radius * rng.uniform(0.9, 1.1, size=8)
+        comps = companion_form(np.array([random_stable_coeffs(rng, k, p, r) for r in scales]))
+        self.assert_matches_eigen_solve(comps)
