@@ -75,20 +75,21 @@ def residual_bootstrap_sample(
     if resid.shape[0] < 2:
         raise ValueError("need at least 2 residual rows")
     starts, idx = np.asarray(starts), np.asarray(idx)
-    t, k = source.shape
+    t = len(source)
     p, n = len(ar), len(starts)
     if idx.shape != (n, t - p):
         raise DimensionMismatchError(
             f"need {n} rows of {t - p} residual indices, got shape {idx.shape}"
         )
-    centered = resid - resid.mean(axis=0)
-    const = intercept if intercept is not None else np.zeros(k)
-    init = source[starts[:, np.newaxis] + np.arange(p), :, np.newaxis]
-    # time-major, so that each step adds one contiguous (n, K) block; the
-    # first p rows take residual 0, which the recursion never reads
-    steps = np.concatenate([np.zeros((p, n), dtype=np.intp), idx.T])
-    shocks = centered.take(steps, axis=0).swapaxes(0, 1)[..., np.newaxis]
-    return var_recursion(ar, const[:, np.newaxis], init, shocks)[..., 0]
+    # the constant rides on every resampled residual: y_s = sum_j A_j y_{s-j} + (c + u_s)
+    pool = resid - resid.mean(axis=0)
+    if intercept is not None:
+        pool = pool + intercept
+    # time-major, so that each step adds one contiguous (n, K) block; rows
+    # below p are the start blocks of the source
+    start_blocks = source[starts + np.arange(p)[:, np.newaxis]]
+    shocks = np.concatenate([start_blocks, pool.take(idx.T, axis=0)])
+    return var_recursion(ar, shocks.swapaxes(0, 1)[..., np.newaxis])[..., 0]
 
 
 def _draw_indices(

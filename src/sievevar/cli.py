@@ -317,14 +317,22 @@ def read_sample_csv(path: str) -> SamplePath:
     return SamplePath(k=values.shape[1], t=values.shape[0], values=values)
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _write_table(path: str, columns, rows) -> None:
     """Header, then one line per row of Python scalars.
 
     ``str`` of a Python float is its shortest round-trip form.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+    lines = [",".join(columns)] + [",".join(map(str, row)) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _rows(label: str, arrays, tail=()) -> list[tuple]:
@@ -419,7 +427,10 @@ def cmd_mc(args) -> int:
     cfg = parse_experiment_config(obj, args)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from None
     summary = run_experiment(cfg)
     write_mc_results_csv(str(out_dir / "mc_results.csv"), summary)
     write_mc_entries_csv(str(out_dir / "mc_entries.csv"), summary)
@@ -467,8 +478,7 @@ def cmd_plot(args) -> int:
     if not rows:
         raise ConfigError(f"{args.results} has no data rows")
     svg = render_mc_chart(rows, p=args.p, level=args.level, title=args.title)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(svg + "\n")
+    _write_text(args.out, svg + "\n")
     print(f"wrote chart to {args.out}")
     return EXIT_OK
 

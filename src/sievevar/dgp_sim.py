@@ -41,9 +41,9 @@ DEFAULT_COUNTEREXAMPLE_PLAN: tuple[tuple[int, float], ...] = (
 class VarmaSpec:
     """A VARMA(p, q) process: AR and MA coefficient sequences plus Sigma_u.
 
-    Either sequence may be empty. Validation enforces stability of the AR
-    part, invertibility of the MA part, and a symmetric positive-definite
-    innovation covariance.
+    Either sequence may be empty. Construction runs ``validate``, so a
+    built spec has a stable AR part, an invertible MA part and a symmetric
+    positive-definite innovation covariance.
     """
 
     k: int
@@ -62,6 +62,7 @@ class VarmaSpec:
         sigma = sigma.copy()
         sigma.flags.writeable = False
         object.__setattr__(self, "sigma_u", sigma)
+        self.validate()
 
     @property
     def p(self) -> int:
@@ -172,12 +173,11 @@ def simulate_varma_stack(
         raise ValueError("t must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    spec.validate()
 
     total = burn_in + t
     p, k = spec.p, spec.k
     chol = np.linalg.cholesky(spec.sigma_u)
-    # p presample zeros per path: the recursion starts from zero initial conditions
+    # p presample zeros per path: the start values, zero initial conditions
     shocks = np.zeros((len(seeds), p + total, k, 1))
     for path, seed in zip(shocks, seeds):
         u = generator(seed).standard_normal((total, k)) @ chol.T
@@ -186,9 +186,7 @@ def simulate_varma_stack(
         e[:] = u
         for j, m in enumerate(spec.ma.mats, start=1):
             e[j:] += u[:-j] @ m.T
-    init = np.zeros((len(seeds), p, k, 1))
-    y = var_recursion(spec.ar.mats, np.zeros((k, 1)), init, shocks)
-    return y[:, p + burn_in :, :, 0]
+    return var_recursion(spec.ar.mats, shocks)[:, p + burn_in :, :, 0]
 
 
 def counterexample_ar(
@@ -223,7 +221,7 @@ def varma_true_irf(spec: VarmaSpec, horizon: int) -> np.ndarray:
     shocks = np.zeros((p + horizon + 1, k, k))
     shocks[p] = np.eye(k)
     shocks[p + 1 : p + 1 + spec.q] = spec.ma.mats[:horizon]
-    return var_recursion(spec.ar.mats, np.zeros((k, 1)), np.zeros((p, k, k)), shocks)[p:]
+    return var_recursion(spec.ar.mats, shocks)[p:]
 
 
 def varma_true_ar(spec: VarmaSpec, n_lags: int) -> np.ndarray:
@@ -239,9 +237,8 @@ def varma_true_ar(spec: VarmaSpec, n_lags: int) -> np.ndarray:
     """
     if n_lags < 0:
         raise ValueError("n_lags must be nonnegative")
-    spec.validate()
     q, k = spec.q, spec.k
     shocks = np.zeros((q + n_lags + 1, k, k))
     shocks[q] = -np.eye(k)
     shocks[q + 1 : q + 1 + spec.p] = spec.ar.mats[:n_lags]
-    return var_recursion(-spec.ma.mats, np.zeros((k, 1)), np.zeros((q, k, k)), shocks)[q + 1 :]
+    return var_recursion(-spec.ma.mats, shocks)[q + 1 :]

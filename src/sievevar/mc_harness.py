@@ -234,7 +234,6 @@ def aggregate(
 
 def run_experiment(cfg: ExperimentConfig) -> McSummary:
     """Execute the full experiment, optionally across worker processes."""
-    cfg.dgp.validate()
     truth = varma_true_irf(cfg.dgp, cfg.horizon)
     size = _chunk_size(cfg)
     chunks = [range(r, min(r + size, cfg.replications)) for r in range(0, cfg.replications, size)]

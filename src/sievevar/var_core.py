@@ -100,54 +100,44 @@ def ma_from_ar(ar: np.ndarray, horizon: int) -> np.ndarray:
     lead, p, k = ar.shape[:-3], ar.shape[-3], ar.shape[-1]
     shocks = np.zeros(lead + (p + horizon + 1, k, k))
     shocks[..., p, :, :] = np.eye(k)
-    return var_recursion(ar, np.zeros((k, 1)), np.zeros(lead + (p, k, k)), shocks)[..., p:, :, :]
+    return var_recursion(ar, shocks)[..., p:, :, :]
 
 
-def var_recursion(
-    ar: np.ndarray, intercept: np.ndarray, init: np.ndarray, shocks: np.ndarray
-) -> np.ndarray:
-    """Paths Y_s = c + sum_j A_j Y_{s-j} + E_s of VAR(p) recursions, shape (..., T, K, m).
+def var_recursion(ar: np.ndarray, shocks: np.ndarray) -> np.ndarray:
+    """Paths Y_s = sum_j A_j Y_{s-j} + E_s of VAR(p) recursions, shape (..., T, K, m).
 
     Each Y_s is K x m: m = 1 steps sample paths, m = K from a unit impulse
     impulse responses. ``shocks`` holds the E_s, its leading dimensions
-    indexing the paths; ``ar`` (A_1..A_p, shape (..., p, K, K)) and
-    ``intercept`` (c, shape (..., K, 1) or (..., K, m)) broadcast against
-    them, and ``init`` holds the (..., p, K, m) start values. Rows below p
-    are ``init``; row s >= p is (c + sum_j A_j Y_{s-j}) + E_s, so the
-    shocks of rows below p are never read. Every path is bit-identical to
-    its own recursion.
+    indexing the paths, and ``ar`` (A_1..A_p, shape (..., p, K, K))
+    broadcasts against them. Rows below p are the start values, Y_s = E_s;
+    row s >= p is sum_j A_j Y_{s-j} + E_s, so a constant is part of the
+    shock. Every path is bit-identical to its own recursion.
     """
     ar = np.asarray(ar, dtype=float)
     lead, (t, k, m) = shocks.shape[:-3], shocks.shape[-3:]
-    p = ar.shape[-3] if ar.ndim >= 3 else -1
     try:
-        broadcasts = np.broadcast_shapes(ar.shape[:-3], np.shape(intercept)[:-2], lead) == lead
+        broadcasts = ar.ndim >= 3 and np.broadcast_shapes(ar.shape[:-3], lead) == lead
     except ValueError:
         broadcasts = False
-    if (
-        not broadcasts
-        or ar.shape[-2:] != (k, k)
-        or init.shape != lead + (p, k, m)
-        or np.shape(intercept)[-2:] not in ((k, 1), (k, m))
-    ):
+    if not broadcasts or ar.shape[-2:] != (k, k):
         raise DimensionMismatchError(
-            f"var_recursion got coefficients {ar.shape}, intercept {np.shape(intercept)}, "
-            f"start values {init.shape} and shocks {shocks.shape}"
+            f"var_recursion got coefficients {ar.shape} and shocks {shocks.shape}"
         )
+    p = ar.shape[-3]
     if t < p:
         raise DimensionMismatchError(f"{t} steps cannot hold {p} start values")
     stacked = ar.swapaxes(-3, -2).reshape(ar.shape[:-3] + (k, p * k))  # K x Kp, [A_1 ... A_p]
     # time runs backwards in rev: row t-1-s holds Y_s, so the state
     # [Y_{s-1}; ...; Y_{s-p}] is the contiguous run of rows t-s..t-s+p-1
     rev = np.empty(lead + (t, k, m))
-    rev[..., t - p :, :, :] = init[..., ::-1, :, :]
+    rev[..., t - p :, :, :] = shocks[..., :p, :, :][..., ::-1, :, :]
     flat = rev.reshape(lead + (t * k, m))
     for step in range(p, t):
         row = t - 1 - step
         state = flat[..., (row + 1) * k : (row + 1 + p) * k, :]
         # one product per path keeps each path's bits: at m = 1 a stack of
         # matrix-vector products, which state @ stacked.T would round differently
-        rev[..., row, :, :] = intercept + stacked @ state + shocks[..., step, :, :]
+        rev[..., row, :, :] = stacked @ state + shocks[..., step, :, :]
     # take copies whole rows, several times faster than copying rev[..., ::-1, :, :]
     return rev.take(np.arange(t - 1, -1, -1), axis=-3)
 

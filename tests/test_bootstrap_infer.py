@@ -52,7 +52,11 @@ def rule_pseudo(ar, intercept, residuals, values, seed, attempt, r):
 
 
 def scalar_resample(ar, intercept, residuals, values, start, idx):
-    """Reference recursion: one pseudo-sample, one state vector at a time."""
+    """Reference recursion: one pseudo-sample, one state vector at a time.
+
+    The constant rides on the resampled residual, A y + (u + c), as in
+    ``residual_bootstrap_sample``.
+    """
     t, k = values.shape
     p = len(ar)
     centered = residuals - residuals.mean(axis=0)
@@ -62,7 +66,7 @@ def scalar_resample(ar, intercept, residuals, values, start, idx):
     out[:p] = values[start : start + p]
     state = out[:p][::-1].reshape(-1)
     for step in range(p, t):
-        y_new = const + stacked @ state + centered[idx[step - p]]
+        y_new = stacked @ state + (centered[idx[step - p]] + const)
         out[step] = y_new
         state[k:] = state[:-k]
         state[:k] = y_new

@@ -394,6 +394,24 @@ class TestMc:
         assert entries[0] == "method,horizon,row,col,coverage,avg_length"
         assert len(entries) == 1 + 2 * 4 * 4
 
+    @pytest.mark.parametrize(
+        "dgp, message",
+        [
+            ({"ar": [[[1.2, 0.0], [0.0, 0.5]]]}, "companion spectral radius 1.200000"),
+            ({"sigma_u": [[1.0, 0.0], [0.0, -1.0]]}, "sigma_u is not positive-definite"),
+        ],
+    )
+    def test_invalid_dgp_exits_2_and_writes_nothing(self, tmp_path, capsys, dgp, message):
+        cfg = json.loads(desk_config(tmp_path).read_text())
+        cfg["dgp"].update(dgp)
+        cfg.update(p=2, horizon=3, methods=["LS"], replications=2)
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("mc", str(path), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_preset_and_config_mutually_exclusive(self, tmp_path):
         assert run_cli("mc", "--out", str(tmp_path / "o")) == 2
 
@@ -506,6 +524,33 @@ class TestWriters:
         assert per_entry.read_text() == "\n".join(want_entries) + "\n"
         assert results.read_text().splitlines()[1] == "S-LS,0,0.30000000000000004,1e+300,7,1"
         assert per_entry.read_text().splitlines()[2] == "S-LS,0,0,1,-0.0,0.30000000000000004"
+
+
+@pytest.mark.parametrize("command", ["ci", "simulate", "plot", "mc"])
+def test_unwritable_output_exits_2_naming_it(command, sample_csv, tmp_path, capsys):
+    # a path under a missing directory, or for mc an existing file
+    out = tmp_path / "missing" / "x.out"
+    if command == "ci":
+        argv = ["ci", str(sample_csv), "--p", "2", "--H", "3", "--methods", "LS"]
+    elif command == "simulate":
+        argv = ["simulate", str(desk_config(tmp_path))]
+    elif command == "plot":
+        argv = ["plot", str(synthetic_results(tmp_path)), "--p", "10"]
+    else:
+        cfg = json.loads(desk_config(tmp_path).read_text())
+        cfg.update(p=2, horizon=3, methods=["LS"], replications=2)
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["mc", str(path)]
+        out = tmp_path / "taken"
+        out.write_text("")
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+    if command == "mc":
+        assert out.read_text() == ""
 
 
 def synthetic_results(tmp_path, methods=("LS", "S-LS", "BOOT", "BOOT-db"), h=12):

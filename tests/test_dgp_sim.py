@@ -34,48 +34,45 @@ from conftest import (
 
 
 class TestVarmaSpec:
+    """Construction runs ``validate``, so an invalid spec is never built."""
+
     def test_desk_spec_is_valid(self, desk_spec):
         desk_spec.validate()
 
     def test_unstable_ar_named(self):
-        spec = pure_ar_spec(np.array([[[1.01]]]))
         with pytest.raises(UnstableProcessError, match="stable"):
-            spec.validate()
+            pure_ar_spec(np.array([[[1.01]]]))
 
     def test_noninvertible_ma_named(self):
-        spec = scalar_varma(None, 1.1)
         with pytest.raises(UnstableProcessError, match="invertible"):
-            spec.validate()
+            scalar_varma(None, 1.1)
 
     def test_asymmetric_sigma_rejected(self):
-        spec = VarmaSpec(
-            k=2,
-            ar=white_noise_spec(2).ar,
-            ma=white_noise_spec(2).ma,
-            sigma_u=np.array([[1.0, 0.2], [0.0, 1.0]]),
-        )
         with pytest.raises(UnstableProcessError, match="symmetric"):
-            spec.validate()
+            VarmaSpec(
+                k=2,
+                ar=white_noise_spec(2).ar,
+                ma=white_noise_spec(2).ma,
+                sigma_u=np.array([[1.0, 0.2], [0.0, 1.0]]),
+            )
 
     def test_relative_asymmetry_rejected(self):
-        spec = VarmaSpec(
-            k=2,
-            ar=white_noise_spec(2).ar,
-            ma=white_noise_spec(2).ma,
-            sigma_u=np.array([[1.0, 0.5 + 1e-6], [0.5, 1.0]]),
-        )
         with pytest.raises(UnstableProcessError, match="not symmetric within 1e-12"):
-            spec.validate()
+            VarmaSpec(
+                k=2,
+                ar=white_noise_spec(2).ar,
+                ma=white_noise_spec(2).ma,
+                sigma_u=np.array([[1.0, 0.5 + 1e-6], [0.5, 1.0]]),
+            )
 
     def test_indefinite_sigma_rejected(self):
-        spec = VarmaSpec(
-            k=1,
-            ar=white_noise_spec(1).ar,
-            ma=white_noise_spec(1).ma,
-            sigma_u=np.array([[-1.0]]),
-        )
         with pytest.raises(UnstableProcessError, match="positive-definite"):
-            spec.validate()
+            VarmaSpec(
+                k=1,
+                ar=white_noise_spec(1).ar,
+                ma=white_noise_spec(1).ma,
+                sigma_u=np.array([[-1.0]]),
+            )
 
 
 class TestSimulateVarma:
@@ -100,8 +97,9 @@ class TestSimulateVarma:
         assert np.var(y.values) == pytest.approx(4.0 / 3.0, rel=0.02)
 
     def test_refuses_unstable_spec(self):
+        # the spec refuses itself, so no unstable process reaches the simulator
         with pytest.raises(UnstableProcessError, match="radius"):
-            simulate_varma(pure_ar_spec(np.array([[[1.05]]])), 50, 0, 0)
+            pure_ar_spec(np.array([[[1.05]]]))
 
     def test_default_burn_in_tracks_ar_order(self, desk_spec):
         assert default_burn_in(desk_spec) == 201
@@ -185,8 +183,9 @@ class TestSimulateStack:
         assert np.array_equal(wide[[2, 0]], narrow)
 
     def test_refuses_unstable_spec(self):
+        # the spec refuses itself, so no unstable process reaches the stack
         with pytest.raises(UnstableProcessError):
-            simulate_varma_stack(pure_ar_spec(np.array([[[1.2]]])), 10, 0, [1, 2])
+            pure_ar_spec(np.array([[[1.2]]]))
 
 
 class TestCounterexample:

@@ -132,32 +132,28 @@ class TestVarRecursion:
     def test_member_of_stack_of_7_matches_single_path_bit_for_bit(self, rng):
         k, p, t = 3, 4, 80
         ar = random_stable_coeffs(rng, k, p, 0.9)
-        intercept = rng.normal(size=(k, 1))
-        init = rng.normal(size=(7, p, k, 1))
         shocks = rng.normal(size=(7, t, k, 1))
-        paths = var_recursion(ar, intercept, init, shocks)
+        paths = var_recursion(ar, shocks)
         assert paths.shape == (7, t, k, 1)
         for j in range(7):
-            single = var_recursion(ar, intercept, init[j : j + 1], shocks[j : j + 1])
+            single = var_recursion(ar, shocks[j : j + 1])
             np.testing.assert_array_equal(paths[j], single[0])
 
     def test_rows_below_p_are_start_values(self, rng):
         ar = random_stable_coeffs(rng, 2, 3, 0.5)
-        init = rng.normal(size=(2, 3, 2, 1))
-        paths = var_recursion(ar, np.zeros((2, 1)), init, rng.normal(size=(2, 10, 2, 1)))
-        np.testing.assert_array_equal(paths[:, :3], init)
+        shocks = rng.normal(size=(2, 10, 2, 1))
+        paths = var_recursion(ar, shocks)
+        np.testing.assert_array_equal(paths[:, :3], shocks[:, :3])
 
     def test_scalar_steps_by_hand(self):
-        # y_s = 1 + 0.5 y_{s-1} + e_s from y_0 = 2
-        paths = var_recursion(
-            np.array([[[0.5]]]), np.array([[1.0]]), np.array([[[[2.0]]]]),
-            np.array([[[[9.0]], [[0.25]], [[-1.0]]]]),
-        )
+        # y_s = 1 + 0.5 y_{s-1} + e_s from y_0 = 2: the start value and the
+        # constant plus e_s are the shocks
+        paths = var_recursion(np.array([[[0.5]]]), np.array([[[[2.0]], [[1.25]], [[0.0]]]]))
         np.testing.assert_array_equal(paths[0, :, 0, 0], [2.0, 2.25, 1.125])
 
     def test_p0_returns_shocks(self, rng):
         shocks = rng.normal(size=(3, 20, 2, 1))
-        paths = var_recursion(np.empty((0, 2, 2)), np.zeros((2, 1)), np.empty((3, 0, 2, 1)), shocks)
+        paths = var_recursion(np.empty((0, 2, 2)), shocks)
         np.testing.assert_array_equal(paths, shocks)
 
     def test_columns_of_matrix_paths_match_vector_paths(self, rng):
@@ -165,48 +161,33 @@ class TestVarRecursion:
         # one K x K product and K matrix-vector products may round differently
         k, p, t = 3, 5, 40
         ar = random_stable_coeffs(rng, k, p, 0.9)
-        intercept = rng.normal(size=(k, k))
-        init = rng.normal(size=(2, p, k, k))
         shocks = rng.normal(size=(2, t, k, k))
-        paths = var_recursion(ar, intercept, init, shocks)
+        paths = var_recursion(ar, shocks)
         assert paths.shape == (2, t, k, k) and paths.flags.c_contiguous
         for j in range(k):
             col = np.s_[..., j : j + 1]
-            single = var_recursion(ar, intercept[col], init[col], shocks[col])
-            assert_close_to_scale(paths[col], single, 1e-14)
-        # a (K, 1) intercept is one column added to every column
-        shared = var_recursion(ar, intercept[:, :1], init, shocks)
-        single = var_recursion(ar, intercept[:, :1], init[..., 1:2], shocks[..., 1:2])
-        assert_close_to_scale(shared[..., 1:2], single, 1e-14)
+            assert_close_to_scale(paths[col], var_recursion(ar, shocks[col]), 1e-14)
 
     def test_member_of_coefficient_stack_matches_own_call_bit_for_bit(self, rng):
         k, p, t, m = 2, 3, 30, 2
         ar = np.array([random_stable_coeffs(rng, k, p, 0.9) for _ in range(6)])
         ar = ar.reshape(2, 3, p, k, k)
-        intercept = rng.normal(size=(2, 3, k, 1))
-        init = rng.normal(size=(2, 3, p, k, m))
         shocks = rng.normal(size=(2, 3, t, k, m))
-        paths = var_recursion(ar, intercept, init, shocks)
+        paths = var_recursion(ar, shocks)
         assert paths.shape == (2, 3, t, k, m)
         for idx in np.ndindex(2, 3):
-            own = var_recursion(ar[idx], intercept[idx], init[idx], shocks[idx])
-            np.testing.assert_array_equal(paths[idx], own)
+            np.testing.assert_array_equal(paths[idx], var_recursion(ar[idx], shocks[idx]))
 
     def test_shapes_checked(self):
-        ar = np.zeros((2, 2, 2))
-        for intercept, init, shocks in (
-            (np.zeros((2, 1)), np.zeros((1, 1, 2, 1)), np.zeros((1, 5, 2, 1))),
-            (np.zeros((2, 1)), np.zeros((1, 2, 2, 1)), np.zeros((1, 1, 2, 1))),
-            # a (K,) intercept, start values of another width m
-            (np.zeros(2), np.zeros((1, 2, 2, 1)), np.zeros((1, 5, 2, 1))),
-            (np.zeros((2, 1)), np.zeros((1, 2, 2, 2)), np.zeros((1, 5, 2, 1))),
+        for ar_shape, shocks_shape in (
+            ((2, 2, 2), (1, 1, 2, 1)),  # fewer steps than start values
+            ((2, 2, 2), (1, 5, 3, 1)),  # coefficients of another K
+            ((2, 2), (1, 5, 2, 1)),  # no lag axis
+            ((3, 2, 2, 2), (2, 5, 2, 1)),  # a stack that does not broadcast
+            ((2, 2, 2, 2), (5, 2, 1)),  # a stack wider than the paths
         ):
             with pytest.raises(DimensionMismatchError):
-                var_recursion(ar, intercept, init, shocks)
-        # a coefficient stack that does not broadcast against the paths
-        with pytest.raises(DimensionMismatchError):
-            var_recursion(np.zeros((3, 2, 2, 2)), np.zeros((2, 1)), np.zeros((2, 2, 2, 1)),
-                          np.zeros((2, 5, 2, 1)))
+                var_recursion(np.zeros(ar_shape), np.zeros(shocks_shape))
 
 
 class TestMaViaCompanion:
