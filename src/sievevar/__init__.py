@@ -35,7 +35,6 @@ from .errors import (
 from .estimate import (
     VarModel,
     fit_var_ls,
-    residual_cov,
     sample_gamma_p,
 )
 from .mc_harness import (
@@ -92,7 +91,6 @@ __all__ = [
     "ma_from_ar",
     "percentile_ci",
     "residual_bootstrap_sample",
-    "residual_cov",
     "run_experiment",
     "sample_gamma_p",
     "sample_growth",

@@ -427,11 +427,15 @@ def cmd_mc(args) -> int:
     cfg = parse_experiment_config(obj, args)
 
     out_dir = Path(args.out)
+    # check the directory can be made now, but make it only once there is something to write
+    ancestor = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    if not ancestor.is_dir() or not os.access(ancestor, os.W_OK):
+        raise ConfigError(f"cannot write {out_dir}: {ancestor} is not a writable directory")
+    summary = run_experiment(cfg)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write {out_dir}: {exc}") from None
-    summary = run_experiment(cfg)
     write_mc_results_csv(str(out_dir / "mc_results.csv"), summary)
     write_mc_entries_csv(str(out_dir / "mc_entries.csv"), summary)
     for method, horizon, kind in coverage_flags(summary):

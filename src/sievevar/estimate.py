@@ -36,7 +36,7 @@ class VarModel:
     sigma_u_hat: np.ndarray
     intercept: np.ndarray | None
     moment_matrix: np.ndarray = field(repr=False)
-    t_effective: int = 0
+    t_effective: int
 
     def __post_init__(self) -> None:
         k, kp = self.k, self.k * self.p
@@ -50,6 +50,9 @@ class VarModel:
                 object.__setattr__(self, name, arr)
         if not _is_symmetric(self.sigma_u_hat):
             raise DimensionMismatchError("sigma_u_hat is not symmetric within 1e-12")
+        short = _short_sample(self.t_effective + self.p, k, self.p, self.intercept is not None)
+        if short:
+            raise SingularMatrixError(f"sample too small: {short}")
 
     @property
     def k(self) -> int:
@@ -66,25 +69,22 @@ class VarModel:
         """Regressors per equation: K p plus one for the intercept."""
         return self.k * self.p + (1 if self.intercept is not None else 0)
 
-    def sigma_u(self, df_mode: str) -> np.ndarray:
-        """Innovation covariance rescaled to the requested divisor convention."""
-        current = _df_divisor("adjusted", self.t_effective, self.n_reg)
-        wanted = _df_divisor(df_mode, self.t_effective, self.n_reg)
-        return self.sigma_u_hat * (current / wanted)
+    @property
+    def sigma_u_ml(self) -> np.ndarray:
+        """Innovation covariance over T_eff (ML) instead of T_eff - n_reg, the S-LS plug-in."""
+        return self.sigma_u_hat * ((self.t_effective - self.n_reg) / self.t_effective)
 
 
-def _df_divisor(df_mode: str, t_effective: int, n_reg: int) -> int:
-    if df_mode == "ml":
-        d = t_effective
-    elif df_mode == "adjusted":
-        d = t_effective - n_reg
-    else:
-        raise ValueError(f"unknown df_mode {df_mode!r}")
-    if d <= 0:
-        raise SingularMatrixError(
-            f"nonpositive degrees of freedom: T_eff={t_effective}, n_reg={n_reg}"
-        )
-    return d
+def _short_sample(t: int, k: int, p: int, intercept: bool) -> str:
+    """Why T rows of K variables cannot be fitted by a VAR(p), or "" when they can.
+
+    The package's one sample-size rule: a fit needs T - p > Kp + [intercept],
+    at least one residual degree of freedom.
+    """
+    n_reg = k * p + intercept
+    if t - p > n_reg:
+        return ""
+    return f"t = {t} leaves {t - p} rows for {n_reg} regressors at p = {p}"
 
 
 def _as_values(y: SamplePath | np.ndarray) -> np.ndarray:
@@ -162,17 +162,17 @@ def fit_var_ls(
     Raises
     ------
     SingularMatrixError
-        If T is too small or ``fit_var_ls_stack`` flags the sample.
+        If T - p <= Kp + [intercept] (``_short_sample``) or
+        ``fit_var_ls_stack`` flags the sample.
     """
     values = _as_values(y)
     t, k = values.shape
     if p < 1:
         raise ValueError("p must be >= 1")
-    n_reg = k * p + (1 if intercept else 0)
-    if t <= n_reg + 1:
-        raise SingularMatrixError(
-            f"sample too small: T={t} rows for {n_reg} regressors and p={p} lags"
-        )
+    short = _short_sample(t, k, p, intercept)
+    if short:
+        raise SingularMatrixError(f"sample too small: {short}")
+    n_reg = k * p + intercept
     coefs, fitted, grams = fit_var_ls_stack(values[np.newaxis], p, intercept)
     moment = grams[0] / (t - p)
     if not fitted[0]:
@@ -191,7 +191,7 @@ def fit_var_ls(
     resid = target - x @ coef
     model = VarModel(
         ar_hat=coeff_seq(coefs[0], k),
-        sigma_u_hat=residual_cov(resid, df_mode="adjusted", n_reg=n_reg),
+        sigma_u_hat=resid.T @ resid / (t - p - n_reg),
         intercept=const,
         moment_matrix=moment,
         t_effective=t - p,
@@ -216,17 +216,19 @@ def fit_var_ls_stack(
     (Frisch-Waugh), so the Grams are those of the demeaned regressors and
     one Cholesky factorisation per sample checks both that the demeaned
     moment matrix is positive-definite and its pivots. A sample is flagged
-    when T is too small, when it is not finite, when its factorisation
-    fails, or when its pivots collapse, min^2 <= ``_PIVOT_COLLAPSE`` max^2. Each sample is factorised and
-    solved by its own LAPACK calls (``np.linalg.solve``), so neither its
-    flag nor its bits depend on the samples beside it.
+    when T - p <= Kp + [intercept], fewer than one residual degree of
+    freedom (``_short_sample``), when it is not finite, when its
+    factorisation fails, or when its pivots collapse, min^2 <=
+    ``_PIVOT_COLLAPSE`` max^2. Each sample is factorised and solved by its
+    own LAPACK calls (``np.linalg.solve``), so neither its flag nor its bits
+    depend on the samples beside it.
     """
     samples = np.asarray(samples, dtype=float)
     n, t, k = samples.shape
     if p < 1:
         raise ValueError("p must be >= 1")
     kp = k * p
-    if t <= kp + intercept + 1:
+    if _short_sample(t, k, p, intercept):
         return np.full((n, p, k, k), np.nan), np.zeros(n, dtype=bool), np.full((n, kp, kp), np.nan)
     finite = np.isfinite(samples).all(axis=(1, 2))
     if not finite.all():
@@ -241,19 +243,6 @@ def fit_var_ls_stack(
     coefs = coef.reshape(n, p, k, k).swapaxes(2, 3).copy()
     coefs[~fitted] = np.nan
     return coefs, fitted, grams
-
-
-def residual_cov(
-    residuals: np.ndarray, df_mode: str = "adjusted", n_reg: int = 0
-) -> np.ndarray:
-    """(1/d) sum u_t u_t' with d = T_eff ('ml') or T_eff - n_reg ('adjusted')."""
-    resid = np.asarray(residuals, dtype=float)
-    if resid.ndim == 1:
-        resid = resid[:, np.newaxis]
-    if resid.shape[0] < 2:
-        raise ValueError("need at least 2 residual rows")
-    d = _df_divisor(df_mode, resid.shape[0], n_reg)
-    return resid.T @ resid / d
 
 
 def sample_gamma_p(y: SamplePath | np.ndarray, p: int) -> np.ndarray:

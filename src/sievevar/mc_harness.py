@@ -24,7 +24,7 @@ from .bootstrap_infer import bootstrap_interval_sets
 from .delta_infer import IntervalSet, delta_ci, irf_covariances
 from .dgp_sim import SamplePath, VarmaSpec, default_burn_in, simulate_varma_stack, varma_true_irf
 from .errors import ConfigError, ExperimentError, SieveVarError
-from .estimate import _as_values, fit_var_ls, sample_gamma_p
+from .estimate import _as_values, _short_sample, fit_var_ls, sample_gamma_p
 from .streams import SeedLike, substream
 from .var_core import ma_from_ar
 
@@ -32,7 +32,7 @@ from .var_core import ma_from_ar
 # stack from (fit, (T, K) sample, Phi-hat), or a bootstrap method's child stream (an int).
 METHODS: dict[str, Callable | int] = {
     "LS": lambda fit, y, phi: irf_covariances(phi, fit.moment_matrix, fit.sigma_u_hat),
-    "S-LS": lambda fit, y, phi: irf_covariances(phi, sample_gamma_p(y, fit.p), fit.sigma_u("ml")),
+    "S-LS": lambda fit, y, phi: irf_covariances(phi, sample_gamma_p(y, fit.p), fit.sigma_u_ml),
     "BOOT": 10,
     "BOOT-db": 11,
 }
@@ -99,6 +99,9 @@ class ExperimentConfig:
             raise ConfigError("horizon and replications must be >= 1")
         check_design(self.p, self.horizon, self.level, self.methods, self.bootstrap_replications)
         check_sizes(self.t, self.burn_in, self.workers)
+        short = _short_sample(self.t, self.dgp.k, self.p, self.intercept)
+        if short:
+            raise ConfigError(f"{short}, so no sample could be fitted")
 
     @property
     def effective_burn_in(self) -> int:

@@ -152,6 +152,17 @@ class TestCi:
         out = tmp_path / "ci.csv"
         assert run_cli("ci", str(data), "--p", "1", "--H", "2", "--out", str(out)) == 3
 
+    @pytest.mark.parametrize("rows, fits", [(9, False), (10, True)])
+    def test_sample_without_residual_degree_of_freedom_exits_3(self, sample_csv, tmp_path, capsys, rows, fits):
+        # a header line, then T rows; K = 2, p = 3: T - p must exceed Kp = 6
+        data = tmp_path / "short.csv"
+        data.write_text("".join(sample_csv.read_text().splitlines(keepends=True)[: rows + 1]))
+        out = tmp_path / "ci.csv"
+        code = run_cli("ci", str(data), "--p", "3", "--H", "2", "--methods", "LS,S-LS", "--out", str(out))
+        assert (code, out.exists()) == ((0, True) if fits else (3, False))
+        if not fits:
+            assert "sample too small: t = 9 leaves 6 rows for 6 regressors at p = 3" in capsys.readouterr().err
+
     def test_non_finite_bootstrap_exits_3(self, sample_csv, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise NonFiniteError("BOOT draw 0: bootstrap pseudo-sample is not finite")
@@ -201,6 +212,7 @@ class TestCi:
         ("ci", ["--H", "-1"]),
         ("ci", ["--methods", "LS,LS"]),
         ("mc", {"methods": ["LS", "BOOT", "LS"]}),
+        ("mc", {"t": 6}),
     ],
 )
 def test_invalid_sizes_exit_2_before_fitting(command, change, sample_csv, tmp_path, capsys):
@@ -411,6 +423,19 @@ class TestMc:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out").exists()
+
+    def test_failed_experiment_exits_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg):
+            raise cli.ExperimentError("2 of 2 replications failed (budget 1%)")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        cfg = json.loads(desk_config(tmp_path).read_text())
+        cfg.update(p=2, horizon=3, methods=["LS"], replications=2)
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("mc", str(path), "--out", str(tmp_path / "new" / "out")) == 3
+        assert "replications failed" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
     def test_preset_and_config_mutually_exclusive(self, tmp_path):
         assert run_cli("mc", "--out", str(tmp_path / "o")) == 2

@@ -86,7 +86,7 @@ def ls_plugins(model):
 
 
 def sls_plugins(model, y):
-    return sample_gamma_p(y, model.p), model.sigma_u("ml")
+    return sample_gamma_p(y, model.p), model.sigma_u_ml
 
 
 class TestFiniteOrderCov:
@@ -155,7 +155,7 @@ class TestSieveCov:
         model, _ = fitted_model(rng, k=1, p=2)
         for gamma in (np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]])):
             with pytest.raises(SingularMatrixError):
-                irf_covariances(ma_from_ar(model.ar_hat.mats, 1), gamma, model.sigma_u("ml"))
+                irf_covariances(ma_from_ar(model.ar_hat.mats, 1), gamma, model.sigma_u_ml)
 
     def test_wrong_side_gamma_rejected(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)

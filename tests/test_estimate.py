@@ -13,7 +13,6 @@ from sievevar import (
     coeff_seq,
     fit_var_ls,
     residual_bootstrap_sample,
-    residual_cov,
     sample_gamma_p,
     simulate_varma,
     white_noise_spec,
@@ -155,14 +154,48 @@ class TestFitVarLs:
         scaled, _ = fit_var_ls(1e4 * y, 1)
         np.testing.assert_allclose(scaled.sigma_u_hat, 1e8 * model.sigma_u_hat, rtol=1e-10)
 
-    def test_sigma_mode_rescaling(self, rng):
+    def test_sigma_u_divisors(self, rng):
+        # sigma_u_hat divides by T_eff - n_reg, sigma_u_ml by T_eff
         ar = random_stable_coeffs(rng, 2, 2, 0.5)
         y = simulate_varma(pure_ar_spec(ar), 200, 100, 4)
-        model, resid = fit_var_ls(y, 2)
-        np.testing.assert_allclose(
-            model.sigma_u("ml"), residual_cov(resid, "ml"), atol=1e-14
-        )
-        np.testing.assert_allclose(model.sigma_u("adjusted"), model.sigma_u_hat)
+        for intercept in (False, True):
+            model, resid = fit_var_ls(y, 2, intercept=intercept)
+            assert model.n_reg == 4 + intercept
+            gram = resid.T @ resid
+            np.testing.assert_allclose(model.sigma_u_ml, gram / 198, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(model.sigma_u_hat, gram / (198 - model.n_reg), rtol=0, atol=1e-14)
+
+    def test_model_refuses_no_residual_degree_of_freedom(self, rng):
+        for intercept in (False, True):
+            model, _ = fit_var_ls(rng.normal(size=(100, 2)), 3, intercept=intercept)
+            with pytest.raises(SingularMatrixError, match="sample too small"):
+                replace(model, t_effective=model.n_reg)
+            assert replace(model, t_effective=model.n_reg + 1).t_effective == model.n_reg + 1
+
+
+# K = 2, p = 3: T - p > Kp + [intercept] first holds at T = 10, or 11 with an intercept
+SHORT_PROBES = [(t, False) for t in (7, 8, 9)] + [(t, True) for t in (8, 9, 10)]
+
+
+class TestSampleSizeRule:
+    @pytest.mark.parametrize("t, intercept", SHORT_PROBES)
+    def test_short_sample_too_small_and_first_length_past_the_rule_fits(self, rng, t, intercept):
+        y = rng.normal(size=(11, 2))
+        with pytest.raises(SingularMatrixError, match="sample too small"):
+            fit_var_ls(y[:t], 3, intercept=intercept)
+        model, resid = fit_var_ls(y[: 10 + intercept], 3, intercept=intercept)
+        assert model.t_effective - model.n_reg == 1 and resid.shape == (7 + intercept, 2)
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_stack_flags_the_same_lengths(self, rng, intercept):
+        for t in range(4, 14):
+            samples = rng.normal(size=(2, t, 2))
+            _, fitted, _ = fit_var_ls_stack(samples, 3, intercept)
+            short = t - 3 <= 6 + intercept
+            np.testing.assert_array_equal(fitted, [not short] * 2)
+            if short:
+                with pytest.raises(SingularMatrixError, match="sample too small"):
+                    fit_var_ls(samples[0], 3, intercept=intercept)
 
 
 class TestFitVarLsStack:
@@ -255,28 +288,6 @@ class TestFitVarLsStack:
             np.testing.assert_array_equal(flags, np.arange(len(stack)) == at)
             np.testing.assert_array_equal(coefs[at], coef[0])
             np.testing.assert_array_equal(grams[at], gram[0])
-
-
-class TestResidualCov:
-    def test_ml_mode_scalar(self):
-        assert residual_cov(np.array([1.0, -1.0]), "ml")[0, 0] == pytest.approx(1.0)
-
-    def test_zero_residuals(self):
-        out = residual_cov(np.zeros((5, 2)), "ml")
-        np.testing.assert_array_equal(out, np.zeros((2, 2)))
-
-    def test_adjusted_mode_scalar(self):
-        # (1 + 1 + 4) / (3 - 1) = 3.0 for K=1, p=1, no intercept
-        out = residual_cov(np.array([1.0, -1.0, 2.0]), "adjusted", n_reg=1)
-        assert out[0, 0] == pytest.approx(3.0)
-
-    def test_nonpositive_df_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            residual_cov(np.array([1.0, -1.0]), "adjusted", n_reg=2)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            residual_cov(np.array([1.0, -1.0]), "bayes")
 
 
 class TestSampleGammaP:

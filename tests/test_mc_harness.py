@@ -474,6 +474,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_config(desk_spec, level=1.5)
 
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_sample_no_fit_could_use_rejected(self, desk_spec, intercept):
+        # p = 2, K = 2: t = 6 leaves 4 rows for 4 regressors, t = 7 5 rows for 5 with an intercept
+        t = 6 + intercept
+        with pytest.raises(ConfigError, match=rf"^t = {t} leaves {t - 2} rows for {t - 2} regressors at p = 2"):
+            tiny_config(desk_spec, t=t, intercept=intercept)
+        assert tiny_config(desk_spec, t=t + 1, intercept=intercept).t == t + 1
+
     def test_white_noise_dgp_accepted(self):
         cfg = tiny_config(white_noise_spec(2), p=1, horizon=1, methods=("LS",))
         s = run_experiment(cfg)
