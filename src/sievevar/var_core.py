@@ -1,5 +1,5 @@
 """Companion-form algebra, moving-average (impulse response) expansions and
-the VAR recursion that steps every lag recursion of the package.
+the VAR recursion behind every simulated path of the package.
 
 A VAR(p) with coefficients A_1..A_p has moving-average matrices defined by
 Phi_0 = I and
@@ -8,8 +8,11 @@ Phi_0 = I and
 
 the path of the VAR from zero start values driven by a unit impulse, which
 coincide with the top-left K x K block of the i-th power of the companion
-matrix. The package steps the recursion; the tests hold it against
-companion powers.
+matrix. ``ma_from_ar`` steps this recursion one horizon at a time, for one
+coefficient stack or a stack of them; the tests hold it against companion
+powers. ``var_recursion`` computes the paths of one coefficient stack
+(simulated samples, bootstrap pseudo-samples, the true IRFs and AR(infinity)
+form of a VARMA) as one banded triangular solve over all steps and paths.
 
 Every function takes and returns plain arrays: coefficient stacks have
 shape (..., p, K, K) with A_1 first, IRF stacks (..., H+1, K, K) with
@@ -20,9 +23,11 @@ input enters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatchError, EigenvalueError
 
@@ -93,14 +98,54 @@ def ma_from_ar(ar: np.ndarray, horizon: int) -> np.ndarray:
     exactly the truncation a fitted VAR(p) imposes on a longer process.
     A (..., p, K, K) stack of coefficients gives the (..., H+1, K, K)
     stack of expansions, each member bit-identical to its own expansion.
+    The expansion steps its H + 1 horizons itself rather than calling
+    ``var_recursion``: a stack of short expansions, one per bootstrap draw,
+    each with its own coefficients, is far cheaper stepped together than
+    solved one draw at a time.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     ar = np.asarray(ar, dtype=float)
     lead, p, k = ar.shape[:-3], ar.shape[-3], ar.shape[-1]
-    shocks = np.zeros(lead + (p + horizon + 1, k, k))
-    shocks[..., p, :, :] = np.eye(k)
-    return var_recursion(ar, shocks)[..., p:, :, :]
+    stacked = ar.swapaxes(-3, -2).reshape(lead + (k, p * k))  # K x Kp, [A_1 ... A_p]
+    # time runs backwards in rev: row H-i holds Phi_i and rows H+1.. the p
+    # zero start values, so the state [Phi_{i-1}; ...; Phi_{i-p}] is the
+    # contiguous run of rows H-i+1..H-i+p
+    rev = np.zeros(lead + (horizon + 1 + p, k, k))
+    flat = rev.reshape(lead + ((horizon + 1 + p) * k, k))
+    impulse = np.eye(k)
+    for i in range(horizon + 1):
+        row = horizon - i
+        state = flat[..., (row + 1) * k : (row + 1 + p) * k, :]
+        # one product per member keeps each member's bits; adding the zero
+        # shock turns a -0 product into +0
+        rev[..., row, :, :] = stacked @ state + (impulse if i == 0 else 0.0)
+    # take copies whole rows, several times faster than copying rev[..., ::-1, :, :]
+    return rev.take(np.arange(horizon, -1, -1), axis=-3)
+
+
+# band floats one segment of var_recursion's banded solve holds (8 MB)
+_BAND_FLOATS = 1 << 20
+
+
+def _band(ar: np.ndarray, steps: int) -> np.ndarray:
+    """Lower band storage, (Kp + K, steps K) in Fortran order, of the recursion's system.
+
+    Unknown (u, l) is entry l of Y_u, and row (s, i) of the unit
+    lower-triangular system reads Y_s[i] - sum_j A_j[i, :] Y_{s-j} = E_s[i].
+    Column (u, l) holds -A_j[i, l] at row (u + j, i), which is band row
+    jK + i - l, the same for every u; rows s < p hold no coefficients, so
+    they return their right-hand side, the start values.
+    """
+    p, k = ar.shape[0], ar.shape[-1]
+    # lags[jK + i, l] = -A_j[i, l] for j = 1..p, zero for j = 0 and past p
+    lags = np.zeros(((p + 2) * k, k))
+    lags[k : (p + 1) * k] = -ar.reshape(p * k, k)
+    pattern = lags[np.arange((p + 1) * k)[:, np.newaxis] + np.arange(k), np.arange(k)]
+    band = np.tile(pattern.T, (steps, 1))  # row c of band.T is column c of the band
+    # band row d of column c belongs to row c + d of the system: none below pK
+    band[: p * k, : p * k][np.add.outer(np.arange(p * k), np.arange(p * k)) < p * k] = 0.0
+    return band.T
 
 
 def var_recursion(ar: np.ndarray, shocks: np.ndarray) -> np.ndarray:
@@ -108,38 +153,47 @@ def var_recursion(ar: np.ndarray, shocks: np.ndarray) -> np.ndarray:
 
     Each Y_s is K x m: m = 1 steps sample paths, m = K from a unit impulse
     impulse responses. ``shocks`` holds the E_s, its leading dimensions
-    indexing the paths, and ``ar`` (A_1..A_p, shape (..., p, K, K))
-    broadcasts against them. Rows below p are the start values, Y_s = E_s;
+    indexing the paths, and every path shares the one (p, K, K) coefficient
+    stack ``ar`` (A_1..A_p). Rows below p are the start values, Y_s = E_s;
     row s >= p is sum_j A_j Y_{s-j} + E_s, so a constant is part of the
-    shock. Every path is bit-identical to its own recursion.
+    shock.
+
+    The recursion is the unit lower-triangular banded system
+    Y_s - sum_j A_j Y_{s-j} = E_s of bandwidth Kp + K - 1, solved by
+    LAPACK's ``dtbtrs`` with each column of each path as its own
+    right-hand side. Long paths are solved in segments of at most
+    ``_BAND_FLOATS`` band entries (and at least 2p steps), each starting
+    from the last p rows of the one before, so a path's bits depend on
+    ``ar``, its own shocks and T alone, not on the paths beside it. Returns
+    a new C-contiguous array.
     """
     ar = np.asarray(ar, dtype=float)
+    shocks = np.asarray(shocks, dtype=float)
     lead, (t, k, m) = shocks.shape[:-3], shocks.shape[-3:]
-    try:
-        broadcasts = ar.ndim >= 3 and np.broadcast_shapes(ar.shape[:-3], lead) == lead
-    except ValueError:
-        broadcasts = False
-    if not broadcasts or ar.shape[-2:] != (k, k):
+    if ar.ndim != 3 or ar.shape[1:] != (k, k):
         raise DimensionMismatchError(
             f"var_recursion got coefficients {ar.shape} and shocks {shocks.shape}"
         )
-    p = ar.shape[-3]
+    p = len(ar)
     if t < p:
         raise DimensionMismatchError(f"{t} steps cannot hold {p} start values")
-    stacked = ar.swapaxes(-3, -2).reshape(ar.shape[:-3] + (k, p * k))  # K x Kp, [A_1 ... A_p]
-    # time runs backwards in rev: row t-1-s holds Y_s, so the state
-    # [Y_{s-1}; ...; Y_{s-p}] is the contiguous run of rows t-s..t-s+p-1
-    rev = np.empty(lead + (t, k, m))
-    rev[..., t - p :, :, :] = shocks[..., :p, :, :][..., ::-1, :, :]
-    flat = rev.reshape(lead + (t * k, m))
-    for step in range(p, t):
-        row = t - 1 - step
-        state = flat[..., (row + 1) * k : (row + 1 + p) * k, :]
-        # one product per path keeps each path's bits: at m = 1 a stack of
-        # matrix-vector products, which state @ stacked.T would round differently
-        rev[..., row, :, :] = stacked @ state + shocks[..., step, :, :]
-    # take copies whole rows, several times faster than copying rev[..., ::-1, :, :]
-    return rev.take(np.arange(t - 1, -1, -1), axis=-3)
+    n = math.prod(lead)
+    # one row per path and column m, time-major within it: its transpose is
+    # the Fortran-ordered right-hand side dtbtrs takes and overwrites
+    rhs = shocks.reshape((n, t, k, m)).transpose(0, 3, 1, 2).copy().reshape(n * m, t * k)
+    steps = min(t, max(_BAND_FLOATS // ((p + 1) * k * k), 2 * p, 1))
+    band = _band(ar, steps)
+    # dtbtrs corrupts the heap when it is given no right-hand side
+    for lo in range(0, t - p if rhs.size else 0, max(steps - p, 1)):
+        seg = rhs[:, lo * k : min(lo + steps, t) * k]
+        sol, info = lapack.dtbtrs(
+            band[:, : seg.shape[1]], seg.T, uplo="L", diag="U", overwrite_b=True
+        )
+        if info:
+            raise ValueError(f"dtbtrs rejected argument {-info}")
+        seg[...] = sol.T
+    out = rhs.reshape((n, m, t, k)).transpose(0, 2, 3, 1)
+    return np.ascontiguousarray(out).reshape(lead + (t, k, m))
 
 
 def spectral_radius(c: np.ndarray) -> float | np.ndarray:

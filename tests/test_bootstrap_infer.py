@@ -148,8 +148,9 @@ class TestResidualBootstrapSample:
         b = residual_bootstrap_sample(model.ar_hat.mats, None, resid, y, *drawn)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("intercept", [False, True])
-    def test_stack_matches_scalar_recursion_bit_for_bit(self, desk_spec, intercept):
+    @staticmethod
+    def _draws(desk_spec, intercept):
+        """A fitted desk model, its residuals and sample, and a 5-draw stack of it."""
         y = simulate_varma(desk_spec, 150, 200, 17)
         values = y.values + (3.0 if intercept else 0.0)
         model, resid = fit_var_ls(values, 3, intercept=intercept)
@@ -157,9 +158,22 @@ class TestResidualBootstrapSample:
         starts, idx = bootstrap_infer._draw_indices(8, 0, 5, 150, 3, len(resid))
         paths = residual_bootstrap_sample(ar, const, resid, values, starts, idx)
         assert paths.shape == (5, 150, 2)
+        return (ar, const, resid, values), starts, idx, paths
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_stack_member_matches_own_call_bit_for_bit(self, desk_spec, intercept):
+        fit, starts, idx, paths = self._draws(desk_spec, intercept)
+        for j, path in enumerate(paths):
+            alone = residual_bootstrap_sample(*fit, starts[j : j + 1], idx[j : j + 1])
+            np.testing.assert_array_equal(path, alone[0])
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_stack_matches_scalar_recursion(self, desk_spec, intercept):
+        # the banded solve sums the lags in another order than the loop
+        fit, starts, idx, paths = self._draws(desk_spec, intercept)
         for path, start, row in zip(paths, starts, idx):
-            want = scalar_resample(ar, const, resid, values, start, row)
-            np.testing.assert_array_equal(path, want)
+            want = scalar_resample(*fit, start, row)
+            np.testing.assert_allclose(path, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
     def test_empty_index_arrays_give_empty_stack(self, desk_spec):
         y = simulate_varma(desk_spec, 50, 200, 17).values

@@ -127,6 +127,15 @@ class TestMaRecursion:
             for member, want in zip(phis, stack):
                 np.testing.assert_array_equal(member, ma_from_ar(want, 7))
 
+    def test_member_of_two_axis_stack_matches_own_expansion_bit_for_bit(self, rng):
+        k, p = 2, 3
+        ar = np.array([random_stable_coeffs(rng, k, p, 0.9) for _ in range(6)])
+        ar = ar.reshape(2, 3, p, k, k)
+        phis = ma_from_ar(ar, 9)
+        assert phis.shape == (2, 3, 10, k, k)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(phis[idx], ma_from_ar(ar[idx], 9))
+
 
 class TestVarRecursion:
     def test_member_of_stack_of_7_matches_single_path_bit_for_bit(self, rng):
@@ -158,7 +167,7 @@ class TestVarRecursion:
 
     def test_columns_of_matrix_paths_match_vector_paths(self, rng):
         # m = K columns of one K x K path against each column stepped as m = 1;
-        # one K x K product and K matrix-vector products may round differently
+        # every column is its own right-hand side of the banded solve
         k, p, t = 3, 5, 40
         ar = random_stable_coeffs(rng, k, p, 0.9)
         shocks = rng.normal(size=(2, t, k, k))
@@ -166,17 +175,39 @@ class TestVarRecursion:
         assert paths.shape == (2, t, k, k) and paths.flags.c_contiguous
         for j in range(k):
             col = np.s_[..., j : j + 1]
-            assert_close_to_scale(paths[col], var_recursion(ar, shocks[col]), 1e-14)
+            np.testing.assert_array_equal(paths[col], var_recursion(ar, shocks[col]))
 
-    def test_member_of_coefficient_stack_matches_own_call_bit_for_bit(self, rng):
-        k, p, t, m = 2, 3, 30, 2
-        ar = np.array([random_stable_coeffs(rng, k, p, 0.9) for _ in range(6)])
-        ar = ar.reshape(2, 3, p, k, k)
-        shocks = rng.normal(size=(2, 3, t, k, m))
+    @pytest.mark.parametrize("k, p", [(1, 4), (3, 2), (3, 0)])
+    @pytest.mark.parametrize("m", ["1", "K"])
+    def test_member_at_odd_length_matches_own_call_bit_for_bit(self, rng, k, p, m):
+        # T K odd at K = 1 and K = 3, so members start at every alignment
+        t, n = 151, 9
+        ar = random_stable_coeffs(rng, k, p, 0.9) if p else np.empty((0, k, k))
+        shocks = rng.normal(size=(n, t, k, 1 if m == "1" else k))
         paths = var_recursion(ar, shocks)
-        assert paths.shape == (2, 3, t, k, m)
-        for idx in np.ndindex(2, 3):
-            np.testing.assert_array_equal(paths[idx], var_recursion(ar[idx], shocks[idx]))
+        for j in range(n):
+            np.testing.assert_array_equal(paths[j], var_recursion(ar, shocks[j]))
+
+    def test_empty_stack_makes_no_solve(self, rng, monkeypatch):
+        # dtbtrs corrupts the heap when it is given no right-hand side
+        def refused(*args, **kwargs):
+            raise AssertionError("dtbtrs called")
+
+        monkeypatch.setattr(var_core.lapack, "dtbtrs", refused)
+        ar = random_stable_coeffs(rng, 2, 3, 0.9)
+        for shape in ((0, 40, 2, 1), (3, 0, 40, 2, 2)):
+            assert var_recursion(ar, np.zeros(shape)).shape == shape
+
+    def test_overflowing_member_leaves_its_neighbours_bits(self, rng):
+        # A_1 + A_2 + A_3 = 0.9 I with shocks of 1e308 overflows at step 3
+        k, t = 2, 120
+        ar = np.array([0.3 * np.eye(k)] * 3)
+        shocks = rng.normal(size=(5, t, k, 1))
+        calm = var_recursion(ar, shocks)
+        shocks[2] = 1e308
+        paths = var_recursion(ar, shocks)
+        assert not np.isfinite(paths[2]).all()
+        np.testing.assert_array_equal(np.delete(paths, 2, axis=0), np.delete(calm, 2, axis=0))
 
     def test_shapes_checked(self):
         for ar_shape, shocks_shape in (
@@ -185,6 +216,7 @@ class TestVarRecursion:
             ((2, 2), (1, 5, 2, 1)),  # no lag axis
             ((3, 2, 2, 2), (2, 5, 2, 1)),  # a stack that does not broadcast
             ((2, 2, 2, 2), (5, 2, 1)),  # a stack wider than the paths
+            ((2, 2, 2, 2), (2, 5, 2, 1)),  # one coefficient stack per path
         ):
             with pytest.raises(DimensionMismatchError):
                 var_recursion(np.zeros(ar_shape), np.zeros(shocks_shape))
