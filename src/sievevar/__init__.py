@@ -20,7 +20,6 @@ from .dgp_sim import (
     simulate_varma,
     varma_true_ar,
     varma_true_irf,
-    white_noise_spec,
 )
 from .errors import (
     ConfigError,
@@ -101,5 +100,4 @@ __all__ = [
     "var_recursion",
     "varma_true_ar",
     "varma_true_irf",
-    "white_noise_spec",
 ]

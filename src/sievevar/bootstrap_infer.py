@@ -6,17 +6,15 @@ and returns the intervals of whichever methods it is given seeds for.
 The recursive-design scheme resamples the centered residuals of the
 fitted model with replacement, seeds the recursion with a random
 contiguous block of the sample, and refits the VAR on each
-pseudo-sample; the sample itself is never refitted. BOOT's draws and the
-first stage of BOOT-db resample the same model from the same residuals,
-so they are stepped in one recursion and refitted with one stacked solve
-per block. The first stage estimates the coefficient bias and corrects
-the point estimates under a stationarity guard; the second stage
-(``_stage_two``) resamples the corrected model, its intercept re-centred
-on the fitted mean, and reuses that same bias estimate on every draw
-instead of nesting a third bootstrap, so it is the one pass that must
-wait for another. Its draws pass the same stationarity guard, whose first
-step certifies nearly every draw from a bound on a power of its companion
-matrix and eigen-solves only the rest.
+pseudo-sample; the sample itself is never refitted. Every stage is its
+own resampling pass: BOOT's draws, then BOOT-db's first stage, which
+estimates the coefficient bias and corrects the point estimates under a
+stationarity guard, then its second stage (``_stage_two``), which
+resamples the corrected model, its intercept re-centred on the fitted
+mean, and reuses that same bias estimate on every draw instead of
+nesting a third bootstrap. Its draws pass the same stationarity guard,
+whose first step certifies nearly every draw from a bound on a power of
+its companion matrix and eigen-solves only the rest.
 
 Streams: each stage has one seed S, the method's seed for BOOT and
 (seed, 0) and (seed, 1) for BOOT-db's two stages. On refit attempt a, the
@@ -30,7 +28,7 @@ the next attempt only when its refit is singular.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -111,23 +109,22 @@ def _refit_draws(
     intercept: np.ndarray | None,
     residuals: np.ndarray,
     y: np.ndarray,
-    streams: Sequence[tuple[str, SeedLike]],
+    stage: str,
+    seed: SeedLike,
     m: int,
 ) -> np.ndarray:
-    """Coefficient stacks of recursive-bootstrap refits, shape (n_streams, m, p, K, K).
+    """Coefficient stacks of the m recursive-bootstrap refits of one stage, shape (m, p, K, K).
 
-    ``streams`` holds (stage, seed) pairs of m draws each; the stage names
-    the stream in errors. Draw r of a stream resamples from (``ar``,
+    ``stage`` names the stage in errors. Draw r resamples from (``ar``,
     ``intercept``) with row r of ``_draw_indices(seed, attempt, ...)``,
     moving to the next attempt when its refit is singular, and refits with
     an intercept when there is one. Each attempt is one pass over the
-    pending draws of all streams together: each stream's indices are
-    drawn once, for draws 0 up to its last pending draw, and the pending
-    draws are resampled in one recursion per block of at most
-    ``_BLOCK_FLOATS`` pseudo-sample values and refitted by one
-    ``fit_var_ls_stack`` call per block, and a draw it flags is singular.
-    That kernel decides and solves each draw on its own, so a draw's bits
-    do not depend on the streams or draws beside it.
+    stage's pending draws: their indices are drawn once, for draws 0 up to
+    the last pending one, and the pending draws are resampled in one
+    recursion per block of at most ``_BLOCK_FLOATS`` pseudo-sample values
+    and refitted by one ``fit_var_ls_stack`` call per block, and a draw it
+    flags is singular. That kernel decides and solves each draw on its
+    own, so a draw's bits do not depend on the draws beside it.
 
     Raises
     ------
@@ -141,42 +138,29 @@ def _refit_draws(
     p, k = ar.shape[:2]
     t = len(y)
     block = max(1, _BLOCK_FLOATS // y.size)
-    # draws of all streams in one flat order: draw j is draw j % m of stream j // m
-    out = np.empty((len(streams) * m, p, k, k))
-    pending = np.arange(len(out))
+    out = np.empty((m, p, k, k))
+    pending = np.arange(m)
     for attempt in range(_MAX_REFIT_ATTEMPTS):
-        # pending is sorted, so each stream's draws form one run
-        stream, row = np.divmod(pending, m)
-        fills = {
-            s: _draw_indices(streams[s][1], attempt, row[stream == s][-1] + 1, t, p, len(residuals))
-            for s in np.unique(stream).tolist()
-        }
+        starts, idx = _draw_indices(seed, attempt, pending[-1] + 1, t, p, len(residuals))
         singular = []
         for lo in range(0, len(pending), block):
-            chunk, part = pending[lo : lo + block], slice(lo, lo + block)
-            of, rows = stream[part], row[part]
-            runs = [(fills[s], rows[of == s]) for s in np.unique(of).tolist()]
-            starts = np.concatenate([fill[0][r] for fill, r in runs])
-            idx = np.concatenate([fill[1][r] for fill, r in runs])
-            pseudo = residual_bootstrap_sample(ar, intercept, residuals, y, starts, idx)
+            rows = pending[lo : lo + block]
+            pseudo = residual_bootstrap_sample(ar, intercept, residuals, y, starts[rows], idx[rows])
             coefs, fitted, _ = fit_var_ls_stack(pseudo, p, intercept=intercept is not None)
             if not fitted.all():
                 broken = np.flatnonzero(~np.isfinite(pseudo).all(axis=(1, 2)))
                 if len(broken):
-                    j = chunk[broken[0]]
                     raise NonFiniteError(
-                        f"{streams[j // m][0]} draw {j % m}: bootstrap "
+                        f"{stage} draw {rows[broken[0]]}: bootstrap "
                         "pseudo-sample is not finite (is the fitted model explosive?)"
                     )
-            singular.extend(chunk[~fitted].tolist())
-            out[chunk] = coefs
+            singular.extend(rows[~fitted].tolist())
+            out[rows] = coefs
         pending = np.array(singular, dtype=np.intp)
         if not len(pending):
-            return out.reshape(len(streams), m, p, k, k)
-    j = pending[0]
+            return out
     raise SingularMatrixError(
-        f"bootstrap refit failed {_MAX_REFIT_ATTEMPTS} times for "
-        f"{streams[j // m][0]} draw {j % m}"
+        f"bootstrap refit failed {_MAX_REFIT_ATTEMPTS} times for {stage} draw {pending[0]}"
     )
 
 
@@ -267,8 +251,8 @@ def _stage_two(
         ar = model.ar_hat.mats
         mean = np.linalg.solve(np.eye(model.k) - ar.sum(axis=0), intercept)
         intercept = intercept + (ar - corrected).sum(axis=0) @ mean
-    stream = [("BOOT-db stage two", substream(seed, 1))]
-    (coefs,) = _refit_draws(corrected, intercept, residuals, y, stream, m)
+    stage_two = substream(seed, 1)
+    coefs = _refit_draws(corrected, intercept, residuals, y, "BOOT-db stage two", stage_two, m)
     guarded = stationarity_guard(coefs, bias)[0]
     # the points expand with the draws, each bit-identical to its own expansion
     irfs = ma_from_ar(np.concatenate([corrected[np.newaxis], guarded]), horizon)
@@ -289,9 +273,9 @@ def bootstrap_interval_sets(
     ``y`` is the (T, K) sample ``model`` was fitted to, and ``seeds`` maps
     each bootstrap method wanted to its stream. Each interval is centred on
     its own point estimate: the fitted IRFs for BOOT, the bias-corrected
-    model's for BOOT-db. BOOT's draws and BOOT-db's first stage resample
-    the fitted model together; an interval's bits do not depend on which
-    other method is requested.
+    model's for BOOT-db. Each stage of each method is its own resampling
+    pass, so an interval's bits do not depend on which other method is
+    requested.
 
     Raises
     ------
@@ -299,7 +283,7 @@ def bootstrap_interval_sets(
         If ``y`` is not a (T, K) array for the K of ``model``.
     ValueError
         If ``seeds`` names a method other than "BOOT" and "BOOT-db", or
-        m < 2.
+        names one and m < 2.
     """
     y = np.asarray(y)
     if y.ndim != 2 or y.shape[1] != model.k:
@@ -308,23 +292,18 @@ def bootstrap_interval_sets(
     if unknown:
         raise ValueError(f"unknown bootstrap methods {unknown}; valid: ['BOOT', 'BOOT-db']")
     ar = model.ar_hat.mats
-    stages = {}
-    if "BOOT" in seeds:
-        stages["BOOT"] = ("BOOT", seeds["BOOT"])
-    if "BOOT-db" in seeds:
-        stages["BOOT-db"] = ("BOOT-db stage one", substream(seeds["BOOT-db"], 0))
-    draws = _refit_draws(ar, model.intercept, residuals, y, list(stages.values()), m)
-    coefs = dict(zip(stages, draws))
     out = {}
-    if "BOOT" in coefs:
-        irfs = ma_from_ar(np.concatenate([ar[np.newaxis], coefs["BOOT"]]), horizon)
+    if "BOOT" in seeds:
+        coefs = _refit_draws(ar, model.intercept, residuals, y, "BOOT", seeds["BOOT"], m)
+        irfs = ma_from_ar(np.concatenate([ar[np.newaxis], coefs]), horizon)
         out["BOOT"] = percentile_ci(irfs[1:], level, irfs[0], "BOOT")
-    if "BOOT-db" in coefs:
+    if "BOOT-db" in seeds:
+        seed = seeds["BOOT-db"]
+        stage_one = substream(seed, 0)
+        coefs = _refit_draws(ar, model.intercept, residuals, y, "BOOT-db stage one", stage_one, m)
         # the bias is mean(stage-one coefficients) - fitted coefficients; the
         # builtin sum adds the draws in order, unlike numpy's pairwise sum
-        bias = sum(coefs["BOOT-db"]) / m - ar
+        bias = sum(coefs) / m - ar
         corrected = stationarity_guard(ar, bias)[0]
-        out["BOOT-db"] = _stage_two(
-            model, residuals, y, horizon, m, level, seeds["BOOT-db"], corrected, bias
-        )
+        out["BOOT-db"] = _stage_two(model, residuals, y, horizon, m, level, seed, corrected, bias)
     return out

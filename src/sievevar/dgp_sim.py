@@ -132,12 +132,6 @@ def default_desk_spec() -> VarmaSpec:
     return VarmaSpec(k=2, ar=coeff_seq([a1]), ma=coeff_seq([m1]), sigma_u=np.eye(2))
 
 
-def white_noise_spec(k: int = 2) -> VarmaSpec:
-    """Pure innovation process with identity covariance."""
-    empty = coeff_seq(np.empty((0, k, k)), k)
-    return VarmaSpec(k=k, ar=empty, ma=empty, sigma_u=np.eye(k))
-
-
 def default_burn_in(spec: VarmaSpec) -> int:
     """200 + p: ample for the geometric-decay processes used here."""
     return 200 + spec.p

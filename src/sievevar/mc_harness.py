@@ -137,8 +137,8 @@ def interval_sets_for_sample(
     ``y`` is a (T, K) array or ``SamplePath``; a 1-D array is one variable.
     The sample is fitted once, here, and each method reads that fit as its
     ``METHODS`` entry says. Each bootstrap method draws from its own child
-    stream, so adding or removing methods never changes another method's
-    output, although the bootstrap methods may share one bootstrap pass.
+    stream and every bootstrap stage is its own resampling pass, so adding
+    or removing methods never changes another method's output.
     """
     check_design(p, horizon, level, methods, bootstrap_replications)
     y = _as_values(y)

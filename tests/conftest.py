@@ -12,7 +12,6 @@ from sievevar import (
     default_desk_spec,
     irf_jacobian,
     spectral_radius,
-    white_noise_spec,
 )
 from sievevar.streams import generator
 
@@ -90,6 +89,12 @@ def random_stable_model(rng: np.random.Generator, max_k: int = 3, max_p: int = 5
     p = int(rng.integers(1, max_p + 1))
     radius = float(rng.uniform(0.3, 0.9))
     return random_stable_coeffs(rng, k, p, radius), k, p
+
+
+def white_noise_spec(k: int = 2) -> VarmaSpec:
+    """Pure innovation process with identity covariance."""
+    empty = coeff_seq(np.empty((0, k, k)), k)
+    return VarmaSpec(k=k, ar=empty, ma=empty, sigma_u=np.eye(k))
 
 
 def pure_ar_spec(ar: np.ndarray, sigma: np.ndarray | None = None) -> VarmaSpec:

@@ -11,7 +11,13 @@ import pytest
 import sievevar as sv
 from sievevar.cli import main as cli_main
 from sievevar.mc_harness import ExperimentConfig, run_experiment
-from conftest import jacobian_sandwich, ma_via_companion, random_stable_coeffs, scalar_varma
+from conftest import (
+    jacobian_sandwich,
+    ma_via_companion,
+    random_stable_coeffs,
+    scalar_varma,
+    white_noise_spec,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -36,7 +42,7 @@ def test_02_sieve_equals_finite_order_on_identical_inputs():
         p = int(rng.integers(1, 6))
         ar = random_stable_coeffs(rng, k, p, float(rng.uniform(0.3, 0.9)))
         y = sv.simulate_varma(
-            sv.VarmaSpec(k=k, ar=sv.coeff_seq(ar, k), ma=sv.white_noise_spec(k).ma, sigma_u=np.eye(k)),
+            sv.VarmaSpec(k=k, ar=sv.coeff_seq(ar, k), ma=white_noise_spec(k).ma, sigma_u=np.eye(k)),
             max(200, 6 * k * p),
             100,
             int(rng.integers(2**63)),
@@ -62,7 +68,7 @@ def test_03_jacobian_matches_finite_differences():
         p = int(rng.integers(1, 5))
         ar = random_stable_coeffs(rng, k, p, float(rng.uniform(0.3, 0.85)))
         y = sv.simulate_varma(
-            sv.VarmaSpec(k=k, ar=sv.coeff_seq(ar, k), ma=sv.white_noise_spec(k).ma, sigma_u=np.eye(k)),
+            sv.VarmaSpec(k=k, ar=sv.coeff_seq(ar, k), ma=white_noise_spec(k).ma, sigma_u=np.eye(k)),
             max(150, 6 * k * p),
             100,
             int(rng.integers(2**63)),
@@ -100,7 +106,7 @@ def test_04_recursion_companion_equivalence():
 
 def test_05_white_noise_coverage_calibration():
     cfg = ExperimentConfig(
-        dgp=sv.white_noise_spec(2),
+        dgp=white_noise_spec(2),
         t=500,
         p=1,
         horizon=1,

@@ -22,13 +22,12 @@ from sievevar import (
     residual_bootstrap_sample,
     simulate_varma,
     spectral_radius,
-    white_noise_spec,
 )
 from sievevar import bootstrap_infer, var_core
 from sievevar.bootstrap_infer import percentile_indices, stationarity_guard
 from sievevar.estimate import fit_var_ls_stack
 from sievevar.streams import generator, substream
-from conftest import pure_ar_spec, random_stable_coeffs, scalar_varma
+from conftest import pure_ar_spec, random_stable_coeffs, scalar_varma, white_noise_spec
 
 
 def rule_draw(seed, attempt, r, t, p, n_resid):
@@ -347,18 +346,18 @@ class TestBootstrapIrfDistribution:
     def test_blocks_match_per_draw_reference(
         self, desk_spec, monkeypatch, block, first_singular
     ):
-        # two streams of 60 draws share each pass, a block of 64 spanning
-        # both; a forced singular first refit of draw 5 of the second stream
-        # moves it to row 5 of that stream's attempt-1 fills
+        # two stages of 60 draws, each its own pass of blocks; a forced
+        # singular first refit of draw 5 of the second stage moves it to row
+        # 5 of that stage's attempt-1 fills
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
         ar, m = model.ar_hat.mats, 60
-        streams = [("BOOT", 7), ("BOOT-db stage one", substream(9, 0))]
+        stages = [("BOOT", 7), ("BOOT-db stage one", substream(9, 0))]
         want = []
-        for _, seed in streams:
+        for stage, seed in stages:
             draws = []
             for r in range(m):
-                attempt = 1 if first_singular and seed is streams[1][1] and r == 5 else 0
+                attempt = 1 if first_singular and stage != "BOOT" and r == 5 else 0
                 pseudo = rule_pseudo(ar, None, resid, y, seed, attempt, r)
                 draws.append(fit_var_ls_stack(pseudo[np.newaxis], 2)[0][0])
             want.append(np.array(draws))
@@ -368,13 +367,16 @@ class TestBootstrapIrfDistribution:
         refits = count_refits(monkeypatch, fail_on=fail_on)
         # blocks of 1, 3 and 64 draws of this T x K sample
         monkeypatch.setattr(bootstrap_infer, "_BLOCK_FLOATS", block * y.size)
-        got = bootstrap_infer._refit_draws(ar, None, resid, y, streams, m)
+        got = [
+            bootstrap_infer._refit_draws(ar, None, resid, y, stage, seed, m)
+            for stage, seed in stages
+        ]
         assert refits == {"stacked": 2 * m + first_singular}
-        assert got.shape == (2, m, 2, 2, 2)
         for coefs, expected in zip(got, want):
+            assert coefs.shape == (m, 2, 2, 2)
             np.testing.assert_array_equal(coefs, expected)
 
-    def test_no_streams_resample_nothing(self, desk_spec, monkeypatch):
+    def test_no_seeds_resample_nothing(self, desk_spec, monkeypatch):
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
 
@@ -383,11 +385,11 @@ class TestBootstrapIrfDistribution:
 
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", no_resample)
         monkeypatch.setattr(bootstrap_infer, "_draw_indices", no_resample)
-        got = bootstrap_infer._refit_draws(model.ar_hat.mats, None, resid, y, [], 3)
-        assert got.shape == (0, 3, 2, 2, 2)
+        assert bootstrap_interval_sets(model, resid, y, 4, 3, 0.9, {}) == {}
 
     def test_block_floats_bounds_block_size(self, desk_spec, monkeypatch):
-        # 64 draws of a K=4, T=600 sample, or of any sample the same size
+        # 64 draws of a K=4, T=600 sample, or of any sample the same size,
+        # in blocks of each stage's own draws
         sizes = []
         resample = bootstrap_infer.residual_bootstrap_sample
 
@@ -396,13 +398,13 @@ class TestBootstrapIrfDistribution:
             return resample(ar, intercept, residuals, source, starts, idx)
 
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", recorded)
-        for t, k, draws in ((600, 4, [64, 64, 2]), (300, 2, [130])):
+        for t, k, draws in ((600, 4, [64, 1]), (300, 2, [65])):
             y = simulate_varma(white_noise_spec(k), t, 0, 3).values
             model, resid = fit_var_ls(y, 1)
-            sizes.clear()
-            streams = [("BOOT", 1), ("BOOT", 2)]
-            bootstrap_infer._refit_draws(model.ar_hat.mats, None, resid, y, streams, 65)
-            assert sizes == draws
+            for seed in (1, 2):
+                sizes.clear()
+                bootstrap_infer._refit_draws(model.ar_hat.mats, None, resid, y, "BOOT", seed, 65)
+                assert sizes == draws
 
     @pytest.mark.parametrize("stage", ["BOOT", "BOOT-db stage one", "BOOT-db stage two"])
     def test_retry_error_names_stage_and_draw(self, rng, stage):
@@ -422,13 +424,15 @@ class TestBootstrapIrfDistribution:
                 mats = model.ar_hat.mats
                 bootstrap_infer._stage_two(model, resid, source, 4, 3, 0.9, 7, mats, zero)
 
-    def test_retry_error_names_draw_of_second_stream(self, desk_spec, monkeypatch):
-        # only draw 2 of the second stream is singular, on every attempt
+    def test_retry_error_names_draw_of_stage_one_beside_boot(self, desk_spec, monkeypatch):
+        # only draw 2 of BOOT-db's first stage is singular, on every attempt,
+        # while BOOT runs beside it
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
         ar, stack = model.ar_hat.mats, bootstrap_infer.fit_var_ls_stack
         attempts = range(bootstrap_infer._MAX_REFIT_ATTEMPTS)
-        targets = np.array([rule_pseudo(ar, None, resid, y, 8, a, 2) for a in attempts])
+        stage_one = substream(8, 0)
+        targets = np.array([rule_pseudo(ar, None, resid, y, stage_one, a, 2) for a in attempts])
         flagged = []
 
         def flag_target(samples, p, intercept=False):
@@ -438,11 +442,12 @@ class TestBootstrapIrfDistribution:
             return coefs, fitted & ~hit, grams
 
         monkeypatch.setattr(bootstrap_infer, "fit_var_ls_stack", flag_target)
-        streams = [("BOOT", 7), ("BOOT-db stage two", 8)]
-        with pytest.raises(SingularMatrixError, match="for BOOT-db stage two draw 2$"):
-            bootstrap_infer._refit_draws(ar, None, resid, y, streams, 4)
-        # each attempt's pass resampled draw 2 from its own row of that attempt's fills
-        assert flagged == [1] * len(attempts)
+        seeds = {"BOOT": 7, "BOOT-db": 8}
+        with pytest.raises(SingularMatrixError, match="for BOOT-db stage one draw 2$"):
+            bootstrap_interval_sets(model, resid, y, 4, 4, 0.9, seeds)
+        # BOOT's one pass flags nothing; each stage-one attempt's pass
+        # resampled draw 2 from its own row of that attempt's fills
+        assert flagged == [0] + [1] * len(attempts)
 
     def test_explosive_model_raises_non_finite(self, rng):
         y = rng.normal(size=(1000, 2))
@@ -685,8 +690,10 @@ class TestBiasCorrectedBootstrap:
         y = simulate_varma(desk_spec, 150, 200, 4).values
         model, resid = fit_var_ls(y, 2)
         # stage one: the mean of 25 refits on the stream (11, 0), minus the fit
-        stage_one = [("BOOT-db stage one", substream(11, 0))]
-        (coefs,) = bootstrap_infer._refit_draws(model.ar_hat.mats, None, resid, y, stage_one, 25)
+        stage_one = substream(11, 0)
+        coefs = bootstrap_infer._refit_draws(
+            model.ar_hat.mats, None, resid, y, "BOOT-db stage one", stage_one, 25
+        )
         bias = coefs.mean(axis=0) - model.ar_hat.mats
         corrected, _ = stationarity_guard(model.ar_hat.mats, bias)
         iv = boot_db(model, resid, y, 4, 25, 0.95, 11)

@@ -18,7 +18,6 @@ from sievevar import (
     ma_from_ar,
     sample_gamma_p,
     simulate_varma,
-    white_noise_spec,
 )
 from conftest import (
     jacobian_sandwich,
@@ -26,6 +25,7 @@ from conftest import (
     random_stable_coeffs,
     random_stable_model,
     scalar_varma,
+    white_noise_spec,
 )
 
 

@@ -18,7 +18,6 @@ from sievevar import (
     spectral_radius,
     varma_true_ar,
     varma_true_irf,
-    white_noise_spec,
 )
 from sievevar.dgp_sim import DEFAULT_COUNTEREXAMPLE_PLAN, default_burn_in, simulate_varma_stack
 from sievevar.streams import substream
@@ -31,6 +30,7 @@ from conftest import (
     reference_true_ar,
     reference_true_irf,
     scalar_varma,
+    white_noise_spec,
 )
 
 

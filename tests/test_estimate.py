@@ -15,7 +15,6 @@ from sievevar import (
     residual_bootstrap_sample,
     sample_gamma_p,
     simulate_varma,
-    white_noise_spec,
 )
 from sievevar.bootstrap_infer import _draw_indices
 from sievevar.estimate import fit_var_ls_stack
@@ -27,6 +26,7 @@ from conftest import (
     random_stable_coeffs,
     sample_autocov,
     scalar_varma,
+    white_noise_spec,
 )
 
 

@@ -20,12 +20,11 @@ from sievevar import (
     run_experiment,
     simulate_varma,
     varma_true_irf,
-    white_noise_spec,
 )
 from sievevar import bootstrap_infer, cli, mc_harness
 from sievevar.mc_harness import METHODS, McSummary
 from sievevar.streams import substream
-from conftest import pure_ar_spec, random_stable_coeffs
+from conftest import pure_ar_spec, random_stable_coeffs, white_noise_spec
 
 
 def tiny_config(desk_spec, **overrides):
@@ -288,10 +287,10 @@ class TestIntervalSetsForSample:
 
     @pytest.mark.parametrize("intercept", [False, True])
     def test_bootstrap_methods_bit_identical_in_any_bundle(self, desk_spec, intercept):
-        # BOOT and BOOT-db share one pass when requested together; alone,
-        # as a pair or beside LS and S-LS, each interval keeps its bits. At
-        # Kp = 20 and 7 draws, a product whose rounding depends on how many
-        # draws it stacks changes BOOT's bits when BOOT-db joins its pass.
+        # every bootstrap stage is its own pass; alone, as a pair or beside
+        # LS and S-LS, each interval keeps its bits. At Kp = 20 and 7 draws,
+        # a product whose rounding depends on how many draws it stacks would
+        # change BOOT's bits if BOOT-db joined its pass.
         y = simulate_varma(desk_spec, 150, 200, 8)
         values = y.values + (4.0 if intercept else 0.0)
         bundles = (
