@@ -1,34 +1,33 @@
 """Residual-bootstrap percentile intervals, plain (BOOT) and bias-corrected (BOOT-db).
 
 ``bootstrap_interval_sets`` is the one entry point for bootstrap
-intervals: it takes a fitted model, its residuals and the (T, K) sample,
-and returns the intervals of whichever methods it is given seeds for.
-The recursive-design scheme resamples the centered residuals of the
-fitted model with replacement, seeds the recursion with a random
-contiguous block of the sample, and refits the VAR on each
-pseudo-sample; the sample itself is never refitted. Every stage is its
-own resampling pass: BOOT's draws, then BOOT-db's first stage, which
-estimates the coefficient bias and corrects the point estimates under a
-stationarity guard, then its second stage (``_stage_two``), which
-resamples the corrected model, its intercept re-centred on the fitted
-mean, and reuses that same bias estimate on every draw instead of
-nesting a third bootstrap. Its draws pass the same stationarity guard,
-whose first step certifies nearly every draw from a bound on a power of
-its companion matrix and eigen-solves only the rest.
+intervals: it takes a fitted model, its residuals, the (T, K) sample,
+the bootstrap methods wanted and the sample's seed. The recursive-design
+scheme resamples the centered residuals of the fitted model with
+replacement, seeds the recursion with a random contiguous block of the
+sample, and refits the VAR on each pseudo-sample; the sample itself is
+never refitted. The fitted model's refits are drawn once per sample and
+read by both methods: BOOT expands them to IRF draws, and BOOT-db
+averages them into a coefficient bias, corrects the point estimates
+under a stationarity guard, and runs its second stage (``_stage_two``)
+as a pass of its own. That stage resamples the corrected model, its
+intercept re-centred on the fitted mean, and reuses the same bias on
+every draw, under the same guard, instead of nesting a third bootstrap.
 
-Streams: each stage has one seed S, the method's seed for BOOT and
-(seed, 0) and (seed, 1) for BOOT-db's two stages. On refit attempt a, the
-block starts of all the stage's draws come from one fill of the stream
-(S, a, 0) and their residual indices from one fill of (S, a, 1), row r
-for draw r. Both fills are prefix-stable, so a draw's indices depend on
-(S, a, r) alone, not on m or the other draws of the pass. A draw moves to
-the next attempt only when its refit is singular.
+Streams, below the sample's seed s: the fitted-model refits draw on
+S = (s, 10), whichever method asked, and BOOT-db's second stage on
+S = (s, 11, 1). On refit attempt a, the block starts of all the stage's
+draws come from one fill of the stream (S, a, 0) and their residual
+indices from one fill of (S, a, 1), row r for draw r. Both fills are
+prefix-stable, so a draw's indices depend on (S, a, r) alone, not on m
+or the other draws of the pass. A draw moves to the next attempt only
+when its refit is singular.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Sequence
 
 import numpy as np
 
@@ -236,11 +235,11 @@ def _stage_two(
     horizon: int,
     m: int,
     level: float,
-    seed: SeedLike,
+    stream: SeedLike,
     corrected: np.ndarray,
     bias: np.ndarray,
 ) -> IntervalSet:
-    """BOOT-db intervals from the stage-one correction, drawing on (seed, 1).
+    """BOOT-db intervals around the bias-corrected model, drawing on ``stream``.
 
     The corrected model keeps the fitted mean mu = (I - sum A_hat)^-1 c, so
     its intercept is (I - sum A_corr) mu, computed as c + (sum A_hat - sum
@@ -251,8 +250,7 @@ def _stage_two(
         ar = model.ar_hat.mats
         mean = np.linalg.solve(np.eye(model.k) - ar.sum(axis=0), intercept)
         intercept = intercept + (ar - corrected).sum(axis=0) @ mean
-    stage_two = substream(seed, 1)
-    coefs = _refit_draws(corrected, intercept, residuals, y, "BOOT-db stage two", stage_two, m)
+    coefs = _refit_draws(corrected, intercept, residuals, y, "BOOT-db stage two", stream, m)
     guarded = stationarity_guard(coefs, bias)[0]
     # the points expand with the draws, each bit-identical to its own expansion
     irfs = ma_from_ar(np.concatenate([corrected[np.newaxis], guarded]), horizon)
@@ -266,44 +264,45 @@ def bootstrap_interval_sets(
     horizon: int,
     m: int,
     level: float,
-    seeds: Mapping[str, SeedLike],
+    methods: Sequence[str],
+    seed: SeedLike,
 ) -> dict[str, IntervalSet]:
-    """Intervals of ``model``'s IRFs Phi_0..Phi_H for "BOOT" and "BOOT-db", by method.
+    """Intervals of ``model``'s IRFs Phi_0..Phi_H for each of ``methods``, "BOOT" and "BOOT-db".
 
-    ``y`` is the (T, K) sample ``model`` was fitted to, and ``seeds`` maps
-    each bootstrap method wanted to its stream. Each interval is centred on
-    its own point estimate: the fitted IRFs for BOOT, the bias-corrected
-    model's for BOOT-db. Each stage of each method is its own resampling
-    pass, so an interval's bits do not depend on which other method is
-    requested.
+    ``y`` is the (T, K) sample ``model`` was fitted to and ``seed`` the
+    sample's seed. Each interval is centred on its own point estimate: the
+    fitted IRFs for BOOT, the bias-corrected model's for BOOT-db. Both
+    read one stack of m fitted-model refits, drawn on the same stream
+    whichever asked, so an interval's bits do not depend on which other
+    method is requested.
 
     Raises
     ------
     DimensionMismatchError
         If ``y`` is not a (T, K) array for the K of ``model``.
     ValueError
-        If ``seeds`` names a method other than "BOOT" and "BOOT-db", or
+        If ``methods`` names a method other than "BOOT" and "BOOT-db", or
         names one and m < 2.
     """
     y = np.asarray(y)
     if y.ndim != 2 or y.shape[1] != model.k:
         raise DimensionMismatchError(f"y must be a (T, {model.k}) array, got shape {y.shape}")
-    unknown = sorted(set(seeds) - {"BOOT", "BOOT-db"})
+    unknown = sorted(set(methods) - {"BOOT", "BOOT-db"})
     if unknown:
         raise ValueError(f"unknown bootstrap methods {unknown}; valid: ['BOOT', 'BOOT-db']")
-    ar = model.ar_hat.mats
     out = {}
-    if "BOOT" in seeds:
-        coefs = _refit_draws(ar, model.intercept, residuals, y, "BOOT", seeds["BOOT"], m)
+    if not methods:
+        return out
+    ar = model.ar_hat.mats
+    coefs = _refit_draws(ar, model.intercept, residuals, y, "fitted-model", substream(seed, 10), m)
+    if "BOOT" in methods:
         irfs = ma_from_ar(np.concatenate([ar[np.newaxis], coefs]), horizon)
         out["BOOT"] = percentile_ci(irfs[1:], level, irfs[0], "BOOT")
-    if "BOOT-db" in seeds:
-        seed = seeds["BOOT-db"]
-        stage_one = substream(seed, 0)
-        coefs = _refit_draws(ar, model.intercept, residuals, y, "BOOT-db stage one", stage_one, m)
-        # the bias is mean(stage-one coefficients) - fitted coefficients; the
+    if "BOOT-db" in methods:
+        # the bias is mean(refit coefficients) - fitted coefficients; the
         # builtin sum adds the draws in order, unlike numpy's pairwise sum
         bias = sum(coefs) / m - ar
         corrected = stationarity_guard(ar, bias)[0]
-        out["BOOT-db"] = _stage_two(model, residuals, y, horizon, m, level, seed, corrected, bias)
+        stream = substream(seed, 11, 1)
+        out["BOOT-db"] = _stage_two(model, residuals, y, horizon, m, level, stream, corrected, bias)
     return out

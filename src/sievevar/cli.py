@@ -388,7 +388,7 @@ def cmd_ci(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     check_design(args.p, args.horizon, args.level, methods, args.bootstrap_replications)
     sample = read_sample_csv(args.data)
-    needs_seed = any(isinstance(METHODS[m], int) for m in methods)
+    needs_seed = any(METHODS[m] is None for m in methods)
     seed = resolve_seed(args.seed) if needs_seed or args.seed is not None else 0
     extrapolated = [i for i, ok in horizon_gate(args.p, args.horizon) if not ok]
     if "S-LS" in methods and extrapolated:

@@ -29,12 +29,13 @@ from .streams import SeedLike, substream
 from .var_core import ma_from_ar
 
 # Each method, written down once: a delta method's builder of its (H, K^2, K^2) covariance
-# stack from (fit, (T, K) sample, Phi-hat), or a bootstrap method's child stream (an int).
-METHODS: dict[str, Callable | int] = {
+# stack from (fit, (T, K) sample, Phi-hat), or None for a bootstrap method, which
+# bootstrap_interval_sets builds from the sample's seed.
+METHODS: dict[str, Callable | None] = {
     "LS": lambda fit, y, phi: irf_covariances(phi, fit.moment_matrix, fit.sigma_u_hat),
     "S-LS": lambda fit, y, phi: irf_covariances(phi, sample_gamma_p(y, fit.p), fit.sigma_u_ml),
-    "BOOT": 10,
-    "BOOT-db": 11,
+    "BOOT": None,
+    "BOOT-db": None,
 }
 
 # fraction of replications allowed to fail (after one retry each)
@@ -62,7 +63,7 @@ def check_design(
         raise ConfigError(f"unknown methods {bad}; valid: {list(METHODS)}")
     if len(set(methods)) < len(methods):
         raise ConfigError(f"methods must not repeat, got {list(methods)}")
-    if bootstrap_replications < 2 and any(isinstance(METHODS[m], int) for m in methods):
+    if bootstrap_replications < 2 and any(METHODS[m] is None for m in methods):
         raise ConfigError("bootstrap replications must be >= 2 for a bootstrap method")
 
 
@@ -136,21 +137,21 @@ def interval_sets_for_sample(
 
     ``y`` is a (T, K) array or ``SamplePath``; a 1-D array is one variable.
     The sample is fitted once, here, and each method reads that fit as its
-    ``METHODS`` entry says. Each bootstrap method draws from its own child
-    stream and every bootstrap stage is its own resampling pass, so adding
+    ``METHODS`` entry says. The bootstrap methods draw on child streams of
+    ``seed`` that do not depend on which of them are requested, so adding
     or removing methods never changes another method's output.
     """
     check_design(p, horizon, level, methods, bootstrap_replications)
     y = _as_values(y)
     model, resid = fit_var_ls(y, p, intercept=intercept)
-    seeds = {m: substream(seed, METHODS[m]) for m in methods if isinstance(METHODS[m], int)}
+    boot = [m for m in methods if METHODS[m] is None]
     out = {}
-    if seeds:
+    if boot:
         out = bootstrap_interval_sets(
-            model, resid, y, horizon, bootstrap_replications, level, seeds
+            model, resid, y, horizon, bootstrap_replications, level, boot, seed
         )
     phi_hat = ma_from_ar(model.ar_hat.mats, horizon)
-    for method in (m for m in methods if m not in seeds):
+    for method in (m for m in methods if m not in boot):
         out[method] = delta_ci(phi_hat, METHODS[method](model, y, phi_hat), level, len(y), method)
     return {method: out[method] for method in methods}
 

@@ -224,8 +224,8 @@ def test_08_bias_correction_moves_toward_truth():
         model, resid = sv.fit_var_ls(y, 1)
         plain[r] = model.ar_hat.mats[0, 0, 0]
         # Phi_1 of an AR(1) is its coefficient: the point of BOOT-db at horizon 1
-        seeds = {"BOOT-db": np.random.SeedSequence(809, spawn_key=(r,))}
-        sets = sv.bootstrap_interval_sets(model, resid, y.values, 1, m, 0.95, seeds)
+        seed = np.random.SeedSequence(809, spawn_key=(r,))
+        sets = sv.bootstrap_interval_sets(model, resid, y.values, 1, m, 0.95, ("BOOT-db",), seed)
         corrected[r] = sets["BOOT-db"].points[1, 0, 0]
     assert abs(corrected.mean() - a) < abs(plain.mean() - a)
     _report(

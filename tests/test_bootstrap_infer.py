@@ -102,7 +102,7 @@ def boot_draws(model, resid, y, horizon, m, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bootstrap_infer, "percentile_ci", recorded)
-        bootstrap_interval_sets(model, resid, y, horizon, m, 0.9, {"BOOT": seed})
+        bootstrap_interval_sets(model, resid, y, horizon, m, 0.9, ("BOOT",), seed)
     (draws,) = seen
     return draws
 
@@ -270,7 +270,7 @@ class TestBootstrapIrfDistribution:
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
         with pytest.raises(ValueError):
-            bootstrap_interval_sets(model, resid, y, 4, 1, 0.9, {"BOOT": 7})
+            bootstrap_interval_sets(model, resid, y, 4, 1, 0.9, ("BOOT",), 7)
 
     def test_singular_refit_retries_on_next_attempt(self, desk_spec, monkeypatch):
         # a singular refit of draw 1 moves it to row 1 of the attempt-1
@@ -279,10 +279,10 @@ class TestBootstrapIrfDistribution:
         model, resid = fit_var_ls(y, 2)
         plain = boot_draws(model, resid, y, 4, 3, 7)
         ar = model.ar_hat.mats
-        first = rule_pseudo(ar, None, resid, y, 7, 0, 1)
+        first = rule_pseudo(ar, None, resid, y, substream(7, 10), 0, 1)
         refits = count_refits(monkeypatch, fail_on=first)
         draws = boot_draws(model, resid, y, 4, 3, 7)
-        retry = rule_pseudo(ar, None, resid, y, 7, 1, 1)
+        retry = rule_pseudo(ar, None, resid, y, substream(7, 10), 1, 1)
         want = ma_from_ar(fit_var_ls_stack(retry[np.newaxis], 2)[0][0], 4)
         assert refits == {"stacked": 4}
         np.testing.assert_array_equal(draws[1], want)
@@ -305,7 +305,7 @@ class TestBootstrapIrfDistribution:
 
         monkeypatch.setattr(bootstrap_infer, "fit_var_ls_stack", flag_all)
         with pytest.raises(SingularMatrixError):
-            bootstrap_interval_sets(model, resid, y, 4, 3, 0.9, {"BOOT": 7})
+            bootstrap_interval_sets(model, resid, y, 4, 3, 0.9, ("BOOT",), 7)
         # every pending draw gets its attempts before the raise
         assert sum(calls) == 3 * bootstrap_infer._MAX_REFIT_ATTEMPTS
 
@@ -331,12 +331,12 @@ class TestBootstrapIrfDistribution:
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", recorded)
         m, attempts = 3, bootstrap_infer._MAX_REFIT_ATTEMPTS
         with pytest.raises(SingularMatrixError):
-            bootstrap_interval_sets(model, resid, source, 4, m, 0.9, {"BOOT": 7})
+            bootstrap_interval_sets(model, resid, source, 4, m, 0.9, ("BOOT",), 7)
         # one block per attempt, each draw on its row of that attempt's fills
         assert len(blocks) == attempts
         for attempt, (starts, idx) in enumerate(blocks):
             for r in range(m):
-                start, row = rule_draw(7, attempt, r, 50, 1, 49)
+                start, row = rule_draw(substream(7, 10), attempt, r, 50, 1, 49)
                 assert starts[r] == start[0]
                 np.testing.assert_array_equal(idx[r], row[0])
         assert refits == {"stacked": m * attempts}
@@ -352,12 +352,12 @@ class TestBootstrapIrfDistribution:
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
         ar, m = model.ar_hat.mats, 60
-        stages = [("BOOT", 7), ("BOOT-db stage one", substream(9, 0))]
+        stages = [("fitted-model", 7), ("BOOT-db stage two", substream(9, 0))]
         want = []
         for stage, seed in stages:
             draws = []
             for r in range(m):
-                attempt = 1 if first_singular and stage != "BOOT" and r == 5 else 0
+                attempt = 1 if first_singular and stage != "fitted-model" and r == 5 else 0
                 pseudo = rule_pseudo(ar, None, resid, y, seed, attempt, r)
                 draws.append(fit_var_ls_stack(pseudo[np.newaxis], 2)[0][0])
             want.append(np.array(draws))
@@ -385,7 +385,7 @@ class TestBootstrapIrfDistribution:
 
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", no_resample)
         monkeypatch.setattr(bootstrap_infer, "_draw_indices", no_resample)
-        assert bootstrap_interval_sets(model, resid, y, 4, 3, 0.9, {}) == {}
+        assert bootstrap_interval_sets(model, resid, y, 4, 3, 0.9, (), 7) == {}
 
     def test_block_floats_bounds_block_size(self, desk_spec, monkeypatch):
         # 64 draws of a K=4, T=600 sample, or of any sample the same size,
@@ -403,36 +403,44 @@ class TestBootstrapIrfDistribution:
             model, resid = fit_var_ls(y, 1)
             for seed in (1, 2):
                 sizes.clear()
-                bootstrap_infer._refit_draws(model.ar_hat.mats, None, resid, y, "BOOT", seed, 65)
+                ar = model.ar_hat.mats
+                bootstrap_infer._refit_draws(ar, None, resid, y, "fitted-model", seed, 65)
                 assert sizes == draws
 
-    @pytest.mark.parametrize("stage", ["BOOT", "BOOT-db stage one", "BOOT-db stage two"])
-    def test_retry_error_names_stage_and_draw(self, rng, stage):
-        # every refit of the unit-root model on a constant source is singular
+    @pytest.mark.parametrize(
+        "stage, methods",
+        [
+            ("fitted-model", ("BOOT",)),
+            ("fitted-model", ("BOOT-db",)),
+            ("fitted-model", ("BOOT", "BOOT-db")),
+            ("BOOT-db stage two", None),
+        ],
+    )
+    def test_retry_error_names_stage_and_draw(self, rng, stage, methods):
+        # every refit of the unit-root model on a constant source is singular;
+        # the shared stage's name is right whichever method asked for it
         source = np.ones((50, 2))
         fitted, _ = fit_var_ls(rng.normal(size=(50, 2)), 1)
         model = replace(fitted, ar_hat=coeff_seq(np.eye(2)[np.newaxis], 2))
         resid = np.zeros((49, 2))
         message = f"failed 10 times for {stage} draw 0$"
         with pytest.raises(SingularMatrixError, match=message):
-            if stage == "BOOT":
-                bootstrap_interval_sets(model, resid, source, 4, 3, 0.9, {"BOOT": 7})
-            elif stage == "BOOT-db stage one":
-                bootstrap_interval_sets(model, resid, source, 4, 3, 0.9, {"BOOT-db": 7})
+            if methods:
+                bootstrap_interval_sets(model, resid, source, 4, 3, 0.9, methods, 7)
             else:
                 zero = np.zeros_like(model.ar_hat.mats)
                 mats = model.ar_hat.mats
                 bootstrap_infer._stage_two(model, resid, source, 4, 3, 0.9, 7, mats, zero)
 
-    def test_retry_error_names_draw_of_stage_one_beside_boot(self, desk_spec, monkeypatch):
-        # only draw 2 of BOOT-db's first stage is singular, on every attempt,
-        # while BOOT runs beside it
+    def test_retry_error_names_draw_of_shared_stage(self, desk_spec, monkeypatch):
+        # only draw 2 of the fitted-model stage, which BOOT and BOOT-db both
+        # read, is singular, on every attempt
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
         ar, stack = model.ar_hat.mats, bootstrap_infer.fit_var_ls_stack
         attempts = range(bootstrap_infer._MAX_REFIT_ATTEMPTS)
-        stage_one = substream(8, 0)
-        targets = np.array([rule_pseudo(ar, None, resid, y, stage_one, a, 2) for a in attempts])
+        shared = substream(8, 10)
+        targets = np.array([rule_pseudo(ar, None, resid, y, shared, a, 2) for a in attempts])
         flagged = []
 
         def flag_target(samples, p, intercept=False):
@@ -442,20 +450,19 @@ class TestBootstrapIrfDistribution:
             return coefs, fitted & ~hit, grams
 
         monkeypatch.setattr(bootstrap_infer, "fit_var_ls_stack", flag_target)
-        seeds = {"BOOT": 7, "BOOT-db": 8}
-        with pytest.raises(SingularMatrixError, match="for BOOT-db stage one draw 2$"):
-            bootstrap_interval_sets(model, resid, y, 4, 4, 0.9, seeds)
-        # BOOT's one pass flags nothing; each stage-one attempt's pass
-        # resampled draw 2 from its own row of that attempt's fills
-        assert flagged == [0] + [1] * len(attempts)
+        with pytest.raises(SingularMatrixError, match="for fitted-model draw 2$"):
+            bootstrap_interval_sets(model, resid, y, 4, 4, 0.9, ("BOOT", "BOOT-db"), 8)
+        # one pass per attempt, and no other: each resampled draw 2 from its
+        # own row of that attempt's fills
+        assert flagged == [1] * len(attempts)
 
     def test_explosive_model_raises_non_finite(self, rng):
         y = rng.normal(size=(1000, 2))
         fitted, resid = fit_var_ls(y, 1)
         model = replace(fitted, ar_hat=coeff_seq(3.0 * np.eye(2)[np.newaxis], 2))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteError, match="BOOT draw 0: bootstrap pseudo-sample"):
-                bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, {"BOOT": 7})
+            with pytest.raises(NonFiniteError, match="fitted-model draw 0: bootstrap pseudo-sample"):
+                bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, ("BOOT",), 7)
 
     def test_explosive_model_raises_dimension_mismatch(self, rng):
         y = rng.normal(size=(1000, 2))
@@ -463,7 +470,7 @@ class TestBootstrapIrfDistribution:
         model = replace(fitted, ar_hat=coeff_seq(3.0 * np.eye(2)[np.newaxis], 2))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DimensionMismatchError):
-                bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, {"BOOT": 7})
+                bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, ("BOOT",), 7)
 
 
 class TestBootstrapIntervalSets:
@@ -472,14 +479,60 @@ class TestBootstrapIntervalSets:
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
         with pytest.raises(ValueError, match=f"'{key}'"):
-            bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, {"BOOT": 7, key: 1})
+            bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, ("BOOT", key), 7)
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_one_fitted_model_stage_feeds_both_methods(self, desk_spec, monkeypatch, intercept):
+        # one refit stage on (s, 10) and BOOT-db's second stage on (s, 11, 1);
+        # BOOT-db alone makes the same (s, 10) call, BOOT expands that very
+        # stack and BOOT-db's bias is its mean
+        values = simulate_varma(desk_spec, 120, 200, 50).values + (3.0 if intercept else 0.0)
+        model, resid = fit_var_ls(values, 2, intercept=intercept)
+        ar, m, horizon = model.ar_hat.mats, 9, 4
+        refit, stage_two, percentile = (
+            bootstrap_infer._refit_draws,
+            bootstrap_infer._stage_two,
+            bootstrap_infer.percentile_ci,
+        )
+        calls, biases, expanded = [], [], {}
+
+        def spy_refit(ar_, intercept_, residuals, y, stage, seed, m_):
+            coefs = refit(ar_, intercept_, residuals, y, stage, seed, m_)
+            calls.append((stage, seed.entropy, seed.spawn_key, coefs))
+            return coefs
+
+        def spy_stage_two(*args):
+            biases.append(args[-1])
+            return stage_two(*args)
+
+        def spy_percentile(draws, level, points, method):
+            expanded[method] = draws
+            return percentile(draws, level, points, method)
+
+        monkeypatch.setattr(bootstrap_infer, "_refit_draws", spy_refit)
+        monkeypatch.setattr(bootstrap_infer, "_stage_two", spy_stage_two)
+        monkeypatch.setattr(bootstrap_infer, "percentile_ci", spy_percentile)
+        streams = [("fitted-model", 5, (10,)), ("BOOT-db stage two", 5, (11, 1))]
+        both = ("BOOT", "BOOT-db")
+        sets = bootstrap_interval_sets(model, resid, values, horizon, m, 0.9, both, 5)
+        assert tuple(sets) == both
+        assert [call[:3] for call in calls] == streams
+        shared = calls[0][3]
+        np.testing.assert_array_equal(expanded["BOOT"], ma_from_ar(shared, horizon))
+        (bias,) = biases
+        np.testing.assert_array_equal(bias, sum(shared) / m - ar)
+
+        calls.clear()
+        bootstrap_interval_sets(model, resid, values, horizon, m, 0.9, ("BOOT-db",), 5)
+        assert [call[:3] for call in calls] == streams
+        np.testing.assert_array_equal(calls[0][3], shared)
 
     def test_sample_must_be_t_by_k_array(self, desk_spec):
         path = simulate_varma(desk_spec, 120, 200, 50)
         model, resid = fit_var_ls(path, 2)
         for y in (path, path.values[:, 0], path.values[:, :1], path.values[np.newaxis]):
             with pytest.raises(DimensionMismatchError, match=r"\(T, 2\) array"):
-                bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, {"BOOT": 7})
+                bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, ("BOOT",), 7)
 
 
 class TestPercentileCi:
@@ -646,27 +699,28 @@ class TestStationarityGuard:
 
 def boot_db(model, resid, y, horizon, m, level, seed):
     """BOOT-db intervals from the one bootstrap entry point."""
-    sets = bootstrap_interval_sets(model, resid, y, horizon, m, level, {"BOOT-db": seed})
+    sets = bootstrap_interval_sets(model, resid, y, horizon, m, level, ("BOOT-db",), seed)
     return sets["BOOT-db"]
 
 
 class TestBiasCorrectedBootstrap:
     def test_zero_bias_reduces_to_plain_bootstrap(self, desk_spec):
-        # with a zero bias estimate the second stage is exactly a plain
-        # percentile bootstrap of the (uncorrected) fitted model on the
-        # stage-two stream (seed, 1); a zero correction also leaves a fitted
+        # with a zero bias estimate the second stage, drawing on BOOT's stream
+        # (seed, 10), is exactly a plain percentile bootstrap of the
+        # (uncorrected) fitted model; a zero correction also leaves a fitted
         # intercept bit-identical
         y = simulate_varma(desk_spec, 150, 200, 4).values
         m = 15
         for values, intercept in ((y, False), (y + 3.0, True)):
             model, resid = fit_var_ls(values, 2, intercept=intercept)
             zero = np.zeros_like(model.ar_hat.mats)
-            plain = {"BOOT": substream(31, 1)}
+            plain = substream(31, 10)
             for level in (0.95, 0.6, 0.2):
                 iv = bootstrap_infer._stage_two(
-                    model, resid, values, 4, m, level, 31, model.ar_hat.mats, zero
+                    model, resid, values, 4, m, level, plain, model.ar_hat.mats, zero
                 )
-                want = bootstrap_interval_sets(model, resid, values, 4, m, level, plain)["BOOT"]
+                sets = bootstrap_interval_sets(model, resid, values, 4, m, level, ("BOOT",), 31)
+                want = sets["BOOT"]
                 np.testing.assert_array_equal(iv.lowers, want.lowers)
                 np.testing.assert_array_equal(iv.uppers, want.uppers)
 
@@ -689,10 +743,10 @@ class TestBiasCorrectedBootstrap:
     def test_points_are_corrected_model_irfs(self, desk_spec):
         y = simulate_varma(desk_spec, 150, 200, 4).values
         model, resid = fit_var_ls(y, 2)
-        # stage one: the mean of 25 refits on the stream (11, 0), minus the fit
-        stage_one = substream(11, 0)
+        # the bias: the mean of 25 fitted-model refits on the stream (11, 10), minus the fit
+        shared = substream(11, 10)
         coefs = bootstrap_infer._refit_draws(
-            model.ar_hat.mats, None, resid, y, "BOOT-db stage one", stage_one, 25
+            model.ar_hat.mats, None, resid, y, "fitted-model", shared, 25
         )
         bias = coefs.mean(axis=0) - model.ar_hat.mats
         corrected, _ = stationarity_guard(model.ar_hat.mats, bias)

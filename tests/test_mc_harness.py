@@ -266,8 +266,9 @@ class TestIntervalSetsForSample:
 
     def test_sample_fitted_once_and_refit_per_draw(self, desk_spec, monkeypatch):
         # one fit of the sample for all methods; BOOT refits M draws and
-        # BOOT-db 2 M, all in stacked solves and none through fit_var_ls
-        calls = {"sample": 0, "stacked": 0, "per_draw": 0}
+        # BOOT-db 2 M, all in stacked solves and none through fit_var_ls.
+        # BOOT-db's bias stage is BOOT's draws, so both together refit 2 M
+        calls = {}
 
         def counting(module, attr, key, size=lambda *args: 1):
             fit = getattr(module, attr)
@@ -282,15 +283,21 @@ class TestIntervalSetsForSample:
         counting(bootstrap_infer, "fit_var_ls", "per_draw")
         counting(bootstrap_infer, "fit_var_ls_stack", "stacked", lambda samples, *_: len(samples))
         y = simulate_varma(desk_spec, 150, 200, 8)
-        interval_sets_for_sample(y, 2, 4, 0.95, tuple(METHODS), 20, 5)
-        assert calls == {"sample": 1, "stacked": 3 * 20, "per_draw": 0}
+        for bundle, refits in (
+            (("BOOT",), 20),
+            (("BOOT-db",), 2 * 20),
+            (("BOOT", "BOOT-db"), 2 * 20),
+            (tuple(METHODS), 2 * 20),
+        ):
+            calls.update(sample=0, stacked=0, per_draw=0)
+            interval_sets_for_sample(y, 2, 4, 0.95, bundle, 20, 5)
+            assert calls == {"sample": 1, "stacked": refits, "per_draw": 0}, bundle
 
     @pytest.mark.parametrize("intercept", [False, True])
     def test_bootstrap_methods_bit_identical_in_any_bundle(self, desk_spec, intercept):
-        # every bootstrap stage is its own pass; alone, as a pair or beside
-        # LS and S-LS, each interval keeps its bits. At Kp = 20 and 7 draws,
-        # a product whose rounding depends on how many draws it stacks would
-        # change BOOT's bits if BOOT-db joined its pass.
+        # BOOT and BOOT-db read one fitted-model stage, drawn on the same
+        # stream whichever asks; alone, as a pair or beside LS and S-LS,
+        # each interval keeps its bits
         y = simulate_varma(desk_spec, 150, 200, 8)
         values = y.values + (4.0 if intercept else 0.0)
         bundles = (
@@ -308,10 +315,8 @@ class TestIntervalSetsForSample:
                 for bundle in bundles
             ]
             want = {
-                method: bootstrap_interval_sets(
-                    model, resid, values, 5, m, 0.9, {method: substream(5, stream)}
-                )[method]
-                for method, stream in (("BOOT", 10), ("BOOT-db", 11))
+                method: bootstrap_interval_sets(model, resid, values, 5, m, 0.9, [method], 5)[method]
+                for method in ("BOOT", "BOOT-db")
             }
             for bundle, sets in zip(bundles, runs):
                 assert tuple(sets) == bundle
