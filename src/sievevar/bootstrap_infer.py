@@ -36,7 +36,7 @@ from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 from .estimate import VarModel, fit_var_ls, fit_var_ls_stack  # noqa: F401
 from .delta_infer import IntervalSet
 from .streams import SeedLike, generator, substream
-from .var_core import _stationary, companion_form, ma_from_ar, spectral_radius, var_recursion
+from .var_core import _solve_recursion, _stationary, companion_form, ma_from_ar, spectral_radius
 
 _MAX_REFIT_ATTEMPTS = 10
 
@@ -64,29 +64,40 @@ def residual_bootstrap_sample(
     (K,) constant, or None for none. Residuals are centered before
     resampling. Pseudo-sample j starts from the p rows of the (T, K)
     ``source`` beginning at ``starts[j]`` and adds the centered residuals
-    ``idx[j]`` at steps p..T-1; ``starts`` is an (n,) and ``idx`` an
-    (n, T - p) integer array. Pseudo-sample j depends on row j alone.
+    ``idx[j]`` at steps p..T-1; ``starts`` is an (n,) array of starts in
+    0..T-p and ``idx`` an (n, T - p) array of residual rows. Pseudo-sample j
+    depends on row j alone. The pseudo-samples are gathered straight into
+    the returned array, which the recursion then solves in place.
     """
     resid = np.asarray(residuals, dtype=float)
     if resid.ndim == 1:
         resid = resid[:, np.newaxis]
     if resid.shape[0] < 2:
         raise ValueError("need at least 2 residual rows")
-    starts, idx = np.asarray(starts), np.asarray(idx)
+    ar, starts, idx = np.asarray(ar, dtype=float), np.asarray(starts), np.asarray(idx)
     t = len(source)
     p, n = len(ar), len(starts)
     if idx.shape != (n, t - p):
         raise DimensionMismatchError(
             f"need {n} rows of {t - p} residual indices, got shape {idx.shape}"
         )
+    if idx.size and not 0 <= idx.min() <= idx.max() < len(resid):
+        raise IndexError(f"residual indices must lie in 0..{len(resid) - 1}")
+    if n and not 0 <= starts.min() <= starts.max() <= t - p:
+        raise IndexError(f"block starts must lie in 0..{t - p}")
     # the constant rides on every resampled residual: y_s = sum_j A_j y_{s-j} + (c + u_s)
     pool = resid - resid.mean(axis=0)
     if intercept is not None:
         pool = pool + intercept
-    # rows below p of each path are its start block of the source
-    start_blocks = source[starts[:, np.newaxis] + np.arange(p)]
-    shocks = np.concatenate([start_blocks, pool.take(idx, axis=0)], axis=1)
-    return var_recursion(ar, shocks[..., np.newaxis])[..., 0]
+    # one gather from the pool and the source below it: rows below p of each
+    # path are its start block of the source, the rest its residuals
+    table = np.concatenate([pool, source])
+    rows = np.empty((n, t), dtype=np.intp)
+    rows[:, :p] = len(pool) + starts[:, np.newaxis] + np.arange(p)
+    rows[:, p:] = idx
+    paths = table.take(rows, axis=0)
+    _solve_recursion(ar, paths)
+    return paths
 
 
 def _draw_indices(

@@ -21,6 +21,7 @@ from .streams import SeedLike, generator
 from .var_core import (
     MatrixSeq,
     _is_symmetric,
+    _solve_recursion,
     coeff_seq,
     companion_form,
     spectral_radius,
@@ -156,12 +157,12 @@ def simulate_varma_stack(
     """The (n, T, K) stack of ``simulate_varma`` paths, one per seed.
 
     Each path draws its standard normals from its own seed and takes its
-    Cholesky and MA steps on its own; all paths then step one
-    ``var_recursion`` call. Every path is bit-identical to
-    ``simulate_varma`` of its seed, whatever the seeds beside it. The stack
-    is not checked for finite values: ``simulate_varma`` checks its path in
-    ``SamplePath``, and ``fit_var_ls`` refuses a non-finite path with
-    ``NonFiniteError``.
+    Cholesky and MA steps on its own; all paths then step one recursion,
+    solved in place (``var_core._solve_recursion``). Every path is
+    bit-identical to ``simulate_varma`` of its seed, whatever the seeds
+    beside it. The stack is not checked for finite values:
+    ``simulate_varma`` checks its path in ``SamplePath``, and ``fit_var_ls``
+    refuses a non-finite path with ``NonFiniteError``.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -172,15 +173,16 @@ def simulate_varma_stack(
     p, k = spec.p, spec.k
     chol = np.linalg.cholesky(spec.sigma_u)
     # p presample zeros per path: the start values, zero initial conditions
-    shocks = np.zeros((len(seeds), p + total, k, 1))
-    for path, seed in zip(shocks, seeds):
+    paths = np.zeros((len(seeds), p + total, k))
+    for path, seed in zip(paths, seeds):
         u = generator(seed).standard_normal((total, k)) @ chol.T
         # e_s = u_s + sum_j M_j u_{s-j}, innovations before s = 0 being zero
-        e = path[p:, :, 0]
+        e = path[p:]
         e[:] = u
         for j, m in enumerate(spec.ma.mats, start=1):
             e[j:] += u[:-j] @ m.T
-    return var_recursion(spec.ar.mats, shocks)[:, p + burn_in :, :, 0]
+    _solve_recursion(spec.ar.mats, paths)
+    return paths[:, p + burn_in :]
 
 
 def counterexample_ar(

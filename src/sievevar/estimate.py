@@ -24,6 +24,15 @@ from .var_core import MatrixSeq, _is_symmetric, coeff_seq
 # deficiency that dpotrf missed
 _PIVOT_COLLAPSE = 1e-13
 
+# _lag_grams keeps every BLAS call below OpenBLAS's threading sizes. On
+# OpenBLAS 0.3.31 a syrk (numpy's a.T @ a) of 32 or more columns runs on the
+# library's thread server, and so does a gemm of more than about 1e6
+# multiply-adds (m n k); in a forked worker that one call starts the server,
+# whose helper thread then spins through the Python work that follows. A
+# Gram wider than _GRAM_PANEL columns is built from column panels, by
+# products of fewer than 2^19 multiply-adds, half the size that threads.
+_GRAM_PANEL = 31
+
 
 @dataclass(frozen=True)
 class VarModel:
@@ -120,15 +129,34 @@ def _lag_grams(samples: np.ndarray, p: int, demean: bool = False) -> np.ndarray:
     its regression Grams from here and ``sample_gamma_p`` its Gamma_p.
     """
     n, t, k = samples.shape
-    gram = np.empty((n, k * (p + 1), k * (p + 1)))
-    # one contiguous copy and one BLAS product (syrk) per sample: on the
-    # overlapping window itself numpy's matmul runs gemm, on two threads for
-    # the 62 x 62 Gram of K = 2, p = 30, which doubles the CPU time of a fit
+    width = k * (p + 1)
+    gram = np.empty((n, width, width))
+    count = -(-width // _GRAM_PANEL)
+    bounds = [width * i // count for i in range(count + 1)]
+    panels = list(zip(bounds[:-1], bounds[1:]))
+    # one contiguous copy per sample: on the overlapping window itself
+    # numpy's matmul runs gemm, not syrk
     for rows, out in zip(_lag_windows(samples, p), gram):
         rows = np.array(rows, order="C")
         if demean:  # the means by a product, three times faster than rows.mean(axis=0)
             rows -= np.ones(t - p) @ rows / (t - p)
-        np.matmul(rows.T, rows, out=out)
+        if count == 1:
+            np.matmul(rows.T, rows, out=out)  # one syrk, mirrored by numpy
+            continue
+        # the upper strip of each panel by gemm, about twice syrk's rate at
+        # these sizes; past the first panel a strip starts a column early,
+        # in the lower triangle, so that numpy does not turn the last into
+        # a syrk. gemm sums every entry over the rows in the same order, so
+        # the diagonal blocks come out exactly symmetric.
+        for lo, hi in panels:
+            first = max(lo - 1, 0)
+            left, strip = rows[:, lo:hi], out[lo:hi, first:]
+            step = max(((1 << 19) - 1) // strip.size, 1)
+            np.matmul(left[:step].T, rows[:step, first:], out=strip)
+            for r in range(step, t - p, step):
+                strip += left[r : r + step].T @ rows[r : r + step, first:]
+        for lo, hi in panels:
+            out[hi:, lo:hi] = out[lo:hi, hi:].T
     return gram
 
 

@@ -156,31 +156,44 @@ def var_recursion(ar: np.ndarray, shocks: np.ndarray) -> np.ndarray:
     indexing the paths, and every path shares the one (p, K, K) coefficient
     stack ``ar`` (A_1..A_p). Rows below p are the start values, Y_s = E_s;
     row s >= p is sum_j A_j Y_{s-j} + E_s, so a constant is part of the
-    shock.
-
-    The recursion is the unit lower-triangular banded system
-    Y_s - sum_j A_j Y_{s-j} = E_s of bandwidth Kp + K - 1, solved by
-    LAPACK's ``dtbtrs`` with each column of each path as its own
-    right-hand side. Long paths are solved in segments of at most
-    ``_BAND_FLOATS`` band entries (and at least 2p steps), each starting
-    from the last p rows of the one before, so a path's bits depend on
-    ``ar``, its own shocks and T alone, not on the paths beside it. Returns
-    a new C-contiguous array.
+    shock. The paths are those of ``_solve_recursion`` on a copy of the
+    shocks, each column of each path its own path. Returns a new
+    C-contiguous array.
     """
     ar = np.asarray(ar, dtype=float)
     shocks = np.asarray(shocks, dtype=float)
     lead, (t, k, m) = shocks.shape[:-3], shocks.shape[-3:]
+    n = math.prod(lead)
+    # one (T, K) path per path and column m
+    paths = shocks.reshape((n, t, k, m)).transpose(0, 3, 1, 2).copy().reshape(n * m, t, k)
+    _solve_recursion(ar, paths)
+    out = paths.reshape((n, m, t, k)).transpose(0, 2, 3, 1)
+    return np.ascontiguousarray(out).reshape(lead + (t, k, m))
+
+
+def _solve_recursion(ar: np.ndarray, paths: np.ndarray) -> None:
+    """Overwrite the shocks of a C-contiguous (n, T, K) float stack with the VAR(p) paths.
+
+    Path j solves Y_s = sum_j A_j Y_{s-j} + E_s from its shocks E_s (rows
+    below p being the start values) under the (p, K, K) stack ``ar``. The
+    recursion is the unit lower-triangular banded system
+    Y_s - sum_j A_j Y_{s-j} = E_s of bandwidth Kp + K - 1, solved by
+    LAPACK's ``dtbtrs`` with each path as its own right-hand side, which it
+    overwrites. Long paths are solved in segments of at most
+    ``_BAND_FLOATS`` band entries (and at least 2p steps), each starting
+    from the last p rows of the one before, so a path's bits depend on
+    ``ar``, its own shocks and T alone, not on the paths beside it.
+    """
+    n, t, k = paths.shape
     if ar.ndim != 3 or ar.shape[1:] != (k, k):
         raise DimensionMismatchError(
-            f"var_recursion got coefficients {ar.shape} and shocks {shocks.shape}"
+            f"var_recursion got coefficients {ar.shape} and paths of {k} variables"
         )
     p = len(ar)
     if t < p:
         raise DimensionMismatchError(f"{t} steps cannot hold {p} start values")
-    n = math.prod(lead)
-    # one row per path and column m, time-major within it: its transpose is
-    # the Fortran-ordered right-hand side dtbtrs takes and overwrites
-    rhs = shocks.reshape((n, t, k, m)).transpose(0, 3, 1, 2).copy().reshape(n * m, t * k)
+    # time-major rows: the transpose is the Fortran-ordered right-hand side dtbtrs takes
+    rhs = paths.reshape(n, t * k)
     steps = min(t, max(_BAND_FLOATS // ((p + 1) * k * k), 2 * p, 1))
     band = _band(ar, steps)
     # dtbtrs corrupts the heap when it is given no right-hand side
@@ -192,8 +205,6 @@ def var_recursion(ar: np.ndarray, shocks: np.ndarray) -> np.ndarray:
         if info:
             raise ValueError(f"dtbtrs rejected argument {-info}")
         seg[...] = sol.T
-    out = rhs.reshape((n, m, t, k)).transpose(0, 2, 3, 1)
-    return np.ascontiguousarray(out).reshape(lead + (t, k, m))
 
 
 def spectral_radius(c: np.ndarray) -> float | np.ndarray:

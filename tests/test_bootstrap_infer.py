@@ -191,6 +191,25 @@ class TestResidualBootstrapSample:
                 model.ar_hat.mats, None, resid, y, [0, 1, 2], np.zeros(shape, dtype=int)
             )
 
+    @pytest.mark.parametrize(
+        "start, index, what",
+        [
+            (49, 0, "block starts"),
+            (-1, 0, "block starts"),
+            (0, 48, "residual"),
+            (0, -1, "residual"),
+        ],
+    )
+    def test_out_of_range_rows_rejected(self, desk_spec, start, index, what):
+        # one gather reads the pool and the sample below it, so an index past
+        # the 48 residuals must not read sample rows
+        y = simulate_varma(desk_spec, 50, 200, 17).values
+        model, resid = fit_var_ls(y, 2)
+        idx = np.zeros((2, 48), dtype=int)
+        idx[1, 5] = index
+        with pytest.raises(IndexError, match=what):
+            residual_bootstrap_sample(model.ar_hat.mats, None, resid, y, [0, start], idx)
+
     @pytest.mark.parametrize("seed, entropy, key", [(7, 7, ()), (substream(31, 1), 31, (1,))])
     def test_draw_indices_fill_the_stated_streams(self, seed, entropy, key):
         # attempt 2 of a stage: starts from (seed, 2, 0), indices from

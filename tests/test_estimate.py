@@ -17,7 +17,7 @@ from sievevar import (
     simulate_varma,
 )
 from sievevar.bootstrap_infer import _draw_indices
-from sievevar.estimate import fit_var_ls_stack
+from sievevar.estimate import _GRAM_PANEL, _lag_grams, _lag_windows, fit_var_ls_stack
 from conftest import (
     assert_close_to_scale,
     build_gamma_p,
@@ -288,6 +288,40 @@ class TestFitVarLsStack:
             np.testing.assert_array_equal(flags, np.arange(len(stack)) == at)
             np.testing.assert_array_equal(coefs[at], coef[0])
             np.testing.assert_array_equal(grams[at], gram[0])
+
+
+class TestLagGrams:
+    """Grams wider than ``_GRAM_PANEL`` columns come from panels; narrower ones from one syrk."""
+
+    @staticmethod
+    def explicit_gram(sample, p, demean):
+        # (T - p, K, p + 1) windows y_{s-p}..y_s, as rows [y_s', ..., y_{s-p}']
+        w = np.lib.stride_tricks.sliding_window_view(sample, p + 1, axis=0)
+        w = w[..., ::-1].transpose(0, 2, 1).reshape(len(w), -1)
+        if demean:
+            w = w - w.mean(axis=0)
+        return w.T @ w
+
+    @pytest.mark.parametrize("demean", [False, True])
+    @pytest.mark.parametrize("k, p, t", [(2, 30, 300), (2, 30, 3000), (4, 8, 1000)])
+    def test_panels_match_explicit_gram(self, rng, k, p, t, demean):
+        assert k * (p + 1) > _GRAM_PANEL
+        samples = rng.normal(size=(3, t, k)) @ rng.normal(size=(k, k)) + 3.0
+        grams = _lag_grams(samples, p, demean)
+        for sample, gram in zip(samples, grams):
+            assert_close_to_scale(gram, self.explicit_gram(sample, p, demean), 1e-13)
+            np.testing.assert_array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize("demean", [False, True])
+    @pytest.mark.parametrize("k, p", [(2, 10), (4, 6), (1, 30), (3, 9)])
+    def test_one_panel_is_one_syrk(self, rng, k, p, demean):
+        assert k * (p + 1) <= _GRAM_PANEL
+        samples = rng.normal(size=(2, 700, k)) + 3.0
+        for window, gram in zip(_lag_windows(samples, p), _lag_grams(samples, p, demean)):
+            rows = np.array(window, order="C")
+            if demean:
+                rows -= np.ones(len(rows)) @ rows / len(rows)
+            np.testing.assert_array_equal(gram, rows.T @ rows)
 
 
 class TestSampleGammaP:

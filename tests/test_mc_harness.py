@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
+from argparse import Namespace
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -125,14 +129,14 @@ class TestRunExperiment:
 MC_SEED = 515
 
 
-def mc_csvs(tmp_path, desk_spec, name, workers):
+def mc_csvs(tmp_path, desk_spec, name, workers, p=2, t=60):
     """``sievevar mc`` result and entry CSV bytes of a 17-replication desk run."""
     cfg = {
         "schema": 1,
         "dgp": cli.varma_spec_to_json(desk_spec),
-        "t": 60,
+        "t": t,
         "burn_in": 20,
-        "p": 2,
+        "p": p,
         "horizon": 3,
         "methods": ["LS", "S-LS", "BOOT"],
         "replications": 17,
@@ -159,24 +163,33 @@ def record_stack_sizes(monkeypatch):
     return sizes
 
 
-def chunk_floats(size):
-    # (p + burn_in + t) K = (1 + 20 + 60) 2 shock values per path of mc_csvs
-    return 162 * size + 161
+def chunk_floats(size, t=60):
+    # (p + burn_in + t) K = (1 + 20 + t) 2 shock values per path of mc_csvs
+    per_path = (1 + 20 + t) * 2
+    return per_path * size + per_path - 1
 
 
 class TestChunks:
     """Replications simulated in chunks: no chunking or worker count moves a byte."""
 
-    def test_csvs_byte_identical_for_any_chunking(self, desk_spec, tmp_path, monkeypatch):
+    @staticmethod
+    def _check_chunkings(tmp_path, desk_spec, monkeypatch, p, t):
         sizes = record_stack_sizes(monkeypatch)
-        want = mc_csvs(tmp_path, desk_spec, "default", 1)
+        want = mc_csvs(tmp_path, desk_spec, "default", 1, p, t)
         assert sizes == [17]
         for size, chunks in ((1, [1] * 17), (3, [3] * 5 + [2]), (8, [8, 8, 1])):
-            monkeypatch.setattr(mc_harness, "_CHUNK_FLOATS", chunk_floats(size))
+            monkeypatch.setattr(mc_harness, "_CHUNK_FLOATS", chunk_floats(size, t))
             sizes.clear()
-            assert mc_csvs(tmp_path, desk_spec, f"c{size}-w1", 1) == want
+            assert mc_csvs(tmp_path, desk_spec, f"c{size}-w1", 1, p, t) == want
             assert sizes == chunks
-            assert mc_csvs(tmp_path, desk_spec, f"c{size}-w2", 2) == want
+            assert mc_csvs(tmp_path, desk_spec, f"c{size}-w2", 2, p, t) == want
+
+    def test_csvs_byte_identical_for_any_chunking(self, desk_spec, tmp_path, monkeypatch):
+        self._check_chunkings(tmp_path, desk_spec, monkeypatch, 2, 60)
+
+    def test_panelled_grams_byte_identical_for_any_chunking(self, desk_spec, tmp_path, monkeypatch):
+        # p = 30 fits and refits a 62-column lag-window Gram, built from panels
+        self._check_chunkings(tmp_path, desk_spec, monkeypatch, 30, 150)
 
     def test_at_least_one_chunk_per_worker(self, desk_spec):
         cfg = tiny_config(desk_spec, replications=11, workers=3)
@@ -490,3 +503,45 @@ class TestConfigValidation:
         cfg = tiny_config(white_noise_spec(2), p=1, horizon=1, methods=("LS",))
         s = run_experiment(cfg)
         assert s.coverage.shape == (1, 2)
+
+
+def _blas_is_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+def _threads():
+    return len(os.listdir("/proc/self/task"))
+
+
+def _replicate_and_count_threads():
+    """This process's threads before and after one replication of each p = 10 and p = 30 design."""
+    before = _threads()
+    for preset, overrides in (
+        ("fig2-desk", {}),
+        ("fig2-desk", {"intercept": True}),
+        ("counterex-desk-p30", {}),
+        ("counterex-desk-p30", {"intercept": True}),
+        ("counterex-desk-p30", {"t": 3000}),
+    ):
+        obj = dict(cli.PRESETS[preset](), replications=1, **overrides)
+        cfg = cli.parse_experiment_config(obj, Namespace(workers=None, seed=None))
+        mc_harness._run_chunk(cfg, varma_true_irf(cfg.dgp, cfg.horizon), range(1))
+    # a K = 4, p = 8 fit: a 36-column Gram
+    spec = pure_ar_spec(random_stable_coeffs(np.random.default_rng(8), 4, 1, 0.8))
+    fit_var_ls(simulate_varma(spec, 1000, 100, 8), 8)
+    return before, _threads()
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or not _blas_is_openblas(),
+    reason="counts threads in /proc/self/task, and the threading sizes are OpenBLAS's",
+)
+def test_forked_worker_starts_no_blas_thread():
+    # a forked worker holds one thread until a BLAS call above OpenBLAS's
+    # threading sizes starts the library's thread server in it
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        assert pool.submit(_replicate_and_count_threads).result(timeout=300) == (1, 1)
