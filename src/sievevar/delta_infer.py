@@ -14,16 +14,17 @@ between the two come from that choice. vec() is column-stacking
 throughout, so entry (row, col) of Phi_i sits at position row + K * col.
 
 IRFs are plain (H+1, K, K) arrays with Phi_0 = I first, as ``ma_from_ar``
-returns them; the kernels here validate the arrays they are given.
+returns them; the kernels here validate the arrays they are given. The
+Gaussian quantile is the standard library's ``NormalDist().inv_cdf``, and
+the Cholesky factor of Gamma is inverted in numpy, without LAPACK.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-import scipy.linalg
-from scipy.special import ndtri
 
 from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 from .estimate import VarModel
@@ -98,6 +99,38 @@ def irf_jacobian(model: VarModel, i: int) -> np.ndarray:
     return g
 
 
+def _diagonal_blocks(a: np.ndarray, size: int) -> np.ndarray:
+    """Writable (m / size, size, size) view of the diagonal blocks of a C-contiguous m x m array."""
+    rows, cols = a.strides
+    return np.ndarray((len(a) // size, size, size), a.dtype, a, 0, (size * (rows + cols), rows, cols))
+
+
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, lower-triangular with exact zeros above.
+
+    The factor is padded with the identity to an order m that is a power
+    of two. Its inverse starts as the reciprocal diagonal, and each pass
+    doubles the inverted diagonal blocks: a block [[A, 0], [C, D]] with A
+    and D inverted gets -D^{-1} C A^{-1} below them, for all blocks of a
+    pass in one stacked product. No LAPACK call: numpy's inverse of even a
+    20 x 20 leaf costs several times LAPACK's triangular inverse. Up to
+    Kp = 128 every product is below ``var_core._SERIAL_MADDS``, while
+    ``np.linalg.inv`` or ``solve`` on the whole factor start OpenBLAS's
+    thread server at Kp = 120.
+    """
+    n = len(low)
+    m = 1 << (n - 1).bit_length()
+    padded = np.eye(m)
+    padded[:n, :n] = low
+    out = np.diag(1.0 / np.diagonal(padded))
+    half = 1
+    while half < m:
+        inv, tri = _diagonal_blocks(out, 2 * half), _diagonal_blocks(padded, 2 * half)
+        inv[:, half:, :half] = -(inv[:, half:, half:] @ tri[:, half:, :half]) @ inv[:, :half, :half]
+        half *= 2
+    return out[:n, :n]
+
+
 def irf_covariances(
     phi_hat: np.ndarray, gamma: np.ndarray, sigma_u: np.ndarray
 ) -> np.ndarray:
@@ -105,9 +138,9 @@ def irf_covariances(
 
     Returns an array of shape (H, K^2, K^2). ``phi_hat`` is the (H+1, K, K)
     array of fitted Phi_0..Phi_H, from which the G_i are built. ``gamma``
-    is the Kp x Kp second-moment plug-in, which must be positive-definite;
-    ``sigma_u`` is the K x K innovation covariance plug-in, which may be
-    singular.
+    is the Kp x Kp second-moment plug-in, which must be finite and
+    positive-definite; ``sigma_u`` is the K x K innovation covariance
+    plug-in, which may be singular.
     """
     phis = _irf_array(phi_hat, "phi_hat")
     horizon, k = len(phis) - 1, phis.shape[1]
@@ -123,25 +156,28 @@ def irf_covariances(
         raise DimensionMismatchError(
             f"sigma_u must be K x K for K={k}, got {sigma_u.shape}"
         )
+    if not np.all(np.isfinite(gamma)):
+        raise NonFiniteError("Gamma plug-in contains non-finite values")
     try:
-        chol = scipy.linalg.cholesky(gamma, lower=True)
-    except (scipy.linalg.LinAlgError, ValueError):
+        chol = np.linalg.cholesky(gamma)
+    except np.linalg.LinAlgError:
         raise SingularMatrixError(
             "Gamma plug-in is not positive-definite",
             condition_number=float(np.linalg.cond(gamma)),
         ) from None
-    # an explicit triangular inverse and per-horizon products keep every BLAS
+    # a blocked triangular inverse and per-horizon products keep every BLAS
     # call below OpenBLAS's threading sizes; a threaded solve leaves its
     # worker threads spinning through the Python work that follows
-    linv = scipy.linalg.lapack.dtrtri(chol, lower=1)[0]
+    linv = _lower_inverse(chol)
     padded = np.concatenate([phis[:horizon], np.zeros((1, k, k))])  # index -1 is zero
-    steps = np.arange(horizon)[:, None]
+    # toe[i, a] = Phi_{i-a}, zero for a > i: one gather for both uses below
+    toe = padded[np.maximum(np.arange(horizon)[:, None] - np.arange(max(p, horizon)), -1)]
     # A_c^a J' stacks Phi_a, Phi_{a-1}, ..., Phi_{a-p+1}
-    cols = padded[np.maximum(steps - np.arange(p), -1)].reshape(horizon, kp, k)
+    cols = toe[:, :p].reshape(horizon, kp, k)
     # with Gamma = L L', x[a]' = J (A_c')^a L^{-T}
     x = (linv @ cols).reshape(horizon, kp * k)
-    # phi_toe[i, (r, s), a] = Phi_{i-a}[r, s], zero for a > i
-    phi_toe = padded[np.maximum(steps - np.arange(horizon), -1)].transpose(0, 2, 3, 1)
+    # phi_toe[i, (r, s), a] = Phi_{i-a}[r, s]
+    phi_toe = toe[:, :horizon].transpose(0, 2, 3, 1)
     # W_{i+1} = sum_{a<=i} x[a]' kron Phi_{i-a}, rows (c, r) and columns (q, s)
     prod = (phi_toe.reshape(horizon, k * k, horizon) @ x).reshape(horizon, k, k, kp, k)
     w = prod.transpose(0, 4, 1, 3, 2).reshape(horizon, k * k, kp, k)
@@ -187,7 +223,7 @@ def delta_ci(
     clamped = int(np.count_nonzero(var < 0.0))
     # vec stacks columns, so diagonal index r + K c holds entry (r, c)
     var = np.maximum(var, 0.0).reshape(h, k, k).transpose(0, 2, 1)
-    z = float(ndtri((1.0 + level) / 2.0))
+    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
     half = np.concatenate([np.zeros((1, k, k)), z * np.sqrt(var / t)])
     return IntervalSet(
         method=method,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dgp_sim import SamplePath
 from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
-from .var_core import MatrixSeq, _is_symmetric, coeff_seq
+from .var_core import _SERIAL_MADDS, MatrixSeq, _is_symmetric, coeff_seq
 
 # Cholesky pivots with min^2 <= _PIVOT_COLLAPSE * max^2 mean numerical rank
 # deficiency that dpotrf missed
@@ -30,7 +30,7 @@ _PIVOT_COLLAPSE = 1e-13
 # multiply-adds (m n k); in a forked worker that one call starts the server,
 # whose helper thread then spins through the Python work that follows. A
 # Gram wider than _GRAM_PANEL columns is built from column panels, by
-# products of fewer than 2^19 multiply-adds, half the size that threads.
+# products of fewer than _SERIAL_MADDS multiply-adds.
 _GRAM_PANEL = 31
 
 
@@ -151,7 +151,7 @@ def _lag_grams(samples: np.ndarray, p: int, demean: bool = False) -> np.ndarray:
         for lo, hi in panels:
             first = max(lo - 1, 0)
             left, strip = rows[:, lo:hi], out[lo:hi, first:]
-            step = max(((1 << 19) - 1) // strip.size, 1)
+            step = max((_SERIAL_MADDS - 1) // strip.size, 1)
             np.matmul(left[:step].T, rows[:step, first:], out=strip)
             for r in range(step, t - p, step):
                 strip += left[r : r + step].T @ rows[r : r + step, first:]

@@ -12,7 +12,8 @@ matrix. ``ma_from_ar`` steps this recursion one horizon at a time, for one
 coefficient stack or a stack of them; the tests hold it against companion
 powers. ``var_recursion`` computes the paths of one coefficient stack
 (simulated samples, bootstrap pseudo-samples, the true IRFs and AR(infinity)
-form of a VARMA) as one banded triangular solve over all steps and paths.
+form of a VARMA) in blocks of steps, each block one matrix product over all
+paths. The package's numerics need numpy alone.
 
 Every function takes and returns plain arrays: coefficient stacks have
 shape (..., p, K, K) with A_1 first, IRF stacks (..., H+1, K, K) with
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import DimensionMismatchError, EigenvalueError
 
@@ -124,28 +124,34 @@ def ma_from_ar(ar: np.ndarray, horizon: int) -> np.ndarray:
     return rev.take(np.arange(horizon, -1, -1), axis=-3)
 
 
-# band floats one segment of var_recursion's banded solve holds (8 MB)
-_BAND_FLOATS = 1 << 20
+# a BLAS product of fewer multiply-adds (m n k) runs on the calling thread:
+# half the size at which an OpenBLAS 0.3.31 gemm threads (estimate._GRAM_PANEL)
+_SERIAL_MADDS = 1 << 19
+
+# steps of one block of _solve_recursion: its 16 K output columns are a
+# multiple of 16, a width at which a product's rows keep their bits
+_BLOCK_STEPS = 16
 
 
-def _band(ar: np.ndarray, steps: int) -> np.ndarray:
-    """Lower band storage, (Kp + K, steps K) in Fortran order, of the recursion's system.
+def _block_operator(ar: np.ndarray) -> np.ndarray:
+    """((p + b) K, b K) operator of one block of b = ``_BLOCK_STEPS`` recursion steps.
 
-    Unknown (u, l) is entry l of Y_u, and row (s, i) of the unit
-    lower-triangular system reads Y_s[i] - sum_j A_j[i, :] Y_{s-j} = E_s[i].
-    Column (u, l) holds -A_j[i, l] at row (u + j, i), which is band row
-    jK + i - l, the same for every u; rows s < p hold no coefficients, so
-    they return their right-hand side, the start values.
+    A path's rows Y_{s-p}..Y_{s-1}, E_s..E_{s+b-1}, flattened in time
+    order, times the operator give its Y_s..Y_{s+b-1}. In block form
+    Y_blk = Psi_b E_blk + M_b [Y_{s-p}; ...; Y_{s-1}]: Psi_b is the lower
+    block-Toeplitz matrix of Phi_0..Phi_{b-1} and M_b holds the top K rows
+    of the companion powers A_c^1..A_c^b, its columns in time order. The
+    operator is [M_b Psi_b]' in C order, built by stepping the recursion
+    on the (p + b) K unit inputs.
     """
     p, k = ar.shape[0], ar.shape[-1]
-    # lags[jK + i, l] = -A_j[i, l] for j = 1..p, zero for j = 0 and past p
-    lags = np.zeros(((p + 2) * k, k))
-    lags[k : (p + 1) * k] = -ar.reshape(p * k, k)
-    pattern = lags[np.arange((p + 1) * k)[:, np.newaxis] + np.arange(k), np.arange(k)]
-    band = np.tile(pattern.T, (steps, 1))  # row c of band.T is column c of the band
-    # band row d of column c belongs to row c + d of the system: none below pK
-    band[: p * k, : p * k][np.add.outer(np.arange(p * k), np.arange(p * k)) < p * k] = 0.0
-    return band.T
+    b = _BLOCK_STEPS
+    width = (p + b) * k
+    resp = np.eye(width).reshape(p + b, k, width)  # resp[u]: Y_u (or E_u) in the inputs
+    lags = ar[::-1].transpose(1, 0, 2).reshape(k, p * k)  # [A_p ... A_1], oldest lag first
+    for s in range(p, p + b):
+        resp[s] += lags @ resp[s - p : s].reshape(p * k, width)
+    return np.ascontiguousarray(resp[p:].reshape(b * k, width).T)
 
 
 def var_recursion(ar: np.ndarray, shocks: np.ndarray) -> np.ndarray:
@@ -176,13 +182,17 @@ def _solve_recursion(ar: np.ndarray, paths: np.ndarray) -> None:
 
     Path j solves Y_s = sum_j A_j Y_{s-j} + E_s from its shocks E_s (rows
     below p being the start values) under the (p, K, K) stack ``ar``. The
-    recursion is the unit lower-triangular banded system
-    Y_s - sum_j A_j Y_{s-j} = E_s of bandwidth Kp + K - 1, solved by
-    LAPACK's ``dtbtrs`` with each path as its own right-hand side, which it
-    overwrites. Long paths are solved in segments of at most
-    ``_BAND_FLOATS`` band entries (and at least 2p steps), each starting
-    from the last p rows of the one before, so a path's bits depend on
-    ``ar``, its own shocks and T alone, not on the paths beside it.
+    steps from p on run in blocks of ``_BLOCK_STEPS``: a block is one
+    product of the paths' rows s-p..s+b-1, contiguous in each path, with
+    ``_block_operator``, and the last block pads its missing shocks with
+    zeros. The paths are multiplied in groups of an even number of rows,
+    each product below ``_SERIAL_MADDS`` where two rows allow it, and an odd
+    group gets a zero row. On the OpenBLAS kernels SkylakeX, Haswell, Zen,
+    SandyBridge and Prescott, a row of such a product (C-ordered operator,
+    16 K columns, an even row count) has the same bits for any row count,
+    while an odd count, a one-row product (numpy's gemv), a narrower or a
+    transposed operator give some rows other bits. So a path's bits depend
+    on ``ar``, its own shocks and T alone, not on the paths beside it.
     """
     n, t, k = paths.shape
     if ar.ndim != 3 or ar.shape[1:] != (k, k):
@@ -192,19 +202,24 @@ def _solve_recursion(ar: np.ndarray, paths: np.ndarray) -> None:
     p = len(ar)
     if t < p:
         raise DimensionMismatchError(f"{t} steps cannot hold {p} start values")
-    # time-major rows: the transpose is the Fortran-ordered right-hand side dtbtrs takes
-    rhs = paths.reshape(n, t * k)
-    steps = min(t, max(_BAND_FLOATS // ((p + 1) * k * k), 2 * p, 1))
-    band = _band(ar, steps)
-    # dtbtrs corrupts the heap when it is given no right-hand side
-    for lo in range(0, t - p if rhs.size else 0, max(steps - p, 1)):
-        seg = rhs[:, lo * k : min(lo + steps, t) * k]
-        sol, info = lapack.dtbtrs(
-            band[:, : seg.shape[1]], seg.T, uplo="L", diag="U", overwrite_b=True
-        )
-        if info:
-            raise ValueError(f"dtbtrs rejected argument {-info}")
-        seg[...] = sol.T
+    if not p:  # Y_s = E_s
+        return
+    op = _block_operator(ar)
+    width, b = op.shape[0], _BLOCK_STEPS
+    group = max((_SERIAL_MADDS - 1) // op.size // 2 * 2, 2)
+    flat = paths.reshape(n, t * k)
+    # an explosive path may overflow; its callers check for that
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, group):
+            rows = flat[lo : lo + group]
+            work = rows if len(rows) % 2 == 0 else np.concatenate([rows, np.zeros((1, t * k))])
+            for s in range(p, t, b):
+                x = work[:, (s - p) * k : (s + b) * k]
+                if x.shape[1] < width:
+                    x = np.concatenate([x, np.zeros((len(x), width - x.shape[1]))], axis=1)
+                work[:, s * k : (s + b) * k] = (x @ op)[:, : (min(s + b, t) - s) * k]
+            if work is not rows:
+                rows[...] = work[:-1]
 
 
 def spectral_radius(c: np.ndarray) -> float | np.ndarray:

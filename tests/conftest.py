@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from sievevar import (
     VarmaSpec,
@@ -135,6 +136,27 @@ def reference_simulate(spec: VarmaSpec, t: int, burn_in: int, seed) -> np.ndarra
             acc += spec.ma.mats[j - 1] @ u[step - j]
         y[step] = acc
     return y[burn_in:]
+
+
+def reference_banded_recursion(ar: np.ndarray, shocks: np.ndarray) -> np.ndarray:
+    """VAR(p) paths of an (n, T, K) shock stack, n >= 1, by LAPACK's banded triangular solve.
+
+    The recursion is the unit lower-triangular system
+    Y_s - sum_j A_j Y_{s-j} = E_s, whose rows s < p carry no coefficients.
+    Column (u, l) of its lower band storage holds -A_j[i, l] at band row
+    jK + i - l, for the row (u + j, i) of the system; ``dtbtrs`` solves it
+    with every path as its own right-hand side.
+    """
+    p, k = ar.shape[0], ar.shape[-1]
+    n, t, _ = shocks.shape
+    band = np.zeros(((p + 1) * k, t * k))
+    for u in range(t):
+        for j in range(max(1, p - u), min(p, t - 1 - u) + 1):
+            for i in range(k):
+                band[j * k + i - np.arange(k), u * k + np.arange(k)] = -ar[j - 1, i]
+    sol, info = lapack.dtbtrs(band, shocks.reshape(n, t * k).T, uplo="L", diag="U")
+    assert info == 0
+    return sol.T.reshape(n, t, k)
 
 
 def reference_ma_from_ar(ar: np.ndarray, horizon: int) -> np.ndarray:

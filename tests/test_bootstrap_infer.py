@@ -168,7 +168,7 @@ class TestResidualBootstrapSample:
 
     @pytest.mark.parametrize("intercept", [False, True])
     def test_stack_matches_scalar_recursion(self, desk_spec, intercept):
-        # the banded solve sums the lags in another order than the loop
+        # the blocked recursion sums the lags in another order than the loop
         fit, starts, idx, paths = self._draws(desk_spec, intercept)
         for path, start, row in zip(paths, starts, idx):
             want = scalar_resample(*fit, start, row)

@@ -376,6 +376,44 @@ def test_module_entry_point(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+# run in a fresh interpreter, in which any import of scipy fails
+_WITHOUT_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is not installed")
+
+sys.meta_path.insert(0, NoScipy())
+from sievevar.cli import PRESETS, main
+
+work = sys.argv[1]
+desk = PRESETS["fig2-desk"]()
+json.dump(desk, open(f"{work}/desk.json", "w"))
+json.dump(dict(desk, replications=2), open(f"{work}/desk2.json", "w"))
+codes = [
+    main(["simulate", f"{work}/desk.json", "--out", f"{work}/desk.csv"]),
+    main(["ci", f"{work}/desk.csv", "--p", "10", "--H", "12", "--methods", "LS,S-LS,BOOT,BOOT-db",
+          "--M", "20", "--seed", "3", "--out", f"{work}/ci.csv"]),
+    main(["mc", f"{work}/desk2.json", "--out", f"{work}/mc"]),
+]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0, 0, 0], "scipy": []}
+    assert (tmp_path / "ci.csv").is_file() and (tmp_path / "mc" / "mc_results.csv").is_file()
+
+
 class TestMc:
     def test_small_config_outputs(self, tmp_path, desk_spec):
         cfg = {

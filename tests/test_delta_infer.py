@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
+from scipy.special import ndtri
 
 from sievevar import (
     DimensionMismatchError,
@@ -19,6 +21,7 @@ from sievevar import (
     sample_gamma_p,
     simulate_varma,
 )
+from sievevar.delta_infer import _lower_inverse
 from conftest import (
     jacobian_sandwich,
     pure_ar_spec,
@@ -157,6 +160,14 @@ class TestSieveCov:
             with pytest.raises(SingularMatrixError):
                 irf_covariances(ma_from_ar(model.ar_hat.mats, 1), gamma, model.sigma_u_ml)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gamma_rejected(self, rng, bad):
+        model, _ = fitted_model(rng, k=1, p=2)
+        gamma = np.eye(2)
+        gamma[1, 0] = gamma[0, 1] = bad
+        with pytest.raises(NonFiniteError):
+            irf_covariances(ma_from_ar(model.ar_hat.mats, 1), gamma, model.sigma_u_ml)
+
     def test_wrong_side_gamma_rejected(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)
         phi_hat = ma_from_ar(model.ar_hat.mats, 3)
@@ -229,7 +240,29 @@ class TestPluginInvariance:
         assert_close_rel(plugin_covs(y[:, perm], p, plugin), want, 1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 7, 20, 24, 25, 60, 120])
+def test_lower_inverse_matches_lapack(rng, n):
+    root = rng.normal(size=(n, 2 * n))
+    low = np.linalg.cholesky(root @ root.T / (2 * n) + np.diag(rng.uniform(0.01, 1.0, n)))
+    got = _lower_inverse(low)
+    want = lapack.dtrtri(low, lower=1)[0]
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert not np.triu(got, 1).any()
+
+
 class TestDeltaCi:
+    def test_quantile_matches_scipy(self):
+        # half-width z sqrt(1 / 1) about a zero point: the upper bound is z.
+        # Neither quantile is correctly rounded: they differ by up to 3 ulps
+        # on this grid (at level 0.90), so the bound is relative, 1e-15
+        phi_hat = np.array([[[1.0]], [[0.0]]])
+        levels = np.concatenate([np.linspace(0.01, 0.99, 99), [0.999, 0.9999]])
+        z = np.array([delta_ci(phi_hat, np.ones((1, 1, 1)), lv, 1, "LS").uppers[1, 0, 0] for lv in levels])
+        np.testing.assert_allclose(z, ndtri((1.0 + levels) / 2.0), rtol=1e-15, atol=0.0)
+        for level in (0.5, 0.68, 0.999):
+            iv = delta_ci(phi_hat, np.ones((1, 1, 1)), level, 1, "LS")
+            assert iv.uppers[1, 0, 0] == ndtri((1.0 + level) / 2.0)
+
     def test_textbook_interval(self):
         # interval around point 0.5 with unit asymptotic variance
         phi_hat = np.array([[[1.0]], [[0.5]]])

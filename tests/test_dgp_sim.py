@@ -6,7 +6,6 @@ import os
 import numpy as np
 import pytest
 
-from sievevar import var_core
 from sievevar import (
     UnstableProcessError,
     VarmaSpec,
@@ -148,25 +147,6 @@ class TestSimulateAgainstReference:
     def test_t_shorter_than_p(self, desk_spec, burn_in):
         self._check(_counterexample_spec(desk_spec), 3, burn_in, 31)
         self._check(_grid_spec(3, 3, 0), 2, burn_in, 32)
-
-    @pytest.mark.parametrize("k, p, q", [(2, 14, 1), (3, 0, 2), (1, 3, 0)])
-    def test_path_solved_in_segments(self, monkeypatch, desk_spec, k, p, q):
-        spec = _counterexample_spec(desk_spec) if p == 14 else _grid_spec(k, p, q)
-        # a band of 40 steps, so the 300 + p steps take several segments
-        monkeypatch.setattr(var_core, "_BAND_FLOATS", 40 * (p + 1) * k * k)
-        solve, solves = var_core.lapack.dtbtrs, []
-
-        def counted(*args, **kwargs):
-            solves.append(len(args[1]))
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(var_core.lapack, "dtbtrs", counted)
-        self._check(spec, 300, 0, 11)
-        # each segment within the band, 40 steps of K rows
-        assert len(solves) >= 3 and max(solves) <= 40 * k
-        # a path's bits do not depend on the paths solved beside it
-        stack = simulate_varma_stack(spec, 300, 0, [12, 11, 13])
-        assert np.array_equal(stack[1], simulate_varma(spec, 300, 0, 11).values)
 
 
 class TestSimulateStack:

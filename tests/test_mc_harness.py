@@ -20,6 +20,7 @@ from sievevar import (
     coverage_flags,
     fit_var_ls,
     interval_sets_for_sample,
+    irf_covariances,
     ma_from_ar,
     run_experiment,
     simulate_varma,
@@ -518,7 +519,7 @@ def _threads():
 
 
 def _replicate_and_count_threads():
-    """This process's threads before and after one replication of each p = 10 and p = 30 design."""
+    """This process's threads before and after p = 10 and p = 30 replications, a ci-k4 bootstrap and a Kp = 120 covariance."""
     before = _threads()
     for preset, overrides in (
         ("fig2-desk", {}),
@@ -533,6 +534,15 @@ def _replicate_and_count_threads():
     # a K = 4, p = 8 fit: a 36-column Gram
     spec = pure_ar_spec(random_stable_coeffs(np.random.default_rng(8), 4, 1, 0.8))
     fit_var_ls(simulate_varma(spec, 1000, 100, 8), 8)
+    # the bootstrap of a `sievevar ci` call at K = 4, T = 600, p = 6
+    y = simulate_varma(spec, 600, 100, 9).values
+    model, resid = fit_var_ls(y, 6)
+    bootstrap_interval_sets(model, resid, y, 24, 64, 0.95, ("BOOT", "BOOT-db"), 9)
+    # the triangular inverse at K = 4, p = 30; a K = 4, p = 30 fit itself
+    # still threads in its solve, so the Gamma is given, without a product
+    lags = np.arange(120)
+    gamma = 0.5 ** np.abs(np.subtract.outer(lags, lags))
+    irf_covariances(ma_from_ar(np.zeros((30, 4, 4)), 24), gamma, np.eye(4))
     return before, _threads()
 
 

@@ -19,12 +19,13 @@ from sievevar import (
     var_recursion,
 )
 from sievevar import var_core
-from sievevar.var_core import _stationary
+from sievevar.var_core import _BLOCK_STEPS, _solve_recursion, _stationary
 from conftest import (
     assert_close_to_scale,
     ma_via_companion,
     random_stable_coeffs,
     random_stable_model,
+    reference_banded_recursion,
     reference_ma_from_ar,
 )
 
@@ -167,7 +168,7 @@ class TestVarRecursion:
 
     def test_columns_of_matrix_paths_match_vector_paths(self, rng):
         # m = K columns of one K x K path against each column stepped as m = 1;
-        # every column is its own right-hand side of the banded solve
+        # every column is its own path of the recursion
         k, p, t = 3, 5, 40
         ar = random_stable_coeffs(rng, k, p, 0.9)
         shocks = rng.normal(size=(2, t, k, k))
@@ -188,12 +189,7 @@ class TestVarRecursion:
         for j in range(n):
             np.testing.assert_array_equal(paths[j], var_recursion(ar, shocks[j]))
 
-    def test_empty_stack_makes_no_solve(self, rng, monkeypatch):
-        # dtbtrs corrupts the heap when it is given no right-hand side
-        def refused(*args, **kwargs):
-            raise AssertionError("dtbtrs called")
-
-        monkeypatch.setattr(var_core.lapack, "dtbtrs", refused)
+    def test_empty_stack_keeps_its_shape(self, rng):
         ar = random_stable_coeffs(rng, 2, 3, 0.9)
         for shape in ((0, 40, 2, 1), (3, 0, 40, 2, 2)):
             assert var_recursion(ar, np.zeros(shape)).shape == shape
@@ -220,6 +216,41 @@ class TestVarRecursion:
         ):
             with pytest.raises(DimensionMismatchError):
                 var_recursion(np.zeros(ar_shape), np.zeros(shocks_shape))
+
+
+def _solved(ar: np.ndarray, shocks: np.ndarray) -> np.ndarray:
+    paths = shocks.copy()
+    _solve_recursion(ar, paths)
+    return paths
+
+
+class TestSolveRecursion:
+    """The blocked kernel against the banded LAPACK solve, and each path's bits on its own."""
+
+    SHAPES = [(2, 10), (4, 6), (2, 14), (3, 7), (1, 1)]
+
+    @pytest.mark.parametrize("k, p", SHAPES)
+    @pytest.mark.parametrize("radius", [0.95, 1.1])
+    def test_matches_banded_solve(self, rng, k, p, radius):
+        b = _BLOCK_STEPS
+        ar = random_stable_coeffs(rng, k, p, radius)
+        for t in (p, p + 1, p + b - 1, p + b, p + b + 1, 3 * b + p + 7):
+            shocks = rng.normal(size=(5, t, k))
+            want = reference_banded_recursion(ar, shocks)
+            # an explosive path grows, so the error is relative to each step's scale
+            scale = np.abs(want).max(axis=(0, 2), keepdims=True)
+            assert np.all(np.abs(_solved(ar, shocks) - want) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("k, p", SHAPES + [(4, 30)])
+    def test_path_keeps_its_bits_alone_and_in_any_stack(self, rng, k, p):
+        # at (4, 30) the paths are multiplied in groups of 44, so 65 paths
+        # make a full group and an odd one
+        ar = random_stable_coeffs(rng, k, p, 0.9)
+        shocks = rng.normal(size=(66, 3 * _BLOCK_STEPS + p + 7, k))
+        stack = _solved(ar, shocks)
+        for n in (1, 2, 63, 64, 65):
+            for lo in (0, 1):
+                np.testing.assert_array_equal(_solved(ar, shocks[lo : lo + n]), stack[lo : lo + n])
 
 
 class TestMaViaCompanion:
