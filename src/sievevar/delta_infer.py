@@ -31,11 +31,13 @@ from .estimate import VarModel
 from .var_core import companion_form, ma_from_ar
 
 
-def _irf_array(values: np.ndarray, name: str) -> np.ndarray:
-    """A float copy of ``values``, which must be a finite (H+1, K, K) array."""
+def _irf_array(values: np.ndarray, name: str, stack: bool = False) -> np.ndarray:
+    """A float copy of ``values``: a finite (H+1, K, K) array, or (..., H+1, K, K) if ``stack``."""
     arr = np.array(values, dtype=float)
-    if arr.ndim != 3 or not len(arr) or arr.shape[1] != arr.shape[2]:
-        raise DimensionMismatchError(f"{name} must have shape (H+1, K, K), got {arr.shape}")
+    square = arr.ndim >= 3 and arr.shape[-2] == arr.shape[-1]
+    if not square or (arr.ndim > 3 and not stack) or not arr.shape[-3]:
+        shape = "(..., H+1, K, K)" if stack else "(H+1, K, K)"
+        raise DimensionMismatchError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains non-finite values")
     return arr
@@ -100,15 +102,22 @@ def irf_jacobian(model: VarModel, i: int) -> np.ndarray:
 
 
 def _diagonal_blocks(a: np.ndarray, size: int) -> np.ndarray:
-    """Writable (m / size, size, size) view of the diagonal blocks of a C-contiguous m x m array."""
-    rows, cols = a.strides
-    return np.ndarray((len(a) // size, size, size), a.dtype, a, 0, (size * (rows + cols), rows, cols))
+    """Writable (..., m / size, size, size) view of the diagonal blocks of C-contiguous matrices."""
+    *lead, rows, cols = a.strides
+    shape = a.shape[:-2] + (a.shape[-1] // size, size, size)
+    return np.ndarray(shape, a.dtype, a, 0, (*lead, size * (rows + cols), rows, cols))
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable (..., m) view of the diagonals of a C-contiguous (..., m, m) array."""
+    m = a.shape[-1]
+    return a.reshape(a.shape[:-2] + (m * m,))[..., :: m + 1]
 
 
 def _lower_inverse(low: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower-triangular matrix, lower-triangular with exact zeros above.
+    """Inverses of the nonsingular lower-triangular (..., n, n) matrices, with exact zeros above.
 
-    The factor is padded with the identity to an order m that is a power
+    Each factor is padded with the identity to an order m that is a power
     of two. Its inverse starts as the reciprocal diagonal, and each pass
     doubles the inverted diagonal blocks: a block [[A, 0], [C, D]] with A
     and D inverted gets -D^{-1} C A^{-1} below them, for all blocks of a
@@ -118,17 +127,20 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
     ``np.linalg.inv`` or ``solve`` on the whole factor start OpenBLAS's
     thread server at Kp = 120.
     """
-    n = len(low)
+    n = low.shape[-1]
     m = 1 << (n - 1).bit_length()
-    padded = np.eye(m)
-    padded[:n, :n] = low
-    out = np.diag(1.0 / np.diagonal(padded))
+    padded = np.zeros(low.shape[:-2] + (m, m))
+    _diagonal(padded)[...] = 1.0
+    padded[..., :n, :n] = low
+    out = np.zeros_like(padded)
+    _diagonal(out)[...] = 1.0 / _diagonal(padded)
     half = 1
     while half < m:
         inv, tri = _diagonal_blocks(out, 2 * half), _diagonal_blocks(padded, 2 * half)
-        inv[:, half:, :half] = -(inv[:, half:, half:] @ tri[:, half:, :half]) @ inv[:, :half, :half]
+        below = -(inv[..., half:, half:] @ tri[..., half:, :half])
+        inv[..., half:, :half] = below @ inv[..., :half, :half]
         half *= 2
-    return out[:n, :n]
+    return out[..., :n, :n]
 
 
 def irf_covariances(
@@ -141,20 +153,28 @@ def irf_covariances(
     is the Kp x Kp second-moment plug-in, which must be finite and
     positive-definite; ``sigma_u`` is the K x K innovation covariance
     plug-in, which may be singular.
+
+    The three arrays may carry the same leading stack dimensions, one
+    member per sample, and then so does the result: (..., H, K^2, K^2).
+    Every product runs on each member alone, so a member's covariances are
+    bit for bit those of its own call. A stack with any member that fails
+    a check raises as that member would.
     """
-    phis = _irf_array(phi_hat, "phi_hat")
-    horizon, k = len(phis) - 1, phis.shape[1]
+    phis = _irf_array(phi_hat, "phi_hat", stack=True)
+    lead, horizon, k = phis.shape[:-3], phis.shape[-3] - 1, phis.shape[-1]
     gamma = np.asarray(gamma, dtype=float)
-    kp = gamma.shape[0] if gamma.ndim == 2 else 0
-    if kp == 0 or kp % k or gamma.shape != (kp, kp):
+    kp = gamma.shape[-1] if gamma.ndim >= 2 else 0
+    if kp == 0 or kp % k or gamma.shape != lead + (kp, kp):
         raise DimensionMismatchError(
-            f"gamma must be Kp x Kp for K={k} and some p >= 1, got {gamma.shape}"
+            f"gamma must be Kp x Kp for K={k} and some p >= 1, stacked as phi_hat's "
+            f"leading shape {lead}, got shape {gamma.shape}"
         )
     p = kp // k
     sigma_u = np.asarray(sigma_u, dtype=float)
-    if sigma_u.shape != (k, k):
+    if sigma_u.shape != lead + (k, k):
         raise DimensionMismatchError(
-            f"sigma_u must be K x K for K={k}, got {sigma_u.shape}"
+            f"sigma_u must be K x K for K={k}, stacked as phi_hat's leading shape {lead}, "
+            f"got shape {sigma_u.shape}"
         )
     if not np.all(np.isfinite(gamma)):
         raise NonFiniteError("Gamma plug-in contains non-finite values")
@@ -163,27 +183,86 @@ def irf_covariances(
     except np.linalg.LinAlgError:
         raise SingularMatrixError(
             "Gamma plug-in is not positive-definite",
-            condition_number=float(np.linalg.cond(gamma)),
+            condition_number=float(np.max(np.linalg.cond(gamma))),
         ) from None
     # a blocked triangular inverse and per-horizon products keep every BLAS
     # call below OpenBLAS's threading sizes; a threaded solve leaves its
     # worker threads spinning through the Python work that follows
-    linv = _lower_inverse(chol)
-    padded = np.concatenate([phis[:horizon], np.zeros((1, k, k))])  # index -1 is zero
-    # toe[i, a] = Phi_{i-a}, zero for a > i: one gather for both uses below
-    toe = padded[np.maximum(np.arange(horizon)[:, None] - np.arange(max(p, horizon)), -1)]
+    linv = _lower_inverse(chol)[..., np.newaxis, :, :]
+    # index -1 is zero
+    padded = np.concatenate([phis[..., :horizon, :, :], np.zeros(lead + (1, k, k))], axis=-3)
+    # toe[..., i, a] = Phi_{i-a}, zero for a > i: one gather for both uses below
+    lags = np.maximum(np.arange(horizon)[:, None] - np.arange(max(p, horizon)), -1)
+    toe = padded[..., lags, :, :]
     # A_c^a J' stacks Phi_a, Phi_{a-1}, ..., Phi_{a-p+1}
-    cols = toe[:, :p].reshape(horizon, kp, k)
+    cols = toe[..., :p, :, :].reshape(lead + (horizon, kp, k))
     # with Gamma = L L', x[a]' = J (A_c')^a L^{-T}
-    x = (linv @ cols).reshape(horizon, kp * k)
-    # phi_toe[i, (r, s), a] = Phi_{i-a}[r, s]
-    phi_toe = toe[:, :horizon].transpose(0, 2, 3, 1)
+    x = (linv @ cols).reshape(lead + (1, horizon, kp * k))
+    # phi_toe[..., i, (r, s), a] = Phi_{i-a}[r, s]
+    n = len(lead)
+    phi_toe = toe[..., :horizon, :, :].transpose(*range(n), n, n + 2, n + 3, n + 1)
+    phi_toe = phi_toe.reshape(lead + (horizon, k * k, horizon))
+    # two (..., H, K^2, K^2 p) arrays at a time set the peak memory of a
+    # stack, so the rest is freed before them and each product once read
+    del chol, linv, toe, cols
     # W_{i+1} = sum_{a<=i} x[a]' kron Phi_{i-a}, rows (c, r) and columns (q, s)
-    prod = (phi_toe.reshape(horizon, k * k, horizon) @ x).reshape(horizon, k, k, kp, k)
-    w = prod.transpose(0, 4, 1, 3, 2).reshape(horizon, k * k, kp, k)
-    w_sigma = (w @ sigma_u).reshape(horizon, k * k, kp * k)
-    cov = w_sigma @ w.reshape(horizon, k * k, kp * k).transpose(0, 2, 1)
-    return (cov + cov.transpose(0, 2, 1)) / 2.0
+    w = (
+        (phi_toe @ x)
+        .reshape(lead + (horizon, k, k, kp, k))
+        .transpose(*range(n), n, n + 4, n + 1, n + 3, n + 2)
+        .reshape(lead + (horizon, k * k, kp, k))
+    )
+    del x, phi_toe
+    w_sigma = w @ sigma_u[..., np.newaxis, np.newaxis, :, :]
+    cov = w_sigma.reshape(lead + (horizon, k * k, kp * k)) @ w.reshape(
+        lead + (horizon, k * k, kp * k)
+    ).swapaxes(-1, -2)
+    return (cov + cov.swapaxes(-1, -2)) / 2.0
+
+
+def delta_bounds(
+    phi_hat: np.ndarray, covs: np.ndarray, level: float, t: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds point -+ z sqrt(cov_diag / T) and clamped counts of each member of a stack.
+
+    ``phi_hat`` is a (..., H+1, K, K) stack of Phi_0..Phi_H and ``covs``
+    the (..., H, K^2, K^2) stack from ``irf_covariances`` for horizons
+    1..H. Returns the two (..., H+1, K, K) bound arrays and the (...)
+    counts of negative variance entries (roundoff from near-singular
+    moment matrices), which are clamped to zero. Horizon 0 bounds are
+    degenerate at Phi_0, which must be exactly the identity. Every step is
+    elementwise or a reduction within a member, so a member's bounds are
+    those of its own call. A stack with any member that fails a check
+    raises as that member would.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
+    points = _irf_array(phi_hat, "phi_hat", stack=True)
+    lead, h, k = points.shape[:-3], points.shape[-3] - 1, points.shape[-1]
+    if not np.all(points[..., 0, :, :] == np.eye(k)):
+        raise DimensionMismatchError("horizon-0 IRF must be the identity")
+    covs = np.asarray(covs, dtype=float)
+    if covs.shape != lead + (h, k * k, k * k):
+        raise DimensionMismatchError(
+            f"covariances must have shape {lead + (h, k * k, k * k)}, got {covs.shape}"
+        )
+    if not np.all(np.isfinite(covs)):
+        raise NonFiniteError("IRF covariance has non-finite entries")
+    scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))[..., np.newaxis]
+    if np.any(np.abs(covs - covs.swapaxes(-1, -2)).max(axis=-1) > 1e-10 * scale):
+        raise DimensionMismatchError("IRF covariance is not symmetric")
+    var = np.diagonal(covs, axis1=-2, axis2=-1)
+    if np.any(var < -1e-12 * scale):
+        raise DimensionMismatchError("IRF covariance has negative diagonal")
+    clamped = np.count_nonzero(var < 0.0, axis=(-2, -1))
+    # vec stacks columns, so diagonal index r + K c holds entry (r, c)
+    var = np.maximum(var, 0.0).reshape(lead + (h, k, k)).swapaxes(-1, -2)
+    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
+    half = np.concatenate([np.zeros(lead + (1, k, k)), z * np.sqrt(var / t)], axis=-3)
+    lowers, uppers = points - half, points + half
+    if not (np.all(np.isfinite(lowers)) and np.all(np.isfinite(uppers))):
+        raise NonFiniteError("interval bounds contain non-finite values")
+    return lowers, uppers, clamped
 
 
 def delta_ci(
@@ -196,42 +275,12 @@ def delta_ci(
     """Gaussian intervals point +- z sqrt(cov_diag / T) for each response.
 
     ``phi_hat`` is the (H+1, K, K) array of Phi_0..Phi_H and ``covs`` the
-    (H, K^2, K^2) stack from ``irf_covariances`` for horizons 1..H.
-    Horizon 0 intervals are degenerate at Phi_0, which must be exactly the
-    identity. Negative variance entries (roundoff from near-singular moment
-    matrices) are clamped to zero and counted in ``clamped``.
+    (H, K^2, K^2) stack from ``irf_covariances``: ``delta_bounds`` of one
+    sample.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
     points = _irf_array(phi_hat, "phi_hat")
-    h, k = len(points) - 1, points.shape[1]
-    if not np.array_equal(points[0], np.eye(k)):
-        raise DimensionMismatchError("horizon-0 IRF must be the identity")
-    covs = np.asarray(covs, dtype=float)
-    if covs.shape != (h, k * k, k * k):
-        raise DimensionMismatchError(
-            f"covariances must have shape {(h, k * k, k * k)}, got {covs.shape}"
-        )
-    if not np.all(np.isfinite(covs)):
-        raise NonFiniteError("IRF covariance has non-finite entries")
-    scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))[:, None]
-    if np.any(np.abs(covs - covs.transpose(0, 2, 1)).max(axis=2) > 1e-10 * scale):
-        raise DimensionMismatchError("IRF covariance is not symmetric")
-    var = np.diagonal(covs, axis1=1, axis2=2)
-    if np.any(var < -1e-12 * scale):
-        raise DimensionMismatchError("IRF covariance has negative diagonal")
-    clamped = int(np.count_nonzero(var < 0.0))
-    # vec stacks columns, so diagonal index r + K c holds entry (r, c)
-    var = np.maximum(var, 0.0).reshape(h, k, k).transpose(0, 2, 1)
-    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
-    half = np.concatenate([np.zeros((1, k, k)), z * np.sqrt(var / t)])
-    return IntervalSet(
-        method=method,
-        points=points,
-        lowers=points - half,
-        uppers=points + half,
-        clamped=clamped,
-    )
+    lowers, uppers, clamped = delta_bounds(points, covs, level, t)
+    return IntervalSet(method, points, lowers, uppers, clamped=int(clamped))
 
 
 def horizon_gate(p: int, horizon: int) -> list[tuple[int, bool]]:

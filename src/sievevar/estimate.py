@@ -8,11 +8,18 @@ intervals the latter; keeping both explicit is what lets the two interval
 families be compared cleanly. Both come from one lag-window Gram
 (``_lag_grams``): of the sample's lag windows for the fit, and of the
 mean-subtracted sample padded with p - 1 zero rows at each end for Gamma_p.
+
+Every kernel here takes a stack of samples: ``fit_var_fits`` fits an
+(n, T, K) stack with its residuals and plug-ins, ``sample_gamma_p_stack``
+builds its Gamma_p, and the one-sample functions ``fit_var_ls`` and
+``sample_gamma_p`` are their n = 1 case. Each member of a stack keeps the
+bits it has alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,8 +41,22 @@ _PIVOT_COLLAPSE = 1e-13
 _GRAM_PANEL = 31
 
 
+class _PlugIns:
+    """Regressor count and ML innovation covariance of a fit or of a stack of fits."""
+
+    @property
+    def n_reg(self) -> int:
+        """Regressors per equation: K p plus one for the intercept."""
+        return self.k * self.p + (1 if self.intercept is not None else 0)
+
+    @property
+    def sigma_u_ml(self) -> np.ndarray:
+        """Innovation covariance over T_eff (ML) instead of T_eff - n_reg, the S-LS plug-in."""
+        return self.sigma_u_hat * ((self.t_effective - self.n_reg) / self.t_effective)
+
+
 @dataclass(frozen=True)
-class VarModel:
+class VarModel(_PlugIns):
     """Fitted VAR(p): coefficients, df-adjusted innovation covariance, moment matrix.
 
     K and p are read from ``ar_hat``; the other arrays must match them.
@@ -73,15 +94,64 @@ class VarModel:
         """Lag order p, from the fitted coefficients."""
         return self.ar_hat.mats.shape[0]
 
-    @property
-    def n_reg(self) -> int:
-        """Regressors per equation: K p plus one for the intercept."""
-        return self.k * self.p + (1 if self.intercept is not None else 0)
+
+@dataclass(frozen=True)
+class VarFits(_PlugIns):
+    """Least-squares VAR(p) fits of the samples of an (n, T, K) stack, from ``fit_var_fits``.
+
+    Every array has the stack dimension first, and the plug-ins carry the
+    names ``VarModel`` gives them. A member not ``fitted`` has NaN
+    coefficients and no meaningful plug-ins; ``take`` keeps the members
+    wanted. ``model(i)`` and ``residuals[i]`` are bit for bit what
+    ``fit_var_ls`` returns for member i's sample alone.
+    """
+
+    coefs: np.ndarray  # (n, p, K, K), A_1 first
+    fitted: np.ndarray  # (n,) booleans
+    moment_matrix: np.ndarray  # (n, Kp, Kp), Z'Z / T_eff
+    residuals: np.ndarray  # (n, T_eff, K), rows t = p+1..T
+    intercept: np.ndarray | None  # (n, K)
+    sigma_u_hat: np.ndarray  # (n, K, K), df-adjusted
 
     @property
-    def sigma_u_ml(self) -> np.ndarray:
-        """Innovation covariance over T_eff (ML) instead of T_eff - n_reg, the S-LS plug-in."""
-        return self.sigma_u_hat * ((self.t_effective - self.n_reg) / self.t_effective)
+    def k(self) -> int:
+        return self.coefs.shape[-1]
+
+    @property
+    def p(self) -> int:
+        return self.coefs.shape[1]
+
+    @property
+    def t_effective(self) -> int:
+        return self.residuals.shape[1]
+
+    def take(self, index) -> VarFits:
+        """The fits of the members ``index`` selects."""
+        return VarFits(**{
+            f.name: None if getattr(self, f.name) is None else getattr(self, f.name)[index]
+            for f in fields(self)
+        })
+
+    def model(self, i: int) -> VarModel:
+        """Member i as a ``VarModel``.
+
+        Raises
+        ------
+        SingularMatrixError
+            If member i was not fitted.
+        """
+        if not self.fitted[i]:
+            raise SingularMatrixError(
+                "singular regressor moment matrix",
+                condition_number=float(np.linalg.cond(self.moment_matrix[i])),
+            )
+        return VarModel(
+            ar_hat=coeff_seq(self.coefs[i], self.k),
+            sigma_u_hat=self.sigma_u_hat[i],
+            intercept=None if self.intercept is None else self.intercept[i],
+            moment_matrix=self.moment_matrix[i],
+            t_effective=self.t_effective,
+        )
 
 
 def _short_sample(t: int, k: int, p: int, intercept: bool) -> str:
@@ -121,12 +191,19 @@ def _lag_windows(samples: np.ndarray, p: int) -> np.ndarray:
     return np.ndarray((n, t - p, k * (p + 1)), buffer=flat, strides=(t * step, step, flat.itemsize))
 
 
+@functools.cache
+def _strictly_lower(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strictly lower triangle of a size x size block."""
+    return np.tril_indices(size, -1)
+
+
 def _lag_grams(samples: np.ndarray, p: int, demean: bool = False) -> np.ndarray:
     """(n, K(p+1), K(p+1)) Grams W'W of the lag windows W of each sample of an (n, T, K) stack.
 
     W holds the rows of ``_lag_windows``, column-demeaned when ``demean``.
     The one second-moment routine of the package: ``fit_var_ls_stack`` takes
-    its regression Grams from here and ``sample_gamma_p`` its Gamma_p.
+    its regression Grams from here and ``sample_gamma_p_stack`` its Gamma_p.
+    Every Gram is exactly symmetric.
     """
     n, t, k = samples.shape
     width = k * (p + 1)
@@ -146,8 +223,9 @@ def _lag_grams(samples: np.ndarray, p: int, demean: bool = False) -> np.ndarray:
         # the upper strip of each panel by gemm, about twice syrk's rate at
         # these sizes; past the first panel a strip starts a column early,
         # in the lower triangle, so that numpy does not turn the last into
-        # a syrk. gemm sums every entry over the rows in the same order, so
-        # the diagonal blocks come out exactly symmetric.
+        # a syrk. The lower triangle is then the mirror of the upper one,
+        # diagonal blocks included: some OpenBLAS kernels (Haswell's) sum
+        # entry (i, j) of a gemm in another order than entry (j, i).
         for lo, hi in panels:
             first = max(lo - 1, 0)
             left, strip = rows[:, lo:hi], out[lo:hi, first:]
@@ -156,6 +234,8 @@ def _lag_grams(samples: np.ndarray, p: int, demean: bool = False) -> np.ndarray:
             for r in range(step, t - p, step):
                 strip += left[r : r + step].T @ rows[r : r + step, first:]
         for lo, hi in panels:
+            block, below = out[lo:hi, lo:hi], _strictly_lower(hi - lo)
+            block[below] = block.T[below]
             out[hi:, lo:hi] = out[lo:hi, hi:].T
     return gram
 
@@ -176,16 +256,11 @@ def fit_var_ls(
     p: int,
     intercept: bool = False,
 ) -> tuple[VarModel, np.ndarray]:
-    """Multivariate least squares of y_t on its p lags, ``fit_var_ls_stack`` of one sample.
+    """Multivariate least squares of y_t on its p lags, ``fit_var_fits`` of one sample.
 
     Conditions on the first p observations (no presample padding) and
     returns the fitted model together with the residual matrix for
-    t = p+1..T. The coefficients and the singular decision are those of
-    ``fit_var_ls_stack``, and so is the moment matrix Z Z' / T_eff over the
-    lagged regressors; with an intercept, mean(y_t) - B' mean(Z_t), the
-    regressors are demeaned so that its inverse remains the asymptotic
-    covariance factor of the coefficient block. The residual covariance is
-    df-adjusted, divided by T_eff minus the regressors per equation.
+    t = p+1..T.
 
     Raises
     ------
@@ -193,38 +268,57 @@ def fit_var_ls(
         If T - p <= Kp + [intercept] (``_short_sample``) or
         ``fit_var_ls_stack`` flags the sample.
     """
-    values = _as_values(y)
-    t, k = values.shape
+    fits = fit_var_fits(_as_values(y)[np.newaxis], p, intercept)
+    return fits.model(0), fits.residuals[0]
+
+
+def fit_var_fits(samples: np.ndarray, p: int, intercept: bool = False) -> VarFits:
+    """Least-squares VAR(p) fits of an (n, T, K) stack, with residuals and plug-ins.
+
+    ``fit_var_ls_stack`` gives the coefficients, the flags and the moment
+    matrices Z Z' / T_eff over the lagged regressors; with an intercept,
+    mean(y_t) - B' mean(Z_t), the regressors are demeaned so that the
+    inverse moment matrix remains the asymptotic covariance factor of the
+    coefficient block. The residuals of every member come from one
+    stacked product, and the residual covariance is df-adjusted, divided
+    by T_eff minus the regressors per equation. Each product runs on every
+    member alone, as its one-sample call would, so a member's fit does not
+    depend on the samples beside it.
+
+    Raises
+    ------
+    ValueError
+        If p < 1.
+    SingularMatrixError
+        If T - p <= Kp + [intercept] (``_short_sample``).
+    """
+    samples = np.asarray(samples, dtype=float)
+    n, t, k = samples.shape
     if p < 1:
         raise ValueError("p must be >= 1")
     short = _short_sample(t, k, p, intercept)
     if short:
         raise SingularMatrixError(f"sample too small: {short}")
-    n_reg = k * p + intercept
-    coefs, fitted, grams = fit_var_ls_stack(values[np.newaxis], p, intercept)
-    moment = grams[0] / (t - p)
-    if not fitted[0]:
-        raise SingularMatrixError(
-            "singular regressor moment matrix",
-            condition_number=float(np.linalg.cond(moment)),
-        )
-    rows = np.ascontiguousarray(_lag_windows(values[np.newaxis], p)[0, ::-1])  # t = p..T-1
-    target, x = rows[:, :k], rows[:, k:]
-    coef = coefs[0].swapaxes(1, 2).reshape(k * p, k)  # rows regressors, columns equations
+    coefs, fitted, grams = fit_var_ls_stack(samples, p, intercept)
+    if not fitted.all():  # a flagged sample may not be finite; its residuals go unused
+        samples = np.where(fitted[:, np.newaxis, np.newaxis], samples, 0.0)
+    rows = np.ascontiguousarray(_lag_windows(samples, p)[:, ::-1])  # t = p..T-1
+    target, x = rows[..., :k], rows[..., k:]
+    coef = coefs.swapaxes(2, 3).reshape(n, k * p, k)  # rows regressors, columns equations
     const = None
     if intercept:
-        means = rows.mean(axis=0)
-        const = means[:k] - means[k:] @ coef
-        target = target - const
+        means = rows.mean(axis=1)
+        const = means[:, :k] - (means[:, np.newaxis, k:] @ coef)[:, 0]
+        target = target - const[:, np.newaxis]
     resid = target - x @ coef
-    model = VarModel(
-        ar_hat=coeff_seq(coefs[0], k),
-        sigma_u_hat=resid.T @ resid / (t - p - n_reg),
+    return VarFits(
+        coefs=coefs,
+        fitted=fitted,
+        moment_matrix=grams / (t - p),
+        residuals=resid,
         intercept=const,
-        moment_matrix=moment,
-        t_effective=t - p,
+        sigma_u_hat=resid.swapaxes(1, 2) @ resid / (t - p - k * p - intercept),
     )
-    return model, resid
 
 
 def fit_var_ls_stack(
@@ -232,8 +326,9 @@ def fit_var_ls_stack(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares VAR(p) fit of each sample of an (n, T, K) stack.
 
-    The one least-squares solver of the package; ``fit_var_ls`` is its
-    one-sample case. Returns the (n, p, K, K) coefficient stack, a boolean
+    The one least-squares solver of the package: ``fit_var_fits`` adds the
+    residuals and plug-ins of a stack, and the bootstrap refits read it
+    alone. Returns the (n, p, K, K) coefficient stack, a boolean
     mask of the samples fitted, and the (n, Kp, Kp) Grams Z'Z of the
     regressors Z_t = [y_{t-1}', ..., y_{t-p}']', T_eff times the moment
     matrix. A flagged sample has NaN coefficients.
@@ -276,12 +371,20 @@ def fit_var_ls_stack(
 def sample_gamma_p(y: SamplePath | np.ndarray, p: int) -> np.ndarray:
     """Block-Toeplitz Gamma_p of divisor-T sample autocovariances, the sieve plug-in.
 
+    ``sample_gamma_p_stack`` of one sample.
+    """
+    return sample_gamma_p_stack(_as_values(y)[np.newaxis], p)[0]
+
+
+def sample_gamma_p_stack(samples: np.ndarray, p: int) -> np.ndarray:
+    """(n, Kp, Kp) Gamma_p of each sample of an (n, T, K) stack, in one ``_lag_grams`` call.
+
     Block (i, j) is Gamma(j - i), with Gamma(h) = sum_t c_t c_{t-h}' / T for
     the mean-subtracted sample c_t = y_t - ybar and Gamma(-h) = Gamma(h)'.
     This is the lag-window Gram of c padded with p - 1 zero rows at each
     end, divided by T: a window [c_s', ..., c_{s-p+1}'] pairs c_{s-i} with
     c_{s-j}, and the padding lets every pair of the sample appear exactly
-    once. As a Gram, the Kp x Kp result is exactly symmetric and positive
+    once. As a Gram, each Kp x Kp result is exactly symmetric and positive
     semidefinite for every sample, which is what the biased divisor T buys.
 
     Raises
@@ -289,12 +392,12 @@ def sample_gamma_p(y: SamplePath | np.ndarray, p: int) -> np.ndarray:
     ValueError
         If p < 1 or p - 1 >= T.
     """
-    values = _as_values(y)
-    t, k = values.shape
+    samples = np.asarray(samples, dtype=float)
+    n, t, k = samples.shape
     if p < 1:
         raise ValueError("p must be >= 1")
     if p - 1 >= t:
         raise ValueError(f"p - 1 must be smaller than the sample length, got p={p}, T={t}")
-    padded = np.zeros((1, t + 2 * (p - 1), k))
-    padded[0, p - 1 : p - 1 + t] = values - values.mean(axis=0)
-    return _lag_grams(padded, p - 1)[0] / t
+    padded = np.zeros((n, t + 2 * (p - 1), k))
+    padded[:, p - 1 : p - 1 + t] = samples - samples.mean(axis=1, keepdims=True)
+    return _lag_grams(padded, p - 1) / t

@@ -8,7 +8,14 @@ retried once on (master seed, r, 1). Replications run in chunks of
 consecutive indices, bounded by the bytes of the chunk's shock stack: each
 path of a chunk is drawn from its own replication's stream and all of them
 step one recursion, so a path does not depend on the paths beside it.
-Summaries are therefore identical for any worker count and any chunking.
+
+A chunk scores its samples in stacks, each bounded by ``_STACK_FLOATS``:
+one ``fit_var_fits`` call fits a stack, and the MA expansion, each delta
+method's covariances and its bounds run once over it; only the bootstrap
+methods run one sample at a time. Every stacked kernel gives each member
+the bits of its own one-sample call, the kernels ``interval_sets_for_sample``
+runs. Summaries are therefore identical for any worker count, any chunking
+and any stack size.
 """
 
 from __future__ import annotations
@@ -21,19 +28,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bootstrap_infer import bootstrap_interval_sets
-from .delta_infer import IntervalSet, delta_ci, irf_covariances
+from .delta_infer import IntervalSet, delta_bounds, irf_covariances
 from .dgp_sim import SamplePath, VarmaSpec, default_burn_in, simulate_varma_stack, varma_true_irf
 from .errors import ConfigError, ExperimentError, SieveVarError
-from .estimate import _as_values, _short_sample, fit_var_ls, sample_gamma_p
+from .estimate import VarFits, _as_values, _short_sample, fit_var_fits, sample_gamma_p_stack
 from .streams import SeedLike, substream
 from .var_core import ma_from_ar
 
-# Each method, written down once: a delta method's builder of its (H, K^2, K^2) covariance
-# stack from (fit, (T, K) sample, Phi-hat), or None for a bootstrap method, which
-# bootstrap_interval_sets builds from the sample's seed.
+# Each method, written down once: a delta method maps (the VarFits of n samples, the
+# (n, T, K) samples, their Phi-hat stack) to its (n, H, K^2, K^2) covariance stack; a
+# bootstrap method maps to None, and bootstrap_interval_sets draws it from a sample's seed.
 METHODS: dict[str, Callable | None] = {
-    "LS": lambda fit, y, phi: irf_covariances(phi, fit.moment_matrix, fit.sigma_u_hat),
-    "S-LS": lambda fit, y, phi: irf_covariances(phi, sample_gamma_p(y, fit.p), fit.sigma_u_ml),
+    "LS": lambda fits, ys, phi: irf_covariances(phi, fits.moment_matrix, fits.sigma_u_hat),
+    "S-LS": lambda fits, ys, phi: irf_covariances(
+        phi, sample_gamma_p_stack(ys, fits.p), fits.sigma_u_ml
+    ),
     "BOOT": None,
     "BOOT-db": None,
 }
@@ -44,6 +53,10 @@ FAILURE_BUDGET = 0.01
 # Shock values in one chunk's (n, p + burn_in + T, K) stack, 2 MB: bounds how
 # many replications are simulated in one recursion.
 _CHUNK_FLOATS = 256 * 1024
+
+# Floats of the largest arrays of one stack's scoring, 1 MB (``_stack_size``):
+# bounds how many samples of a pass are fitted and scored together.
+_STACK_FLOATS = 128 * 1024
 
 
 def check_design(
@@ -137,22 +150,60 @@ def interval_sets_for_sample(
 
     ``y`` is a (T, K) array or ``SamplePath``; a 1-D array is one variable.
     The sample is fitted once, here, and each method reads that fit as its
-    ``METHODS`` entry says. The bootstrap methods draw on child streams of
-    ``seed`` that do not depend on which of them are requested, so adding
-    or removing methods never changes another method's output.
+    ``METHODS`` entry says: ``_interval_stacks`` of a one-sample stack. The
+    bootstrap methods draw on child streams of ``seed`` that do not depend
+    on which of them are requested, so adding or removing methods never
+    changes another method's output.
     """
     check_design(p, horizon, level, methods, bootstrap_replications)
-    y = _as_values(y)
-    model, resid = fit_var_ls(y, p, intercept=intercept)
+    y = _as_values(y)[np.newaxis]
+    fits = fit_var_fits(y, p, intercept)
+    fits.model(0)  # raises SingularMatrixError on a singular sample, as fit_var_ls does
+    arrays = _interval_stacks(fits, y, horizon, level, methods, bootstrap_replications, [seed])
+    return {
+        method: IntervalSet(method, points[0], lowers[0], uppers[0], clamped=int(clamped[0]))
+        for method, (points, lowers, uppers, clamped) in arrays.items()
+    }
+
+
+def _interval_stacks(
+    fits: VarFits,
+    samples: np.ndarray,
+    horizon: int,
+    level: float,
+    methods: Sequence[str],
+    bootstrap_replications: int,
+    seeds: Sequence[SeedLike],
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Points, lower and upper bounds, (n, H+1, K, K) each, and clamped counts, (n,), per method.
+
+    ``fits`` are the fits of the (n, T, K) ``samples``, every member
+    fitted, and ``seeds`` their seeds. The fitted coefficients are expanded
+    and each delta method's covariances and bounds built once for the whole
+    stack; each bootstrap method runs sample by sample.
+    """
     boot = [m for m in methods if METHODS[m] is None]
     out = {}
     if boot:
-        out = bootstrap_interval_sets(
-            model, resid, y, horizon, bootstrap_replications, level, boot, seed
-        )
-    phi_hat = ma_from_ar(model.ar_hat.mats, horizon)
+        sets = [
+            bootstrap_interval_sets(
+                fits.model(i), fits.residuals[i], y, horizon, bootstrap_replications, level, boot,
+                seed,
+            )
+            for i, (y, seed) in enumerate(zip(samples, seeds))
+        ]
+        for method in boot:
+            ivs = [s[method] for s in sets]
+            out[method] = (
+                np.stack([iv.points for iv in ivs]),
+                np.stack([iv.lowers for iv in ivs]),
+                np.stack([iv.uppers for iv in ivs]),
+                np.zeros(len(ivs), dtype=int),
+            )
+    phi_hat = ma_from_ar(fits.coefs, horizon)
     for method in (m for m in methods if m not in boot):
-        out[method] = delta_ci(phi_hat, METHODS[method](model, y, phi_hat), level, len(y), method)
+        covs = METHODS[method](fits, samples, phi_hat)
+        out[method] = (phi_hat, *delta_bounds(phi_hat, covs, level, samples.shape[1]))
     return {method: out[method] for method in methods}
 
 
@@ -162,18 +213,34 @@ def _chunk_size(cfg: ExperimentConfig) -> int:
     return max(1, min(_CHUNK_FLOATS // per_path, -(-cfg.replications // cfg.workers)))
 
 
+def _stack_size(cfg: ExperimentConfig) -> int:
+    """Samples scored in one stack: at most ``_STACK_FLOATS`` floats of its largest arrays.
+
+    Per sample those are the (T - p, K (p + 1)) lag windows of the residual
+    step or, later, the two (H, K^2, K^2 p) products alive at once in a
+    covariance; a counterex-desk-p30 stack holds 4 samples.
+    """
+    k, p = cfg.dgp.k, cfg.p
+    per_sample = max((cfg.t - p) * k * (p + 1), 2 * cfg.horizon * k**4 * p)
+    return max(1, _STACK_FLOATS // per_sample)
+
+
 def _run_chunk(
     cfg: ExperimentConfig, truth: np.ndarray, reps: range
 ) -> list[tuple[np.ndarray, np.ndarray] | None]:
     """Hit and length arrays of each replication in ``reps``, None where both attempts failed.
 
     Pass 0 scores every replication r under its run seed (master seed, r);
-    pass 1 scores again, under (master seed, r, 1), those whose pass 0 raised
-    ``SieveVarError``. Each pass simulates its samples from child 0 of its
-    run seeds in one ``simulate_varma_stack`` call.
+    pass 1 scores again, under (master seed, r, 1), those whose pass 0
+    failed. Each pass simulates its samples from child 0 of its run seeds
+    in one ``simulate_varma_stack`` call and scores them in stacks of
+    ``_stack_size``. A stack whose stacked step raises ``SieveVarError`` is
+    scored again one sample at a time, and a sample fails when its fit is
+    flagged or its own scoring raises.
     """
     out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(reps)
     pending = list(reps)
+    size = _stack_size(cfg)
     for retry in ((), (1,)):
         if not pending:
             break
@@ -181,36 +248,57 @@ def _run_chunk(
         samples = simulate_varma_stack(
             cfg.dgp, cfg.t, cfg.effective_burn_in, [substream(s, 0) for s in run_seeds]
         )
-        failed = []
-        for r, y, run_seed in zip(pending, samples, run_seeds):
+        scored = []
+        for lo in range(0, len(pending), size):
+            stack = slice(lo, lo + size)
             try:
-                out[r - reps.start] = _run_replication(cfg, truth, y, run_seed)
+                scored += _run_replication(cfg, truth, samples[stack], run_seeds[stack])
             except SieveVarError:
-                failed.append(r)
-        pending = failed
+                for i in range(lo, min(lo + size, len(pending))):
+                    try:
+                        one = slice(i, i + 1)
+                        scored += _run_replication(cfg, truth, samples[one], run_seeds[one])
+                    except SieveVarError:
+                        scored.append(None)
+        for r, record in zip(pending, scored):
+            out[r - reps.start] = record
+        pending = [r for r, record in zip(pending, scored) if record is None]
     return out
 
 
 def _run_replication(
-    cfg: ExperimentConfig, truth: np.ndarray, y: np.ndarray, run_seed: SeedLike
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hit and length arrays, (n_methods, H+1, K, K), of the (T, K) sample ``y``.
+    cfg: ExperimentConfig, truth: np.ndarray, samples: np.ndarray, run_seeds: Sequence[SeedLike]
+) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """Hit and length arrays, (n_methods, H+1, K, K), of each sample of an (n, T, K) stack.
 
-    Raises ``SieveVarError`` when the sample cannot be scored, as on a
-    singular fit or a non-finite sample.
+    A sample whose fit is flagged gets None. Raises ``SieveVarError`` when
+    a stacked step fails for any sample, as on a non-finite expansion or a
+    singular Gamma_p. The name is the replication boundary that
+    bench/layers.py times; one call scores a stack of replications.
     """
-    sets = interval_sets_for_sample(
-        y,
-        cfg.p,
+    fits = fit_var_fits(samples, cfg.p, cfg.intercept)
+    out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(samples)
+    ok = np.flatnonzero(fits.fitted)
+    if not len(ok):
+        return out
+    if len(ok) < len(samples):
+        fits, samples, run_seeds = fits.take(ok), samples[ok], [run_seeds[i] for i in ok]
+    arrays = _interval_stacks(
+        fits,
+        samples,
         cfg.horizon,
         cfg.level,
         cfg.methods,
         cfg.bootstrap_replications,
-        run_seed,
-        cfg.intercept,
+        run_seeds,
     )
-    hits = np.stack([sets[method].contains(truth) for method in cfg.methods])
-    return hits, np.stack([sets[method].lengths() for method in cfg.methods])
+    lowers = np.stack([arrays[m][1] for m in cfg.methods], axis=1)
+    uppers = np.stack([arrays[m][2] for m in cfg.methods], axis=1)
+    hits = (lowers <= truth) & (truth <= uppers)
+    lengths = uppers - lowers
+    for j, i in enumerate(ok):
+        out[i] = (hits[j], lengths[j])
+    return out
 
 
 def aggregate(

@@ -218,6 +218,15 @@ def random_varma_spec(rng: np.random.Generator, k: int, p: int, q: int) -> Varma
     return spec
 
 
+def blas_is_openblas() -> bool:
+    """Whether numpy's BLAS is OpenBLAS, whose threading sizes and kernels some tests pin."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
 def assert_close_to_scale(got: np.ndarray, want: np.ndarray, rel: float) -> None:
     """Equal shapes, and entries within ``rel`` of the largest |entry| of ``want``."""
     assert got.shape == want.shape

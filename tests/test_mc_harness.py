@@ -14,6 +14,7 @@ from sievevar import (
     ConfigError,
     ExperimentConfig,
     ExperimentError,
+    SamplePath,
     SingularMatrixError,
     aggregate,
     bootstrap_interval_sets,
@@ -29,7 +30,7 @@ from sievevar import (
 from sievevar import bootstrap_infer, cli, mc_harness
 from sievevar.mc_harness import METHODS, McSummary
 from sievevar.streams import substream
-from conftest import pure_ar_spec, random_stable_coeffs, white_noise_spec
+from conftest import blas_is_openblas, pure_ar_spec, random_stable_coeffs, white_noise_spec
 
 
 def tiny_config(desk_spec, **overrides):
@@ -203,16 +204,19 @@ class TestFailedReplications:
 
     @staticmethod
     def _failing(monkeypatch, seed, paths):
+        # the stacked step of a pass raises whenever its stack holds a bad seed
         bad = {substream(seed, *path).spawn_key for path in paths}
         calls = []
+        stacked = mc_harness._interval_stacks
 
-        def flaky(y, p, horizon, level, methods, m, rep_seed, intercept=False):
-            calls.append(rep_seed.spawn_key)
-            if rep_seed.spawn_key in bad:
+        def flaky(fits, samples, horizon, level, methods, m, rep_seeds):
+            keys = [rep_seed.spawn_key for rep_seed in rep_seeds]
+            calls.append(keys)
+            if bad.intersection(keys):
                 raise SingularMatrixError("forced failure")
-            return interval_sets_for_sample(y, p, horizon, level, methods, m, rep_seed, intercept)
+            return stacked(fits, samples, horizon, level, methods, m, rep_seeds)
 
-        monkeypatch.setattr(mc_harness, "interval_sets_for_sample", flaky)
+        monkeypatch.setattr(mc_harness, "_interval_stacks", flaky)
         return calls
 
     def test_failed_member_rescored_on_retry_stream(self, desk_spec, monkeypatch):
@@ -223,8 +227,11 @@ class TestFailedReplications:
         calls = self._failing(monkeypatch, cfg.seed, [(3,)])
         got = mc_harness._run_chunk(cfg, truth, chunk)
 
+        # the pass's stack raises, its members are scored again one at a
+        # time, and the one that still raises is retried alone
         seed = substream(cfg.seed, 3, 1)
-        assert calls == [substream(cfg.seed, r).spawn_key for r in chunk] + [seed.spawn_key]
+        keys = [substream(cfg.seed, r).spawn_key for r in chunk]
+        assert calls == [keys] + [[key] for key in keys] + [[seed.spawn_key]]
         y = simulate_varma(cfg.dgp, cfg.t, cfg.effective_burn_in, substream(seed, 0))
         sets = interval_sets_for_sample(y, cfg.p, cfg.horizon, cfg.level, cfg.methods, 20, seed)
         for j, method in enumerate(cfg.methods):
@@ -242,7 +249,7 @@ class TestFailedReplications:
         sizes = record_stack_sizes(monkeypatch)
         want = mc_csvs(tmp_path, desk_spec, "default", 1)
         assert sizes == [17, 2]
-        assert calls[-2:] == [substream(MC_SEED, r, 1).spawn_key for r in (3, 5)]
+        assert calls[-1] == [substream(MC_SEED, r, 1).spawn_key for r in (3, 5)]
         assert want[0].splitlines()[1].endswith(b",17,0")
         for size, chunks in ((1, [1] * 19), (3, [3, 3, 2, 3, 3, 3, 2]), (8, [8, 2, 8, 1])):
             monkeypatch.setattr(mc_harness, "_CHUNK_FLOATS", chunk_floats(size))
@@ -265,6 +272,126 @@ class TestFailedReplications:
         self._failing(monkeypatch, cfg.seed, [(41,), (41, 1), (7,), (7, 1)])
         with pytest.raises(ExperimentError, match="2 of 100 replications failed"):
             run_experiment(cfg)
+
+
+def records_equal(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def one_sample_record(cfg, truth, y, seed):
+    """Hits and lengths of sample ``y`` from ``interval_sets_for_sample``, the `ci` path."""
+    sets = interval_sets_for_sample(
+        y, cfg.p, cfg.horizon, cfg.level, cfg.methods, cfg.bootstrap_replications, seed, cfg.intercept
+    )
+    return (
+        np.stack([sets[m].contains(truth) for m in cfg.methods]),
+        np.stack([sets[m].lengths() for m in cfg.methods]),
+    )
+
+
+class TestStackFailures:
+    """Real failures inside a stack: a member's fit is singular, or its S-LS Gamma_p is."""
+
+    # p = 2: the constant variable's two lags are one regressor, so the fit is
+    # flagged; p = 1: the fit stands, but the demeaned constant variable
+    # leaves Gamma_p singular, and the stacked S-LS covariance raises
+    CASES = {
+        2: ("LS", "S-LS", "BOOT"),
+        1: ("LS", "S-LS"),
+    }
+    MESSAGES = {
+        2: "numerical failure: singular regressor moment matrix (condition number ",
+        1: "numerical failure: Gamma plug-in is not positive-definite (condition number ",
+    }
+
+    @staticmethod
+    def _constant_member(monkeypatch, member):
+        """Make ``member``'s first variable constant in the first simulated stack; returns the stack sizes."""
+        simulate = mc_harness.simulate_varma_stack
+        sizes = []
+
+        def patched(spec, t, burn_in, seeds):
+            samples = simulate(spec, t, burn_in, seeds)
+            if not sizes:
+                samples[member, :, 0] = 1.5
+            sizes.append(len(seeds))
+            return samples
+
+        monkeypatch.setattr(mc_harness, "simulate_varma_stack", patched)
+        return sizes
+
+    @pytest.mark.parametrize("p", sorted(CASES))
+    def test_member_alone_fails_and_is_retried(self, desk_spec, monkeypatch, p):
+        cfg = tiny_config(desk_spec, p=p, methods=self.CASES[p], replications=6)
+        truth = varma_true_irf(cfg.dgp, cfg.horizon)
+        assert mc_harness._stack_size(cfg) >= 6
+        want = mc_harness._run_chunk(cfg, truth, range(6))
+        sizes = self._constant_member(monkeypatch, 3)
+        got = mc_harness._run_chunk(cfg, truth, range(6))
+
+        assert sizes == [6, 1]
+        retry = substream(cfg.seed, 3, 1)
+        y = simulate_varma(cfg.dgp, cfg.t, cfg.effective_burn_in, substream(retry, 0)).values
+        assert records_equal(got[3], one_sample_record(cfg, truth, y, retry))
+        for r in (0, 1, 2, 4, 5):
+            assert records_equal(got[r], want[r])
+            y = simulate_varma(cfg.dgp, cfg.t, cfg.effective_burn_in, substream(cfg.seed, r, 0))
+            assert records_equal(got[r], one_sample_record(cfg, truth, y.values, substream(cfg.seed, r)))
+
+    @pytest.mark.parametrize("p", sorted(CASES))
+    def test_stack_scores_neighbours_and_ci_exits_3(self, desk_spec, tmp_path, capsys, p):
+        cfg = tiny_config(desk_spec, p=p, methods=self.CASES[p], replications=4)
+        truth = varma_true_irf(cfg.dgp, cfg.horizon)
+        seeds = [substream(cfg.seed, r) for r in range(4)]
+        samples = mc_harness.simulate_varma_stack(
+            cfg.dgp, cfg.t, cfg.effective_burn_in, [substream(s, 0) for s in seeds]
+        )
+        samples[2, :, 0] = 1.5
+        fitted = mc_harness.fit_var_fits(samples, p).fitted
+        assert fitted.tolist() == [True, True, p == 1, True]
+        if p == 2:  # a flagged fit leaves its stack standing, and fails alone too
+            records = mc_harness._run_replication(cfg, truth, samples, seeds)
+            assert records[2] is None
+            for i in (0, 1, 3):
+                assert records_equal(records[i], one_sample_record(cfg, truth, samples[i], seeds[i]))
+            assert mc_harness._run_replication(cfg, truth, samples[2:3], seeds[2:3]) == [None]
+        else:  # a stacked step raises, and the sample raises alone too
+            with pytest.raises(SingularMatrixError):
+                mc_harness._run_replication(cfg, truth, samples, seeds)
+            with pytest.raises(SingularMatrixError):
+                mc_harness._run_replication(cfg, truth, samples[2:3], seeds[2:3])
+
+        data, out = tmp_path / "y.csv", tmp_path / "ci.csv"
+        cli.write_sample_csv(str(data), SamplePath(2, cfg.t, samples[2]))
+        argv = ["ci", str(data), "--p", str(p), "--H", str(cfg.horizon), "--M", "20"]
+        argv += ["--methods", ",".join(cfg.methods), "--seed", "5", "--out", str(out)]
+        capsys.readouterr()
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith(self.MESSAGES[p])
+        assert not out.exists()
+
+
+class TestStacks:
+    """A chunk's samples are scored in stacks: no stack size moves a byte."""
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_csvs_byte_identical_for_any_stack_size(self, desk_spec, tmp_path, monkeypatch, intercept):
+        cfg = tiny_config(desk_spec, methods=tuple(METHODS), replications=17, intercept=intercept)
+        want = run_experiment(cfg)
+        for floats in (1, 3 * 708, 8 * 708):
+            monkeypatch.setattr(mc_harness, "_STACK_FLOATS", floats)
+            got = run_experiment(cfg)
+            for name in ("coverage", "avg_length", "entry_coverage", "entry_length"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_stack_size_bounds_the_largest_arrays(self, desk_spec):
+        # tiny_config: (T - p) K (p + 1) = 118 * 2 * 3 = 708 floats of lag windows
+        cfg = tiny_config(desk_spec)
+        assert mc_harness._stack_size(cfg) == mc_harness._STACK_FLOATS // 708
+        obj = dict(cli.PRESETS["counterex-desk-p30"]())
+        p30 = cli.parse_experiment_config(obj, Namespace(workers=None, seed=None))
+        # 2 H K^4 p = 2 * 30 * 16 * 30 floats of covariance products
+        assert mc_harness._stack_size(p30) == mc_harness._STACK_FLOATS // 28800 == 4
 
 
 class TestIntervalSetsForSample:
@@ -293,7 +420,7 @@ class TestIntervalSetsForSample:
 
             monkeypatch.setattr(module, attr, counted)
 
-        counting(mc_harness, "fit_var_ls", "sample")
+        counting(mc_harness, "fit_var_fits", "sample", lambda samples, *_: len(samples))
         counting(bootstrap_infer, "fit_var_ls", "per_draw")
         counting(bootstrap_infer, "fit_var_ls_stack", "stacked", lambda samples, *_: len(samples))
         y = simulate_varma(desk_spec, 150, 200, 8)
@@ -506,14 +633,6 @@ class TestConfigValidation:
         assert s.coverage.shape == (1, 2)
 
 
-def _blas_is_openblas():
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        return False
-    return "openblas" in str(blas.get("name", "")).lower()
-
-
 def _threads():
     return len(os.listdir("/proc/self/task"))
 
@@ -547,7 +666,7 @@ def _replicate_and_count_threads():
 
 
 @pytest.mark.skipif(
-    not os.path.isdir("/proc/self/task") or not _blas_is_openblas(),
+    not os.path.isdir("/proc/self/task") or not blas_is_openblas(),
     reason="counts threads in /proc/self/task, and the threading sizes are OpenBLAS's",
 )
 def test_forked_worker_starts_no_blas_thread():
