@@ -9,7 +9,6 @@ from .bootstrap_infer import (
 )
 from .delta_infer import (
     IntervalSet,
-    delta_ci,
     horizon_gate,
     irf_covariances,
     irf_jacobian,
@@ -93,7 +92,6 @@ __all__ = [
     "counterexample_ar",
     "coverage_flags",
     "default_desk_spec",
-    "delta_ci",
     "fit_var_ls",
     "horizon_gate",
     "interval_sets_for_sample",

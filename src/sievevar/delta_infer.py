@@ -265,24 +265,6 @@ def delta_bounds(
     return lowers, uppers, clamped
 
 
-def delta_ci(
-    phi_hat: np.ndarray,
-    covs: np.ndarray,
-    level: float,
-    t: int,
-    method: str,
-) -> IntervalSet:
-    """Gaussian intervals point +- z sqrt(cov_diag / T) for each response.
-
-    ``phi_hat`` is the (H+1, K, K) array of Phi_0..Phi_H and ``covs`` the
-    (H, K^2, K^2) stack from ``irf_covariances``: ``delta_bounds`` of one
-    sample.
-    """
-    points = _irf_array(phi_hat, "phi_hat")
-    lowers, uppers, clamped = delta_bounds(points, covs, level, t)
-    return IntervalSet(method, points, lowers, uppers, clamped=int(clamped))
-
-
 def horizon_gate(p: int, horizon: int) -> list[tuple[int, bool]]:
     """Validity flags for sieve inference: horizon i is in-range iff i <= p."""
     return [(i, i <= p) for i in range(horizon + 1)]

@@ -13,13 +13,14 @@ Every kernel here takes a stack of samples: ``fit_var_fits`` fits an
 (n, T, K) stack with its residuals and plug-ins, ``sample_gamma_p_stack``
 builds its Gamma_p, and the one-sample functions ``fit_var_ls`` and
 ``sample_gamma_p`` are their n = 1 case. Each member of a stack keeps the
-bits it has alone.
+bits it has alone, and ``fit_var_fits`` refuses a stack with a sample it
+cannot fit, with the error that sample raises alone.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,14 +101,11 @@ class VarFits(_PlugIns):
     """Least-squares VAR(p) fits of the samples of an (n, T, K) stack, from ``fit_var_fits``.
 
     Every array has the stack dimension first, and the plug-ins carry the
-    names ``VarModel`` gives them. A member not ``fitted`` has NaN
-    coefficients and no meaningful plug-ins; ``take`` keeps the members
-    wanted. ``model(i)`` and ``residuals[i]`` are bit for bit what
-    ``fit_var_ls`` returns for member i's sample alone.
+    names ``VarModel`` gives them. ``model(i)`` and ``residuals[i]`` are
+    bit for bit what ``fit_var_ls`` returns for member i's sample alone.
     """
 
     coefs: np.ndarray  # (n, p, K, K), A_1 first
-    fitted: np.ndarray  # (n,) booleans
     moment_matrix: np.ndarray  # (n, Kp, Kp), Z'Z / T_eff
     residuals: np.ndarray  # (n, T_eff, K), rows t = p+1..T
     intercept: np.ndarray | None  # (n, K)
@@ -125,26 +123,8 @@ class VarFits(_PlugIns):
     def t_effective(self) -> int:
         return self.residuals.shape[1]
 
-    def take(self, index) -> VarFits:
-        """The fits of the members ``index`` selects."""
-        return VarFits(**{
-            f.name: None if getattr(self, f.name) is None else getattr(self, f.name)[index]
-            for f in fields(self)
-        })
-
     def model(self, i: int) -> VarModel:
-        """Member i as a ``VarModel``.
-
-        Raises
-        ------
-        SingularMatrixError
-            If member i was not fitted.
-        """
-        if not self.fitted[i]:
-            raise SingularMatrixError(
-                "singular regressor moment matrix",
-                condition_number=float(np.linalg.cond(self.moment_matrix[i])),
-            )
+        """Member i as a ``VarModel``."""
         return VarModel(
             ar_hat=coeff_seq(self.coefs[i], self.k),
             sigma_u_hat=self.sigma_u_hat[i],
@@ -290,7 +270,10 @@ def fit_var_fits(samples: np.ndarray, p: int, intercept: bool = False) -> VarFit
     ValueError
         If p < 1.
     SingularMatrixError
-        If T - p <= Kp + [intercept] (``_short_sample``).
+        If T - p <= Kp + [intercept] (``_short_sample``), or if
+        ``fit_var_ls_stack`` flags any sample, with the condition number of
+        the first flagged sample's moment matrix: the error ``fit_var_ls``
+        raises on that sample alone.
     """
     samples = np.asarray(samples, dtype=float)
     n, t, k = samples.shape
@@ -300,8 +283,12 @@ def fit_var_fits(samples: np.ndarray, p: int, intercept: bool = False) -> VarFit
     if short:
         raise SingularMatrixError(f"sample too small: {short}")
     coefs, fitted, grams = fit_var_ls_stack(samples, p, intercept)
-    if not fitted.all():  # a flagged sample may not be finite; its residuals go unused
-        samples = np.where(fitted[:, np.newaxis, np.newaxis], samples, 0.0)
+    moments = grams / (t - p)
+    if not fitted.all():
+        raise SingularMatrixError(
+            "singular regressor moment matrix",
+            condition_number=float(np.linalg.cond(moments[np.argmin(fitted)])),
+        )
     rows = np.ascontiguousarray(_lag_windows(samples, p)[:, ::-1])  # t = p..T-1
     target, x = rows[..., :k], rows[..., k:]
     coef = coefs.swapaxes(2, 3).reshape(n, k * p, k)  # rows regressors, columns equations
@@ -313,8 +300,7 @@ def fit_var_fits(samples: np.ndarray, p: int, intercept: bool = False) -> VarFit
     resid = target - x @ coef
     return VarFits(
         coefs=coefs,
-        fitted=fitted,
-        moment_matrix=grams / (t - p),
+        moment_matrix=moments,
         residuals=resid,
         intercept=const,
         sigma_u_hat=resid.swapaxes(1, 2) @ resid / (t - p - k * p - intercept),

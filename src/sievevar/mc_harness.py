@@ -15,7 +15,10 @@ method's covariances and its bounds run once over it; only the bootstrap
 methods run one sample at a time. Every stacked kernel gives each member
 the bits of its own one-sample call, the kernels ``interval_sets_for_sample``
 runs. Summaries are therefore identical for any worker count, any chunking
-and any stack size.
+and any stack size. A failure has one route: a stack whose scoring raises,
+its fit included (``fit_var_fits`` refuses a sample it cannot fit), is
+scored again one sample at a time, and a sample that still raises goes to
+the retry pass.
 """
 
 from __future__ import annotations
@@ -158,7 +161,6 @@ def interval_sets_for_sample(
     check_design(p, horizon, level, methods, bootstrap_replications)
     y = _as_values(y)[np.newaxis]
     fits = fit_var_fits(y, p, intercept)
-    fits.model(0)  # raises SingularMatrixError on a singular sample, as fit_var_ls does
     arrays = _interval_stacks(fits, y, horizon, level, methods, bootstrap_replications, [seed])
     return {
         method: IntervalSet(method, points[0], lowers[0], uppers[0], clamped=int(clamped[0]))
@@ -177,10 +179,10 @@ def _interval_stacks(
 ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Points, lower and upper bounds, (n, H+1, K, K) each, and clamped counts, (n,), per method.
 
-    ``fits`` are the fits of the (n, T, K) ``samples``, every member
-    fitted, and ``seeds`` their seeds. The fitted coefficients are expanded
-    and each delta method's covariances and bounds built once for the whole
-    stack; each bootstrap method runs sample by sample.
+    ``fits`` are the fits of the (n, T, K) ``samples`` and ``seeds`` their
+    seeds. The fitted coefficients are expanded and each delta method's
+    covariances and bounds built once for the whole stack; each bootstrap
+    method runs sample by sample.
     """
     boot = [m for m in methods if METHODS[m] is None]
     out = {}
@@ -234,9 +236,9 @@ def _run_chunk(
     pass 1 scores again, under (master seed, r, 1), those whose pass 0
     failed. Each pass simulates its samples from child 0 of its run seeds
     in one ``simulate_varma_stack`` call and scores them in stacks of
-    ``_stack_size``. A stack whose stacked step raises ``SieveVarError`` is
-    scored again one sample at a time, and a sample fails when its fit is
-    flagged or its own scoring raises.
+    ``_stack_size``. A stack whose scoring raises ``SieveVarError``, its
+    fit included, is scored again one sample at a time, and a sample fails
+    when its own scoring raises.
     """
     out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(reps)
     pending = list(reps)
@@ -268,21 +270,15 @@ def _run_chunk(
 
 def _run_replication(
     cfg: ExperimentConfig, truth: np.ndarray, samples: np.ndarray, run_seeds: Sequence[SeedLike]
-) -> list[tuple[np.ndarray, np.ndarray] | None]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Hit and length arrays, (n_methods, H+1, K, K), of each sample of an (n, T, K) stack.
 
-    A sample whose fit is flagged gets None. Raises ``SieveVarError`` when
-    a stacked step fails for any sample, as on a non-finite expansion or a
-    singular Gamma_p. The name is the replication boundary that
-    bench/layers.py times; one call scores a stack of replications.
+    Raises ``SieveVarError`` when a stacked step fails for any sample, as
+    on a singular fit, a non-finite expansion or a singular Gamma_p. The
+    name is the replication boundary that bench/layers.py times; one call
+    scores a stack of replications.
     """
     fits = fit_var_fits(samples, cfg.p, cfg.intercept)
-    out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(samples)
-    ok = np.flatnonzero(fits.fitted)
-    if not len(ok):
-        return out
-    if len(ok) < len(samples):
-        fits, samples, run_seeds = fits.take(ok), samples[ok], [run_seeds[i] for i in ok]
     arrays = _interval_stacks(
         fits,
         samples,
@@ -296,9 +292,7 @@ def _run_replication(
     uppers = np.stack([arrays[m][2] for m in cfg.methods], axis=1)
     hits = (lowers <= truth) & (truth <= uppers)
     lengths = uppers - lowers
-    for j, i in enumerate(ok):
-        out[i] = (hits[j], lengths[j])
-    return out
+    return list(zip(hits, lengths))
 
 
 def aggregate(

@@ -196,26 +196,43 @@ class TestCi:
             np.testing.assert_array_equal(sample.values, [[1, 2], [3, 5], [4, 1]])
 
 
+BOOTSTRAP_M = "bootstrap replications must be >= 2 for a bootstrap method"
+
+
 @pytest.mark.parametrize(
-    "command, change",
+    "command, change, message",
     [
-        ("mc", {"p": 0}),
-        ("mc", {"bootstrap_replications": 1}),
-        ("mc", {"t": 0}),
-        ("mc", {"burn_in": -3}),
-        ("mc", {"workers": -2}),
-        ("mc", ["--workers", "0"]),
-        ("ci", ["--p", "0"]),
-        ("ci", ["--M", "1", "--methods", "BOOT"]),
-        ("ci", ["--M", "1", "--methods", "LS,BOOT-db"]),
-        ("ci", ["--level", "1.5"]),
-        ("ci", ["--H", "-1"]),
-        ("ci", ["--methods", "LS,LS"]),
-        ("mc", {"methods": ["LS", "BOOT", "LS"]}),
-        ("mc", {"t": 6}),
+        ("mc", {"p": 0}, "p must be >= 1"),
+        ("mc", {"bootstrap_replications": 1}, BOOTSTRAP_M),
+        ("mc", {"t": 0}, "t must be >= 1"),
+        ("mc", {"burn_in": -3}, "burn_in must be >= 0"),
+        ("mc", {"workers": -2}, "workers must be >= 1"),
+        ("mc", ["--workers", "0"], "workers must be >= 1"),
+        ("ci", ["--p", "0"], "p must be >= 1"),
+        ("ci", ["--M", "1", "--methods", "BOOT"], BOOTSTRAP_M),
+        ("ci", ["--M", "1", "--methods", "LS,BOOT-db"], BOOTSTRAP_M),
+        ("ci", ["--level", "1.5"], "level must be in (0, 1)"),
+        ("ci", ["--H", "-1"], "horizon must be >= 0"),
+        ("ci", ["--methods", "LS,LS"], "methods must not repeat, got ['LS', 'LS']"),
+        (
+            "ci",
+            ["--methods", "LS,FOO"],
+            "unknown methods ['FOO']; valid: ['LS', 'S-LS', 'BOOT', 'BOOT-db']",
+        ),
+        ("mc", {"methods": ["LS", "BOOT", "LS"]}, "methods must not repeat, got ['LS', 'BOOT', 'LS']"),
+        (
+            "mc",
+            {"t": 6},
+            "t = 6 leaves 4 rows for 4 regressors at p = 2, so no sample could be fitted",
+        ),
+        (
+            "mc",
+            {"t": 24, "p": 10},
+            "t = 24 leaves 14 rows for 20 regressors at p = 10, so no sample could be fitted",
+        ),
     ],
 )
-def test_invalid_sizes_exit_2_before_fitting(command, change, sample_csv, tmp_path, capsys):
+def test_invalid_sizes_exit_2_before_fitting(command, change, message, sample_csv, tmp_path, capsys):
     if command == "mc":
         cfg = json.loads(desk_config(tmp_path).read_text())
         cfg.update(p=2, horizon=3, methods=["LS", "BOOT"], replications=2, bootstrap_replications=5)
@@ -228,8 +245,7 @@ def test_invalid_sizes_exit_2_before_fitting(command, change, sample_csv, tmp_pa
         argv = ["ci", str(sample_csv), "--p", "2", "--H", "3", "--seed", "5",
                 "--out", str(tmp_path / "ci.csv"), *change]
     assert run_cli(*argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "ci.csv").exists() and not (tmp_path / "out").exists()
 
 
@@ -374,6 +390,46 @@ def test_module_entry_point(tmp_path):
     assert failed.returncode == 2
     assert failed.stderr.startswith("error: config schema must be 1")
     assert not (tmp_path / "out").exists()
+
+
+def blas_thread_runs(work: Path) -> None:
+    """Write, under ``work``, `mc` on fig2-desk and counterex-desk-p30 at R = 4 and a bootstrap `ci`."""
+    desk = cli.PRESETS["fig2-desk"]()
+    configs = {
+        "desk": desk,
+        "desk4": dict(desk, replications=4),
+        "cex4": dict(cli.PRESETS["counterex-desk-p30"](), replications=4),
+    }
+    for name, cfg in configs.items():
+        (work / f"{name}.json").write_text(json.dumps(cfg))
+    for name in ("desk4", "cex4"):
+        assert main(["mc", str(work / f"{name}.json"), "--out", str(work / name)]) == 0
+    assert main(["simulate", str(work / "desk.json"), "--out", str(work / "desk.csv")]) == 0
+    assert main(["ci", str(work / "desk.csv"), "--p", "10", "--H", "30", "--methods", "BOOT,BOOT-db",
+                 "--seed", "7", "--out", str(work / "both.csv")]) == 0
+
+
+def test_one_blas_thread_gives_the_same_bytes(tmp_path):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS when it loads, so a fresh interpreter
+    here = Path(__file__).parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
+    runs = {name: tmp_path / name for name in ("default", "one")}
+    for work in runs.values():
+        work.mkdir()
+    code = "import sys, test_cli; test_cli.blas_thread_runs(test_cli.Path(sys.argv[1]))"
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(runs["one"])],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    blas_thread_runs(runs["default"])
+    csvs = {
+        name: {path.relative_to(work).as_posix(): path.read_bytes() for path in sorted(work.rglob("*.csv"))}
+        for name, work in runs.items()
+    }
+    assert len(csvs["default"]) == 6
+    assert csvs["one"] == csvs["default"]
 
 
 # run in a fresh interpreter, in which any import of scipy fails

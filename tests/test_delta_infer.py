@@ -12,7 +12,6 @@ from sievevar import (
     IntervalSet,
     NonFiniteError,
     SingularMatrixError,
-    delta_ci,
     fit_var_ls,
     horizon_gate,
     irf_covariances,
@@ -21,7 +20,7 @@ from sievevar import (
     sample_gamma_p,
     simulate_varma,
 )
-from sievevar.delta_infer import _lower_inverse
+from sievevar.delta_infer import _lower_inverse, delta_bounds
 from conftest import (
     jacobian_sandwich,
     pure_ar_spec,
@@ -250,53 +249,53 @@ def test_lower_inverse_matches_lapack(rng, n):
     assert not np.triu(got, 1).any()
 
 
-class TestDeltaCi:
+class TestDeltaBounds:
     def test_quantile_matches_scipy(self):
         # half-width z sqrt(1 / 1) about a zero point: the upper bound is z.
         # Neither quantile is correctly rounded: they differ by up to 3 ulps
         # on this grid (at level 0.90), so the bound is relative, 1e-15
         phi_hat = np.array([[[1.0]], [[0.0]]])
         levels = np.concatenate([np.linspace(0.01, 0.99, 99), [0.999, 0.9999]])
-        z = np.array([delta_ci(phi_hat, np.ones((1, 1, 1)), lv, 1, "LS").uppers[1, 0, 0] for lv in levels])
+        z = np.array([delta_bounds(phi_hat, np.ones((1, 1, 1)), lv, 1)[1][1, 0, 0] for lv in levels])
         np.testing.assert_allclose(z, ndtri((1.0 + levels) / 2.0), rtol=1e-15, atol=0.0)
         for level in (0.5, 0.68, 0.999):
-            iv = delta_ci(phi_hat, np.ones((1, 1, 1)), level, 1, "LS")
-            assert iv.uppers[1, 0, 0] == ndtri((1.0 + level) / 2.0)
+            _, uppers, _ = delta_bounds(phi_hat, np.ones((1, 1, 1)), level, 1)
+            assert uppers[1, 0, 0] == ndtri((1.0 + level) / 2.0)
 
     def test_textbook_interval(self):
         # interval around point 0.5 with unit asymptotic variance
         phi_hat = np.array([[[1.0]], [[0.5]]])
-        iv = delta_ci(phi_hat, np.array([[[1.0]]]), 0.95, 100, "LS")
-        assert iv.lowers[1, 0, 0] == pytest.approx(0.30401, abs=1e-5)
-        assert iv.uppers[1, 0, 0] == pytest.approx(0.69599, abs=1e-5)
+        lowers, uppers, _ = delta_bounds(phi_hat, np.array([[[1.0]]]), 0.95, 100)
+        assert lowers[1, 0, 0] == pytest.approx(0.30401, abs=1e-5)
+        assert uppers[1, 0, 0] == pytest.approx(0.69599, abs=1e-5)
 
     def test_zero_variance_degenerate(self):
         phi_hat = np.array([[[1.0]], [[0.7]]])
-        iv = delta_ci(phi_hat, np.array([[[0.0]]]), 0.95, 50, "LS")
-        assert iv.lowers[1, 0, 0] == iv.uppers[1, 0, 0] == pytest.approx(0.7)
+        lowers, uppers, _ = delta_bounds(phi_hat, np.array([[[0.0]]]), 0.95, 50)
+        assert lowers[1, 0, 0] == uppers[1, 0, 0] == pytest.approx(0.7)
 
     def test_column_stacked_diagonal(self):
         # diagonal index r + K c holds the variance of entry (r, c)
         phi_hat = np.array([np.eye(2), np.zeros((2, 2))])
         covs = np.diag([1.0, 4.0, 9.0, 16.0])[np.newaxis]
-        iv = delta_ci(phi_hat, covs, 0.95, 1, "LS")
-        z = iv.uppers[1, 0, 0]
-        np.testing.assert_allclose(iv.uppers[1], z * np.array([[1.0, 3.0], [2.0, 4.0]]))
+        _, uppers, _ = delta_bounds(phi_hat, covs, 0.95, 1)
+        z = uppers[1, 0, 0]
+        np.testing.assert_allclose(uppers[1], z * np.array([[1.0, 3.0], [2.0, 4.0]]))
 
     def test_horizon_zero_pinned_to_identity(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)
         phi_hat = ma_from_ar(model.ar_hat.mats, 3)
         covs = irf_covariances(phi_hat, *ls_plugins(model))
-        iv = delta_ci(phi_hat, covs, 0.9, 200, "LS")
-        np.testing.assert_array_equal(iv.points[0], np.eye(2))
-        np.testing.assert_array_equal(iv.lowers[0], np.eye(2))
-        np.testing.assert_array_equal(iv.uppers[0], np.eye(2))
+        lowers, uppers, _ = delta_bounds(phi_hat, covs, 0.9, 200)
+        np.testing.assert_array_equal(phi_hat[0], np.eye(2))
+        np.testing.assert_array_equal(lowers[0], np.eye(2))
+        np.testing.assert_array_equal(uppers[0], np.eye(2))
 
     def test_negative_variance_clamped_and_counted(self):
         phi_hat = np.array([[[1.0]], [[0.3]]])
-        iv = delta_ci(phi_hat, np.array([[[-1e-13]]]), 0.95, 100, "LS")
-        assert iv.clamped == 1
-        assert iv.lowers[1, 0, 0] == iv.uppers[1, 0, 0] == pytest.approx(0.3)
+        lowers, uppers, clamped = delta_bounds(phi_hat, np.array([[[-1e-13]]]), 0.95, 100)
+        assert clamped == 1
+        assert lowers[1, 0, 0] == uppers[1, 0, 0] == pytest.approx(0.3)
 
     def test_asymmetric_or_negative_covariance_rejected(self):
         phi_hat = np.array([np.eye(2), np.zeros((2, 2))])
@@ -305,13 +304,13 @@ class TestDeltaCi:
         negative = -np.eye(4)[np.newaxis]
         for covs in (asymmetric, negative):
             with pytest.raises(DimensionMismatchError):
-                delta_ci(phi_hat, covs, 0.95, 100, "LS")
+                delta_bounds(phi_hat, covs, 0.95, 100)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_covariance_rejected(self, bad):
         phi_hat = np.array([[[1.0]], [[0.5]]])
         with pytest.raises(NonFiniteError):
-            delta_ci(phi_hat, np.array([[[bad]]]), 0.95, 100, "LS")
+            delta_bounds(phi_hat, np.array([[[bad]]]), 0.95, 100)
 
     @pytest.mark.parametrize("name", ["points", "lowers", "uppers"])
     def test_interval_set_rejects_non_finite(self, name):
@@ -323,9 +322,9 @@ class TestDeltaCi:
     def test_requires_identity_head(self):
         covs = np.array([[[1.0]]])
         with pytest.raises(DimensionMismatchError, match="identity"):
-            delta_ci(np.array([[[0.5]], [[0.5]]]), covs, 0.95, 100, "LS")
-        iv = delta_ci(np.array([[[1.0]], [[0.5]]]), covs, 0.95, 100, "LS")
-        assert iv.points.shape == (2, 1, 1)
+            delta_bounds(np.array([[[0.5]], [[0.5]]]), covs, 0.95, 100)
+        lowers, uppers, _ = delta_bounds(np.array([[[1.0]], [[0.5]]]), covs, 0.95, 100)
+        assert lowers.shape == uppers.shape == (2, 1, 1)
 
     def test_malformed_irfs_rejected(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)
@@ -335,36 +334,34 @@ class TestDeltaCi:
             with pytest.raises(DimensionMismatchError, match="shape"):
                 irf_covariances(bad, *ls_plugins(model))
             with pytest.raises(DimensionMismatchError, match="shape"):
-                delta_ci(bad, covs, 0.95, 100, "LS")
+                delta_bounds(bad, covs, 0.95, 100)
         broken = phi_hat.copy()
         broken[2, 1, 0] = np.nan
         with pytest.raises(NonFiniteError):
             irf_covariances(broken, *ls_plugins(model))
         with pytest.raises(NonFiniteError):
-            delta_ci(broken, covs, 0.95, 100, "LS")
+            delta_bounds(broken, covs, 0.95, 100)
 
     def test_intervals_symmetric_around_point(self, rng):
         model, _ = fitted_model(rng, k=2, p=2)
         phi_hat = ma_from_ar(model.ar_hat.mats, 5)
         covs = irf_covariances(phi_hat, *ls_plugins(model))
-        iv = delta_ci(phi_hat, covs, 0.95, 300, "LS")
-        np.testing.assert_allclose(
-            iv.uppers - iv.points, iv.points - iv.lowers, atol=1e-12
-        )
+        lowers, uppers, _ = delta_bounds(phi_hat, covs, 0.95, 300)
+        np.testing.assert_allclose(uppers - phi_hat, phi_hat - lowers, atol=1e-12)
 
     def test_missing_horizon_rejected(self, rng):
         model, _ = fitted_model(rng, k=1, p=1)
         phi_hat = ma_from_ar(model.ar_hat.mats, 3)
         covs = irf_covariances(ma_from_ar(model.ar_hat.mats, 2), *ls_plugins(model))
         with pytest.raises(DimensionMismatchError):
-            delta_ci(phi_hat, covs, 0.95, 100, "LS")
+            delta_bounds(phi_hat, covs, 0.95, 100)
 
     def test_level_bounds(self, rng):
         model, _ = fitted_model(rng, k=1, p=1)
         phi_hat = ma_from_ar(model.ar_hat.mats, 1)
         covs = irf_covariances(phi_hat, *ls_plugins(model))
         with pytest.raises(ValueError):
-            delta_ci(phi_hat, covs, 1.0, 100, "LS")
+            delta_bounds(phi_hat, covs, 1.0, 100)
 
 
 class TestHorizonGate:

@@ -1,8 +1,9 @@
 """Golden-output regression test for `sievevar mc`.
 
-``tests/data/mc_golden/`` holds both CSVs of three runs at R = 4, written
-by ``golden_mc_run``: the ``counterex-desk-p30`` preset without and with an
-intercept, and the ``fig2-desk`` preset. The key columns must match exactly
+``tests/data/mc_golden/`` holds both CSVs of six runs at R = 4, written
+by ``golden_mc_run``: the ``counterex-desk-p30`` and ``fig2-desk`` presets
+without and with an intercept, and the ``fig2-desk-t1000`` and
+``counterex-desk-p10`` presets. The key columns must match exactly
 and every float, coverage included, to a relative tolerance of 1e-10, so
 that builds on other BLAS libraries still pass. Regenerate the files only
 for an intended change of output, with
@@ -26,7 +27,10 @@ GOLDEN = Path(__file__).parent / "data" / "mc_golden"
 RUNS = {
     "counterex-desk-p30": ("counterex-desk-p30", False),
     "counterex-desk-p30-intercept": ("counterex-desk-p30", True),
+    "counterex-desk-p10": ("counterex-desk-p10", False),
     "fig2-desk": ("fig2-desk", False),
+    "fig2-desk-intercept": ("fig2-desk", True),
+    "fig2-desk-t1000": ("fig2-desk-t1000", False),
 }
 REPLICATIONS = 4
 # file: (columns, key columns); the other columns are floats

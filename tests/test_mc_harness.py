@@ -92,12 +92,25 @@ class TestRunExperiment:
         assert np.array_equal(a.avg_length, b.avg_length)
         assert np.array_equal(a.entry_coverage, b.entry_coverage)
 
-    def test_invariant_to_worker_count(self, desk_spec):
-        cfg = tiny_config(desk_spec, methods=("LS", "S-LS", "BOOT", "BOOT-db"))
+    @pytest.mark.parametrize(
+        "overrides, workers, chunk",
+        [
+            (dict(methods=tuple(METHODS)), 4, 2),
+            (dict(methods=tuple(METHODS), intercept=True), 4, 2),
+            # p = 30: 11 replications in chunks of 4, 4 and 3
+            (dict(t=150, p=30, replications=11), 3, 4),
+        ],
+        ids=["all-methods", "intercept", "p30-uneven-chunks"],
+    )
+    def test_invariant_to_worker_count(self, desk_spec, overrides, workers, chunk):
+        cfg = tiny_config(desk_spec, **overrides)
         serial = run_experiment(cfg)
-        parallel = run_experiment(dataclasses.replace(cfg, workers=4))
+        cfg = dataclasses.replace(cfg, workers=workers)
+        assert mc_harness._chunk_size(cfg) == chunk
+        parallel = run_experiment(cfg)
         assert np.array_equal(serial.coverage, parallel.coverage)
         assert np.array_equal(serial.avg_length, parallel.avg_length)
+        assert np.array_equal(serial.entry_coverage, parallel.entry_coverage)
         assert np.array_equal(serial.entry_length, parallel.entry_length)
 
     def test_horizon_zero_exact(self, desk_spec):
@@ -110,14 +123,17 @@ class TestRunExperiment:
         # with one replication coverage is a multiple of 1/K^2
         assert np.all(np.isin(np.round(s.coverage * 4), np.arange(5)))
 
-    def test_method_results_independent_of_bundle(self, desk_spec):
-        joint = run_experiment(
-            tiny_config(desk_spec, methods=("LS", "S-LS", "BOOT"))
-        )
-        solo = run_experiment(tiny_config(desk_spec, methods=("BOOT",)))
-        j = joint.methods.index("BOOT")
+    @pytest.mark.parametrize(
+        "method, bundle", [("BOOT", ("LS", "S-LS", "BOOT")), ("BOOT-db", ("BOOT", "BOOT-db"))]
+    )
+    def test_method_results_independent_of_bundle(self, desk_spec, method, bundle):
+        joint = run_experiment(tiny_config(desk_spec, methods=bundle))
+        solo = run_experiment(tiny_config(desk_spec, methods=(method,)))
+        j = joint.methods.index(method)
         np.testing.assert_array_equal(joint.coverage[j], solo.coverage[0])
         np.testing.assert_array_equal(joint.avg_length[j], solo.avg_length[0])
+        np.testing.assert_array_equal(joint.entry_coverage[j], solo.entry_coverage[0])
+        np.testing.assert_array_equal(joint.entry_length[j], solo.entry_length[0])
 
     def test_replication_stability_bound(self, desk_spec):
         # doubling R moves coverage by less than 3 binomial standard errors
@@ -292,8 +308,8 @@ def one_sample_record(cfg, truth, y, seed):
 class TestStackFailures:
     """Real failures inside a stack: a member's fit is singular, or its S-LS Gamma_p is."""
 
-    # p = 2: the constant variable's two lags are one regressor, so the fit is
-    # flagged; p = 1: the fit stands, but the demeaned constant variable
+    # p = 2: the constant variable's two lags are one regressor, so the stack's
+    # fit raises; p = 1: the fit stands, but the demeaned constant variable
     # leaves Gamma_p singular, and the stacked S-LS covariance raises
     CASES = {
         2: ("LS", "S-LS", "BOOT"),
@@ -339,7 +355,7 @@ class TestStackFailures:
             assert records_equal(got[r], one_sample_record(cfg, truth, y.values, substream(cfg.seed, r)))
 
     @pytest.mark.parametrize("p", sorted(CASES))
-    def test_stack_scores_neighbours_and_ci_exits_3(self, desk_spec, tmp_path, capsys, p):
+    def test_stack_and_member_raise_and_ci_exits_3(self, desk_spec, tmp_path, capsys, p):
         cfg = tiny_config(desk_spec, p=p, methods=self.CASES[p], replications=4)
         truth = varma_true_irf(cfg.dgp, cfg.horizon)
         seeds = [substream(cfg.seed, r) for r in range(4)]
@@ -347,19 +363,11 @@ class TestStackFailures:
             cfg.dgp, cfg.t, cfg.effective_burn_in, [substream(s, 0) for s in seeds]
         )
         samples[2, :, 0] = 1.5
-        fitted = mc_harness.fit_var_fits(samples, p).fitted
-        assert fitted.tolist() == [True, True, p == 1, True]
-        if p == 2:  # a flagged fit leaves its stack standing, and fails alone too
-            records = mc_harness._run_replication(cfg, truth, samples, seeds)
-            assert records[2] is None
-            for i in (0, 1, 3):
-                assert records_equal(records[i], one_sample_record(cfg, truth, samples[i], seeds[i]))
-            assert mc_harness._run_replication(cfg, truth, samples[2:3], seeds[2:3]) == [None]
-        else:  # a stacked step raises, and the sample raises alone too
-            with pytest.raises(SingularMatrixError):
-                mc_harness._run_replication(cfg, truth, samples, seeds)
-            with pytest.raises(SingularMatrixError):
-                mc_harness._run_replication(cfg, truth, samples[2:3], seeds[2:3])
+        # the fit (p = 2) or a later stacked step (p = 1) raises, and the sample raises alone too
+        with pytest.raises(SingularMatrixError):
+            mc_harness._run_replication(cfg, truth, samples, seeds)
+        with pytest.raises(SingularMatrixError):
+            mc_harness._run_replication(cfg, truth, samples[2:3], seeds[2:3])
 
         data, out = tmp_path / "y.csv", tmp_path / "ci.csv"
         cli.write_sample_csv(str(data), SamplePath(2, cfg.t, samples[2]))

@@ -4,7 +4,8 @@ A Monte Carlo pass fits and scores its samples as one stack, so a
 replication's output must not depend on the samples beside it. The checks
 here compare, byte for byte, every member of stacks of 1, 2, 3 and 10
 samples with its one-sample call: the fit and its residual covariance,
-Gamma_p, ``irf_covariances`` and ``delta_bounds``. They run in this process
+Gamma_p, ``irf_covariances`` and ``delta_bounds``; a stack with a sample
+that cannot be fitted raises that sample's own error. They run in this process
 and again, with the panelled Grams' symmetry, in a fresh interpreter on
 OpenBLAS's Haswell kernels, the kernels AVX2-only and AMD Zen machines get.
 """
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sievevar import delta_infer, estimate, ma_from_ar, simulate_varma
+from sievevar import SingularMatrixError, delta_infer, estimate, ma_from_ar, simulate_varma
 from conftest import blas_is_openblas, pure_ar_spec, random_stable_coeffs
 
 SIZES = (1, 2, 3, 10)
@@ -67,7 +68,6 @@ def check_members(k, p, intercept):
         alone.append((model, resid, phi, gamma, covs, bounds))
     for n in SIZES:
         fits = estimate.fit_var_fits(stack[:n], p, intercept)
-        assert fits.fitted.all()
         phis = ma_from_ar(fits.coefs, HORIZON)
         gammas = estimate.sample_gamma_p_stack(stack[:n], p)
         covs = (
@@ -105,16 +105,20 @@ def test_members_keep_their_one_sample_bits(k, p, intercept):
     check_members(k, p, intercept)
 
 
-def test_delta_ci_is_delta_bounds_of_one_sample():
-    y = sample_stack(2, 10, n=1)[0]
-    model, _ = estimate.fit_var_ls(y, 10)
-    phi = ma_from_ar(model.ar_hat.mats, HORIZON)
-    covs = delta_infer.irf_covariances(phi, model.moment_matrix, model.sigma_u_hat)
-    iv = delta_infer.delta_ci(phi, covs, LEVEL, len(y), "LS")
-    lowers, uppers, clamped = delta_infer.delta_bounds(phi, covs, LEVEL, len(y))
-    assert_same_bits(iv.lowers, lowers)
-    assert_same_bits(iv.uppers, uppers)
-    assert iv.clamped == clamped
+@pytest.mark.parametrize("intercept", [False, True])
+@pytest.mark.parametrize("member", [0, 1, 2])
+def test_stack_refuses_singular_member_with_its_own_error(member, intercept):
+    # a constant variable's two lags are one regressor at p = 2, and with an
+    # intercept it demeans to zero; the stack raises what the member raises alone
+    stack = sample_stack(2, 2, n=3)
+    stack[member, :, 0] = 1.5
+    with pytest.raises(SingularMatrixError) as alone:
+        estimate.fit_var_ls(stack[member], 2, intercept)
+    with pytest.raises(SingularMatrixError) as stacked:
+        estimate.fit_var_fits(stack, 2, intercept)
+    assert str(alone.value).startswith("singular regressor moment matrix (condition number ")
+    assert str(stacked.value) == str(alone.value)
+    assert stacked.value.condition_number == alone.value.condition_number
 
 
 def _cpu_has(*flags):
