@@ -267,6 +267,9 @@ def fit_var_fits(samples: np.ndarray, p: int, intercept: bool = False) -> VarFit
 
     Raises
     ------
+    NonFiniteError
+        If any sample holds a non-finite value: the error ``fit_var_ls``
+        raises on that sample alone.
     ValueError
         If p < 1.
     SingularMatrixError
@@ -277,6 +280,8 @@ def fit_var_fits(samples: np.ndarray, p: int, intercept: bool = False) -> VarFit
     """
     samples = np.asarray(samples, dtype=float)
     n, t, k = samples.shape
+    if not np.all(np.isfinite(samples)):
+        raise NonFiniteError("sample contains non-finite values")
     if p < 1:
         raise ValueError("p must be >= 1")
     short = _short_sample(t, k, p, intercept)

@@ -19,11 +19,23 @@ and any stack size. A failure has one route: a stack whose scoring raises,
 its fit included (``fit_var_fits`` refuses a sample it cannot fit), is
 scored again one sample at a time, and a sample that still raises goes to
 the retry pass.
+
+Chunks of a run with ``workers > 1`` run on the process's one worker pool.
+The first such ``run_experiment`` call starts it, every later call with the
+same count and the same ``METHODS`` table reuses it, a call with another
+count or table replaces it, and it ends with the process; a forked child
+starts without it. Each chunk task carries the config, the true responses
+and the stack size, all computed by the parent, so a reused worker gets
+the inputs a fresh fork would. Any other module state is what the process
+held when the pool forked: a patch made after that does not reach it.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -60,6 +72,23 @@ _CHUNK_FLOATS = 256 * 1024
 # Floats of the largest arrays of one stack's scoring, 1 MB (``_stack_size``):
 # bounds how many samples of a pass are fitted and scored together.
 _STACK_FLOATS = 128 * 1024
+
+# The process's worker pool with its key, (worker count, ``METHODS`` items)
+# when it forked (``_pool_map``), and the lock that a call holds while it
+# uses them.
+_pool: tuple[tuple, ProcessPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """Leave a forked child no pool and a free lock: the pool's threads do not run in it."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def check_design(
@@ -228,7 +257,7 @@ def _stack_size(cfg: ExperimentConfig) -> int:
 
 
 def _run_chunk(
-    cfg: ExperimentConfig, truth: np.ndarray, reps: range
+    cfg: ExperimentConfig, truth: np.ndarray, size: int, reps: range
 ) -> list[tuple[np.ndarray, np.ndarray] | None]:
     """Hit and length arrays of each replication in ``reps``, None where both attempts failed.
 
@@ -236,13 +265,12 @@ def _run_chunk(
     pass 1 scores again, under (master seed, r, 1), those whose pass 0
     failed. Each pass simulates its samples from child 0 of its run seeds
     in one ``simulate_varma_stack`` call and scores them in stacks of
-    ``_stack_size``. A stack whose scoring raises ``SieveVarError``, its
-    fit included, is scored again one sample at a time, and a sample fails
-    when its own scoring raises.
+    ``size`` samples, ``_stack_size(cfg)``. A stack whose scoring raises
+    ``SieveVarError``, its fit included, is scored again one sample at a
+    time, and a sample fails when its own scoring raises.
     """
     out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(reps)
     pending = list(reps)
-    size = _stack_size(cfg)
     for retry in ((), (1,)):
         if not pending:
             break
@@ -318,17 +346,51 @@ def aggregate(
     )
 
 
+def _pool_map(workers: int, fn: Callable, items: Sequence) -> list:
+    """``fn`` of each of ``items``, in order, on the process's pool of ``workers`` processes.
+
+    The first call starts the pool and later calls with the same count and
+    ``METHODS`` table reuse it. A call with another count or table shuts
+    the pool down first, its threads joined, so that no pool thread is
+    alive when the new pool forks its workers. A reused pool that raises
+    ``BrokenProcessPool``, as when a worker died between calls, is dropped
+    and the items run once more on a fresh pool; each item's result is
+    deterministic, so the list is the same. A fresh pool that breaks is
+    dropped and its error raised. The last pool ends through
+    ``concurrent.futures``' exit handler. Calls from several threads take
+    turns.
+    """
+    global _pool
+    key = (workers, tuple(METHODS.items()))
+    with _pool_lock:
+        if _pool is not None and _pool[0] != key:
+            _pool[1].shutdown(wait=True)
+            _pool = None
+        while True:
+            reused = _pool is not None
+            if not reused:
+                _pool = (key, ProcessPoolExecutor(max_workers=workers))
+            pool = _pool[1]
+            try:
+                return list(pool.map(fn, items))
+            except BrokenProcessPool:
+                _pool = None
+                pool.shutdown(wait=True)
+                if not reused:
+                    raise
+
+
 def run_experiment(cfg: ExperimentConfig) -> McSummary:
-    """Execute the full experiment, optionally across worker processes."""
+    """Execute the full experiment, on the process's worker pool when ``cfg.workers > 1``."""
     truth = varma_true_irf(cfg.dgp, cfg.horizon)
     size = _chunk_size(cfg)
     chunks = [range(r, min(r + size, cfg.replications)) for r in range(0, cfg.replications, size)]
-    run_chunk = partial(_run_chunk, cfg, truth)
+    run_chunk = partial(_run_chunk, cfg, truth, _stack_size(cfg))
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = [rec for chunk in pool.map(run_chunk, chunks) for rec in chunk]
+        scored = _pool_map(cfg.workers, run_chunk, chunks)
     else:
-        results = [rec for chunk in map(run_chunk, chunks) for rec in chunk]
+        scored = map(run_chunk, chunks)
+    results = [rec for chunk in scored for rec in chunk]
 
     records = [rec for rec in results if rec is not None]
     failures = len(results) - len(records)

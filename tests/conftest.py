@@ -14,6 +14,7 @@ from sievevar import (
     irf_jacobian,
     spectral_radius,
 )
+from sievevar import mc_harness
 from sievevar.streams import generator
 
 
@@ -242,3 +243,16 @@ def desk_spec() -> VarmaSpec:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture(autouse=True)
+def fresh_worker_pool():
+    """Shut the process's worker pool down after each test.
+
+    A test's patches of ``mc_harness`` then reach the workers its own runs
+    fork, and leave with it instead of living on in a reused pool.
+    """
+    yield
+    if mc_harness._pool is not None:
+        mc_harness._pool[1].shutdown(wait=True)
+        mc_harness._pool = None

@@ -4,8 +4,15 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from argparse import Namespace
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,9 +246,9 @@ class TestFailedReplications:
         cfg = tiny_config(desk_spec, methods=("LS", "BOOT"), replications=6)
         truth = varma_true_irf(cfg.dgp, cfg.horizon)
         chunk = range(6)
-        want = mc_harness._run_chunk(cfg, truth, chunk)
+        want = mc_harness._run_chunk(cfg, truth, mc_harness._stack_size(cfg), chunk)
         calls = self._failing(monkeypatch, cfg.seed, [(3,)])
-        got = mc_harness._run_chunk(cfg, truth, chunk)
+        got = mc_harness._run_chunk(cfg, truth, mc_harness._stack_size(cfg), chunk)
 
         # the pass's stack raises, its members are scored again one at a
         # time, and the one that still raises is retried alone
@@ -341,9 +348,9 @@ class TestStackFailures:
         cfg = tiny_config(desk_spec, p=p, methods=self.CASES[p], replications=6)
         truth = varma_true_irf(cfg.dgp, cfg.horizon)
         assert mc_harness._stack_size(cfg) >= 6
-        want = mc_harness._run_chunk(cfg, truth, range(6))
+        want = mc_harness._run_chunk(cfg, truth, mc_harness._stack_size(cfg), range(6))
         sizes = self._constant_member(monkeypatch, 3)
-        got = mc_harness._run_chunk(cfg, truth, range(6))
+        got = mc_harness._run_chunk(cfg, truth, mc_harness._stack_size(cfg), range(6))
 
         assert sizes == [6, 1]
         retry = substream(cfg.seed, 3, 1)
@@ -657,7 +664,8 @@ def _replicate_and_count_threads():
     ):
         obj = dict(cli.PRESETS[preset](), replications=1, **overrides)
         cfg = cli.parse_experiment_config(obj, Namespace(workers=None, seed=None))
-        mc_harness._run_chunk(cfg, varma_true_irf(cfg.dgp, cfg.horizon), range(1))
+        truth = varma_true_irf(cfg.dgp, cfg.horizon)
+        mc_harness._run_chunk(cfg, truth, mc_harness._stack_size(cfg), range(1))
     # a K = 4, p = 8 fit: a 36-column Gram
     spec = pure_ar_spec(random_stable_coeffs(np.random.default_rng(8), 4, 1, 0.8))
     fit_var_ls(simulate_varma(spec, 1000, 100, 8), 8)
@@ -682,3 +690,200 @@ def test_forked_worker_starts_no_blas_thread():
     # threading sizes starts the library's thread server in it
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
         assert pool.submit(_replicate_and_count_threads).result(timeout=300) == (1, 1)
+
+
+def p30_config(workers, replications=10):
+    """A counterex-desk-p30 run of ``replications`` on ``workers`` processes, the bench's op."""
+    obj = dict(cli.PRESETS["counterex-desk-p30"](), replications=replications)
+    return cli.parse_experiment_config(obj, Namespace(workers=workers, seed=None))
+
+
+def worker_pids():
+    """Pids of this process's live pool workers, sorted."""
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def alive(pid):
+    return Path(f"/proc/{pid}").exists()
+
+
+def assert_same_summary(got, want):
+    assert (got.replications, got.failures) == (want.replications, want.failures)
+    for name in ("coverage", "avg_length", "entry_coverage", "entry_length"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def run_python(code):
+    """A fresh interpreter's run of ``code``, with this package and this test module importable."""
+    here = Path(__file__).parent
+    path = os.pathsep.join(
+        filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads worker pids from /proc")
+class TestWorkerPool:
+    """One worker pool per process: reused by calls of one count, replaced on another."""
+
+    def test_calls_of_one_count_reuse_the_workers(self, desk_spec):
+        cfg = tiny_config(desk_spec, workers=2)
+        want = run_experiment(dataclasses.replace(cfg, workers=1))
+        assert_same_summary(run_experiment(cfg), want)
+        pids = worker_pids()
+        assert len(pids) == 2
+        assert_same_summary(run_experiment(cfg), want)
+        assert worker_pids() == pids
+
+    def test_new_count_replaces_the_workers(self, desk_spec, monkeypatch):
+        # the old pool's workers and threads are gone before the new pool starts
+        at_start = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                at_start.append((worker_pids(), threading.active_count()))
+                super().__init__(*args, **kwargs)
+
+        cfg = tiny_config(desk_spec, workers=2)
+        run_experiment(cfg)
+        old, threads = worker_pids(), threading.active_count()
+        monkeypatch.setattr(mc_harness, "ProcessPoolExecutor", Recording)
+        run_experiment(dataclasses.replace(cfg, workers=3))
+        new = worker_pids()
+        assert len(new) == 3 and not set(old) & set(new)
+        assert not any(alive(pid) for pid in old)
+        assert len(at_start) == 1
+        assert at_start[0][0] == [] and at_start[0][1] < threads
+
+    def test_new_methods_table_replaces_the_workers(self, desk_spec, monkeypatch):
+        # an entry added after the pool forked reaches a fresh pool's workers
+        cfg = tiny_config(desk_spec, workers=2)
+        run_experiment(cfg)
+        old = worker_pids()
+        monkeypatch.setitem(mc_harness.METHODS, "LS-copy", mc_harness.METHODS["LS"])
+        got = run_experiment(dataclasses.replace(cfg, methods=("LS", "LS-copy")))
+        assert not set(old) & set(worker_pids())
+        assert got.coverage[0].tobytes() == got.coverage[1].tobytes()
+        assert got.avg_length[0].tobytes() == got.avg_length[1].tobytes()
+
+    def test_worker_dead_between_calls_costs_no_run(self, desk_spec):
+        cfg = tiny_config(desk_spec, workers=2)
+        run_experiment(cfg)
+        old = worker_pids()
+        os.kill(old[0], signal.SIGKILL)
+        # the pool reaps its dead worker once it sees the pool broken
+        deadline = time.monotonic() + 10
+        while alive(old[0]) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert_same_summary(run_experiment(cfg), run_experiment(dataclasses.replace(cfg, workers=1)))
+        new = worker_pids()
+        assert len(new) == 2 and not set(old) & set(new)
+
+    @pytest.mark.parametrize("reused", [False, True])
+    def test_pool_broken_by_its_own_run_raises(self, reused):
+        # a worker that exits mid-task breaks a fresh pool and the fresh
+        # pool a reused one is retried on; the next call starts afresh
+        if reused:
+            assert mc_harness._pool_map(2, abs, [-1, 2]) == [1, 2]
+        with pytest.raises(BrokenProcessPool):
+            mc_harness._pool_map(2, os._exit, [3, 3])
+        assert mc_harness._pool is None
+        assert mc_harness._pool_map(2, abs, [-4]) == [4]
+
+    def test_threads_of_two_counts_take_turns(self, desk_spec):
+        # runs on 2 and 3 workers from two threads at once: no run may find
+        # the pool shut down under it, and every run gives the serial bytes
+        cfg = tiny_config(desk_spec, workers=1)
+        want = run_experiment(cfg)
+        got, errors = [], []
+
+        def runs(workers):
+            try:
+                for _ in range(4):
+                    got.append(run_experiment(dataclasses.replace(cfg, workers=workers)))
+            except Exception as exc:  # reported below: a thread's error is lost otherwise
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=runs, args=(w,)) for w in (2, 3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(got) == 8
+        for summary in got:
+            assert_same_summary(summary, want)
+
+    def test_interpreter_exits_and_leaves_no_worker(self):
+        # two calls on one pool; concurrent.futures' exit handler ends it
+        code = (
+            "from sievevar import run_experiment\n"
+            "from test_mc_harness import p30_config, worker_pids\n"
+            "cfg = p30_config(2)\n"
+            "run_experiment(cfg)\n"
+            "run_experiment(cfg)\n"
+            "print(*worker_pids())\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2
+        assert not any(alive(pid) for pid in pids)
+
+    def test_forked_child_runs_on_its_own_pool(self):
+        # the parent's pool threads do not run in a forked child, so a
+        # child that used the parent's pool would wait on it for ever
+        code = (
+            "import os, sys, time, traceback\n"
+            "from sievevar import mc_harness, run_experiment\n"
+            "from test_mc_harness import assert_same_summary, p30_config\n"
+            "want = run_experiment(p30_config(1, 4))\n"
+            "run_experiment(p30_config(2, 4))\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    code = 1\n"
+            "    try:\n"
+            "        assert_same_summary(run_experiment(p30_config(2, 4)), want)\n"
+            "        mc_harness._pool[1].shutdown(wait=True)\n"
+            "        code = 0\n"
+            "    except BaseException:\n"
+            "        traceback.print_exc()\n"
+            "    finally:\n"
+            "        os._exit(code)\n"
+            "deadline = time.monotonic() + 60\n"
+            "while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:\n"
+            "    time.sleep(0.05)\n"
+            "if not done[0]:\n"
+            "    os.kill(pid, 9)\n"
+            "    os.waitpid(pid, 0)\n"
+            "    sys.exit('the forked child hung')\n"
+            "sys.exit(os.waitstatus_to_exitcode(done[1]))\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or not blas_is_openblas(),
+    reason="counts threads in /proc/<pid>/task, and the threading sizes are OpenBLAS's",
+)
+def test_reused_workers_stay_on_one_thread():
+    # a BLAS thread server started in a reused worker would spin through every later call
+    cfg = p30_config(2)
+    run_experiment(cfg)
+    pids = worker_pids()
+    run_experiment(cfg)
+    assert worker_pids() == pids
+    assert [len(os.listdir(f"/proc/{pid}/task")) for pid in pids] == [1, 1]

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sievevar import SingularMatrixError, delta_infer, estimate, ma_from_ar, simulate_varma
+from sievevar import NonFiniteError, SingularMatrixError, delta_infer, estimate, ma_from_ar, simulate_varma
 from conftest import blas_is_openblas, pure_ar_spec, random_stable_coeffs
 
 SIZES = (1, 2, 3, 10)
@@ -119,6 +119,20 @@ def test_stack_refuses_singular_member_with_its_own_error(member, intercept):
     assert str(alone.value).startswith("singular regressor moment matrix (condition number ")
     assert str(stacked.value) == str(alone.value)
     assert stacked.value.condition_number == alone.value.condition_number
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_stack_refuses_non_finite_member_with_its_own_error(value, intercept):
+    # a non-finite member is refused as non-finite, as alone, not as singular
+    stack = sample_stack(2, 2, n=3)
+    stack[1, 7, 1] = value
+    with pytest.raises(NonFiniteError) as alone:
+        estimate.fit_var_ls(stack[1], 2, intercept)
+    with pytest.raises(NonFiniteError) as stacked:
+        estimate.fit_var_fits(stack, 2, intercept)
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == str(alone.value) == "sample contains non-finite values"
 
 
 def _cpu_has(*flags):
