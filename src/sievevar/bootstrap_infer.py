@@ -1,8 +1,10 @@
 """Residual-bootstrap percentile intervals, plain (BOOT) and bias-corrected (BOOT-db).
 
 ``bootstrap_interval_sets`` is the one entry point for bootstrap
-intervals: it takes a fitted model, its residuals, the (T, K) sample,
-the bootstrap methods wanted and the sample's seed. The recursive-design
+intervals: it takes a fit's coefficients, intercept and residuals, the
+(T, K) sample they came from, the bootstrap methods wanted and the
+sample's seed, and returns each method's point, lower and upper arrays,
+as ``delta_infer.delta_bounds`` returns its bounds. The recursive-design
 scheme resamples the centered residuals of the fitted model with
 replacement, seeds the recursion with a random contiguous block of the
 sample, and refits the VAR on each pseudo-sample; the sample itself is
@@ -33,8 +35,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 # fit_var_ls stays bound here: bench/run.py traces it through this module
-from .estimate import VarModel, fit_var_ls, fit_var_ls_stack  # noqa: F401
-from .delta_infer import IntervalSet
+from .estimate import fit_var_ls, fit_var_ls_stack  # noqa: F401
 from .streams import SeedLike, generator, substream
 from .var_core import _solve_recursion, _stationary, companion_form, ma_from_ar, spectral_radius
 
@@ -131,10 +132,11 @@ def _refit_draws(
     an intercept when there is one. Each attempt is one pass over the
     stage's pending draws: their indices are drawn once, for draws 0 up to
     the last pending one, and the pending draws are resampled in one
-    recursion per block of at most ``_BLOCK_FLOATS`` pseudo-sample values
-    and refitted by one ``fit_var_ls_stack`` call per block, and a draw it
-    flags is singular. That kernel decides and solves each draw on its
-    own, so a draw's bits do not depend on the draws beside it.
+    recursion per block of at most ``_BLOCK_FLOATS`` pseudo-sample values,
+    checked finite, and refitted by one ``fit_var_ls_stack`` call per
+    block, and a draw it flags is singular. That kernel decides and solves
+    each draw on its own, so a draw's bits do not depend on the draws
+    beside it.
 
     Raises
     ------
@@ -156,14 +158,13 @@ def _refit_draws(
         for lo in range(0, len(pending), block):
             rows = pending[lo : lo + block]
             pseudo = residual_bootstrap_sample(ar, intercept, residuals, y, starts[rows], idx[rows])
+            finite = np.isfinite(pseudo).all(axis=(1, 2))
+            if not finite.all():
+                raise NonFiniteError(
+                    f"{stage} draw {rows[np.argmin(finite)]}: bootstrap "
+                    "pseudo-sample is not finite (is the fitted model explosive?)"
+                )
             coefs, fitted, _ = fit_var_ls_stack(pseudo, p, intercept=intercept is not None)
-            if not fitted.all():
-                broken = np.flatnonzero(~np.isfinite(pseudo).all(axis=(1, 2)))
-                if len(broken):
-                    raise NonFiniteError(
-                        f"{stage} draw {rows[broken[0]]}: bootstrap "
-                        "pseudo-sample is not finite (is the fitted model explosive?)"
-                    )
             singular.extend(rows[~fitted].tolist())
             out[rows] = coefs
         pending = np.array(singular, dtype=np.intp)
@@ -181,12 +182,11 @@ def percentile_indices(m: int, level: float) -> tuple[int, int]:
     return max(lo, 1), min(hi, m)
 
 
-def percentile_ci(draws: np.ndarray, level: float, points: np.ndarray, method: str) -> IntervalSet:
-    """Equal-tailed Efron percentile interval per response entry.
+def percentile_ci(draws: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-tailed Efron percentile bounds per response entry, (lowers, uppers).
 
-    ``draws`` has shape (M, H+1, K, K) and ``points``, the point IRFs the
-    intervals are reported around, shape (H+1, K, K). Bounds are raw order
-    statistics (no interpolation).
+    ``draws`` has shape (M, H+1, K, K), and each bound (H+1, K, K). Bounds
+    are raw order statistics (no interpolation).
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
@@ -196,8 +196,8 @@ def percentile_ci(draws: np.ndarray, level: float, points: np.ndarray, method: s
     if not np.all(np.isfinite(draws)):
         raise NonFiniteError("bootstrap draws are not finite")
     lo, hi = percentile_indices(len(draws), level)
-    ordered = np.sort(draws, axis=0)
-    return IntervalSet(method=method, points=points, lowers=ordered[lo - 1], uppers=ordered[hi - 1])
+    lowers, uppers = np.sort(draws, axis=0)[[lo - 1, hi - 1]]
+    return lowers, uppers
 
 
 def stationarity_guard(
@@ -240,7 +240,8 @@ def stationarity_guard(
 
 
 def _stage_two(
-    model: VarModel,
+    ar: np.ndarray,
+    intercept: np.ndarray | None,
     residuals: np.ndarray,
     y: np.ndarray,
     horizon: int,
@@ -249,27 +250,26 @@ def _stage_two(
     stream: SeedLike,
     corrected: np.ndarray,
     bias: np.ndarray,
-) -> IntervalSet:
-    """BOOT-db intervals around the bias-corrected model, drawing on ``stream``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BOOT-db points, lowers and uppers around the bias-corrected fit, drawing on ``stream``.
 
     The corrected model keeps the fitted mean mu = (I - sum A_hat)^-1 c, so
     its intercept is (I - sum A_corr) mu, computed as c + (sum A_hat - sum
     A_corr) mu so that a zero correction leaves c bit-identical.
     """
-    intercept = model.intercept
     if intercept is not None:
-        ar = model.ar_hat.mats
-        mean = np.linalg.solve(np.eye(model.k) - ar.sum(axis=0), intercept)
+        mean = np.linalg.solve(np.eye(len(intercept)) - ar.sum(axis=0), intercept)
         intercept = intercept + (ar - corrected).sum(axis=0) @ mean
     coefs = _refit_draws(corrected, intercept, residuals, y, "BOOT-db stage two", stream, m)
     guarded = stationarity_guard(coefs, bias)[0]
     # the points expand with the draws, each bit-identical to its own expansion
     irfs = ma_from_ar(np.concatenate([corrected[np.newaxis], guarded]), horizon)
-    return percentile_ci(irfs[1:], level, irfs[0], "BOOT-db")
+    return (irfs[0].copy(), *percentile_ci(irfs[1:], level))
 
 
 def bootstrap_interval_sets(
-    model: VarModel,
+    ar: np.ndarray,
+    intercept: np.ndarray | None,
     residuals: np.ndarray,
     y: np.ndarray,
     horizon: int,
@@ -277,43 +277,53 @@ def bootstrap_interval_sets(
     level: float,
     methods: Sequence[str],
     seed: SeedLike,
-) -> dict[str, IntervalSet]:
-    """Intervals of ``model``'s IRFs Phi_0..Phi_H for each of ``methods``, "BOOT" and "BOOT-db".
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Points, lowers and uppers, (H+1, K, K) each, of Phi_0..Phi_H for each of ``methods``.
 
-    ``y`` is the (T, K) sample ``model`` was fitted to and ``seed`` the
-    sample's seed. Each interval is centred on its own point estimate: the
-    fitted IRFs for BOOT, the bias-corrected model's for BOOT-db. Both
-    read one stack of m fitted-model refits, drawn on the same stream
-    whichever asked, so an interval's bits do not depend on which other
-    method is requested.
+    ``ar`` is a fit's (p, K, K) coefficient stack, ``intercept`` its (K,)
+    constant or None, ``residuals`` its (T - p, K) residuals, ``y`` the
+    (T, K) sample it was fitted to and ``seed`` the sample's seed; the
+    methods are "BOOT" and "BOOT-db". Each interval is centred on its own
+    point estimate: the fitted IRFs for BOOT, the bias-corrected model's
+    for BOOT-db. Both read one stack of m fitted-model refits, drawn on the
+    same stream whichever asked, so an interval's bits do not depend on
+    which other method is requested.
 
     Raises
     ------
     DimensionMismatchError
-        If ``y`` is not a (T, K) array for the K of ``model``.
+        If ``y`` is not a (len(residuals) + p, K) array, the shape of the
+        sample the fit came from.
     ValueError
         If ``methods`` names a method other than "BOOT" and "BOOT-db", or
         names one and m < 2.
     """
+    ar = np.asarray(ar, dtype=float)
     y = np.asarray(y)
-    if y.ndim != 2 or y.shape[1] != model.k:
-        raise DimensionMismatchError(f"y must be a (T, {model.k}) array, got shape {y.shape}")
+    expected = (len(residuals) + len(ar), ar.shape[-1])
+    if y.shape != expected:
+        raise DimensionMismatchError(
+            f"y must be the (T, {expected[1]}) array the fit came from, of shape {expected}, "
+            f"got shape {y.shape}"
+        )
     unknown = sorted(set(methods) - {"BOOT", "BOOT-db"})
     if unknown:
         raise ValueError(f"unknown bootstrap methods {unknown}; valid: ['BOOT', 'BOOT-db']")
     out = {}
     if not methods:
         return out
-    ar = model.ar_hat.mats
-    coefs = _refit_draws(ar, model.intercept, residuals, y, "fitted-model", substream(seed, 10), m)
+    coefs = _refit_draws(ar, intercept, residuals, y, "fitted-model", substream(seed, 10), m)
     if "BOOT" in methods:
         irfs = ma_from_ar(np.concatenate([ar[np.newaxis], coefs]), horizon)
-        out["BOOT"] = percentile_ci(irfs[1:], level, irfs[0], "BOOT")
+        # the point and bounds are copies, so a caller that keeps them frees the draws
+        out["BOOT"] = (irfs[0].copy(), *percentile_ci(irfs[1:], level))
     if "BOOT-db" in methods:
         # the bias is mean(refit coefficients) - fitted coefficients; the
         # builtin sum adds the draws in order, unlike numpy's pairwise sum
         bias = sum(coefs) / m - ar
         corrected = stationarity_guard(ar, bias)[0]
         stream = substream(seed, 11, 1)
-        out["BOOT-db"] = _stage_two(model, residuals, y, horizon, m, level, stream, corrected, bias)
+        out["BOOT-db"] = _stage_two(
+            ar, intercept, residuals, y, horizon, m, level, stream, corrected, bias
+        )
     return out

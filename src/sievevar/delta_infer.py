@@ -63,16 +63,6 @@ class IntervalSet:
         if np.any(self.lowers > self.uppers + 1e-15):
             raise DimensionMismatchError("interval lower bound exceeds upper bound")
 
-    def lengths(self) -> np.ndarray:
-        return self.uppers - self.lowers
-
-    def contains(self, truth: np.ndarray) -> np.ndarray:
-        """Boolean hit array: true entry inside the closed interval."""
-        truth = np.asarray(truth)
-        if truth.shape != self.points.shape:
-            raise DimensionMismatchError("truth shape disagrees with intervals")
-        return (self.lowers <= truth) & (truth <= self.uppers)
-
 
 def _companion_power_cols(model: VarModel, n: int) -> np.ndarray:
     """Stack of A_c^a J' for a = 0..n-1, shape (n, Kp, K)."""

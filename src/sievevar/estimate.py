@@ -14,7 +14,9 @@ Every kernel here takes a stack of samples: ``fit_var_fits`` fits an
 builds its Gamma_p, and the one-sample functions ``fit_var_ls`` and
 ``sample_gamma_p`` are their n = 1 case. Each member of a stack keeps the
 bits it has alone, and ``fit_var_fits`` refuses a stack with a sample it
-cannot fit, with the error that sample raises alone.
+cannot fit, with the error that sample raises alone. The solver under it,
+``fit_var_ls_stack``, only computes: ``fit_var_fits`` and the bootstrap's
+refits check the samples they hand it.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ class VarFits(_PlugIns):
     """Least-squares VAR(p) fits of the samples of an (n, T, K) stack, from ``fit_var_fits``.
 
     Every array has the stack dimension first, and the plug-ins carry the
-    names ``VarModel`` gives them. ``model(i)`` and ``residuals[i]`` are
-    bit for bit what ``fit_var_ls`` returns for member i's sample alone.
+    names ``VarModel`` gives them. Member i's arrays are bit for bit those
+    ``fit_var_ls`` returns for its sample alone.
     """
 
     coefs: np.ndarray  # (n, p, K, K), A_1 first
@@ -122,16 +124,6 @@ class VarFits(_PlugIns):
     @property
     def t_effective(self) -> int:
         return self.residuals.shape[1]
-
-    def model(self, i: int) -> VarModel:
-        """Member i as a ``VarModel``."""
-        return VarModel(
-            ar_hat=coeff_seq(self.coefs[i], self.k),
-            sigma_u_hat=self.sigma_u_hat[i],
-            intercept=None if self.intercept is None else self.intercept[i],
-            moment_matrix=self.moment_matrix[i],
-            t_effective=self.t_effective,
-        )
 
 
 def _short_sample(t: int, k: int, p: int, intercept: bool) -> str:
@@ -249,7 +241,14 @@ def fit_var_ls(
         ``fit_var_ls_stack`` flags the sample.
     """
     fits = fit_var_fits(_as_values(y)[np.newaxis], p, intercept)
-    return fits.model(0), fits.residuals[0]
+    model = VarModel(
+        ar_hat=coeff_seq(fits.coefs[0], fits.k),
+        sigma_u_hat=fits.sigma_u_hat[0],
+        intercept=None if fits.intercept is None else fits.intercept[0],
+        moment_matrix=fits.moment_matrix[0],
+        t_effective=fits.t_effective,
+    )
+    return model, fits.residuals[0]
 
 
 def fit_var_fits(samples: np.ndarray, p: int, intercept: bool = False) -> VarFits:
@@ -322,7 +321,9 @@ def fit_var_ls_stack(
     alone. Returns the (n, p, K, K) coefficient stack, a boolean
     mask of the samples fitted, and the (n, Kp, Kp) Grams Z'Z of the
     regressors Z_t = [y_{t-1}', ..., y_{t-p}']', T_eff times the moment
-    matrix. A flagged sample has NaN coefficients.
+    matrix. A flagged sample has NaN coefficients. The kernel only
+    computes: its callers check first that the samples are finite and
+    long enough to fit (``_short_sample``).
 
     The normal equations of a sample come from the Gram of its lag
     windows [y_t', y_{t-1}', ..., y_{t-p}'], copied one sample at a time,
@@ -330,27 +331,20 @@ def fit_var_ls_stack(
     (Frisch-Waugh), so the Grams are those of the demeaned regressors and
     one Cholesky factorisation per sample checks both that the demeaned
     moment matrix is positive-definite and its pivots. A sample is flagged
-    when T - p <= Kp + [intercept], fewer than one residual degree of
-    freedom (``_short_sample``), when it is not finite, when its
-    factorisation fails, or when its pivots collapse, min^2 <=
+    when its factorisation fails or its pivots collapse, min^2 <=
     ``_PIVOT_COLLAPSE`` max^2. Each sample is factorised and solved by its
     own LAPACK calls (``np.linalg.solve``), so neither its flag nor its bits
     depend on the samples beside it.
     """
     samples = np.asarray(samples, dtype=float)
-    n, t, k = samples.shape
+    n, _, k = samples.shape
     if p < 1:
         raise ValueError("p must be >= 1")
     kp = k * p
-    if _short_sample(t, k, p, intercept):
-        return np.full((n, p, k, k), np.nan), np.zeros(n, dtype=bool), np.full((n, kp, kp), np.nan)
-    finite = np.isfinite(samples).all(axis=(1, 2))
-    if not finite.all():
-        samples = np.where(finite[:, np.newaxis, np.newaxis], samples, 0.0)
     gram = _lag_grams(samples, p, demean=intercept)
     grams, xty = gram[:, k:, k:], gram[:, k:, :k]
     pivots = np.diagonal(_cholesky(grams), axis1=1, axis2=2)
-    fitted = finite & (pivots.min(axis=1) ** 2 > _PIVOT_COLLAPSE * pivots.max(axis=1) ** 2)
+    fitted = pivots.min(axis=1) ** 2 > _PIVOT_COLLAPSE * pivots.max(axis=1) ** 2
     # a flagged sample could make the solve raise; its result is discarded
     xtx = grams if fitted.all() else np.where(fitted[:, np.newaxis, np.newaxis], grams, np.eye(kp))
     coef = np.linalg.solve(xtx, xty)  # rows regressors, columns equations

@@ -20,14 +20,16 @@ its fit included (``fit_var_fits`` refuses a sample it cannot fit), is
 scored again one sample at a time, and a sample that still raises goes to
 the retry pass.
 
-Chunks of a run with ``workers > 1`` run on the process's one worker pool.
-The first such ``run_experiment`` call starts it, every later call with the
-same count and the same ``METHODS`` table reuses it, a call with another
-count or table replaces it, and it ends with the process; a forked child
-starts without it. Each chunk task carries the config, the true responses
-and the stack size, all computed by the parent, so a reused worker gets
-the inputs a fresh fork would. Any other module state is what the process
-held when the pool forked: a patch made after that does not reach it.
+A run uses at most one worker per chunk, min(``workers``, chunks), and
+runs in its own process when that is one. Otherwise its chunks run on the
+process's one worker pool. The first such ``run_experiment`` call starts
+it, every later call with the same count and the same ``METHODS`` table
+reuses it, a call with another count or table replaces it, and it ends
+with the process; a forked child starts without it. Each chunk task
+carries the config, the true responses and the stack size, all computed
+by the parent, so a reused worker gets the inputs a fresh fork would. Any
+other module state is what the process held when the pool forked: a patch
+made after that does not reach it.
 """
 
 from __future__ import annotations
@@ -216,21 +218,16 @@ def _interval_stacks(
     boot = [m for m in methods if METHODS[m] is None]
     out = {}
     if boot:
+        intercepts = [None] * len(samples) if fits.intercept is None else fits.intercept
         sets = [
             bootstrap_interval_sets(
-                fits.model(i), fits.residuals[i], y, horizon, bootstrap_replications, level, boot,
-                seed,
+                ar, c, resid, y, horizon, bootstrap_replications, level, boot, seed
             )
-            for i, (y, seed) in enumerate(zip(samples, seeds))
+            for ar, c, resid, y, seed in zip(fits.coefs, intercepts, fits.residuals, samples, seeds)
         ]
         for method in boot:
-            ivs = [s[method] for s in sets]
-            out[method] = (
-                np.stack([iv.points for iv in ivs]),
-                np.stack([iv.lowers for iv in ivs]),
-                np.stack([iv.uppers for iv in ivs]),
-                np.zeros(len(ivs), dtype=int),
-            )
+            points, lowers, uppers = map(np.stack, zip(*(s[method] for s in sets)))
+            out[method] = (points, lowers, uppers, np.zeros(len(sets), dtype=int))
     phi_hat = ma_from_ar(fits.coefs, horizon)
     for method in (m for m in methods if m not in boot):
         covs = METHODS[method](fits, samples, phi_hat)
@@ -381,13 +378,17 @@ def _pool_map(workers: int, fn: Callable, items: Sequence) -> list:
 
 
 def run_experiment(cfg: ExperimentConfig) -> McSummary:
-    """Execute the full experiment, on the process's worker pool when ``cfg.workers > 1``."""
+    """Execute the full experiment, on the process's pool of min(``cfg.workers``, chunks) workers.
+
+    A run of one chunk, or with ``cfg.workers`` 1, runs in this process.
+    """
     truth = varma_true_irf(cfg.dgp, cfg.horizon)
     size = _chunk_size(cfg)
     chunks = [range(r, min(r + size, cfg.replications)) for r in range(0, cfg.replications, size)]
     run_chunk = partial(_run_chunk, cfg, truth, _stack_size(cfg))
-    if cfg.workers > 1:
-        scored = _pool_map(cfg.workers, run_chunk, chunks)
+    workers = min(cfg.workers, len(chunks))
+    if workers > 1:
+        scored = _pool_map(workers, run_chunk, chunks)
     else:
         scored = map(run_chunk, chunks)
     results = [rec for chunk in scored for rec in chunk]

@@ -225,8 +225,10 @@ def test_08_bias_correction_moves_toward_truth():
         plain[r] = model.ar_hat.mats[0, 0, 0]
         # Phi_1 of an AR(1) is its coefficient: the point of BOOT-db at horizon 1
         seed = np.random.SeedSequence(809, spawn_key=(r,))
-        sets = sv.bootstrap_interval_sets(model, resid, y.values, 1, m, 0.95, ("BOOT-db",), seed)
-        corrected[r] = sets["BOOT-db"].points[1, 0, 0]
+        points, _, _ = sv.bootstrap_interval_sets(
+            model.ar_hat.mats, None, resid, y.values, 1, m, 0.95, ("BOOT-db",), seed
+        )["BOOT-db"]
+        corrected[r] = points[1, 0, 0]
     assert abs(corrected.mean() - a) < abs(plain.mean() - a)
     _report(
         f"8 (AR(1) a=0.9, T=80: mean corrected {corrected.mean():.4f} beats "

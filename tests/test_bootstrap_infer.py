@@ -1,7 +1,6 @@
 """Residual bootstrap, percentile intervals, bias correction."""
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from sievevar import (
     NonFiniteError,
     SingularMatrixError,
     bootstrap_interval_sets,
-    coeff_seq,
     companion_form,
     fit_var_ls,
     ma_from_ar,
@@ -92,7 +90,7 @@ def count_refits(monkeypatch, fail_on=None):
     return refits
 
 
-def boot_draws(model, resid, y, horizon, m, seed):
+def boot_draws(ar, resid, y, horizon, m, seed):
     """BOOT's IRF draws, as ``bootstrap_interval_sets`` hands them to ``percentile_ci``."""
     seen = []
 
@@ -102,7 +100,7 @@ def boot_draws(model, resid, y, horizon, m, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bootstrap_infer, "percentile_ci", recorded)
-        bootstrap_interval_sets(model, resid, y, horizon, m, 0.9, ("BOOT",), seed)
+        bootstrap_interval_sets(ar, None, resid, y, horizon, m, 0.9, ("BOOT",), seed)
     (draws,) = seen
     return draws
 
@@ -261,7 +259,7 @@ class TestBootstrapIrfDistribution:
     def test_horizon_zero_draws_exact_identity(self, desk_spec):
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
-        draws = boot_draws(model, resid, y, 4, 25, 7)
+        draws = boot_draws(model.ar_hat.mats, resid, y, 4, 25, 7)
         assert np.array_equal(
             draws[:, 0], np.broadcast_to(np.eye(2), (25, 2, 2))
         )
@@ -272,7 +270,7 @@ class TestBootstrapIrfDistribution:
         y = simulate_varma(white_noise_spec(1), 2000, 0, 12).values
         model, resid = fit_var_ls(y, 1)
         a_hat = model.ar_hat.mats[0, 0, 0]
-        draws = boot_draws(model, resid, y, 1, 200, 3)
+        draws = boot_draws(model.ar_hat.mats, resid, y, 1, 200, 3)
         phi1 = draws[:, 1, 0, 0]
         assert abs(phi1.mean() - a_hat) < 3 * phi1.std() / np.sqrt(len(phi1))
         assert abs(phi1.mean()) < 0.05
@@ -281,26 +279,26 @@ class TestBootstrapIrfDistribution:
         # draw r depends only on (seed, r), so a shorter run is a prefix
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
-        big = boot_draws(model, resid, y, 4, 12, 42)
-        small = boot_draws(model, resid, y, 4, 5, 42)
+        big = boot_draws(model.ar_hat.mats, resid, y, 4, 12, 42)
+        small = boot_draws(model.ar_hat.mats, resid, y, 4, 5, 42)
         assert np.array_equal(big[:5], small)
 
     def test_minimum_replications(self, desk_spec):
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
         with pytest.raises(ValueError):
-            bootstrap_interval_sets(model, resid, y, 4, 1, 0.9, ("BOOT",), 7)
+            bootstrap_interval_sets(model.ar_hat.mats, None, resid, y, 4, 1, 0.9, ("BOOT",), 7)
 
     def test_singular_refit_retries_on_next_attempt(self, desk_spec, monkeypatch):
         # a singular refit of draw 1 moves it to row 1 of the attempt-1
         # fills; every other draw keeps its attempt-0 row
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
-        plain = boot_draws(model, resid, y, 4, 3, 7)
         ar = model.ar_hat.mats
+        plain = boot_draws(ar, resid, y, 4, 3, 7)
         first = rule_pseudo(ar, None, resid, y, substream(7, 10), 0, 1)
         refits = count_refits(monkeypatch, fail_on=first)
-        draws = boot_draws(model, resid, y, 4, 3, 7)
+        draws = boot_draws(ar, resid, y, 4, 3, 7)
         retry = rule_pseudo(ar, None, resid, y, substream(7, 10), 1, 1)
         want = ma_from_ar(fit_var_ls_stack(retry[np.newaxis], 2)[0][0], 4)
         assert refits == {"stacked": 4}
@@ -324,19 +322,18 @@ class TestBootstrapIrfDistribution:
 
         monkeypatch.setattr(bootstrap_infer, "fit_var_ls_stack", flag_all)
         with pytest.raises(SingularMatrixError):
-            bootstrap_interval_sets(model, resid, y, 4, 3, 0.9, ("BOOT",), 7)
+            bootstrap_interval_sets(model.ar_hat.mats, None, resid, y, 4, 3, 0.9, ("BOOT",), 7)
         # every pending draw gets its attempts before the raise
         assert sum(calls) == 3 * bootstrap_infer._MAX_REFIT_ATTEMPTS
 
-    def test_genuinely_singular_refit_retried_then_raises(self, rng, monkeypatch):
+    def test_genuinely_singular_refit_retried_then_raises(self, monkeypatch):
         # zero residuals and a unit root on a constant source: every
         # pseudo-sample is constant, so every refit's X'X has rank 1
         source = np.ones((50, 2))
-        fitted, _ = fit_var_ls(rng.normal(size=(50, 2)), 1)
-        model = replace(fitted, ar_hat=coeff_seq(np.eye(2)[np.newaxis], 2))
+        ar = np.eye(2)[np.newaxis]
         resid = np.zeros((49, 2))
         drawn = bootstrap_infer._draw_indices(7, 0, 2, 50, 1, 49)
-        pseudo = residual_bootstrap_sample(model.ar_hat.mats, None, resid, source, *drawn)
+        pseudo = residual_bootstrap_sample(ar, None, resid, source, *drawn)
         np.testing.assert_array_equal(pseudo, np.ones((2, 50, 2)))
         assert not fit_var_ls_stack(pseudo, 1)[1].any()
         blocks = []
@@ -350,7 +347,7 @@ class TestBootstrapIrfDistribution:
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", recorded)
         m, attempts = 3, bootstrap_infer._MAX_REFIT_ATTEMPTS
         with pytest.raises(SingularMatrixError):
-            bootstrap_interval_sets(model, resid, source, 4, m, 0.9, ("BOOT",), 7)
+            bootstrap_interval_sets(ar, None, resid, source, 4, m, 0.9, ("BOOT",), 7)
         # one block per attempt, each draw on its row of that attempt's fills
         assert len(blocks) == attempts
         for attempt, (starts, idx) in enumerate(blocks):
@@ -404,7 +401,7 @@ class TestBootstrapIrfDistribution:
 
         monkeypatch.setattr(bootstrap_infer, "residual_bootstrap_sample", no_resample)
         monkeypatch.setattr(bootstrap_infer, "_draw_indices", no_resample)
-        assert bootstrap_interval_sets(model, resid, y, 4, 3, 0.9, (), 7) == {}
+        assert bootstrap_interval_sets(model.ar_hat.mats, None, resid, y, 4, 3, 0.9, (), 7) == {}
 
     def test_block_floats_bounds_block_size(self, desk_spec, monkeypatch):
         # 64 draws of a K=4, T=600 sample, or of any sample the same size,
@@ -435,21 +432,19 @@ class TestBootstrapIrfDistribution:
             ("BOOT-db stage two", None),
         ],
     )
-    def test_retry_error_names_stage_and_draw(self, rng, stage, methods):
+    def test_retry_error_names_stage_and_draw(self, stage, methods):
         # every refit of the unit-root model on a constant source is singular;
         # the shared stage's name is right whichever method asked for it
         source = np.ones((50, 2))
-        fitted, _ = fit_var_ls(rng.normal(size=(50, 2)), 1)
-        model = replace(fitted, ar_hat=coeff_seq(np.eye(2)[np.newaxis], 2))
+        ar = np.eye(2)[np.newaxis]
         resid = np.zeros((49, 2))
         message = f"failed 10 times for {stage} draw 0$"
         with pytest.raises(SingularMatrixError, match=message):
             if methods:
-                bootstrap_interval_sets(model, resid, source, 4, 3, 0.9, methods, 7)
+                bootstrap_interval_sets(ar, None, resid, source, 4, 3, 0.9, methods, 7)
             else:
-                zero = np.zeros_like(model.ar_hat.mats)
-                mats = model.ar_hat.mats
-                bootstrap_infer._stage_two(model, resid, source, 4, 3, 0.9, 7, mats, zero)
+                zero = np.zeros_like(ar)
+                bootstrap_infer._stage_two(ar, None, resid, source, 4, 3, 0.9, 7, ar, zero)
 
     def test_retry_error_names_draw_of_shared_stage(self, desk_spec, monkeypatch):
         # only draw 2 of the fitted-model stage, which BOOT and BOOT-db both
@@ -470,26 +465,26 @@ class TestBootstrapIrfDistribution:
 
         monkeypatch.setattr(bootstrap_infer, "fit_var_ls_stack", flag_target)
         with pytest.raises(SingularMatrixError, match="for fitted-model draw 2$"):
-            bootstrap_interval_sets(model, resid, y, 4, 4, 0.9, ("BOOT", "BOOT-db"), 8)
+            bootstrap_interval_sets(ar, None, resid, y, 4, 4, 0.9, ("BOOT", "BOOT-db"), 8)
         # one pass per attempt, and no other: each resampled draw 2 from its
         # own row of that attempt's fills
         assert flagged == [1] * len(attempts)
 
     def test_explosive_model_raises_non_finite(self, rng):
         y = rng.normal(size=(1000, 2))
-        fitted, resid = fit_var_ls(y, 1)
-        model = replace(fitted, ar_hat=coeff_seq(3.0 * np.eye(2)[np.newaxis], 2))
+        _, resid = fit_var_ls(y, 1)
+        ar = 3.0 * np.eye(2)[np.newaxis]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError, match="fitted-model draw 0: bootstrap pseudo-sample"):
-                bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, ("BOOT",), 7)
+                bootstrap_interval_sets(ar, None, resid, y, 4, 10, 0.9, ("BOOT",), 7)
 
     def test_explosive_model_raises_dimension_mismatch(self, rng):
         y = rng.normal(size=(1000, 2))
-        fitted, resid = fit_var_ls(y, 1)
-        model = replace(fitted, ar_hat=coeff_seq(3.0 * np.eye(2)[np.newaxis], 2))
+        _, resid = fit_var_ls(y, 1)
+        ar = 3.0 * np.eye(2)[np.newaxis]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DimensionMismatchError):
-                bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, ("BOOT",), 7)
+                bootstrap_interval_sets(ar, None, resid, y, 4, 10, 0.9, ("BOOT",), 7)
 
 
 class TestBootstrapIntervalSets:
@@ -498,7 +493,7 @@ class TestBootstrapIntervalSets:
         y = simulate_varma(desk_spec, 120, 200, 50).values
         model, resid = fit_var_ls(y, 2)
         with pytest.raises(ValueError, match=f"'{key}'"):
-            bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, ("BOOT", key), 7)
+            bootstrap_interval_sets(model.ar_hat.mats, None, resid, y, 4, 10, 0.9, ("BOOT", key), 7)
 
     @pytest.mark.parametrize("intercept", [False, True])
     def test_one_fitted_model_stage_feeds_both_methods(self, desk_spec, monkeypatch, intercept):
@@ -513,7 +508,7 @@ class TestBootstrapIntervalSets:
             bootstrap_infer._stage_two,
             bootstrap_infer.percentile_ci,
         )
-        calls, biases, expanded = [], [], {}
+        calls, biases, expanded = [], [], []
 
         def spy_refit(ar_, intercept_, residuals, y, stage, seed, m_):
             coefs = refit(ar_, intercept_, residuals, y, stage, seed, m_)
@@ -524,25 +519,27 @@ class TestBootstrapIntervalSets:
             biases.append(args[-1])
             return stage_two(*args)
 
-        def spy_percentile(draws, level, points, method):
-            expanded[method] = draws
-            return percentile(draws, level, points, method)
+        def spy_percentile(draws, level):
+            expanded.append(draws)
+            return percentile(draws, level)
 
         monkeypatch.setattr(bootstrap_infer, "_refit_draws", spy_refit)
         monkeypatch.setattr(bootstrap_infer, "_stage_two", spy_stage_two)
         monkeypatch.setattr(bootstrap_infer, "percentile_ci", spy_percentile)
         streams = [("fitted-model", 5, (10,)), ("BOOT-db stage two", 5, (11, 1))]
         both = ("BOOT", "BOOT-db")
-        sets = bootstrap_interval_sets(model, resid, values, horizon, m, 0.9, both, 5)
+        fit = (ar, model.intercept, resid)
+        sets = bootstrap_interval_sets(*fit, values, horizon, m, 0.9, both, 5)
         assert tuple(sets) == both
         assert [call[:3] for call in calls] == streams
         shared = calls[0][3]
-        np.testing.assert_array_equal(expanded["BOOT"], ma_from_ar(shared, horizon))
+        # BOOT's draws are the first expanded
+        np.testing.assert_array_equal(expanded[0], ma_from_ar(shared, horizon))
         (bias,) = biases
         np.testing.assert_array_equal(bias, sum(shared) / m - ar)
 
         calls.clear()
-        bootstrap_interval_sets(model, resid, values, horizon, m, 0.9, ("BOOT-db",), 5)
+        bootstrap_interval_sets(*fit, values, horizon, m, 0.9, ("BOOT-db",), 5)
         assert [call[:3] for call in calls] == streams
         np.testing.assert_array_equal(calls[0][3], shared)
 
@@ -551,33 +548,44 @@ class TestBootstrapIntervalSets:
         model, resid = fit_var_ls(path, 2)
         for y in (path, path.values[:, 0], path.values[:, :1], path.values[np.newaxis]):
             with pytest.raises(DimensionMismatchError, match=r"\(T, 2\) array"):
-                bootstrap_interval_sets(model, resid, y, 4, 10, 0.9, ("BOOT",), 7)
+                bootstrap_interval_sets(model.ar_hat.mats, None, resid, y, 4, 10, 0.9, ("BOOT",), 7)
+
+    @pytest.mark.parametrize("rows", [5, 10, 200])
+    def test_sample_must_be_the_one_fitted(self, desk_spec, rows):
+        # a T = 100, p = 2 fit leaves 98 residuals: a sample of another
+        # length would resample another design, or fail its refits
+        y = simulate_varma(desk_spec, 200, 200, 50).values
+        model, resid = fit_var_ls(y[:100], 2)
+        ar, other = model.ar_hat.mats, y[:rows]
+        wanted = rf"of shape \(100, 2\), got shape \({rows}, 2\)"
+        with pytest.raises(DimensionMismatchError, match=wanted):
+            bootstrap_interval_sets(ar, None, resid, other, 4, 50, 0.9, ("BOOT",), 7)
 
 
 class TestPercentileCi:
     def test_stated_order_statistics(self):
         draws = np.arange(0.01, 1.005, 0.01).reshape(100, 1, 1, 1)
-        iv = percentile_ci(draws, 0.90, np.median(draws, axis=0), "BOOT")
-        assert iv.lowers[0, 0, 0] == pytest.approx(0.05)
-        assert iv.uppers[0, 0, 0] == pytest.approx(0.95)
+        lowers, uppers = percentile_ci(draws, 0.90)
+        assert lowers[0, 0, 0] == pytest.approx(0.05)
+        assert uppers[0, 0, 0] == pytest.approx(0.95)
 
     def test_constant_draws_degenerate(self):
         draws = np.full((40, 2, 1, 1), 3.25)
-        iv = percentile_ci(draws, 0.95, np.median(draws, axis=0), "BOOT")
-        assert np.all(iv.lowers == 3.25) and np.all(iv.uppers == 3.25)
+        lowers, uppers = percentile_ci(draws, 0.95)
+        assert np.all(lowers == 3.25) and np.all(uppers == 3.25)
 
     def test_non_finite_draws_raise_non_finite_error(self):
         draws = np.zeros((10, 2, 1, 1))
         draws[3, 1] = np.inf
         with pytest.raises(NonFiniteError):
-            percentile_ci(draws, 0.9, np.zeros((2, 1, 1)), "BOOT")
+            percentile_ci(draws, 0.9)
 
     def test_non_finite_or_wrong_rank_draws_rejected(self):
         bad = np.zeros((10, 2, 1, 1))
         bad[3, 1] = np.nan
         for draws in (bad, np.zeros((10, 2, 1))):
             with pytest.raises(DimensionMismatchError):
-                percentile_ci(draws, 0.9, np.median(draws, axis=0), "BOOT")
+                percentile_ci(draws, 0.9)
 
     def test_m300_level95_indices(self):
         assert percentile_indices(300, 0.95) == (8, 293)
@@ -594,9 +602,9 @@ class TestPercentileCi:
     def test_interval_contains_median(self, m, level, seed):
         rng = np.random.default_rng(seed)
         draws = rng.normal(size=(m, 1, 1, 1))
-        iv = percentile_ci(draws, level, np.median(draws, axis=0), "BOOT")
+        lowers, uppers = percentile_ci(draws, level)
         med = np.median(draws[:, 0, 0, 0])
-        assert iv.lowers[0, 0, 0] <= med <= iv.uppers[0, 0, 0]
+        assert lowers[0, 0, 0] <= med <= uppers[0, 0, 0]
 
 
 class TestStationarityGuard:
@@ -716,9 +724,9 @@ class TestStationarityGuard:
             assert delta == want_delta
 
 
-def boot_db(model, resid, y, horizon, m, level, seed):
-    """BOOT-db intervals from the one bootstrap entry point."""
-    sets = bootstrap_interval_sets(model, resid, y, horizon, m, level, ("BOOT-db",), seed)
+def boot_db(ar, resid, y, horizon, m, level, seed):
+    """BOOT-db points, lowers and uppers from the one bootstrap entry point."""
+    sets = bootstrap_interval_sets(ar, None, resid, y, horizon, m, level, ("BOOT-db",), seed)
     return sets["BOOT-db"]
 
 
@@ -732,32 +740,33 @@ class TestBiasCorrectedBootstrap:
         m = 15
         for values, intercept in ((y, False), (y + 3.0, True)):
             model, resid = fit_var_ls(values, 2, intercept=intercept)
-            zero = np.zeros_like(model.ar_hat.mats)
+            ar, const = model.ar_hat.mats, model.intercept
+            zero = np.zeros_like(ar)
             plain = substream(31, 10)
             for level in (0.95, 0.6, 0.2):
-                iv = bootstrap_infer._stage_two(
-                    model, resid, values, 4, m, level, plain, model.ar_hat.mats, zero
+                _, lowers, uppers = bootstrap_infer._stage_two(
+                    ar, const, resid, values, 4, m, level, plain, ar, zero
                 )
-                sets = bootstrap_interval_sets(model, resid, values, 4, m, level, ("BOOT",), 31)
-                want = sets["BOOT"]
-                np.testing.assert_array_equal(iv.lowers, want.lowers)
-                np.testing.assert_array_equal(iv.uppers, want.uppers)
+                sets = bootstrap_interval_sets(ar, const, resid, values, 4, m, level, ("BOOT",), 31)
+                _, want_lowers, want_uppers = sets["BOOT"]
+                np.testing.assert_array_equal(lowers, want_lowers)
+                np.testing.assert_array_equal(uppers, want_uppers)
 
     def test_deterministic(self, desk_spec):
         y = simulate_varma(desk_spec, 150, 200, 4).values
         model, resid = fit_var_ls(y, 2)
-        a = boot_db(model, resid, y, 5, 30, 0.95, 11)
-        b = boot_db(model, resid, y, 5, 30, 0.95, 11)
-        assert np.array_equal(a.lowers, b.lowers)
-        assert np.array_equal(a.uppers, b.uppers)
-        assert np.array_equal(a.points, b.points)
+        a_points, a_lowers, a_uppers = boot_db(model.ar_hat.mats, resid, y, 5, 30, 0.95, 11)
+        b_points, b_lowers, b_uppers = boot_db(model.ar_hat.mats, resid, y, 5, 30, 0.95, 11)
+        assert np.array_equal(a_lowers, b_lowers)
+        assert np.array_equal(a_uppers, b_uppers)
+        assert np.array_equal(a_points, b_points)
 
     def test_horizon_zero_exact_points(self, desk_spec):
         y = simulate_varma(desk_spec, 150, 200, 4).values
         model, resid = fit_var_ls(y, 2)
-        iv = boot_db(model, resid, y, 4, 25, 0.95, 11)
-        np.testing.assert_array_equal(iv.lowers[0], np.eye(2))
-        np.testing.assert_array_equal(iv.uppers[0], np.eye(2))
+        _, lowers, uppers = boot_db(model.ar_hat.mats, resid, y, 4, 25, 0.95, 11)
+        np.testing.assert_array_equal(lowers[0], np.eye(2))
+        np.testing.assert_array_equal(uppers[0], np.eye(2))
 
     def test_points_are_corrected_model_irfs(self, desk_spec):
         y = simulate_varma(desk_spec, 150, 200, 4).values
@@ -769,8 +778,8 @@ class TestBiasCorrectedBootstrap:
         )
         bias = coefs.mean(axis=0) - model.ar_hat.mats
         corrected, _ = stationarity_guard(model.ar_hat.mats, bias)
-        iv = boot_db(model, resid, y, 4, 25, 0.95, 11)
-        np.testing.assert_allclose(iv.points, ma_from_ar(corrected, 4))
+        points, _, _ = boot_db(model.ar_hat.mats, resid, y, 4, 25, 0.95, 11)
+        np.testing.assert_allclose(points, ma_from_ar(corrected, 4))
 
     def test_reduces_ar1_bias_single_sample(self):
         # downward LS bias at a = 0.9, T = 80: the correction should move
@@ -784,6 +793,6 @@ class TestBiasCorrectedBootstrap:
             y = simulate_varma(spec, 80, 200, 1000 + i)
             model, resid = fit_var_ls(y, 1)
             plain[i] = model.ar_hat.mats[0, 0, 0]
-            iv = boot_db(model, resid, y.values, 1, 60, 0.95, 2000 + i)
-            corrected[i] = iv.points[1, 0, 0]
+            points, _, _ = boot_db(model.ar_hat.mats, resid, y.values, 1, 60, 0.95, 2000 + i)
+            corrected[i] = points[1, 0, 0]
         assert abs(corrected.mean() - 0.9) < abs(plain.mean() - 0.9)

@@ -258,8 +258,9 @@ class TestFailedReplications:
         y = simulate_varma(cfg.dgp, cfg.t, cfg.effective_burn_in, substream(seed, 0))
         sets = interval_sets_for_sample(y, cfg.p, cfg.horizon, cfg.level, cfg.methods, 20, seed)
         for j, method in enumerate(cfg.methods):
-            assert np.array_equal(got[3][0][j], sets[method].contains(truth))
-            assert np.array_equal(got[3][1][j], sets[method].lengths())
+            iv = sets[method]
+            assert np.array_equal(got[3][0][j], (iv.lowers <= truth) & (truth <= iv.uppers))
+            assert np.array_equal(got[3][1][j], iv.uppers - iv.lowers)
         for r in chunk:
             if r != 3:
                 assert all(np.array_equal(a, b) for a, b in zip(got[r], want[r]))
@@ -306,10 +307,9 @@ def one_sample_record(cfg, truth, y, seed):
     sets = interval_sets_for_sample(
         y, cfg.p, cfg.horizon, cfg.level, cfg.methods, cfg.bootstrap_replications, seed, cfg.intercept
     )
-    return (
-        np.stack([sets[m].contains(truth) for m in cfg.methods]),
-        np.stack([sets[m].lengths() for m in cfg.methods]),
-    )
+    lowers = np.stack([sets[m].lowers for m in cfg.methods])
+    uppers = np.stack([sets[m].uppers for m in cfg.methods])
+    return (lowers <= truth) & (truth <= uppers), uppers - lowers
 
 
 class TestStackFailures:
@@ -466,20 +466,22 @@ class TestIntervalSetsForSample:
         )
         for p, m in ((3, 7), (3, 20), (10, 7), (10, 20)):
             model, resid = fit_var_ls(values, p, intercept=intercept)
+            fit = (model.ar_hat.mats, model.intercept, resid)
             runs = [
                 interval_sets_for_sample(values, p, 5, 0.9, bundle, m, 5, intercept=intercept)
                 for bundle in bundles
             ]
             want = {
-                method: bootstrap_interval_sets(model, resid, values, 5, m, 0.9, [method], 5)[method]
+                method: bootstrap_interval_sets(*fit, values, 5, m, 0.9, [method], 5)[method]
                 for method in ("BOOT", "BOOT-db")
             }
             for bundle, sets in zip(bundles, runs):
                 assert tuple(sets) == bundle
                 for method, iv in sets.items():
-                    ref = want.get(method) or runs[bundles.index((method,))][method]
-                    for name in ("points", "lowers", "uppers"):
-                        np.testing.assert_array_equal(getattr(iv, name), getattr(ref, name))
+                    alone = runs[bundles.index((method,))][method]
+                    ref = want.get(method, (alone.points, alone.lowers, alone.uppers))
+                    for got, expected in zip((iv.points, iv.lowers, iv.uppers), ref):
+                        np.testing.assert_array_equal(got, expected)
 
     def test_one_dimensional_sample_is_one_column(self):
         # every method reads a 1-D sample as one variable
@@ -672,7 +674,7 @@ def _replicate_and_count_threads():
     # the bootstrap of a `sievevar ci` call at K = 4, T = 600, p = 6
     y = simulate_varma(spec, 600, 100, 9).values
     model, resid = fit_var_ls(y, 6)
-    bootstrap_interval_sets(model, resid, y, 24, 64, 0.95, ("BOOT", "BOOT-db"), 9)
+    bootstrap_interval_sets(model.ar_hat.mats, None, resid, y, 24, 64, 0.95, ("BOOT", "BOOT-db"), 9)
     # the triangular inverse at K = 4, p = 30; a K = 4, p = 30 fit itself
     # still threads in its solve, so the Gamma is given, without a product
     lags = np.arange(120)
@@ -739,6 +741,15 @@ class TestWorkerPool:
         pids = worker_pids()
         assert len(pids) == 2
         assert_same_summary(run_experiment(cfg), want)
+        assert worker_pids() == pids
+
+    def test_a_run_starts_no_more_workers_than_chunks(self):
+        # R = 2 at workers 3 is two chunks of one replication, on two
+        # workers; R = 1 at workers 2 is one chunk, run in this process
+        assert_same_summary(run_experiment(p30_config(3, 2)), run_experiment(p30_config(1, 2)))
+        pids = worker_pids()
+        assert len(pids) == 2
+        assert_same_summary(run_experiment(p30_config(2, 1)), run_experiment(p30_config(1, 1)))
         assert worker_pids() == pids
 
     def test_new_count_replaces_the_workers(self, desk_spec, monkeypatch):

@@ -77,7 +77,6 @@ def check_members(k, p, intercept):
         bounds = [delta_infer.delta_bounds(phis, cov, LEVEL, t) for cov in covs]
         for i, (model, resid, phi, gamma, cov_alone, bounds_alone) in enumerate(alone[:n]):
             assert_same_bits(fits.coefs[i], model.ar_hat.mats)
-            assert_same_bits(fits.model(i).ar_hat.mats, model.ar_hat.mats)
             assert_same_bits(fits.residuals[i], resid)
             assert_same_bits(fits.sigma_u_hat[i], model.sigma_u_hat)
             assert_same_bits(fits.sigma_u_ml[i], model.sigma_u_ml)
