@@ -36,11 +36,12 @@ _PIVOT_COLLAPSE = 1e-13
 
 # _lag_grams keeps every BLAS call below OpenBLAS's threading sizes. On
 # OpenBLAS 0.3.31 a syrk (numpy's a.T @ a) of 32 or more columns runs on the
-# library's thread server, and so does a gemm of more than about 1e6
-# multiply-adds (m n k); in a forked worker that one call starts the server,
-# whose helper thread then spins through the Python work that follows. A
-# Gram wider than _GRAM_PANEL columns is built from column panels, by
-# products of fewer than _SERIAL_MADDS multiply-adds.
+# library's thread server (of 28 on the Haswell and Zen kernels), and so
+# does a gemm of more than about 1e6 multiply-adds (m n k); in a forked
+# worker that one call starts the server, whose helper thread then spins
+# through the Python work that follows. So a Gram runs no syrk: it is built
+# by gemm from column panels of at most _GRAM_PANEL columns, by products of
+# fewer than _SERIAL_MADDS multiply-adds.
 _GRAM_PANEL = 31
 
 
@@ -182,33 +183,34 @@ def _lag_grams(samples: np.ndarray, p: int, demean: bool = False) -> np.ndarray:
     gram = np.empty((n, width, width))
     count = -(-width // _GRAM_PANEL)
     bounds = [width * i // count for i in range(count + 1)]
-    panels = list(zip(bounds[:-1], bounds[1:]))
+    # the upper strip of each panel by gemm, about twice syrk's rate at these
+    # sizes, in row blocks of fewer than _SERIAL_MADDS multiply-adds; past
+    # the first panel a strip starts a column early, in the lower triangle,
+    # so that numpy does not turn the last into a syrk, and a single panel
+    # takes its left factor from a second copy for the same reason
+    strips = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        first = max(lo - 1, 0)
+        strips.append((lo, hi, first, max((_SERIAL_MADDS - 1) // ((hi - lo) * (width - first)), 1)))
     # one contiguous copy per sample: on the overlapping window itself
     # numpy's matmul runs gemm, not syrk
     for rows, out in zip(_lag_windows(samples, p), gram):
         rows = np.array(rows, order="C")
         if demean:  # the means by a product, three times faster than rows.mean(axis=0)
             rows -= np.ones(t - p) @ rows / (t - p)
-        if count == 1:
-            np.matmul(rows.T, rows, out=out)  # one syrk, mirrored by numpy
-            continue
-        # the upper strip of each panel by gemm, about twice syrk's rate at
-        # these sizes; past the first panel a strip starts a column early,
-        # in the lower triangle, so that numpy does not turn the last into
-        # a syrk. The lower triangle is then the mirror of the upper one,
-        # diagonal blocks included: some OpenBLAS kernels (Haswell's) sum
-        # entry (i, j) of a gemm in another order than entry (j, i).
-        for lo, hi in panels:
-            first = max(lo - 1, 0)
-            left, strip = rows[:, lo:hi], out[lo:hi, first:]
-            step = max((_SERIAL_MADDS - 1) // strip.size, 1)
+        lefts = rows.copy() if count == 1 else rows
+        for lo, hi, first, step in strips:
+            left, strip = lefts[:, lo:hi], out[lo:hi, first:]
             np.matmul(left[:step].T, rows[:step, first:], out=strip)
             for r in range(step, t - p, step):
                 strip += left[r : r + step].T @ rows[r : r + step, first:]
-        for lo, hi in panels:
-            block, below = out[lo:hi, lo:hi], _strictly_lower(hi - lo)
-            block[below] = block.T[below]
-            out[hi:, lo:hi] = out[lo:hi, hi:].T
+    # the lower triangle is the mirror of the upper one, diagonal blocks
+    # included: some OpenBLAS kernels (Haswell's) sum entry (i, j) of a gemm
+    # in another order than entry (j, i)
+    for lo, hi, _, _ in strips:
+        block, (i, j) = gram[:, lo:hi, lo:hi], _strictly_lower(hi - lo)
+        block[:, i, j] = block[:, j, i]
+        gram[:, hi:, lo:hi] = gram[:, lo:hi, hi:].swapaxes(1, 2)
     return gram
 
 

@@ -18,6 +18,7 @@ from sievevar import (
 )
 from sievevar.bootstrap_infer import _draw_indices
 from sievevar.estimate import _GRAM_PANEL, _lag_grams, _lag_windows, fit_var_ls_stack
+from sievevar.var_core import _SERIAL_MADDS
 from conftest import (
     assert_close_to_scale,
     build_gamma_p,
@@ -280,7 +281,7 @@ class TestFitVarLsStack:
 
 
 class TestLagGrams:
-    """Grams wider than ``_GRAM_PANEL`` columns come from panels; narrower ones from one syrk."""
+    """Grams come from gemm panels of at most ``_GRAM_PANEL`` columns, never from a syrk."""
 
     @staticmethod
     def explicit_gram(sample, p, demean):
@@ -302,15 +303,26 @@ class TestLagGrams:
             np.testing.assert_array_equal(gram, gram.T)
 
     @pytest.mark.parametrize("demean", [False, True])
-    @pytest.mark.parametrize("k, p", [(2, 10), (4, 6), (1, 30), (3, 9)])
-    def test_one_panel_is_one_syrk(self, rng, k, p, demean):
-        assert k * (p + 1) <= _GRAM_PANEL
-        samples = rng.normal(size=(2, 700, k)) + 3.0
-        for window, gram in zip(_lag_windows(samples, p), _lag_grams(samples, p, demean)):
+    @pytest.mark.parametrize("k, p, t", [(2, 10, 300), (4, 6, 600), (1, 30, 700), (3, 9, 3000)])
+    def test_one_panel_is_a_mirrored_gemm(self, rng, k, p, t, demean):
+        # the upper triangle of a gemm on a second copy of the windows, in
+        # row blocks below _SERIAL_MADDS multiply-adds, and its mirror below
+        width = k * (p + 1)
+        assert width <= _GRAM_PANEL
+        samples = rng.normal(size=(2, t, k)) + 3.0
+        step = (_SERIAL_MADDS - 1) // width**2
+        grams = _lag_grams(samples, p, demean)
+        for sample, window, gram in zip(samples, _lag_windows(samples, p), grams):
             rows = np.array(window, order="C")
             if demean:
                 rows -= np.ones(len(rows)) @ rows / len(rows)
-            np.testing.assert_array_equal(gram, rows.T @ rows)
+            left = rows.copy()
+            want = left[:step].T @ rows[:step]
+            for r in range(step, len(rows), step):
+                want += left[r : r + step].T @ rows[r : r + step]
+            np.testing.assert_array_equal(gram, np.triu(want) + np.triu(want, 1).T)
+            np.testing.assert_array_equal(gram, gram.T)
+            assert_close_to_scale(gram, self.explicit_gram(sample, p, demean), 1e-13)
 
 
 class TestSampleGammaP:
