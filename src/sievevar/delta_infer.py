@@ -21,6 +21,7 @@ the Cholesky factor of Gamma is inverted in numpy, without LAPACK.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -29,6 +30,11 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 from .estimate import VarModel
 from .var_core import companion_form, ma_from_ar
+
+# Floats of each of the two largest temporaries of ``irf_covariances``, its
+# (..., H, K^2, K^2 p) products, for one block of horizons over the whole
+# stack, 256 KB: sets the horizons of a block, at least one
+_COV_BLOCK_FLOATS = 32 * 1024
 
 
 def _irf_array(values: np.ndarray, name: str, stack: bool = False) -> np.ndarray:
@@ -147,8 +153,12 @@ def irf_covariances(
     The three arrays may carry the same leading stack dimensions, one
     member per sample, and then so does the result: (..., H, K^2, K^2).
     Every product runs on each member alone, so a member's covariances are
-    bit for bit those of its own call. A stack with any member that fails
-    a check raises as that member would.
+    bit for bit those of its own call. The largest products, (..., H, K^2,
+    K^2 p) for all horizons, are built one block of horizons at a time, at
+    most ``_COV_BLOCK_FLOATS`` floats over the stack and at least one
+    horizon, so the memory peak holds two such blocks instead of two whole
+    products. A stack with any member that fails a check raises as that
+    member would.
     """
     phis = _irf_array(phi_hat, "phi_hat", stack=True)
     lead, horizon, k = phis.shape[:-3], phis.shape[-3] - 1, phis.shape[-1]
@@ -192,21 +202,23 @@ def irf_covariances(
     n = len(lead)
     phi_toe = toe[..., :horizon, :, :].transpose(*range(n), n, n + 2, n + 3, n + 1)
     phi_toe = phi_toe.reshape(lead + (horizon, k * k, horizon))
-    # two (..., H, K^2, K^2 p) arrays at a time set the peak memory of a
-    # stack, so the rest is freed before them and each product once read
-    del chol, linv, toe, cols
-    # W_{i+1} = sum_{a<=i} x[a]' kron Phi_{i-a}, rows (c, r) and columns (q, s)
-    w = (
-        (phi_toe @ x)
-        .reshape(lead + (horizon, k, k, kp, k))
-        .transpose(*range(n), n, n + 4, n + 1, n + 3, n + 2)
-        .reshape(lead + (horizon, k * k, kp, k))
-    )
-    del x, phi_toe
-    w_sigma = w @ sigma_u[..., np.newaxis, np.newaxis, :, :]
-    cov = w_sigma.reshape(lead + (horizon, k * k, kp * k)) @ w.reshape(
-        lead + (horizon, k * k, kp * k)
-    ).swapaxes(-1, -2)
+    del chol, linv, toe, cols  # freed before the blocks
+    # each (member, horizon) product keeps its shapes, and so its bits, in
+    # any block of horizons
+    cov = np.empty(lead + (horizon, k * k, k * k))
+    size = max(1, _COV_BLOCK_FLOATS // (math.prod(lead) * k**4 * p))
+    sigma_u = sigma_u[..., np.newaxis, np.newaxis, :, :]
+    for lo in range(0, horizon, size):
+        hs = slice(lo, lo + size)
+        # W_{i+1} = sum_{a<=i} x[a]' kron Phi_{i-a}, rows (c, r) and columns (q, s)
+        w = (
+            (phi_toe[..., hs, :, :] @ x)
+            .reshape(lead + (-1, k, k, kp, k))
+            .transpose(*range(n), n, n + 4, n + 1, n + 3, n + 2)
+            .reshape(lead + (-1, k * k, kp, k))
+        )
+        w_sigma = (w @ sigma_u).reshape(lead + (-1, k * k, kp * k))
+        np.matmul(w_sigma, w.reshape(w_sigma.shape).swapaxes(-1, -2), out=cov[..., hs, :, :])
     return (cov + cov.swapaxes(-1, -2)) / 2.0
 
 

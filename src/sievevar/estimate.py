@@ -260,11 +260,12 @@ def fit_var_fits(samples: np.ndarray, p: int, intercept: bool = False) -> VarFit
     matrices Z Z' / T_eff over the lagged regressors; with an intercept,
     mean(y_t) - B' mean(Z_t), the regressors are demeaned so that the
     inverse moment matrix remains the asymptotic covariance factor of the
-    coefficient block. The residuals of every member come from one
-    stacked product, and the residual covariance is df-adjusted, divided
-    by T_eff minus the regressors per equation. Each product runs on every
-    member alone, as its one-sample call would, so a member's fit does not
-    depend on the samples beside it.
+    coefficient block. The residuals and intercept of every member come
+    from a copy of that sample's own lag windows, so no (n, T-p, K(p+1))
+    copy of the stack is built, and the residual covariance is
+    df-adjusted, divided by T_eff minus the regressors per equation. Each
+    product runs on every member alone, as its one-sample call would, so a
+    member's fit does not depend on the samples beside it.
 
     Raises
     ------
@@ -295,15 +296,17 @@ def fit_var_fits(samples: np.ndarray, p: int, intercept: bool = False) -> VarFit
             "singular regressor moment matrix",
             condition_number=float(np.linalg.cond(moments[np.argmin(fitted)])),
         )
-    rows = np.ascontiguousarray(_lag_windows(samples, p)[:, ::-1])  # t = p..T-1
-    target, x = rows[..., :k], rows[..., k:]
     coef = coefs.swapaxes(2, 3).reshape(n, k * p, k)  # rows regressors, columns equations
-    const = None
-    if intercept:
-        means = rows.mean(axis=1)
-        const = means[:, :k] - (means[:, np.newaxis, k:] @ coef)[:, 0]
-        target = target - const[:, np.newaxis]
-    resid = target - x @ coef
+    resid = np.empty((n, t - p, k))
+    const = np.empty((n, k)) if intercept else None
+    for i, windows in enumerate(_lag_windows(samples, p)):
+        rows = np.ascontiguousarray(windows[::-1])  # t = p..T-1
+        target, x = rows[:, :k], rows[:, k:]
+        if intercept:
+            means = rows.mean(axis=0)
+            const[i] = means[:k] - means[k:] @ coef[i]
+            target = target - const[i]
+        np.subtract(target, x @ coef[i], out=resid[i])
     return VarFits(
         coefs=coefs,
         moment_matrix=moments,

@@ -9,10 +9,13 @@ consecutive indices, bounded by the bytes of the chunk's shock stack: each
 path of a chunk is drawn from its own replication's stream and all of them
 step one recursion, so a path does not depend on the paths beside it.
 
-A chunk scores its samples in stacks, each bounded by ``_STACK_FLOATS``:
-one ``fit_var_fits`` call fits a stack, and the MA expansion, each delta
+A chunk scores its samples in stacks, each bounded by ``_STACK_FLOATS``
+floats of the arrays it keeps through its scoring (``_stack_size``): one
+``fit_var_fits`` call fits a stack, and the MA expansion, each delta
 method's covariances and its bounds run once over it; only the bootstrap
-methods run one sample at a time. Every stacked kernel gives each member
+methods run one sample at a time. The kernels bound their own temporaries,
+so a stack's memory peak grows with what it keeps, not with one kernel's
+whole-stack products. Every stacked kernel gives each member
 the bits of its own one-sample call, the kernels ``interval_sets_for_sample``
 runs. Summaries are therefore identical for any worker count, any chunking
 and any stack size. A failure has one route: a stack whose scoring raises,
@@ -71,8 +74,9 @@ FAILURE_BUDGET = 0.01
 # many replications are simulated in one recursion.
 _CHUNK_FLOATS = 256 * 1024
 
-# Floats of the largest arrays of one stack's scoring, 1 MB (``_stack_size``):
-# bounds how many samples of a pass are fitted and scored together.
+# Floats of the arrays that one stack keeps through its scoring, 1 MB
+# (``_stack_size``): bounds how many samples of a pass are fitted and scored
+# together.
 _STACK_FLOATS = 128 * 1024
 
 # The process's worker pool with its key, (worker count, ``METHODS`` items)
@@ -242,14 +246,17 @@ def _chunk_size(cfg: ExperimentConfig) -> int:
 
 
 def _stack_size(cfg: ExperimentConfig) -> int:
-    """Samples scored in one stack: at most ``_STACK_FLOATS`` floats of its largest arrays.
+    """Samples scored in one stack: at most ``_STACK_FLOATS`` floats of the arrays it keeps.
 
-    Per sample those are the (T - p, K (p + 1)) lag windows of the residual
-    step or, later, the two (H, K^2, K^2 p) products alive at once in a
-    covariance; a counterex-desk-p30 stack holds 4 samples.
+    Per sample those are its moment matrix and Gamma_p, 2 (Kp)^2 floats, and
+    its (T - p) K residuals, kept from the fit through the scoring. The
+    kernels bound their own temporaries: ``fit_var_fits`` copies one
+    sample's lag windows at a time, and ``irf_covariances`` builds its
+    products one block of horizons at a time. A counterex-desk-p30 stack
+    holds 16 samples and a fig2-desk stack 94.
     """
     k, p = cfg.dgp.k, cfg.p
-    per_sample = max((cfg.t - p) * k * (p + 1), 2 * cfg.horizon * k**4 * p)
+    per_sample = 2 * (k * p) ** 2 + (cfg.t - p) * k
     return max(1, _STACK_FLOATS // per_sample)
 
 

@@ -9,7 +9,6 @@ package carries no plotting dependency.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape, quoteattr
 
 METHOD_COLORS = {
     "LS": "#1f77b4",
@@ -24,6 +23,25 @@ _HEIGHT = 690
 _X0, _X1 = 70, 820
 _COV_Y0, _COV_Y1 = 50, 320
 _LEN_Y0, _LEN_Y1 = 390, 660
+
+
+def _escape(text: str) -> str:
+    """``text`` with &, < and > escaped, as ``xml.sax.saxutils.escape`` gives it.
+
+    Written here because importing ``xml.sax.saxutils`` loads ``urllib.request``,
+    ``http.client``, ``ssl`` and ``email``.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text: str) -> str:
+    """``text`` escaped and quoted as an XML attribute value, as ``xml.sax.saxutils.quoteattr`` quotes it."""
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 def _color(method: str, index: int) -> str:
@@ -79,7 +97,7 @@ def render_mc_chart(
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-size="15">{escape(title)}</text>'
+            f'font-size="15">{_escape(title)}</text>'
         )
 
     def axis(y0: int, y1: int, label: str) -> None:
@@ -90,7 +108,7 @@ def render_mc_chart(
         )
         parts.append(
             f'<text x="20" y="{(y0 + y1) / 2:.0f}" text-anchor="middle" '
-            f'transform="rotate(-90 20 {(y0 + y1) / 2:.0f})">{escape(label)}</text>'
+            f'transform="rotate(-90 20 {(y0 + y1) / 2:.0f})">{_escape(label)}</text>'
         )
 
     axis(_COV_Y0, _COV_Y1, "coverage")
@@ -149,7 +167,7 @@ def render_mc_chart(
             for h, cov, _ in sorted(by_method[method])
         )
         parts.append(
-            f'<polyline class="series" data-method={quoteattr(method)} '
+            f'<polyline class="series" data-method={_quoteattr(method)} '
             f'points="{pts}" stroke="{_color(method, idx)}" stroke-width="1.6"/>'
         )
     parts.append("</g>")
@@ -161,7 +179,7 @@ def render_mc_chart(
             for h, _, length in sorted(by_method[method])
         )
         parts.append(
-            f'<polyline class="series" data-method={quoteattr(method)} '
+            f'<polyline class="series" data-method={_quoteattr(method)} '
             f'points="{pts}" stroke="{_color(method, idx)}" stroke-width="1.6"/>'
         )
     parts.append("</g>")
@@ -181,7 +199,7 @@ def render_mc_chart(
             f'<line x1="{lx}" y1="{y}" x2="{lx + 24}" y2="{y}" '
             f'stroke="{_color(method, idx)}" stroke-width="1.6"/>'
         )
-        parts.append(f'<text x="{lx + 30}" y="{y + 4}">{escape(method)}</text>')
+        parts.append(f'<text x="{lx + 30}" y="{y + 4}">{_escape(method)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -226,6 +229,46 @@ def blas_is_openblas() -> bool:
     except (TypeError, KeyError):
         return False
     return "openblas" in str(blas.get("name", "")).lower()
+
+
+def cpu_has(*flags: str) -> bool:
+    """Whether /proc/cpuinfo lists every one of the CPU ``flags``."""
+    try:
+        words = Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+    return all(flag in words for flag in flags)
+
+
+def openblas_corename() -> str | None:
+    """The kernel set this process's OpenBLAS runs (``openblas_get_corename``), or None.
+
+    OpenBLAS picks its kernels when it loads, from the CPU or from
+    ``OPENBLAS_CORETYPE``; a build that ignores the variable reports the
+    CPU's kernels.
+    """
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return None
+    libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    names = (
+        "scipy_openblas_get_corename64_",
+        "scipy_openblas_get_corename",
+        "openblas_get_corename64_",
+        "openblas_get_corename",
+    )
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in names:
+            corename = getattr(handle, name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 def assert_close_to_scale(got: np.ndarray, want: np.ndarray, rel: float) -> None:

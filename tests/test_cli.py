@@ -13,6 +13,7 @@ import pytest
 from sievevar import NonFiniteError, __version__, spectral_radius, companion_form
 from sievevar import cli
 from sievevar.cli import main
+from sievevar import svgchart
 from sievevar.svgchart import render_mc_chart
 
 
@@ -392,6 +393,22 @@ def test_module_entry_point(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_import_loads_no_network_modules():
+    # xml.sax.saxutils would load all four, about 13 ms of every start-up
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, sievevar.cli\n"
+        "print([m for m in ('urllib.request', 'http.client', 'ssl', 'email') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def blas_thread_runs(work: Path) -> None:
     """Write, under ``work``, `mc` on fig2-desk and counterex-desk-p30 at R = 4 and a bootstrap `ci`."""
     desk = cli.PRESETS["fig2-desk"]()
@@ -709,6 +726,24 @@ class TestPlot:
         root = ET.fromstring(svg)
         ns = "{http://www.w3.org/2000/svg}"
         assert any(e.get("class") == "nominal" for e in root.iter(f"{ns}line"))
+
+    TRICKY = ("LS", "a&b", "<x>", 'q"uote', "it's", "both \" and '", "tab\there", "line\nbreak\r")
+
+    def test_escaping_matches_saxutils(self, monkeypatch):
+        from xml.sax import saxutils
+
+        for text in self.TRICKY:
+            assert svgchart._escape(text) == saxutils.escape(text)
+            assert svgchart._quoteattr(text) == saxutils.quoteattr(text)
+        rows = [
+            {"method": m, "horizon": h, "coverage": 0.9, "avg_length": 0.5}
+            for m in self.TRICKY
+            for h in (0, 1)
+        ]
+        svg = render_mc_chart(rows, p=1, level=0.95, title="<T&C's \"chart\">")
+        monkeypatch.setattr(svgchart, "_escape", saxutils.escape)
+        monkeypatch.setattr(svgchart, "_quoteattr", saxutils.quoteattr)
+        assert render_mc_chart(rows, p=1, level=0.95, title="<T&C's \"chart\">") == svg
 
     def test_empty_results_exit_2(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from argparse import Namespace
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -37,7 +38,13 @@ from sievevar import (
 from sievevar import bootstrap_infer, cli, mc_harness
 from sievevar.mc_harness import METHODS, McSummary
 from sievevar.streams import substream
-from conftest import blas_is_openblas, pure_ar_spec, random_stable_coeffs, white_noise_spec
+from conftest import (
+    blas_is_openblas,
+    cpu_has,
+    pure_ar_spec,
+    random_stable_coeffs,
+    white_noise_spec,
+)
 
 
 def tiny_config(desk_spec, **overrides):
@@ -393,20 +400,49 @@ class TestStacks:
     def test_csvs_byte_identical_for_any_stack_size(self, desk_spec, tmp_path, monkeypatch, intercept):
         cfg = tiny_config(desk_spec, methods=tuple(METHODS), replications=17, intercept=intercept)
         want = run_experiment(cfg)
-        for floats in (1, 3 * 708, 8 * 708):
+        # stacks of 1, 3 and 8 samples of 268 floats each
+        for floats in (1, 3 * 268, 8 * 268):
             monkeypatch.setattr(mc_harness, "_STACK_FLOATS", floats)
             got = run_experiment(cfg)
             for name in ("coverage", "avg_length", "entry_coverage", "entry_length"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
-    def test_stack_size_bounds_the_largest_arrays(self, desk_spec):
-        # tiny_config: (T - p) K (p + 1) = 118 * 2 * 3 = 708 floats of lag windows
-        cfg = tiny_config(desk_spec)
-        assert mc_harness._stack_size(cfg) == mc_harness._STACK_FLOATS // 708
-        obj = dict(cli.PRESETS["counterex-desk-p30"]())
-        p30 = cli.parse_experiment_config(obj, Namespace(workers=None, seed=None))
-        # 2 H K^4 p = 2 * 30 * 16 * 30 floats of covariance products
-        assert mc_harness._stack_size(p30) == mc_harness._STACK_FLOATS // 28800 == 4
+    def test_stack_size_counts_what_a_stack_keeps(self, desk_spec):
+        # tiny_config: 2 (Kp)^2 + (T - p) K = 2 * 16 + 118 * 2 = 268 floats of
+        # moment matrix, Gamma_p and residuals per sample
+        assert mc_harness._stack_size(tiny_config(desk_spec)) == mc_harness._STACK_FLOATS // 268
+        # counterex-desk-p30 2 * 60^2 + 270 * 2 = 7740, fig2-desk 2 * 20^2 + 290 * 2 = 1380
+        # and fig2-desk-t1000 2 * 20^2 + 990 * 2 = 2780 floats
+        for preset, size in (("counterex-desk-p30", 16), ("fig2-desk", 94), ("fig2-desk-t1000", 47)):
+            obj = dict(cli.PRESETS[preset]())
+            cfg = cli.parse_experiment_config(obj, Namespace(workers=None, seed=None))
+            assert mc_harness._stack_size(cfg) == size
+
+    @pytest.mark.parametrize(
+        "preset, per_sample", [("counterex-desk-p30", 280_000), ("fig2-desk-t1000", 185_000)]
+    )
+    def test_stack_peak_memory(self, preset, per_sample):
+        # LS and S-LS on a stack of 10. The covariances build their largest
+        # products one block of horizons at a time, which sets the peak of a
+        # counterex-desk-p30 stack: about 227 KB per sample, 361 KB with
+        # whole-stack products. The fit copies one sample's lag windows at a
+        # time, which sets the peak of a fig2-desk-t1000 stack: about 152 KB
+        # per sample, 220 KB with a copy of the whole stack's windows.
+        obj = dict(cli.PRESETS[preset](), methods=["LS", "S-LS"])
+        cfg = cli.parse_experiment_config(obj, Namespace(workers=1, seed=None))
+        truth = varma_true_irf(cfg.dgp, cfg.horizon)
+        seeds = [substream(cfg.seed, r) for r in range(10)]
+        samples = mc_harness.simulate_varma_stack(
+            cfg.dgp, cfg.t, cfg.effective_burn_in, [substream(s, 0) for s in seeds]
+        )
+        mc_harness._run_replication(cfg, truth, samples, seeds)  # caches and first-call state
+        tracemalloc.start()
+        try:
+            mc_harness._run_replication(cfg, truth, samples, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * per_sample
 
 
 class TestIntervalSetsForSample:
@@ -694,6 +730,35 @@ def test_forked_worker_starts_no_blas_thread():
         assert pool.submit(_replicate_and_count_threads).result(timeout=300) == (1, 1)
 
 
+_PROBE_ON_KERNELS = """
+import json, multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+import conftest, test_mc_harness
+corename, counts = conftest.openblas_corename(), None
+if corename in ("Haswell", "Zen"):
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        counts = pool.submit(test_mc_harness._replicate_and_count_threads).result(timeout=300)
+print(json.dumps([corename, counts]))
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or not blas_is_openblas() or not cpu_has("avx2", "fma"),
+    reason="counts threads in /proc/self/task, and OpenBLAS's Haswell kernels need AVX2 and FMA",
+)
+@pytest.mark.parametrize("coretype", ["Haswell", "Zen"])
+def test_forked_worker_starts_no_blas_thread_on_other_kernels(coretype):
+    # OpenBLAS picks its kernels when it loads, so the probe runs in a fresh
+    # interpreter; AVX2-only Intel and AMD Zen machines get these kernels,
+    # whose threading sizes differ from those of the CPU running the suite
+    done = run_python(_PROBE_ON_KERNELS, OPENBLAS_CORETYPE=coretype)
+    assert done.returncode == 0, done.stderr
+    corename, counts = json.loads(done.stdout.splitlines()[-1])
+    if counts is None:
+        pytest.skip(f"this OpenBLAS ignores OPENBLAS_CORETYPE={coretype} (kernels {corename})")
+    assert counts == [1, 1]
+
+
 def p30_config(workers, replications=10):
     """A counterex-desk-p30 run of ``replications`` on ``workers`` processes, the bench's op."""
     obj = dict(cli.PRESETS["counterex-desk-p30"](), replications=replications)
@@ -715,8 +780,8 @@ def assert_same_summary(got, want):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
-def run_python(code):
-    """A fresh interpreter's run of ``code``, with this package and this test module importable."""
+def run_python(code, **env):
+    """A fresh interpreter's run of ``code`` under ``env``, with this package and this test module importable."""
     here = Path(__file__).parent
     path = os.pathsep.join(
         filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")])
@@ -725,8 +790,8 @@ def run_python(code):
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        timeout=300,
     )
 
 

@@ -5,7 +5,9 @@ replication's output must not depend on the samples beside it. The checks
 here compare, byte for byte, every member of stacks of 1, 2, 3 and 10
 samples with its one-sample call: the fit and its residual covariance,
 Gamma_p, ``irf_covariances`` and ``delta_bounds``; a stack with a sample
-that cannot be fitted raises that sample's own error. They run in this process
+that cannot be fitted raises that sample's own error. The residuals, formed
+one sample at a time, match a product over the whole stack, and the
+covariances keep their bits for any block of horizons. They run in this process
 and again, with the panelled Grams' symmetry, in a fresh interpreter on
 OpenBLAS's Haswell kernels, the kernels AVX2-only and AMD Zen machines get.
 """
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from sievevar import NonFiniteError, SingularMatrixError, delta_infer, estimate, ma_from_ar, simulate_varma
-from conftest import blas_is_openblas, pure_ar_spec, random_stable_coeffs
+from conftest import blas_is_openblas, cpu_has, pure_ar_spec, random_stable_coeffs
 
 SIZES = (1, 2, 3, 10)
 # (K, p) of the stacks; p = 30 at K = 2 takes the panelled Grams
@@ -105,6 +107,50 @@ def test_members_keep_their_one_sample_bits(k, p, intercept):
 
 
 @pytest.mark.parametrize("intercept", [False, True])
+@pytest.mark.parametrize("k, p", SHAPES)
+def test_residuals_match_the_whole_stack_product(k, p, intercept):
+    # fit_var_fits forms each sample's residuals from its own lag windows;
+    # one product over a copy of the whole stack's windows gives the same bits
+    stack = sample_stack(k, p)
+    fits = estimate.fit_var_fits(stack, p, intercept)
+    rows = np.ascontiguousarray(estimate._lag_windows(stack, p)[:, ::-1])
+    target, x = rows[..., :k], rows[..., k:]
+    coef = fits.coefs.swapaxes(2, 3).reshape(len(stack), k * p, k)
+    if intercept:
+        means = rows.mean(axis=1)
+        const = means[:, :k] - (means[:, np.newaxis, k:] @ coef)[:, 0]
+        assert_same_bits(fits.intercept, const)
+        target = target - const[:, np.newaxis]
+    else:
+        assert fits.intercept is None
+    assert_same_bits(fits.residuals, target - x @ coef)
+
+
+@pytest.mark.parametrize("n", [1, 10])
+@pytest.mark.parametrize("k, p", SHAPES + ((4, 30),))
+def test_covariance_blocks_keep_member_bits(monkeypatch, k, p, n):
+    # blocks of one horizon (a budget of 1 float), of 5 (12 horizons in blocks
+    # of 5, 5 and 2), of the default budget and of all horizons give every
+    # member the bits of its own call; one horizon of the 10-sample K = 4,
+    # p = 30 stack exceeds the default budget, so its blocks hold one horizon
+    stack = sample_stack(k, p, n=n, t=300)
+    fits = estimate.fit_var_fits(stack, p)
+    phis = ma_from_ar(fits.coefs, HORIZON)
+    alone = [
+        delta_infer.irf_covariances(phi, gamma, sigma)
+        for phi, gamma, sigma in zip(phis, fits.moment_matrix, fits.sigma_u_hat)
+    ]
+    per_horizon = n * k**4 * p
+    if (k, p, n) == (4, 30, 10):
+        assert per_horizon > delta_infer._COV_BLOCK_FLOATS
+    for floats in (1, 5 * per_horizon, delta_infer._COV_BLOCK_FLOATS, 10**12):
+        monkeypatch.setattr(delta_infer, "_COV_BLOCK_FLOATS", floats)
+        covs = delta_infer.irf_covariances(phis, fits.moment_matrix, fits.sigma_u_hat)
+        for cov, one in zip(covs, alone):
+            assert_same_bits(cov, one)
+
+
+@pytest.mark.parametrize("intercept", [False, True])
 @pytest.mark.parametrize("member", [0, 1, 2])
 def test_stack_refuses_singular_member_with_its_own_error(member, intercept):
     # a constant variable's two lags are one regressor at p = 2, and with an
@@ -134,16 +180,8 @@ def test_stack_refuses_non_finite_member_with_its_own_error(value, intercept):
     assert str(stacked.value) == str(alone.value) == "sample contains non-finite values"
 
 
-def _cpu_has(*flags):
-    try:
-        words = Path("/proc/cpuinfo").read_text().split()
-    except OSError:
-        return False
-    return all(flag in words for flag in flags)
-
-
 @pytest.mark.skipif(
-    not _cpu_has("avx2", "fma") or not blas_is_openblas(),
+    not cpu_has("avx2", "fma") or not blas_is_openblas(),
     reason="OpenBLAS's Haswell kernels need an OpenBLAS build and a CPU with AVX2 and FMA",
 )
 def test_haswell_kernels_keep_symmetry_and_member_bits():
