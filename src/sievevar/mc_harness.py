@@ -4,39 +4,39 @@ Each replication simulates a path, fits a VAR(p), builds intervals for the
 requested methods, and scores every response entry against the true
 impulse responses of the generating process. Replication r derives all of
 its randomness from the child stream (master seed, r), and a failed one is
-retried once on (master seed, r, 1). Replications run in chunks of
-consecutive indices, bounded by the bytes of the chunk's shock stack: each
-path of a chunk is drawn from its own replication's stream and all of them
-step one recursion, so a path does not depend on the paths beside it.
+retried once on (master seed, r, 1).
 
-A chunk scores its samples in stacks, each bounded by ``_STACK_FLOATS``
-floats of the arrays it keeps through its scoring (``_stack_size``): one
-``fit_var_fits`` call fits a stack, and the MA expansion, each delta
-method's covariances and its bounds run once over it; only the bootstrap
-methods run one sample at a time. The kernels bound their own temporaries,
-so a stack's memory peak grows with what it keeps, not with one kernel's
-whole-stack products. Every stacked kernel gives each member
-the bits of its own one-sample call, the kernels ``interval_sets_for_sample``
-runs. Summaries are therefore identical for any worker count, any chunking
-and any stack size. A failure has one route: a stack whose scoring raises,
-its fit included (``fit_var_fits`` refuses a sample it cannot fit), is
-scored again one sample at a time, and a sample that still raises goes to
-the retry pass.
+Replications run in chunks of consecutive indices, one unit of work from
+simulation through scoring, bounded by ``_CHUNK_FLOATS`` floats of what the
+chunk keeps (``_chunk_size``). Each path of a chunk is drawn from its own
+replication's stream and all of them step one recursion, so a path does not
+depend on the paths beside it. One ``fit_var_fits`` call fits the chunk,
+and the MA expansion, each delta method's covariances and its bounds run
+once over it; only the bootstrap methods run one sample at a time. The
+kernels bound their own temporaries, so a chunk's memory peak grows with
+what it keeps, not with one kernel's whole-chunk products. Every stacked
+kernel gives each member the bits of its own one-sample call, the kernels
+``interval_sets_for_sample`` runs. Summaries are therefore identical for
+any worker count and any chunking. A failure has one route: a chunk whose
+scoring raises, its fit included (``fit_var_fits`` refuses a sample it
+cannot fit), is scored again one sample at a time, and a sample that still
+raises goes to the retry pass.
 
 A run uses at most one worker per chunk, min(``workers``, chunks), and
 runs in its own process when that is one. Otherwise its chunks run on the
-process's one worker pool. The first such ``run_experiment`` call starts
-it, every later call with the same count and the same ``METHODS`` table
-reuses it, a call with another count or table replaces it, and it ends
-with the process; a forked child starts without it. Each chunk task
-carries the config, the true responses and the stack size, all computed
-by the parent, so a reused worker gets the inputs a fresh fork would. Any
-other module state is what the process held when the pool forked: a patch
-made after that does not reach it.
+process's one worker pool of forked processes. The first such
+``run_experiment`` call starts it, every later call with the same count and
+the same ``METHODS`` table reuses it, a call with another count or table
+replaces it, and it ends with the process; a forked child starts without
+it. Each chunk task carries the config and the true responses, both
+computed by the parent, so a reused worker gets the inputs a fresh fork
+would. Any other module state is what the process held when the pool
+forked: a patch made after that does not reach it.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -70,14 +70,10 @@ METHODS: dict[str, Callable | None] = {
 # fraction of replications allowed to fail (after one retry each)
 FAILURE_BUDGET = 0.01
 
-# Shock values in one chunk's (n, p + burn_in + T, K) stack, 2 MB: bounds how
-# many replications are simulated in one recursion.
+# Floats that one chunk keeps from its simulation through its scoring, 2 MB
+# (``_chunk_size``): bounds how many replications are simulated, fitted and
+# scored together.
 _CHUNK_FLOATS = 256 * 1024
-
-# Floats of the arrays that one stack keeps through its scoring, 1 MB
-# (``_stack_size``): bounds how many samples of a pass are fitted and scored
-# together.
-_STACK_FLOATS = 128 * 1024
 
 # The process's worker pool with its key, (worker count, ``METHODS`` items)
 # when it forked (``_pool_map``), and the lock that a call holds while it
@@ -240,37 +236,34 @@ def _interval_stacks(
 
 
 def _chunk_size(cfg: ExperimentConfig) -> int:
-    """Replications per chunk: at most ``_CHUNK_FLOATS`` shock values, at least one chunk per worker."""
-    per_path = (cfg.dgp.p + cfg.effective_burn_in + cfg.t) * cfg.dgp.k
-    return max(1, min(_CHUNK_FLOATS // per_path, -(-cfg.replications // cfg.workers)))
+    """Replications per chunk: at most ``_CHUNK_FLOATS`` floats kept, at least one chunk per worker.
 
-
-def _stack_size(cfg: ExperimentConfig) -> int:
-    """Samples scored in one stack: at most ``_STACK_FLOATS`` floats of the arrays it keeps.
-
-    Per sample those are its moment matrix and Gamma_p, 2 (Kp)^2 floats, and
-    its (T - p) K residuals, kept from the fit through the scoring. The
-    kernels bound their own temporaries: ``fit_var_fits`` copies one
-    sample's lag windows at a time, and ``irf_covariances`` builds its
-    products one block of horizons at a time. A counterex-desk-p30 stack
-    holds 16 samples and a fig2-desk stack 94.
+    Per replication those are its simulated path, (p + burn_in + T) K
+    floats, which the sample it scores is a view of; its moment matrix and
+    Gamma_p, 2 (Kp)^2 floats; and its (T - p) K residuals, all kept through
+    the scoring. The kernels bound their own temporaries: ``fit_var_fits``
+    copies one sample's lag windows at a time, and ``irf_covariances``
+    builds its products one block of horizons at a time. At 200
+    replications on one worker a counterex-desk-p30 chunk holds 29 and a
+    fig2-desk chunk 109.
     """
     k, p = cfg.dgp.k, cfg.p
-    per_sample = 2 * (k * p) ** 2 + (cfg.t - p) * k
-    return max(1, _STACK_FLOATS // per_sample)
+    path = (cfg.dgp.p + cfg.effective_burn_in + cfg.t) * k
+    per_rep = path + 2 * (k * p) ** 2 + (cfg.t - p) * k
+    return max(1, min(_CHUNK_FLOATS // per_rep, -(-cfg.replications // cfg.workers)))
 
 
 def _run_chunk(
-    cfg: ExperimentConfig, truth: np.ndarray, size: int, reps: range
+    cfg: ExperimentConfig, truth: np.ndarray, reps: range
 ) -> list[tuple[np.ndarray, np.ndarray] | None]:
     """Hit and length arrays of each replication in ``reps``, None where both attempts failed.
 
     Pass 0 scores every replication r under its run seed (master seed, r);
     pass 1 scores again, under (master seed, r, 1), those whose pass 0
     failed. Each pass simulates its samples from child 0 of its run seeds
-    in one ``simulate_varma_stack`` call and scores them in stacks of
-    ``size`` samples, ``_stack_size(cfg)``. A stack whose scoring raises
-    ``SieveVarError``, its fit included, is scored again one sample at a
+    in one ``simulate_varma_stack`` call and scores them in one
+    ``_run_replication`` call. A pass whose scoring raises
+    ``SieveVarError``, its fit included, scores its samples again one at a
     time, and a sample fails when its own scoring raises.
     """
     out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(reps)
@@ -282,18 +275,15 @@ def _run_chunk(
         samples = simulate_varma_stack(
             cfg.dgp, cfg.t, cfg.effective_burn_in, [substream(s, 0) for s in run_seeds]
         )
-        scored = []
-        for lo in range(0, len(pending), size):
-            stack = slice(lo, lo + size)
-            try:
-                scored += _run_replication(cfg, truth, samples[stack], run_seeds[stack])
-            except SieveVarError:
-                for i in range(lo, min(lo + size, len(pending))):
-                    try:
-                        one = slice(i, i + 1)
-                        scored += _run_replication(cfg, truth, samples[one], run_seeds[one])
-                    except SieveVarError:
-                        scored.append(None)
+        try:
+            scored = _run_replication(cfg, truth, samples, run_seeds)
+        except SieveVarError:
+            scored = []
+            for i in range(len(pending)):
+                try:
+                    scored += _run_replication(cfg, truth, samples[i : i + 1], run_seeds[i : i + 1])
+                except SieveVarError:
+                    scored.append(None)
         for r, record in zip(pending, scored):
             out[r - reps.start] = record
         pending = [r for r, record in zip(pending, scored) if record is None]
@@ -308,7 +298,7 @@ def _run_replication(
     Raises ``SieveVarError`` when a stacked step fails for any sample, as
     on a singular fit, a non-finite expansion or a singular Gamma_p. The
     name is the replication boundary that bench/layers.py times; one call
-    scores a stack of replications.
+    scores a chunk's pass, or one sample of it.
     """
     fits = fit_var_fits(samples, cfg.p, cfg.intercept)
     arrays = _interval_stacks(
@@ -353,10 +343,13 @@ def aggregate(
 def _pool_map(workers: int, fn: Callable, items: Sequence) -> list:
     """``fn`` of each of ``items``, in order, on the process's pool of ``workers`` processes.
 
-    The first call starts the pool and later calls with the same count and
-    ``METHODS`` table reuse it. A call with another count or table shuts
-    the pool down first, its threads joined, so that no pool thread is
-    alive when the new pool forks its workers. A reused pool that raises
+    The workers fork from this process whatever the default start method
+    (forkserver on Linux from Python 3.14), so they hold its module state
+    as it was when the pool started. The first call starts the pool and
+    later calls with the same count and ``METHODS`` table reuse it. A call
+    with another count or table shuts the pool down first, its threads
+    joined, so that no pool thread is alive when the new pool forks its
+    workers. A reused pool that raises
     ``BrokenProcessPool``, as when a worker died between calls, is dropped
     and the items run once more on a fresh pool; each item's result is
     deterministic, so the list is the same. A fresh pool that breaks is
@@ -373,7 +366,8 @@ def _pool_map(workers: int, fn: Callable, items: Sequence) -> list:
         while True:
             reused = _pool is not None
             if not reused:
-                _pool = (key, ProcessPoolExecutor(max_workers=workers))
+                fork = multiprocessing.get_context("fork")
+                _pool = (key, ProcessPoolExecutor(max_workers=workers, mp_context=fork))
             pool = _pool[1]
             try:
                 return list(pool.map(fn, items))
@@ -392,7 +386,7 @@ def run_experiment(cfg: ExperimentConfig) -> McSummary:
     truth = varma_true_irf(cfg.dgp, cfg.horizon)
     size = _chunk_size(cfg)
     chunks = [range(r, min(r + size, cfg.replications)) for r in range(0, cfg.replications, size)]
-    run_chunk = partial(_run_chunk, cfg, truth, _stack_size(cfg))
+    run_chunk = partial(_run_chunk, cfg, truth)
     workers = min(cfg.workers, len(chunks))
     if workers > 1:
         scored = _pool_map(workers, run_chunk, chunks)

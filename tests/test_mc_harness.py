@@ -161,7 +161,9 @@ class TestRunExperiment:
 MC_SEED = 515
 
 
-def mc_csvs(tmp_path, desk_spec, name, workers, p=2, t=60):
+def mc_csvs(
+    tmp_path, desk_spec, name, workers, p=2, t=60, intercept=False, methods=("LS", "S-LS", "BOOT")
+):
     """``sievevar mc`` result and entry CSV bytes of a 17-replication desk run."""
     cfg = {
         "schema": 1,
@@ -170,10 +172,11 @@ def mc_csvs(tmp_path, desk_spec, name, workers, p=2, t=60):
         "burn_in": 20,
         "p": p,
         "horizon": 3,
-        "methods": ["LS", "S-LS", "BOOT"],
+        "methods": list(methods),
         "replications": 17,
         "bootstrap_replications": 10,
         "seed": MC_SEED,
+        "intercept": intercept,
     }
     path = tmp_path / "mc.json"
     path.write_text(json.dumps(cfg))
@@ -195,29 +198,46 @@ def record_stack_sizes(monkeypatch):
     return sizes
 
 
-def chunk_floats(size, t=60):
-    # (p + burn_in + t) K = (1 + 20 + t) 2 shock values per path of mc_csvs
-    per_path = (1 + 20 + t) * 2
-    return per_path * size + per_path - 1
+def record_scored_sizes(monkeypatch):
+    """Samples per ``_run_replication`` call of ``mc_harness``, in call order."""
+    sizes = []
+    score = mc_harness._run_replication
+
+    def recording(cfg, truth, samples, run_seeds):
+        sizes.append(len(samples))
+        return score(cfg, truth, samples, run_seeds)
+
+    monkeypatch.setattr(mc_harness, "_run_replication", recording)
+    return sizes
+
+
+def chunk_floats(size, p=2, t=60):
+    # per replication of mc_csvs: its (1 + 20 + t) K path, with K = 2, its
+    # moment matrix and Gamma_p, 2 (Kp)^2, and its (t - p) K residuals
+    per_rep = (1 + 20 + t) * 2 + 2 * (2 * p) ** 2 + (t - p) * 2
+    return per_rep * size + per_rep - 1
 
 
 class TestChunks:
-    """Replications simulated in chunks: no chunking or worker count moves a byte."""
+    """Replications simulated, fitted and scored in chunks: no chunking or worker count moves a byte."""
 
     @staticmethod
-    def _check_chunkings(tmp_path, desk_spec, monkeypatch, p, t):
-        sizes = record_stack_sizes(monkeypatch)
-        want = mc_csvs(tmp_path, desk_spec, "default", 1, p, t)
-        assert sizes == [17]
+    def _check_chunkings(tmp_path, desk_spec, monkeypatch, p, t, *options):
+        # without failures each pass simulates and scores its chunk in one call each
+        simulated, scored = record_stack_sizes(monkeypatch), record_scored_sizes(monkeypatch)
+        want = mc_csvs(tmp_path, desk_spec, "default", 1, p, t, *options)
+        assert simulated == scored == [17]
         for size, chunks in ((1, [1] * 17), (3, [3] * 5 + [2]), (8, [8, 8, 1])):
-            monkeypatch.setattr(mc_harness, "_CHUNK_FLOATS", chunk_floats(size, t))
-            sizes.clear()
-            assert mc_csvs(tmp_path, desk_spec, f"c{size}-w1", 1, p, t) == want
-            assert sizes == chunks
-            assert mc_csvs(tmp_path, desk_spec, f"c{size}-w2", 2, p, t) == want
+            monkeypatch.setattr(mc_harness, "_CHUNK_FLOATS", chunk_floats(size, p, t))
+            simulated.clear()
+            scored.clear()
+            assert mc_csvs(tmp_path, desk_spec, f"c{size}-w1", 1, p, t, *options) == want
+            assert simulated == scored == chunks
+            assert mc_csvs(tmp_path, desk_spec, f"c{size}-w2", 2, p, t, *options) == want
 
-    def test_csvs_byte_identical_for_any_chunking(self, desk_spec, tmp_path, monkeypatch):
-        self._check_chunkings(tmp_path, desk_spec, monkeypatch, 2, 60)
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_csvs_byte_identical_for_any_chunking(self, desk_spec, tmp_path, monkeypatch, intercept):
+        self._check_chunkings(tmp_path, desk_spec, monkeypatch, 2, 60, intercept, tuple(METHODS))
 
     def test_panelled_grams_byte_identical_for_any_chunking(self, desk_spec, tmp_path, monkeypatch):
         # p = 30 fits and refits a 62-column lag-window Gram, built from panels
@@ -227,6 +247,54 @@ class TestChunks:
         cfg = tiny_config(desk_spec, replications=11, workers=3)
         assert mc_harness._chunk_size(cfg) == 4
         assert mc_harness._chunk_size(dataclasses.replace(cfg, workers=1)) == 11
+
+    def test_chunk_size_counts_what_a_chunk_keeps(self, desk_spec):
+        # tiny_config: a (1 + burn_in + 120) K path, and 2 (Kp)^2 + (T - p) K
+        # = 2 * 16 + 118 * 2 = 268 floats of moment matrix, Gamma_p and
+        # residuals per replication
+        cfg = tiny_config(desk_spec, replications=10**6)
+        per_rep = (1 + cfg.effective_burn_in + 120) * 2 + 268
+        assert mc_harness._chunk_size(cfg) == mc_harness._CHUNK_FLOATS // per_rep
+        # at 200 replications: counterex-desk-p30 (14 + 214 + 300) 2 + 2 * 60^2
+        # + 270 * 2 = 8796, fig2-desk (1 + 201 + 300) 2 + 2 * 20^2 + 290 * 2 =
+        # 2384, fig2-desk-t1000 5184 and counterex-desk-p10 2432 floats
+        for preset, size in (
+            ("counterex-desk-p30", 29),
+            ("fig2-desk", 109),
+            ("fig2-desk-t1000", 50),
+            ("counterex-desk-p10", 107),
+        ):
+            obj = dict(cli.PRESETS[preset](), replications=200)
+            cfg = cli.parse_experiment_config(obj, Namespace(workers=1, seed=None))
+            assert mc_harness._chunk_size(cfg) == size
+            # four workers cap a chunk at 50 replications
+            assert mc_harness._chunk_size(dataclasses.replace(cfg, workers=4)) == min(size, 50)
+
+    @pytest.mark.parametrize(
+        "preset, per_sample", [("counterex-desk-p30", 280_000), ("fig2-desk-t1000", 185_000)]
+    )
+    def test_stack_peak_memory(self, preset, per_sample):
+        # LS and S-LS on a stack of 10. The covariances build their largest
+        # products one block of horizons at a time, which sets the peak of a
+        # counterex-desk-p30 stack: about 227 KB per sample, 361 KB with
+        # whole-stack products. The fit copies one sample's lag windows at a
+        # time, which sets the peak of a fig2-desk-t1000 stack: about 152 KB
+        # per sample, 220 KB with a copy of the whole stack's windows.
+        obj = dict(cli.PRESETS[preset](), methods=["LS", "S-LS"])
+        cfg = cli.parse_experiment_config(obj, Namespace(workers=1, seed=None))
+        truth = varma_true_irf(cfg.dgp, cfg.horizon)
+        seeds = [substream(cfg.seed, r) for r in range(10)]
+        samples = mc_harness.simulate_varma_stack(
+            cfg.dgp, cfg.t, cfg.effective_burn_in, [substream(s, 0) for s in seeds]
+        )
+        mc_harness._run_replication(cfg, truth, samples, seeds)  # caches and first-call state
+        tracemalloc.start()
+        try:
+            mc_harness._run_replication(cfg, truth, samples, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * per_sample
 
 
 class TestFailedReplications:
@@ -253,9 +321,9 @@ class TestFailedReplications:
         cfg = tiny_config(desk_spec, methods=("LS", "BOOT"), replications=6)
         truth = varma_true_irf(cfg.dgp, cfg.horizon)
         chunk = range(6)
-        want = mc_harness._run_chunk(cfg, truth, mc_harness._stack_size(cfg), chunk)
+        want = mc_harness._run_chunk(cfg, truth, chunk)
         calls = self._failing(monkeypatch, cfg.seed, [(3,)])
-        got = mc_harness._run_chunk(cfg, truth, mc_harness._stack_size(cfg), chunk)
+        got = mc_harness._run_chunk(cfg, truth, chunk)
 
         # the pass's stack raises, its members are scored again one at a
         # time, and the one that still raises is retried alone
@@ -354,10 +422,11 @@ class TestStackFailures:
     def test_member_alone_fails_and_is_retried(self, desk_spec, monkeypatch, p):
         cfg = tiny_config(desk_spec, p=p, methods=self.CASES[p], replications=6)
         truth = varma_true_irf(cfg.dgp, cfg.horizon)
-        assert mc_harness._stack_size(cfg) >= 6
-        want = mc_harness._run_chunk(cfg, truth, mc_harness._stack_size(cfg), range(6))
+        # a run scores the six replications as one chunk
+        assert mc_harness._chunk_size(cfg) == 6
+        want = mc_harness._run_chunk(cfg, truth, range(6))
         sizes = self._constant_member(monkeypatch, 3)
-        got = mc_harness._run_chunk(cfg, truth, mc_harness._stack_size(cfg), range(6))
+        got = mc_harness._run_chunk(cfg, truth, range(6))
 
         assert sizes == [6, 1]
         retry = substream(cfg.seed, 3, 1)
@@ -391,58 +460,6 @@ class TestStackFailures:
         assert cli.main(argv) == 3
         assert capsys.readouterr().err.splitlines()[-1].startswith(self.MESSAGES[p])
         assert not out.exists()
-
-
-class TestStacks:
-    """A chunk's samples are scored in stacks: no stack size moves a byte."""
-
-    @pytest.mark.parametrize("intercept", [False, True])
-    def test_csvs_byte_identical_for_any_stack_size(self, desk_spec, tmp_path, monkeypatch, intercept):
-        cfg = tiny_config(desk_spec, methods=tuple(METHODS), replications=17, intercept=intercept)
-        want = run_experiment(cfg)
-        # stacks of 1, 3 and 8 samples of 268 floats each
-        for floats in (1, 3 * 268, 8 * 268):
-            monkeypatch.setattr(mc_harness, "_STACK_FLOATS", floats)
-            got = run_experiment(cfg)
-            for name in ("coverage", "avg_length", "entry_coverage", "entry_length"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-
-    def test_stack_size_counts_what_a_stack_keeps(self, desk_spec):
-        # tiny_config: 2 (Kp)^2 + (T - p) K = 2 * 16 + 118 * 2 = 268 floats of
-        # moment matrix, Gamma_p and residuals per sample
-        assert mc_harness._stack_size(tiny_config(desk_spec)) == mc_harness._STACK_FLOATS // 268
-        # counterex-desk-p30 2 * 60^2 + 270 * 2 = 7740, fig2-desk 2 * 20^2 + 290 * 2 = 1380
-        # and fig2-desk-t1000 2 * 20^2 + 990 * 2 = 2780 floats
-        for preset, size in (("counterex-desk-p30", 16), ("fig2-desk", 94), ("fig2-desk-t1000", 47)):
-            obj = dict(cli.PRESETS[preset]())
-            cfg = cli.parse_experiment_config(obj, Namespace(workers=None, seed=None))
-            assert mc_harness._stack_size(cfg) == size
-
-    @pytest.mark.parametrize(
-        "preset, per_sample", [("counterex-desk-p30", 280_000), ("fig2-desk-t1000", 185_000)]
-    )
-    def test_stack_peak_memory(self, preset, per_sample):
-        # LS and S-LS on a stack of 10. The covariances build their largest
-        # products one block of horizons at a time, which sets the peak of a
-        # counterex-desk-p30 stack: about 227 KB per sample, 361 KB with
-        # whole-stack products. The fit copies one sample's lag windows at a
-        # time, which sets the peak of a fig2-desk-t1000 stack: about 152 KB
-        # per sample, 220 KB with a copy of the whole stack's windows.
-        obj = dict(cli.PRESETS[preset](), methods=["LS", "S-LS"])
-        cfg = cli.parse_experiment_config(obj, Namespace(workers=1, seed=None))
-        truth = varma_true_irf(cfg.dgp, cfg.horizon)
-        seeds = [substream(cfg.seed, r) for r in range(10)]
-        samples = mc_harness.simulate_varma_stack(
-            cfg.dgp, cfg.t, cfg.effective_burn_in, [substream(s, 0) for s in seeds]
-        )
-        mc_harness._run_replication(cfg, truth, samples, seeds)  # caches and first-call state
-        tracemalloc.start()
-        try:
-            mc_harness._run_replication(cfg, truth, samples, seeds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * per_sample
 
 
 class TestIntervalSetsForSample:
@@ -703,7 +720,7 @@ def _replicate_and_count_threads():
         obj = dict(cli.PRESETS[preset](), replications=1, **overrides)
         cfg = cli.parse_experiment_config(obj, Namespace(workers=None, seed=None))
         truth = varma_true_irf(cfg.dgp, cfg.horizon)
-        mc_harness._run_chunk(cfg, truth, mc_harness._stack_size(cfg), range(1))
+        mc_harness._run_chunk(cfg, truth, range(1))
     # a K = 4, p = 8 fit: a 36-column Gram
     spec = pure_ar_spec(random_stable_coeffs(np.random.default_rng(8), 4, 1, 0.8))
     fit_var_ls(simulate_varma(spec, 1000, 100, 8), 8)
@@ -772,6 +789,10 @@ def worker_pids():
 
 def alive(pid):
     return Path(f"/proc/{pid}").exists()
+
+
+def parent_pid(_):
+    return os.getppid()
 
 
 def assert_same_summary(got, want):
@@ -917,6 +938,22 @@ class TestWorkerPool:
         pids = [int(pid) for pid in done.stdout.split()]
         assert len(pids) == 2
         assert not any(alive(pid) for pid in pids)
+
+    def test_workers_fork_under_another_default_start_method(self):
+        # Python 3.14 makes forkserver the default on Linux; its workers are
+        # children of the server and hold none of this process's state, such
+        # as a METHODS entry added before the pool started
+        code = (
+            "import multiprocessing, os\n"
+            "multiprocessing.set_start_method('forkserver', force=True)\n"
+            "from sievevar import mc_harness\n"
+            "from test_mc_harness import parent_pid\n"
+            "print(os.getpid(), *mc_harness._pool_map(2, parent_pid, range(4)))\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        pid, *parents = [int(pid) for pid in done.stdout.split()]
+        assert parents == [pid] * 4
 
     def test_forked_child_runs_on_its_own_pool(self):
         # the parent's pool threads do not run in a forked child, so a
