@@ -40,8 +40,8 @@ _PIVOT_COLLAPSE = 1e-13
 # does a gemm of more than about 1e6 multiply-adds (m n k); in a forked
 # worker that one call starts the server, whose helper thread then spins
 # through the Python work that follows. So a Gram runs no syrk: it is built
-# by gemm from column panels of at most _GRAM_PANEL columns, by products of
-# fewer than _SERIAL_MADDS multiply-adds.
+# by gemm from two or more column panels of at most _GRAM_PANEL columns, by
+# products of fewer than _SERIAL_MADDS multiply-adds.
 _GRAM_PANEL = 31
 
 
@@ -181,13 +181,13 @@ def _lag_grams(samples: np.ndarray, p: int, demean: bool = False) -> np.ndarray:
     n, t, k = samples.shape
     width = k * (p + 1)
     gram = np.empty((n, width, width))
-    count = -(-width // _GRAM_PANEL)
+    count = max(-(-width // _GRAM_PANEL), min(width, 2))
     bounds = [width * i // count for i in range(count + 1)]
     # the upper strip of each panel by gemm, about twice syrk's rate at these
     # sizes, in row blocks of fewer than _SERIAL_MADDS multiply-adds; past
     # the first panel a strip starts a column early, in the lower triangle,
-    # so that numpy does not turn the last into a syrk, and a single panel
-    # takes its left factor from a second copy for the same reason
+    # so that no product has one buffer on both sides, which numpy would
+    # turn into a syrk
     strips = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         first = max(lo - 1, 0)
@@ -198,9 +198,8 @@ def _lag_grams(samples: np.ndarray, p: int, demean: bool = False) -> np.ndarray:
         rows = np.array(rows, order="C")
         if demean:  # the means by a product, three times faster than rows.mean(axis=0)
             rows -= np.ones(t - p) @ rows / (t - p)
-        lefts = rows.copy() if count == 1 else rows
         for lo, hi, first, step in strips:
-            left, strip = lefts[:, lo:hi], out[lo:hi, first:]
+            left, strip = rows[:, lo:hi], out[lo:hi, first:]
             np.matmul(left[:step].T, rows[:step, first:], out=strip)
             for r in range(step, t - p, step):
                 strip += left[r : r + step].T @ rows[r : r + step, first:]

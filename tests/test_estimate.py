@@ -304,22 +304,26 @@ class TestLagGrams:
 
     @pytest.mark.parametrize("demean", [False, True])
     @pytest.mark.parametrize("k, p, t", [(2, 10, 300), (4, 6, 600), (1, 30, 700), (3, 9, 3000)])
-    def test_one_panel_is_a_mirrored_gemm(self, rng, k, p, t, demean):
-        # the upper triangle of a gemm on a second copy of the windows, in
-        # row blocks below _SERIAL_MADDS multiply-adds, and its mirror below
+    def test_narrow_gram_is_two_mirrored_panels(self, rng, k, p, t, demean):
+        # the upper strips of two panels by gemm on the windows themselves, the
+        # second starting a column early, in row blocks below _SERIAL_MADDS
+        # multiply-adds, and their mirror below
         width = k * (p + 1)
         assert width <= _GRAM_PANEL
         samples = rng.normal(size=(2, t, k)) + 3.0
-        step = (_SERIAL_MADDS - 1) // width**2
+        half = width // 2
         grams = _lag_grams(samples, p, demean)
         for sample, window, gram in zip(samples, _lag_windows(samples, p), grams):
             rows = np.array(window, order="C")
             if demean:
                 rows -= np.ones(len(rows)) @ rows / len(rows)
-            left = rows.copy()
-            want = left[:step].T @ rows[:step]
-            for r in range(step, len(rows), step):
-                want += left[r : r + step].T @ rows[r : r + step]
+            want = np.zeros((width, width))
+            for lo, hi, first in ((0, half, 0), (half, width, half - 1)):
+                step = max((_SERIAL_MADDS - 1) // ((hi - lo) * (width - first)), 1)
+                strip = rows[:step, lo:hi].T @ rows[:step, first:]
+                for r in range(step, len(rows), step):
+                    strip += rows[r : r + step, lo:hi].T @ rows[r : r + step, first:]
+                want[lo:hi, first:] = strip
             np.testing.assert_array_equal(gram, np.triu(want) + np.triu(want, 1).T)
             np.testing.assert_array_equal(gram, gram.T)
             assert_close_to_scale(gram, self.explicit_gram(sample, p, demean), 1e-13)
