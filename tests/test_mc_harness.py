@@ -257,7 +257,7 @@ class TestChunks:
         assert mc_harness._chunk_size(cfg) == mc_harness._CHUNK_FLOATS // per_rep
         # at 200 replications: counterex-desk-p30 (14 + 214 + 300) 2 + 2 * 60^2
         # + 270 * 2 = 8796, fig2-desk (1 + 201 + 300) 2 + 2 * 20^2 + 290 * 2 =
-        # 2384, fig2-desk-t1000 5184 and counterex-desk-p10 2432 floats
+        # 2384, fig2-desk-t1000 5184 and counterex-desk-p10 2436 floats
         for preset, size in (
             ("counterex-desk-p30", 29),
             ("fig2-desk", 109),
