@@ -6,38 +6,36 @@ impulse responses of the generating process. Replication r derives all of
 its randomness from the child stream (master seed, r), and a failed one is
 retried once on (master seed, r, 1).
 
-Replications run in chunks of consecutive indices, one unit of work from
-simulation through scoring, bounded by ``_CHUNK_FLOATS`` floats of what the
-chunk keeps (``_chunk_size``). Each path of a chunk is drawn from its own
-replication's stream and all of them step one recursion, so a path does not
-depend on the paths beside it. One ``fit_var_fits`` call fits the chunk,
-and the MA expansion, each delta method's covariances and its bounds run
-once over it; only the bootstrap methods run one sample at a time. The
-kernels bound their own temporaries, so a chunk's memory peak grows with
-what it keeps, not with one kernel's whole-chunk products. Every stacked
+Replications run in chunks of consecutive indices (``_chunk_size``), each
+one unit of work: its paths, each drawn from its own replication's stream,
+step one recursion, one ``fit_var_fits`` call fits them, and the MA
+expansion, each delta method's covariances and its bounds run once over
+them; only the bootstrap methods run one sample at a time. Every stacked
 kernel gives each member the bits of its own one-sample call, the kernels
-``interval_sets_for_sample`` runs. Summaries are therefore identical for
-any worker count and any chunking. A failure has one route: a chunk whose
+``interval_sets_for_sample`` runs, so summaries are identical for any
+worker count and any chunking. A failure has one route: a chunk whose
 scoring raises, its fit included (``fit_var_fits`` refuses a sample it
 cannot fit), is scored again one sample at a time, and a sample that still
 raises goes to the retry pass.
 
 A run uses at most one worker per chunk, min(``workers``, chunks), and
 runs in its own process when that is one. Otherwise its chunks run on the
-process's one worker pool of forked processes. The first such
+process's one worker pool (``_pool_map``). The first such
 ``run_experiment`` call starts it, every later call with the same count and
 the same ``METHODS`` table reuses it, a call with another count or table
 replaces it, and it ends with the process; a forked child starts without
 it. Each chunk task carries the config and the true responses, both
-computed by the parent, so a reused worker gets the inputs a fresh fork
-would. Any other module state is what the process held when the pool
-forked: a patch made after that does not reach it.
+computed by the parent, so a reused or spawned worker gets the inputs a
+fresh fork would. Any other module state of a forked worker is what the
+process held when the pool forked: a patch made after that does not reach
+it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -70,10 +68,18 @@ METHODS: dict[str, Callable | None] = {
 # fraction of replications allowed to fail (after one retry each)
 FAILURE_BUDGET = 0.01
 
-# Floats that one chunk keeps from its simulation through its scoring, 2 MB
-# (``_chunk_size``): bounds how many replications are simulated, fitted and
-# scored together.
+# Floats of the arrays one chunk keeps from simulation through scoring
+# (``_chunk_size``), not its memory peak: a counterex-desk-p30 replication keeps
+# about 70 KB of them and peaks near 230 KB traced with its kernels' temporaries.
 _CHUNK_FLOATS = 256 * 1024
+
+# The pool forks its workers whatever the default start method (forkserver on
+# Linux from Python 3.14), but not on Windows, which lacks fork, or macOS, where it is unsafe.
+_POOL_CONTEXT = (
+    multiprocessing.get_context("fork")
+    if sys.platform != "darwin" and "fork" in multiprocessing.get_all_start_methods()
+    else None
+)
 
 # The process's worker pool with its key, (worker count, ``METHODS`` items)
 # when it forked (``_pool_map``), and the lock that a call holds while it
@@ -236,21 +242,22 @@ def _interval_stacks(
 
 
 def _chunk_size(cfg: ExperimentConfig) -> int:
-    """Replications per chunk: at most ``_CHUNK_FLOATS`` floats kept, at least one chunk per worker.
+    """Replications per chunk: equal chunks, each keeping at most ``_CHUNK_FLOATS`` floats.
 
-    Per replication those are its simulated path, (p + burn_in + T) K
-    floats, which the sample it scores is a view of; its moment matrix and
-    Gamma_p, 2 (Kp)^2 floats; and its (T - p) K residuals, all kept through
-    the scoring. The kernels bound their own temporaries: ``fit_var_fits``
-    copies one sample's lag windows at a time, and ``irf_covariances``
-    builds its products one block of horizons at a time. At 200
-    replications on one worker a counterex-desk-p30 chunk holds 29 and a
-    fig2-desk chunk 109.
+    Per replication those are its (p + burn_in + T) K path, which the
+    sample it scores is a view of, its moment matrix and Gamma_p, 2 (Kp)^2
+    floats, and its (T - p) K residuals; the kernels bound their own
+    temporaries. If b replications fit, R of them on W workers make
+    n = W ceil(R / (W b)) chunks, at most R, of ceil(R / n), so the workers
+    get equal shares. At R = 200 a counterex-desk-p30 chunk holds 29, 25
+    and 23 replications on one, two and three workers.
     """
     k, p = cfg.dgp.k, cfg.p
     path = (cfg.dgp.p + cfg.effective_burn_in + cfg.t) * k
     per_rep = path + 2 * (k * p) ** 2 + (cfg.t - p) * k
-    return max(1, min(_CHUNK_FLOATS // per_rep, -(-cfg.replications // cfg.workers)))
+    fit, workers = max(1, _CHUNK_FLOATS // per_rep), cfg.workers
+    count = min(cfg.replications, workers * -(-cfg.replications // (workers * fit)))
+    return -(-cfg.replications // count)
 
 
 def _run_chunk(
@@ -343,9 +350,8 @@ def aggregate(
 def _pool_map(workers: int, fn: Callable, items: Sequence) -> list:
     """``fn`` of each of ``items``, in order, on the process's pool of ``workers`` processes.
 
-    The workers fork from this process whatever the default start method
-    (forkserver on Linux from Python 3.14), so they hold its module state
-    as it was when the pool started. The first call starts the pool and
+    Forked workers (``_POOL_CONTEXT``) hold this process's module state as
+    it was when the pool started. The first call starts the pool and
     later calls with the same count and ``METHODS`` table reuse it. A call
     with another count or table shuts the pool down first, its threads
     joined, so that no pool thread is alive when the new pool forks its
@@ -366,8 +372,7 @@ def _pool_map(workers: int, fn: Callable, items: Sequence) -> list:
         while True:
             reused = _pool is not None
             if not reused:
-                fork = multiprocessing.get_context("fork")
-                _pool = (key, ProcessPoolExecutor(max_workers=workers, mp_context=fork))
+                _pool = (key, ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT))
             pool = _pool[1]
             try:
                 return list(pool.map(fn, items))

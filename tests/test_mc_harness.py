@@ -227,7 +227,8 @@ class TestChunks:
         simulated, scored = record_stack_sizes(monkeypatch), record_scored_sizes(monkeypatch)
         want = mc_csvs(tmp_path, desk_spec, "default", 1, p, t, *options)
         assert simulated == scored == [17]
-        for size, chunks in ((1, [1] * 17), (3, [3] * 5 + [2]), (8, [8, 8, 1])):
+        # a budget of 8 replications cuts 17 into three equal chunks
+        for size, chunks in ((1, [1] * 17), (3, [3] * 5 + [2]), (8, [6, 6, 5])):
             monkeypatch.setattr(mc_harness, "_CHUNK_FLOATS", chunk_floats(size, p, t))
             simulated.clear()
             scored.clear()
@@ -252,23 +253,27 @@ class TestChunks:
         # tiny_config: a (1 + burn_in + 120) K path, and 2 (Kp)^2 + (T - p) K
         # = 2 * 16 + 118 * 2 = 268 floats of moment matrix, Gamma_p and
         # residuals per replication
-        cfg = tiny_config(desk_spec, replications=10**6)
+        cfg = tiny_config(desk_spec)
         per_rep = (1 + cfg.effective_burn_in + 120) * 2 + 268
-        assert mc_harness._chunk_size(cfg) == mc_harness._CHUNK_FLOATS // per_rep
+        fit = mc_harness._CHUNK_FLOATS // per_rep
+        for replications, size in ((5 * fit, fit), (5 * fit + 1, -(-(5 * fit + 1) // 6))):
+            cfg = tiny_config(desk_spec, replications=replications)
+            assert mc_harness._chunk_size(cfg) == size
         # at 200 replications: counterex-desk-p30 (14 + 214 + 300) 2 + 2 * 60^2
-        # + 270 * 2 = 8796, fig2-desk (1 + 201 + 300) 2 + 2 * 20^2 + 290 * 2 =
-        # 2384, fig2-desk-t1000 5184 and counterex-desk-p10 2436 floats
-        for preset, size in (
-            ("counterex-desk-p30", 29),
-            ("fig2-desk", 109),
-            ("fig2-desk-t1000", 50),
-            ("counterex-desk-p10", 107),
+        # + 270 * 2 = 8796 floats, 29 fit the budget; fig2-desk (1 + 201 + 300)
+        # 2 + 2 * 20^2 + 290 * 2 = 2384, 109 fit; fig2-desk-t1000 5184, 50 fit;
+        # counterex-desk-p10 2436, 107 fit. The chunks of W workers are a
+        # multiple of W in number and of equal size, the last possibly shorter.
+        for preset, sizes in (
+            ("counterex-desk-p30", (29, 25, 23, 25)),
+            ("fig2-desk", (100, 100, 67, 50)),
+            ("fig2-desk-t1000", (50, 50, 34, 50)),
+            ("counterex-desk-p10", (100, 100, 67, 50)),
         ):
             obj = dict(cli.PRESETS[preset](), replications=200)
             cfg = cli.parse_experiment_config(obj, Namespace(workers=1, seed=None))
-            assert mc_harness._chunk_size(cfg) == size
-            # four workers cap a chunk at 50 replications
-            assert mc_harness._chunk_size(dataclasses.replace(cfg, workers=4)) == min(size, 50)
+            for workers, size in enumerate(sizes, start=1):
+                assert mc_harness._chunk_size(dataclasses.replace(cfg, workers=workers)) == size
 
     @pytest.mark.parametrize(
         "preset, per_sample", [("counterex-desk-p30", 280_000), ("fig2-desk-t1000", 185_000)]
@@ -350,7 +355,7 @@ class TestFailedReplications:
         assert sizes == [17, 2]
         assert calls[-1] == [substream(MC_SEED, r, 1).spawn_key for r in (3, 5)]
         assert want[0].splitlines()[1].endswith(b",17,0")
-        for size, chunks in ((1, [1] * 19), (3, [3, 3, 2, 3, 3, 3, 2]), (8, [8, 2, 8, 1])):
+        for size, chunks in ((1, [1] * 19), (3, [3, 3, 2, 3, 3, 3, 2]), (8, [6, 2, 6, 5])):
             monkeypatch.setattr(mc_harness, "_CHUNK_FLOATS", chunk_floats(size))
             sizes.clear()
             assert mc_csvs(tmp_path, desk_spec, f"c{size}", 1) == want
@@ -954,6 +959,34 @@ class TestWorkerPool:
         assert done.returncode == 0, done.stderr
         pid, *parents = [int(pid) for pid in done.stdout.split()]
         assert parents == [pid] * 4
+
+    @pytest.mark.parametrize(
+        "platform",
+        [
+            "sys.platform = 'darwin'",
+            "multiprocessing.get_all_start_methods = lambda: ['spawn']",
+        ],
+        ids=["macos", "no-fork"],
+    )
+    def test_workers_spawn_where_the_platform_defaults_to_spawn(self, platform):
+        # macOS has fork but defaults to spawn, and Windows has only spawn;
+        # each task carries the config and the true responses, so spawned
+        # workers give the bytes of one process
+        code = (
+            "import multiprocessing, sys\n"
+            "import numpy\n"
+            f"real = sys.platform\n{platform}\n"
+            "from sievevar import mc_harness, run_experiment\n"
+            "sys.platform = real\n"
+            "from test_mc_harness import assert_same_summary, p30_config\n"
+            "assert mc_harness._POOL_CONTEXT is None\n"
+            "multiprocessing.set_start_method('spawn', force=True)\n"
+            "want = run_experiment(p30_config(1, 4))\n"
+            "assert_same_summary(run_experiment(p30_config(2, 4)), want)\n"
+            "assert mc_harness._pool[1]._mp_context.get_start_method() == 'spawn'\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
 
     def test_forked_child_runs_on_its_own_pool(self):
         # the parent's pool threads do not run in a forked child, so a
