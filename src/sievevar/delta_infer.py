@@ -13,6 +13,11 @@ Gamma_p with the ml residual covariance. All finite-sample differences
 between the two come from that choice. vec() is column-stacking
 throughout, so entry (row, col) of Phi_i sits at position row + K * col.
 
+The kernel computes each covariance as a Gram V_i V_i', from Gamma = L L'
+and an eigen square root Sigma_u = R R': V_i = sum_{m<i} x_{i-1-m} kron
+(Phi_m R) with x_a = J (A_c')^a L^{-T}. Its diagonal, a sum of squares, is
+never negative.
+
 IRFs are plain (H+1, K, K) arrays with Phi_0 = I first, as ``ma_from_ar``
 returns them; the kernels here validate the arrays they are given. The
 Gaussian quantile is the standard library's ``NormalDist().inv_cdf``, and
@@ -29,11 +34,11 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 from .estimate import VarModel
-from .var_core import companion_form, ma_from_ar
+from .var_core import _SERIAL_MADDS, _is_symmetric, companion_form, ma_from_ar
 
-# Floats of each of the two largest temporaries of ``irf_covariances``, its
-# (..., H, K^2, K^2 p) products, for one block of horizons over the whole
-# stack, 256 KB: sets the horizons of a block, at least one
+# Floats of the largest temporary of ``irf_covariances``, its (..., H, K^2,
+# K^2 p) Toeplitz product, for one block of horizons over the whole stack,
+# 256 KB: sets the horizons of a block, at least one
 _COV_BLOCK_FLOATS = 32 * 1024
 
 
@@ -148,16 +153,26 @@ def irf_covariances(
     array of fitted Phi_0..Phi_H, from which the G_i are built. ``gamma``
     is the Kp x Kp second-moment plug-in, which must be finite and
     positive-definite; ``sigma_u`` is the K x K innovation covariance
-    plug-in, which may be singular.
+    plug-in, which must be finite, symmetric and positive semidefinite,
+    and may be singular.
+
+    Each covariance is a Gram V_i V_i'. With Gamma = L L', Sigma_u = R R'
+    (R = Q diag(sqrt(max(lambda, 0))) from the eigenvalues lambda and
+    eigenvectors Q) and x_a = J (A_c')^a L^{-T},
+
+        V_i = sum_{m<i} x_{i-1-m} kron (Phi_m R),
+
+    so its diagonal, a sum of squares, is never negative. The sum over m is
+    one product of a Toeplitz stack of Phi_m R, laid out with its column
+    index outermost, with the stacked x_a.
 
     The three arrays may carry the same leading stack dimensions, one
     member per sample, and then so does the result: (..., H, K^2, K^2).
     Every product runs on each member alone, so a member's covariances are
-    bit for bit those of its own call. The largest products, (..., H, K^2,
-    K^2 p) for all horizons, are built one block of horizons at a time, at
+    bit for bit those of its own call. The largest product, (..., H, K^2,
+    K^2 p) for all horizons, is built one block of horizons at a time, at
     most ``_COV_BLOCK_FLOATS`` floats over the stack and at least one
-    horizon, so the memory peak holds two such blocks instead of two whole
-    products. A stack with any member that fails a check raises as that
+    horizon. A stack with any member that fails a check raises as that
     member would.
     """
     phis = _irf_array(phi_hat, "phi_hat", stack=True)
@@ -178,6 +193,15 @@ def irf_covariances(
         )
     if not np.all(np.isfinite(gamma)):
         raise NonFiniteError("Gamma plug-in contains non-finite values")
+    if not np.all(np.isfinite(sigma_u)):
+        raise NonFiniteError("sigma_u plug-in contains non-finite values")
+    # eigh reads one triangle: an asymmetric sigma_u would pass unseen
+    if not _is_symmetric(sigma_u):
+        raise DimensionMismatchError("sigma_u plug-in is not symmetric within 1e-12")
+    lam, vecs = np.linalg.eigh(sigma_u)
+    if np.any(lam[..., 0] < -1e-12 * np.abs(lam).max(axis=-1)):
+        raise DimensionMismatchError("sigma_u plug-in is not positive semidefinite")
+    root = vecs * np.sqrt(np.maximum(lam, 0.0))[..., np.newaxis, :]
     try:
         chol = np.linalg.cholesky(gamma)
     except np.linalg.LinAlgError:
@@ -185,41 +209,53 @@ def irf_covariances(
             "Gamma plug-in is not positive-definite",
             condition_number=float(np.max(np.linalg.cond(gamma))),
         ) from None
-    # a blocked triangular inverse and per-horizon products keep every BLAS
-    # call below OpenBLAS's threading sizes; a threaded solve leaves its
+    if not horizon:
+        return np.zeros(lead + (0, k * k, k * k))
+    # a blocked triangular inverse and products below _SERIAL_MADDS keep every
+    # BLAS call below OpenBLAS's threading sizes; a threaded solve leaves its
     # worker threads spinning through the Python work that follows
-    linv = _lower_inverse(chol)[..., np.newaxis, :, :]
-    # index -1 is zero
-    padded = np.concatenate([phis[..., :horizon, :, :], np.zeros(lead + (1, k, k))], axis=-3)
-    # toe[..., i, a] = Phi_{i-a}, zero for a > i: one gather for both uses below
-    lags = np.maximum(np.arange(horizon)[:, None] - np.arange(max(p, horizon)), -1)
-    toe = padded[..., lags, :, :]
-    # A_c^a J' stacks Phi_a, Phi_{a-1}, ..., Phi_{a-p+1}
-    cols = toe[..., :p, :, :].reshape(lead + (horizon, kp, k))
-    # with Gamma = L L', x[a]' = J (A_c')^a L^{-T}
-    x = (linv @ cols).reshape(lead + (1, horizon, kp * k))
-    # phi_toe[..., i, (r, s), a] = Phi_{i-a}[r, s]
-    n = len(lead)
-    phi_toe = toe[..., :horizon, :, :].transpose(*range(n), n, n + 2, n + 3, n + 1)
-    phi_toe = phi_toe.reshape(lead + (horizon, k * k, horizon))
-    del chol, linv, toe, cols  # freed before the blocks
+    linv_t = np.ascontiguousarray(_lower_inverse(chol).swapaxes(-1, -2))
+    # lags run backwards, b = H-1-a, in both factors of the Toeplitz product,
+    # so that both are windows of one array; rev[..., u] = Phi_{H-1-u}, zero for u >= H
+    rev = np.zeros(lead + (horizon + p - 1, k, k))
+    rev[..., :horizon, :, :] = phis[..., :horizon, :, :][..., ::-1, :, :]
+    # rows (b, c), columns (j, r): (A_c^a J')' stacks Phi_a', ..., Phi_{a-p+1}' side by side
+    *outer, lag, row, col = rev.strides
+    cols = np.ndarray(lead + (horizon, k, p, k), float, rev, 0, (*outer, lag, col, lag, row))
+    cols = np.ascontiguousarray(cols).reshape(lead + (horizon * k, kp))
+    # x[b] = J (A_c')^a L^{-T}, rows c and columns q, in row blocks below _SERIAL_MADDS
+    x = np.empty(cols.shape)
+    step = max((_SERIAL_MADDS - 1) // (kp * kp), 1)
+    for lo in range(0, horizon * k, step):
+        np.matmul(cols[..., lo : lo + step, :], linv_t, out=x[..., lo : lo + step, :])
+    x = x.reshape(lead + (1, horizon, k * kp))
+    # phi_r[..., (s, r), u] = (Phi_{u-H+1} R)[r, s], the column index s outermost, zero for u < H-1
+    phi_r = np.zeros(lead + (k * k, 2 * horizon - 1))
+    phi_r[..., horizon - 1 :] = (
+        (root.swapaxes(-1, -2)[..., np.newaxis, :, :] @ phis[..., :horizon, :, :].swapaxes(-1, -2))
+        .reshape(lead + (horizon, k * k))
+        .swapaxes(-1, -2)
+    )
+    # toe[..., i, (s, r), b] = (Phi_{i-a} R)[r, s]: windows of phi_r, no copy
+    *outer, row, col = phi_r.strides
+    toe = np.ndarray(lead + (horizon, k * k, horizon), float, phi_r, 0, (*outer, col, row, col))
+    del chol, linv_t, rev, cols  # freed before the blocks
     # each (member, horizon) product keeps its shapes, and so its bits, in
     # any block of horizons
     cov = np.empty(lead + (horizon, k * k, k * k))
     size = max(1, _COV_BLOCK_FLOATS // (math.prod(lead) * k**4 * p))
-    sigma_u = sigma_u[..., np.newaxis, np.newaxis, :, :]
     for lo in range(0, horizon, size):
         hs = slice(lo, lo + size)
-        # W_{i+1} = sum_{a<=i} x[a]' kron Phi_{i-a}, rows (c, r) and columns (q, s)
-        w = (
-            (phi_toe[..., hs, :, :] @ x)
-            .reshape(lead + (-1, k, k, kp, k))
-            .transpose(*range(n), n, n + 4, n + 1, n + 3, n + 2)
-            .reshape(lead + (-1, k * k, kp, k))
-        )
-        w_sigma = (w @ sigma_u).reshape(lead + (-1, k * k, kp * k))
-        np.matmul(w_sigma, w.reshape(w_sigma.shape).swapaxes(-1, -2), out=cov[..., hs, :, :])
-    return (cov + cov.swapaxes(-1, -2)) / 2.0
+        # V_{i+1}[(c, r), (q, s)] = sum_{a<=i} x[a][c, q] (Phi_{i-a} R)[r, s], as [i, s, (r, c), q]
+        v = (toe[..., hs, :, :] @ x).reshape(lead + (-1, k, k * k, kp))
+        # a sum over s of Grams, each A A' one syrk, exactly symmetric
+        block = cov[..., hs, :, :]
+        np.matmul(v[..., 0, :, :], v[..., 0, :, :].swapaxes(-1, -2), out=block)
+        for s in range(1, k):
+            block += v[..., s, :, :] @ v[..., s, :, :].swapaxes(-1, -2)
+    # rows and columns (r, c) to vec's (c, r)
+    cov = cov.reshape(lead + (horizon, k, k, k, k)).swapaxes(-4, -3).swapaxes(-2, -1)
+    return cov.reshape(lead + (horizon, k * k, k * k))
 
 
 def delta_bounds(

@@ -5,9 +5,9 @@ moment matrix Z Z' / T_eff of a fit (conditional on presample values), and
 the block-Toeplitz matrix Gamma_p of divisor-T sample autocovariances
 (``sample_gamma_p``). Finite-order delta intervals use the former, sieve
 intervals the latter; keeping both explicit is what lets the two interval
-families be compared cleanly. Both come from one lag-window Gram
-(``_lag_grams``): of the sample's lag windows for the fit, and of the
-mean-subtracted sample padded with p - 1 zero rows at each end for Gamma_p.
+families be compared cleanly. The fit's comes from the Gram of the
+sample's lag windows (``_lag_grams``), Gamma_p from the sample's p
+autocovariances, gathered into its blocks by one cached index.
 
 Every kernel here takes a stack of samples: ``fit_var_fits`` fits an
 (n, T, K) stack with its residuals and plug-ins, ``sample_gamma_p_stack``
@@ -174,9 +174,8 @@ def _lag_grams(samples: np.ndarray, p: int, demean: bool = False) -> np.ndarray:
     """(n, K(p+1), K(p+1)) Grams W'W of the lag windows W of each sample of an (n, T, K) stack.
 
     W holds the rows of ``_lag_windows``, column-demeaned when ``demean``.
-    The one second-moment routine of the package: ``fit_var_ls_stack`` takes
-    its regression Grams from here and ``sample_gamma_p_stack`` its Gamma_p.
-    Every Gram is exactly symmetric.
+    ``fit_var_ls_stack`` takes its regression Grams from here. Every Gram is
+    exactly symmetric.
     """
     n, t, k = samples.shape
     width = k * (p + 1)
@@ -366,15 +365,17 @@ def sample_gamma_p(y: SamplePath | np.ndarray, p: int) -> np.ndarray:
 
 
 def sample_gamma_p_stack(samples: np.ndarray, p: int) -> np.ndarray:
-    """(n, Kp, Kp) Gamma_p of each sample of an (n, T, K) stack, in one ``_lag_grams`` call.
+    """(n, Kp, Kp) Gamma_p of each sample of an (n, T, K) stack, from its p autocovariances.
 
     Block (i, j) is Gamma(j - i), with Gamma(h) = sum_t c_t c_{t-h}' / T for
     the mean-subtracted sample c_t = y_t - ybar and Gamma(-h) = Gamma(h)'.
-    This is the lag-window Gram of c padded with p - 1 zero rows at each
-    end, divided by T: a window [c_s', ..., c_{s-p+1}'] pairs c_{s-i} with
-    c_{s-j}, and the padding lets every pair of the sample appear exactly
-    once. As a Gram, each Kp x Kp result is exactly symmetric and positive
-    semidefinite for every sample, which is what the biased divisor T buys.
+    Each Gamma(h), h = 0..p-1, is one stacked product over the whole stack,
+    O(T K^2) per sample, and the blocks are gathered from them by one cached
+    index (``_toeplitz_index``). So each Kp x Kp result is exactly
+    block-Toeplitz, and exactly symmetric: Gamma(0) is mirrored from its
+    upper triangle and Gamma(-h) is the transpose of Gamma(h). The biased
+    divisor T makes it positive semidefinite, up to rounding, for every
+    sample.
 
     Raises
     ------
@@ -387,6 +388,29 @@ def sample_gamma_p_stack(samples: np.ndarray, p: int) -> np.ndarray:
         raise ValueError("p must be >= 1")
     if p - 1 >= t:
         raise ValueError(f"p - 1 must be smaller than the sample length, got p={p}, T={t}")
-    padded = np.zeros((n, t + 2 * (p - 1), k))
-    padded[:, p - 1 : p - 1 + t] = samples - samples.mean(axis=1, keepdims=True)
-    return _lag_grams(padded, p - 1) / t
+    centered = samples - samples.mean(axis=1, keepdims=True)
+    # lags[h] holds Gamma(h) and lags[2 p - 1 - h] Gamma(-h) = Gamma(h)'
+    lags = np.empty((n, 2 * p - 1, k, k))
+    # rows in blocks of fewer than _SERIAL_MADDS multiply-adds, one block for T < 2^19 / K^2
+    step = max((_SERIAL_MADDS - 1) // (k * k), 1)
+    for h in range(p):
+        left, right, out = centered[:, h:].swapaxes(1, 2), centered[:, : t - h], lags[:, h]
+        np.matmul(left[..., :step], right[:, :step], out=out)
+        for r in range(step, t - h, step):
+            out += left[..., r : r + step] @ right[:, r : r + step]
+    lags /= t
+    i, j = _strictly_lower(k)
+    lags[:, 0, i, j] = lags[:, 0, j, i]
+    lags[:, p:] = lags[:, p - 1 : 0 : -1].swapaxes(2, 3)
+    return lags.reshape(n, -1).take(_toeplitz_index(p, k), axis=1).reshape(n, k * p, k * p)
+
+
+@functools.cache
+def _toeplitz_index(p: int, k: int) -> np.ndarray:
+    """Flat (Kp)^2 index of entry ((i, r), (j, c)) = Gamma(j - i)[r, c] into the (2p - 1, K, K) lags.
+
+    Lag h >= 0 sits at h, lag -h at 2p - 1 - h.
+    """
+    blocks = (np.arange(p) - np.arange(p)[:, np.newaxis]) % (2 * p - 1)
+    entries = np.arange(k * k).reshape(k, 1, k)  # [r, 0, c] = r K + c
+    return (blocks[:, np.newaxis, :, np.newaxis] * k * k + entries).ravel()

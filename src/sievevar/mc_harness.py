@@ -70,7 +70,7 @@ FAILURE_BUDGET = 0.01
 
 # Floats of the arrays one chunk keeps from simulation through scoring
 # (``_chunk_size``), not its memory peak: a counterex-desk-p30 replication keeps
-# about 70 KB of them and peaks near 230 KB traced with its kernels' temporaries.
+# about 70 KB of them and peaks near 190 KB traced with its kernels' temporaries.
 _CHUNK_FLOATS = 256 * 1024
 
 # The pool forks its workers whatever the default start method (forkserver on

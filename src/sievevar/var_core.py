@@ -63,8 +63,12 @@ class MatrixSeq:
 
 
 def _is_symmetric(s: np.ndarray) -> bool:
-    """max|S - S'| <= 1e-12 max(1, max|S|): symmetric up to rounding at the scale of S."""
-    return bool(np.abs(s - s.T).max() <= 1e-12 * max(1.0, np.abs(s).max()))
+    """max|S - S'| <= 1e-12 max(1, max|S|) for S and each member of a (..., m, m) stack.
+
+    Symmetric up to rounding at the scale of each matrix.
+    """
+    scale = np.maximum(1.0, np.abs(s).max(axis=(-2, -1)))
+    return bool(np.all(np.abs(s - s.swapaxes(-1, -2)).max(axis=(-2, -1)) <= 1e-12 * scale))
 
 
 def coeff_seq(mats, dim: int | None = None) -> MatrixSeq:

@@ -187,6 +187,101 @@ class TestSieveCov:
         covs = irf_covariances(phi_hat, model.moment_matrix, np.zeros((2, 2)))
         np.testing.assert_array_equal(covs, np.zeros((4, 4, 4)))
 
+    def test_asymmetric_sigma_rejected(self, rng):
+        # eigh would read one triangle and symmetrise it without a word
+        model, _ = fitted_model(rng, k=2, p=2)
+        phi_hat = ma_from_ar(model.ar_hat.mats, 3)
+        sigma = np.array([[1.0, 0.3], [0.3 + 1e-9, 1.0]])
+        with pytest.raises(DimensionMismatchError, match="sigma_u"):
+            irf_covariances(phi_hat, model.moment_matrix, sigma)
+
+    def test_indefinite_sigma_rejected(self, rng):
+        model, _ = fitted_model(rng, k=2, p=2)
+        phi_hat = ma_from_ar(model.ar_hat.mats, 3)
+        # eigenvalues 3 and -1; then 1 and -2e-12 against the bound -1e-12
+        for sigma in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, -2e-12])):
+            with pytest.raises(DimensionMismatchError, match="sigma_u"):
+                irf_covariances(phi_hat, model.moment_matrix, sigma)
+        # a negative eigenvalue within rounding is taken as zero
+        covs = irf_covariances(phi_hat, model.moment_matrix, np.diag([1.0, -5e-13]))
+        np.testing.assert_array_equal(covs, irf_covariances(phi_hat, model.moment_matrix, np.diag([1.0, 0.0])))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, rng, bad):
+        # the class delta_bounds raised on the covariances a non-finite
+        # sigma_u gave before the kernel checked it
+        model, _ = fitted_model(rng, k=2, p=2)
+        phi_hat = ma_from_ar(model.ar_hat.mats, 3)
+        sigma = np.eye(2)
+        sigma[0, 1] = sigma[1, 0] = bad
+        with pytest.raises(NonFiniteError, match="sigma_u"):
+            irf_covariances(phi_hat, model.moment_matrix, sigma)
+
+    def test_stack_with_bad_sigma_member_raises_its_error(self, rng):
+        model, _ = fitted_model(rng, k=2, p=2)
+        phi_hat = np.stack([ma_from_ar(model.ar_hat.mats, 3)] * 3)
+        gamma = np.stack([model.moment_matrix] * 3)
+        sigma = np.stack([model.sigma_u_hat] * 3)
+        sigma[1] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(DimensionMismatchError, match="positive semidefinite"):
+            irf_covariances(phi_hat, gamma, sigma)
+        sigma[1, 0, 1] += 1e-6
+        with pytest.raises(DimensionMismatchError, match="not symmetric"):
+            irf_covariances(phi_hat, gamma, sigma)
+
+
+def degenerate_sigma_case(rng, p, near_singular_gamma):
+    """(Phi-hat, Gamma, Sigma_u) for K = 3 whose first-row IRF entries have zero variance.
+
+    Sigma_u = v v' with v = (0, 1, -1)', and v is an eigenvector of every A_j,
+    so e_1' Phi_m v = 0 for every m: the delta variance of each entry in the
+    first row of Phi_i is zero, up to rounding.
+    """
+    v = np.array([0.0, 1.0, -1.0])
+    ar = rng.normal(size=(p, 3, 3)) * 0.25
+    ar -= (ar @ v)[..., np.newaxis] * v / 2
+    ar += rng.uniform(-0.5, 0.5, size=(p, 1, 1)) * np.outer(v, v) / 2
+    kp = 3 * p
+    if near_singular_gamma:
+        q, _ = np.linalg.qr(rng.normal(size=(kp, kp)))
+        gamma = (q * np.geomspace(1.0, 1e-10, kp)) @ q.T
+        gamma = (gamma + gamma.T) / 2
+    else:
+        root = rng.normal(size=(kp, kp + 2))
+        gamma = root @ root.T / kp
+    return ma_from_ar(ar, 10), gamma, np.outer(v, v)
+
+
+class TestGramDiagonal:
+    """Each covariance is a Gram V_i V_i', so its diagonal is a sum of squares."""
+
+    @pytest.mark.parametrize("near_singular_gamma", [False, True])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_zero_variance_entries_never_negative(self, rng, p, near_singular_gamma):
+        # also with Sigma_u = v v' - 1e-13 I, a negative eigenvalue within
+        # rounding: G (Gamma^{-1} kron Sigma_u) G' itself has negative entries
+        # there, which the kernel's eigen square root clips to zero
+        phi_hat, gamma, sigma = degenerate_sigma_case(rng, p, near_singular_gamma)
+        for sigma_u in (sigma, sigma - 1e-13 * np.eye(3)):
+            covs = irf_covariances(phi_hat, gamma, sigma_u)
+            var = np.diagonal(covs, axis1=-2, axis2=-1)
+            assert np.all(var >= 0.0)
+            # vec index r + K c: the first-row entries are 0, 3 and 6
+            assert var[:, ::3].max() <= 1e-12 * var.max()
+            assert delta_bounds(phi_hat, covs, 0.95, 100)[2] == 0
+
+    @pytest.mark.parametrize("plugin", ["LS", "S-LS"])
+    def test_fitted_plugins_never_clamped(self, rng, plugin):
+        for _ in range(10):
+            ar, k, p = random_stable_model(rng)
+            y = simulate_varma(pure_ar_spec(ar), 120, 50, int(rng.integers(2**31)))
+            model, _ = fit_var_ls(y, p)
+            pair = ls_plugins(model) if plugin == "LS" else sls_plugins(model, y)
+            phi_hat = ma_from_ar(model.ar_hat.mats, 2 * p + 2)
+            covs = irf_covariances(phi_hat, *pair)
+            assert np.all(np.diagonal(covs, axis1=-2, axis2=-1) >= 0.0)
+            assert delta_bounds(phi_hat, covs, 0.95, 120)[2] == 0
+
 
 @st.composite
 def fitted_sample(draw):

@@ -359,6 +359,18 @@ class TestSampleGammaP:
         assert_close_to_scale(gp, build_gamma_p(sample_autocov(y, p - 1), p), 1e-12)
         np.testing.assert_array_equal(gp, gp.T)
 
+    @pytest.mark.parametrize("p", [1, 2, 10, 30])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_exactly_block_toeplitz_and_symmetric(self, rng, k, p):
+        # bit for bit: block (i, j) equals block (i + 1, j + 1), and the
+        # matrix its transpose; at T = 300 and p = 30, a Gram of the
+        # zero-padded sample summed in row blocks is not bitwise Toeplitz
+        y = rng.normal(size=(300, k)) @ rng.normal(size=(k, k)) + 1e4
+        gp = sample_gamma_p(y, p)
+        blocks = gp.reshape(p, k, p, k).swapaxes(1, 2)
+        assert np.ascontiguousarray(blocks[1:, 1:]).tobytes() == np.ascontiguousarray(blocks[:-1, :-1]).tobytes()
+        assert gp.tobytes() == np.ascontiguousarray(gp.T).tobytes()
+
     def test_negative_lag_transposes(self, rng):
         # block (2, 0) of Gamma_3 is Gamma(-2) = Gamma(2)', block (0, 2) is Gamma(2)
         y = rng.normal(size=(50, 2))

@@ -280,11 +280,13 @@ class TestChunks:
     )
     def test_stack_peak_memory(self, preset, per_sample):
         # LS and S-LS on a stack of 10. The covariances build their largest
-        # products one block of horizons at a time, which sets the peak of a
-        # counterex-desk-p30 stack: about 227 KB per sample, 361 KB with
-        # whole-stack products. The fit copies one sample's lag windows at a
-        # time, which sets the peak of a fig2-desk-t1000 stack: about 152 KB
-        # per sample, 220 KB with a copy of the whole stack's windows.
+        # product one block of horizons at a time, which sets the peak of a
+        # counterex-desk-p30 stack: about 191 KB per sample, 227 KB with two
+        # such products and 361 KB with whole-stack products. The fit copies
+        # one sample's lag windows at a time and Gamma_p is gathered from
+        # its autocovariances: a fig2-desk-t1000 stack peaks at about 85 KB
+        # per sample, 152 KB with Gamma_p from a Gram of the zero-padded
+        # sample and 220 KB with a copy of the whole stack's windows.
         obj = dict(cli.PRESETS[preset](), methods=["LS", "S-LS"])
         cfg = cli.parse_experiment_config(obj, Namespace(workers=1, seed=None))
         truth = varma_true_irf(cfg.dgp, cfg.horizon)
