@@ -42,9 +42,10 @@ from .var_core import _solve_recursion, _stationary, companion_form, ma_from_ar,
 _MAX_REFIT_ATTEMPTS = 10
 
 # pseudo-sample values resampled together, 64 draws at K=4, T=600. A BOOT
-# call of 300 such draws (p = 6, H = 24) peaked about 8.5 MB above its
-# starting RSS in blocks of 64 and about 20.5 MB with all draws at once,
-# which ran 62-71 ms against 67-78 ms (medians of 7 calls, 2-vCPU VM)
+# call of 300 such draws (p = 6, H = 24) peaked about 6.4 MB above its
+# starting RSS in blocks of 64, 8.8 MB in blocks of 128 and 15.5 MB with all
+# draws at once, at one speed within noise: medians of 7 calls, 18.8-19.7,
+# 18.4-19.8 and 18.4-23.9 ms in three processes each (2-vCPU VM)
 _BLOCK_FLOATS = 64 * 600 * 4
 
 # delta grid for the stationarity guard: 1.00, 0.99, ..., 0.00

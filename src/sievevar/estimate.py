@@ -14,14 +14,18 @@ Every kernel here takes a stack of samples: ``fit_var_fits`` fits an
 builds its Gamma_p, and the one-sample functions ``fit_var_ls`` and
 ``sample_gamma_p`` are their n = 1 case. Each member of a stack keeps the
 bits it has alone, and ``fit_var_fits`` refuses a stack with a sample it
-cannot fit, with the error that sample raises alone. The solver under it,
-``fit_var_ls_stack``, only computes: ``fit_var_fits`` and the bootstrap's
-refits check the samples they hand it.
+cannot fit, with the error that sample raises alone. The solver under
+it, ``fit_var_ls_stack``, only computes: ``fit_var_fits`` and the
+bootstrap's refits check the samples they hand it. The fit copies a
+stack's lag windows one group of samples at a time (``_window_groups``)
+and runs each of its products on the whole group as one stacked matmul,
+which makes for every member the BLAS call that member makes alone.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +47,15 @@ _PIVOT_COLLAPSE = 1e-13
 # by gemm from two or more column panels of at most _GRAM_PANEL columns, by
 # products of fewer than _SERIAL_MADDS multiply-adds.
 _GRAM_PANEL = 31
+
+# lag-window values copied together, 10 samples of a fig2-desk refit (K = 2,
+# T = 300, p = 10) and 3 at K = 4, T = 600, p = 6, where a 64-draw refit
+# block's windows take 8.5 MB whole; a stack's Grams and residuals are
+# formed one group of samples per product. A fit_var_fits of a 100-sample
+# fig2-desk or 64-sample K = 4 stack ran within 3% at 2^17 values and slower
+# at 2^15 and 2^18, which also takes a 10-sample fig2-desk-t1000 LS pass past
+# its traced-peak bound (tests/test_mc_harness.py)
+_WINDOW_FLOATS = 64 * 1024
 
 
 class _PlugIns:
@@ -164,6 +177,22 @@ def _lag_windows(samples: np.ndarray, p: int) -> np.ndarray:
     return np.ndarray((n, t - p, k * (p + 1)), buffer=flat, strides=(t * step, step, flat.itemsize))
 
 
+def _window_groups(windows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (slice, copy) of each group of samples of an (n, T-p, K(p+1)) stack of lag windows.
+
+    A group holds as many samples as fit ``_WINDOW_FLOATS`` window values,
+    at least one, and its copy is a C-contiguous view of one buffer that
+    the next group overwrites.
+    """
+    n = len(windows)
+    group = max(_WINDOW_FLOATS // windows[0].size, 1)
+    buffer = np.empty((min(group, n),) + windows.shape[1:])
+    for g in range(0, n, group):
+        rows = buffer[: n - g]
+        rows[...] = windows[g : g + group]
+        yield slice(g, g + len(rows)), rows
+
+
 @functools.cache
 def _strictly_lower(size: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the strictly lower triangle of a size x size block."""
@@ -191,17 +220,17 @@ def _lag_grams(samples: np.ndarray, p: int, demean: bool = False) -> np.ndarray:
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         first = max(lo - 1, 0)
         strips.append((lo, hi, first, max((_SERIAL_MADDS - 1) // ((hi - lo) * (width - first)), 1)))
-    # one contiguous copy per sample: on the overlapping window itself
-    # numpy's matmul runs gemm, not syrk
-    for rows, out in zip(_lag_windows(samples, p), gram):
-        rows = np.array(rows, order="C")
-        if demean:  # the means by a product, three times faster than rows.mean(axis=0)
-            rows -= np.ones(t - p) @ rows / (t - p)
+    # one contiguous copy per group of samples: on the overlapping window
+    # itself numpy's matmul runs gemm, not syrk, and a stacked matmul makes
+    # for each member the BLAS call it makes on that member alone
+    for part, rows in _window_groups(_lag_windows(samples, p)):
+        if demean:  # the means by a product, three times faster than rows.mean(axis=1)
+            rows -= (np.ones(t - p) @ rows / (t - p))[:, np.newaxis]
         for lo, hi, first, step in strips:
-            left, strip = rows[:, lo:hi], out[lo:hi, first:]
-            np.matmul(left[:step].T, rows[:step, first:], out=strip)
+            left, strip = rows[..., lo:hi].swapaxes(1, 2), gram[part, lo:hi, first:]
+            np.matmul(left[..., :step], rows[:, :step, first:], out=strip)
             for r in range(step, t - p, step):
-                strip += left[r : r + step].T @ rows[r : r + step, first:]
+                strip += left[..., r : r + step] @ rows[:, r : r + step, first:]
     # the lower triangle is the mirror of the upper one, diagonal blocks
     # included: some OpenBLAS kernels (Haswell's) sum entry (i, j) of a gemm
     # in another order than entry (j, i)
@@ -258,12 +287,13 @@ def fit_var_fits(samples: np.ndarray, p: int, intercept: bool = False) -> VarFit
     matrices Z Z' / T_eff over the lagged regressors; with an intercept,
     mean(y_t) - B' mean(Z_t), the regressors are demeaned so that the
     inverse moment matrix remains the asymptotic covariance factor of the
-    coefficient block. The residuals and intercept of every member come
-    from a copy of that sample's own lag windows, so no (n, T-p, K(p+1))
-    copy of the stack is built, and the residual covariance is
-    df-adjusted, divided by T_eff minus the regressors per equation. Each
-    product runs on every member alone, as its one-sample call would, so a
-    member's fit does not depend on the samples beside it.
+    coefficient block. The residuals and intercepts come from copies of
+    the lag windows of one group of samples at a time
+    (``_window_groups``), so no (n, T-p, K(p+1)) copy of the stack is
+    built, and the residual covariance is df-adjusted, divided by T_eff
+    minus the regressors per equation. A stacked product makes for each
+    member the BLAS call its one-sample call makes, so a member's fit does
+    not depend on the samples beside it.
 
     Raises
     ------
@@ -297,14 +327,13 @@ def fit_var_fits(samples: np.ndarray, p: int, intercept: bool = False) -> VarFit
     coef = coefs.swapaxes(2, 3).reshape(n, k * p, k)  # rows regressors, columns equations
     resid = np.empty((n, t - p, k))
     const = np.empty((n, k)) if intercept else None
-    for i, windows in enumerate(_lag_windows(samples, p)):
-        rows = np.ascontiguousarray(windows[::-1])  # t = p..T-1
-        target, x = rows[:, :k], rows[:, k:]
+    for part, rows in _window_groups(_lag_windows(samples, p)[:, ::-1]):  # t = p..T-1
+        target, x = rows[..., :k], rows[..., k:]
         if intercept:
-            means = rows.mean(axis=0)
-            const[i] = means[:k] - means[k:] @ coef[i]
-            target = target - const[i]
-        np.subtract(target, x @ coef[i], out=resid[i])
+            means = rows.mean(axis=1)
+            const[part] = means[:, :k] - (means[:, np.newaxis, k:] @ coef[part])[:, 0]
+            target = target - const[part, np.newaxis]
+        np.subtract(target, x @ coef[part], out=resid[part])
     return VarFits(
         coefs=coefs,
         moment_matrix=moments,
@@ -329,15 +358,15 @@ def fit_var_ls_stack(
     long enough to fit (``_short_sample``).
 
     The normal equations of a sample come from the Gram of its lag
-    windows [y_t', y_{t-1}', ..., y_{t-p}'], copied one sample at a time,
-    so no (n, T-p, Kp) design is built. An intercept is partialled out
-    (Frisch-Waugh), so the Grams are those of the demeaned regressors and
-    one Cholesky factorisation per sample checks both that the demeaned
-    moment matrix is positive-definite and its pivots. A sample is flagged
-    when its factorisation fails or its pivots collapse, min^2 <=
-    ``_PIVOT_COLLAPSE`` max^2. Each sample is factorised and solved by its
-    own LAPACK calls (``np.linalg.solve``), so neither its flag nor its bits
-    depend on the samples beside it.
+    windows [y_t', y_{t-1}', ..., y_{t-p}'], copied one group of samples
+    at a time (``_window_groups``), so no (n, T-p, Kp) design is built.
+    An intercept is partialled out (Frisch-Waugh), so the Grams are those
+    of the demeaned regressors and one Cholesky factorisation per sample
+    checks both that the demeaned moment matrix is positive-definite and
+    its pivots. A sample is flagged when its factorisation fails or its
+    pivots collapse, min^2 <= ``_PIVOT_COLLAPSE`` max^2. Each sample is
+    factorised and solved by its own LAPACK calls (``np.linalg.solve``), so
+    neither its flag nor its bits depend on the samples beside it.
     """
     samples = np.asarray(samples, dtype=float)
     n, _, k = samples.shape
@@ -398,7 +427,7 @@ def sample_gamma_p_stack(samples: np.ndarray, p: int) -> np.ndarray:
         np.matmul(left[..., :step], right[:, :step], out=out)
         for r in range(step, t - h, step):
             out += left[..., r : r + step] @ right[:, r : r + step]
-    lags /= t
+    lags[:, :p] /= t  # the negative lags are not written yet: np.empty may hold any bits
     i, j = _strictly_lower(k)
     lags[:, 0, i, j] = lags[:, 0, j, i]
     lags[:, p:] = lags[:, p - 1 : 0 : -1].swapaxes(2, 3)

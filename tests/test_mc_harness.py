@@ -283,10 +283,12 @@ class TestChunks:
         # product one block of horizons at a time, which sets the peak of a
         # counterex-desk-p30 stack: about 191 KB per sample, 227 KB with two
         # such products and 361 KB with whole-stack products. The fit copies
-        # one sample's lag windows at a time and Gamma_p is gathered from
-        # its autocovariances: a fig2-desk-t1000 stack peaks at about 85 KB
-        # per sample, 152 KB with Gamma_p from a Gram of the zero-padded
-        # sample and 220 KB with a copy of the whole stack's windows.
+        # the lag windows of a group of samples at a time, at most
+        # estimate._WINDOW_FLOATS values (3 samples here), and Gamma_p is
+        # gathered from its autocovariances: a fig2-desk-t1000 stack peaks at
+        # about 102 KB per sample, 85 KB with one sample's windows at a
+        # time, 152 KB with Gamma_p from a Gram of the zero-padded sample
+        # and 220 KB with a copy of the whole stack's windows.
         obj = dict(cli.PRESETS[preset](), methods=["LS", "S-LS"])
         cfg = cli.parse_experiment_config(obj, Namespace(workers=1, seed=None))
         truth = varma_true_irf(cfg.dgp, cfg.horizon)

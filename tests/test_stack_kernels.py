@@ -5,9 +5,12 @@ replication's output must not depend on the samples beside it. The checks
 here compare, byte for byte, every member of stacks of 1, 2, 3 and 10
 samples with its one-sample call: the fit and its residual covariance,
 Gamma_p, ``irf_covariances`` and ``delta_bounds``; a stack with a sample
-that cannot be fitted raises that sample's own error. The residuals, formed
-one sample at a time, match a product over the whole stack, and the
-covariances keep their bits for any block of horizons. They run in this process
+that cannot be fitted raises that sample's own error. The fit copies its
+lag windows a group of samples at a time: its Grams, residuals and
+bootstrap refits keep every member's bits with a group boundary after any
+member, its residuals match a product over the whole stack, and no buffer
+it or Gamma_p allocates is read before it is written. The covariances keep
+their bits for any block of horizons. They run in this process
 and again, with the panelled Grams' symmetry, in a fresh interpreter on
 OpenBLAS's Haswell kernels, the kernels AVX2-only and AMD Zen machines get.
 """
@@ -15,12 +18,21 @@ OpenBLAS's Haswell kernels, the kernels AVX2-only and AMD Zen machines get.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sievevar import NonFiniteError, SingularMatrixError, delta_infer, estimate, ma_from_ar, simulate_varma
+from sievevar import (
+    NonFiniteError,
+    SingularMatrixError,
+    bootstrap_infer,
+    delta_infer,
+    estimate,
+    ma_from_ar,
+    simulate_varma,
+)
 from conftest import blas_is_openblas, cpu_has, pure_ar_spec, random_stable_coeffs
 
 SIZES = (1, 2, 3, 10)
@@ -109,8 +121,9 @@ def test_members_keep_their_one_sample_bits(k, p, intercept):
 @pytest.mark.parametrize("intercept", [False, True])
 @pytest.mark.parametrize("k, p", SHAPES)
 def test_residuals_match_the_whole_stack_product(k, p, intercept):
-    # fit_var_fits forms each sample's residuals from its own lag windows;
-    # one product over a copy of the whole stack's windows gives the same bits
+    # fit_var_fits forms the residuals from the lag windows of a group of
+    # samples at a time; one product over a copy of the whole stack's
+    # windows gives the same bits
     stack = sample_stack(k, p)
     fits = estimate.fit_var_fits(stack, p, intercept)
     rows = np.ascontiguousarray(estimate._lag_windows(stack, p)[:, ::-1])
@@ -124,6 +137,118 @@ def test_residuals_match_the_whole_stack_product(k, p, intercept):
     else:
         assert fits.intercept is None
     assert_same_bits(fits.residuals, target - x @ coef)
+
+
+def one_sample_fit(fits, i):
+    """Coefficients, residuals, Sigma_u and intercept of member i of a ``VarFits``."""
+    arrays = [fits.coefs[i], fits.residuals[i], fits.sigma_u_hat[i]]
+    return arrays + ([] if fits.intercept is None else [fits.intercept[i]])
+
+
+def set_group_size(monkeypatch, size, t, k, p):
+    """Set ``estimate._WINDOW_FLOATS`` to the lag windows of ``size`` samples of T rows."""
+    monkeypatch.setattr(estimate, "_WINDOW_FLOATS", size * (t - p) * k * (p + 1))
+
+
+@pytest.mark.parametrize("k, p", SHAPES)
+def test_window_groups_keep_member_bits(monkeypatch, k, p):
+    # groups of 1, 2 and 3 samples put a group boundary after every member
+    # of the 10-sample stack; each member keeps the bits of its one-sample
+    # call and of the default groups, Grams of widths 22 to 62 demeaned or
+    # not, and fits with and without an intercept
+    stack = sample_stack(k, p)
+    n, t = stack.shape[:2]
+    default_grams = {demean: estimate._lag_grams(stack, p, demean) for demean in (False, True)}
+    default_fits = {c: estimate.fit_var_fits(stack, p, c) for c in (False, True)}
+    for size in (1, 2, 3):
+        set_group_size(monkeypatch, size, t, k, p)
+        groups = [len(rows) for _, rows in estimate._window_groups(estimate._lag_windows(stack, p))]
+        assert groups == [size] * (n // size) + [n % size] * (n % size > 0)
+        for demean, default in default_grams.items():
+            grams = estimate._lag_grams(stack, p, demean)
+            for i in range(n):
+                assert_same_bits(grams[i], estimate._lag_grams(stack[i : i + 1], p, demean)[0])
+                assert_same_bits(grams[i], default[i])
+        for intercept, default in default_fits.items():
+            fits = estimate.fit_var_fits(stack, p, intercept)
+            for i in range(n):
+                alone = estimate.fit_var_fits(stack[i : i + 1], p, intercept)
+                got = one_sample_fit(fits, i)
+                for a, b, c in zip(got, one_sample_fit(alone, 0), one_sample_fit(default, i)):
+                    assert_same_bits(a, b)
+                    assert_same_bits(a, c)
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+@pytest.mark.parametrize("k, p", SHAPES)
+def test_refit_block_groups_keep_draw_bits(monkeypatch, k, p, intercept):
+    # one _refit_draws block of 10 draws, refitted in groups of 1, 2 and 3:
+    # each draw keeps the bits of its pseudo-sample refitted alone and of
+    # the default groups
+    y = sample_stack(k, p, n=1)[0]
+    t, m, seed = len(y), 10, 5
+    model, resid = estimate.fit_var_ls(y, p, intercept)
+    args = (model.ar_hat.mats, model.intercept, resid, y)
+    drawn = bootstrap_infer._draw_indices(seed, 0, m, t, p, len(resid))
+    pseudo = bootstrap_infer.residual_bootstrap_sample(*args, *drawn)
+    alone = [estimate.fit_var_ls_stack(pseudo[i : i + 1], p, intercept)[0][0] for i in range(m)]
+    default = bootstrap_infer._refit_draws(*args, "fitted-model", seed, m)
+    assert m * y.size <= bootstrap_infer._BLOCK_FLOATS
+    for size in (1, 2, 3):
+        set_group_size(monkeypatch, size, t, k, p)
+        coefs = bootstrap_infer._refit_draws(*args, "fitted-model", seed, m)
+        for i in range(m):
+            assert_same_bits(coefs[i], alone[i])
+            assert_same_bits(coefs[i], default[i])
+
+
+def test_refit_block_peak_memory():
+    # a 64-draw refit block of the ci-k4 shape (K = 4, T = 600, p = 6) holds
+    # the reversed stack, its Grams and one group's lag windows at a time,
+    # about 2.1 MB traced; a copy of the whole block's windows would add
+    # 8.5 MB, and a second group's copy alive beside the first 0.4 MB
+    n, t, k, p = 64, 600, 4, 6
+    width = k * (p + 1)
+    samples = np.random.default_rng(11).normal(size=(n, t, k))
+    assert n * (t - p) * width > 16 * estimate._WINDOW_FLOATS
+    bound = 8 * (samples.size + n * width**2 + 1.5 * estimate._WINDOW_FLOATS)
+    estimate.fit_var_ls_stack(samples, p)  # caches and first-call state
+    for intercept in (False, True):
+        tracemalloc.start()
+        try:
+            estimate.fit_var_ls_stack(samples, p, intercept)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
+@pytest.mark.parametrize("k, p", SHAPES)
+def test_kernels_read_no_unwritten_memory(monkeypatch, k, p):
+    # np.empty hands out whatever bits the memory held, a signalling NaN
+    # among them, on which arithmetic raises "invalid value"; filled with
+    # signalling NaNs, every buffer the fit and Gamma_p allocate is written
+    # before it is read, and their results keep their bits
+    stack = sample_stack(k, p)
+    want = [estimate.fit_var_fits(stack, p, c) for c in (False, True)]
+    want_gamma = estimate.sample_gamma_p_stack(stack, p)
+    empty = np.empty
+
+    def poisoned(shape, dtype=float, *args, **kwargs):
+        out = empty(shape, dtype, *args, **kwargs)
+        if out.dtype == np.float64:
+            out.view(np.int64)[...] = 0x7FF0000000000001
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    with np.errstate(all="raise"):
+        gamma = estimate.sample_gamma_p_stack(stack, p)
+        fits = [estimate.fit_var_fits(stack, p, c) for c in (False, True)]
+    assert_same_bits(gamma, want_gamma)
+    for got, expected in zip(fits, want):
+        for i in range(len(stack)):
+            for a, b in zip(one_sample_fit(got, i), one_sample_fit(expected, i)):
+                assert_same_bits(a, b)
 
 
 @pytest.mark.parametrize("n", [1, 10])
