@@ -53,7 +53,6 @@ from .var_core import (
     ma_from_ar,
     spectral_radius,
     stability_class,
-    var_recursion,
 )
 
 # glibc's malloc serves blocks above its mmap threshold (128 KB at start) by
@@ -107,7 +106,6 @@ __all__ = [
     "spectral_radius",
     "stability_class",
     "tail_norm",
-    "var_recursion",
     "varma_true_ar",
     "varma_true_irf",
 ]

@@ -24,9 +24,9 @@ from .var_core import (
     _solve_recursion,
     coeff_seq,
     companion_form,
+    ma_from_ar,
     spectral_radius,
     stability_class,
-    var_recursion,
 )
 
 # Default plan for the modified AR coefficient set: full base at lag 1,
@@ -138,6 +138,22 @@ def default_burn_in(spec: VarmaSpec) -> int:
     return 200 + spec.p
 
 
+def _lag_filter(x: np.ndarray, coefs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows x_s + sum_{j=1}^{n} x_{s-j} C_j of x filtered by the (n, ., .) stack C_1..C_n.
+
+    Rows before the first row of x are zero, so lags past the rows of x add
+    nothing. Writes into ``out`` (which must not overlap x) when given, else
+    into a new array, and returns it.
+    """
+    if out is None:
+        out = x.copy()
+    else:
+        out[...] = x
+    for j, c in enumerate(coefs, start=1):
+        out[j:] += x[:-j] @ c
+    return out
+
+
 def simulate_varma(
     spec: VarmaSpec, t: int, burn_in: int, seed: SeedLike
 ) -> SamplePath:
@@ -156,9 +172,10 @@ def simulate_varma_stack(
 ) -> np.ndarray:
     """The (n, T, K) stack of ``simulate_varma`` paths, one per seed.
 
-    Each path draws its standard normals from its own seed and takes its
-    Cholesky and MA steps on its own; all paths then step one recursion,
-    solved in place (``var_core._solve_recursion``). Every path is
+    Each path draws its standard normals u_s from its own seed and takes its
+    Cholesky step and its MA filter e_s = u_s + sum_j M_j u_{s-j}
+    (``_lag_filter``) on its own; all paths then step one recursion, solved
+    in place (``var_core._solve_recursion``). Every path is
     bit-identical to ``simulate_varma`` of its seed, whatever the seeds
     beside it. The stack is not checked for finite values:
     ``simulate_varma`` checks its path in ``SamplePath``, and ``fit_var_ls``
@@ -176,11 +193,7 @@ def simulate_varma_stack(
     paths = np.zeros((len(seeds), p + total, k))
     for path, seed in zip(paths, seeds):
         u = generator(seed).standard_normal((total, k)) @ chol.T
-        # e_s = u_s + sum_j M_j u_{s-j}, innovations before s = 0 being zero
-        e = path[p:]
-        e[:] = u
-        for j, m in enumerate(spec.ma.mats, start=1):
-            e[j:] += u[:-j] @ m.T
+        _lag_filter(u, spec.ma.mats.swapaxes(-1, -2), out=path[p:])
     _solve_recursion(spec.ar.mats, paths)
     return paths[:, p + burn_in :]
 
@@ -208,33 +221,27 @@ def counterexample_ar(
 def varma_true_irf(spec: VarmaSpec, horizon: int) -> np.ndarray:
     """Exact impulse responses Phi_0..Phi_H of the process, shape (H+1, K, K).
 
-    Phi_i = M_i 1{i <= q} + sum_{j=1}^{min(i,p)} A_j Phi_{i-j} with M_0 = I:
-    the path of the AR part driven by I, M_1, ..., M_q.
+    Phi(z) = A(z)^{-1} M(z) with A(z) = I - sum A_j z^j and
+    M(z) = I + sum M_j z^j, so Phi_i = sum_{j=0}^{min(i,q)} Phi^AR_{i-j} M_j
+    with M_0 = I: the MA lags filter the expansion Phi^AR = ``ma_from_ar``
+    of the AR part.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    p, k = spec.p, spec.k
-    shocks = np.zeros((p + horizon + 1, k, k))
-    shocks[p] = np.eye(k)
-    shocks[p + 1 : p + 1 + spec.q] = spec.ma.mats[:horizon]
-    return var_recursion(spec.ar.mats, shocks)[p:]
+    return _lag_filter(ma_from_ar(spec.ar.mats, horizon), spec.ma.mats)
 
 
 def varma_true_ar(spec: VarmaSpec, n_lags: int) -> np.ndarray:
     """AR(infinity) coefficients A_1..A_n of the process, shape (n, K, K).
 
     Lag-polynomial division of the AR polynomial by the MA polynomial, in
-    the convention y_t = sum A_i y_{t-i} + u_t:
+    the convention y_t = sum A_i y_{t-i} + u_t: with Psi = ``ma_from_ar``
+    of -M_1, ..., -M_q, the expansion of M(z)^{-1},
 
-        A_i = A_i^{dgp} 1{i <= p} - sum_{j=1}^{min(i,q)} M_j A_{i-j}
+        A_i = sum_{l=1}^{min(i,p)} Psi_{i-l} A_l^{dgp} - Psi_i,
 
-    with A_0 := -I closing the recursion: the VAR path with coefficients
-    -M_1, ..., -M_q driven by -I, A_1^{dgp}, ..., A_p^{dgp}.
+    the filter of Psi by -A_1^{dgp}, ..., -A_p^{dgp}, negated.
     """
     if n_lags < 0:
         raise ValueError("n_lags must be nonnegative")
-    q, k = spec.q, spec.k
-    shocks = np.zeros((q + n_lags + 1, k, k))
-    shocks[q] = -np.eye(k)
-    shocks[q + 1 : q + 1 + spec.p] = spec.ar.mats[:n_lags]
-    return var_recursion(-spec.ma.mats, shocks)[q + 1 :]
+    return -_lag_filter(ma_from_ar(-spec.ma.mats, n_lags), -spec.ar.mats)[1:]

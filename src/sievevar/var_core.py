@@ -8,12 +8,14 @@ Phi_0 = I and
 
 the path of the VAR from zero start values driven by a unit impulse, which
 coincide with the top-left K x K block of the i-th power of the companion
-matrix. ``ma_from_ar`` steps this recursion one horizon at a time, for one
-coefficient stack or a stack of them; the tests hold it against companion
-powers. ``var_recursion`` computes the paths of one coefficient stack
-(simulated samples, bootstrap pseudo-samples, the true IRFs and AR(infinity)
-form of a VARMA) in blocks of steps, each block one matrix product over all
-paths. The package's numerics need numpy alone.
+matrix. Two kernels step a VAR recursion. ``ma_from_ar`` steps the one above
+horizon at a time, for one coefficient stack or a stack of them: the fitted
+IRFs, and through ``dgp_sim``'s lag filter the true IRFs and AR(infinity)
+form of a VARMA. The tests hold it against companion powers.
+``_solve_recursion`` overwrites a stack of shocks with the paths of one
+coefficient stack (simulated samples, bootstrap pseudo-samples) in blocks of
+steps, each block one matrix product over all paths. The package's numerics
+need numpy alone.
 
 Every function takes and returns plain arrays: coefficient stacks have
 shape (..., p, K, K) with A_1 first, IRF stacks (..., H+1, K, K) with
@@ -24,7 +26,6 @@ input enters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +104,9 @@ def ma_from_ar(ar: np.ndarray, horizon: int) -> np.ndarray:
     A (..., p, K, K) stack of coefficients gives the (..., H+1, K, K)
     stack of expansions, each member bit-identical to its own expansion.
     The expansion steps its H + 1 horizons itself rather than calling
-    ``var_recursion``: a stack of short expansions, one per bootstrap draw,
-    each with its own coefficients, is far cheaper stepped together than
-    solved one draw at a time.
+    ``_solve_recursion``: a stack of short expansions, one per bootstrap
+    draw, each with its own coefficients, is far cheaper stepped together
+    than solved one draw at a time.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -158,29 +159,6 @@ def _block_operator(ar: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(resp[p:].reshape(b * k, width).T)
 
 
-def var_recursion(ar: np.ndarray, shocks: np.ndarray) -> np.ndarray:
-    """Paths Y_s = sum_j A_j Y_{s-j} + E_s of VAR(p) recursions, shape (..., T, K, m).
-
-    Each Y_s is K x m: m = 1 steps sample paths, m = K from a unit impulse
-    impulse responses. ``shocks`` holds the E_s, its leading dimensions
-    indexing the paths, and every path shares the one (p, K, K) coefficient
-    stack ``ar`` (A_1..A_p). Rows below p are the start values, Y_s = E_s;
-    row s >= p is sum_j A_j Y_{s-j} + E_s, so a constant is part of the
-    shock. The paths are those of ``_solve_recursion`` on a copy of the
-    shocks, each column of each path its own path. Returns a new
-    C-contiguous array.
-    """
-    ar = np.asarray(ar, dtype=float)
-    shocks = np.asarray(shocks, dtype=float)
-    lead, (t, k, m) = shocks.shape[:-3], shocks.shape[-3:]
-    n = math.prod(lead)
-    # one (T, K) path per path and column m
-    paths = shocks.reshape((n, t, k, m)).transpose(0, 3, 1, 2).copy().reshape(n * m, t, k)
-    _solve_recursion(ar, paths)
-    out = paths.reshape((n, m, t, k)).transpose(0, 2, 3, 1)
-    return np.ascontiguousarray(out).reshape(lead + (t, k, m))
-
-
 def _solve_recursion(ar: np.ndarray, paths: np.ndarray) -> None:
     """Overwrite the shocks of a C-contiguous (n, T, K) float stack with the VAR(p) paths.
 
@@ -201,7 +179,7 @@ def _solve_recursion(ar: np.ndarray, paths: np.ndarray) -> None:
     n, t, k = paths.shape
     if ar.ndim != 3 or ar.shape[1:] != (k, k):
         raise DimensionMismatchError(
-            f"var_recursion got coefficients {ar.shape} and paths of {k} variables"
+            f"_solve_recursion got coefficients {ar.shape} and paths of {k} variables"
         )
     p = len(ar)
     if t < p:

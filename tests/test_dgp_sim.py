@@ -18,7 +18,12 @@ from sievevar import (
     varma_true_ar,
     varma_true_irf,
 )
-from sievevar.dgp_sim import DEFAULT_COUNTEREXAMPLE_PLAN, default_burn_in, simulate_varma_stack
+from sievevar.dgp_sim import (
+    DEFAULT_COUNTEREXAMPLE_PLAN,
+    _lag_filter,
+    default_burn_in,
+    simulate_varma_stack,
+)
 from sievevar.streams import substream
 from conftest import (
     assert_close_to_scale,
@@ -238,6 +243,32 @@ def _poly_series_inverse(coeffs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+class TestLagFilter:
+    """``_lag_filter`` against the sum of lagged products, one row at a time."""
+
+    @pytest.mark.parametrize("t, n", [(6, 2), (3, 5), (1, 1), (0, 2), (4, 0)])
+    def test_matches_sum_over_lags(self, rng, t, n):
+        # n > t: the lags past the rows of x add nothing; n = 0: a copy
+        x = rng.normal(size=(t, 3, 3))
+        coefs = rng.normal(size=(n, 3, 3))
+        want = np.array(
+            [x[s] + sum(x[s - j] @ coefs[j - 1] for j in range(1, min(s, n) + 1)) for s in range(t)]
+        ).reshape(x.shape)
+        out = _lag_filter(x, coefs)
+        assert out is not x
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-14)
+
+    def test_writes_into_out_and_leaves_x(self, rng):
+        x = rng.normal(size=(8, 2))
+        keep = x.copy()
+        coefs = rng.normal(size=(2, 2, 2))
+        buf = np.full((10, 2), np.nan)
+        assert _lag_filter(x, coefs, out=buf[2:]).base is buf
+        np.testing.assert_array_equal(buf[2:], _lag_filter(x, coefs))
+        assert np.isnan(buf[:2]).all()
+        np.testing.assert_array_equal(x, keep)
+
+
 class TestTrueIrf:
     def test_pure_ma_truncates(self):
         spec = scalar_varma(None, 0.3)
@@ -256,11 +287,13 @@ class TestTrueIrf:
         assert phis[2] == pytest.approx(0.4)
 
     def test_pure_ar_equals_ma_from_ar(self, rng):
+        # with no MA lags the filter only copies the expansion
         ar = random_stable_coeffs(rng, 2, 3, 0.8)
-        spec = pure_ar_spec(ar)
-        np.testing.assert_allclose(
-            varma_true_irf(spec, 10), ma_from_ar(ar, 10), atol=1e-14
-        )
+        np.testing.assert_array_equal(varma_true_irf(pure_ar_spec(ar), 10), ma_from_ar(ar, 10))
+
+    def test_negative_horizon_rejected(self, desk_spec):
+        with pytest.raises(ValueError, match="horizon"):
+            varma_true_irf(desk_spec, -1)
 
 
 class TestTrueAr:
@@ -289,6 +322,10 @@ class TestTrueAr:
         np.testing.assert_allclose(coeffs, oracle, atol=1e-15)
         assert coeffs[0] == pytest.approx(0.3)
         assert coeffs[1] == pytest.approx(-0.09)
+
+    def test_negative_lag_count_rejected(self, desk_spec):
+        with pytest.raises(ValueError, match="n_lags"):
+            varma_true_ar(desk_spec, -1)
 
 
 # (k, p, q, n): p = 0, q = 0, q > n, n = 0, n below p, and a lagged counterexample-like order

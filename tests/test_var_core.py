@@ -16,7 +16,6 @@ from sievevar import (
     ma_from_ar,
     spectral_radius,
     stability_class,
-    var_recursion,
 )
 from sievevar import var_core
 from sievevar.var_core import _BLOCK_STEPS, _solve_recursion, _stationary
@@ -138,86 +137,6 @@ class TestMaRecursion:
             np.testing.assert_array_equal(phis[idx], ma_from_ar(ar[idx], 9))
 
 
-class TestVarRecursion:
-    def test_member_of_stack_of_7_matches_single_path_bit_for_bit(self, rng):
-        k, p, t = 3, 4, 80
-        ar = random_stable_coeffs(rng, k, p, 0.9)
-        shocks = rng.normal(size=(7, t, k, 1))
-        paths = var_recursion(ar, shocks)
-        assert paths.shape == (7, t, k, 1)
-        for j in range(7):
-            single = var_recursion(ar, shocks[j : j + 1])
-            np.testing.assert_array_equal(paths[j], single[0])
-
-    def test_rows_below_p_are_start_values(self, rng):
-        ar = random_stable_coeffs(rng, 2, 3, 0.5)
-        shocks = rng.normal(size=(2, 10, 2, 1))
-        paths = var_recursion(ar, shocks)
-        np.testing.assert_array_equal(paths[:, :3], shocks[:, :3])
-
-    def test_scalar_steps_by_hand(self):
-        # y_s = 1 + 0.5 y_{s-1} + e_s from y_0 = 2: the start value and the
-        # constant plus e_s are the shocks
-        paths = var_recursion(np.array([[[0.5]]]), np.array([[[[2.0]], [[1.25]], [[0.0]]]]))
-        np.testing.assert_array_equal(paths[0, :, 0, 0], [2.0, 2.25, 1.125])
-
-    def test_p0_returns_shocks(self, rng):
-        shocks = rng.normal(size=(3, 20, 2, 1))
-        paths = var_recursion(np.empty((0, 2, 2)), shocks)
-        np.testing.assert_array_equal(paths, shocks)
-
-    def test_columns_of_matrix_paths_match_vector_paths(self, rng):
-        # m = K columns of one K x K path against each column stepped as m = 1;
-        # every column is its own path of the recursion
-        k, p, t = 3, 5, 40
-        ar = random_stable_coeffs(rng, k, p, 0.9)
-        shocks = rng.normal(size=(2, t, k, k))
-        paths = var_recursion(ar, shocks)
-        assert paths.shape == (2, t, k, k) and paths.flags.c_contiguous
-        for j in range(k):
-            col = np.s_[..., j : j + 1]
-            np.testing.assert_array_equal(paths[col], var_recursion(ar, shocks[col]))
-
-    @pytest.mark.parametrize("k, p", [(1, 4), (3, 2), (3, 0)])
-    @pytest.mark.parametrize("m", ["1", "K"])
-    def test_member_at_odd_length_matches_own_call_bit_for_bit(self, rng, k, p, m):
-        # T K odd at K = 1 and K = 3, so members start at every alignment
-        t, n = 151, 9
-        ar = random_stable_coeffs(rng, k, p, 0.9) if p else np.empty((0, k, k))
-        shocks = rng.normal(size=(n, t, k, 1 if m == "1" else k))
-        paths = var_recursion(ar, shocks)
-        for j in range(n):
-            np.testing.assert_array_equal(paths[j], var_recursion(ar, shocks[j]))
-
-    def test_empty_stack_keeps_its_shape(self, rng):
-        ar = random_stable_coeffs(rng, 2, 3, 0.9)
-        for shape in ((0, 40, 2, 1), (3, 0, 40, 2, 2)):
-            assert var_recursion(ar, np.zeros(shape)).shape == shape
-
-    def test_overflowing_member_leaves_its_neighbours_bits(self, rng):
-        # A_1 + A_2 + A_3 = 0.9 I with shocks of 1e308 overflows at step 3
-        k, t = 2, 120
-        ar = np.array([0.3 * np.eye(k)] * 3)
-        shocks = rng.normal(size=(5, t, k, 1))
-        calm = var_recursion(ar, shocks)
-        shocks[2] = 1e308
-        paths = var_recursion(ar, shocks)
-        assert not np.isfinite(paths[2]).all()
-        np.testing.assert_array_equal(np.delete(paths, 2, axis=0), np.delete(calm, 2, axis=0))
-
-    def test_shapes_checked(self):
-        for ar_shape, shocks_shape in (
-            ((2, 2, 2), (1, 1, 2, 1)),  # fewer steps than start values
-            ((2, 2, 2), (1, 5, 3, 1)),  # coefficients of another K
-            ((2, 2), (1, 5, 2, 1)),  # no lag axis
-            ((3, 2, 2, 2), (2, 5, 2, 1)),  # a stack that does not broadcast
-            ((2, 2, 2, 2), (5, 2, 1)),  # a stack wider than the paths
-            ((2, 2, 2, 2), (2, 5, 2, 1)),  # one coefficient stack per path
-        ):
-            with pytest.raises(DimensionMismatchError):
-                var_recursion(np.zeros(ar_shape), np.zeros(shocks_shape))
-
-
 def _solved(ar: np.ndarray, shocks: np.ndarray) -> np.ndarray:
     paths = shocks.copy()
     _solve_recursion(ar, paths)
@@ -225,7 +144,7 @@ def _solved(ar: np.ndarray, shocks: np.ndarray) -> np.ndarray:
 
 
 class TestSolveRecursion:
-    """The blocked kernel against the banded LAPACK solve, and each path's bits on its own."""
+    """The path kernel against the banded LAPACK solve and by hand, and each path's bits alone."""
 
     SHAPES = [(2, 10), (4, 6), (2, 14), (3, 7), (1, 1)]
 
@@ -251,6 +170,56 @@ class TestSolveRecursion:
         for n in (1, 2, 63, 64, 65):
             for lo in (0, 1):
                 np.testing.assert_array_equal(_solved(ar, shocks[lo : lo + n]), stack[lo : lo + n])
+
+    def test_rows_below_p_are_start_values(self, rng):
+        ar = random_stable_coeffs(rng, 2, 3, 0.5)
+        shocks = rng.normal(size=(2, 10, 2))
+        np.testing.assert_array_equal(_solved(ar, shocks)[:, :3], shocks[:, :3])
+
+    def test_scalar_steps_by_hand(self):
+        # y_s = 1 + 0.5 y_{s-1} + e_s from y_0 = 2: the start value and the
+        # constant plus e_s are the shocks
+        paths = _solved(np.array([[[0.5]]]), np.array([[[2.0], [1.25], [0.0]]]))
+        np.testing.assert_array_equal(paths[0, :, 0], [2.0, 2.25, 1.125])
+
+    def test_p0_leaves_shocks(self, rng):
+        shocks = rng.normal(size=(3, 20, 2))
+        np.testing.assert_array_equal(_solved(np.empty((0, 2, 2)), shocks), shocks)
+
+    @pytest.mark.parametrize("k, p", [(1, 4), (3, 2), (3, 0)])
+    def test_path_at_odd_length_matches_own_call_bit_for_bit(self, rng, k, p):
+        # T K odd at K = 1 and K = 3, so paths start at every alignment
+        t, n = 151, 9
+        ar = random_stable_coeffs(rng, k, p, 0.9) if p else np.empty((0, k, k))
+        shocks = rng.normal(size=(n, t, k))
+        paths = _solved(ar, shocks)
+        for j in range(n):
+            np.testing.assert_array_equal(paths[j], _solved(ar, shocks[j : j + 1])[0])
+
+    def test_empty_stack_keeps_its_shape(self, rng):
+        ar = random_stable_coeffs(rng, 2, 3, 0.9)
+        assert _solved(ar, np.zeros((0, 40, 2))).shape == (0, 40, 2)
+
+    def test_overflowing_path_leaves_its_neighbours_bits(self, rng):
+        # A_1 + A_2 + A_3 = 0.9 I with shocks of 1e308 overflows at step 3
+        k, t = 2, 120
+        ar = np.array([0.3 * np.eye(k)] * 3)
+        shocks = rng.normal(size=(5, t, k))
+        calm = _solved(ar, shocks)
+        shocks[2] = 1e308
+        paths = _solved(ar, shocks)
+        assert not np.isfinite(paths[2]).all()
+        np.testing.assert_array_equal(np.delete(paths, 2, axis=0), np.delete(calm, 2, axis=0))
+
+    def test_shapes_checked(self):
+        for ar_shape, paths_shape in (
+            ((2, 2), (1, 5, 2)),  # no lag axis
+            ((2, 2, 2, 2), (1, 5, 2)),  # a stack of coefficient stacks
+            ((2, 2, 2), (1, 5, 3)),  # coefficients of another K
+            ((2, 2, 2), (1, 1, 2)),  # fewer steps than start values
+        ):
+            with pytest.raises(DimensionMismatchError):
+                _solved(np.zeros(ar_shape), np.zeros(paths_shape))
 
 
 class TestMaViaCompanion:
