@@ -1,4 +1,11 @@
-"""CLI contract: exit codes, CSV layouts, warnings, SVG structure."""
+"""CLI contract: exit codes, CSV layouts, warnings, SVG structure.
+
+``tests/data/chart_golden.svg`` pins the bytes of ``render_mc_chart`` for
+the rows of ``golden_chart``. Regenerate it only for an intended change of
+output, with
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
 
 import json
 import os
@@ -701,7 +708,32 @@ def synthetic_results(tmp_path, methods=("LS", "S-LS", "BOOT", "BOOT-db"), h=12)
     return path
 
 
+CHART_GOLDEN = Path(__file__).parent / "data" / "chart_golden.svg"
+
+
+def golden_chart() -> str:
+    """``sievevar plot``'s output for fixed rows: five methods, one with markup in
+    its name, horizons 0..30, one coverage above 1 and one length of 0."""
+    rng = np.random.default_rng(36)
+    rows = [
+        {
+            "method": m,
+            "horizon": h,
+            "coverage": 0.8 + 0.19 * rng.random(),
+            "avg_length": (0.2 + rng.random()) * 0.9**h,
+        }
+        for m in ("LS", "S-LS", "BOOT", "BOOT-db", 'a&b "q"')
+        for h in range(31)
+    ]
+    rows[3]["coverage"] = 1.04
+    rows[31 + 5]["avg_length"] = 0.0
+    return render_mc_chart(rows, p=10, level=0.95, title='<b>desk</b> & "p = 10"') + "\n"
+
+
 class TestPlot:
+    def test_chart_matches_golden_bytes(self):
+        assert golden_chart().encode("utf-8") == CHART_GOLDEN.read_bytes()
+
     def test_wellformed_svg_with_threshold_and_series(self, tmp_path):
         results = synthetic_results(tmp_path)
         out = tmp_path / "chart.svg"
@@ -829,3 +861,7 @@ class TestDiag:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+
+if __name__ == "__main__":
+    CHART_GOLDEN.write_bytes(golden_chart().encode("utf-8"))
