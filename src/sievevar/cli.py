@@ -459,7 +459,7 @@ def cmd_plot(args) -> int:
             missing = [c for c in MC_RESULT_COLUMNS if c not in fields]
             if missing:
                 raise ConfigError(f"{args.results} lacks columns {missing}")
-            rows = []
+            rows, seen = [], set()
             for row in reader:
                 where = f"{args.results}:{reader.line_num}"
                 # a short row fills its missing fields with None, a long one files extras under None
@@ -474,6 +474,13 @@ def cmd_plot(args) -> int:
                     raise ConfigError(f"{where}: coverage and avg_length must be finite")
                 if horizon < 0:
                     raise ConfigError(f"{where}: horizon must be >= 0")
+                if not 0.0 <= coverage <= 1.0:
+                    raise ConfigError(f"{where}: coverage must be in [0, 1]")
+                if length < 0.0:
+                    raise ConfigError(f"{where}: avg_length must be >= 0")
+                if (row["method"], horizon) in seen:
+                    raise ConfigError(f"{where}: repeats method {row['method']} at horizon {horizon}")
+                seen.add((row["method"], horizon))
                 rows.append(
                     dict(method=row["method"], horizon=horizon, coverage=coverage, avg_length=length)
                 )

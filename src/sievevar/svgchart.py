@@ -77,30 +77,45 @@ def render_mc_chart(
     """SVG document for mc_results rows.
 
     Each row maps "method" to a name, "horizon" to an int, and "coverage"
-    and "avg_length" to floats.
+    and "avg_length" to floats. One table describes both panels, and the
+    same loops draw their axes, y ticks and series from it. Coverage is
+    clipped at 1; length is not clipped.
     """
     if not rows:
         raise ValueError("no data rows to plot")
-    methods: list[str] = []
-    for row in rows:
-        if row["method"] not in methods:
-            methods.append(row["method"])
+    # each method's (horizon, coverage, avg_length) points, methods in order of appearance
+    points: dict[str, list[tuple[int, float, float]]] = {}
+    for r in rows:
+        points.setdefault(r["method"], []).append((r["horizon"], r["coverage"], r["avg_length"]))
     h_max = max(r["horizon"] for r in rows)
     len_max = max(r["avg_length"] for r in rows) * 1.05 or 1.0
-
-    parts: list[str] = []
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">'
+    lstep = _nice_step(len_max)
+    len_ticks = []
+    v = 0.0
+    while v <= len_max + 1e-12:
+        len_ticks.append((v, f"{v:g}"))
+        v += lstep
+    # one row per panel, top first: key, axis label, y0, y1, scale maximum,
+    # ticks as (value, text), the index of the plotted value in a point, and
+    # the value's clip (math.inf: none)
+    panels = (
+        ("coverage", "coverage", _COV_Y0, _COV_Y1, 1.0,
+         [(i / 5.0, f"{i / 5.0:.1f}") for i in range(6)], 1, 1.0),
+        ("length", "average length", _LEN_Y0, _LEN_Y1, len_max, len_ticks, 2, math.inf),
     )
-    parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+    ]
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
             f'font-size="15">{_escape(title)}</text>'
         )
 
-    def axis(y0: int, y1: int, label: str) -> None:
+    for _, label, y0, y1, *_ in panels:
         parts.append(
             f'<g class="axis" stroke="#333" fill="none">'
             f'<line x1="{_X0}" y1="{y1}" x2="{_X1}" y2="{y1}"/>'
@@ -110,9 +125,6 @@ def render_mc_chart(
             f'<text x="20" y="{(y0 + y1) / 2:.0f}" text-anchor="middle" '
             f'transform="rotate(-90 20 {(y0 + y1) / 2:.0f})">{_escape(label)}</text>'
         )
-
-    axis(_COV_Y0, _COV_Y1, "coverage")
-    axis(_LEN_Y0, _LEN_Y1, "average length")
     parts.append(
         f'<text x="{(_X0 + _X1) / 2:.0f}" y="{_HEIGHT - 6}" text-anchor="middle">horizon</text>'
     )
@@ -125,64 +137,35 @@ def render_mc_chart(
             parts.append(
                 f'<line x1="{x:.2f}" y1="{y_base}" x2="{x:.2f}" y2="{y_base + 4}" stroke="#333"/>'
             )
-        parts.append(
-            f'<text x="{x:.2f}" y="{_LEN_Y1 + 18}" text-anchor="middle">{h}</text>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{_COV_Y1 + 18}" text-anchor="middle">{h}</text>'
-        )
+        for y_base in (_LEN_Y1, _COV_Y1):
+            parts.append(f'<text x="{x:.2f}" y="{y_base + 18}" text-anchor="middle">{h}</text>')
 
-    # y ticks: coverage at fifths, length at a nice step
-    for i in range(6):
-        v = i / 5.0
-        y = _yscale(v, 1.0, _COV_Y0, _COV_Y1)
-        parts.append(f'<line x1="{_X0 - 4}" y1="{y:.2f}" x2="{_X0}" y2="{y:.2f}" stroke="#333"/>')
-        parts.append(
-            f'<text x="{_X0 - 8}" y="{y + 4:.2f}" text-anchor="end">{v:.1f}</text>'
-        )
-    lstep = _nice_step(len_max)
-    v = 0.0
-    while v <= len_max + 1e-12:
-        y = _yscale(v, len_max, _LEN_Y0, _LEN_Y1)
-        parts.append(f'<line x1="{_X0 - 4}" y1="{y:.2f}" x2="{_X0}" y2="{y:.2f}" stroke="#333"/>')
-        parts.append(
-            f'<text x="{_X0 - 8}" y="{y + 4:.2f}" text-anchor="end">{v:g}</text>'
-        )
-        v += lstep
+    for _, _, y0, y1, v_max, ticks, _, _ in panels:
+        for v, text in ticks:
+            y = _yscale(v, v_max, y0, y1)
+            parts.append(
+                f'<line x1="{_X0 - 4}" y1="{y:.2f}" x2="{_X0}" y2="{y:.2f}" stroke="#333"/>'
+            )
+            parts.append(f'<text x="{_X0 - 8}" y="{y + 4:.2f}" text-anchor="end">{text}</text>')
 
-    by_method: dict[str, list[tuple[int, float, float]]] = {m: [] for m in methods}
-    for row in rows:
-        by_method[row["method"]].append((row["horizon"], row["coverage"], row["avg_length"]))
-
-    parts.append('<g id="panel-coverage" fill="none">')
-    parts.append(
-        f'<line class="nominal" x1="{_X0}" x2="{_X1}" '
-        f'y1="{_yscale(level, 1.0, _COV_Y0, _COV_Y1):.2f}" '
-        f'y2="{_yscale(level, 1.0, _COV_Y0, _COV_Y1):.2f}" '
-        f'stroke="#666" stroke-dasharray="6 4"/>'
-    )
-    for idx, method in enumerate(methods):
-        pts = " ".join(
-            f"{_xscale(h, h_max):.2f},{_yscale(min(cov, 1.0), 1.0, _COV_Y0, _COV_Y1):.2f}"
-            for h, cov, _ in sorted(by_method[method])
-        )
-        parts.append(
-            f'<polyline class="series" data-method={_quoteattr(method)} '
-            f'points="{pts}" stroke="{_color(method, idx)}" stroke-width="1.6"/>'
-        )
-    parts.append("</g>")
-
-    parts.append('<g id="panel-length" fill="none">')
-    for idx, method in enumerate(methods):
-        pts = " ".join(
-            f"{_xscale(h, h_max):.2f},{_yscale(length, len_max, _LEN_Y0, _LEN_Y1):.2f}"
-            for h, _, length in sorted(by_method[method])
-        )
-        parts.append(
-            f'<polyline class="series" data-method={_quoteattr(method)} '
-            f'points="{pts}" stroke="{_color(method, idx)}" stroke-width="1.6"/>'
-        )
-    parts.append("</g>")
+    for key, _, y0, y1, v_max, _, col, clip in panels:
+        parts.append(f'<g id="panel-{key}" fill="none">')
+        if key == "coverage":
+            y = _yscale(level, 1.0, y0, y1)
+            parts.append(
+                f'<line class="nominal" x1="{_X0}" x2="{_X1}" y1="{y:.2f}" y2="{y:.2f}" '
+                f'stroke="#666" stroke-dasharray="6 4"/>'
+            )
+        for idx, (method, series) in enumerate(points.items()):
+            pts = " ".join(
+                f"{_xscale(pt[0], h_max):.2f},{_yscale(min(pt[col], clip), v_max, y0, y1):.2f}"
+                for pt in sorted(series)
+            )
+            parts.append(
+                f'<polyline class="series" data-method={_quoteattr(method)} '
+                f'points="{pts}" stroke="{_color(method, idx)}" stroke-width="1.6"/>'
+            )
+        parts.append("</g>")
 
     # single solid rule at i = p through both panels
     xp = _xscale(min(p, h_max), h_max)
@@ -193,7 +176,7 @@ def render_mc_chart(
 
     # legend
     lx, ly = _X1 - 130, _COV_Y0 + 4
-    for idx, method in enumerate(methods):
+    for idx, method in enumerate(points):
         y = ly + idx * 18
         parts.append(
             f'<line x1="{lx}" y1="{y}" x2="{lx + 24}" y2="{y}" '

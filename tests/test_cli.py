@@ -725,8 +725,8 @@ def golden_chart() -> str:
         for m in ("LS", "S-LS", "BOOT", "BOOT-db", 'a&b "q"')
         for h in range(31)
     ]
-    rows[3]["coverage"] = 1.04
-    rows[31 + 5]["avg_length"] = 0.0
+    rows[3]["coverage"] = 1.04  # LS at horizon 3
+    rows[31 + 5]["avg_length"] = 0.0  # S-LS at horizon 5
     return render_mc_chart(rows, p=10, level=0.95, title='<b>desk</b> & "p = 10"') + "\n"
 
 
@@ -796,6 +796,10 @@ class TestPlot:
         ("LS,1,nan,0.1,1,0", "coverage and avg_length must be finite", ()),
         ("LS,1,0.9,inf,1,0", "coverage and avg_length must be finite", ()),
         ("LS,-1,0.9,0.1,1,0", "horizon must be >= 0", ()),
+        ("LS,1,1.5,0.1,1,0", "coverage must be in [0, 1]", ()),
+        ("LS,1,-0.1,0.1,1,0", "coverage must be in [0, 1]", ()),
+        ("LS,1,0.9,-0.3,1,0", "avg_length must be >= 0", ()),
+        ("LS,0,0.9,0.1,1,0", "repeats method LS at horizon 0", ()),
         ("LS,1,0.9,0.1,1,0", "--level must be in (0, 1)", ("--level", "1.5")),
     ]
 
